@@ -47,12 +47,25 @@ fn main() {
     let mut study = MappingStudy::new(net, MapperConfig::new(3));
     study.counter_window_us = 500_000;
 
+    // Every row runs the same epoch schedule (two boundaries per hotspot
+    // phase) under the same cost model — the live-application pacing
+    // `run_online` defaults to — so `net_time_s` is comparable down the
+    // whole column.
+    let inc_cfg = IncrementalConfig {
+        epochs: 8,
+        ..IncrementalConfig::default()
+    };
+
     // Static baselines: one partition for the whole run. The hotspot is
     // unannounced (no predicted flows), so PLACE/PROFILE fall back to
     // their traffic-blind structure — the regime §6 warns about.
+    let mut static_top_events = 0;
     for a in Approach::ALL {
         let p = study.map(a, &[], &flows);
-        let r = study.evaluate(&p, &flows, CostModel::default());
+        let r = study.evaluate(&p, &flows, inc_cfg.cost);
+        if a == Approach::Top {
+            static_top_events = r.total_events();
+        }
         let row = format!("static {}", a.label());
         t.set(&row, "imbalance", load_imbalance(&r.engine_events));
         t.set(
@@ -65,18 +78,26 @@ fn main() {
         t.set(&row, "remaps", 0.0);
     }
 
-    // Online runs: identical epoch schedule (two boundaries per hotspot
-    // phase), identical measurement path; only the boundary policy varies.
-    let inc_cfg = IncrementalConfig {
-        epochs: 8,
-        ..IncrementalConfig::default()
-    };
+    // Online runs: identical measurement path; only the boundary policy
+    // varies.
     for (label, mode) in [
         ("online off", RebalanceMode::Off),
         ("online global", RebalanceMode::Global),
         ("online incremental", RebalanceMode::Incremental),
     ] {
         let out = run_online(&study, &flows, &[], &inc_cfg, mode);
+        if mode == RebalanceMode::Off {
+            // Never migrating is the static TOP run stopped and resumed at
+            // the epoch boundaries: same protocol, same events; only the
+            // windows capped at a boundary add their sync cost.
+            assert_eq!(out.report.total_events(), static_top_events);
+            let top_s = t.get("static TOP", "net_time_s").unwrap();
+            let off_s = out.report.emulation_time_s();
+            assert!(
+                (off_s - top_s).abs() < 0.01 * top_s,
+                "online off {off_s} s vs static TOP {top_s} s"
+            );
+        }
         t.set(
             label,
             "imbalance",

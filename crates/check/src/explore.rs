@@ -8,6 +8,10 @@
 //! branch that only reorders independent operations of one already
 //! explored. Exploration stops at the first violation — its schedule is
 //! returned for deterministic replay.
+//!
+//! A scenario's segments ([`crate::scenario`]) are explored one after the
+//! other, each with its own visited set (equal operation traces from
+//! different start states are different states); the counters add up.
 
 use crate::scenario::Scenario;
 use crate::sched::{run_schedule, Fault, RunOutcome, ViolationKind};
@@ -50,6 +54,8 @@ pub struct Violation {
     pub kind: ViolationKind,
     /// Human-readable specifics.
     pub detail: String,
+    /// The scenario segment it occurred in.
+    pub segment: usize,
     /// The exact choice list that elicits it (feed to [`replay`]).
     pub schedule: Vec<usize>,
 }
@@ -66,21 +72,40 @@ pub struct ExploreResult {
 /// Explores `scenario`'s schedule space depth-first, stopping at the
 /// first violation or at exhaustion (or at `opts.max_schedules`).
 pub fn explore(scenario: &Scenario, opts: ExploreOpts) -> ExploreResult {
-    let reference = scenario.reference();
-    let mut visited: HashSet<u64> = HashSet::new();
     let mut stats = ExploreStats {
         exhaustive: true,
         ..ExploreStats::default()
     };
+    let mut violation = None;
+    for segment in 0..scenario.segments() {
+        violation = explore_segment(scenario, segment, opts, &mut stats);
+        if violation.is_some() || !stats.exhaustive {
+            break;
+        }
+    }
+    ExploreResult { stats, violation }
+}
+
+/// Walks one segment's schedule tree, adding to `stats`.
+fn explore_segment(
+    scenario: &Scenario,
+    segment: usize,
+    opts: ExploreOpts,
+    stats: &mut ExploreStats,
+) -> Option<Violation> {
+    let expected = scenario.stop_state(segment);
+    let mut visited: HashSet<u64> = HashSet::new();
     let mut prefix: Vec<usize> = Vec::new();
+    let mut violation = None;
 
     loop {
         let run = run_schedule(
             scenario,
+            segment,
             &prefix,
             opts.fault,
             Some(&mut visited),
-            &reference,
+            &expected,
         );
         stats.peak_depth = stats.peak_depth.max(run.decisions.len());
         match &run.outcome {
@@ -88,15 +113,13 @@ pub fn explore(scenario: &Scenario, opts: ExploreOpts) -> ExploreResult {
             RunOutcome::Complete => stats.executions += 1,
             RunOutcome::Violation { kind, detail } => {
                 stats.executions += 1;
-                stats.states = visited.len() as u64;
-                return ExploreResult {
-                    stats,
-                    violation: Some(Violation {
-                        kind: *kind,
-                        detail: detail.clone(),
-                        schedule: run.schedule(),
-                    }),
-                };
+                violation = Some(Violation {
+                    kind: *kind,
+                    detail: detail.clone(),
+                    segment,
+                    schedule: run.schedule(),
+                });
+                break;
             }
         }
         if let Some(cap) = opts.max_schedules {
@@ -123,16 +146,19 @@ pub fn explore(scenario: &Scenario, opts: ExploreOpts) -> ExploreResult {
             None => break, // whole tree walked
         }
     }
-    stats.states = visited.len() as u64;
-    ExploreResult {
-        stats,
-        violation: None,
-    }
+    stats.states += visited.len() as u64;
+    violation
 }
 
-/// Re-executes one exact schedule (no pruning) and returns its outcome —
-/// used to confirm that a reported counterexample reproduces.
-pub fn replay(scenario: &Scenario, schedule: &[usize], fault: Option<Fault>) -> RunOutcome {
-    let reference = scenario.reference();
-    run_schedule(scenario, schedule, fault, None, &reference).outcome
+/// Re-executes one exact schedule of `segment` (no pruning) and returns
+/// its outcome — used to confirm that a reported counterexample
+/// reproduces.
+pub fn replay(
+    scenario: &Scenario,
+    segment: usize,
+    schedule: &[usize],
+    fault: Option<Fault>,
+) -> RunOutcome {
+    let expected = scenario.stop_state(segment);
+    run_schedule(scenario, segment, schedule, fault, None, &expected).outcome
 }

@@ -19,10 +19,14 @@
 //!
 //! On every surviving schedule the checker asserts: no deadlock, LBTS
 //! never regresses, no cross-engine event is lost or delivered into a
-//! closed window, all participants agree, and the final
-//! [`massf_engine::EmulationReport`] is bit-identical to the sequential
-//! reference. Seeded faults ([`sched::Fault`]) mutate the protocol at the
-//! shim level to prove the checker actually detects bugs.
+//! closed window, all participants agree, and the state the run stops in
+//! ([`scenario::StopState`]: the [`massf_engine::EmulationReport`] so
+//! far, pending events, link occupancy, protocol state) is bit-identical
+//! to the sequential stepping reference's. The protocol is resumable, and
+//! so is the check: a scenario with a mid-run stop/migrate/resume is
+//! explored segment by segment ([`scenario`]). Seeded faults
+//! ([`sched::Fault`]) mutate the protocol at the shim level to prove the
+//! checker actually detects bugs.
 //!
 //! ```
 //! use massf_check::{explore, ExploreOpts, Scenario};

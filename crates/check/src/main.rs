@@ -78,8 +78,8 @@ fn main() -> ExitCode {
         match (&result.violation, fault) {
             (Some(v), None) => {
                 eprintln!(
-                    "  VIOLATION {}: {}\n  schedule: {:?}",
-                    v.kind, v.detail, v.schedule
+                    "  VIOLATION {}: {}\n  segment {} schedule: {:?}",
+                    v.kind, v.detail, v.segment, v.schedule
                 );
                 return ExitCode::from(2);
             }

@@ -5,12 +5,70 @@
 //! engines, cross-engine traffic in both directions, and several
 //! conservative rounds (so LBTS advances more than once and remote
 //! events span window boundaries).
+//!
+//! A scenario with a [`Migration`] runs in two *segments* — up to the
+//! stop time under the initial partition, then to completion under the
+//! new one — and the checker explores each segment on its own. That is
+//! sound because a segment's check is that *every* interleaving ends in
+//! the one [`StopState`] the sequential stepping executor reaches: the
+//! next segment then has a single possible start state, which the
+//! checker rebuilds sequentially ([`Scenario::stepped_to`]). Schedule
+//! counts therefore add across segments instead of multiplying.
 
-use massf_engine::engine::lookahead_us;
-use massf_engine::{run_sequential, EmulationConfig, EmulationReport};
+use massf_engine::engine::Engine;
+use massf_engine::event::Event;
+use massf_engine::exec::finalize;
+use massf_engine::{
+    EmulationConfig, EmulationReport, MigrationCost, ProtocolState, SteppableEmulation,
+};
 use massf_routing::RoutingTables;
-use massf_topology::Network;
+use massf_topology::{LinkId, Network};
 use massf_traffic::FlowSpec;
+
+/// A stop/migrate/resume point: the run stops once every pending event
+/// is at or after `at_us`, and `partition` is installed through
+/// [`SteppableEmulation::repartition`] before it resumes.
+pub struct Migration {
+    /// Virtual time the first segment runs until.
+    pub at_us: u64,
+    /// Node → engine assignment of the second segment.
+    pub partition: Vec<u32>,
+}
+
+/// Everything a run consists of where [`massf_engine::protocol_loop`]
+/// returned: what the engines counted so far, what they still hold, and
+/// the protocol state a later call resumes from. Two executions that
+/// stop in equal states are indistinguishable from then on.
+#[derive(Debug, PartialEq)]
+pub struct StopState {
+    /// The engines' counters, series and NetFlow tables, finalized.
+    pub report: EmulationReport,
+    /// Pending events per engine, ascending.
+    pub pending: Vec<Vec<Event>>,
+    /// Link-occupancy entries per engine, in key order.
+    pub links: Vec<Vec<((LinkId, bool), u64)>>,
+    /// The protocol state (wall clock, rounds, frontier, last LBTS).
+    pub protocol: ProtocolState,
+}
+
+impl StopState {
+    /// Takes `engines` (in id order) apart at a stop point.
+    pub fn of(
+        mut engines: Vec<Engine>,
+        cfg: &EmulationConfig,
+        tables: &RoutingTables,
+        protocol: ProtocolState,
+    ) -> StopState {
+        let pending = engines.iter_mut().map(Engine::drain_events).collect();
+        let links = engines.iter_mut().map(Engine::drain_link_state).collect();
+        StopState {
+            report: finalize(engines, cfg, tables, protocol.clone()),
+            pending,
+            links,
+            protocol,
+        }
+    }
+}
 
 /// One self-contained checking scenario: topology, routes, traffic, and
 /// the emulation configuration (whose `nengines` is the thread count).
@@ -25,6 +83,8 @@ pub struct Scenario {
     pub flows: Vec<FlowSpec>,
     /// Run configuration (partition, engine count, cost model).
     pub cfg: EmulationConfig,
+    /// Mid-run stop and repartition, if the scenario has one.
+    pub migrate: Option<Migration>,
 }
 
 impl Scenario {
@@ -46,6 +106,21 @@ impl Scenario {
     /// every interleaving.
     pub fn two_cross_lazy() -> Scenario {
         Self::two_cross_with("two_cross_lazy", RoutingTables::build_lazy)
+    }
+
+    /// [`two_cross`](Self::two_cross) stopped at 500 µs — events in
+    /// flight across the cut in both directions, both cut directions'
+    /// link occupancy live — with the two engines' node sets swapped
+    /// before it resumes, so every node, pending event and occupancy
+    /// entry changes engines.
+    pub fn two_cross_migrate() -> Scenario {
+        Scenario {
+            migrate: Some(Migration {
+                at_us: 500,
+                partition: vec![1, 1, 0, 0],
+            }),
+            ..Self::two_cross_with("two_cross_migrate", RoutingTables::build)
+        }
     }
 
     fn two_cross_with(name: &'static str, build: fn(&Network) -> RoutingTables) -> Scenario {
@@ -84,6 +159,7 @@ impl Scenario {
             tables,
             flows,
             cfg: EmulationConfig::new(vec![0, 0, 1, 1], 2),
+            migrate: None,
         }
     }
 
@@ -130,6 +206,7 @@ impl Scenario {
             tables,
             flows,
             cfg: EmulationConfig::new(vec![0, 0, 1, 2, 2], 3),
+            migrate: None,
         }
     }
 
@@ -139,6 +216,7 @@ impl Scenario {
             Scenario::two_cross(),
             Scenario::three_chain(),
             Scenario::two_cross_lazy(),
+            Scenario::two_cross_migrate(),
         ]
     }
 
@@ -147,15 +225,49 @@ impl Scenario {
         Scenario::all().into_iter().find(|s| s.name == name)
     }
 
-    /// The protocol lookahead for this scenario's partition.
-    pub fn lookahead(&self) -> u64 {
-        lookahead_us(&self.net, &self.cfg.partition)
+    /// How many segments the checker explores: one, or two around a
+    /// migration.
+    pub fn segments(&self) -> usize {
+        1 + usize::from(self.migrate.is_some())
     }
 
-    /// The sequential-execution report every explored schedule must
-    /// reproduce bit-for-bit.
+    /// The virtual-time bound segment `segment` runs until.
+    pub fn until_us(&self, segment: usize) -> u64 {
+        match (&self.migrate, segment) {
+            (Some(m), 0) => m.at_us,
+            _ => u64::MAX,
+        }
+    }
+
+    /// The sequential stepping executor at the start of `segment`: fresh
+    /// for segment 0, stopped and repartitioned for segment 1.
+    pub fn stepped_to(&self, segment: usize) -> SteppableEmulation<'_> {
+        let mut emu =
+            SteppableEmulation::new(&self.net, &self.tables, &self.flows, self.cfg.clone());
+        if segment > 0 {
+            let m = self
+                .migrate
+                .as_ref()
+                .expect("only a migration adds a segment");
+            emu.run_until(m.at_us);
+            emu.repartition(m.partition.clone(), MigrationCost::default());
+        }
+        emu
+    }
+
+    /// The state the sequential stepping executor stops `segment` in —
+    /// what every explored schedule of that segment must reproduce
+    /// bit-for-bit.
+    pub fn stop_state(&self, segment: usize) -> StopState {
+        let mut emu = self.stepped_to(segment);
+        emu.run_until(self.until_us(segment));
+        let (engines, cfg, protocol) = emu.into_parts();
+        StopState::of(engines, &cfg, &self.tables, protocol)
+    }
+
+    /// The sequential-execution report of the whole run.
     pub fn reference(&self) -> EmulationReport {
-        run_sequential(&self.net, &self.tables, &self.flows, &self.cfg)
+        self.stop_state(self.segments() - 1).report
     }
 }
 
@@ -176,6 +288,24 @@ mod tests {
                 r.rounds
             );
         }
+    }
+
+    #[test]
+    fn migration_stops_mid_flight_and_moves_everything() {
+        let s = Scenario::two_cross_migrate();
+        let stop = s.stop_state(0);
+        assert!(stop.pending.iter().all(|q| !q.is_empty()), "{stop:?}");
+        assert!(stop.links.iter().all(|l| !l.is_empty()), "{stop:?}");
+        assert_eq!(stop.protocol.last_lbts, 500);
+        let mut emu = s.stepped_to(1);
+        assert_eq!(emu.migrated_nodes, s.net.node_count());
+        emu.run_to_completion();
+        assert_eq!(emu.finish(), s.reference());
+        // Migration changes where events run, never what is emulated.
+        assert_eq!(
+            s.reference().delivered,
+            Scenario::two_cross().reference().delivered
+        );
     }
 
     #[test]

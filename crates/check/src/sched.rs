@@ -11,7 +11,9 @@
 //! * checks the protocol's safety properties at every grant (published
 //!   minima never fall below the closed LBTS; no cross-engine event is
 //!   delivered into a closed window) and at completion (no event lost,
-//!   all participants agree, report equals the sequential reference);
+//!   all participants agree, and the stop state — report so far, pending
+//!   events, link occupancy, protocol state — equals the sequential
+//!   stepping reference's);
 //! * optionally injects one seeded [`Fault`] — the checker's self-test
 //!   that it can actually see protocol bugs.
 //!
@@ -21,13 +23,12 @@
 //! expected unwinds out of stderr.
 
 use crate::hash::Mix;
-use crate::scenario::Scenario;
+use crate::scenario::{Scenario, StopState};
 use crate::vv::VersionVec;
-use massf_engine::engine::{Engine, Shared};
+use massf_engine::engine::{lookahead_us, Engine, Shared};
 use massf_engine::event::Event;
-use massf_engine::exec::finalize;
 use massf_engine::shim::{SlotArray, SyncShim};
-use massf_engine::{protocol_loop, ProtocolOutcome};
+use massf_engine::{protocol_loop, ProtocolState};
 use std::cell::Cell;
 use std::collections::{HashSet, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
@@ -115,7 +116,7 @@ pub enum ViolationKind {
     /// An engine thread panicked (a `debug_assert!` protocol invariant
     /// fired inside the production loop).
     EnginePanic,
-    /// Participants disagreed, or the final report differed from the
+    /// Participants disagreed, or the stop state differed from the
     /// sequential reference.
     ReportMismatch,
     /// The run exceeded [`MAX_STEPS`] grants.
@@ -387,7 +388,10 @@ impl Instrument {
     }
 }
 
-/// Executes one schedule of `scenario` and checks every property.
+/// Executes one schedule of one segment of `scenario` and checks every
+/// property. The segment starts from the sequential stepping executor's
+/// state ([`Scenario::stepped_to`]), is taken apart into one engine per
+/// thread, and runs [`protocol_loop`] until [`Scenario::until_us`].
 ///
 /// `prefix` replays previously-taken choices; past its end the controller
 /// always takes choice 0 (first enabled thread), recording every decision
@@ -397,28 +401,28 @@ impl Instrument {
 /// steps are re-walks of an already-recorded trace). Pass `None` to
 /// replay a schedule without pruning (reproduction of a counterexample).
 ///
-/// `reference` is the sequential-run report the final state must equal.
+/// `expected` is the sequential reference's stop state for `segment`,
+/// which the schedule's must equal.
 pub fn run_schedule(
     scenario: &Scenario,
+    segment: usize,
     prefix: &[usize],
     fault: Option<Fault>,
     mut visited: Option<&mut HashSet<u64>>,
-    reference: &massf_engine::EmulationReport,
+    expected: &StopState,
 ) -> RunResult {
     install_quiet_hook();
-    let n = scenario.cfg.nengines;
-    let cfg = &scenario.cfg;
+    let (engines, cfg, start) = scenario.stepped_to(segment).into_parts();
+    let cfg = &cfg;
+    let n = cfg.nengines;
+    let until_us = scenario.until_us(segment);
     let shared = Shared {
         net: &scenario.net,
         tables: &scenario.tables,
         flows: &scenario.flows,
         partition: &cfg.partition,
     };
-    let lookahead = scenario.lookahead();
-    let speeds: Vec<f64> = match &cfg.engine_speeds {
-        Some(v) => v.clone(),
-        None => vec![1.0; n],
-    };
+    let lookahead = lookahead_us(&scenario.net, &cfg.partition);
 
     let sched = Sched::new(n);
     let mut ins = Instrument::new(n);
@@ -428,7 +432,7 @@ pub fn run_schedule(
     let mut decisions: Vec<Decision> = Vec::new();
     let mut outcome = RunOutcome::Complete;
     let mut cur_min = vec![u64::MAX; n];
-    let mut lbts_floor = 0u64;
+    let mut lbts_floor = start.last_lbts;
     let mut release_count = 0u64;
     // Fault state.
     let mut barrier_arrivals = vec![0u64; n];
@@ -442,27 +446,24 @@ pub fn run_schedule(
 
     let (ctl_violation, results) = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(n);
-        for tid in 0..n {
+        for (tid, mut engine) in engines.into_iter().enumerate() {
             let sched = &sched;
             let shared = &shared;
-            let speeds = &speeds;
-            let flows = &scenario.flows[..];
+            let mut state = start.clone();
             handles.push(scope.spawn(move || {
                 QUIET.with(|q| q.set(true));
                 let run = panic::catch_unwind(AssertUnwindSafe(|| {
-                    let mut engines = vec![Engine::new(
-                        tid as u32,
-                        cfg.counter_window_us,
-                        cfg.netflow,
-                        cfg.scheduler,
-                    )];
-                    for (i, f) in flows.iter().enumerate() {
-                        engines[0].seed_flow(i as u32, f, shared);
-                    }
                     let shim = VirtualShim { sched, tid };
-                    let out =
-                        protocol_loop(&mut engines, &shim, shared, lookahead, &cfg.cost, speeds);
-                    (engines.pop().expect("one engine per thread"), out)
+                    protocol_loop(
+                        std::slice::from_mut(&mut engine),
+                        &shim,
+                        shared,
+                        cfg,
+                        lookahead,
+                        until_us,
+                        &mut state,
+                    );
+                    (engine, state)
                 }));
                 let mut core = lock(&sched.core);
                 let ret = match run {
@@ -694,8 +695,8 @@ pub fn run_schedule(
                                 // round's LBTS is determined.
                                 if release_count % 3 == 1 {
                                     let gmin = cur_min.iter().copied().min().unwrap_or(u64::MAX);
-                                    if gmin != u64::MAX {
-                                        lbts_floor = gmin.saturating_add(lookahead);
+                                    if gmin < until_us {
+                                        lbts_floor = gmin.saturating_add(lookahead).min(until_us);
                                     }
                                 }
                             }
@@ -731,7 +732,7 @@ pub fn run_schedule(
         }
         drop(core);
 
-        let results: Vec<Option<(Engine, ProtocolOutcome)>> = handles
+        let results: Vec<Option<(Engine, ProtocolState)>> = handles
             .into_iter()
             .map(|h| h.join().expect("engine wrapper never panics"))
             .collect();
@@ -784,26 +785,33 @@ pub fn run_schedule(
             decisions,
             outcome: RunOutcome::Violation {
                 kind: ViolationKind::ReportMismatch,
-                detail: "participants disagree on the protocol outcome".to_string(),
+                detail: "participants disagree on the protocol state".to_string(),
             },
         };
     }
-    let report = finalize(
-        engines,
-        cfg,
-        &scenario.tables,
-        outcomes[0].wall.clone(),
-        outcomes[0].rounds,
-    );
-    if &report != reference {
+    let stop = StopState::of(engines, cfg, &scenario.tables, outcomes.swap_remove(0));
+    if &stop != expected {
+        let differing = [
+            ("report", stop.report != expected.report),
+            ("pending events", stop.pending != expected.pending),
+            ("link occupancy", stop.links != expected.links),
+            ("protocol state", stop.protocol != expected.protocol),
+        ]
+        .iter()
+        .filter_map(|&(what, differs)| differs.then_some(what))
+        .collect::<Vec<_>>()
+        .join(", ");
         return RunResult {
             decisions,
             outcome: RunOutcome::Violation {
                 kind: ViolationKind::ReportMismatch,
                 detail: format!(
-                    "schedule report differs from the sequential reference \
-                     (delivered {} vs {}, rounds {} vs {})",
-                    report.delivered, reference.delivered, report.rounds, reference.rounds
+                    "segment {segment} stops in a state other than the sequential \
+                     reference's: {differing} differ (delivered {} vs {}, rounds {} vs {})",
+                    stop.report.delivered,
+                    expected.report.delivered,
+                    stop.report.rounds,
+                    expected.report.rounds
                 ),
             },
         };

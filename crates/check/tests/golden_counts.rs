@@ -65,6 +65,22 @@ fn schedule_counts_are_pinned() {
     );
     out.push_str(&line("three_chain", "bounded=1500", r.stats));
 
+    // Stop/migrate/resume: the two segments are explored separately, so
+    // this line is the *sum* of their counts (about one two_cross), not
+    // the product.
+    let migrate = Scenario::two_cross_migrate();
+    let r = explore(&migrate, ExploreOpts::default());
+    assert!(
+        r.violation.is_none(),
+        "two_cross_migrate violated: {:?}",
+        r.violation
+    );
+    assert!(
+        r.stats.exhaustive,
+        "two_cross_migrate must be fully explorable"
+    );
+    out.push_str(&line("two_cross_migrate", "exhaustive", r.stats));
+
     assert_golden(&out, "tests/golden/counts.txt");
 }
 

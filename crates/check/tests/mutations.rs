@@ -9,9 +9,12 @@
 use massf_check::{explore, replay, ExploreOpts, Fault, RunOutcome, Scenario, ViolationKind};
 
 fn find_and_replay(fault: Fault) -> ViolationKind {
-    let s = Scenario::two_cross();
+    find_and_replay_in(&Scenario::two_cross(), fault)
+}
+
+fn find_and_replay_in(s: &Scenario, fault: Fault) -> ViolationKind {
     let r = explore(
-        &s,
+        s,
         ExploreOpts {
             max_schedules: Some(5_000),
             fault: Some(fault),
@@ -21,7 +24,7 @@ fn find_and_replay(fault: Fault) -> ViolationKind {
         .violation
         .unwrap_or_else(|| panic!("{fault:?} not detected in {} schedules", r.stats.executions));
     // The counterexample must reproduce: same schedule, same verdict.
-    match replay(&s, &v.schedule, Some(fault)) {
+    match replay(s, v.segment, &v.schedule, Some(fault)) {
         RunOutcome::Violation { kind, .. } => {
             assert_eq!(kind, v.kind, "replay found a different violation");
         }
@@ -68,6 +71,31 @@ fn late_remote_delivery_is_caught() {
 }
 
 #[test]
+fn delivery_withheld_across_a_stop_is_caught() {
+    // The first segment of the migrating scenario ends with the delayed
+    // event still withheld: the stop state (or the lost-event check) must
+    // say so before the run is ever resumed.
+    let kind = find_and_replay_in(
+        &Scenario::two_cross_migrate(),
+        Fault::DelayDelivery {
+            from: 0,
+            to: 1,
+            nth: 1,
+        },
+    );
+    assert!(
+        matches!(
+            kind,
+            ViolationKind::ClosedWindowDelivery
+                | ViolationKind::EnginePanic
+                | ViolationKind::ReportMismatch
+                | ViolationKind::LostEvents
+        ),
+        "unexpected symptom {kind:?}"
+    );
+}
+
+#[test]
 fn faults_on_other_threads_are_caught_too() {
     // The same barrier bug on the *other* thread, later arrival: the
     // checker must not be tuned to one hard-coded interleaving.
@@ -89,5 +117,5 @@ fn clean_protocol_replays_clean() {
     // Replaying the empty schedule (pure first-choice run) of the correct
     // protocol completes with every property intact.
     let s = Scenario::two_cross();
-    assert_eq!(replay(&s, &[], None), RunOutcome::Complete);
+    assert_eq!(replay(&s, 0, &[], None), RunOutcome::Complete);
 }

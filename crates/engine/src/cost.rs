@@ -73,20 +73,9 @@ impl CostModel {
         Self::default()
     }
 
-    /// Wall time of one window, given the per-engine busy profile.
-    ///
-    /// `max_events` is the event count of the most loaded engine this
-    /// window; `max_remote` the largest per-engine message count;
-    /// `virtual_span_us` how far virtual time advanced.
-    #[inline]
-    pub fn window_wall_us(&self, max_events: u64, max_remote: u64, virtual_span_us: u64) -> f64 {
-        let busy =
-            max_events as f64 * self.event_cost_us + max_remote as f64 * self.remote_msg_cost_us;
-        self.window_wall_from_busy_us(busy, virtual_span_us)
-    }
-
-    /// Wall time of one window from a precomputed critical-engine busy
-    /// time (used by executors that track per-engine speeds).
+    /// Wall time of one window from the critical engine's busy time
+    /// ([`engine_busy_us`](Self::engine_busy_us) of the slowest engine);
+    /// `virtual_span_us` is how far virtual time advanced.
     #[inline]
     pub fn window_wall_from_busy_us(&self, busy_us: f64, virtual_span_us: u64) -> f64 {
         let floor = virtual_span_us as f64 * self.rt_factor;
@@ -117,19 +106,6 @@ pub struct WallClock {
 }
 
 impl WallClock {
-    /// Accumulates one window from aggregate maxima (homogeneous engines).
-    pub fn add_window(
-        &mut self,
-        model: &CostModel,
-        max_events: u64,
-        max_remote: u64,
-        virtual_span_us: u64,
-    ) {
-        let busy =
-            max_events as f64 * model.event_cost_us + max_remote as f64 * model.remote_msg_cost_us;
-        self.add_busy_window(model, busy, virtual_span_us);
-    }
-
     /// Accumulates one window from the critical engine's busy time.
     pub fn add_busy_window(&mut self, model: &CostModel, busy_us: f64, virtual_span_us: u64) {
         self.total_us += model.window_wall_from_busy_us(busy_us, virtual_span_us);
@@ -147,10 +123,16 @@ impl WallClock {
 mod tests {
     use super::*;
 
+    /// One window's wall time when the critical engine (baseline speed)
+    /// handled `events` kernel events and shipped `remote` messages.
+    fn window_wall_us(m: &CostModel, events: u64, remote: u64, span_us: u64) -> f64 {
+        m.window_wall_from_busy_us(m.engine_busy_us(events, remote, 1.0), span_us)
+    }
+
     #[test]
     fn busy_window_costs_events_and_messages() {
         let m = CostModel::default();
-        let w = m.window_wall_us(100, 10, 0);
+        let w = window_wall_us(&m, 100, 10, 0);
         assert!(
             (w - (100.0 * m.event_cost_us + 10.0 * m.remote_msg_cost_us + m.sync_cost_us)).abs()
                 < 1e-9
@@ -161,14 +143,14 @@ mod tests {
     fn idle_window_pays_the_pacing_floor() {
         let m = CostModel::live_application();
         // 1 event but 1 s of virtual time: the floor dominates.
-        let w = m.window_wall_us(1, 0, 1_000_000);
+        let w = window_wall_us(&m, 1, 0, 1_000_000);
         assert!((w - (1_000_000.0 * m.rt_factor + m.sync_cost_us)).abs() < 1e-9);
     }
 
     #[test]
     fn replay_has_no_floor() {
         let m = CostModel::replay();
-        let w = m.window_wall_us(1, 0, 1_000_000);
+        let w = window_wall_us(&m, 1, 0, 1_000_000);
         assert!((w - (m.event_cost_us + m.sync_cost_us)).abs() < 1e-9);
     }
 
@@ -177,8 +159,8 @@ mod tests {
         // Same total events, worse balance -> more wall time. This is the
         // entire premise of the paper.
         let m = CostModel::default();
-        let balanced = m.window_wall_us(50, 0, 0) + m.window_wall_us(50, 0, 0);
-        let skewed = m.window_wall_us(90, 0, 0) + m.window_wall_us(10, 0, 0);
+        let balanced = window_wall_us(&m, 50, 0, 0) + window_wall_us(&m, 50, 0, 0);
+        let skewed = window_wall_us(&m, 90, 0, 0) + window_wall_us(&m, 10, 0, 0);
         assert!(skewed > balanced - 1e-9);
     }
 
@@ -186,8 +168,8 @@ mod tests {
     fn clock_accumulates() {
         let m = CostModel::default();
         let mut c = WallClock::default();
-        c.add_window(&m, 10, 0, 0);
-        c.add_window(&m, 20, 5, 0);
+        c.add_busy_window(&m, m.engine_busy_us(10, 0, 1.0), 0);
+        c.add_busy_window(&m, m.engine_busy_us(20, 5, 1.0), 0);
         assert_eq!(c.windows, 2);
         assert!((c.busy_us - (30.0 * m.event_cost_us + 5.0 * m.remote_msg_cost_us)).abs() < 1e-9);
         assert!(c.total_us > c.busy_us);

@@ -106,11 +106,6 @@ impl Engine {
         self.counters.events - before
     }
 
-    /// Drains the cross-engine outbox accumulated this window.
-    pub fn take_outbox(&mut self) -> Vec<RemoteEvent> {
-        std::mem::take(&mut self.outbox)
-    }
-
     /// Appends the outbox to `into`, keeping the outbox's capacity for the
     /// next window (the steady-state, allocation-free drain).
     pub fn drain_outbox(&mut self, into: &mut Vec<RemoteEvent>) {
@@ -366,7 +361,9 @@ mod tests {
         let mut e = Engine::new(0, 1_000_000, false, SchedulerKind::default());
         e.seed_flow(0, &flows[0], &shared);
         e.process_window(u64::MAX, &shared);
-        let out = e.take_outbox();
+        let mut out = Vec::new();
+        e.drain_outbox(&mut out);
+        assert!(e.outbox_is_empty());
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].to_engine, 1);
         assert_eq!(out[0].event.node, 2);

@@ -1,7 +1,21 @@
-//! Executors: the synchronous conservative protocol, run either in one
-//! thread (for determinism-testing and cheap sweeps) or with one thread per
-//! engine (the real parallel substrate). Both produce bit-identical
-//! reports.
+//! Executors: the synchronous conservative protocol.
+//!
+//! [`protocol_loop`] is the only window loop in the workspace — the one
+//! caller of [`Engine::process_window`]. It stops at a virtual-time bound
+//! and resumes from a caller-owned [`ProtocolState`], so every executor
+//! is a driver around it:
+//!
+//! * [`crate::stepping::SteppableEmulation`] owns all engines in one
+//!   thread and calls it once per `run_until` — epoch boundaries and live
+//!   migration are stop/resume points of the same protocol;
+//! * [`run_sequential`] is that executor run in a single step (for
+//!   determinism-testing and cheap sweeps);
+//! * [`run_parallel`] runs it on one OS thread per engine (the real
+//!   parallel substrate);
+//! * `massf-check` runs it on virtual primitives under every interleaving.
+//!
+//! All of them build their engines through [`seeded_engines`] and merge
+//! them through [`finalize`], and produce bit-identical reports.
 
 use crate::cost::{CostModel, WallClock};
 use crate::engine::{lookahead_us, Engine, RemoteEvent, Shared};
@@ -9,7 +23,8 @@ use crate::event::Event;
 use crate::netflow::merge_dumps;
 use crate::report::EmulationReport;
 use crate::sched::SchedulerKind;
-use crate::shim::{SeqShim, SlotArray, StdShim, SyncShim};
+use crate::shim::{SlotArray, StdShim, SyncShim};
+use crate::stepping::SteppableEmulation;
 use massf_routing::RoutingTables;
 use massf_topology::Network;
 use massf_traffic::FlowSpec;
@@ -87,7 +102,15 @@ impl EmulationConfig {
     }
 }
 
-fn validate(net: &Network, cfg: &EmulationConfig) {
+/// The one construction path of every executor: checks `cfg` against
+/// `net`, builds one engine per partition label, and seeds each flow's
+/// first injection at the engine that owns its source.
+pub fn seeded_engines(
+    net: &Network,
+    tables: &RoutingTables,
+    flows: &[FlowSpec],
+    cfg: &EmulationConfig,
+) -> Vec<Engine> {
     assert_eq!(
         cfg.partition.len(),
         net.node_count(),
@@ -98,37 +121,61 @@ fn validate(net: &Network, cfg: &EmulationConfig) {
         cfg.partition.iter().all(|&p| (p as usize) < cfg.nengines),
         "partition label out of range"
     );
+    let shared = Shared {
+        net,
+        tables,
+        flows,
+        partition: &cfg.partition,
+    };
+    let mut engines: Vec<Engine> = (0..cfg.nengines as u32)
+        .map(|id| Engine::new(id, cfg.counter_window_us, cfg.netflow, cfg.scheduler))
+        .collect();
+    for (i, f) in flows.iter().enumerate() {
+        engines[cfg.partition[f.src as usize] as usize].seed_flow(i as u32, f, &shared);
+    }
+    engines
 }
 
-/// What one protocol participant accumulates over a run: the modeled wall
-/// clock, the number of conservative rounds, and the final virtual time.
-/// Every participant of a parallel run computes identical values (each
-/// reads the same published window statistics), which is asserted by the
-/// model checker and exploited by [`finalize`] keeping only one copy.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProtocolOutcome {
-    /// Modeled wall-clock accumulation over all windows.
+/// What one protocol participant carries from window to window: the
+/// modeled wall clock, the conservative rounds executed, the virtual-time
+/// frontier, and the last agreed LBTS. Owned by the caller so that
+/// [`protocol_loop`] can stop at a virtual-time bound and resume later
+/// (the epoch boundaries of [`crate::stepping`]). Every participant of a
+/// parallel run computes identical values (each reads the same published
+/// window statistics), which the model checker asserts and the parallel
+/// executor exploits by keeping only one copy.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ProtocolState {
+    /// Modeled wall-clock accumulation over all windows (and migrations).
     pub wall: WallClock,
     /// Conservative synchronization rounds executed.
     pub rounds: u64,
-    /// Final virtual time (the last window's progress frontier).
+    /// Virtual time reached (the last window's progress frontier).
     pub virtual_now: u64,
+    /// LBTS of the last window; every pending event is at or above it.
+    pub last_lbts: u64,
 }
 
 /// The windowed conservative protocol, written exactly once over the
-/// [`SyncShim`] surface.
+/// [`SyncShim`] surface, resumable at any virtual-time bound.
 ///
 /// `engines` are the engines owned by this participant: all of them in
-/// the sequential executor, exactly one per OS thread in the parallel
-/// executor and in the `massf-check` model checker. `speeds` has one
-/// entry per engine in the whole run (its length is the engine count).
+/// the sequential/steppable executor, exactly one per OS thread in the
+/// parallel executor and in the `massf-check` model checker. `cfg` is the
+/// whole run's configuration; `shared.partition` is `cfg.partition`.
+///
+/// The loop runs windows until every pending event time is `>= until_us`
+/// (`u64::MAX` runs to completion), accumulating into the caller-owned
+/// `state`; calling it again with a later bound continues the same run.
+/// Between calls the caller may migrate events between engines and pass a
+/// new `lookahead`, as long as no event moves below `state.last_lbts`.
 ///
 /// Each round runs three phases:
 ///
 /// 1. publish every owned engine's next-event time, barrier, read all
 ///    published minima to agree on `gmin` (and thus
-///    `LBTS = gmin + lookahead`), barrier (everyone has read before
-///    anyone rewrites);
+///    `LBTS = min(gmin + lookahead, until_us)`), barrier (everyone has
+///    read before anyone rewrites); stop here once `gmin >= until_us`;
 /// 2. process every owned engine's window below LBTS, ship cross-engine
 ///    events, publish window statistics, barrier (all sends complete);
 /// 3. drain every owned engine's inbox, then account the window against
@@ -142,15 +189,13 @@ pub fn protocol_loop<S: SyncShim>(
     engines: &mut [Engine],
     shim: &S,
     shared: &Shared<'_>,
+    cfg: &EmulationConfig,
     lookahead: u64,
-    cost: &CostModel,
-    speeds: &[f64],
-) -> ProtocolOutcome {
-    let nengines = speeds.len();
-    let mut wall = WallClock::default();
-    let mut rounds = 0u64;
-    let mut virtual_now = 0u64;
-    let mut last_lbts = 0u64;
+    until_us: u64,
+    state: &mut ProtocolState,
+) {
+    let nengines = cfg.nengines;
+    let cost = &cfg.cost;
     // Reused across rounds — no per-window outbox allocation.
     let mut out_buf: Vec<RemoteEvent> = Vec::new();
 
@@ -169,17 +214,18 @@ pub fn protocol_loop<S: SyncShim>(
             gmin = gmin.min(shim.read(SlotArray::Mins, j));
         }
         shim.barrier_wait(); // everyone has read before anyone rewrites
-        if gmin == u64::MAX {
-            break;
+        if gmin >= until_us {
+            break; // idle engines publish u64::MAX, so this is also "done"
         }
         debug_assert!(
-            rounds == 0 || gmin >= last_lbts,
-            "LBTS regressed: gmin {gmin} fell below the closed window at {last_lbts}"
+            state.rounds == 0 || gmin >= state.last_lbts,
+            "LBTS regressed: gmin {gmin} fell below the closed window at {}",
+            state.last_lbts
         );
-        let lbts = gmin.saturating_add(lookahead);
-        last_lbts = lbts;
-        if rounds == 0 {
-            virtual_now = gmin;
+        let lbts = gmin.saturating_add(lookahead).min(until_us);
+        state.last_lbts = lbts;
+        if state.rounds == 0 {
+            state.virtual_now = gmin;
         }
 
         // Phase 2: process the window, ship remote events, publish stats.
@@ -226,7 +272,7 @@ pub fn protocol_loop<S: SyncShim>(
         for j in 0..nengines {
             let ev = shim.read(SlotArray::WinEvents, j);
             let rm = shim.read(SlotArray::WinRemote, j);
-            max_busy = max_busy.max(cost.engine_busy_us(ev, rm, speeds[j]));
+            max_busy = max_busy.max(cost.engine_busy_us(ev, rm, cfg.speed(j)));
         }
         // Virtual progress this round: the new global frontier, capped by
         // lbts and never behind gmin.
@@ -235,49 +281,25 @@ pub fn protocol_loop<S: SyncShim>(
             progress = progress.min(shim.read(SlotArray::WinProgress, j));
         }
         let progress = progress.max(gmin);
-        let span = progress.saturating_sub(virtual_now);
-        virtual_now = virtual_now.max(progress);
-        wall.add_busy_window(cost, max_busy, span);
-        rounds += 1;
-    }
-
-    ProtocolOutcome {
-        wall,
-        rounds,
-        virtual_now,
+        let span = progress.saturating_sub(state.virtual_now);
+        state.virtual_now = state.virtual_now.max(progress);
+        state.wall.add_busy_window(cost, max_busy, span);
+        state.rounds += 1;
     }
 }
 
 /// Runs the emulation in a single thread, simulating the synchronous
-/// rounds. Deterministic; used by tests, sweeps, and benches. Runs the
-/// same [`protocol_loop`] as the parallel executor, owning every engine
-/// and synchronizing through the trivial single-threaded shim.
+/// rounds. Deterministic; used by tests, sweeps, and benches. This is the
+/// steppable executor run in one step — there is one sequential executor.
 pub fn run_sequential(
     net: &Network,
     tables: &RoutingTables,
     flows: &[FlowSpec],
     cfg: &EmulationConfig,
 ) -> EmulationReport {
-    validate(net, cfg);
-    let shared = Shared {
-        net,
-        tables,
-        flows,
-        partition: &cfg.partition,
-    };
-    let lookahead = lookahead_us(net, &cfg.partition);
-
-    let mut engines: Vec<Engine> = (0..cfg.nengines as u32)
-        .map(|id| Engine::new(id, cfg.counter_window_us, cfg.netflow, cfg.scheduler))
-        .collect();
-    for (i, f) in flows.iter().enumerate() {
-        engines[cfg.partition[f.src as usize] as usize].seed_flow(i as u32, f, &shared);
-    }
-
-    let speeds: Vec<f64> = (0..cfg.nengines).map(|e| cfg.speed(e)).collect();
-    let shim = SeqShim::new(cfg.nengines);
-    let out = protocol_loop(&mut engines, &shim, &shared, lookahead, &cfg.cost, &speeds);
-    finalize(engines, cfg, tables, out.wall, out.rounds)
+    let mut emu = SteppableEmulation::new(net, tables, flows, cfg.clone());
+    emu.run_to_completion();
+    emu.finish()
 }
 
 /// Runs the emulation with one OS thread per engine, exchanging events over
@@ -291,12 +313,12 @@ pub fn run_parallel(
     flows: &[FlowSpec],
     cfg: &EmulationConfig,
 ) -> EmulationReport {
-    validate(net, cfg);
     let n = cfg.nengines;
     if n == 1 {
         // One engine needs no protocol; the sequential path is identical.
         return run_sequential(net, tables, flows, cfg);
     }
+    let engines = seeded_engines(net, tables, flows, cfg);
     let lookahead = lookahead_us(net, &cfg.partition);
 
     // n×n channel mesh: mesh[i][j] carries events from engine i to j.
@@ -310,51 +332,48 @@ pub fn run_parallel(
         }
     }
 
-    let speeds_vec: Vec<f64> = (0..n).map(|e| cfg.speed(e)).collect();
     let mins: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(u64::MAX)).collect();
     let win_events: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
     let win_remote: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
     let win_progress: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
     let barrier = Barrier::new(n);
 
-    let results: Vec<(Engine, ProtocolOutcome)> = std::thread::scope(|scope| {
+    let results: Vec<(Engine, ProtocolState)> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(n);
-        for (id, (my_senders, my_receivers)) in
-            senders.drain(..).zip(receivers.drain(..)).enumerate()
+        for (mut engine, (my_senders, my_receivers)) in engines
+            .into_iter()
+            .zip(senders.drain(..).zip(receivers.drain(..)))
         {
             let mins = &mins;
             let win_events = &win_events;
             let win_remote = &win_remote;
             let win_progress = &win_progress;
             let barrier = &barrier;
-            let partition = &cfg.partition;
-            let cost = cfg.cost;
-            let speeds = &speeds_vec;
             let handle = scope.spawn(move || {
                 let shared = Shared {
                     net,
                     tables,
                     flows,
-                    partition,
+                    partition: &cfg.partition,
                 };
-                let mut engines = vec![Engine::new(
-                    id as u32,
-                    cfg.counter_window_us,
-                    cfg.netflow,
-                    cfg.scheduler,
-                )];
-                for (i, f) in flows.iter().enumerate() {
-                    engines[0].seed_flow(i as u32, f, &shared);
-                }
                 let shim = StdShim::new(
-                    id,
+                    engine.id as usize,
                     barrier,
                     [mins, win_events, win_remote, win_progress],
                     my_senders,
                     my_receivers,
                 );
-                let out = protocol_loop(&mut engines, &shim, &shared, lookahead, &cost, speeds);
-                (engines.pop().expect("one engine per thread"), out)
+                let mut state = ProtocolState::default();
+                protocol_loop(
+                    std::slice::from_mut(&mut engine),
+                    &shim,
+                    &shared,
+                    cfg,
+                    lookahead,
+                    u64::MAX,
+                    &mut state,
+                );
+                (engine, state)
             });
             handles.push(handle);
         }
@@ -364,17 +383,9 @@ pub fn run_parallel(
             .collect()
     });
 
-    let mut engines = Vec::with_capacity(n);
-    let mut wall = WallClock::default();
-    let mut rounds = 0;
-    for (i, (e, out)) in results.into_iter().enumerate() {
-        if i == 0 {
-            wall = out.wall;
-            rounds = out.rounds;
-        }
-        engines.push(e);
-    }
-    finalize(engines, cfg, tables, wall, rounds)
+    // Every participant computed the same state; keep the first copy.
+    let (engines, mut states): (Vec<Engine>, Vec<ProtocolState>) = results.into_iter().unzip();
+    finalize(engines, cfg, tables, states.swap_remove(0))
 }
 
 /// Merges per-engine state into the final report. Used by every executor
@@ -385,8 +396,7 @@ pub fn finalize(
     engines: Vec<Engine>,
     cfg: &EmulationConfig,
     tables: &RoutingTables,
-    wall: WallClock,
-    rounds: u64,
+    state: ProtocolState,
 ) -> EmulationReport {
     let nengines = cfg.nengines;
     let mut engine_events = Vec::with_capacity(nengines);
@@ -454,7 +464,7 @@ pub fn finalize(
         dropped,
         latency_sum_us,
         remote_messages,
-        rounds,
+        rounds: state.rounds,
         virtual_end_us: last_event_us,
         counter_window_us: cfg.counter_window_us,
         window_series: pad(raw_windows),
@@ -462,7 +472,7 @@ pub fn finalize(
         recv_series: pad(raw_recvs),
         netflow: merge_dumps(dumps),
         routing_slices: tables.slice_residency(&cfg.partition, nengines),
-        wall,
+        wall: state.wall,
     }
 }
 

@@ -24,9 +24,12 @@
 //! partitions (§2.2.3): larger cut latencies mean larger windows and fewer
 //! synchronizations.
 //!
-//! Execution is available in two modes producing bit-identical results:
-//! [`exec::run_sequential`] (rounds simulated in one thread) and
-//! [`exec::run_parallel`] (one thread per engine over `mpsc` channels).
+//! The round loop is written once ([`exec::protocol_loop`]) and driven in
+//! modes producing bit-identical results: [`exec::run_sequential`] (rounds
+//! simulated in one thread), [`exec::run_parallel`] (one thread per engine
+//! over `mpsc` channels), and [`stepping::SteppableEmulation`] (the
+//! sequential executor stopped and resumed at epoch boundaries, with live
+//! node migration in between).
 //!
 //! ## Event scheduling
 //!
@@ -92,7 +95,7 @@ pub mod stepping;
 pub mod trace;
 
 pub use cost::CostModel;
-pub use exec::{protocol_loop, run_parallel, run_sequential, EmulationConfig, ProtocolOutcome};
+pub use exec::{protocol_loop, run_parallel, run_sequential, EmulationConfig, ProtocolState};
 pub use report::EmulationReport;
 pub use sched::{SchedStats, SchedulerKind};
 pub use shim::{SlotArray, SyncShim};

@@ -8,9 +8,11 @@
 //!   `SeqCst` atomics, and an `mpsc` channel mesh. Every method is a thin
 //!   `#[inline]` wrapper, so monomorphization compiles the generic loop
 //!   down to the exact code the executor ran before the shim existed.
-//! * `SeqShim` (crate-private) — the single-threaded substrate used by
-//!   [`crate::exec::run_sequential`]: barriers are no-ops (one thread owns
-//!   every engine), slots are plain cells, channels are `VecDeque`s.
+//! * `SeqShim` (crate-private) — the single-threaded substrate of
+//!   [`crate::stepping::SteppableEmulation`], which is both the
+//!   epoch-stepping executor and (run in one step) the sequential one:
+//!   barriers are no-ops (one thread owns every engine), slots are plain
+//!   cells, the channel mesh is one inbox per destination.
 //! * `massf-check`'s virtual shim — cooperative primitives driven by a
 //!   model-checking scheduler that exhaustively enumerates interleavings
 //!   of these exact shim operations.
@@ -23,7 +25,6 @@
 
 use crate::event::Event;
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Barrier;
@@ -68,8 +69,8 @@ impl SlotArray {
 /// One engine thread's view of the synchronization substrate.
 ///
 /// A shim value belongs to a single protocol participant (one OS thread in
-/// the parallel executor; the whole run in the sequential executor). The
-/// round loop calls these methods in a fixed pattern — see
+/// the parallel executor; the whole run in the sequential/stepping
+/// executor). The round loop calls these methods in a fixed pattern — see
 /// [`crate::exec::protocol_loop`] for the choreography and the invariants
 /// asserted between calls.
 pub trait SyncShim {
@@ -161,15 +162,15 @@ impl SyncShim for StdShim<'_> {
     }
 }
 
-/// Single-threaded shim for the sequential executor: one participant owns
-/// every engine, so barriers vanish and the channel mesh is a vector of
-/// queues. Drain order (sender-id major, FIFO within a sender) matches
-/// [`StdShim`] exactly, which is one half of the bit-identical-reports
-/// guarantee.
+/// Single-threaded shim for the sequential/steppable executor: one
+/// participant owns every engine, so barriers vanish and the channel mesh
+/// collapses to one inbox per destination. The owner runs its engines in
+/// id order, so an inbox fills sender-id major, FIFO within a sender —
+/// the drain order of [`StdShim`], which is one half of the
+/// bit-identical-reports guarantee.
 pub(crate) struct SeqShim {
-    n: usize,
     slots: [Vec<Cell<u64>>; 4],
-    mesh: Vec<RefCell<VecDeque<Event>>>,
+    inboxes: Vec<RefCell<Vec<(usize, Event)>>>,
 }
 
 impl SeqShim {
@@ -177,9 +178,8 @@ impl SeqShim {
     pub(crate) fn new(n: usize) -> Self {
         let mk = || (0..n).map(|_| Cell::new(0)).collect();
         Self {
-            n,
             slots: [mk(), mk(), mk(), mk()],
-            mesh: (0..n * n).map(|_| RefCell::new(VecDeque::new())).collect(),
+            inboxes: (0..n).map(|_| RefCell::new(Vec::new())).collect(),
         }
     }
 }
@@ -200,16 +200,18 @@ impl SyncShim for SeqShim {
 
     #[inline]
     fn send(&self, from: usize, to: usize, event: Event) {
-        self.mesh[from * self.n + to].borrow_mut().push_back(event);
+        let mut inbox = self.inboxes[to].borrow_mut();
+        debug_assert!(
+            inbox.last().is_none_or(|&(prev, _)| prev <= from),
+            "engines must send in id order for the inbox to be sender-major"
+        );
+        inbox.push((from, event));
     }
 
     #[inline]
     fn recv_all(&self, to: usize, deliver: &mut dyn FnMut(Event)) {
-        for from in 0..self.n {
-            let mut q = self.mesh[from * self.n + to].borrow_mut();
-            while let Some(event) = q.pop_front() {
-                deliver(event);
-            }
+        for (_, event) in self.inboxes[to].borrow_mut().drain(..) {
+            deliver(event);
         }
     }
 }

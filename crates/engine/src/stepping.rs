@@ -3,19 +3,25 @@
 //! the emulation is the only solution. Such dynamic remapping is a major
 //! challenge for distributed emulators like MaSSF."
 //!
-//! [`SteppableEmulation`] runs the same conservative windows as
-//! [`crate::exec::run_sequential`], but control returns to the caller at
-//! any virtual-time boundary. Between steps the caller may inspect live
-//! NetFlow dumps and install a new node→engine assignment; pending events
-//! and link-occupancy state migrate with their nodes, and a configurable
-//! wall-clock charge models the checkpoint/transfer cost of moving virtual
-//! nodes between physical engines.
+//! [`SteppableEmulation`] is the sequential executor: all engines, the
+//! single-threaded shim, and a [`ProtocolState`]. Every
+//! [`run_until`](SteppableEmulation::run_until) is one call of
+//! [`crate::exec::protocol_loop`] with a virtual-time bound, so control
+//! returns to the caller at any boundary while the windows, their
+//! accounting and their `debug_assert!` invariants stay the protocol's
+//! own — this module contains no window logic. Between steps the caller
+//! may inspect live NetFlow dumps and install a new node→engine
+//! assignment; pending events and link-occupancy state migrate with their
+//! nodes, and a configurable wall-clock charge models the
+//! checkpoint/transfer cost of moving virtual nodes between physical
+//! engines. [`crate::exec::run_sequential`] is this executor run in one
+//! step.
 
-use crate::cost::WallClock;
-use crate::engine::{lookahead_us, Engine, RemoteEvent, Shared};
-use crate::exec::EmulationConfig;
+use crate::engine::{lookahead_us, Engine, Shared};
+use crate::exec::{finalize, protocol_loop, seeded_engines, EmulationConfig, ProtocolState};
 use crate::netflow::{merge_dumps, FlowRecord};
 use crate::report::EmulationReport;
+use crate::shim::SeqShim;
 use massf_routing::RoutingTables;
 use massf_topology::Network;
 use massf_traffic::FlowSpec;
@@ -41,6 +47,14 @@ impl Default for MigrationCost {
     }
 }
 
+impl MigrationCost {
+    /// The stall one remap that moves `moved` nodes imposes on every
+    /// engine: checkpoint, transfer, restore.
+    pub fn stall_us(&self, moved: usize) -> f64 {
+        self.fixed_us + moved as f64 * self.per_node_us
+    }
+}
+
 /// An emulation that can be advanced in increments and remapped between
 /// them. Sequential and fully deterministic.
 pub struct SteppableEmulation<'a> {
@@ -49,11 +63,9 @@ pub struct SteppableEmulation<'a> {
     flows: &'a [FlowSpec],
     cfg: EmulationConfig,
     engines: Vec<Engine>,
+    shim: SeqShim,
     lookahead: u64,
-    wall: WallClock,
-    rounds: u64,
-    virtual_now: u64,
-    started: bool,
+    state: ProtocolState,
     /// Cumulative NetFlow state at the last epoch-slice call.
     epoch_mark: Vec<FlowRecord>,
     /// Total virtual nodes migrated across all remaps.
@@ -70,38 +82,15 @@ impl<'a> SteppableEmulation<'a> {
         flows: &'a [FlowSpec],
         cfg: EmulationConfig,
     ) -> Self {
-        assert_eq!(
-            cfg.partition.len(),
-            net.node_count(),
-            "partition length mismatch"
-        );
-        assert!(cfg.partition.iter().all(|&p| (p as usize) < cfg.nengines));
-        let lookahead = lookahead_us(net, &cfg.partition);
-        let mut engines: Vec<Engine> = (0..cfg.nengines as u32)
-            .map(|id| Engine::new(id, cfg.counter_window_us, cfg.netflow, cfg.scheduler))
-            .collect();
-        {
-            let shared = Shared {
-                net,
-                tables,
-                flows,
-                partition: &cfg.partition,
-            };
-            for (i, f) in flows.iter().enumerate() {
-                engines[cfg.partition[f.src as usize] as usize].seed_flow(i as u32, f, &shared);
-            }
-        }
         Self {
+            engines: seeded_engines(net, tables, flows, &cfg),
+            shim: SeqShim::new(cfg.nengines),
+            lookahead: lookahead_us(net, &cfg.partition),
+            state: ProtocolState::default(),
             net,
             tables,
             flows,
             cfg,
-            engines,
-            lookahead,
-            wall: WallClock::default(),
-            rounds: 0,
-            virtual_now: 0,
-            started: false,
             epoch_mark: Vec::new(),
             migrated_nodes: 0,
             remaps: 0,
@@ -127,60 +116,23 @@ impl<'a> SteppableEmulation<'a> {
     /// `>= until_us` (or until completion). Returns the number of windows
     /// executed.
     pub fn run_until(&mut self, until_us: u64) -> u64 {
-        let mut windows = 0u64;
-        // Reused across every window of this call.
-        let mut all_out: Vec<RemoteEvent> = Vec::new();
-        while let Some(gmin) = self.next_event_time() {
-            if gmin >= until_us {
-                break;
-            }
-            let lbts = gmin.saturating_add(self.lookahead).min(until_us);
-            debug_assert!(lbts > gmin);
-            if !self.started {
-                self.virtual_now = gmin;
-                self.started = true;
-            }
-
-            let shared = Shared {
-                net: self.net,
-                tables: self.tables,
-                flows: self.flows,
-                partition: &self.cfg.partition,
-            };
-            let mut max_busy = 0.0f64;
-            let mut progress = lbts;
-            for (idx, e) in self.engines.iter_mut().enumerate() {
-                let sent_before = e.remote_sent();
-                let n = e.process_window(lbts, &shared);
-                if n == 0 {
-                    e.counters.record_stall(gmin);
-                }
-                let sent = e.remote_sent() - sent_before;
-                let speed = self
-                    .cfg
-                    .engine_speeds
-                    .as_ref()
-                    .map(|v| v[idx])
-                    .unwrap_or(1.0);
-                max_busy = max_busy.max(self.cfg.cost.engine_busy_us(n, sent, speed));
-                let frontier = e.next_time().unwrap_or(e.counters.last_event_us);
-                progress = progress.min(frontier.min(lbts));
-                e.drain_outbox(&mut all_out);
-            }
-            let progress = progress.max(gmin);
-            let span = progress.saturating_sub(self.virtual_now);
-            self.virtual_now = self.virtual_now.max(progress);
-            self.wall.add_busy_window(&self.cfg.cost, max_busy, span);
-            self.rounds += 1;
-            windows += 1;
-
-            for RemoteEvent { to_engine, event } in all_out.drain(..) {
-                let dest = &mut self.engines[to_engine as usize];
-                dest.counters.record_remote_recv(event.time_us);
-                dest.enqueue(event);
-            }
-        }
-        windows
+        let rounds_before = self.state.rounds;
+        let shared = Shared {
+            net: self.net,
+            tables: self.tables,
+            flows: self.flows,
+            partition: &self.cfg.partition,
+        };
+        protocol_loop(
+            &mut self.engines,
+            &self.shim,
+            &shared,
+            &self.cfg,
+            self.lookahead,
+            until_us,
+            &mut self.state,
+        );
+        self.state.rounds - rounds_before
     }
 
     /// Runs to completion.
@@ -207,9 +159,10 @@ impl<'a> SteppableEmulation<'a> {
         delta
     }
 
-    /// Installs a new node→engine assignment, migrating pending events and
-    /// link state with their nodes, and charges `cost` to the wall clock.
-    /// Returns the number of nodes that changed engines.
+    /// Installs a new node→engine assignment between two `run_until`
+    /// calls: stop, migrate pending events and link state with their
+    /// nodes, recompute the lookahead, charge `cost` to the wall clock,
+    /// resume. Returns the number of nodes that changed engines.
     pub fn repartition(&mut self, new_partition: Vec<u32>, cost: MigrationCost) -> usize {
         assert_eq!(new_partition.len(), self.net.node_count());
         assert!(new_partition
@@ -243,12 +196,21 @@ impl<'a> SteppableEmulation<'a> {
             self.engines[owner].insert_link_state(key, busy);
         }
 
-        // The remap stalls every engine: checkpoint, transfer, restore.
-        let stall = cost.fixed_us + moved as f64 * cost.per_node_us;
-        self.wall.add_busy_window(&self.cfg.cost, stall, 0);
+        // The remap stalls every engine for no virtual-time progress.
+        self.state
+            .wall
+            .add_busy_window(&self.cfg.cost, cost.stall_us(moved), 0);
         self.migrated_nodes += moved;
         self.remaps += 1;
         moved
+    }
+
+    /// Takes the emulation apart at a stop point: the engines (pending
+    /// events, link occupancy, counters), the configuration in force, and
+    /// the protocol state. The model checker resumes these under every
+    /// interleaving and compares stop states through them.
+    pub fn into_parts(self) -> (Vec<Engine>, EmulationConfig, ProtocolState) {
+        (self.engines, self.cfg, self.state)
     }
 
     /// Finalizes into a report (same shape as the batch executors').
@@ -257,7 +219,9 @@ impl<'a> SteppableEmulation<'a> {
     /// are charged to their destination engine — the migration ownership
     /// rule (DESIGN.md §16) falls out of sampling the current assignment.
     pub fn finish(self) -> EmulationReport {
-        crate::exec::finalize(self.engines, &self.cfg, self.tables, self.wall, self.rounds)
+        let tables = self.tables;
+        let (engines, cfg, state) = self.into_parts();
+        finalize(engines, &cfg, tables, state)
     }
 }
 
@@ -340,20 +304,55 @@ mod tests {
         let cfg = EmulationConfig::new(part, 2).with_netflow();
         let batch = run_sequential(&net, &tables, &flows, &cfg);
 
+        // One unbounded step is the batch run, `rounds` and `wall` included.
+        let mut whole = SteppableEmulation::new(&net, &tables, &flows, cfg.clone());
+        whole.run_until(u64::MAX);
+        assert_eq!(whole.finish(), batch);
+
+        // Small increments cap windows at the boundaries. What is counted
+        // per round (rounds, wall, stalls, scheduler depth) may then
+        // differ; everything that was emulated may not.
         let mut step = SteppableEmulation::new(&net, &tables, &flows, cfg);
-        // Advance in small increments to stress the until logic.
         let mut t = 1_000;
         while !step.finished() {
             step.run_until(t);
             t += 1_000;
         }
         let report = step.finish();
-        assert_eq!(report.engine_events, batch.engine_events);
-        assert_eq!(report.delivered, batch.delivered);
-        assert_eq!(report.latency_sum_us, batch.latency_sum_us);
-        assert_eq!(report.netflow, batch.netflow);
-        // Round counts differ (stepping caps windows at boundaries), but
-        // the discrete outcomes must be identical.
+        assert!(report.rounds >= batch.rounds);
+        let per_round = batch.clone();
+        assert_eq!(
+            EmulationReport {
+                rounds: per_round.rounds,
+                wall: per_round.wall,
+                engine_stalls: per_round.engine_stalls,
+                stall_series: per_round.stall_series,
+                engine_queue_peak: per_round.engine_queue_peak,
+                engine_sched_resizes: per_round.engine_sched_resizes,
+                engine_reallocs: per_round.engine_reallocs,
+                ..report
+            },
+            batch
+        );
+    }
+
+    #[test]
+    fn a_bound_at_or_before_the_first_event_runs_nothing() {
+        let (net, mut flows) = net_and_flows();
+        for f in &mut flows {
+            f.start_us += 500;
+        }
+        let tables = RoutingTables::build(&net);
+        let cfg = EmulationConfig::new(partition_by_router(&net), 2);
+        let mut step = SteppableEmulation::new(&net, &tables, &flows, cfg);
+        assert_eq!(step.next_event_time(), Some(500));
+        for until in [0, 499, 500] {
+            assert_eq!(step.run_until(until), 0);
+            assert_eq!(step.state, ProtocolState::default());
+        }
+        assert_eq!(step.run_until(501), 1);
+        assert_eq!(step.state.rounds, 1);
+        assert_eq!(step.state.last_lbts, 501);
     }
 
     #[test]

@@ -42,7 +42,7 @@ use crate::profile::map_profile;
 use crate::top::map_top;
 use crate::MappingStudy;
 use massf_engine::stepping::{MigrationCost, SteppableEmulation};
-use massf_engine::{CostModel, EmulationConfig, EmulationReport};
+use massf_engine::{CostModel, EmulationReport};
 use massf_partition::Partitioning;
 use massf_traffic::flow::horizon_us;
 use massf_traffic::FlowSpec;
@@ -98,15 +98,8 @@ pub fn run_dynamic(
     let horizon = horizon_us(flows).saturating_add(1);
     let epoch_len = (horizon / cfg.epochs as u64).max(1);
 
-    let emu_cfg = EmulationConfig {
-        partition: initial.part.clone(),
-        nengines: initial.nparts,
-        counter_window_us: study.counter_window_us,
-        netflow: true, // live profiling is what enables remapping
-        cost: cfg.cost,
-        engine_speeds: study.cfg.engine_capacities.clone(),
-        scheduler: massf_engine::SchedulerKind::default(),
-    };
+    // NetFlow on: live profiling is what enables remapping.
+    let emu_cfg = study.emulation_config(&initial, true, cfg.cost);
     let mut emu = SteppableEmulation::new(&study.net, &study.tables, flows, emu_cfg);
 
     let mut epoch_partitions = vec![initial.clone()];

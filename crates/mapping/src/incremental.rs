@@ -87,7 +87,7 @@ use crate::weights;
 use crate::MappingStudy;
 use massf_engine::netflow::{merge_dumps, FlowRecord};
 use massf_engine::stepping::{MigrationCost, SteppableEmulation};
-use massf_engine::{CostModel, EmulationConfig, EmulationReport};
+use massf_engine::{CostModel, EmulationReport};
 use massf_metrics::drift::{load_drift, load_drift_u64};
 use massf_metrics::load_imbalance;
 use massf_partition::Partitioning;
@@ -328,15 +328,8 @@ pub fn run_online(
         study.cfg.parallelism,
     );
 
-    let emu_cfg = EmulationConfig {
-        partition: initial.part.clone(),
-        nengines: initial.nparts,
-        counter_window_us: study.counter_window_us,
-        netflow: true, // live profiling is what enables rebalancing
-        cost: cfg.cost,
-        engine_speeds: study.cfg.engine_capacities.clone(),
-        scheduler: massf_engine::SchedulerKind::default(),
-    };
+    // NetFlow on: live profiling is what enables rebalancing.
+    let emu_cfg = study.emulation_config(&initial, true, cfg.cost);
     let mut emu = SteppableEmulation::new(&study.net, &study.tables, flows, emu_cfg);
 
     let lambda_cost = cfg.lambda * (cfg.migration.per_node_us / epoch_len as f64);
@@ -446,7 +439,7 @@ pub fn run_online(
                     let moved = emu.repartition(part.clone(), cfg.migration);
                     st.applied = true;
                     st.moves = moved;
-                    st.cost_us = cfg.migration.fixed_us + moved as f64 * cfg.migration.per_node_us;
+                    st.cost_us = cfg.migration.stall_us(moved);
                     current = Partitioning {
                         part,
                         nparts: current.nparts,

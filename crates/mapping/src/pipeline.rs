@@ -106,18 +106,29 @@ impl MappingStudy {
         }
     }
 
+    /// The engine configuration of every emulation this study runs: its
+    /// counter window and engine capacities, under `partition`.
+    pub(crate) fn emulation_config(
+        &self,
+        partition: &Partitioning,
+        netflow: bool,
+        cost: CostModel,
+    ) -> EmulationConfig {
+        EmulationConfig {
+            partition: partition.part.clone(),
+            nengines: partition.nparts,
+            counter_window_us: self.counter_window_us,
+            netflow,
+            cost,
+            engine_speeds: self.cfg.engine_capacities.clone(),
+            scheduler: SchedulerKind::default(),
+        }
+    }
+
     /// Runs the profiling emulation (NetFlow on) under `initial` and
     /// returns the merged dumps.
     pub fn profile_records(&self, flows: &[FlowSpec], initial: &Partitioning) -> Vec<FlowRecord> {
-        let cfg = EmulationConfig {
-            partition: initial.part.clone(),
-            nengines: initial.nparts,
-            counter_window_us: self.counter_window_us,
-            netflow: true,
-            cost: CostModel::default(),
-            engine_speeds: self.cfg.engine_capacities.clone(),
-            scheduler: SchedulerKind::default(),
-        };
+        let cfg = self.emulation_config(initial, true, CostModel::default());
         run_sequential(&self.net, &self.tables, flows, &cfg).netflow
     }
 
@@ -128,15 +139,7 @@ impl MappingStudy {
         flows: &[FlowSpec],
         cost: CostModel,
     ) -> EmulationReport {
-        let cfg = EmulationConfig {
-            partition: partition.part.clone(),
-            nengines: partition.nparts,
-            counter_window_us: self.counter_window_us,
-            netflow: false,
-            cost,
-            engine_speeds: self.cfg.engine_capacities.clone(),
-            scheduler: SchedulerKind::default(),
-        };
+        let cfg = self.emulation_config(partition, false, cost);
         run_sequential(&self.net, &self.tables, flows, &cfg)
     }
 

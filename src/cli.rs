@@ -1350,6 +1350,8 @@ mod tests {
 
     /// Minimal self-cleaning temp-file helper (std-only).
     mod tempfile_path {
+        use std::sync::atomic::{AtomicU64, Ordering};
+
         pub struct TempPath(pub std::path::PathBuf);
         impl Drop for TempPath {
             fn drop(&mut self) {
@@ -1362,8 +1364,12 @@ mod tests {
             }
         }
         pub fn write(name: &str, content: &str) -> TempPath {
+            // Tests run on parallel threads and several write the same
+            // `name`: the counter keeps each file (and its drop) its own.
+            static NEXT: AtomicU64 = AtomicU64::new(0);
+            let unique = NEXT.fetch_add(1, Ordering::Relaxed);
             let mut p = std::env::temp_dir();
-            p.push(format!("{}-{}", std::process::id(), name));
+            p.push(format!("{}-{unique}-{name}", std::process::id()));
             std::fs::write(&p, content).expect("write temp file");
             TempPath(p)
         }

@@ -106,7 +106,7 @@ fn replay_refuses_broken_scenario() {
     // Record a trace on a healthy network, then replay it against the
     // broken one: the trace check (which validates the trace against the
     // replay network) must reject before any emulation starts.
-    let dir = std::env::temp_dir().join("massf_lint_diag_test");
+    let dir = std::env::temp_dir().join(format!("massf_lint_diag_test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let trace = dir.join("trace.txt");
     let trace = trace.to_str().unwrap();
@@ -129,6 +129,7 @@ fn replay_refuses_broken_scenario() {
         "2",
     ]))
     .expect_err("replay must refuse a disconnected network");
+    let _ = std::fs::remove_dir_all(&dir);
     assert!(e.0.contains("trace check failed"), "{}", e.0);
     assert!(e.0.contains("MC001"), "{}", e.0);
 }
