@@ -49,37 +49,12 @@ pub mod passes;
 pub mod render;
 
 pub use artifact::{lint_artifacts, lint_trace, ArtifactInput};
+pub use massf_metrics::report::Severity;
 
 use massf_topology::{Network, NodeId};
 use massf_traffic::spec::TrafficKind;
 use massf_traffic::{FlowSpec, PredictedFlow};
 use std::collections::BTreeMap;
-
-/// How serious a diagnostic is.
-///
-/// Ordered `Note < Warn < Error` so `max()` over a report gives the
-/// overall outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Severity {
-    /// Informational; never fails a preflight.
-    Note,
-    /// Suspicious input that degrades partition quality; fails only under
-    /// `--deny-warnings`.
-    Warn,
-    /// Malformed or degenerate input; the pipeline refuses to proceed.
-    Error,
-}
-
-impl Severity {
-    /// Lower-case label used by both renderers (`error`, `warning`, `note`).
-    pub fn label(self) -> &'static str {
-        match self {
-            Severity::Note => "note",
-            Severity::Warn => "warning",
-            Severity::Error => "error",
-        }
-    }
-}
 
 /// Stable diagnostic codes, one per pass. Codes are append-only: a code is
 /// never renumbered or reused once shipped.

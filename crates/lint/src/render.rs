@@ -3,13 +3,17 @@
 //!
 //! Both render a *finished* [`Diagnostics`] (the lint entry points return
 //! finished reports), so line order is the deterministic report order —
-//! errors first, then code, location, message. The JSON form is written by
-//! hand (the workspace is serde-free) with full string escaping and a
-//! fixed 2-space indent, and contains no absolute paths or timestamps:
-//! two runs over the same scenario produce byte-identical output at any
-//! thread count, which the golden-file tests pin down.
+//! errors first, then code, location, message. The JSON form is the
+//! check document `massf-srclint` also emits
+//! ([`massf_metrics::report::check_document`], written through the
+//! workspace's one `json::Writer`) plus this crate's `suppressed` trailer;
+//! it contains no absolute paths or timestamps, so two runs over the same
+//! scenario produce byte-identical output at any thread count, which the
+//! golden-file tests pin down.
 
-use crate::{Diagnostics, Severity};
+use crate::Diagnostics;
+use massf_metrics::json::Layout::Spaced;
+use massf_metrics::report::check_document;
 
 /// Schema version stamped into the JSON output; bump on layout changes.
 pub const JSON_FORMAT_VERSION: u32 = 1;
@@ -41,95 +45,27 @@ pub fn human(diags: &Diagnostics) -> String {
 
 /// Renders the deterministic JSON report.
 pub fn json(diags: &Diagnostics) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"tool\": \"massf-check\",\n");
-    out.push_str(&format!("  \"format\": {JSON_FORMAT_VERSION},\n"));
-    out.push_str("  \"summary\": {\n");
-    out.push_str(&format!(
-        "    \"errors\": {},\n",
-        diags.count(Severity::Error)
-    ));
-    out.push_str(&format!(
-        "    \"warnings\": {},\n",
-        diags.count(Severity::Warn)
-    ));
-    out.push_str(&format!(
-        "    \"notes\": {},\n",
-        diags.count(Severity::Note)
-    ));
-    out.push_str(&format!("    \"passes_run\": {}\n", diags.passes_run()));
-    out.push_str("  },\n");
-
-    out.push_str("  \"diagnostics\": [");
-    let mut first = true;
-    for d in diags.iter() {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str("\n    {\n");
-        out.push_str(&format!("      \"code\": {},\n", quote(d.code.as_str())));
-        out.push_str(&format!(
-            "      \"severity\": {},\n",
-            quote(d.severity.label())
-        ));
-        out.push_str(&format!(
-            "      \"location\": {},\n",
-            quote(&d.location.render())
-        ));
-        out.push_str(&format!("      \"message\": {}\n", quote(&d.message)));
-        out.push_str("    }");
-    }
-    if !first {
-        out.push_str("\n  ");
-    }
-    out.push_str("],\n");
-
-    out.push_str("  \"suppressed\": [");
-    let mut first = true;
-    for (code, n) in diags.suppressed() {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!(
-            "\n    {{ \"code\": {}, \"count\": {n} }}",
-            quote(code.as_str())
-        ));
-    }
-    if !first {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n");
-    out.push_str("}\n");
-    out
-}
-
-/// JSON string literal with full escaping (quotes, backslashes, control
-/// characters as `\u00XX`).
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    let rows: Vec<_> = diags
+        .iter()
+        .map(|d| {
+            let location = d.location.render();
+            (d.code.as_str(), d.severity, location, d.message.as_str())
+        })
+        .collect();
+    let extras = [("passes_run", diags.passes_run())];
+    check_document("massf-check", JSON_FORMAT_VERSION, &extras, &rows, |w| {
+        w.key("suppressed")
+            .rows(Spaced, diags.suppressed(), |w, (code, n)| {
+                w.key("code").string(code.as_str());
+                w.key("count").uint(n as u64);
+            });
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Code, Location};
+    use crate::{Code, Location, Severity};
 
     fn sample() -> Diagnostics {
         let mut d = Diagnostics::new();
@@ -181,12 +117,6 @@ mod tests {
             human(&d),
             "check: 0 error(s), 0 warning(s), 0 note(s) — 0 passes run\n"
         );
-    }
-
-    #[test]
-    fn quoting_escapes_specials() {
-        assert_eq!(quote("a\"b\\c\nd"), r#""a\"b\\c\nd""#);
-        assert_eq!(quote("\u{1}"), "\"\\u0001\"");
     }
 
     #[test]

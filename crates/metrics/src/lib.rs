@@ -10,7 +10,11 @@
 //! * [`timeseries`] — fine-grained per-interval imbalance series
 //!   (Figures 2 and 8);
 //! * [`report`] — table/figure text rendering and JSON export for the
-//!   benchmark harness.
+//!   benchmark harness, plus the severity model and check-document
+//!   skeleton the two lint crates share;
+//! * [`json`] — the workspace's only JSON writer and reader (this crate is
+//!   the std-only leaf every emitter can reach; `massf_obs::json`
+//!   re-exports it).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -20,6 +24,7 @@
 
 pub mod drift;
 pub mod imbalance;
+pub mod json;
 pub mod report;
 pub mod timeseries;
 

@@ -1,8 +1,75 @@
-//! Text tables and JSON export for the figure/table regenerators.
+//! Text tables and JSON export for the figure/table regenerators, and
+//! the pieces the two lint crates' reports have in common.
 //!
-//! JSON is emitted by hand (no serde available offline): 2-space pretty
-//! format, `f64` values printed with `{:?}` so whole numbers keep a
-//! trailing `.0` (matching `serde_json::to_string_pretty` output).
+//! All JSON goes through [`crate::json::Writer`]. Result tables print
+//! `f64` values with `{:?}` so whole numbers keep a trailing `.0`
+//! (matching the `serde_json::to_string_pretty` output `results/*.json`
+//! was first written with).
+
+use crate::json::{Layout::Block, Writer};
+
+/// How serious a diagnostic is — the severity model `massf-lint` (MC*)
+/// and `massf-srclint` (SA*) share.
+///
+/// Ordered `Note < Warn < Error` so `max()` over a report gives the
+/// overall outcome.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Severity {
+    /// Informational; never fails a check.
+    Note,
+    /// Suspicious; fails only under `--deny-warnings`.
+    Warn,
+    /// Malformed input or a determinism hazard; always fails the check.
+    Error,
+}
+
+impl Severity {
+    /// Lower-case label used by every renderer (`error`, `warning`, `note`).
+    pub fn label(self) -> &'static str {
+        match self {
+            Severity::Note => "note",
+            Severity::Warn => "warning",
+            Severity::Error => "error",
+        }
+    }
+}
+
+/// Renders the JSON document `massf check` and `massf srclint` share:
+/// `tool`, `format`, a `summary` of per-severity counts over `rows`
+/// followed by `extras`, the `diagnostics` array, and whatever keys
+/// `trailer` appends. A row is `(code, severity, location, message)`.
+/// Trailing newline included.
+pub fn check_document(
+    tool: &str,
+    format: u32,
+    extras: &[(&str, usize)],
+    rows: &[(&str, Severity, String, &str)],
+    trailer: impl FnOnce(&mut Writer),
+) -> String {
+    let mut w = Writer::new();
+    w.object(Block, |w| {
+        w.key("tool").string(tool);
+        w.key("format").uint(format as u64);
+        w.key("summary").object(Block, |w| {
+            let count = |s| rows.iter().filter(|r| r.1 == s).count() as u64;
+            w.key("errors").uint(count(Severity::Error));
+            w.key("warnings").uint(count(Severity::Warn));
+            w.key("notes").uint(count(Severity::Note));
+            for &(key, n) in extras {
+                w.key(key).uint(n as u64);
+            }
+        });
+        w.key("diagnostics")
+            .rows(Block, rows, |w, (code, severity, location, message)| {
+                w.key("code").string(code);
+                w.key("severity").string(severity.label());
+                w.key("location").string(location);
+                w.key("message").string(message);
+            });
+        trailer(w);
+    });
+    w.finish() + "\n"
+}
 
 /// One cell value in a result table.
 #[derive(Debug, Clone)]
@@ -109,73 +176,22 @@ impl ResultTable {
 
     /// Serializes to pretty JSON (for EXPERIMENTS.md bookkeeping).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"id\": {},\n", json_str(&self.id)));
-        out.push_str(&format!("  \"caption\": {},\n", json_str(&self.caption)));
-        out.push_str(&format!("  \"rows\": {},\n", json_str_array(&self.rows, 2)));
-        out.push_str(&format!("  \"cols\": {},\n", json_str_array(&self.cols, 2)));
-        if self.cells.is_empty() {
-            out.push_str("  \"cells\": []\n");
-        } else {
-            out.push_str("  \"cells\": [\n");
-            for (i, c) in self.cells.iter().enumerate() {
-                out.push_str("    {\n");
-                out.push_str(&format!("      \"row\": {},\n", json_str(&c.row)));
-                out.push_str(&format!("      \"col\": {},\n", json_str(&c.col)));
-                out.push_str(&format!("      \"value\": {}\n", json_f64(c.value)));
-                out.push_str(if i + 1 < self.cells.len() {
-                    "    },\n"
-                } else {
-                    "    }\n"
-                });
+        let mut w = Writer::new();
+        w.object(Block, |w| {
+            w.key("id").string(&self.id);
+            w.key("caption").string(&self.caption);
+            for (key, labels) in [("rows", &self.rows), ("cols", &self.cols)] {
+                w.key(key)
+                    .array(Block, |w| labels.iter().for_each(|s| w.string(s)));
             }
-            out.push_str("  ]\n");
-        }
-        out.push('}');
-        out
+            w.key("cells").rows(Block, &self.cells, |w, c| {
+                w.key("row").string(&c.row);
+                w.key("col").string(&c.col);
+                w.key("value").shortest(c.value);
+            });
+        });
+        w.finish()
     }
-}
-
-/// Escapes a string as a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Emits an f64 the way serde_json does: `2.0` not `2`, and non-finite
-/// values as `null`.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Pretty-prints a string array at the given indent depth (spaces).
-fn json_str_array(items: &[String], indent: usize) -> String {
-    if items.is_empty() {
-        return "[]".to_string();
-    }
-    let pad = " ".repeat(indent);
-    let inner: Vec<String> = items
-        .iter()
-        .map(|s| format!("{pad}  {}", json_str(s)))
-        .collect();
-    format!("[\n{}\n{pad}]", inner.join(",\n"))
 }
 
 /// Renders a simple horizontal bar chart line (for series figures in a
@@ -213,13 +229,62 @@ mod tests {
         }
     }
 
+    /// Expected bytes were produced by the hand-rolled emitter this
+    /// crate had before `json::Writer` (parent of the port), so the port
+    /// is pinned to the layout `results/*.json` were written in.
     #[test]
-    fn json_roundtrips_labels() {
-        let mut t = ResultTable::new("fig5", "x");
-        t.set("r", "c", 2.0);
-        let j = t.to_json();
-        assert!(j.contains("\"fig5\""));
-        assert!(j.contains("\"value\": 2.0"));
+    fn json_matches_pinned_bytes() {
+        let mut t = ResultTable::new("fig\"5\"", "caption with \\ and \n newline \u{1} é");
+        t.set("Campus", "TOP", 2.0);
+        t.set("Campus", "PLACE", 0.1);
+        t.set("Brite", "TOP", 1e-7);
+        t.set("Brite", "PROFILE", f64::NAN);
+        t.set("Brite", "PLACE", 1234567.875);
+        let expected = r#"{
+  "id": "fig\"5\"",
+  "caption": "caption with \\ and \n newline \u0001 é",
+  "rows": [
+    "Campus",
+    "Brite"
+  ],
+  "cols": [
+    "TOP",
+    "PLACE",
+    "PROFILE"
+  ],
+  "cells": [
+    {
+      "row": "Campus",
+      "col": "TOP",
+      "value": 2.0
+    },
+    {
+      "row": "Campus",
+      "col": "PLACE",
+      "value": 0.1
+    },
+    {
+      "row": "Brite",
+      "col": "TOP",
+      "value": 1e-7
+    },
+    {
+      "row": "Brite",
+      "col": "PROFILE",
+      "value": null
+    },
+    {
+      "row": "Brite",
+      "col": "PLACE",
+      "value": 1234567.875
+    }
+  ]
+}"#;
+        assert_eq!(t.to_json(), expected);
+        assert_eq!(
+            ResultTable::new("empty", "").to_json(),
+            "{\n  \"id\": \"empty\",\n  \"caption\": \"\",\n  \"rows\": [],\n  \"cols\": [],\n  \"cells\": []\n}"
+        );
     }
 
     #[test]

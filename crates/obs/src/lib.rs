@@ -61,8 +61,11 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod json;
 pub mod report;
+
+// The JSON module lives in the leaf crate so the lint crates can reach
+// it too; this path is the public one the report readers use.
+pub use massf_metrics::json;
 
 use std::collections::BTreeMap;
 use std::time::Instant;

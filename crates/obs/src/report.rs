@@ -1,16 +1,17 @@
 //! The versioned run report: what `--report <path>` writes and
 //! `massf report` reads back.
 //!
-//! A [`RunReport`] is serialized as hand-formatted JSON with a fixed key
-//! order and fixed number formatting, so two runs of the same scenario
-//! produce byte-identical documents except for the `timing` object —
+//! A [`RunReport`] is serialized through [`json::Writer`] with a fixed key
+//! order (the call order in [`RunReport::to_json`]) and fixed number
+//! formatting, so two runs of the same scenario produce byte-identical
+//! documents except for the `timing` object —
 //! which is always the **last** top-level key, letting golden tests mask
 //! it by truncating at the `"timing"` line. Schema changes bump
 //! [`JSON_FORMAT_VERSION`]; every key is documented in DESIGN.md §11.
 
 use std::collections::BTreeMap;
 
-use crate::json::{self, fmt_f64, quote, Value};
+use crate::json::{self, fmt_f64, Layout::Block, Layout::Inline, Value, Writer};
 use crate::{PhaseInfo, ProfileTelemetry, Recorder, RestartBatch, RestartOutcome, Span};
 use massf_metrics::timeseries::{
     imbalance_series, mean_active_imbalance, sparkline, sparkline_f64,
@@ -241,286 +242,129 @@ impl RunReport {
     /// Serializes the report as byte-deterministic JSON (trailing newline
     /// included). The `timing` key is always last.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"tool\": \"massf-run\",\n");
-        out.push_str(&format!("  \"format\": {JSON_FORMAT_VERSION},\n"));
-        out.push_str(&format!("  \"command\": {},\n", quote(&self.command)));
-
-        out.push_str("  \"scenario\": {\n");
-        out.push_str(&format!(
-            "    \"network\": {},\n",
-            quote(&self.scenario.network)
-        ));
-        out.push_str(&format!("    \"engines\": {},\n", self.scenario.engines));
-        out.push_str(&format!(
-            "    \"approach\": {},\n",
-            quote(&self.scenario.approach)
-        ));
-        out.push_str(&format!("    \"flows\": {},\n", self.scenario.flows));
-        out.push_str(&format!(
-            "    \"duration_s\": {}\n",
-            match self.scenario.duration_s {
-                Some(d) => fmt_f64(d),
-                None => "null".to_string(),
+        let mut w = Writer::new();
+        w.object(Block, |w| {
+            w.key("tool").string("massf-run");
+            w.key("format").uint(JSON_FORMAT_VERSION as u64);
+            w.key("command").string(&self.command);
+            w.key("scenario").object(Block, |w| {
+                w.key("network").string(&self.scenario.network);
+                w.key("engines").uint(self.scenario.engines);
+                w.key("approach").string(&self.scenario.approach);
+                w.key("flows").uint(self.scenario.flows);
+                w.key("duration_s")
+                    .option(self.scenario.duration_s, Writer::fixed);
+            });
+            w.key("partition").option(self.partition.as_ref(), |w, p| {
+                w.object(Block, |w| {
+                    w.key("sizes").uints(&p.sizes);
+                    w.key("cut_links").uint(p.cut_links);
+                    w.key("lookahead_us").uint(p.lookahead_us);
+                })
+            });
+            w.key("restarts").rows(Block, &self.restarts, |w, batch| {
+                w.key("stage").string(&batch.stage);
+                w.key("winner").uint(batch.winner);
+                w.key("outcomes").rows(Inline, &batch.outcomes, |w, o| {
+                    w.key("feasible").bool(o.feasible);
+                    w.key("cut").int(o.cut);
+                    w.key("balance").fixed(o.balance);
+                });
+            });
+            w.key("profile").option(self.profile.as_ref(), |w, p| {
+                w.object(Block, |w| {
+                    w.key("bucket_us").uint(p.bucket_us);
+                    w.key("nbuckets").uint(p.nbuckets);
+                    w.key("constraints").uint(p.constraints);
+                    w.key("constraint_totals").array(Inline, |w| {
+                        p.constraint_totals.iter().for_each(|&x| w.int(x));
+                    });
+                    w.key("phases").rows(Inline, &p.phases, |w, ph| {
+                        w.key("start_bucket").uint(ph.start_bucket);
+                        w.key("end_bucket").uint(ph.end_bucket);
+                        w.key("dominating_node")
+                            .option(ph.dominating_node, Writer::uint);
+                        w.key("events").uint(ph.events);
+                    });
+                })
+            });
+            w.key("counters").object(Block, |w| {
+                self.counters.iter().for_each(|(k, &v)| w.key(k).uint(v));
+            });
+            w.key("gauges").object(Block, |w| {
+                self.gauges.iter().for_each(|(k, &v)| w.key(k).fixed(v));
+            });
+            w.key("emulation").option(self.emulation.as_ref(), |w, e| {
+                w.object(Block, |w| {
+                    w.key("delivered").uint(e.delivered);
+                    w.key("dropped").uint(e.dropped);
+                    w.key("total_events").uint(e.total_events);
+                    w.key("rounds").uint(e.rounds);
+                    w.key("remote_messages").uint(e.remote_messages);
+                    w.key("virtual_end_us").uint(e.virtual_end_us);
+                    w.key("counter_window_us").uint(e.counter_window_us);
+                    w.key("mean_latency_us").fixed(e.mean_latency_us);
+                    w.key("imbalance").fixed(e.imbalance);
+                    w.key("engines").rows(Block, &e.engines, |w, eng| {
+                        w.key("events").uint(eng.events);
+                        w.key("stalled_rounds").uint(eng.stalled_rounds);
+                        w.key("remote_sent").uint(eng.remote_sent);
+                        w.key("remote_recv").uint(eng.remote_recv);
+                        w.key("queue_peak").uint(eng.queue_peak);
+                        w.key("sched_resizes").uint(eng.sched_resizes);
+                        w.key("timeline").uints(&eng.timeline);
+                        w.key("stall_timeline").uints(&eng.stall_timeline);
+                        w.key("recv_timeline").uints(&eng.recv_timeline);
+                    });
+                })
+            });
+            // The key is omitted (not null) when absent: documents written
+            // before the rebalancer existed stay byte-identical.
+            if let Some(r) = &self.rebalance {
+                w.key("rebalance").object(Block, |w| {
+                    w.key("mode").string(&r.mode);
+                    w.key("migrated_nodes").uint(r.migrated_nodes);
+                    w.key("remaps_applied").uint(r.remaps_applied);
+                    w.key("epochs").rows(Block, &r.epochs, |w, ep| {
+                        w.key("epoch").uint(ep.epoch);
+                        w.key("end_us").uint(ep.end_us);
+                        w.key("engine_loads").uints(&ep.engine_loads);
+                        w.key("cut_packets").uint(ep.cut_packets);
+                        w.key("drift_measured").fixed(ep.drift_measured);
+                        w.key("drift_predicted").fixed(ep.drift_predicted);
+                        w.key("applied").bool(ep.applied);
+                        w.key("skipped").bool(ep.skipped);
+                        w.key("moves").uint(ep.moves);
+                        w.key("cost_us").fixed(ep.cost_us);
+                        w.key("imbalance_before").fixed(ep.imbalance_before);
+                        w.key("imbalance_after").fixed(ep.imbalance_after);
+                    });
+                });
             }
-        ));
-        out.push_str("  },\n");
-
-        match &self.partition {
-            None => out.push_str("  \"partition\": null,\n"),
-            Some(p) => {
-                out.push_str("  \"partition\": {\n");
-                out.push_str(&format!("    \"sizes\": [{}],\n", join_u64(&p.sizes)));
-                out.push_str(&format!("    \"cut_links\": {},\n", p.cut_links));
-                out.push_str(&format!("    \"lookahead_us\": {}\n", p.lookahead_us));
-                out.push_str("  },\n");
-            }
-        }
-
-        if self.restarts.is_empty() {
-            out.push_str("  \"restarts\": [],\n");
-        } else {
-            out.push_str("  \"restarts\": [\n");
-            for (i, batch) in self.restarts.iter().enumerate() {
-                out.push_str("    {\n");
-                out.push_str(&format!("      \"stage\": {},\n", quote(&batch.stage)));
-                out.push_str(&format!("      \"winner\": {},\n", batch.winner));
-                if batch.outcomes.is_empty() {
-                    out.push_str("      \"outcomes\": []\n");
-                } else {
-                    out.push_str("      \"outcomes\": [\n");
-                    for (j, o) in batch.outcomes.iter().enumerate() {
-                        out.push_str(&format!(
-                            "        {{\"feasible\": {}, \"cut\": {}, \"balance\": {}}}{}\n",
-                            o.feasible,
-                            o.cut,
-                            fmt_f64(o.balance),
-                            if j + 1 < batch.outcomes.len() {
-                                ","
-                            } else {
-                                ""
-                            }
-                        ));
-                    }
-                    out.push_str("      ]\n");
-                }
-                out.push_str(&format!(
-                    "    }}{}\n",
-                    if i + 1 < self.restarts.len() { "," } else { "" }
-                ));
-            }
-            out.push_str("  ],\n");
-        }
-
-        match &self.profile {
-            None => out.push_str("  \"profile\": null,\n"),
-            Some(p) => {
-                out.push_str("  \"profile\": {\n");
-                out.push_str(&format!("    \"bucket_us\": {},\n", p.bucket_us));
-                out.push_str(&format!("    \"nbuckets\": {},\n", p.nbuckets));
-                out.push_str(&format!("    \"constraints\": {},\n", p.constraints));
-                out.push_str(&format!(
-                    "    \"constraint_totals\": [{}],\n",
-                    p.constraint_totals
-                        .iter()
-                        .map(|x| x.to_string())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ));
-                if p.phases.is_empty() {
-                    out.push_str("    \"phases\": []\n");
-                } else {
-                    out.push_str("    \"phases\": [\n");
-                    for (i, ph) in p.phases.iter().enumerate() {
-                        out.push_str(&format!(
-                            "      {{\"start_bucket\": {}, \"end_bucket\": {}, \
-                             \"dominating_node\": {}, \"events\": {}}}{}\n",
-                            ph.start_bucket,
-                            ph.end_bucket,
-                            match ph.dominating_node {
-                                Some(n) => n.to_string(),
-                                None => "null".to_string(),
-                            },
-                            ph.events,
-                            if i + 1 < p.phases.len() { "," } else { "" }
-                        ));
-                    }
-                    out.push_str("    ]\n");
-                }
-                out.push_str("  },\n");
-            }
-        }
-
-        push_map(&mut out, "counters", &self.counters, |v| v.to_string());
-        push_map(&mut out, "gauges", &self.gauges, |v| fmt_f64(*v));
-
-        match &self.emulation {
-            None => out.push_str("  \"emulation\": null,\n"),
-            Some(e) => {
-                out.push_str("  \"emulation\": {\n");
-                out.push_str(&format!("    \"delivered\": {},\n", e.delivered));
-                out.push_str(&format!("    \"dropped\": {},\n", e.dropped));
-                out.push_str(&format!("    \"total_events\": {},\n", e.total_events));
-                out.push_str(&format!("    \"rounds\": {},\n", e.rounds));
-                out.push_str(&format!(
-                    "    \"remote_messages\": {},\n",
-                    e.remote_messages
-                ));
-                out.push_str(&format!("    \"virtual_end_us\": {},\n", e.virtual_end_us));
-                out.push_str(&format!(
-                    "    \"counter_window_us\": {},\n",
-                    e.counter_window_us
-                ));
-                out.push_str(&format!(
-                    "    \"mean_latency_us\": {},\n",
-                    fmt_f64(e.mean_latency_us)
-                ));
-                out.push_str(&format!("    \"imbalance\": {},\n", fmt_f64(e.imbalance)));
-                if e.engines.is_empty() {
-                    out.push_str("    \"engines\": []\n");
-                } else {
-                    out.push_str("    \"engines\": [\n");
-                    for (i, eng) in e.engines.iter().enumerate() {
-                        out.push_str("      {\n");
-                        out.push_str(&format!("        \"events\": {},\n", eng.events));
-                        out.push_str(&format!(
-                            "        \"stalled_rounds\": {},\n",
-                            eng.stalled_rounds
-                        ));
-                        out.push_str(&format!("        \"remote_sent\": {},\n", eng.remote_sent));
-                        out.push_str(&format!("        \"remote_recv\": {},\n", eng.remote_recv));
-                        out.push_str(&format!("        \"queue_peak\": {},\n", eng.queue_peak));
-                        out.push_str(&format!(
-                            "        \"sched_resizes\": {},\n",
-                            eng.sched_resizes
-                        ));
-                        out.push_str(&format!(
-                            "        \"timeline\": [{}],\n",
-                            join_u64(&eng.timeline)
-                        ));
-                        out.push_str(&format!(
-                            "        \"stall_timeline\": [{}],\n",
-                            join_u64(&eng.stall_timeline)
-                        ));
-                        out.push_str(&format!(
-                            "        \"recv_timeline\": [{}]\n",
-                            join_u64(&eng.recv_timeline)
-                        ));
-                        out.push_str(&format!(
-                            "      }}{}\n",
-                            if i + 1 < e.engines.len() { "," } else { "" }
-                        ));
-                    }
-                    out.push_str("    ]\n");
-                }
-                out.push_str("  },\n");
-            }
-        }
-
-        // The key is omitted (not null) when absent: documents written
-        // before the rebalancer existed stay byte-identical.
-        if let Some(r) = &self.rebalance {
-            out.push_str("  \"rebalance\": {\n");
-            out.push_str(&format!("    \"mode\": {},\n", quote(&r.mode)));
-            out.push_str(&format!("    \"migrated_nodes\": {},\n", r.migrated_nodes));
-            out.push_str(&format!("    \"remaps_applied\": {},\n", r.remaps_applied));
-            if r.epochs.is_empty() {
-                out.push_str("    \"epochs\": []\n");
-            } else {
-                out.push_str("    \"epochs\": [\n");
-                for (i, ep) in r.epochs.iter().enumerate() {
-                    out.push_str("      {\n");
-                    out.push_str(&format!("        \"epoch\": {},\n", ep.epoch));
-                    out.push_str(&format!("        \"end_us\": {},\n", ep.end_us));
-                    out.push_str(&format!(
-                        "        \"engine_loads\": [{}],\n",
-                        join_u64(&ep.engine_loads)
-                    ));
-                    out.push_str(&format!("        \"cut_packets\": {},\n", ep.cut_packets));
-                    out.push_str(&format!(
-                        "        \"drift_measured\": {},\n",
-                        fmt_f64(ep.drift_measured)
-                    ));
-                    out.push_str(&format!(
-                        "        \"drift_predicted\": {},\n",
-                        fmt_f64(ep.drift_predicted)
-                    ));
-                    out.push_str(&format!("        \"applied\": {},\n", ep.applied));
-                    out.push_str(&format!("        \"skipped\": {},\n", ep.skipped));
-                    out.push_str(&format!("        \"moves\": {},\n", ep.moves));
-                    out.push_str(&format!("        \"cost_us\": {},\n", fmt_f64(ep.cost_us)));
-                    out.push_str(&format!(
-                        "        \"imbalance_before\": {},\n",
-                        fmt_f64(ep.imbalance_before)
-                    ));
-                    out.push_str(&format!(
-                        "        \"imbalance_after\": {}\n",
-                        fmt_f64(ep.imbalance_after)
-                    ));
-                    out.push_str(&format!(
-                        "      }}{}\n",
-                        if i + 1 < r.epochs.len() { "," } else { "" }
-                    ));
-                }
-                out.push_str("    ]\n");
-            }
-            out.push_str("  },\n");
-        }
-
-        match &self.lint {
-            None => out.push_str("  \"lint\": null,\n"),
-            Some(l) => {
-                out.push_str("  \"lint\": {\n");
-                out.push_str(&format!("    \"errors\": {},\n", l.errors));
-                out.push_str(&format!("    \"warnings\": {},\n", l.warnings));
-                out.push_str(&format!("    \"notes\": {},\n", l.notes));
-                out.push_str(&format!("    \"passes_run\": {},\n", l.passes_run));
-                if l.findings.is_empty() {
-                    out.push_str("    \"findings\": []\n");
-                } else {
-                    out.push_str("    \"findings\": [\n");
-                    for (i, f) in l.findings.iter().enumerate() {
-                        out.push_str(&format!(
-                            "      {{\"severity\": {}, \"code\": {}, \"location\": {}, \
-                             \"message\": {}}}{}\n",
-                            quote(&f.severity),
-                            quote(&f.code),
-                            quote(&f.location),
-                            quote(&f.message),
-                            if i + 1 < l.findings.len() { "," } else { "" }
-                        ));
-                    }
-                    out.push_str("    ]\n");
-                }
-                out.push_str("  },\n");
-            }
-        }
-
-        // `timing` must stay the last key: golden tests truncate here.
-        out.push_str("  \"timing\": {\n");
-        out.push_str(&format!("    \"threads\": {},\n", self.timing.threads));
-        if self.timing.spans.is_empty() {
-            out.push_str("    \"spans\": []\n");
-        } else {
-            out.push_str("    \"spans\": [\n");
-            for (i, s) in self.timing.spans.iter().enumerate() {
-                out.push_str(&format!(
-                    "      {{\"name\": {}, \"wall_us\": {}}}{}\n",
-                    quote(&s.name),
-                    s.wall_us,
-                    if i + 1 < self.timing.spans.len() {
-                        ","
-                    } else {
-                        ""
-                    }
-                ));
-            }
-            out.push_str("    ]\n");
-        }
-        out.push_str("  }\n");
-        out.push_str("}\n");
-        out
+            w.key("lint").option(self.lint.as_ref(), |w, l| {
+                w.object(Block, |w| {
+                    w.key("errors").uint(l.errors);
+                    w.key("warnings").uint(l.warnings);
+                    w.key("notes").uint(l.notes);
+                    w.key("passes_run").uint(l.passes_run);
+                    w.key("findings").rows(Inline, &l.findings, |w, f| {
+                        w.key("severity").string(&f.severity);
+                        w.key("code").string(&f.code);
+                        w.key("location").string(&f.location);
+                        w.key("message").string(&f.message);
+                    });
+                })
+            });
+            // `timing` must stay the last key: golden tests truncate here.
+            w.key("timing").object(Block, |w| {
+                w.key("threads").uint(self.timing.threads);
+                w.key("spans").rows(Inline, &self.timing.spans, |w, s| {
+                    w.key("name").string(&s.name);
+                    w.key("wall_us").uint(s.wall_us);
+                });
+            });
+        });
+        w.finish() + "\n"
     }
 
     /// Parses a report previously written by [`RunReport::to_json`].
@@ -566,18 +410,12 @@ impl RunReport {
             let mut outcomes = Vec::new();
             for o in req_array(batch, "outcomes")? {
                 outcomes.push(RestartOutcome {
-                    feasible: o
-                        .get("feasible")
-                        .and_then(Value::as_bool)
-                        .ok_or("restart outcome missing \"feasible\"")?,
+                    feasible: req_bool(o, "feasible")?,
                     cut: o
                         .get("cut")
                         .and_then(Value::as_i64)
-                        .ok_or("restart outcome missing \"cut\"")?,
-                    balance: o
-                        .get("balance")
-                        .and_then(Value::as_f64)
-                        .ok_or("restart outcome missing \"balance\"")?,
+                        .ok_or("missing key \"cut\"")?,
+                    balance: req_f64(o, "balance")?,
                 });
             }
             restarts.push(RestartBatch {
@@ -659,14 +497,8 @@ impl RunReport {
                     remote_messages: req_u64(e, "remote_messages")?,
                     virtual_end_us: req_u64(e, "virtual_end_us")?,
                     counter_window_us: req_u64(e, "counter_window_us")?,
-                    mean_latency_us: e
-                        .get("mean_latency_us")
-                        .and_then(Value::as_f64)
-                        .ok_or("missing key \"mean_latency_us\"")?,
-                    imbalance: e
-                        .get("imbalance")
-                        .and_then(Value::as_f64)
-                        .ok_or("missing key \"imbalance\"")?,
+                    mean_latency_us: req_f64(e, "mean_latency_us")?,
+                    imbalance: req_f64(e, "imbalance")?,
                     engines,
                 })
             }
@@ -773,7 +605,7 @@ impl RunReport {
 
         if let Some(p) = &self.partition {
             out.push_str("\npartition\n");
-            out.push_str(&format!("  sizes:      [{}]\n", join_u64(&p.sizes)));
+            out.push_str(&format!("  sizes:      {:?}\n", p.sizes));
             out.push_str(&format!("  cut links:  {}\n", p.cut_links));
             out.push_str(&format!("  lookahead:  {} us\n", p.lookahead_us));
         }
@@ -820,14 +652,8 @@ impl RunReport {
                     ph.events
                 ));
             }
-            out.push_str(&format!(
-                "  constraint totals: [{}]\n",
-                p.constraint_totals
-                    .iter()
-                    .map(|x| x.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ));
+            // `{:?}` of an integer Vec is `[a, b, c]`, the JSON spelling.
+            out.push_str(&format!("  constraint totals: {:?}\n", p.constraint_totals));
         }
 
         if let Some(e) = &self.emulation {
@@ -893,11 +719,11 @@ impl RunReport {
                     "final epoch".to_string()
                 };
                 out.push_str(&format!(
-                    "  epoch {} @ {} us  loads [{}]  cut {}  drift {} (pred {})  \
+                    "  epoch {} @ {} us  loads {:?}  cut {}  drift {} (pred {})  \
                      imbalance {} -> {}  {}\n",
                     ep.epoch,
                     ep.end_us,
-                    join_u64(&ep.engine_loads),
+                    ep.engine_loads,
                     ep.cut_packets,
                     fmt_f64(ep.drift_measured),
                     fmt_f64(ep.drift_predicted),
@@ -956,35 +782,6 @@ impl RunReport {
         }
         out
     }
-}
-
-fn join_u64(xs: &[u64]) -> String {
-    xs.iter()
-        .map(|x| x.to_string())
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
-fn push_map<V>(
-    out: &mut String,
-    key: &str,
-    map: &BTreeMap<String, V>,
-    render: impl Fn(&V) -> String,
-) {
-    if map.is_empty() {
-        out.push_str(&format!("  \"{key}\": {{}},\n"));
-        return;
-    }
-    out.push_str(&format!("  \"{key}\": {{\n"));
-    for (i, (k, v)) in map.iter().enumerate() {
-        out.push_str(&format!(
-            "    {}: {}{}\n",
-            quote(k),
-            render(v),
-            if i + 1 < map.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  },\n");
 }
 
 fn req_str<'v>(v: &'v Value, key: &str) -> Result<&'v str, String> {

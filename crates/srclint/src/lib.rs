@@ -14,10 +14,11 @@
 //! every allow matches at least one real finding (a stale allow is itself
 //! an Error, code SA000), so suppressions cannot rot.
 //!
-//! The crate is std-only and dependency-free on purpose: the linter must
-//! stay buildable and trustworthy even when the rest of the workspace is
-//! mid-refactor, and its scan results must never depend on anything but
-//! the bytes of the files it reads.
+//! The crate depends only on the std-only leaf crate `massf-metrics`
+//! (for the severity model and the JSON check document it shares with
+//! `massf-lint`): the linter must stay buildable and trustworthy even when
+//! the rest of the workspace is mid-refactor, and its scan results must
+//! never depend on anything but the bytes of the files it reads.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -26,33 +27,13 @@ pub mod passes;
 pub mod render;
 pub mod tokenizer;
 
+pub use massf_metrics::report::Severity;
+
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
-
-/// Diagnostic severity, ordered `Note < Warn < Error`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Severity {
-    /// Informational; never fails a scan.
-    Note,
-    /// Suspicious; fails only under `--deny-warnings`.
-    Warn,
-    /// Determinism hazard; always fails the scan.
-    Error,
-}
-
-impl Severity {
-    /// Lower-case label used in both renderers.
-    pub fn label(self) -> &'static str {
-        match self {
-            Severity::Note => "note",
-            Severity::Warn => "warning",
-            Severity::Error => "error",
-        }
-    }
-}
 
 /// Stable source-analysis pass codes. Append-only: codes are never
 /// renumbered or reused, mirroring the MC* catalog in `massf-lint`.

@@ -1,12 +1,15 @@
 //! Report renderers: human text and byte-deterministic JSON.
 //!
-//! Both formats mirror `massf-lint`'s check renderers so tooling that
-//! already consumes `massf check` output can consume `massf srclint`
-//! output with only the `tool` field changing. The JSON is hand-written
-//! with a fixed key order and a fixed escape set, so repeated runs over
-//! the same tree are byte-identical.
+//! The JSON form is the same check document `massf check` emits — both
+//! crates call [`massf_metrics::report::check_document`] — so tooling that
+//! consumes one consumes the other with only the `tool` field and the
+//! trailer (`allows` here, `suppressed` there) changing. Key order,
+//! spacing and escapes belong to the workspace's one `json::Writer`, so
+//! repeated runs over the same tree are byte-identical.
 
 use crate::{Report, Severity};
+use massf_metrics::json::Layout::Block;
+use massf_metrics::report::check_document;
 
 /// Renders the human-readable report. Call [`Report::finish`] first.
 pub fn render_human(report: &Report) -> String {
@@ -39,96 +42,27 @@ pub fn render_human(report: &Report) -> String {
 }
 
 /// Renders the byte-deterministic JSON report. Call [`Report::finish`]
-/// first. Key order, spacing, and escapes are fixed; two runs over the
-/// same tree produce identical bytes.
+/// first.
 pub fn render_json(report: &Report) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"tool\": \"massf-srclint\",\n");
-    out.push_str("  \"format\": 1,\n");
-    out.push_str("  \"summary\": {\n");
-    out.push_str(&format!(
-        "    \"errors\": {},\n",
-        report.count(Severity::Error)
-    ));
-    out.push_str(&format!(
-        "    \"warnings\": {},\n",
-        report.count(Severity::Warn)
-    ));
-    out.push_str(&format!(
-        "    \"notes\": {},\n",
-        report.count(Severity::Note)
-    ));
-    out.push_str(&format!(
-        "    \"files_scanned\": {},\n",
-        report.files_scanned
-    ));
-    out.push_str(&format!("    \"passes_run\": {}\n", Report::PASSES_RUN));
-    out.push_str("  },\n");
-
-    out.push_str("  \"diagnostics\": [");
-    for (i, f) in report.findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    {\n");
-        out.push_str(&format!("      \"code\": {},\n", quote(f.code.as_str())));
-        out.push_str(&format!(
-            "      \"severity\": {},\n",
-            quote(f.severity.label())
-        ));
-        out.push_str(&format!(
-            "      \"location\": {},\n",
-            quote(&format!("{}:{}", f.path, f.line))
-        ));
-        out.push_str(&format!("      \"message\": {}\n", quote(&f.message)));
-        out.push_str("    }");
-    }
-    if report.findings.is_empty() {
-        out.push_str("],\n");
-    } else {
-        out.push_str("\n  ],\n");
-    }
-
-    out.push_str("  \"allows\": [");
-    for (i, a) in report.allows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    {\n");
-        out.push_str(&format!("      \"code\": {},\n", quote(a.code.as_str())));
-        out.push_str(&format!("      \"path\": {},\n", quote(&a.path)));
-        out.push_str(&format!("      \"count\": {}\n", a.count));
-        out.push_str("    }");
-    }
-    if report.allows.is_empty() {
-        out.push_str("]\n");
-    } else {
-        out.push_str("\n  ]\n");
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// JSON string quoting with the same escape set as massf-lint's renderer.
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    let rows: Vec<_> = report
+        .findings
+        .iter()
+        .map(|f| {
+            let location = format!("{}:{}", f.path, f.line);
+            (f.code.as_str(), f.severity, location, f.message.as_str())
+        })
+        .collect();
+    let extras = [
+        ("files_scanned", report.files_scanned),
+        ("passes_run", Report::PASSES_RUN),
+    ];
+    check_document("massf-srclint", 1, &extras, &rows, |w| {
+        w.key("allows").rows(Block, &report.allows, |w, a| {
+            w.key("code").string(a.code.as_str());
+            w.key("path").string(&a.path);
+            w.key("count").uint(a.count as u64);
+        });
+    })
 }
 
 #[cfg(test)]
@@ -179,11 +113,5 @@ mod tests {
             h,
             "srclint: 0 error(s), 0 warning(s), 0 note(s) \u{2014} 0 file(s) scanned, 8 passes run\n"
         );
-    }
-
-    #[test]
-    fn quote_escapes() {
-        assert_eq!(quote("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(quote("\u{1}"), "\"\\u0001\"");
     }
 }

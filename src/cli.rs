@@ -24,6 +24,7 @@
 
 use massf_core::engine::engine::lookahead_us;
 use massf_core::engine::probe;
+use massf_core::obs::json::{Layout::Block, Writer};
 use massf_core::obs::report::{
     EmulationInfo, EngineLoad, EpochRow, LintFinding, LintSummary, PartitionInfo, RebalanceInfo,
     ScenarioInfo,
@@ -205,6 +206,26 @@ fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
+/// Parses `--duration-s S` into `(seconds, microseconds)`; `None` when the
+/// flag is absent. The emulated span must be at least 1 µs and at most
+/// the lint plausibility horizon: NaN, zero and negatives used to
+/// emulate an empty schedule silently, and `1e300` saturated to a run
+/// that never ends.
+fn duration_flag(args: &[String]) -> Result<Option<(f64, u64)>, CliError> {
+    let Some(text) = flag(args, "--duration-s") else {
+        return Ok(None);
+    };
+    let max_us = massf_lint::passes::MAX_PLAUSIBLE_HORIZON_US;
+    match text.parse::<f64>() {
+        // NaN is in no range.
+        Ok(s) if (1.0..=max_us as f64).contains(&(s * 1e6)) => Ok(Some((s, (s * 1e6) as u64))),
+        _ => Err(err(format!(
+            "--duration-s must be a number of seconds between 0.000001 and {}, got {text:?}",
+            max_us / 1_000_000
+        ))),
+    }
+}
+
 /// Rejects any `--flag` the subcommand does not understand. `value_flags`
 /// consume the following argument; `bool_flags` stand alone. A value flag
 /// in final position is also an error (its value is missing).
@@ -323,12 +344,7 @@ fn cmd_check(args: &[String]) -> Result<String, CliError> {
         }
         None => None,
     };
-    let duration_s: f64 = match flag(args, "--duration-s") {
-        Some(d) => d
-            .parse()
-            .map_err(|_| err("--duration-s must be a number"))?,
-        None => 10.0,
-    };
+    let (_, duration_us) = duration_flag(args)?.unwrap_or(DEFAULT_DURATION);
 
     // Stage 1: lint everything known statically. Flow generation asserts
     // on degenerate host sets — exactly what the MC010 spec-fit pass
@@ -345,7 +361,6 @@ fn cmd_check(args: &[String]) -> Result<String, CliError> {
         .any(|d| d.code == massf_lint::Code::Mc010 && d.severity == massf_lint::Severity::Error);
     if spec_fits {
         if let Some(kind) = kind.as_ref() {
-            let duration_us = (duration_s * 1e6) as u64;
             let (flows, predicted) = generate_traffic(&net, kind, duration_us);
             input.flows = &flows;
             input.predicted = &predicted;
@@ -466,24 +481,20 @@ fn list_passes(json: bool) -> String {
         ));
     }
     if json {
-        let mut out = String::new();
-        out.push_str("{\n  \"tool\": \"massf-check\",\n  \"format\": 1,\n  \"passes\": [");
-        for (i, (code, family, sev, name, summary)) in rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\n      \"code\": {},\n      \"family\": {},\n      \
-                 \"severity\": {},\n      \"name\": {},\n      \"summary\": {}\n    }}",
-                json_str(code),
-                json_str(family),
-                json_str(sev),
-                json_str(name),
-                json_str(summary)
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+        let mut w = Writer::new();
+        w.object(Block, |w| {
+            w.key("tool").string("massf-check");
+            w.key("format").uint(1);
+            w.key("passes")
+                .rows(Block, &rows, |w, (code, family, sev, name, summary)| {
+                    w.key("code").string(code);
+                    w.key("family").string(family);
+                    w.key("severity").string(sev);
+                    w.key("name").string(name);
+                    w.key("summary").string(summary);
+                });
+        });
+        w.finish() + "\n"
     } else {
         let mut out = String::new();
         for (code, family, sev, name, summary) in &rows {
@@ -498,26 +509,6 @@ fn list_passes(json: bool) -> String {
         ));
         out
     }
-}
-
-/// Minimal JSON string quoting for the catalog renderer (static strings;
-/// the full escape set still applied for safety).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// `massf srclint [<dir>] [--format human|json] [--deny-warnings]` — the
@@ -610,6 +601,24 @@ fn lint_summary(diags: &Diagnostics) -> LintSummary {
             })
             .collect(),
     }
+}
+
+/// Assembles and writes a `--report` file: the recorder's telemetry, the
+/// scenario shape, the audit's lint block, and whatever result blocks
+/// `fill` sets (partition, emulation, rebalance).
+fn write_run_report(
+    path: &str,
+    command: &str,
+    scenario: ScenarioInfo,
+    rec: Recorder,
+    threads: usize,
+    audit: &Diagnostics,
+    fill: impl FnOnce(&mut RunReport),
+) -> Result<(), CliError> {
+    let mut run_report = RunReport::new(command, scenario, rec, threads);
+    run_report.lint = Some(lint_summary(audit));
+    fill(&mut run_report);
+    std::fs::write(path, run_report.to_json()).map_err(|e| err(format!("cannot write {path}: {e}")))
 }
 
 /// Parses `--routing R` into a [`RoutingKind`]; `None` when absent (the
@@ -790,6 +799,10 @@ fn generate_traffic(
 /// modest CBR background that fits any of the shipped topologies.
 const DEFAULT_TRAFFIC_SPEC: &str = "traffic { name CBR\n sessions 6\n rate_mbps 4 }";
 
+/// `--duration-s` when `massf run` / `massf check` are invoked without it:
+/// seconds and the same span in µs.
+const DEFAULT_DURATION: (f64, u64) = (10.0, 10_000_000);
+
 /// Summarizes `partition` for the run report: nodes per engine, cut-link
 /// count, and the conservative window lookahead the engines would use.
 fn partition_info(net: &Network, partition: &Partitioning) -> PartitionInfo {
@@ -899,13 +912,7 @@ fn cmd_run(args: &[String]) -> Result<String, CliError> {
         None => ("<built-in CBR>", DEFAULT_TRAFFIC_SPEC.to_string()),
     };
     let kind = parse_traffic(&spec_text).map_err(|e| err(format!("{spec_label}: {e}")))?;
-    let duration_s: f64 = match flag(args, "--duration-s") {
-        Some(d) => d
-            .parse()
-            .map_err(|_| err("--duration-s must be a number"))?,
-        None => 10.0,
-    };
-    let duration_us = (duration_s * 1e6) as u64;
+    let (duration_s, duration_us) = duration_flag(args)?.unwrap_or(DEFAULT_DURATION);
     let approach = match flag(args, "--approach").unwrap_or("profile") {
         "top" => Approach::Top,
         "place" => Approach::Place,
@@ -1091,26 +1098,20 @@ fn cmd_run(args: &[String]) -> Result<String, CliError> {
     }
 
     if let Some(report_path) = flag(args, "--report") {
-        let mut run_report = RunReport::new(
-            "run",
-            ScenarioInfo {
-                network: study.net.summary(),
-                engines: engines as u64,
-                approach: approach.label().to_string(),
-                flows: flows.len() as u64,
-                duration_s: Some(duration_s),
-            },
-            rec,
-            threads,
-        );
-        // The online path reports the partition actually in force at the
-        // end of the run (after any boundary migrations).
-        run_report.partition = Some(partition_info(&study.net, &final_partition));
-        run_report.emulation = Some(emulation_info(&report));
-        run_report.rebalance = rebalance.clone();
-        run_report.lint = Some(lint_summary(&audit));
-        std::fs::write(report_path, run_report.to_json())
-            .map_err(|e| err(format!("cannot write {report_path}: {e}")))?;
+        let scenario = ScenarioInfo {
+            network: study.net.summary(),
+            engines: engines as u64,
+            approach: approach.label().to_string(),
+            flows: flows.len() as u64,
+            duration_s: Some(duration_s),
+        };
+        write_run_report(report_path, "run", scenario, rec, threads, &audit, |r| {
+            // The online path reports the partition actually in force at
+            // the end of the run (after any boundary migrations).
+            r.partition = Some(partition_info(&study.net, &final_partition));
+            r.emulation = Some(emulation_info(&report));
+            r.rebalance = rebalance;
+        })?;
         out.push_str(&format!("report       : {report_path}\n"));
     }
     Ok(out)
@@ -1134,14 +1135,11 @@ fn cmd_record(args: &[String]) -> Result<String, CliError> {
     let spec_text = std::fs::read_to_string(spec_path)
         .map_err(|e| err(format!("cannot read {spec_path}: {e}")))?;
     let kind = parse_traffic(&spec_text).map_err(|e| err(format!("{spec_path}: {e}")))?;
-    let duration_s: f64 = flag(args, "--duration-s")
-        .ok_or_else(|| err("missing --duration-s"))?
-        .parse()
-        .map_err(|_| err("--duration-s must be a number"))?;
+    let (duration_s, duration_us) =
+        duration_flag(args)?.ok_or_else(|| err("missing --duration-s"))?;
     let out_path = flag(args, "--out").ok_or_else(|| err("missing --out"))?;
     let deny = args.iter().any(|a| a == "--deny-warnings");
     preflight(&net, None, Some(&kind), &[], &[], deny)?;
-    let duration_us = (duration_s * 1e6) as u64;
     let span = rec.start();
     let (flows, _) = generate_traffic(&net, &kind, duration_us);
     rec.finish("cli/traffic_gen", span);
@@ -1156,21 +1154,14 @@ fn cmd_record(args: &[String]) -> Result<String, CliError> {
         // No mapping and no emulation happen here, so the report carries
         // the scenario shape (engines 0, approach "-"), the trace audit,
         // and timing.
-        let mut run_report = RunReport::new(
-            "record",
-            ScenarioInfo {
-                network: net.summary(),
-                engines: 0,
-                approach: "-".to_string(),
-                flows: flows.len() as u64,
-                duration_s: Some(duration_s),
-            },
-            rec,
-            1,
-        );
-        run_report.lint = Some(lint_summary(&audit));
-        std::fs::write(report_path, run_report.to_json())
-            .map_err(|e| err(format!("cannot write {report_path}: {e}")))?;
+        let scenario = ScenarioInfo {
+            network: net.summary(),
+            engines: 0,
+            approach: "-".to_string(),
+            flows: flows.len() as u64,
+            duration_s: Some(duration_s),
+        };
+        write_run_report(report_path, "record", scenario, rec, 1, &audit, |_| {})?;
     }
     Ok(format!(
         "recorded {} flows to {out_path}
@@ -1265,25 +1256,19 @@ fn cmd_replay(args: &[String]) -> Result<String, CliError> {
     rec.finish("engine/emulate", span);
     record_lazy_run_stats(&mut rec, &study, &partition.part);
     if let Some(report_path) = flag(rest, "--report") {
-        let mut run_report = RunReport::new(
-            "replay",
-            ScenarioInfo {
-                network: study.net.summary(),
-                engines: engines as u64,
-                approach: approach.label().to_string(),
-                flows: flows.len() as u64,
-                // The trace fixes the schedule; no wall-clock duration
-                // knob is involved in a replay.
-                duration_s: None,
-            },
-            rec,
-            threads,
-        );
-        run_report.partition = Some(partition_info(&study.net, &partition));
-        run_report.emulation = Some(emulation_info(&report));
-        run_report.lint = Some(lint_summary(&audit));
-        std::fs::write(report_path, run_report.to_json())
-            .map_err(|e| err(format!("cannot write {report_path}: {e}")))?;
+        let scenario = ScenarioInfo {
+            network: study.net.summary(),
+            engines: engines as u64,
+            approach: approach.label().to_string(),
+            flows: flows.len() as u64,
+            // The trace fixes the schedule; no wall-clock duration knob is
+            // involved in a replay.
+            duration_s: None,
+        };
+        write_run_report(report_path, "replay", scenario, rec, threads, &audit, |r| {
+            r.partition = Some(partition_info(&study.net, &partition));
+            r.emulation = Some(emulation_info(&report));
+        })?;
     }
     Ok(format!(
         "replayed {} flows under {}: {} packets in {:.2}s modeled, imbalance {:.3}
@@ -1641,6 +1626,40 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(e.0.contains("TOP"), "{e}");
+    }
+
+    #[test]
+    fn duration_flag_is_checked_on_every_subcommand() {
+        let f = write_campus();
+        let spec = "examples/scenarios/cbr.txt";
+        for bad in ["nan", "-5", "0", "1e-9", "1e300", "inf", "soon"] {
+            for cmd in [
+                vec!["run", f.as_str()],
+                vec!["check", f.as_str(), "--traffic", spec],
+                vec![
+                    "record",
+                    f.as_str(),
+                    "--traffic",
+                    spec,
+                    "--out",
+                    "/nonexistent/t",
+                ],
+            ] {
+                let mut all = cmd.clone();
+                all.extend(["--duration-s", bad]);
+                let e = run(&args(&all)).unwrap_err();
+                assert!(
+                    e.0.starts_with("--duration-s must be"),
+                    "{cmd:?} {bad}: {e}"
+                );
+                assert_eq!(e.0.lines().count(), 1, "{e}");
+            }
+        }
+        assert_eq!(
+            duration_flag(&args(&["--duration-s", "2"])),
+            Ok(Some((2.0, 2_000_000)))
+        );
+        assert_eq!(duration_flag(&args(&["--engines", "2"])), Ok(None));
     }
 
     #[test]

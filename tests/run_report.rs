@@ -8,7 +8,9 @@
 //! below that boundary by construction, so the masked prefix must match
 //! byte for byte across runs *and* across `--threads` settings.
 
+use massf_core::obs::report::RunReport;
 use massf_repro::cli;
+use proptest::prelude::*;
 
 fn args(list: &[&str]) -> Vec<String> {
     list.iter().map(|s| s.to_string()).collect()
@@ -278,4 +280,66 @@ fn timing_is_present_and_last() {
         !tail.contains("\"emulation\""),
         "emulation data leaked below the timing boundary"
     );
+}
+
+/// A full, parseable report document: the masked JSON golden plus a
+/// minimal `timing` tail.
+fn golden_document() -> String {
+    include_str!("golden/campus_run_report.json").to_string()
+        + "  \"timing\": {\n    \"threads\": 1,\n    \"spans\": []\n  }\n}\n"
+}
+
+/// The reader boundary `massf report` sits on: `Ok` or `Err`, no panic.
+fn read_without_panicking(text: &str) {
+    let _ = massf_core::obs::json::parse(text);
+    let _ = RunReport::from_json(text);
+}
+
+#[test]
+fn reader_rejects_hostile_nesting_with_a_positioned_error() {
+    for open in ["[", "{\"k\":"] {
+        let deep = open.repeat(200_000);
+        let e = RunReport::from_json(&deep).expect_err("unclosed and far too deep");
+        assert!(e.starts_with("invalid JSON at byte "), "{e}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn reader_never_panics_on_arbitrary_bytes(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
+        read_without_panicking(&String::from_utf8_lossy(&bytes));
+    }
+
+    /// Byte-level damage to a real report: overwrite, delete, insert,
+    /// truncate. `massf report` reads files as UTF-8, so damage that
+    /// breaks the encoding is folded back in lossily.
+    #[test]
+    fn reader_never_panics_on_mutated_reports(
+        edits in prop::collection::vec((any::<usize>(), 0u8..4, any::<u8>()), 1..8),
+    ) {
+        let mut bytes = golden_document().into_bytes();
+        for (at, op, byte) in edits {
+            let at = at % bytes.len().max(1);
+            match op {
+                _ if bytes.is_empty() => bytes.push(byte),
+                0 => bytes[at] = byte,
+                1 => {
+                    bytes.remove(at);
+                }
+                2 => bytes.insert(at, byte),
+                _ => bytes.truncate(at),
+            }
+        }
+        read_without_panicking(&String::from_utf8_lossy(&bytes));
+    }
+}
+
+#[test]
+fn unmutated_golden_document_reads_back() {
+    // Keeps the mutation property honest: its starting point is a
+    // document the reader accepts, so the edits are what it rejects.
+    let report = RunReport::from_json(&golden_document()).expect("golden + timing parses");
+    assert_eq!(mask_json(&report.to_json()), mask_json(&golden_document()));
 }
