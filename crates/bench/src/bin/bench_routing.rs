@@ -7,7 +7,9 @@
 //! (src, dst) pair), then records bytes per table and the compression
 //! ratio, the row/run shape (leaf / shared / unique rows, runs per row),
 //! build wall-clock, and lookup throughput (`next_link_raw` over all
-//! pairs — the forwarding hot-loop query).
+//! pairs — the forwarding hot-loop query), and the audit's two routing
+//! probes (MC014 asymmetry + MC015 ECMP, `massf_routing::probes`) beside
+//! the pairwise reference they replaced, **asserting equal output**.
 //!
 //! All size and shape cells are deterministic functions of the topology,
 //! so the `ratio ≥ 10×` acceptance check is flake-free by construction;
@@ -21,10 +23,19 @@
 
 use massf_bench::dump_json;
 use massf_core::prelude::*;
+use massf_core::routing::probes::{self, AsymmetricPair, EcmpSite};
 use massf_core::routing::RoutingTables;
 use massf_core::topology::NodeId;
 use massf_metrics::report::ResultTable;
 use std::time::Instant;
+
+/// The pairwise oracle `massf-routing` keeps for its own tests, mounted
+/// from its source so there is one copy.
+#[path = "../../../routing/src/probes/naive.rs"]
+mod naive;
+
+/// Witness cap the audit passes (`MAX_DIAGS_PER_CODE - 1`).
+const AUDIT_CAP: usize = 24;
 
 /// Best-of-`reps` wall-clock seconds for `f`.
 fn time_best<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
@@ -79,6 +90,26 @@ fn lookup_throughput(tables: &RoutingTables, reps: usize) -> f64 {
     (n as f64 * n as f64) / secs.max(1e-9)
 }
 
+/// Both audit probes over `tables`, timed, and the pairwise oracle timed
+/// once; panics unless they return the same witnesses and totals.
+/// Returns `(probes_ms, naive_ms)`.
+fn audit_probes(net: &Network, tables: &RoutingTables, reps: usize, row: &str) -> (f64, f64) {
+    let (secs, got) = time_best(reps, || {
+        (
+            probes::asymmetric_latencies(tables, AUDIT_CAP),
+            probes::ecmp_sites(net, tables, AUDIT_CAP),
+        )
+    });
+    let (naive_secs, want) = time_best(1, || {
+        (
+            naive::asymmetric_latencies(tables, AUDIT_CAP),
+            naive::ecmp_sites(net, tables, AUDIT_CAP),
+        )
+    });
+    assert_eq!(got, want, "{row}: probes diverge from the pairwise oracle");
+    (secs * 1e3, naive_secs * 1e3)
+}
+
 fn main() {
     let smoke = std::env::args().nth(1).as_deref() == Some("--smoke"); // srclint: allow(SA004) — bench binaries read their own flags
     let reps = if smoke { 1 } else { 3 };
@@ -129,6 +160,11 @@ fn main() {
             lookup_throughput(&dense, reps) / 1e6,
         );
         t.set(row, "lookup-comp-M/s", lookup_throughput(&comp, reps) / 1e6);
+        for (kind, tables) in [("dense", &dense), ("comp", &comp)] {
+            let (probes_ms, naive_ms) = audit_probes(&net, tables, reps, row);
+            t.set(row, format!("audit-probes-{kind}-ms"), probes_ms);
+            t.set(row, format!("audit-naive-{kind}-ms"), naive_ms);
+        }
     }
 
     print!("{}", t.render(2));

@@ -12,7 +12,8 @@ pub fn load_imbalance(loads: &[u64]) -> f64 {
         return 0.0;
     }
     let n = loads.len() as f64;
-    let mean = loads.iter().sum::<u64>() as f64 / n;
+    // Summed in u128: loads read back from a report can be saturated.
+    let mean = loads.iter().map(|&k| k as u128).sum::<u128>() as f64 / n;
     if mean == 0.0 {
         return 0.0;
     }

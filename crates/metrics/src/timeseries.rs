@@ -22,8 +22,9 @@ pub fn imbalance_series(window_series: &[Vec<u64>], min_events: u64) -> Vec<f64>
             .iter()
             .map(|e| e.get(b).copied().unwrap_or(0))
             .collect();
-        let total: u64 = loads.iter().sum();
-        out.push(if total < min_events {
+        // u128: counters read back from a report can be saturated.
+        let total: u128 = loads.iter().map(|&l| l as u128).sum();
+        out.push(if total < min_events as u128 {
             0.0
         } else {
             load_imbalance(&loads)
@@ -33,7 +34,8 @@ pub fn imbalance_series(window_series: &[Vec<u64>], min_events: u64) -> Vec<f64>
 }
 
 /// Per-interval total load (Figure 2's per-engine curves summed, or pass a
-/// single engine's row for its individual curve).
+/// single engine's row for its individual curve). A bucket whose sum
+/// exceeds `u64::MAX` saturates.
 pub fn total_series(window_series: &[Vec<u64>]) -> Vec<u64> {
     let Some(buckets) = window_series.iter().map(Vec::len).max() else {
         return Vec::new();
@@ -43,7 +45,7 @@ pub fn total_series(window_series: &[Vec<u64>]) -> Vec<u64> {
             window_series
                 .iter()
                 .map(|e| e.get(b).copied().unwrap_or(0))
-                .sum()
+                .fold(0u64, u64::saturating_add)
         })
         .collect()
 }
@@ -134,6 +136,15 @@ mod tests {
         let ws = vec![vec![1, 2], vec![3, 4]];
         assert_eq!(total_series(&ws), vec![4, 6]);
         assert!(total_series(&[]).is_empty());
+    }
+
+    #[test]
+    fn saturated_counters_do_not_overflow() {
+        let ws = vec![vec![u64::MAX, 1], vec![u64::MAX, u64::MAX]];
+        assert_eq!(total_series(&ws), vec![u64::MAX, u64::MAX]);
+        let s = imbalance_series(&ws, 1);
+        assert_eq!(s[0], 0.0, "equal loads, however large");
+        assert!(s[1] > 0.9, "one engine idle next to a saturated one");
     }
 
     #[test]

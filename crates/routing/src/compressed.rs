@@ -22,6 +22,9 @@
 //! Latencies are not stored per pair: a query walks the next-hop chain and
 //! sums per-link latencies from a snapshot, which reproduces the dense
 //! Dijkstra distance exactly (it *is* the sum of the links on that chain).
+//! A caller that wants every latency toward one destination reads the
+//! column through [`LatenciesTo`](crate::tables::LatenciesTo) instead,
+//! which pays each shared chain tail once.
 //!
 //! The build is deterministic under parallelism with the same discipline
 //! as the dense build: per-source encoding writes disjoint slots, and the
@@ -352,16 +355,33 @@ impl CompressedTables {
                     (NodeId::MAX, NO_LINK)
                 }
             }
-            RowRef::Runs(slot) => {
-                let lo = self.row_bounds[slot as usize] as usize;
-                let hi = self.row_bounds[slot as usize + 1] as usize;
-                let r = self.rank[dst as usize];
-                // Last run starting at or before rank r. The row covers
-                // every non-diagonal rank, and the diagonal is guarded
-                // above, so the search never lands before the first run.
-                let i = lo + self.run_start[lo..hi].partition_point(|&s| s <= r) - 1;
-                (self.run_hop[i], self.run_link[i])
-            }
+            RowRef::Runs(slot) => self.run_entry(slot, dst),
+        }
+    }
+
+    /// The run of canonical row `slot` covering `dst`.
+    #[inline]
+    fn run_entry(&self, slot: u32, dst: NodeId) -> (NodeId, LinkId) {
+        let lo = self.row_bounds[slot as usize] as usize;
+        let hi = self.row_bounds[slot as usize + 1] as usize;
+        let r = self.rank[dst as usize];
+        // Last run starting at or before rank r. The row covers every
+        // non-diagonal rank, and callers guard the diagonal, so the
+        // search never lands before the first run.
+        let i = lo + self.run_start[lo..hi].partition_point(|&s| s <= r) - 1;
+        (self.run_hop[i], self.run_link[i])
+    }
+
+    /// One step of a climb toward `dst` (`src != dst`): [`entry`](Self::entry)
+    /// without the leaf's reachability probe. A leaf answers its uplink
+    /// unconditionally and with no binary search; whether `dst` is
+    /// reachable is then the parent's answer, which a climb asks next
+    /// anyway (`lat(leaf→dst) = uplink + lat(parent→dst)`).
+    #[inline]
+    pub(crate) fn climb_step(&self, src: NodeId, dst: NodeId) -> (NodeId, LinkId) {
+        match self.rows[src as usize] {
+            RowRef::Leaf { parent, link } => (parent, link),
+            RowRef::Runs(slot) => self.run_entry(slot, dst),
         }
     }
 

@@ -125,12 +125,31 @@ impl LazyTables {
                 (NodeId::MAX, NO_LINK)
             };
         }
+        self.run_entry(src, dst)
+    }
+
+    /// The run of `src`'s (materialized on demand) row covering `dst`.
+    #[inline]
+    fn run_entry(&self, src: NodeId, dst: NodeId) -> (NodeId, LinkId) {
         let row = self.row(src);
         let r = self.rank[dst as usize];
         // Last run starting at or before rank r; the row covers every
-        // non-diagonal rank and the diagonal is guarded above.
+        // non-diagonal rank and callers guard the diagonal.
         let i = row.partition_point(|run| run.start <= r) - 1;
         (row[i].hop, row[i].link)
+    }
+
+    /// One step of a climb toward `dst` (`src != dst`): [`entry`](Self::entry)
+    /// without the leaf's reachability probe — a leaf answers its uplink
+    /// unconditionally, and the climb's next step asks the parent. Counts
+    /// one lookup on `src`, none delegated.
+    #[inline]
+    pub(crate) fn climb_step(&self, src: NodeId, dst: NodeId) -> (NodeId, LinkId) {
+        self.lookups[src as usize].fetch_add(1, Ordering::Relaxed);
+        match self.leaf[src as usize] {
+            Some(uplink) => uplink,
+            None => self.run_entry(src, dst),
+        }
     }
 
     /// End-to-end latency by walking the next-hop chain and summing link

@@ -26,4 +26,4 @@ pub mod tables;
 pub mod traceroute;
 
 pub use memory::{LazyStats, RunStats, SliceResidency, SliceStats};
-pub use tables::{RoutingKind, RoutingTables};
+pub use tables::{LatenciesTo, RoutingKind, RoutingTables};

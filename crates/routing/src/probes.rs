@@ -17,7 +17,10 @@
 //!
 //! Both probes go through the public [`RoutingTables`] query API — never
 //! the storage internals — so artifact audits run identically over dense
-//! and compressed tables.
+//! and compressed tables. They read whole latency columns through
+//! [`LatenciesTo`](crate::LatenciesTo) — n memoized lookups per
+//! destination — instead of walking a next-hop chain per pair, and hold at
+//! most 1 MiB of scratch (`SCRATCH_BYTES`): never an n × n matrix.
 //!
 //! Both probes collect at most a caller-given number of witnesses and
 //! return the exact total alongside, so lint reports stay bounded while
@@ -25,14 +28,53 @@
 
 use crate::RoutingTables;
 use massf_topology::{Network, NodeId};
+use std::collections::BinaryHeap;
 
-/// Shortest-path latency via the public API, with unreachable/self folded
-/// to the dense sentinel convention the probes compare against.
-fn lat(tables: &RoutingTables, src: NodeId, dst: NodeId) -> u64 {
-    if src == dst {
-        return 0;
+#[cfg(test)]
+mod naive;
+
+/// Most the asymmetry probe may hold at once: its tile of resident
+/// columns plus the climb's own arrays. 1 MiB is 64 columns at n = 1 980;
+/// it is the binding limit from n ≈ 2 050 up.
+const SCRATCH_BYTES: usize = 1 << 20;
+
+/// Fewest tiles a sweep is cut into: a tile is at most 1/32 of the
+/// columns even when the budget would hold more, so on a small network
+/// the scratch stays in proportion to a run that itself peaks at a few
+/// MiB (a budget-sized tile at n = 564 measured +0.4 MiB on a 5.2 MiB
+/// peak; 1/32 of the columns, 80 KiB, measures +0).
+const MIN_TILES: usize = 32;
+
+/// The first `cap` witnesses in ascending key order, from sweeps that
+/// meet them out of order (a max-heap of the `cap` smallest keys so far).
+struct FirstK<T> {
+    cap: usize,
+    heap: BinaryHeap<((NodeId, NodeId), T)>,
+}
+
+impl<T: Ord> FirstK<T> {
+    fn new(cap: usize) -> Self {
+        Self {
+            cap,
+            heap: BinaryHeap::new(),
+        }
     }
-    tables.latency_us(src, dst).unwrap_or(u64::MAX)
+
+    /// Keeps the witness at `key` (unique per sweep) if it is among the
+    /// first `cap` so far; `witness` runs only then.
+    fn offer(&mut self, key: (NodeId, NodeId), witness: impl FnOnce() -> T) {
+        if self.heap.len() < self.cap {
+            self.heap.push((key, witness()));
+        } else if let Some(mut last) = self.heap.peek_mut() {
+            if key < last.0 {
+                *last = (key, witness());
+            }
+        }
+    }
+
+    fn into_sorted(self) -> impl Iterator<Item = ((NodeId, NodeId), T)> {
+        self.heap.into_sorted_vec().into_iter()
+    }
 }
 
 /// One src/dst pair whose two directions disagree on shortest-path
@@ -54,27 +96,57 @@ pub struct AsymmetricPair {
 /// of asymmetric pairs. One-way reachability (one direction `u64::MAX`)
 /// counts as asymmetry.
 pub fn asymmetric_latencies(tables: &RoutingTables, cap: usize) -> (Vec<AsymmetricPair>, usize) {
+    let n = tables.node_count().max(1);
+    // 12 bytes per node are the climb's value and stamp arrays.
+    let width = SCRATCH_BYTES.saturating_sub(12 * n) / (8 * n);
+    asymmetric_tiled(tables, cap, width.clamp(1, n.div_ceil(MIN_TILES)))
+}
+
+/// The matrix is compared with its transpose one tile at a time: the
+/// columns toward `width` consecutive nodes `a` stay resident (`lat(b→a)`
+/// for every `b`), then each `b` is climbed toward from the tile's
+/// sources only — their chains merge on the way to `b`, and the memo pays
+/// each shared tail once.
+fn asymmetric_tiled(
+    tables: &RoutingTables,
+    cap: usize,
+    width: usize,
+) -> (Vec<AsymmetricPair>, usize) {
     let n = tables.node_count();
-    let mut out = Vec::new();
+    let mut first = FirstK::new(cap);
     let mut total = 0usize;
-    for a in 0..n as NodeId {
-        for b in (a + 1)..n as NodeId {
-            let ab = lat(tables, a, b);
-            let ba = lat(tables, b, a);
-            if ab != ba {
-                total += 1;
-                if out.len() < cap {
-                    out.push(AsymmetricPair {
-                        a,
-                        b,
-                        ab_us: ab,
-                        ba_us: ba,
-                    });
+    let mut col = tables.latencies_to();
+    // `tile[k][b]` is `lat(b → a0 + k)`. One allocation per column: each
+    // is small enough to be served from memory the routing build has
+    // already returned, where a single 1 MiB block is fresh pages on top
+    // of the run's peak RSS (measured: +1.0 MiB on 11.6).
+    let mut tile: Vec<Vec<u64>> = (0..width).map(|_| vec![0u64; n]).collect();
+    for a0 in (0..n).step_by(width) {
+        let a1 = (a0 + width).min(n);
+        for (a, column) in (a0..a1).zip(&mut tile) {
+            col.retarget(a as NodeId);
+            // Pairs are unordered: only `b` above the tile's first node
+            // is ever compared.
+            for (b, back) in column.iter_mut().enumerate().skip(a0 + 1) {
+                *back = col.from(b as NodeId);
+            }
+        }
+        for b in a0 + 1..n {
+            col.retarget(b as NodeId);
+            for (a, back) in (a0 as NodeId..).zip(&tile[..a1.min(b) - a0]) {
+                let (ab, ba) = (col.from(a), back[b]);
+                if ab != ba {
+                    total += 1;
+                    first.offer((a, b as NodeId), || (ab, ba));
                 }
             }
         }
     }
-    (out, total)
+    let pairs = first
+        .into_sorted()
+        .map(|((a, b), (ab_us, ba_us))| AsymmetricPair { a, b, ab_us, ba_us })
+        .collect();
+    (pairs, total)
 }
 
 /// One src/dst pair whose shortest path admits several equal-cost first
@@ -95,47 +167,59 @@ pub struct EcmpSite {
 /// `link(src,v) + dist(v,dst) == dist(src,dst)`. Returns up to `cap`
 /// witness sites in ascending `(src, dst)` order plus the total count of
 /// ambiguous pairs.
+///
+/// Sweeps destination-major: `dist` and every neighbour's `rest` come out
+/// of the one resident column, O(n + links) per destination.
 pub fn ecmp_sites(net: &Network, tables: &RoutingTables, cap: usize) -> (Vec<EcmpSite>, usize) {
     let n = tables.node_count();
     debug_assert_eq!(n, net.node_count());
-    let mut out = Vec::new();
+    let mut first = FirstK::new(cap);
     let mut total = 0usize;
-    let mut hops = Vec::new();
-    for src in 0..n as NodeId {
-        for dst in 0..n as NodeId {
-            let dist = lat(tables, src, dst);
+    let mut col = tables.latencies_to();
+    for dst in 0..n as NodeId {
+        col.retarget(dst);
+        let lat = col.all();
+        for src in 0..n as NodeId {
+            let dist = lat[src as usize];
             if src == dst || dist == u64::MAX {
                 continue;
             }
-            hops.clear();
-            for &(v, l) in net.neighbors(src) {
-                let via = net.link(l).latency_us;
-                let rest = lat(tables, v, dst);
-                if rest != u64::MAX && via.saturating_add(rest) == dist {
-                    hops.push(v);
-                }
-            }
-            if hops.len() >= 2 {
+            let optimal_hops = || {
+                net.neighbors(src).iter().filter_map(|&(v, l)| {
+                    let rest = if v == dst { 0 } else { lat[v as usize] };
+                    let optimal =
+                        rest != u64::MAX && net.link(l).latency_us.saturating_add(rest) == dist;
+                    optimal.then_some(v)
+                })
+            };
+            if optimal_hops().count() >= 2 {
                 total += 1;
-                if out.len() < cap {
+                first.offer((src, dst), || {
+                    let mut hops: Vec<NodeId> = optimal_hops().collect();
                     hops.sort_unstable();
-                    out.push(EcmpSite {
-                        src,
-                        dst,
-                        next_hops: hops.clone(),
-                    });
-                }
+                    hops
+                });
             }
         }
     }
-    (out, total)
+    let sites = first
+        .into_sorted()
+        .map(|((src, dst), next_hops)| EcmpSite {
+            src,
+            dst,
+            next_hops,
+        })
+        .collect();
+    (sites, total)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tables::Repr;
+    use massf_topology::brite::{generate, BriteConfig, GrowthModel};
     use massf_topology::Network;
+    use proptest::prelude::*;
 
     /// Square r0-r1-r2-r3-r0 with equal link latencies: two equal-cost
     /// routes between opposite corners.
@@ -232,6 +316,22 @@ mod tests {
     }
 
     #[test]
+    fn a_corrupted_diagonal_still_reads_as_zero() {
+        // a-b direct costs what a-c-b costs, so a→b has two optimal first
+        // hops, one of them b itself: its `rest` is dist(b, b).
+        let mut net = Network::new();
+        let r: Vec<_> = (0..3).map(|i| net.add_router(format!("r{i}"), 0)).collect();
+        net.add_link(r[0], r[1], 1000.0, 200);
+        net.add_link(r[0], r[2], 1000.0, 100);
+        net.add_link(r[2], r[1], 1000.0, 100);
+        let mut tables = RoutingTables::build(&net);
+        dense_lat(&mut tables)[4] = 7; // (1, 1)
+        let got = ecmp_sites(&net, &tables, 8);
+        assert_eq!(got, naive::ecmp_sites(&net, &tables, 8));
+        assert_eq!(got.0[0].next_hops, vec![1, 2]);
+    }
+
+    #[test]
     fn a_line_has_no_ecmp() {
         let mut net = Network::new();
         let a = net.add_router("a", 0);
@@ -247,6 +347,54 @@ mod tests {
             let (sites, total) = ecmp_sites(&net, &tables, 32);
             assert!(sites.is_empty());
             assert_eq!(total, 0);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Only dense tables can be hand-corrupted, and only from inside
+        /// the crate: 1–8 damaged cells (diagonal and `u64::MAX` included)
+        /// are reported exactly as the pairwise oracle reports them, at
+        /// every cap and at tile widths that do and do not divide n.
+        #[test]
+        fn corrupted_dense_cells_match_the_oracle(
+            (routers, hosts, seed, tied) in (4usize..14, 0usize..10, any::<u64>(), prop::bool::ANY),
+            cells in prop::collection::vec((any::<usize>(), 0u8..4, 0u64..5_000), 1..9),
+            width in 1usize..9,
+        ) {
+            let net = generate(&BriteConfig {
+                routers,
+                hosts,
+                model: GrowthModel::BarabasiAlbert { m: 2 },
+                // A plane this small puts every link on the 100 µs floor:
+                // hop-count routing, equal-cost routes everywhere.
+                plane: if tied { 5.0 } else { 1000.0 },
+                seed,
+                ..BriteConfig::paper_brite()
+            });
+            let mut tables = RoutingTables::build(&net);
+            let n = net.node_count();
+            let lat = dense_lat(&mut tables);
+            for (at, how, value) in cells {
+                // A quarter of the damage lands on the diagonal, which
+                // both probes must keep reading as zero.
+                let at = if how == 0 { at % n * (n + 1) } else { at % lat.len() };
+                lat[at] = if how == 1 { u64::MAX } else { value };
+            }
+            let asym_total = naive::asymmetric_latencies(&tables, 0).1;
+            for cap in [0, 1, 3, asym_total + 5] {
+                let want = naive::asymmetric_latencies(&tables, cap);
+                prop_assert_eq!(&asymmetric_latencies(&tables, cap), &want);
+                prop_assert_eq!(&asymmetric_tiled(&tables, cap, width.min(n)), &want);
+            }
+            let ecmp_total = naive::ecmp_sites(&net, &tables, 0).1;
+            for cap in [0, 1, 3, ecmp_total + 5] {
+                prop_assert_eq!(
+                    ecmp_sites(&net, &tables, cap),
+                    naive::ecmp_sites(&net, &tables, cap)
+                );
+            }
         }
     }
 }

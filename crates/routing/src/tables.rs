@@ -300,6 +300,8 @@ impl RoutingTables {
     ///
     /// Dense stores the Dijkstra distance; compressed walks the next-hop
     /// chain summing per-link latencies, which is the same integer sum.
+    /// For many sources toward one destination use
+    /// [`latencies_to`](Self::latencies_to).
     #[inline]
     pub fn latency_us(&self, src: NodeId, dst: NodeId) -> Option<u64> {
         let l = match &self.repr {
@@ -376,6 +378,146 @@ impl RoutingTables {
         let mut links = Vec::new();
         self.for_each_hop(src, dst, |_, link| links.extend(link))
             .then_some(links)
+    }
+}
+
+/// A memoized climb toward one destination: every source's latency to
+/// `dst`, each resolved at most once per [`retarget`](Self::retarget).
+///
+/// All routes toward one destination share their tails, so for the
+/// compressed and lazy kinds `lat(s→dst) = link(s, hop) + lat(hop→dst)` is
+/// computed once per node and remembered in epoch-stamped arrays: a full
+/// column costs n single lookups instead of n chain walks, a leaf source
+/// costs no binary search at all (its value is its parent's plus the
+/// uplink), and retargeting is O(1). Dense tables answer from the stored
+/// matrix, so a hand-corrupted latency cell is read, not recomputed.
+///
+/// Answers equal [`RoutingTables::latency_us`] with `None` folded to
+/// `u64::MAX`. Created by [`RoutingTables::latencies_to`]; nothing is
+/// allocated after that.
+#[derive(Debug)]
+pub struct LatenciesTo<'t> {
+    tables: &'t RoutingTables,
+    dst: NodeId,
+    /// `val[v]` is `lat(v→dst)` where `stamp[v] == epoch`.
+    val: Vec<u64>,
+    /// Empty for dense tables, which need no memo.
+    stamp: Vec<u32>,
+    epoch: u32,
+    /// The unresolved part of the chain being climbed: `(node, latency of
+    /// the link it leaves over)`.
+    stack: Vec<(NodeId, u64)>,
+}
+
+impl RoutingTables {
+    /// A reusable latency-column reader over these tables; call
+    /// [`retarget`](LatenciesTo::retarget) before the first query.
+    pub fn latencies_to(&self) -> LatenciesTo<'_> {
+        let memo = !matches!(self.repr, Repr::Dense(_));
+        LatenciesTo {
+            tables: self,
+            dst: NodeId::MAX,
+            val: vec![0; self.n],
+            stamp: vec![0; if memo { self.n } else { 0 }],
+            epoch: 1,
+            stack: Vec::new(),
+        }
+    }
+}
+
+impl<'t> LatenciesTo<'t> {
+    /// Points the reader at `dst`, forgetting the previous column in O(1).
+    pub fn retarget(&mut self, dst: NodeId) {
+        assert!((dst as usize) < self.tables.n, "destination out of range");
+        self.dst = dst;
+        if self.stamp.is_empty() {
+            return;
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Stamps from 2³² retargets ago would read as current.
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+        self.val[dst as usize] = 0;
+        self.stamp[dst as usize] = self.epoch;
+    }
+
+    fn target(&self) -> (&'t RoutingTables, NodeId) {
+        assert!(self.dst != NodeId::MAX, "LatenciesTo::retarget first");
+        (self.tables, self.dst)
+    }
+
+    /// Latency `src → dst` in microseconds; `u64::MAX` when unreachable.
+    ///
+    /// # Panics
+    /// Panics if no destination was set, or `src` is out of range.
+    #[inline]
+    pub fn from(&mut self, src: NodeId) -> u64 {
+        let (tables, dst) = self.target();
+        match &tables.repr {
+            Repr::Dense(d) => d.latency_us[src as usize * tables.n + dst as usize],
+            Repr::Compressed(c) => self.climb(src, &c.link_latency_us, |s| c.climb_step(s, dst)),
+            Repr::Lazy(l) => self.climb(src, &l.link_latency_us, |s| l.climb_step(s, dst)),
+        }
+    }
+
+    /// Resolves every source and returns the whole column, indexed by
+    /// node id.
+    ///
+    /// # Panics
+    /// Panics if no destination was set.
+    pub fn all(&mut self) -> &[u64] {
+        let (tables, dst) = self.target();
+        match &tables.repr {
+            Repr::Dense(d) => {
+                let column = d.latency_us.iter().skip(dst as usize).step_by(tables.n);
+                for (slot, &lat) in self.val.iter_mut().zip(column) {
+                    *slot = lat;
+                }
+            }
+            _ => {
+                for src in 0..tables.n as NodeId {
+                    self.from(src);
+                }
+            }
+        }
+        &self.val
+    }
+
+    /// Walks `src`'s next-hop chain until it meets a node already resolved
+    /// this epoch (`dst` itself at the latest), then unwinds, resolving
+    /// every node it passed.
+    #[inline]
+    fn climb(
+        &mut self,
+        src: NodeId,
+        link_latency_us: &[u64],
+        step: impl Fn(NodeId) -> (NodeId, LinkId),
+    ) -> u64 {
+        let mut cur = src;
+        let mut lat = loop {
+            if self.stamp[cur as usize] == self.epoch {
+                break self.val[cur as usize];
+            }
+            let (hop, link) = step(cur);
+            if hop == NodeId::MAX {
+                self.val[cur as usize] = u64::MAX;
+                self.stamp[cur as usize] = self.epoch;
+                break u64::MAX;
+            }
+            self.stack.push((cur, link_latency_us[link.0 as usize]));
+            debug_assert!(self.stack.len() <= self.val.len(), "routing loop detected");
+            cur = hop;
+        };
+        while let Some((node, via)) = self.stack.pop() {
+            if lat != u64::MAX {
+                lat += via;
+            }
+            self.val[node as usize] = lat;
+            self.stamp[node as usize] = self.epoch;
+        }
+        lat
     }
 }
 

@@ -1,0 +1,144 @@
+//! Property tests for the audit's routing probes (`probes`, MC014/MC015)
+//! and the memoized latency column they read (`LatenciesTo`): on
+//! generated Waxman/Barabási–Albert networks — with an isolated node and
+//! a two-node island added — over dense, compressed and lazy tables, both
+//! probes return exactly the witnesses and total of the pairwise oracle
+//! at every cap, and the column reader agrees with `latency_us` on every
+//! pair under arbitrary retarget sequences. (Hand-corrupted dense cells
+//! need crate-private access; that property lives in `probes.rs`.)
+
+use massf_routing::probes::{self, AsymmetricPair, EcmpSite};
+use massf_routing::RoutingTables;
+use massf_topology::brite::{generate, BriteConfig, GrowthModel};
+use massf_topology::{Network, NodeId};
+use proptest::prelude::*;
+
+/// The pairwise oracle the crate keeps for its own tests, mounted from
+/// its source so there is one copy.
+#[path = "../src/probes/naive.rs"]
+mod naive;
+
+/// `tied` shrinks the plane until every link sits on the generator's
+/// 100 µs floor: hop-count routing, with equal-cost routes everywhere
+/// (distance-derived latencies almost never tie).
+fn brite(routers: usize, hosts: usize, seed: u64, waxman: bool, tied: bool) -> Network {
+    let model = if waxman {
+        GrowthModel::Waxman {
+            alpha: 0.2,
+            beta: 0.15,
+        }
+    } else {
+        GrowthModel::BarabasiAlbert { m: 2 }
+    };
+    generate(&BriteConfig {
+        routers,
+        hosts,
+        model,
+        plane: if tied { 5.0 } else { 1000.0 },
+        seed,
+        ..BriteConfig::paper_brite()
+    })
+}
+
+/// A small BRITE network plus the two shapes routing special-cases: a
+/// node nothing reaches, and a two-node island (both ends degree 1, so
+/// neither is a shared leaf).
+fn arb_network() -> impl Strategy<Value = Network> {
+    (
+        5usize..16,
+        0usize..12,
+        any::<u64>(),
+        prop::bool::ANY,
+        prop::bool::ANY,
+    )
+        .prop_map(|(routers, hosts, seed, waxman, tied)| {
+            let mut net = brite(routers, hosts, seed, waxman, tied);
+            net.add_host("isolated", 0);
+            let a = net.add_router("island-a", 99);
+            let b = net.add_router("island-b", 99);
+            net.add_link(a, b, 100.0, 5);
+            net
+        })
+}
+
+fn every_kind(net: &Network) -> [RoutingTables; 3] {
+    [
+        RoutingTables::build(net),
+        RoutingTables::build_compressed(net),
+        RoutingTables::build_lazy(net),
+    ]
+}
+
+/// Both probes against the oracle at caps 0, 1, 3 and beyond the total.
+fn assert_probes_match_oracle(net: &Network, tables: &RoutingTables) {
+    let kind = tables.kind();
+    let asym_total = naive::asymmetric_latencies(tables, 0).1;
+    for cap in [0, 1, 3, asym_total + 5] {
+        assert_eq!(
+            probes::asymmetric_latencies(tables, cap),
+            naive::asymmetric_latencies(tables, cap),
+            "{kind:?} asymmetry, cap {cap}"
+        );
+    }
+    let ecmp_total = naive::ecmp_sites(net, tables, 0).1;
+    for cap in [0, 1, 3, ecmp_total + 5] {
+        assert_eq!(
+            probes::ecmp_sites(net, tables, cap),
+            naive::ecmp_sites(net, tables, cap),
+            "{kind:?} ECMP, cap {cap}"
+        );
+    }
+}
+
+/// The asymmetry probe sweeps in tiles of ⌈n / 32⌉ resident columns: at
+/// 402 nodes that is thirty tiles of 13 and a ragged one of 12.
+#[test]
+fn probes_match_oracle_across_a_ragged_tile_boundary() {
+    let mut net = brite(130, 270, 11, false, true);
+    net.add_host("isolated", 0);
+    net.add_host("isolated-too", 0);
+    assert_eq!(net.node_count(), 402);
+    for tables in every_kind(&net) {
+        assert_probes_match_oracle(&net, &tables);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn probes_match_oracle_on_generated_networks(net in arb_network()) {
+        for tables in every_kind(&net) {
+            assert_probes_match_oracle(&net, &tables);
+        }
+    }
+
+    /// The reader is reused across destinations: after any sequence of
+    /// retargets (repeats included) and any query order, `from` is
+    /// `latency_us`, and `all` is the whole column.
+    #[test]
+    fn column_reader_equals_latency_us_after_any_retarget_sequence(
+        net in arb_network(),
+        targets in prop::collection::vec(any::<u32>(), 1..12),
+        stride in 1u32..7,
+    ) {
+        let n = net.node_count() as NodeId;
+        let want = |tables: &RoutingTables, src, dst| tables.latency_us(src, dst).unwrap_or(u64::MAX);
+        for tables in every_kind(&net) {
+            let mut col = tables.latencies_to();
+            for &t in &targets {
+                let dst = t % n;
+                col.retarget(dst);
+                // A partial, out-of-order climb first, then the full column.
+                for i in 0..n {
+                    let src = (i * stride + t) % n;
+                    prop_assert_eq!(col.from(src), want(&tables, src, dst), "{:?} {}->{}", tables.kind(), src, dst);
+                }
+                let all = col.all().to_vec();
+                for src in 0..n {
+                    prop_assert_eq!(all[src as usize], want(&tables, src, dst), "{:?} column {}->{}", tables.kind(), src, dst);
+                }
+            }
+        }
+    }
+}

@@ -384,8 +384,11 @@ fn cmd_check(args: &[String]) -> Result<String, CliError> {
         None => None,
     };
     let audit = caps.is_some() || args.iter().any(|a| a == "--audit" || a == "--partition");
-    if audit {
-        let engines_n = engines.unwrap_or(3);
+    let engines_n = engines.unwrap_or(3.min(net.node_count()));
+    // The partitioner asserts 1 <= engines <= nodes. A request outside
+    // that is already an Error above (MC007, or MC001 for an empty
+    // network), so the report stops there: there is no mapping to audit.
+    if audit && (1..=net.node_count()).contains(&engines_n) {
         let mut cfg = MapperConfig::new(engines_n);
         if let Some(par) = threads {
             cfg = cfg.with_parallelism(par);
@@ -1753,6 +1756,37 @@ mod tests {
         let e = run(&args(&["check", island.as_str()])).unwrap_err();
         assert!(e.0.contains("MC001"), "{e}");
         assert!(e.0.contains("MC012"), "{e}");
+    }
+
+    #[test]
+    fn check_audit_stops_at_an_infeasible_engine_count() {
+        // An engine count outside [1, nodes] is MC007's Error; the audit
+        // stage must report it and exit 1, not hand the request to the
+        // partitioner (which asserts 1 <= nparts <= vertices).
+        let f = write_campus();
+        for (k, why) in [
+            ("61", "61 engines for 60 nodes"),
+            ("64", "64 engines for 60 nodes"),
+            ("0", "requested zero engines"),
+        ] {
+            let e = run(&args(&["check", f.as_str(), "--audit", "--engines", k])).unwrap_err();
+            assert!(
+                e.0.contains(&format!("error[MC007] field engines: {why}")),
+                "{e}"
+            );
+            assert!(
+                !e.0.contains("MC013"),
+                "no mapping, so no artifact audit: {e}"
+            );
+        }
+        // The default of three engines shrinks to fit a smaller network.
+        let pair = tempfile_path::write(
+            "massf_cli_pair.dml",
+            "node 0 router \"r0\" as 0\n\
+             node 1 host \"h0\" as 0\n\
+             link 0 1 bw 100 lat 100\n",
+        );
+        run(&args(&["check", pair.as_str(), "--audit"])).expect("two nodes, two engines");
     }
 
     #[test]

@@ -289,10 +289,13 @@ fn golden_document() -> String {
         + "  \"timing\": {\n    \"threads\": 1,\n    \"spans\": []\n  }\n}\n"
 }
 
-/// The reader boundary `massf report` sits on: `Ok` or `Err`, no panic.
+/// What `massf report` does with a file: read it, and render what read
+/// back. `Ok` or `Err`, no panic.
 fn read_without_panicking(text: &str) {
     let _ = massf_core::obs::json::parse(text);
-    let _ = RunReport::from_json(text);
+    if let Ok(report) = RunReport::from_json(text) {
+        let _ = report.render_human();
+    }
 }
 
 #[test]
@@ -302,6 +305,62 @@ fn reader_rejects_hostile_nesting_with_a_positioned_error() {
         let e = RunReport::from_json(&deep).expect_err("unclosed and far too deep");
         assert!(e.starts_with("invalid JSON at byte "), "{e}");
     }
+}
+
+/// The golden report with every counter of its `emulation` block — event
+/// totals, per-engine counters, all three timelines — saturated to
+/// `u64::MAX`: well-formed, and what a counter that stopped at its ceiling
+/// would have written.
+fn saturated_document() -> String {
+    let mut report = RunReport::from_json(&golden_document()).expect("golden + timing parses");
+    let e = report
+        .emulation
+        .as_mut()
+        .expect("golden has an emulation block");
+    for total in [
+        &mut e.delivered,
+        &mut e.dropped,
+        &mut e.total_events,
+        &mut e.rounds,
+        &mut e.remote_messages,
+    ] {
+        *total = u64::MAX;
+    }
+    for eng in &mut e.engines {
+        for counter in [
+            &mut eng.events,
+            &mut eng.stalled_rounds,
+            &mut eng.remote_sent,
+            &mut eng.remote_recv,
+            &mut eng.queue_peak,
+            &mut eng.sched_resizes,
+        ] {
+            *counter = u64::MAX;
+        }
+        for series in [
+            &mut eng.timeline,
+            &mut eng.stall_timeline,
+            &mut eng.recv_timeline,
+        ] {
+            series.fill(u64::MAX);
+        }
+    }
+    report.to_json()
+}
+
+#[test]
+fn saturated_counters_render_without_overflow() {
+    // `massf report` is parse + render_human; tests build with overflow
+    // checks on, so a `u64` sum over these buckets would panic here.
+    let doc = saturated_document();
+    assert!(
+        doc.contains(&format!("\"timeline\": [{0}, {0}]", u64::MAX)),
+        "{doc}"
+    );
+    let report = RunReport::from_json(&doc).expect("saturated report is well-formed");
+    let text = report.render_human();
+    assert!(text.contains(&format!("{} events", u64::MAX)), "{text}");
+    let _ = report.to_json();
 }
 
 proptest! {
@@ -317,9 +376,11 @@ proptest! {
     /// breaks the encoding is folded back in lossily.
     #[test]
     fn reader_never_panics_on_mutated_reports(
+        saturated in prop::bool::ANY,
         edits in prop::collection::vec((any::<usize>(), 0u8..4, any::<u8>()), 1..8),
     ) {
-        let mut bytes = golden_document().into_bytes();
+        let base = if saturated { saturated_document() } else { golden_document() };
+        let mut bytes = base.into_bytes();
         for (at, op, byte) in edits {
             let at = at % bytes.len().max(1);
             match op {
