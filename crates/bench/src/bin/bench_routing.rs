@@ -148,7 +148,6 @@ fn main() {
         t.set(row, "comp-kb", comp.table_bytes() as f64 / 1024.0);
         t.set(row, "ratio", ratio);
         t.set(row, "rows-leaf", stats.leaf_rows as f64);
-        t.set(row, "rows-shared", stats.shared_rows as f64);
         t.set(row, "rows-unique", stats.unique_rows as f64);
         t.set(row, "runs-mean", stats.runs_mean_per_row);
         t.set(row, "runs-max", stats.runs_max_per_row as f64);

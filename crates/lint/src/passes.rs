@@ -612,16 +612,18 @@ fn spec_topology_fit(input: &LintInput<'_>, diags: &mut Diagnostics) {
                     ),
                 );
             }
-            if hosts >= kind.min_hosts() && 2 * cfg.sessions > hosts {
+            // A config built in code is not held to the spec parser's
+            // bound, so the doubling must not overflow.
+            let endpoints = cfg.sessions.saturating_mul(2);
+            if hosts >= kind.min_hosts() && endpoints > hosts {
                 diags.push(
                     Code::Mc010,
                     Severity::Note,
                     loc,
                     format!(
-                        "{} sessions want {} distinct endpoints but the topology has \
+                        "{} sessions want {endpoints} distinct endpoints but the topology has \
                          {hosts} hosts; pairs will share endpoints",
-                        cfg.sessions,
-                        2 * cfg.sessions
+                        cfg.sessions
                     ),
                 );
             }
@@ -1009,6 +1011,17 @@ mod tests {
         let d = lint_scenario(&input);
         assert!(has(&d, "MC010", Severity::Note), "{:?}", codes(&d));
         assert!(!d.has_errors());
+
+        // The doubling saturates for a config no spec file can express.
+        let huge = TrafficKind::Cbr(massf_traffic::cbr::CbrConfig {
+            sessions: usize::MAX,
+            ..Default::default()
+        });
+        let input = LintInput {
+            traffic: Some(&huge),
+            ..LintInput::network(&net)
+        };
+        assert!(has(&lint_scenario(&input), "MC010", Severity::Note));
     }
 
     #[test]

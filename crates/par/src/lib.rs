@@ -10,15 +10,19 @@
 //! * [`par_indexed_map`] fans an indexed computation over worker threads
 //!   and returns results in index order, so any subsequent reduction
 //!   happens in a fixed order regardless of which thread computed what.
-//! * [`par_chunks_mut`] hands disjoint consecutive chunks of a mutable
-//!   slice to workers — the shape used by routing-table construction,
-//!   where worker `t` fills rows `t`, `t+k`, … of a flat matrix.
+//! * [`par_for_each_init`] hands owned work items to workers that each
+//!   keep one reusable state — the shape used by routing-table
+//!   construction, where an item is one source's output slot and the
+//!   state is a Dijkstra scratch.
+//! * [`par_chunks_mut`] is the same queue over disjoint consecutive chunks
+//!   of a mutable slice.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// How many worker threads a parallel stage may use.
 ///
@@ -142,23 +146,44 @@ where
         return;
     }
     assert!(chunk_len > 0, "par_chunks_mut: chunk_len must be positive");
-    let nchunks = data.len().div_ceil(chunk_len);
-    if par.capped(nchunks).get() <= 1 {
-        for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            f(i, chunk);
+    let chunks = data.chunks_mut(chunk_len).enumerate().collect();
+    par_for_each_init(par, chunks, || (), |(), (i, chunk)| f(i, chunk));
+}
+
+/// Runs `f(&mut state, item)` once per item on up to `par` threads, each
+/// worker owning one `init()` state that it reuses across every item it
+/// takes — the shape of the routing-table builds, where the state is a
+/// Dijkstra scratch and an item is one source's disjoint output slot.
+///
+/// Items are handed out from a shared queue, so which worker takes which
+/// item is unspecified: the result is deterministic as long as `f` writes
+/// only through its item. With `par` serial (or fewer than two items) this
+/// is a plain loop over `items` in order, on the calling thread.
+pub fn par_for_each_init<T, S, I, F>(par: Parallelism, items: Vec<T>, init: I, f: F)
+where
+    T: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, T) + Sync,
+{
+    let workers = par.capped(items.len()).get();
+    if workers <= 1 {
+        let mut state = init();
+        for item in items {
+            f(&mut state, item);
         }
         return;
     }
-    let work: Vec<(usize, &mut [T])> = data.chunks_mut(chunk_len).enumerate().collect();
-    let queue = std::sync::Mutex::new(work);
-    let workers = par.capped(nchunks).get();
+    let queue = Mutex::new(items);
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| loop {
-                let item = queue.lock().expect("queue lock").pop();
-                match item {
-                    Some((i, chunk)) => f(i, chunk),
-                    None => break,
+            scope.spawn(|| {
+                let mut state = init();
+                loop {
+                    let item = queue.lock().expect("work queue").pop();
+                    match item {
+                        Some(item) => f(&mut state, item),
+                        None => break,
+                    }
                 }
             });
         }
@@ -220,6 +245,22 @@ mod tests {
             });
             let want: Vec<u32> = (0..103).collect();
             assert_eq!(v, want, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn for_each_init_visits_every_item_with_one_state_per_worker() {
+        for threads in [1, 2, 5] {
+            let states = AtomicUsize::new(0);
+            let mut out = vec![0usize; 50];
+            par_for_each_init(
+                Parallelism::new(threads),
+                out.iter_mut().enumerate().collect(),
+                || states.fetch_add(1, Ordering::Relaxed),
+                |_, (i, slot)| *slot = i + 1,
+            );
+            assert_eq!(out, (1..=50).collect::<Vec<_>>(), "threads={threads}");
+            assert_eq!(states.load(Ordering::Relaxed), threads);
         }
     }
 

@@ -16,13 +16,13 @@
 //! `O(Σ mᵢ²)` (`mᵢ` = AS size), and materialize into either
 //! representation of [`RoutingTables`]: the dense matrices, or — via
 //! [`build_hierarchical_kind`] with [`RoutingKind::Compressed`] — straight
-//! into interval-compressed rows *without ever allocating the dense
+//! into the interval table's row slots *without ever allocating the dense
 //! matrix*. Every consumer (engine, traceroute, mappers) works unchanged.
 //! Hierarchical paths can be *longer* than global SPF paths (the
 //! well-known path stretch of policy routing); [`path_stretch`]
 //! quantifies it.
 
-use crate::compressed::{RowEncoder, Run};
+use crate::interval::{renumber, IntervalTables, Row};
 use crate::spf::{self, SpfScratch};
 use crate::tables::{link_toward, DenseTables, Repr, RoutingKind, RoutingTables, NO_LINK};
 use massf_topology::{LinkId, Network, NodeId};
@@ -374,12 +374,13 @@ fn materialize_dense(net: &Network, plan: &HierPlan) -> RoutingTables {
 
 fn materialize_compressed(net: &Network, plan: &HierPlan) -> RoutingTables {
     let n = net.node_count();
-    let mut enc = RowEncoder::new(net);
-    let order: Vec<NodeId> = enc.order().to_vec();
+    let order = renumber(net);
+    // Every source stores a row: the leaf record's "uplink iff the parent
+    // reaches it" rule is argued for shortest paths only.
+    let tables = IntervalTables::empty(net, &order, false);
     // One scratch row, reset per source — never the n × n matrix.
     let mut hops = vec![NodeId::MAX; n];
     let mut links = vec![NO_LINK; n];
-    let mut runs: Vec<Run> = Vec::new();
     let mut scratch = SpfScratch::new();
     for a in 0..plan.nas {
         let intra = intra_for(net, plan, a, &mut scratch);
@@ -387,27 +388,13 @@ fn materialize_compressed(net: &Network, plan: &HierPlan) -> RoutingTables {
             hops.fill(NodeId::MAX);
             links.fill(NO_LINK);
             fill_row(plan, &intra, src, &mut hops, &mut links);
-            runs.clear();
-            for (pos, &dst) in order.iter().enumerate() {
-                if dst == src {
-                    continue;
-                }
-                let (h, l) = (hops[dst as usize], links[dst as usize]);
-                match runs.last() {
-                    Some(r) if r.hop == h && r.link == l => {}
-                    _ => runs.push(Run {
-                        start: pos as u32,
-                        hop: h,
-                        link: l,
-                    }),
-                }
-            }
-            enc.set_runs(src, &runs);
+            let row = Row::encode(&order, src, |dst| (hops[dst as usize], links[dst as usize]));
+            tables.install(src, row);
         }
     }
     RoutingTables {
         n,
-        repr: Repr::Compressed(enc.finish(net)),
+        repr: Repr::Interval(tables),
     }
 }
 

@@ -1,0 +1,530 @@
+//! The interval-row routing table — the representation that breaks the
+//! paper's O(n²) routing-table wall (DESIGN.md §13, §16). One structure,
+//! two fill policies: [`IntervalTables::prefilled`] encodes every row up
+//! front (`RoutingKind::Compressed`), [`IntervalTables::on_demand`] keeps
+//! the encode inputs and fills a row on its first lookup
+//! (`RoutingKind::Lazy`).
+//!
+//! Two ideas compose:
+//!
+//! 1. **Run-length rows.** Destinations are renumbered so that nodes
+//!    reached through the same egress sit next to each other
+//!    ([`renumber`]: AS-grouped BFS order). A source's row then collapses
+//!    to a handful of `(start_rank, next_hop, next_link)` runs ([`Row`]);
+//!    lookup is an O(log runs) binary search.
+//! 2. **Shared host rows.** A degree-1 node (the common case: a host on
+//!    its access router) routes *everything* over its single uplink, so it
+//!    stores two words instead of a row ([`IntervalTables::leaf`]). Reachability and
+//!    latency delegate to the parent's row, which is exactly what the
+//!    dense Dijkstra row would have said: for a degree-1 source every
+//!    shortest path starts with the uplink, and
+//!    `dist(v, d) = uplink + dist(parent, d)`.
+//!
+//! No two sources share a row: a run names the link `src → hop`, which is
+//! incident to `src`, so rows of distinct sources differ as soon as either
+//! reaches anything. Each row is therefore a pure function of
+//! `(net, src, order)` held in its own once-cell, and the structure a
+//! lookup observes is the same whichever policy filled it, in whatever
+//! order, on however many threads; a race's loser is discarded, never
+//! observed.
+//!
+//! Latencies are not stored per pair: a query walks the next-hop chain and
+//! sums per-link latencies from a snapshot, which reproduces the dense
+//! Dijkstra distance exactly (it *is* the sum of the links on that chain).
+//! A caller that wants every latency toward one destination reads the
+//! column through [`LatenciesTo`](crate::tables::LatenciesTo) instead,
+//! which pays each shared chain tail once.
+//!
+//! **Slicing.** A partitioned emulation only queries `entry(src, ·)` for
+//! sources the querying engine owns, so an on-demand table's filled set —
+//! and therefore resident bytes — follows each engine's slice of the
+//! network for free. The one cross-slice exception is a leaf whose access
+//! router lives on another engine: the leaf delegates to the parent's row,
+//! filling it on the parent's behalf. That is still deterministic (same
+//! demand set regardless of schedule) and is accounted to the row's owner
+//! by `memory::slice_residency`.
+
+use crate::spf::{SpfScratch, NO_PREV};
+use crate::tables::{link_toward, NO_LINK};
+use massf_par::{par_for_each_init, Parallelism};
+use massf_topology::{LinkId, Network, NodeId};
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
+
+/// Bytes one run occupies in a [`Row`]: start rank, next hop, next link.
+pub(crate) const RUN_BYTES: u64 = 12;
+
+/// One source's encoded row: run `i` covers the destination ranks from
+/// `start[i]` up to the next run's start (or the end of the row) and
+/// leaves the source over `(hop[i], link[i])`; `hop == NodeId::MAX`
+/// encodes an unreachable stretch. One allocation laid out
+/// `starts | hops | links`, so the binary search stays cache-dense.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Row(Box<[u32]>);
+
+impl Row {
+    /// Run-length-encodes `route(dst)` over the renumbered destination
+    /// `order`. The diagonal (`dst == src`) is skipped entirely so it never
+    /// splits a run — [`IntervalTables::entry`] intercepts `src == dst`
+    /// before any run is consulted.
+    pub(crate) fn encode(
+        order: &[NodeId],
+        src: NodeId,
+        mut route: impl FnMut(NodeId) -> (NodeId, LinkId),
+    ) -> Self {
+        let mut runs: Vec<(u32, NodeId, LinkId)> = Vec::new();
+        for (pos, &dst) in order.iter().enumerate() {
+            if dst == src {
+                continue;
+            }
+            let (hop, link) = route(dst);
+            if runs.last().is_none_or(|r| (r.1, r.2) != (hop, link)) {
+                runs.push((pos as u32, hop, link));
+            }
+        }
+        let starts = runs.iter().map(|r| r.0);
+        let hops = runs.iter().map(|r| r.1);
+        let links = runs.iter().map(|r| r.2 .0);
+        Row(starts.chain(hops).chain(links).collect())
+    }
+
+    /// Number of runs.
+    pub(crate) fn len(&self) -> usize {
+        self.0.len() / 3
+    }
+
+    /// The run covering destination rank `r`.
+    #[inline]
+    fn lookup(&self, r: u32) -> (NodeId, LinkId) {
+        let k = self.len();
+        // Last run starting at or before rank r. The row covers every
+        // non-diagonal rank, and callers guard the diagonal, so the
+        // search never lands before the first run.
+        let i = self.0[..k].partition_point(|&s| s <= r) - 1;
+        (self.0[k + i], LinkId(self.0[2 * k + i]))
+    }
+}
+
+/// What an on-demand table keeps to encode a row later, plus its demand
+/// telemetry. A prefilled table carries none of it.
+#[derive(Debug)]
+pub(crate) struct Demand {
+    /// Topology snapshot rows are encoded against.
+    net: Network,
+    /// The renumbered destination order (run coordinate space).
+    order: Vec<NodeId>,
+    /// Per-source lookup counters (relaxed; totals are deterministic
+    /// because the demand multiset is fixed by the flow schedule, not the
+    /// thread interleaving).
+    lookups: Vec<AtomicU64>,
+}
+
+impl Demand {
+    /// Fixed bytes per source: order entry + lookup counter. The topology
+    /// snapshot is excluded from routing-byte accounting throughout — it
+    /// is emulation state every build reads, not routing structure.
+    pub(crate) const BYTES_PER_SOURCE: u64 = 4 + 8;
+
+    /// Lookups charged to `src` so far.
+    pub(crate) fn lookups_for(&self, src: NodeId) -> u64 {
+        self.lookups[src as usize].load(Ordering::Relaxed)
+    }
+}
+
+/// Clone snapshots the counter values.
+impl Clone for Demand {
+    fn clone(&self) -> Self {
+        Self {
+            net: self.net.clone(),
+            order: self.order.clone(),
+            lookups: (0..self.lookups.len() as NodeId)
+                .map(|v| AtomicU64::new(self.lookups_for(v)))
+                .collect(),
+        }
+    }
+}
+
+/// The interval-row table. All queries go through
+/// [`entry`](Self::entry) / [`climb_step`](Self::climb_step).
+#[derive(Debug, Clone)]
+pub(crate) struct IntervalTables {
+    /// `rank[node]` = position of `node` in the renumbered destination
+    /// order.
+    pub(crate) rank: Vec<u32>,
+    /// Degree-1 leaf records: `Some((parent, uplink))` means the source
+    /// stores no row and every route exits over the uplink. The builder
+    /// guarantees `parent` has degree ≥ 2, so the parent is never itself a
+    /// leaf and lookups delegate at most once.
+    pub(crate) leaf: Vec<Option<(NodeId, LinkId)>>,
+    /// Per-source row slot, filled exactly once — up front or on first
+    /// demand. Leaf sources leave theirs empty forever.
+    pub(crate) rows: Vec<OnceLock<Row>>,
+    /// Per-link latency snapshot (indexed by `LinkId`) for
+    /// latency-by-walking.
+    pub(crate) link_latency_us: Vec<u64>,
+    /// `Some` for an on-demand table; `None` once every row is installed.
+    pub(crate) demand: Option<Demand>,
+}
+
+/// Structural equality: renumbering, leaf records, the rows filled so far
+/// and the latency snapshot. The encode inputs and counters are
+/// excluded — `Network` carries f64 bandwidths that would forfeit `Eq`,
+/// and a prefilled table equals an on-demand one whose every row has been
+/// demanded.
+impl PartialEq for IntervalTables {
+    fn eq(&self, other: &Self) -> bool {
+        self.rank == other.rank
+            && self.leaf == other.leaf
+            && self.rows == other.rows
+            && self.link_latency_us == other.link_latency_us
+    }
+}
+
+impl Eq for IntervalTables {}
+
+/// Destination order that maximizes run coalescing: ASes in ascending id
+/// order; inside each AS a BFS over intra-AS links from the lowest-id
+/// member, visiting neighbours in ascending node id. Hosts land directly
+/// after their access router and whole subtrees stay contiguous, so a
+/// distant source covers them with one run. Deterministic by construction.
+pub(crate) fn renumber(net: &Network) -> Vec<NodeId> {
+    let n = net.node_count();
+    let mut by_as: BTreeMap<u32, Vec<NodeId>> = BTreeMap::new();
+    for node in net.nodes() {
+        by_as.entry(node.as_id).or_default().push(node.id);
+    }
+    let mut order = Vec::with_capacity(n);
+    let mut seen = vec![false; n];
+    let mut queue = VecDeque::new();
+    for (as_id, members) in &by_as {
+        // Members arrive in ascending id (node iteration order), so each
+        // connected component roots at its lowest id.
+        for &root in members {
+            if seen[root as usize] {
+                continue;
+            }
+            seen[root as usize] = true;
+            queue.push_back(root);
+            while let Some(v) = queue.pop_front() {
+                order.push(v);
+                let mut next: Vec<NodeId> = net
+                    .neighbors(v)
+                    .iter()
+                    .map(|&(u, _)| u)
+                    .filter(|&u| net.node(u).as_id == *as_id && !seen[u as usize])
+                    .collect();
+                next.sort_unstable();
+                next.dedup();
+                for u in next {
+                    seen[u as usize] = true;
+                    queue.push_back(u);
+                }
+            }
+        }
+    }
+    debug_assert_eq!(order.len(), n);
+    order
+}
+
+/// Encodes the full-SPF row for `src`: one Dijkstra run into the caller's
+/// reusable `scratch`, first hops in one pass, then run-length encoding
+/// over `order`. Unreachable stretches encode as `(NodeId::MAX, NO_LINK)`
+/// runs.
+fn encode_spf_row(net: &Network, src: NodeId, order: &[NodeId], scratch: &mut SpfScratch) -> Row {
+    scratch.run(net, src);
+    let first = scratch.first_hops();
+    let mut memo: Vec<(NodeId, LinkId)> = Vec::new();
+    Row::encode(order, src, |dst| match first[dst as usize] {
+        NO_PREV => (NodeId::MAX, NO_LINK),
+        hop => (hop, link_toward(net, src, hop, &mut memo)),
+    })
+}
+
+impl IntervalTables {
+    /// A table over `net` with every row slot empty and no encode inputs;
+    /// the caller installs each row through [`install`](Self::install).
+    /// With `share_leaves`, a degree-1 node whose neighbour has degree ≥ 2
+    /// stores a leaf record and never a row — valid whenever routes are
+    /// shortest paths. The parent-degree guard keeps two-node islands
+    /// (both ends degree 1) on rows, so a leaf delegates at most once.
+    pub(crate) fn empty(net: &Network, order: &[NodeId], share_leaves: bool) -> Self {
+        let mut rank = vec![0u32; order.len()];
+        for (pos, &v) in order.iter().enumerate() {
+            rank[v as usize] = pos as u32;
+        }
+        let leaf = (0..order.len() as NodeId)
+            .map(|v| match net.neighbors(v) {
+                &[uplink] if share_leaves && net.degree(uplink.0) >= 2 => Some(uplink),
+                _ => None,
+            })
+            .collect();
+        Self {
+            rank,
+            leaf,
+            rows: order.iter().map(|_| OnceLock::new()).collect(),
+            link_latency_us: net.links().iter().map(|l| l.latency_us).collect(),
+            demand: None,
+        }
+    }
+
+    /// Installs `src`'s row.
+    ///
+    /// # Panics
+    /// Panics if `src` is a leaf or its row is already installed.
+    pub(crate) fn install(&self, src: NodeId, row: Row) {
+        assert!(
+            self.leaf[src as usize].is_none(),
+            "leaf {src} stores no row"
+        );
+        let fresh = self.rows[src as usize].set(row).is_ok();
+        assert!(fresh, "row {src} installed twice");
+    }
+
+    /// Global shortest-path routing, no Dijkstra run yet: captures the
+    /// O(n + links) encode inputs and fills a row on its first lookup.
+    pub(crate) fn on_demand(net: &Network) -> Self {
+        let order = renumber(net);
+        let mut tables = Self::empty(net, &order, true);
+        tables.demand = Some(Demand {
+            net: net.clone(),
+            lookups: order.iter().map(|_| AtomicU64::new(0)).collect(),
+            order,
+        });
+        tables
+    }
+
+    /// Global shortest-path routing with every row encoded up front:
+    /// degree-1 leaves skip Dijkstra entirely, the remaining sources are
+    /// encoded on up to `par` workers (one scratch each), every one into
+    /// its own slot.
+    pub(crate) fn prefilled(net: &Network, par: Parallelism) -> Self {
+        let order = renumber(net);
+        let tables = Self::empty(net, &order, true);
+        let sources: Vec<NodeId> = (0..order.len() as NodeId)
+            .filter(|&v| tables.leaf[v as usize].is_none())
+            .collect();
+        par_for_each_init(par, sources, SpfScratch::new, |scratch, src| {
+            tables.install(src, encode_spf_row(net, src, &order, scratch));
+        });
+        tables
+    }
+
+    /// Counts one lookup on `src` — on-demand tables only, so a prefilled
+    /// table's hot path carries no atomic.
+    #[inline]
+    fn count(&self, src: NodeId) {
+        if let Some(d) = &self.demand {
+            d.lookups[src as usize].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// The run of `src`'s row covering `dst`, filling the row first if
+    /// this is its first demand. The winner of a race encodes; losers
+    /// observe the winner's row — and every encoding of the same row is
+    /// bit-identical anyway.
+    #[inline]
+    fn run_entry(&self, src: NodeId, dst: NodeId) -> (NodeId, LinkId) {
+        let row = self.rows[src as usize].get_or_init(|| {
+            let d = self
+                .demand
+                .as_ref()
+                .expect("a table without encode inputs has every row installed");
+            encode_spf_row(&d.net, src, &d.order, &mut SpfScratch::new())
+        });
+        row.lookup(self.rank[dst as usize])
+    }
+
+    /// `(next_hop, next_link)` from `src` toward `dst`;
+    /// `(NodeId::MAX, NO_LINK)` when `src == dst` or unreachable —
+    /// mirroring the dense sentinel entries exactly.
+    #[inline]
+    pub(crate) fn entry(&self, src: NodeId, dst: NodeId) -> (NodeId, LinkId) {
+        if src == dst {
+            return (NodeId::MAX, NO_LINK);
+        }
+        self.count(src);
+        match self.leaf[src as usize] {
+            // Reachable from a leaf iff the parent is the destination or
+            // the parent (never a leaf) reaches it. Asking counts a lookup
+            // on — and may fill — the parent's row; that demand is part of
+            // routing for this leaf.
+            Some((parent, _)) if parent != dst && self.climb_step(parent, dst).0 == NodeId::MAX => {
+                (NodeId::MAX, NO_LINK)
+            }
+            Some(uplink) => uplink,
+            None => self.run_entry(src, dst),
+        }
+    }
+
+    /// One step of a climb toward `dst` (`src != dst`): [`entry`](Self::entry)
+    /// without the leaf's reachability probe. A leaf answers its uplink
+    /// unconditionally and with no binary search; whether `dst` is
+    /// reachable is then the parent's answer, which a climb asks next
+    /// anyway (`lat(leaf→dst) = uplink + lat(parent→dst)`).
+    #[inline]
+    pub(crate) fn climb_step(&self, src: NodeId, dst: NodeId) -> (NodeId, LinkId) {
+        self.count(src);
+        match self.leaf[src as usize] {
+            Some(uplink) => uplink,
+            None => self.run_entry(src, dst),
+        }
+    }
+
+    /// End-to-end latency by walking the next-hop chain and summing link
+    /// latencies from the snapshot; `u64::MAX` when unreachable. Exactly
+    /// the dense value: the dense table stores the Dijkstra distance,
+    /// which is the integer sum of the links on this same chain.
+    pub(crate) fn latency_us(&self, src: NodeId, dst: NodeId) -> u64 {
+        if src == dst {
+            return 0;
+        }
+        let n = self.rows.len();
+        let mut cur = src;
+        let mut lat = 0u64;
+        let mut hops = 0usize;
+        loop {
+            let (hop, link) = self.entry(cur, dst);
+            if hop == NodeId::MAX {
+                return u64::MAX;
+            }
+            lat += self.link_latency_us[link.0 as usize];
+            cur = hop;
+            hops += 1;
+            debug_assert!(hops <= n, "routing loop {src} -> {dst}");
+            if cur == dst {
+                return lat;
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use massf_topology::campus::campus;
+    use massf_topology::teragrid::teragrid;
+
+    fn is_filled(t: &IntervalTables, v: NodeId) -> bool {
+        t.rows[v as usize].get().is_some()
+    }
+
+    fn is_leaf(t: &IntervalTables, v: NodeId) -> bool {
+        t.leaf[v as usize].is_some()
+    }
+
+    #[test]
+    fn renumber_is_a_permutation_grouped_by_as() {
+        for net in [campus(), teragrid()] {
+            let order = renumber(&net);
+            let mut sorted = order.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            assert_eq!(sorted.len(), net.node_count(), "not a permutation");
+            // AS blocks are contiguous: the AS id sequence never revisits
+            // an earlier AS.
+            let as_seq: Vec<u32> = order.iter().map(|&v| net.node(v).as_id).collect();
+            let mut seen = std::collections::HashSet::new();
+            let mut last = None;
+            for a in as_seq {
+                if Some(a) != last {
+                    assert!(seen.insert(a), "AS {a} split into two blocks");
+                    last = Some(a);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hosts_are_leaves_on_campus() {
+        let net = campus();
+        let t = IntervalTables::prefilled(&net, Parallelism::serial());
+        for h in net.hosts() {
+            assert!(
+                is_leaf(&t, h),
+                "host {h} should share its access router's uplink"
+            );
+        }
+    }
+
+    #[test]
+    fn runs_stay_far_below_dense_entries() {
+        let net = teragrid();
+        let t = IntervalTables::prefilled(&net, Parallelism::serial());
+        let n = net.node_count();
+        let runs: usize = t.rows.iter().filter_map(OnceLock::get).map(Row::len).sum();
+        assert!(runs * 10 < n * n, "{runs} runs vs {} dense entries", n * n);
+    }
+
+    #[test]
+    fn two_node_island_routes_between_its_ends() {
+        // Both ends are degree 1, so neither is a leaf (the parent guard):
+        // the pair must still route to each other and nowhere else.
+        let mut net = campus();
+        let a = net.add_router("island-a", 99);
+        let b = net.add_router("island-b", 99);
+        net.add_link(a, b, 100.0, 5);
+        let t = IntervalTables::prefilled(&net, Parallelism::serial());
+        assert_eq!(t.entry(a, b), (b, net.link_between(a, b).unwrap()));
+        assert_eq!(t.entry(b, a).0, a);
+        assert_eq!(t.latency_us(a, b), 5);
+        assert_eq!(t.entry(a, 0).0, NodeId::MAX, "mainland unreachable");
+        assert_eq!(t.entry(0, a).0, NodeId::MAX);
+        assert_eq!(t.latency_us(0, a), u64::MAX);
+    }
+
+    #[test]
+    fn nothing_fills_until_demand() {
+        let net = campus();
+        let t = IntervalTables::on_demand(&net);
+        let n = net.node_count() as NodeId;
+        assert!((0..n).all(|v| !is_filled(&t, v)));
+        let d = t.demand.as_ref().unwrap();
+        assert!((0..n).all(|v| d.lookups_for(v) == 0));
+    }
+
+    #[test]
+    fn demand_fills_exactly_the_queried_rows() {
+        let net = teragrid();
+        let t = IntervalTables::on_demand(&net);
+        let (src, dst) = (0, net.node_count() as NodeId - 1);
+        let eager = IntervalTables::prefilled(&net, Parallelism::serial());
+        assert_eq!(t.entry(src, dst), eager.entry(src, dst));
+        assert_eq!(t.latency_us(src, dst), eager.latency_us(src, dst));
+        assert!(is_filled(&t, src) || is_leaf(&t, src));
+        // Only rows on the walked chain (plus leaf parents) exist.
+        let resident = (0..net.node_count() as NodeId)
+            .filter(|&v| is_filled(&t, v))
+            .count();
+        assert!(
+            resident < net.node_count() / 2,
+            "{resident} rows resident after one pair"
+        );
+    }
+
+    #[test]
+    fn leaf_sources_never_own_a_row() {
+        let net = campus();
+        let t = IntervalTables::on_demand(&net);
+        let h = net.hosts()[0];
+        let parent = t.leaf[h as usize].expect("hosts are leaves").0;
+        let _ = t.entry(h, 0);
+        assert!(!is_filled(&t, h), "leaf delegated, no row of its own");
+        assert!(is_filled(&t, parent), "delegation filled the parent");
+    }
+
+    #[test]
+    fn lookup_counters_track_demand() {
+        let net = campus();
+        let t = IntervalTables::on_demand(&net);
+        let d = t.demand.as_ref().unwrap();
+        let h = net.hosts()[0];
+        let parent = t.leaf[h as usize].expect("hosts are leaves").0;
+        let _ = t.entry(h, 0);
+        // One lookup on the leaf, one delegated to the parent.
+        assert_eq!(d.lookups_for(h), 1);
+        assert_eq!(d.lookups_for(parent), 1);
+        let _ = t.entry(h, h);
+        assert_eq!(d.lookups_for(h), 1, "diagonal is not a lookup");
+    }
+}

@@ -16,9 +16,8 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod compressed;
 pub mod hierarchy;
-mod lazy;
+mod interval;
 pub mod memory;
 pub mod probes;
 pub mod spf;

@@ -5,6 +5,7 @@
 //! routers in an AS." And from §5: "we use m = 10 + x·x as the memory
 //! requirement for a router, where x is the size of an AS."
 
+use crate::interval::{Demand, IntervalTables, Row, RUN_BYTES};
 use crate::tables::{Repr, RoutingTables};
 use massf_topology::{Network, NodeId, NodeKind};
 
@@ -74,16 +75,14 @@ pub struct RunStats {
     /// Rows stored as a two-word leaf record (degree-1 nodes sharing
     /// their uplink).
     pub leaf_rows: usize,
-    /// Non-leaf rows that reference a canonical row first seen at another
-    /// source.
-    pub shared_rows: usize,
-    /// Canonical rows actually materialized in the run pool.
+    /// Rows stored as runs — one per non-leaf source: a run names a link
+    /// incident to its source, so no two sources ever share a row.
     pub unique_rows: usize,
-    /// Total runs across all canonical rows.
+    /// Total runs across all rows.
     pub runs_total: usize,
-    /// Largest run count of any canonical row.
+    /// Largest run count of any row.
     pub runs_max_per_row: usize,
-    /// Mean run count per canonical row (0.0 when there are none).
+    /// Mean run count per row (0.0 when there are none).
     pub runs_mean_per_row: f64,
 }
 
@@ -146,45 +145,61 @@ pub struct SliceStats {
     pub demand_hits: u64,
 }
 
-/// Fixed per-source bytes of the lazy base arrays: rank + order slot +
-/// leaf record + row once-cell + lookup counter. The topology snapshot is
-/// excluded from routing-byte accounting throughout — it is emulation
-/// state every representation's build reads, not routing structure.
-fn lazy_base_bytes_per_source() -> u64 {
-    use crate::compressed::Run;
+/// Fixed bytes per source: rank + leaf record + row once-cell, plus the
+/// demand state's share in an on-demand table.
+fn base_bytes_per_source(t: &IntervalTables) -> u64 {
     use massf_topology::LinkId;
-    use std::sync::{atomic::AtomicU64, OnceLock};
-    (4 + 4
-        + std::mem::size_of::<Option<(NodeId, LinkId)>>()
-        + std::mem::size_of::<OnceLock<Box<[Run]>>>()
-        + std::mem::size_of::<AtomicU64>()) as u64
+    use std::sync::OnceLock;
+    let demand = t.demand.as_ref().map_or(0, |_| Demand::BYTES_PER_SOURCE);
+    let fixed =
+        4 + std::mem::size_of::<Option<(NodeId, LinkId)>>() + std::mem::size_of::<OnceLock<Row>>();
+    fixed as u64 + demand
+}
+
+/// What an interval table holds right now.
+struct Census {
+    leaf_rows: usize,
+    filled_rows: usize,
+    runs_total: usize,
+    runs_max_per_row: usize,
+}
+
+fn census(t: &IntervalTables) -> Census {
+    let mut c = Census {
+        leaf_rows: t.leaf.iter().flatten().count(),
+        filled_rows: 0,
+        runs_total: 0,
+        runs_max_per_row: 0,
+    };
+    for row in t.rows.iter().filter_map(|cell| cell.get()) {
+        c.filled_rows += 1;
+        c.runs_total += row.len();
+        c.runs_max_per_row = c.runs_max_per_row.max(row.len());
+    }
+    c
 }
 
 impl RoutingTables {
+    /// The interval table behind the compressed and lazy kinds.
+    fn interval(&self) -> Option<&IntervalTables> {
+        match &self.repr {
+            Repr::Interval(t) => Some(t),
+            Repr::Dense(_) => None,
+        }
+    }
+
     /// Measured bytes of the table payload as actually *resident* — flat
-    /// matrices for dense ([`DENSE_ENTRY_BYTES`] per pair), rank + row
-    /// references + run pool + latency snapshot for compressed, and for
-    /// lazy the base arrays plus only the runs materialized so far (the
-    /// honest demand-driven footprint, DESIGN.md §16).
+    /// matrices for dense ([`DENSE_ENTRY_BYTES`] per pair); for the
+    /// interval table rank + leaf records + row slots + latency snapshot
+    /// plus the runs filled so far, which for lazy tables is the honest
+    /// demand-driven footprint (DESIGN.md §16).
     pub fn table_bytes(&self) -> u64 {
         match &self.repr {
             Repr::Dense(_) => self.dense_bytes(),
-            Repr::Compressed(c) => {
-                let row_ref = std::mem::size_of::<crate::compressed::RowRef>() as u64;
-                4 * c.rank.len() as u64
-                    + row_ref * c.rows.len() as u64
-                    + 12 * c.run_start.len() as u64
-                    + 4 * c.row_bounds.len() as u64
-                    + 8 * c.link_latency_us.len() as u64
-            }
-            Repr::Lazy(l) => {
-                let run = std::mem::size_of::<crate::compressed::Run>() as u64;
-                let resident_runs: u64 = (0..l.rows.len())
-                    .map(|v| l.resident_runs_for(v as NodeId) as u64)
-                    .sum();
-                lazy_base_bytes_per_source() * l.rows.len() as u64
-                    + 8 * l.link_latency_us.len() as u64
-                    + run * resident_runs
+            Repr::Interval(t) => {
+                base_bytes_per_source(t) * t.rows.len() as u64
+                    + 8 * t.link_latency_us.len() as u64
+                    + RUN_BYTES * census(t).runs_total as u64
             }
         }
     }
@@ -195,60 +210,40 @@ impl RoutingTables {
         (self.n as u64) * (self.n as u64) * DENSE_ENTRY_BYTES
     }
 
-    /// Row/run statistics; `None` for dense tables.
+    /// Row/run statistics; `None` unless the tables are compressed.
     pub fn run_stats(&self) -> Option<RunStats> {
-        let Repr::Compressed(c) = &self.repr else {
+        let t = self.interval()?;
+        if t.demand.is_some() {
             return None;
-        };
-        let leaf_rows = c
-            .rows
-            .iter()
-            .filter(|r| matches!(r, crate::compressed::RowRef::Leaf { .. }))
-            .count();
-        let unique_rows = c.row_bounds.len() - 1;
-        let shared_rows = (c.rows.len() - leaf_rows).saturating_sub(unique_rows);
-        let runs_per_row = c.row_bounds.windows(2).map(|w| (w[1] - w[0]) as usize);
-        let runs_total = c.run_start.len();
-        let runs_max_per_row = runs_per_row.max().unwrap_or(0);
-        let runs_mean_per_row = if unique_rows == 0 {
-            0.0
-        } else {
-            runs_total as f64 / unique_rows as f64
-        };
+        }
+        let c = census(t);
         Some(RunStats {
-            leaf_rows,
-            shared_rows,
-            unique_rows,
-            runs_total,
-            runs_max_per_row,
-            runs_mean_per_row,
+            leaf_rows: c.leaf_rows,
+            unique_rows: c.filled_rows,
+            runs_total: c.runs_total,
+            runs_max_per_row: c.runs_max_per_row,
+            runs_mean_per_row: if c.filled_rows == 0 {
+                0.0
+            } else {
+                c.runs_total as f64 / c.filled_rows as f64
+            },
         })
     }
 
     /// Demand statistics; `None` unless the tables are lazy.
     pub fn lazy_stats(&self) -> Option<LazyStats> {
-        let Repr::Lazy(l) = &self.repr else {
-            return None;
-        };
-        let n = l.rows.len();
-        let mut rows_materialized = 0;
-        let mut rows_leaf = 0;
-        let mut runs_resident = 0;
-        for v in 0..n as NodeId {
-            if l.is_leaf(v) {
-                rows_leaf += 1;
-            } else if l.is_materialized(v) {
-                rows_materialized += 1;
-                runs_resident += l.resident_runs_for(v);
-            }
-        }
-        let lookups = l.lookup_total();
-        let demand_misses = rows_materialized as u64;
+        let t = self.interval()?;
+        let demand = t.demand.as_ref()?;
+        let c = census(t);
+        let lookups = (0..t.rows.len() as NodeId)
+            .map(|v| demand.lookups_for(v))
+            .sum();
+        let demand_misses = c.filled_rows as u64;
         Some(LazyStats {
-            rows_materialized,
-            rows_leaf,
-            rows_pending: n - rows_materialized - rows_leaf,
-            runs_resident,
+            rows_materialized: c.filled_rows,
+            rows_leaf: c.leaf_rows,
+            rows_pending: t.rows.len() - c.filled_rows - c.leaf_rows,
+            runs_resident: c.runs_total,
             resident_bytes: self.table_bytes(),
             lookups,
             demand_misses,
@@ -274,12 +269,10 @@ impl RoutingTables {
     /// [`slice_residency`](Self::slice_residency) plus per-slice demand
     /// counters; `None` unless the tables are lazy.
     pub fn slice_stats(&self, assignment: &[u32], nengines: usize) -> Option<Vec<SliceStats>> {
-        let Repr::Lazy(l) = &self.repr else {
-            return None;
-        };
-        debug_assert_eq!(assignment.len(), l.rows.len());
-        let base = lazy_base_bytes_per_source();
-        let run = std::mem::size_of::<crate::compressed::Run>() as u64;
+        let t = self.interval()?;
+        let demand = t.demand.as_ref()?;
+        debug_assert_eq!(assignment.len(), t.rows.len());
+        let base = base_bytes_per_source(t);
         let mut out: Vec<SliceStats> = (0..nengines)
             .map(|engine| SliceStats {
                 residency: SliceResidency {
@@ -297,11 +290,11 @@ impl RoutingTables {
             let s = &mut out[e as usize];
             s.residency.sources += 1;
             s.residency.resident_bytes += base;
-            if l.is_materialized(v as NodeId) {
+            if let Some(row) = t.rows[v].get() {
                 s.residency.rows_materialized += 1;
-                s.residency.resident_bytes += run * l.resident_runs_for(v as NodeId) as u64;
+                s.residency.resident_bytes += RUN_BYTES * row.len() as u64;
             }
-            s.lookups += l.lookups_for(v as NodeId);
+            s.lookups += demand.lookups_for(v as NodeId);
         }
         for s in &mut out {
             s.demand_misses = s.residency.rows_materialized as u64;
@@ -388,7 +381,7 @@ mod tests {
             assert_eq!(s.runs_total, s.runs_total.max(s.runs_max_per_row));
             assert!(s.runs_mean_per_row >= 1.0);
             assert!(
-                s.leaf_rows + s.shared_rows + s.unique_rows == net.node_count(),
+                s.leaf_rows + s.unique_rows == net.node_count(),
                 "row classes must partition the sources"
             );
         }
@@ -403,7 +396,7 @@ mod tests {
         assert_eq!(s0.rows_materialized, 0);
         assert_eq!(s0.lookups, 0);
         assert_eq!(s0.resident_bytes, empty);
-        assert_eq!(t.run_stats(), None, "pool stats are an eager concept");
+        assert_eq!(t.run_stats(), None, "run stats are the compressed kind's");
 
         let dst = net.node_count() as u32 - 1;
         let _ = t.path(0, dst).expect("teragrid connected");

@@ -1,10 +1,9 @@
 //! All-pairs next-hop routing tables: the dense baseline representation
-//! plus the dispatch over the compressed interval rows (DESIGN.md §13).
+//! plus the dispatch over the interval-row table (DESIGN.md §13).
 
-use crate::compressed::CompressedTables;
-use crate::lazy::LazyTables;
+use crate::interval::IntervalTables;
 use crate::spf::{SpfScratch, NO_PREV};
-use massf_par::Parallelism;
+use massf_par::{par_for_each_init, Parallelism};
 use massf_topology::{LinkId, Network, NodeId};
 
 /// Which routing-table representation to build. Selectable through
@@ -69,8 +68,9 @@ pub struct RoutingTables {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Repr {
     Dense(DenseTables),
-    Compressed(CompressedTables),
-    Lazy(LazyTables),
+    /// Prefilled for [`RoutingKind::Compressed`], filled on demand for
+    /// [`RoutingKind::Lazy`].
+    Interval(IntervalTables),
 }
 
 /// The flat `n × n` matrices.
@@ -154,48 +154,22 @@ impl RoutingTables {
         let mut next_hop = vec![NodeId::MAX; n * n];
         let mut latency_us = vec![u64::MAX; n * n];
         let mut next_link = vec![NO_LINK; n * n];
-        if n == 0 {
-            return Self {
-                n,
-                repr: Repr::Dense(DenseTables {
-                    next_hop,
-                    latency_us,
-                    next_link,
-                }),
-            };
-        }
-
+        let width = n.max(1); // `chunks_mut(0)` panics; an empty table has no rows anyway
         let rows = next_hop
-            .chunks_mut(n)
-            .zip(latency_us.chunks_mut(n))
-            .zip(next_link.chunks_mut(n))
-            .enumerate();
-        if par.capped(n).get() <= 1 {
-            let mut scratch = SpfScratch::new();
-            for (src, ((hops, lats), links)) in rows {
-                fill_row(net, src as NodeId, hops, lats, links, &mut scratch);
-            }
-        } else {
-            let work: Vec<_> = rows.collect();
-            let queue = std::sync::Mutex::new(work);
-            std::thread::scope(|scope| {
-                for _ in 0..par.capped(n).get() {
-                    scope.spawn(|| {
-                        // One scratch per worker, reused across its rows.
-                        let mut scratch = SpfScratch::new();
-                        loop {
-                            let item = queue.lock().expect("row queue").pop();
-                            match item {
-                                Some((src, ((hops, lats), links))) => {
-                                    fill_row(net, src as NodeId, hops, lats, links, &mut scratch)
-                                }
-                                None => break,
-                            }
-                        }
-                    });
-                }
-            });
-        }
+            .chunks_mut(width)
+            .zip(latency_us.chunks_mut(width))
+            .zip(next_link.chunks_mut(width))
+            .enumerate()
+            .collect();
+        // One scratch per worker, reused across its rows.
+        par_for_each_init(
+            par,
+            rows,
+            SpfScratch::new,
+            |scratch, (src, ((hops, lats), links))| {
+                fill_row(net, src as NodeId, hops, lats, links, scratch)
+            },
+        );
         Self {
             n,
             repr: Repr::Dense(DenseTables {
@@ -214,13 +188,12 @@ impl RoutingTables {
     }
 
     /// Computes compressed routing tables with up to `par` worker threads.
-    /// Per-source run encoding parallelizes over disjoint row slots; the
-    /// canonical-row pool is folded serially in source order afterwards,
-    /// so the output is bit-identical for every thread count.
+    /// Every source's row is encoded into its own slot, so the output is
+    /// bit-identical for every thread count.
     pub fn build_compressed_with(net: &Network, par: Parallelism) -> Self {
         Self {
             n: net.node_count(),
-            repr: Repr::Compressed(CompressedTables::build(net, par)),
+            repr: Repr::Interval(IntervalTables::prefilled(net, par)),
         }
     }
 
@@ -233,7 +206,7 @@ impl RoutingTables {
     pub fn build_lazy(net: &Network) -> Self {
         Self {
             n: net.node_count(),
-            repr: Repr::Lazy(LazyTables::build(net)),
+            repr: Repr::Interval(IntervalTables::on_demand(net)),
         }
     }
 
@@ -250,8 +223,8 @@ impl RoutingTables {
     pub fn kind(&self) -> RoutingKind {
         match &self.repr {
             Repr::Dense(_) => RoutingKind::Dense,
-            Repr::Compressed(_) => RoutingKind::Compressed,
-            Repr::Lazy(_) => RoutingKind::Lazy,
+            Repr::Interval(t) if t.demand.is_some() => RoutingKind::Lazy,
+            Repr::Interval(_) => RoutingKind::Compressed,
         }
     }
 
@@ -266,8 +239,7 @@ impl RoutingTables {
     pub fn next_hop(&self, src: NodeId, dst: NodeId) -> Option<NodeId> {
         let h = match &self.repr {
             Repr::Dense(d) => d.next_hop[src as usize * self.n + dst as usize],
-            Repr::Compressed(c) => c.entry(src, dst).0,
-            Repr::Lazy(l) => l.entry(src, dst).0,
+            Repr::Interval(t) => t.entry(src, dst).0,
         };
         (h != NodeId::MAX).then_some(h)
     }
@@ -291,8 +263,7 @@ impl RoutingTables {
     pub fn next_link_raw(&self, src: NodeId, dst: NodeId) -> LinkId {
         match &self.repr {
             Repr::Dense(d) => d.next_link[src as usize * self.n + dst as usize],
-            Repr::Compressed(c) => c.entry(src, dst).1,
-            Repr::Lazy(l) => l.entry(src, dst).1,
+            Repr::Interval(t) => t.entry(src, dst).1,
         }
     }
 
@@ -306,8 +277,7 @@ impl RoutingTables {
     pub fn latency_us(&self, src: NodeId, dst: NodeId) -> Option<u64> {
         let l = match &self.repr {
             Repr::Dense(d) => d.latency_us[src as usize * self.n + dst as usize],
-            Repr::Compressed(c) => c.latency_us(src, dst),
-            Repr::Lazy(l) => l.latency_us(src, dst),
+            Repr::Interval(t) => t.latency_us(src, dst),
         };
         (l != u64::MAX).then_some(l)
     }
@@ -349,19 +319,7 @@ impl RoutingTables {
                 f(dst, None);
                 true
             }
-            Repr::Compressed(c) => walk_chain(self.n, src, dst, |s, d| c.entry(s, d), f),
-            Repr::Lazy(l) => walk_chain(self.n, src, dst, |s, d| l.entry(s, d), f),
-        }
-    }
-
-    /// Total lookups the tables have answered, when the representation
-    /// counts them (`None` for the precomputed kinds). Lazy tables count
-    /// every row access — the demand side of the hit/miss statistics in
-    /// [`lazy_stats`](Self::lazy_stats).
-    pub fn lookup_count(&self) -> Option<u64> {
-        match &self.repr {
-            Repr::Lazy(l) => Some(l.lookup_total()),
-            _ => None,
+            Repr::Interval(t) => walk_chain(t, src, dst, f),
         }
     }
 
@@ -457,8 +415,7 @@ impl<'t> LatenciesTo<'t> {
         let (tables, dst) = self.target();
         match &tables.repr {
             Repr::Dense(d) => d.latency_us[src as usize * tables.n + dst as usize],
-            Repr::Compressed(c) => self.climb(src, &c.link_latency_us, |s| c.climb_step(s, dst)),
-            Repr::Lazy(l) => self.climb(src, &l.link_latency_us, |s| l.climb_step(s, dst)),
+            Repr::Interval(t) => self.climb(src, &t.link_latency_us, |s| t.climb_step(s, dst)),
         }
     }
 
@@ -521,18 +478,17 @@ impl<'t> LatenciesTo<'t> {
     }
 }
 
-/// The hop-by-hop walk shared by the compressed and lazy `for_each_hop`
-/// arms: a route's first hop exists iff the whole path does (every builder
-/// produces consistent prefix routes), so one lookup settles reachability
-/// and the walk mirrors the dense one.
+/// The hop-by-hop walk behind the interval `for_each_hop` arm: a route's
+/// first hop exists iff the whole path does (every builder produces
+/// consistent prefix routes), so one lookup settles reachability and the
+/// walk mirrors the dense one.
 fn walk_chain<F: FnMut(NodeId, Option<LinkId>)>(
-    n: usize,
+    tables: &IntervalTables,
     src: NodeId,
     dst: NodeId,
-    entry: impl Fn(NodeId, NodeId) -> (NodeId, LinkId),
     mut f: F,
 ) -> bool {
-    let (mut hop, mut link) = entry(src, dst);
+    let (mut hop, mut link) = tables.entry(src, dst);
     if hop == NodeId::MAX {
         return false;
     }
@@ -542,11 +498,11 @@ fn walk_chain<F: FnMut(NodeId, Option<LinkId>)>(
         f(cur, Some(link));
         cur = hop;
         hops += 1;
-        debug_assert!(hops <= n, "routing loop detected");
+        debug_assert!(hops <= tables.rows.len(), "routing loop detected");
         if cur == dst {
             break;
         }
-        (hop, link) = entry(cur, dst);
+        (hop, link) = tables.entry(cur, dst);
         debug_assert_ne!(hop, NodeId::MAX, "route dead-ends mid-path");
     }
     f(dst, None);

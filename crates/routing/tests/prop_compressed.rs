@@ -2,8 +2,9 @@
 //! (DESIGN.md §13): on arbitrary generated Waxman/Barabási–Albert
 //! networks — and the shipped `campus()` fixture plus a host-heavy line —
 //! the compressed tables must answer **every** routing query
-//! bit-identically to the dense baseline, and the parallel compressed
-//! build must be bit-identical to the serial one.
+//! bit-identically to the dense baseline, and a prefilled table must be
+//! structurally identical at every thread count to a lazy table whose
+//! every row has been demanded (one structure, two fill policies).
 
 use massf_par::Parallelism;
 use massf_routing::{RoutingKind, RoutingTables};
@@ -81,6 +82,35 @@ fn assert_equivalent(net: &Network, dense: &RoutingTables, comp: &RoutingTables)
     }
 }
 
+/// Structural equality, not just query equality: the slots the eager
+/// parallel fill installs are the ones demand would have filled.
+fn prefilled_matches_demanded(net: &Network) -> bool {
+    let lazy = RoutingTables::build_lazy(net);
+    let n = net.node_count() as NodeId;
+    for src in 0..n {
+        for dst in 0..n {
+            lazy.next_hop(src, dst);
+        }
+    }
+    [1, 2, 4].into_iter().all(|threads| {
+        let par = Parallelism::new(threads);
+        RoutingTables::build_kind(net, RoutingKind::Compressed, par) == lazy
+    })
+}
+
+#[test]
+fn prefilled_equals_fully_demanded_lazy_on_fixtures() {
+    for net in [campus(), hosty_line()] {
+        assert!(prefilled_matches_demanded(&net));
+    }
+    // A pending row is a structural difference.
+    let net = campus();
+    assert_ne!(
+        RoutingTables::build_compressed(&net),
+        RoutingTables::build_lazy(&net)
+    );
+}
+
 #[test]
 fn compressed_equals_dense_on_fixtures() {
     for net in [campus(), hosty_line()] {
@@ -101,11 +131,7 @@ proptest! {
     }
 
     #[test]
-    fn parallel_compressed_build_is_bit_identical(net in arb_network(), threads in 2usize..6) {
-        let serial = RoutingTables::build_kind(&net, RoutingKind::Compressed, Parallelism::serial());
-        let par = RoutingTables::build_kind(&net, RoutingKind::Compressed, Parallelism::new(threads));
-        // Structural equality, not just query equality: the dedup pool and
-        // run arrays must come out identical at any thread count.
-        prop_assert_eq!(serial, par);
+    fn prefilled_equals_fully_demanded_lazy_at_any_thread_count(net in arb_network()) {
+        prop_assert!(prefilled_matches_demanded(&net));
     }
 }

@@ -46,6 +46,13 @@ impl std::fmt::Display for DmlError {
 
 impl std::error::Error for DmlError {}
 
+/// Largest per-link latency [`parse`] accepts: 10¹² µs (≈ 11.6 days), the
+/// same plausibility horizon the lint passes hold schedules to. Path
+/// latencies are `u64` sums of link latencies and `u64::MAX` is the
+/// "unreachable" sentinel; under this bound a route would need more than
+/// 18 million hops to overflow into it.
+pub const MAX_LINK_LATENCY_US: u64 = 1_000_000_000_000;
+
 /// Serializes a network to the description format.
 pub fn write(net: &Network) -> String {
     let mut out = String::with_capacity(64 * net.node_count());
@@ -133,6 +140,9 @@ pub fn parse(text: &str) -> Result<Network, DmlError> {
                     }
                     if lat == 0 {
                         return Err(syntax("latency must be positive"));
+                    }
+                    if lat > MAX_LINK_LATENCY_US {
+                        return Err(syntax("latency exceeds 10^12 microseconds"));
                     }
                     net.add_link(a, b, bw, lat);
                 }
@@ -232,6 +242,23 @@ link 0 1 bw 100.5 lat 20
     fn rejects_zero_latency() {
         let text = "node 0 router \"r\" as 0\nnode 1 router \"s\" as 0\nlink 0 1 bw 10 lat 0\n";
         assert!(parse(text).is_err());
+    }
+
+    #[test]
+    fn rejects_latency_beyond_the_plausibility_horizon() {
+        // `u64::MAX` used to parse, then overflowed Dijkstra's distance
+        // sum (`massf check --audit` panicked in dev builds and wrapped
+        // into bogus MC014 errors in release).
+        let head = "node 0 router \"r\" as 0\nnode 1 router \"s\" as 0\n";
+        for lat in [u64::MAX, MAX_LINK_LATENCY_US + 1] {
+            let err = parse(&format!("{head}link 0 1 bw 100 lat {lat}\n")).unwrap_err();
+            assert!(
+                matches!(&err, DmlError::Syntax { line: 3, message } if message.contains("latency")),
+                "{err}"
+            );
+        }
+        let at_bound = format!("{head}link 0 1 bw 100 lat {MAX_LINK_LATENCY_US}\n");
+        assert_eq!(parse(&at_bound).unwrap().links().len(), 1);
     }
 
     #[test]

@@ -24,15 +24,38 @@ pub enum SpecError {
         /// The raw value text.
         value: String,
     },
+    /// A count or size was past what the generators can hold.
+    TooLarge {
+        /// The offending key.
+        key: String,
+        /// The raw value text.
+        value: String,
+        /// The largest accepted value.
+        max: u64,
+    },
     /// The `name` was not a supported generator.
     UnknownGenerator(String),
 }
+
+/// Largest value of a count key (`sessions`, `client_per_server`,
+/// `server_number`). Generators allocate per session before any flow is
+/// scheduled and the linter doubles the count, so an unbounded `usize`
+/// from a spec file is an allocation of its choosing; a million sessions
+/// is far past any topology the emulator holds.
+pub const MAX_COUNT: u64 = 1_000_000;
+
+/// Largest `request_size`: 1 TiB. Sizes are turned into bits (`× 8`)
+/// downstream.
+pub const MAX_REQUEST_BYTES: u64 = 1 << 40;
 
 impl std::fmt::Display for SpecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SpecError::Malformed(m) => write!(f, "malformed traffic block: {m}"),
             SpecError::BadValue { key, value } => write!(f, "bad value for {key}: {value:?}"),
+            SpecError::TooLarge { key, value, max } => {
+                write!(f, "{key} {value} exceeds the maximum of {max}")
+            }
             SpecError::UnknownGenerator(n) => write!(f, "unknown traffic generator {n:?}"),
         }
     }
@@ -52,10 +75,26 @@ pub fn parse_size(text: &str) -> Option<u64> {
         ("mb", 1024 * 1024),
     ] {
         if let Some(num) = lower.strip_suffix(suffix) {
-            return num.trim().parse::<u64>().ok().map(|v| v * mult);
+            return num.trim().parse::<u64>().ok()?.checked_mul(mult);
         }
     }
     lower.parse().ok()
+}
+
+/// `parsed` — the value as a number, `None` when it was not one — held
+/// to `max`.
+fn bounded(key: &str, value: &str, parsed: Option<u64>, max: u64) -> Result<u64, SpecError> {
+    let (key, value) = (key.to_string(), value.to_string());
+    match parsed {
+        None => Err(SpecError::BadValue { key, value }),
+        Some(v) if v > max => Err(SpecError::TooLarge { key, value, max }),
+        Some(v) => Ok(v),
+    }
+}
+
+/// Parses a count key, held to [`MAX_COUNT`].
+fn count(key: &str, value: &str) -> Result<usize, SpecError> {
+    bounded(key, value, value.parse().ok(), MAX_COUNT).map(|v| v as usize)
 }
 
 /// Parses a `traffic { ... }` block into an [`HttpConfig`]. Unknown keys are
@@ -84,10 +123,12 @@ pub fn parse_http(text: &str) -> Result<HttpConfig, SpecError> {
                 }
                 named = true;
             }
-            "request_size" => cfg.request_size_bytes = parse_size(value).ok_or_else(bad)?,
+            "request_size" => {
+                cfg.request_size_bytes = bounded(key, value, parse_size(value), MAX_REQUEST_BYTES)?
+            }
             "think_time" => cfg.think_time_s = value.parse().map_err(|_| bad())?,
-            "client_per_server" => cfg.clients_per_server = value.parse().map_err(|_| bad())?,
-            "server_number" => cfg.server_count = value.parse().map_err(|_| bad())?,
+            "client_per_server" => cfg.clients_per_server = count(key, value)?,
+            "server_number" => cfg.server_count = count(key, value)?,
             "seed" => cfg.seed = value.parse().map_err(|_| bad())?,
             _ => return Err(SpecError::Malformed(format!("unknown key {key:?}"))),
         }
@@ -244,7 +285,7 @@ fn parse_cbr(body: &str) -> Result<crate::cbr::CbrConfig, SpecError> {
         };
         match key {
             "name" => Ok(()),
-            "sessions" => value.parse().map(|v| cfg.sessions = v).map_err(|_| bad()),
+            "sessions" => count(key, value).map(|v| cfg.sessions = v),
             "rate_mbps" => value.parse().map(|v| cfg.rate_mbps = v).map_err(|_| bad()),
             "seed" => value.parse().map(|v| cfg.seed = v).map_err(|_| bad()),
             _ => Err(SpecError::Malformed(format!("unknown key {key:?}"))),
@@ -262,7 +303,7 @@ fn parse_onoff(body: &str) -> Result<crate::onoff::OnOffConfig, SpecError> {
         };
         match key {
             "name" => Ok(()),
-            "sessions" => value.parse().map(|v| cfg.sessions = v).map_err(|_| bad()),
+            "sessions" => count(key, value).map(|v| cfg.sessions = v),
             "peak_mbps" => value.parse().map(|v| cfg.peak_mbps = v).map_err(|_| bad()),
             "mean_on_ms" => value
                 .parse::<f64>()
@@ -342,6 +383,33 @@ mod kind_tests {
         assert!((cfg.peak_mbps - 20.0).abs() < 1e-12);
         assert!((cfg.mean_on_us - 100_000.0).abs() < 1e-9);
         assert!((cfg.duty_cycle() - 0.2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn counts_and_sizes_are_bounded() {
+        // `sessions 18446744073709551615` used to parse and overflow the
+        // linter's `2 * sessions`; `4000000000` reached a 32 GB allocation.
+        for block in [
+            "name CBR\n sessions 18446744073709551615",
+            "name CBR\n sessions 4000000000",
+            "name ONOFF\n sessions 1000001",
+            "name HTTP\n client_per_server 1000001",
+            "name HTTP\n server_number 1000001",
+            "name HTTP\n request_size 1048577MByte",
+        ] {
+            let err = parse_traffic(&format!("traffic {{ {block} }}")).unwrap_err();
+            assert!(matches!(err, SpecError::TooLarge { .. }), "{block}: {err}");
+        }
+        // The suffix multiplication itself must not overflow.
+        assert_eq!(parse_size("18446744073709551615KByte"), None);
+        let err = parse_traffic("traffic { name CBR\n sessions 4000000000 }").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "sessions 4000000000 exceeds the maximum of 1000000"
+        );
+        let at_bound = parse_traffic("traffic { name CBR\n sessions 1000000 }").unwrap();
+        assert!(matches!(at_bound, TrafficKind::Cbr(c) if c.sessions == 1_000_000));
+        assert_eq!(parse_size("1024MByte"), Some(1 << 30));
     }
 
     #[test]

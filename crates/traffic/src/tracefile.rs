@@ -148,8 +148,14 @@ pub fn parse_trace(text: &str) -> Result<Trace, TraceError> {
             t.parse::<u64>()
                 .map_err(|_| bad(&format!("bad {what}: {t:?}")))
         };
-        let src = parse_u64(toks[0], "src")? as NodeId;
-        let dst = parse_u64(toks[1], "dst")? as NodeId;
+        // Parsed at `NodeId` width: narrowing a `u64` would read node
+        // 4294967296 as node 0.
+        let parse_node = |t: &str, what: &str| {
+            t.parse::<NodeId>()
+                .map_err(|_| bad(&format!("bad {what}: {t:?}")))
+        };
+        let src = parse_node(toks[0], "src")?;
+        let dst = parse_node(toks[1], "dst")?;
         let start_us = parse_u64(toks[2], "start")?;
         let packets = parse_u64(toks[3], "packets")?;
         let bytes = parse_u64(toks[4], "bytes")?;
@@ -248,6 +254,10 @@ mod tests {
             "zero window"
         );
         assert!(parse(&format!("{HEADER}\nblah\n")).is_err());
+        assert!(
+            parse(&format!("{HEADER}\nflow 4294967296 2 0 1 100 1\n")).is_err(),
+            "a node id past u32 must not wrap to node 0"
+        );
     }
 
     #[test]

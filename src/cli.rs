@@ -628,7 +628,6 @@ fn write_run_report(
 /// `MapperConfig` default — compressed — applies).
 fn routing_flag(args: &[String]) -> Result<Option<RoutingKind>, CliError> {
     match flag(args, "--routing") {
-        None if args.iter().any(|a| a == "--routing") => Err(err("--routing requires a value")),
         None => Ok(None),
         Some(label) => RoutingKind::parse(label).map(Some).ok_or_else(|| {
             err(format!(
@@ -657,7 +656,6 @@ fn record_routing_stats(rec: &mut Recorder, study: &MappingStudy) {
     );
     if let Some(s) = tables.run_stats() {
         rec.add_counter("routing.rows_leaf", s.leaf_rows as u64);
-        rec.add_counter("routing.rows_shared", s.shared_rows as u64);
         rec.add_counter("routing.rows_unique", s.unique_rows as u64);
         rec.add_counter("routing.runs_max_per_row", s.runs_max_per_row as u64);
         rec.add_counter("routing.runs_total", s.runs_total as u64);
@@ -708,7 +706,6 @@ fn record_lazy_run_stats(rec: &mut Recorder, study: &MappingStudy, assignment: &
 /// Parses `--threads T` into a [`Parallelism`]; `None` when absent.
 fn threads_flag(args: &[String]) -> Result<Option<Parallelism>, CliError> {
     match flag(args, "--threads") {
-        None if args.iter().any(|a| a == "--threads") => Err(err("--threads requires a value")),
         None => Ok(None),
         Some(t) => {
             let n: usize = t
