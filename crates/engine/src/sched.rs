@@ -21,19 +21,24 @@
 //!
 //! ## Calendar layout
 //!
-//! Events live in `buckets[i]`, one bucket per `width_us` of virtual time
-//! starting at `base_us`; each bucket is kept sorted **descending** so the
-//! minimum is `bucket.last()` and pops are `Vec::pop`. `width_us` is a
-//! power of two, so the bucket index is a shift, not a division. Events at
-//! or beyond the calendar year (`year_end_us`) wait in the unsorted `far`
-//! overflow ladder and are folded in at the next rebuild. Bucket indices
-//! clamp at both ends (events earlier than `base_us` — possible after a
-//! live migration re-enqueues another engine's backlog — go to bucket 0;
-//! saturated years clamp to the last bucket), which preserves the one
-//! invariant everything rests on: the bucket index is monotone
-//! non-decreasing in event time, and same-time events always share a
-//! bucket. The cached global minimum therefore always sits at the tail of
-//! the first non-empty bucket.
+//! One bucket per `1 << shift` µs of virtual time starting at `base_us`:
+//! the bucket index is a shift, not a division. Only the *current* bucket
+//! `cur` is kept in order: it lives in `front`, a sorted ring popped at its
+//! head. Every later bucket is an **unsorted** singly linked list threaded
+//! through one slab (`nodes`, with a free list): a push there is a
+//! push-front, and a bucket is sorted once, when the front empties and the
+//! list is moved into it. Every buffer is bounded by the peak number of
+//! pending events and is reused, never freed, so the steady state allocates
+//! nothing — and a mis-sized width costs one larger sort per bucket, not an
+//! insertion per push. Events at or beyond the calendar year
+//! (`year_end_us`) wait in the unsorted `far` overflow ladder and are
+//! folded in at the next rebuild. Bucket indices clamp at both ends (events
+//! earlier than `base_us` — possible after a live migration re-enqueues
+//! another engine's backlog — go to bucket 0; saturated years clamp to the
+//! last bucket), which preserves the one invariant everything rests on: the
+//! bucket index is monotone non-decreasing in event time, and same-time
+//! events always share a bucket. A push at or before `cur` is a
+//! binary-search insert into the front, so its head is the global minimum.
 //!
 //! Rebuilds (triggered when the queue doubles past the bucket count,
 //! shrinks far below it, or the calendar drains while `far` holds events)
@@ -43,7 +48,7 @@
 
 use crate::event::Event;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Which scheduler implementation an engine uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -76,11 +81,11 @@ pub struct SchedStats {
     pub peak_depth: u64,
     /// Calendar rebuilds (bucket-array re-spans); always 0 for the heap.
     pub resizes: u64,
-    /// Logical allocations on the event path: capacity-growth events of
-    /// the underlying buffers. Counted at the call sites rather than
-    /// measured by a counting allocator because the workspace is
-    /// `forbid(unsafe_code)`; steady state should drive this to ~0 growth
-    /// per event.
+    /// Logical allocations on the event path: pushes that found a scheduler
+    /// buffer at capacity (calendar: node slab, front, `far`, rebuild scratch,
+    /// bucket heads; heap: its one vector). Counted at the call sites, not by
+    /// a counting allocator, because the workspace is `forbid(unsafe_code)`;
+    /// buffers are reused once grown, so steady state adds ~0 per event.
     pub reallocs: u64,
 }
 
@@ -90,28 +95,41 @@ const MIN_BUCKETS: usize = 16;
 const MAX_BUCKETS: usize = 1 << 20;
 /// Bucket width before the first rebuild has seen a real horizon (µs).
 const INITIAL_WIDTH_US: u64 = 1024;
+/// End of a bucket list and of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One slab slot: an event pending in some later bucket, or a free slot.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    ev: Event,
+    next: u32,
+}
 
 /// The calendar/ladder queue. See the module docs for the layout and the
 /// determinism argument.
 #[derive(Debug, Clone)]
 pub struct CalendarQueue {
-    /// One `Vec` per bucket, each sorted descending (minimum at the tail).
-    buckets: Vec<Vec<Event>>,
-    /// Power-of-two bucket width in µs.
-    width_us: u64,
-    /// `log2(width_us)` — the bucket index is a shift.
+    /// Slab behind every bucket list; grows to the peak and is reused.
+    nodes: Vec<Node>,
+    /// Head of the free list through `nodes`.
+    free: u32,
+    /// Per bucket, the head of its unsorted list (`NIL` when empty).
+    heads: Vec<u32>,
+    /// The events of buckets `..= cur`, ascending: the head is the global
+    /// minimum. Non-empty whenever the calendar holds anything.
+    front: VecDeque<Event>,
+    /// The bucket `front` stands for; `heads[..= cur]` are all `NIL`.
+    cur: usize,
+    /// `log2` of the bucket width in µs — the bucket index is a shift.
     shift: u32,
     /// Virtual time of bucket 0's lower edge.
     base_us: u64,
-    /// `base_us + width_us * buckets.len()` (saturating): first timestamp
+    /// `base_us + (heads.len() << shift)` (saturating): first timestamp
     /// the calendar cannot hold.
     year_end_us: u64,
     /// Overflow ladder: events at/after `year_end_us`, unsorted.
     far: Vec<Event>,
-    /// Cached global minimum (always resident in the calendar, never in
-    /// `far`).
-    min: Option<Event>,
-    /// Total pending events (calendar + far).
+    /// Total pending events (front + lists + far).
     len: usize,
     /// Reusable rebuild buffer, recycled across rebuilds.
     scratch: Vec<Event>,
@@ -128,13 +146,15 @@ impl CalendarQueue {
     /// An empty queue with the minimum geometry.
     pub fn new() -> Self {
         Self {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            width_us: INITIAL_WIDTH_US,
+            nodes: Vec::new(),
+            free: NIL,
+            heads: vec![NIL; MIN_BUCKETS],
+            front: VecDeque::new(),
+            cur: 0,
             shift: INITIAL_WIDTH_US.trailing_zeros(),
             base_us: 0,
             year_end_us: INITIAL_WIDTH_US * MIN_BUCKETS as u64,
             far: Vec::new(),
-            min: None,
             len: 0,
             scratch: Vec::new(),
             stats: SchedStats::default(),
@@ -156,89 +176,108 @@ impl CalendarQueue {
         self.stats
     }
 
+    /// Bytes of buffer capacity held, in use or not (read by tests only).
+    pub fn retained_bytes(&self) -> usize {
+        self.nodes.capacity() * size_of::<Node>()
+            + self.heads.capacity() * size_of::<u32>()
+            + (self.front.capacity() + self.far.capacity() + self.scratch.capacity())
+                * size_of::<Event>()
+    }
+
     /// Timestamp of the next event, or `None` when idle. O(1).
     #[inline]
     pub fn next_time(&self) -> Option<u64> {
-        self.min.map(|e| e.time_us)
+        self.front.front().map(|e| e.time_us)
     }
 
     #[inline]
     fn bucket_of(&self, time_us: u64) -> usize {
         // Bottom-clamp (saturating_sub) and top-clamp (min) keep the index
         // monotone in time even for pre-base pushes and saturated years.
-        ((time_us.saturating_sub(self.base_us) >> self.shift) as usize).min(self.buckets.len() - 1)
+        ((time_us.saturating_sub(self.base_us) >> self.shift) as usize).min(self.heads.len() - 1)
+    }
+
+    /// `base_us` plus one calendar year, saturating.
+    fn year_end(&self) -> u64 {
+        let year_us = (self.heads.len() as u64).saturating_mul(1 << self.shift);
+        self.base_us.saturating_add(year_us)
+    }
+
+    /// Pushes `ev` onto the unsorted list of bucket `b`.
+    #[inline]
+    fn list_push(&mut self, b: usize, ev: Event) {
+        let next = self.heads[b];
+        let node = Node { ev, next };
+        if self.free == NIL {
+            self.stats.reallocs += (self.nodes.len() == self.nodes.capacity()) as u64;
+            self.heads[b] = self.nodes.len() as u32;
+            self.nodes.push(node);
+        } else {
+            self.heads[b] = self.free;
+            self.free = std::mem::replace(&mut self.nodes[self.free as usize], node).next;
+        }
+    }
+
+    /// Moves the first non-empty list at or after bucket `from` into the
+    /// (empty) front and sorts it; false when there is none.
+    fn refill(&mut self, from: usize) -> bool {
+        let Some(skip) = self.heads[from..].iter().position(|&h| h != NIL) else {
+            return false;
+        };
+        self.cur = from + skip;
+        self.front.clear();
+        let mut at = std::mem::replace(&mut self.heads[self.cur], NIL);
+        while at != NIL {
+            let Node { ev, next } = self.nodes[at as usize];
+            self.stats.reallocs += (self.front.len() == self.front.capacity()) as u64;
+            self.front.push_back(ev);
+            self.nodes[at as usize].next = self.free;
+            self.free = at;
+            at = next;
+        }
+        self.front.make_contiguous().sort_unstable();
+        true
     }
 
     /// Enqueues `ev`. O(1) amortized.
     pub fn push(&mut self, ev: Event) {
         if self.len == 0 {
-            // Re-anchor the (empty) calendar at this event.
+            // Re-anchor the (empty) calendar at this event: it is bucket 0.
             self.base_us = ev.time_us;
-            self.year_end_us = self
-                .base_us
-                .saturating_add(self.width_us.saturating_mul(self.buckets.len() as u64));
-            if self.buckets[0].capacity() == 0 {
-                self.stats.reallocs += 1;
-            }
-            self.buckets[0].push(ev);
-            self.min = Some(ev);
-            self.len = 1;
-            self.stats.peak_depth = self.stats.peak_depth.max(1);
-            return;
+            self.year_end_us = self.year_end();
+            self.cur = 0;
         }
-        if ev.time_us >= self.year_end_us {
-            if self.far.len() == self.far.capacity() {
-                self.stats.reallocs += 1;
-            }
-            // `far` holds only times >= year_end_us, all later than every
-            // calendar event, so the cached min cannot change.
+        if ev.time_us >= self.year_end_us && self.len > 0 {
+            self.stats.reallocs += (self.far.len() == self.far.capacity()) as u64;
+            // Later than every calendar event: the minimum cannot change.
             self.far.push(ev);
         } else {
             let b = self.bucket_of(ev.time_us);
-            let bucket = &mut self.buckets[b];
-            if bucket.len() == bucket.capacity() {
-                self.stats.reallocs += 1;
-            }
-            let pos = bucket.partition_point(|q| q > &ev);
-            bucket.insert(pos, ev);
-            if self.min.is_none_or(|m| ev < m) {
-                self.min = Some(ev);
+            if b > self.cur {
+                self.list_push(b, ev);
+            } else {
+                self.stats.reallocs += (self.front.len() == self.front.capacity()) as u64;
+                let pos = self.front.partition_point(|q| q < &ev);
+                self.front.insert(pos, ev);
             }
         }
         self.len += 1;
         self.stats.peak_depth = self.stats.peak_depth.max(self.len as u64);
-        if self.len > 2 * self.buckets.len() && self.buckets.len() < MAX_BUCKETS {
+        if self.len > 2 * self.heads.len() && self.heads.len() < MAX_BUCKETS {
             self.rebuild();
         }
     }
 
     /// Removes and returns the minimum event. O(1) amortized.
     pub fn pop(&mut self) -> Option<Event> {
-        let min = self.min?;
-        let b = self.bucket_of(min.time_us);
-        let ev = self.buckets[b].pop().expect("cached min bucket non-empty");
-        debug_assert_eq!(ev, min, "cached min out of sync");
+        let ev = self.front.pop_front()?;
         self.len -= 1;
-        // The next minimum is the tail of the first non-empty bucket at or
-        // after b (buckets before b are empty — the index is monotone in
-        // time and `min` was global).
-        if let Some(&next) = self.buckets[b].last() {
-            self.min = Some(next);
-        } else {
-            self.min = None;
-            for bucket in &self.buckets[b + 1..] {
-                if let Some(&next) = bucket.last() {
-                    self.min = Some(next);
-                    break;
-                }
-            }
-            if self.min.is_none() && !self.far.is_empty() {
-                // Calendar drained but the ladder still holds events: fold
-                // them in now so `min` stays resident in the calendar.
-                self.rebuild();
-            }
+        // Buckets up to `cur` are empty (monotone index; the front held the
+        // minimum): the next one is in the first non-empty list or the ladder.
+        if self.front.is_empty() && !self.refill(self.cur + 1) && !self.far.is_empty() {
+            self.rebuild();
         }
-        if self.len * 4 < self.buckets.len() && self.buckets.len() > MIN_BUCKETS {
+        if self.len * 4 < self.heads.len() && self.heads.len() > MIN_BUCKETS {
             self.rebuild();
         }
         Some(ev)
@@ -248,77 +287,67 @@ impl CalendarQueue {
     /// `bound_us` — the conservative-window primitive.
     #[inline]
     pub fn pop_below(&mut self, bound_us: u64) -> Option<Event> {
-        if self.min?.time_us >= bound_us {
+        if self.front.front()?.time_us >= bound_us {
             return None;
         }
         self.pop()
+    }
+
+    /// Moves every pending event into `out` — the calendar bucket by bucket,
+    /// so ascending, then `far` as it stands — and restarts the slab.
+    fn take_all(&mut self, out: &mut Vec<Event>) {
+        out.extend(self.front.drain(..));
+        while self.refill(self.cur + 1) {
+            out.extend(self.front.drain(..));
+        }
+        out.append(&mut self.far);
+        self.nodes.clear();
+        self.free = NIL;
+        self.cur = 0;
     }
 
     /// Removes every pending event (ascending order). Used when nodes
     /// migrate between engines.
     pub fn drain(&mut self) -> Vec<Event> {
         let mut out = Vec::with_capacity(self.len);
-        for b in &mut self.buckets {
-            // Buckets are sorted descending; reverse each for ascending.
-            b.reverse();
-            out.append(b);
-        }
         self.far.sort_unstable();
-        out.append(&mut self.far);
+        self.take_all(&mut out);
         self.len = 0;
-        self.min = None;
         out
     }
 
     /// Collects every event, re-spans the horizon at ~1 event/bucket with
-    /// a power-of-two width, and redistributes (descending, so each bucket
-    /// comes out sorted). Folds the `far` ladder back in.
+    /// a power-of-two width, redistributes, and makes bucket 0 the front.
+    /// Folds the `far` ladder back in.
     fn rebuild(&mut self) {
         self.stats.resizes += 1;
         let mut all = std::mem::take(&mut self.scratch);
-        all.clear();
-        if all.capacity() < self.len {
-            self.stats.reallocs += 1;
-        }
-        for b in &mut self.buckets {
-            all.append(b);
-        }
-        all.append(&mut self.far);
+        self.stats.reallocs += (all.capacity() < self.len) as u64;
+        self.take_all(&mut all);
         debug_assert_eq!(all.len(), self.len);
         if all.is_empty() {
-            if self.buckets.len() != MIN_BUCKETS {
-                self.buckets.resize_with(MIN_BUCKETS, Vec::new);
-            }
-            self.width_us = INITIAL_WIDTH_US;
-            self.shift = self.width_us.trailing_zeros();
-            self.min = None;
+            self.heads.truncate(MIN_BUCKETS);
+            self.shift = INITIAL_WIDTH_US.trailing_zeros();
             self.scratch = all;
             return;
         }
-        all.sort_unstable();
-        let min_ev = all[0];
-        let span = all[all.len() - 1].time_us - min_ev.time_us;
+        let (min_us, max_us) = all.iter().fold((u64::MAX, 0), |(lo, hi), e| {
+            (lo.min(e.time_us), hi.max(e.time_us))
+        });
         let nbuckets = all
             .len()
             .next_power_of_two()
             .clamp(MIN_BUCKETS, MAX_BUCKETS);
-        self.width_us = (span / all.len() as u64 + 1).next_power_of_two();
-        self.shift = self.width_us.trailing_zeros();
-        self.base_us = min_ev.time_us;
-        self.year_end_us = self
-            .base_us
-            .saturating_add(self.width_us.saturating_mul(nbuckets as u64));
-        if self.buckets.len() != nbuckets {
-            if nbuckets > self.buckets.len() {
-                self.stats.reallocs += 1;
-            }
-            self.buckets.resize_with(nbuckets, Vec::new);
+        let width_us = ((max_us - min_us) / all.len() as u64 + 1).next_power_of_two();
+        self.shift = width_us.trailing_zeros();
+        self.stats.reallocs += (nbuckets > self.heads.capacity()) as u64;
+        self.heads.resize(nbuckets, NIL);
+        self.base_us = min_us;
+        self.year_end_us = self.year_end();
+        for ev in all.drain(..) {
+            self.list_push(self.bucket_of(ev.time_us), ev);
         }
-        for ev in all.drain(..).rev() {
-            let b = self.bucket_of(ev.time_us);
-            self.buckets[b].push(ev);
-        }
-        self.min = Some(min_ev);
+        self.refill(0);
         self.scratch = all;
     }
 }

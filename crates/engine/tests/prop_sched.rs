@@ -1,10 +1,11 @@
 //! Property-based equivalence of the calendar-queue scheduler against a
 //! reference `BinaryHeap<Reverse<Event>>` — the exact structure the engine
 //! used before the calendar queue replaced it. Under arbitrary
-//! interleavings of pushes, pops, and windowed `pop_below` calls — with
-//! timestamps drawn from ranges narrow enough to force heavy ties — both
-//! schedulers must report the same lengths, the same `next_time`, and pop
-//! the byte-identical event sequence.
+//! interleavings of pushes, pops, windowed `pop_below` calls and whole-queue
+//! drains — with timestamps drawn from ranges narrow enough to force heavy
+//! ties — both schedulers must report the same lengths, the same
+//! `next_time`, and pop the byte-identical event sequence, and the calendar
+//! must never hold more memory than a small multiple of its peak depth.
 
 use massf_engine::event::{Event, EventKind, Packet};
 use massf_engine::sched::{CalendarQueue, HeapQueue};
@@ -22,20 +23,40 @@ enum Op {
     Pop,
     /// Drain everything strictly below `bound` (a conservative window).
     PopBelow { bound: u64 },
+    /// Take every pending event out, as a migration does, and carry on.
+    Drain,
 }
 
-/// Ops weighted 4:2:1 push : pop : windowed drain (the vendored proptest
-/// has no `prop_oneof!`, so a selector drives the choice).
+/// Ops weighted 16:8:4:1 push : pop : windowed drain : full drain (the
+/// vendored proptest has no `prop_oneof!`, so a selector drives the choice).
 fn arb_op(max_time: u64) -> impl Strategy<Value = Op> {
-    (0u8..7, 0..max_time, 0u32..8, prop::bool::ANY).prop_map(move |(sel, time, node, arrive)| {
+    (0u8..29, 0..max_time, 0u32..8, prop::bool::ANY).prop_map(move |(sel, time, node, arrive)| {
         match sel {
-            0..=3 => Op::Push { time, node, arrive },
-            4 | 5 => Op::Pop,
-            _ => Op::PopBelow {
+            0..=15 => Op::Push { time, node, arrive },
+            16..=23 => Op::Pop,
+            24..=27 => Op::PopBelow {
                 bound: time.saturating_add(10),
             },
+            _ => Op::Drain,
         }
     })
+}
+
+/// Most bytes a calendar whose depth peaked at `peak_depth` may hold on to:
+/// its five buffers (node slab, front, `far`, rebuild scratch, bucket heads)
+/// are doubling vectors that each hold at most the peak — the slab's slot is
+/// 8/7 of an event and the heads cost under 8 B per event — which comes to
+/// 8.5 events' worth per peak event in the worst case.
+fn footprint_bound(peak_depth: u64) -> usize {
+    9 * peak_depth as usize * size_of::<Event>() + 4096
+}
+
+fn assert_footprint(cal: &CalendarQueue) {
+    let (held, peak) = (cal.retained_bytes(), cal.stats().peak_depth);
+    assert!(
+        held <= footprint_bound(peak),
+        "calendar holds {held} B at peak depth {peak}"
+    );
 }
 
 /// Builds the event for push number `seq`. The sequence number becomes the
@@ -89,7 +110,13 @@ fn check_against_reference(ops: &[Op]) {
                     break;
                 }
             },
+            Op::Drain => {
+                let mut want: Vec<Event> = reference.drain().map(|Reverse(e)| e).collect();
+                want.sort_unstable();
+                assert_eq!(cal.drain(), want);
+            }
         }
+        assert_footprint(&cal);
         assert_eq!(cal.len(), reference.len());
         assert_eq!(
             cal.next_time(),
@@ -105,6 +132,52 @@ fn check_against_reference(ops: &[Op]) {
     rest.reverse();
     assert_eq!(cal.drain(), rest);
     assert!(cal.is_empty());
+}
+
+/// The ScaLapack shape that used to leak: a few hundred injections seconds
+/// ahead stretch the calendar year over thousands of buckets, and a dense
+/// cluster of in-flight packets — every pop schedules the next hop a little
+/// later — sweeps across that whole year, three times over as the far
+/// events are renewed. With a growable vector per bucket every slot the
+/// cluster crossed kept its high-water capacity, some 60x this bound.
+#[test]
+fn sweeping_front_keeps_memory_near_the_live_set() {
+    const FAR_EVENTS: u64 = 300;
+    const CLUSTER: u64 = 500;
+    const YEAR_US: u64 = 8_000_000;
+    let mut state = 0x2545_f491_4f6c_dd1d_u64;
+    let mut rand = move |below: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state % below
+    };
+    let mut cal = CalendarQueue::new();
+    let mut seq = 0u64;
+    let mut push = |cal: &mut CalendarQueue, time: u64, arrive: bool| {
+        cal.push(event(seq, time, (seq % 8) as u32, arrive));
+        seq += 1;
+    };
+    for i in 0..FAR_EVENTS {
+        push(&mut cal, 5_000_000 + i * 10_000, false);
+    }
+    for _ in 0..CLUSTER {
+        let at = rand(20_000);
+        push(&mut cal, at, true);
+    }
+    let mut last = 0;
+    while last < 3 * YEAR_US {
+        let ev = cal.pop().expect("the cluster never dies out");
+        assert!(ev.time_us >= last, "popped out of order");
+        last = ev.time_us;
+        match ev.kind {
+            EventKind::Arrive { .. } => push(&mut cal, last + 1 + rand(20_000), true),
+            EventKind::Inject { .. } => push(&mut cal, last + YEAR_US, false),
+        }
+        assert_footprint(&cal);
+    }
+    assert_eq!(cal.len() as u64, FAR_EVENTS + CLUSTER);
+    assert!(cal.stats().peak_depth <= FAR_EVENTS + CLUSTER + 1);
 }
 
 proptest! {
@@ -150,6 +223,11 @@ proptest! {
                     if let Some(Reverse(e)) = reference.peek() {
                         prop_assert!(e.time_us >= bound);
                     }
+                }
+                Op::Drain => {
+                    let mut want: Vec<Event> = reference.drain().map(|Reverse(e)| e).collect();
+                    want.sort_unstable();
+                    prop_assert_eq!(hq.drain(), want);
                 }
             }
             prop_assert_eq!(hq.len(), reference.len());
