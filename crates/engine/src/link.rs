@@ -2,7 +2,6 @@
 //! propagation, with per-direction busy tracking.
 
 use massf_topology::{Link, LinkId};
-use std::collections::BTreeMap;
 
 /// Serialization time of `bytes` at `bandwidth_mbps`, in whole microseconds
 /// (≥ 1). `bits / Mbps` is exactly microseconds.
@@ -20,10 +19,9 @@ pub fn tx_time_us(bytes: u32, bandwidth_mbps: f64) -> u64 {
 /// each direction's state has exactly one writer and needs no locking.
 #[derive(Debug, Default)]
 pub struct LinkOccupancy {
-    // BTreeMap so drain_all() hands migration state over in key order —
-    // the receiving engine's insert order (and any future serialization
-    // of it) is then schedule-independent (srclint SA001).
-    next_free_us: BTreeMap<(LinkId, bool), u64>,
+    /// Busy-until time of `(link, from_a)` at index `2 * link + from_a` — key
+    /// order, which `drain_all` relies on; 0 while unused, grown on demand.
+    next_free_us: Vec<u64>,
 }
 
 /// Outcome of scheduling one packet onto a link.
@@ -41,6 +39,15 @@ impl LinkOccupancy {
         Self::default()
     }
 
+    #[inline]
+    fn slot(&mut self, (link, from_a): (LinkId, bool)) -> &mut u64 {
+        let i = 2 * link.0 as usize + from_a as usize;
+        if i >= self.next_free_us.len() {
+            self.next_free_us.resize(i + 1, 0);
+        }
+        &mut self.next_free_us[i]
+    }
+
     /// Schedules a packet of `bytes` onto `link` in direction `from_a` at
     /// time `now`; returns departure and arrival times and marks the
     /// direction busy until serialization completes (FIFO queueing).
@@ -52,7 +59,7 @@ impl LinkOccupancy {
         now_us: u64,
         bytes: u32,
     ) -> Transit {
-        let slot = self.next_free_us.entry((link_id, from_a)).or_insert(0);
+        let slot = self.slot((link_id, from_a));
         let depart = now_us.max(*slot);
         let tx = tx_time_us(bytes, link.bandwidth_mbps);
         *slot = depart + tx;
@@ -70,13 +77,17 @@ impl LinkOccupancy {
     /// Removes and returns all occupancy entries (node migration hands the
     /// sending-side state to the node's new engine).
     pub fn drain_all(&mut self) -> Vec<((LinkId, bool), u64)> {
-        std::mem::take(&mut self.next_free_us).into_iter().collect()
+        let slots = self.next_free_us.iter_mut().enumerate();
+        slots
+            .filter(|(_, busy)| **busy > 0)
+            .map(|(i, busy)| ((LinkId((i / 2) as u32), i % 2 == 1), std::mem::take(busy)))
+            .collect()
     }
 
     /// Inserts an occupancy entry, keeping the later busy-until time if the
     /// direction already exists.
     pub fn insert(&mut self, key: (LinkId, bool), busy_until_us: u64) {
-        let slot = self.next_free_us.entry(key).or_insert(0);
+        let slot = self.slot(key);
         *slot = (*slot).max(busy_until_us);
     }
 }
@@ -135,6 +146,26 @@ mod tests {
         occ.schedule(LinkId(0), &link(), true, 0, 1500);
         let other = occ.schedule(LinkId(1), &link(), true, 0, 1500);
         assert_eq!(other.depart_us, 0);
+    }
+
+    #[test]
+    fn drain_yields_used_directions_in_key_order_and_clears_them() {
+        let mut occ = LinkOccupancy::new();
+        occ.schedule(LinkId(3), &link(), true, 0, 1500);
+        occ.schedule(LinkId(3), &link(), false, 7, 1500);
+        occ.insert((LinkId(1), true), 40);
+        occ.insert((LinkId(1), true), 30);
+        assert_eq!(
+            occ.drain_all(),
+            vec![
+                ((LinkId(1), true), 40),
+                ((LinkId(3), false), 1007),
+                ((LinkId(3), true), 1000),
+            ]
+        );
+        assert!(occ.drain_all().is_empty());
+        let t = occ.schedule(LinkId(3), &link(), true, 0, 1500);
+        assert_eq!(t.depart_us, 0, "a drained direction is idle again");
     }
 
     #[test]
