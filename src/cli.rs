@@ -111,15 +111,16 @@ USAGE:
       also writes the versioned JSON run report (see `massf report`),
       including the audit as its `lint` block.
 
-      --epochs E splits the emulation into E epochs; each boundary turns
-      the epoch's NetFlow slice into measured per-engine loads and drift
-      values (surfaced in the report's `rebalance` block and audited as
-      MC019/MC020). --rebalance picks what a boundary does when the drift
-      is loud enough: `incremental` migrates boundary nodes locally,
-      `global` recomputes a full PROFILE partition, `off` (default) only
-      measures. The first epoch is mapped traffic-blind with TOP (nothing
-      has been measured yet), so --approach must be top or omitted;
-      --replay is incompatible. `--rebalance` alone implies 4 epochs.
+      --epochs E splits the emulation into E epochs (at most one per µs
+      of the run); each boundary turns the epoch's NetFlow slice into
+      measured per-engine loads and drift values (surfaced in the
+      report's `rebalance` block and audited as MC019/MC020). --rebalance
+      picks what a boundary does when the drift is loud enough:
+      `incremental` migrates boundary nodes locally, `global` recomputes
+      a full PROFILE partition, `off` (default) only measures. The first
+      epoch is mapped traffic-blind with TOP (nothing has been measured
+      yet), so --approach must be top or omitted; --replay is
+      incompatible. `--rebalance` alone implies 4 epochs.
 
   massf ping <network.dml> <src-name> <dst-name>
       Emulate an ICMP echo through the discrete-event engine.
@@ -935,6 +936,13 @@ fn cmd_run(args: &[String]) -> Result<String, CliError> {
             if n == 0 {
                 return Err(err("--epochs must be at least 1"));
             }
+            // Each epoch boundary is a full remap: more of them than the run
+            // has microseconds would remap over zero virtual time.
+            if n as u64 > duration_us {
+                return Err(err(format!(
+                    "--epochs {n} is more than the run's {duration_us} µs"
+                )));
+            }
             n
         }
         // `--rebalance` without `--epochs` implies the default epoch count
@@ -1612,6 +1620,16 @@ mod tests {
         let f = write_campus();
         let e = run(&args(&["run", f.as_str(), "--epochs", "0"])).unwrap_err();
         assert!(e.0.contains("--epochs must be at least 1"), "{e}");
+        let e = run(&args(&[
+            "run",
+            f.as_str(),
+            "--duration-s",
+            "0.01",
+            "--epochs",
+            "100000000",
+        ]))
+        .unwrap_err();
+        assert!(e.0.contains("more than the run's 10000 µs"), "{e}");
         let e = run(&args(&["run", f.as_str(), "--rebalance", "sideways"])).unwrap_err();
         assert!(e.0.contains("off|global|incremental"), "{e}");
         let e = run(&args(&["run", f.as_str(), "--epochs", "2", "--replay"])).unwrap_err();
