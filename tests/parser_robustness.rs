@@ -8,58 +8,14 @@
 //! The two inputs under `tests/fixtures/hostile/` are the named cases:
 //! each used to get past its parser and panic a later stage.
 
+mod common;
+
+use common::peak_bytes;
 use massf_core::topology::dml;
 use massf_core::traffic::{spec, tracefile, FlowSpec};
 use massf_repro::cli;
 use proptest::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::OnceLock;
-
-thread_local! {
-    /// Bytes this thread holds, relative to the last reset, and their peak.
-    static LIVE: Cell<(isize, isize)> = const { Cell::new((0, 0)) };
-}
-
-/// The system allocator, plus a per-thread high-water mark so a property
-/// can bound one parse call while other tests run beside it.
-struct Watermark;
-
-fn track(delta: isize) {
-    // `try_with`: the allocator is still called while a thread's locals
-    // are being torn down.
-    let _ = LIVE.try_with(|c| {
-        let (live, peak) = c.get();
-        c.set((live + delta, peak.max(live + delta)));
-    });
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the bookkeeping touches only a
-// const-initialized thread-local `Cell`, which never allocates.
-unsafe impl GlobalAlloc for Watermark {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        track(layout.size() as isize);
-        // SAFETY: the caller's obligations on `layout` are passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        track(-(layout.size() as isize));
-        // SAFETY: `ptr` was returned by `System` with `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: Watermark = Watermark;
-
-/// Runs `f` and returns the most bytes it held at once.
-fn peak_bytes<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    LIVE.set((0, 0));
-    let out = f();
-    (out, LIVE.get().1.max(0) as usize)
-}
 
 /// Feeds `text` to all three parsers. Whatever a parser accepts must be
 /// inside the bounds later stages rely on, and no parse may hold more than
