@@ -25,7 +25,7 @@ use std::time::Instant;
 
 /// Most logical allocations per thousand events the calendar may make at
 /// full scale, where start-up growth is amortised over millions of events
-/// (measured: 0.1–0.3; a queue leaking capacity per bucket made 28–51).
+/// (measured: 0.1–0.3; a queue leaking capacity per bucket made 8–51).
 const MAX_ALLOCS_PER_KEVENT: f64 = 2.0;
 
 /// Most logical allocations the calendar may make in the `--smoke` run of

@@ -42,19 +42,15 @@ fn arb_op(max_time: u64) -> impl Strategy<Value = Op> {
     })
 }
 
-/// Most bytes a calendar whose depth peaked at `peak_depth` may hold on to:
-/// its five buffers (node slab, front, `far`, rebuild scratch, bucket heads)
-/// are doubling vectors that each hold at most the peak — the slab's slot is
-/// 8/7 of an event and the heads cost under 8 B per event — which comes to
-/// 8.5 events' worth per peak event in the worst case.
-fn footprint_bound(peak_depth: u64) -> usize {
-    9 * peak_depth as usize * size_of::<Event>() + 4096
-}
-
+/// The calendar may hold on to at most 9 events' worth of bytes per event of
+/// its peak depth: its five buffers (node slab, front, `far`, rebuild
+/// scratch, bucket heads) are doubling vectors that each hold at most the
+/// peak — the slab's slot is 8/7 of an event and the heads cost under 8 B
+/// per event — which comes to 8.5 in the worst case.
 fn assert_footprint(cal: &CalendarQueue) {
     let (held, peak) = (cal.retained_bytes(), cal.stats().peak_depth);
     assert!(
-        held <= footprint_bound(peak),
+        held <= 9 * peak as usize * size_of::<Event>() + 4096,
         "calendar holds {held} B at peak depth {peak}"
     );
 }
