@@ -36,9 +36,9 @@
 //! which pays each shared chain tail once.
 //!
 //! **Slicing.** A partitioned emulation only queries `entry(src, ·)` for
-//! sources the querying engine owns, so an on-demand table's filled set —
-//! and therefore resident bytes — follows each engine's slice of the
-//! network for free. The one cross-slice exception is a leaf whose access
+//! sources the querying engine owns (once per route reaching them), so an
+//! on-demand table's filled set — and therefore resident bytes — follows
+//! each engine's slice of the network for free. The one cross-slice exception is a leaf whose access
 //! router lives on another engine: the leaf delegates to the parent's row,
 //! filling it on the parent's behalf. That is still deterministic (same
 //! demand set regardless of schedule) and is accounted to the row's owner
@@ -115,8 +115,9 @@ pub(crate) struct Demand {
     /// The renumbered destination order (run coordinate space).
     order: Vec<NodeId>,
     /// Per-source lookup counters (relaxed; totals are deterministic
-    /// because the demand multiset is fixed by the flow schedule, not the
-    /// thread interleaving).
+    /// because the demand multiset — one lookup per engine, route and
+    /// owned hop, plus the mapping stages' queries — is fixed by the flow
+    /// schedule and the partition, not the thread interleaving).
     lookups: Vec<AtomicU64>,
 }
 
@@ -371,30 +372,46 @@ impl IntervalTables {
         }
     }
 
-    /// End-to-end latency by walking the next-hop chain and summing link
-    /// latencies from the snapshot; `u64::MAX` when unreachable. Exactly
-    /// the dense value: the dense table stores the Dijkstra distance,
-    /// which is the integer sum of the links on this same chain.
-    pub(crate) fn latency_us(&self, src: NodeId, dst: NodeId) -> u64 {
-        if src == dst {
-            return 0;
-        }
-        let n = self.rows.len();
+    /// The one chain walk: calls `f(node, link)` for every node of the
+    /// routed path `src → dst` except `dst`, with the link it leaves over.
+    /// Returns `false` when `dst` is unreachable. Every builder produces
+    /// consistent prefix routes, so the first lookup settles that before
+    /// `f` is ever called; a hand-installed row that dead-ends mid-path
+    /// also answers `false`, after `f` has seen the nodes before it.
+    #[inline]
+    pub(crate) fn walk<F: FnMut(NodeId, LinkId)>(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        mut f: F,
+    ) -> bool {
         let mut cur = src;
-        let mut lat = 0u64;
         let mut hops = 0usize;
-        loop {
+        while cur != dst {
             let (hop, link) = self.entry(cur, dst);
             if hop == NodeId::MAX {
-                return u64::MAX;
+                return false;
             }
-            lat += self.link_latency_us[link.0 as usize];
+            f(cur, link);
             cur = hop;
             hops += 1;
-            debug_assert!(hops <= n, "routing loop {src} -> {dst}");
-            if cur == dst {
-                return lat;
-            }
+            debug_assert!(hops <= self.rows.len(), "routing loop {src} -> {dst}");
+        }
+        true
+    }
+
+    /// End-to-end latency: the link latencies of the snapshot summed over
+    /// [`walk`](Self::walk); `u64::MAX` when unreachable. Exactly the dense
+    /// value: the dense table stores the Dijkstra distance, which is the
+    /// integer sum of the links on this same chain.
+    pub(crate) fn latency_us(&self, src: NodeId, dst: NodeId) -> u64 {
+        let mut lat = 0u64;
+        if self.walk(src, dst, |_, link| {
+            lat += self.link_latency_us[link.0 as usize]
+        }) {
+            lat
+        } else {
+            u64::MAX
         }
     }
 }

@@ -256,9 +256,10 @@ impl RoutingTables {
     }
 
     /// [`next_link`](Self::next_link) without the `Option` wrapper: returns
-    /// [`NO_ROUTE`](Self::NO_ROUTE) instead. The forwarding hot loop calls
-    /// this once per hop; dense answers with a single load, compressed
-    /// with an O(log runs) binary search over the source's row.
+    /// [`NO_ROUTE`](Self::NO_ROUTE) instead. An engine calls this the
+    /// first time a route reaches one of its hops and pins the answer;
+    /// dense answers with a single load, compressed with an O(log runs)
+    /// binary search over the source's row.
     #[inline]
     pub fn next_link_raw(&self, src: NodeId, dst: NodeId) -> LinkId {
         match &self.repr {
@@ -287,8 +288,10 @@ impl RoutingTables {
     /// is the one leaving `node` toward `dst`; at `dst` itself (and for
     /// `src == dst`) it is `None`.
     ///
-    /// Returns `false` without calling `f` when `dst` is unreachable.
-    /// This is the allocation-free primitive behind [`path`](Self::path),
+    /// Returns `false` without calling `f` when `dst` is unreachable (a
+    /// hand-installed interval row that dead-ends mid-path also returns
+    /// `false`, after the nodes before the dead end were visited — no
+    /// builder produces one). This is the allocation-free primitive behind [`path`](Self::path),
     /// [`path_links`](Self::path_links), and the traffic-weight
     /// accumulators, which previously each re-walked the tables.
     #[inline]
@@ -319,7 +322,13 @@ impl RoutingTables {
                 f(dst, None);
                 true
             }
-            Repr::Interval(t) => walk_chain(t, src, dst, f),
+            Repr::Interval(t) => {
+                let reached = t.walk(src, dst, |node, link| f(node, Some(link)));
+                if reached {
+                    f(dst, None);
+                }
+                reached
+            }
         }
     }
 
@@ -478,37 +487,6 @@ impl<'t> LatenciesTo<'t> {
     }
 }
 
-/// The hop-by-hop walk behind the interval `for_each_hop` arm: a route's
-/// first hop exists iff the whole path does (every builder produces
-/// consistent prefix routes), so one lookup settles reachability and the
-/// walk mirrors the dense one.
-fn walk_chain<F: FnMut(NodeId, Option<LinkId>)>(
-    tables: &IntervalTables,
-    src: NodeId,
-    dst: NodeId,
-    mut f: F,
-) -> bool {
-    let (mut hop, mut link) = tables.entry(src, dst);
-    if hop == NodeId::MAX {
-        return false;
-    }
-    let mut cur = src;
-    let mut hops = 0usize;
-    loop {
-        f(cur, Some(link));
-        cur = hop;
-        hops += 1;
-        debug_assert!(hops <= tables.rows.len(), "routing loop detected");
-        if cur == dst {
-            break;
-        }
-        (hop, link) = tables.entry(cur, dst);
-        debug_assert_ne!(hop, NodeId::MAX, "route dead-ends mid-path");
-    }
-    f(dst, None);
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -593,6 +571,39 @@ mod tests {
             assert_eq!(t.path(4, 0), None);
             assert_eq!(t.latency_us(4, 0), None);
         }
+    }
+
+    #[test]
+    fn a_route_that_dead_ends_mid_path_is_unreachable() {
+        use crate::interval::Row;
+        // Node 0 says "toward 3, leave for 1"; node 1 says "3? no route".
+        // No builder produces such rows; every reader must still agree on
+        // "unreachable" — and not index row `NodeId::MAX` in release.
+        let net = line();
+        let order: Vec<NodeId> = (0..4).collect();
+        let t = IntervalTables::empty(&net, &order, false);
+        let honest = RoutingTables::build(&net);
+        for src in 0..4 {
+            t.install(
+                src,
+                Row::encode(&order, src, |dst| match (src, dst) {
+                    (1, 3) => (NodeId::MAX, NO_LINK),
+                    _ => (
+                        honest.next_hop(src, dst).unwrap(),
+                        honest.next_link_raw(src, dst),
+                    ),
+                }),
+            );
+        }
+        let t = RoutingTables {
+            n: 4,
+            repr: Repr::Interval(t),
+        };
+        assert_eq!(t.next_hop(0, 3), Some(1), "the first hop exists");
+        assert_eq!(t.path(0, 3), None);
+        assert_eq!(t.path_links(0, 3), None);
+        assert_eq!(t.latency_us(0, 3), None);
+        assert_eq!(t.path(0, 2), Some(vec![0, 1, 2]), "other routes intact");
     }
 
     #[test]
