@@ -25,7 +25,7 @@
 use crate::hash::Mix;
 use crate::scenario::{Scenario, StopState};
 use crate::vv::VersionVec;
-use massf_engine::engine::{lookahead_us, Engine, Shared};
+use massf_engine::engine::{lookahead_us, Engine, Routes, Shared};
 use massf_engine::event::Event;
 use massf_engine::shim::{SlotArray, SyncShim};
 use massf_engine::{protocol_loop, ProtocolState};
@@ -416,10 +416,12 @@ pub fn run_schedule(
     let cfg = &cfg;
     let n = cfg.nengines;
     let until_us = scenario.until_us(segment);
+    let routes = Routes::of(&scenario.flows);
     let shared = Shared {
         net: &scenario.net,
         tables: &scenario.tables,
         flows: &scenario.flows,
+        routes: &routes,
         partition: &cfg.partition,
     };
     let lookahead = lookahead_us(&scenario.net, &cfg.partition);

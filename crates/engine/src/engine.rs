@@ -6,7 +6,7 @@ use crate::link::LinkOccupancy;
 use crate::netflow::NetFlowCollector;
 use crate::sched::{EventQueue, SchedStats, SchedulerKind};
 use massf_routing::RoutingTables;
-use massf_topology::{Network, NodeId, NodeKind};
+use massf_topology::{LinkId, Network, NodeId, NodeKind};
 use massf_traffic::FlowSpec;
 
 /// Immutable state shared by every engine during a run.
@@ -17,9 +17,51 @@ pub struct Shared<'a> {
     pub tables: &'a RoutingTables,
     /// The flow schedule (indexed by `Packet::flow`).
     pub flows: &'a [FlowSpec],
+    /// The schedule's routes ([`Routes::of`] `flows`, built once per run).
+    pub routes: &'a Routes,
     /// Node → engine assignment.
     pub partition: &'a [u32],
 }
+
+/// The routes of a flow schedule: its distinct unordered `{src, dst}`
+/// pairs, numbered in ascending pair order. Flows of one pair cross the
+/// same links, so engines pin next links per route, not per flow
+/// (thousands of ONOFF bursts share a few dozen pairs); a route has two
+/// directions, so a request and its response, or a data packet and its
+/// ACK, share one route too.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Routes {
+    /// Route id of every flow.
+    of_flow: Vec<u32>,
+    /// Number of distinct routes.
+    count: usize,
+}
+
+impl Routes {
+    /// Numbers the routes of `flows` (sort + dedup, no hasher).
+    pub fn of(flows: &[FlowSpec]) -> Self {
+        let ends = |f: &FlowSpec| (f.src.min(f.dst), f.src.max(f.dst));
+        let mut pairs: Vec<(NodeId, NodeId)> = flows.iter().map(ends).collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        let of_flow = flows
+            .iter()
+            .map(|f| pairs.partition_point(|&p| p < ends(f)) as u32)
+            .collect();
+        Self {
+            of_flow,
+            count: pairs.len(),
+        }
+    }
+}
+
+/// A pin slot no packet has reached yet. Not a link: ids index the
+/// network's link array, which cannot hold 2³² − 2 links.
+const UNPINNED: LinkId = LinkId(u32::MAX - 1);
+
+/// Rows of pins an engine reserves on its first sighting: paths on the
+/// shipped topologies stay under this many hops.
+const PIN_ROWS: usize = 16;
 
 /// A cross-engine event shipment.
 #[derive(Debug, Clone, Copy)]
@@ -44,6 +86,14 @@ pub struct Engine {
     /// Outbox filled during a window, drained by the executor into a
     /// reusable buffer (the capacity survives across windows).
     outbox: Vec<RemoteEvent>,
+    /// `pins[hop * 2 * routes + 2 * route + (src > dst)]`: the link a
+    /// packet of that route and direction leaves over after crossing `hop`
+    /// links, [`UNPINNED`] until this engine first forwards one there. One
+    /// row per hop, so it grows a handful of times and then never again.
+    /// Exact because routes never change during a run (DESIGN.md §13), and
+    /// filled only for hops this engine owns, so lazy tables stay sliced
+    /// per engine.
+    pins: Vec<LinkId>,
 }
 
 impl Engine {
@@ -62,13 +112,14 @@ impl Engine {
             counters: EngineCounters::new(counter_window_us),
             netflow: NetFlowCollector::new(netflow_enabled),
             outbox: Vec::new(),
+            pins: Vec::new(),
         }
     }
 
     /// Seeds the first injection event of flow `idx` if its source belongs
     /// to this engine.
-    pub fn seed_flow(&mut self, idx: u32, flow: &FlowSpec, shared: &Shared<'_>) {
-        if shared.partition[flow.src as usize] == self.id {
+    pub fn seed_flow(&mut self, idx: u32, flow: &FlowSpec, partition: &[u32]) {
+        if partition[flow.src as usize] == self.id {
             self.queue.push(Event {
                 time_us: flow.start_us,
                 node: flow.src,
@@ -203,18 +254,49 @@ impl Engine {
         }
     }
 
+    /// The link `pkt` leaves `node` over: the route's pin for this hop,
+    /// [`filled`](Self::fill_pin) the first time a packet of the route
+    /// gets here.
+    #[inline]
+    fn pinned_link(&mut self, pkt: &Packet, node: NodeId, shared: &Shared<'_>) -> LinkId {
+        let routes = shared.routes;
+        let (row, width) = (pkt.hop as usize, 2 * routes.count);
+        let slot = 2 * routes.of_flow[pkt.flow as usize] as usize + (pkt.src > pkt.dst) as usize;
+        match self.pins.get(row * width + slot) {
+            Some(&link) if link != UNPINNED => link,
+            _ => self.fill_pin(row, width, slot, shared.tables.next_link_raw(node, pkt.dst)),
+        }
+    }
+
+    /// Pins `link` at `(row, slot)`, growing the array to `row` first. The
+    /// caller's `next_link_raw` is the emulation's only routing query, and
+    /// it is always for an engine-owned source: under lazy tables each
+    /// engine therefore materializes only its own slice of the rows
+    /// (DESIGN.md §16). `NO_ROUTE` is pinned too, so an unreachable route
+    /// is probed once.
+    #[cold]
+    fn fill_pin(&mut self, row: usize, width: usize, slot: usize, link: LinkId) -> LinkId {
+        assert_ne!(link, UNPINNED, "link id collides with the unpinned mark");
+        if self.pins.len() < (row + 1) * width {
+            if self.pins.capacity() == 0 {
+                // One allocation covers the usual path; longer ones double it.
+                self.pins.reserve(PIN_ROWS.max(row + 1) * width);
+            }
+            self.pins.resize((row + 1) * width, UNPINNED);
+        }
+        self.pins[row * width + slot] = link;
+        link
+    }
+
     /// Transmits `pkt` from `node` toward its destination, producing the
     /// arrival event locally or in the outbox.
-    fn forward(&mut self, pkt: Packet, node: NodeId, now_us: u64, shared: &Shared<'_>) {
-        // The emulation's only routing query, and it is always for an
-        // engine-owned source: under lazy tables each engine therefore
-        // materializes only its own slice of the rows (DESIGN.md §16).
+    fn forward(&mut self, mut pkt: Packet, node: NodeId, now_us: u64, shared: &Shared<'_>) {
         debug_assert_eq!(
             shared.partition[node as usize], self.id,
             "engine {} forwarded for node {node} it does not own",
             self.id
         );
-        let link_id = shared.tables.next_link_raw(node, pkt.dst);
+        let link_id = self.pinned_link(&pkt, node, shared);
         if link_id == RoutingTables::NO_ROUTE {
             // Unreachable destination (or src == dst): account and drop.
             self.counters.dropped += 1;
@@ -226,6 +308,7 @@ impl Engine {
             .links
             .schedule(link_id, link, from_a, now_us, pkt.bytes);
         let next = link.opposite(node);
+        pkt.hop += 1;
         let event = Event {
             time_us: transit.arrive_us,
             node: next,
@@ -302,21 +385,37 @@ mod tests {
         }
     }
 
+    /// One engine (id 0) seeded with flow 0 and run up to `lbts`; returns
+    /// it with the number of events that window processed.
+    fn engine_after(
+        net: &Network,
+        tables: &RoutingTables,
+        flows: &[FlowSpec],
+        partition: &[u32],
+        netflow: bool,
+        lbts: u64,
+    ) -> (Engine, u64) {
+        let routes = Routes::of(flows);
+        let shared = Shared {
+            net,
+            tables,
+            flows,
+            routes: &routes,
+            partition,
+        };
+        let mut e = Engine::new(0, 1_000_000, netflow, SchedulerKind::default());
+        e.seed_flow(0, &flows[0], partition);
+        let n = e.process_window(lbts, &shared);
+        (e, n)
+    }
+
     #[test]
     fn single_engine_delivers_all_packets() {
         let net = net_line();
         let tables = RoutingTables::build(&net);
         let flows = vec![flow(0, 2, 5)];
         let partition = vec![0u32; 3];
-        let shared = Shared {
-            net: &net,
-            tables: &tables,
-            flows: &flows,
-            partition: &partition,
-        };
-        let mut e = Engine::new(0, 1_000_000, true, SchedulerKind::default());
-        e.seed_flow(0, &flows[0], &shared);
-        e.process_window(u64::MAX, &shared);
+        let (e, _) = engine_after(&net, &tables, &flows, &partition, true, u64::MAX);
         assert_eq!(e.counters.delivered, 5);
         assert_eq!(e.counters.dropped, 0);
         // Kernel events: 5 injections + 5 router arrivals + 5 host arrivals.
@@ -333,15 +432,7 @@ mod tests {
         let tables = RoutingTables::build(&net);
         let flows = vec![flow(0, 2, 1)];
         let partition = vec![0u32; 3];
-        let shared = Shared {
-            net: &net,
-            tables: &tables,
-            flows: &flows,
-            partition: &partition,
-        };
-        let mut e = Engine::new(0, 1_000_000, false, SchedulerKind::default());
-        e.seed_flow(0, &flows[0], &shared);
-        e.process_window(u64::MAX, &shared);
+        let (e, _) = engine_after(&net, &tables, &flows, &partition, false, u64::MAX);
         // Two hops, each 1500 B at 100 Mbps = 120 µs tx + 10 µs latency.
         assert_eq!(e.counters.latency_sum_us, 2 * (120 + 10));
     }
@@ -352,15 +443,7 @@ mod tests {
         let tables = RoutingTables::build(&net);
         let flows = vec![flow(0, 2, 1)];
         let partition = vec![0u32, 0, 1];
-        let shared = Shared {
-            net: &net,
-            tables: &tables,
-            flows: &flows,
-            partition: &partition,
-        };
-        let mut e = Engine::new(0, 1_000_000, false, SchedulerKind::default());
-        e.seed_flow(0, &flows[0], &shared);
-        e.process_window(u64::MAX, &shared);
+        let (mut e, _) = engine_after(&net, &tables, &flows, &partition, false, u64::MAX);
         let mut out = Vec::new();
         e.drain_outbox(&mut out);
         assert!(e.outbox_is_empty());
@@ -377,15 +460,7 @@ mod tests {
         let tables = RoutingTables::build(&net);
         let flows = vec![flow(0, 2, 3)]; // injections at 0, 200, 400
         let partition = vec![0u32; 3];
-        let shared = Shared {
-            net: &net,
-            tables: &tables,
-            flows: &flows,
-            partition: &partition,
-        };
-        let mut e = Engine::new(0, 1_000_000, false, SchedulerKind::default());
-        e.seed_flow(0, &flows[0], &shared);
-        let n = e.process_window(150, &shared);
+        let (e, n) = engine_after(&net, &tables, &flows, &partition, false, 150);
         // Only the first injection is below 150 (its downstream arrivals
         // land at 130 and 260; the 130 one is also in-window).
         assert_eq!(n, 2);
@@ -399,17 +474,44 @@ mod tests {
         let tables = RoutingTables::build(&net);
         let flows = vec![flow(0, island, 2)];
         let partition = vec![0u32; 4];
-        let shared = Shared {
-            net: &net,
-            tables: &tables,
-            flows: &flows,
-            partition: &partition,
-        };
-        let mut e = Engine::new(0, 1_000_000, false, SchedulerKind::default());
-        e.seed_flow(0, &flows[0], &shared);
-        e.process_window(u64::MAX, &shared);
+        let (e, _) = engine_after(&net, &tables, &flows, &partition, false, u64::MAX);
         assert_eq!(e.counters.dropped, 2);
         assert_eq!(e.counters.delivered, 0);
+    }
+
+    #[test]
+    fn table_lookups_follow_routes_not_packets() {
+        // Lazy tables count every lookup they answer. A leaf asks twice
+        // (its own record, then its access router's row for reachability),
+        // the router once: three for the route's two hops, however many
+        // packets cross them.
+        let net = net_line();
+        let partition = vec![0u32; 3];
+        let lookups_after = |packets: u64| {
+            let tables = RoutingTables::build_lazy(&net);
+            let flows = vec![flow(0, 2, packets)];
+            let (e, _) = engine_after(&net, &tables, &flows, &partition, false, u64::MAX);
+            assert_eq!(e.counters.delivered, packets);
+            tables.lazy_stats().expect("lazy tables").lookups
+        };
+        assert_eq!(lookups_after(1), 3);
+        assert_eq!(lookups_after(1_000), 3);
+    }
+
+    #[test]
+    fn flows_of_one_pair_share_a_route() {
+        // {1, 4} twice, {0, 2} in both directions, {0, 3}.
+        let flows = vec![
+            flow(4, 1, 1),
+            flow(0, 2, 1),
+            flow(4, 1, 9),
+            flow(2, 0, 1),
+            flow(0, 3, 1),
+        ];
+        let routes = Routes::of(&flows);
+        assert_eq!(routes.of_flow, vec![2, 0, 2, 0, 1]);
+        assert_eq!(routes.count, 3);
+        assert_eq!(Routes::of(&[]).count, 0);
     }
 
     #[test]

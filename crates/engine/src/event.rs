@@ -27,6 +27,11 @@ pub struct Packet {
     pub injected_us: u64,
     /// True for window-transport acknowledgements.
     pub ack: bool,
+    /// Links crossed so far: the packet sits at position `hop` of its
+    /// route, which is how an engine finds the route's pinned next link
+    /// (DESIGN.md §13). Rides in what was padding — see the size
+    /// assertion below [`Event`].
+    pub hop: u32,
 }
 
 impl Packet {
@@ -48,6 +53,7 @@ impl Packet {
             bytes,
             injected_us,
             ack: false,
+            hop: 0,
         }
     }
 
@@ -63,6 +69,7 @@ impl Packet {
             bytes: ACK_BYTES,
             injected_us: now_us,
             ack: true,
+            hop: 0,
         }
     }
 
@@ -101,6 +108,10 @@ pub struct Event {
     /// Payload.
     pub kind: EventKind,
 }
+
+// Every pending event is one of these in a queue slab, so its size is the
+// engine's memory per event: `Packet::hop` must stay inside the padding.
+const _: () = assert!(std::mem::size_of::<Event>() == 56);
 
 impl Event {
     /// Total order: `(time, kind class, packet/flow id, node)`.

@@ -18,7 +18,7 @@
 //! them through [`finalize`], and produce bit-identical reports.
 
 use crate::cost::{CostModel, WallClock};
-use crate::engine::{lookahead_us, Engine, RemoteEvent, Shared};
+use crate::engine::{lookahead_us, Engine, RemoteEvent, Routes, Shared};
 use crate::event::Event;
 use crate::netflow::merge_dumps;
 use crate::report::EmulationReport;
@@ -105,12 +105,7 @@ impl EmulationConfig {
 /// The one construction path of every executor: checks `cfg` against
 /// `net`, builds one engine per partition label, and seeds each flow's
 /// first injection at the engine that owns its source.
-pub fn seeded_engines(
-    net: &Network,
-    tables: &RoutingTables,
-    flows: &[FlowSpec],
-    cfg: &EmulationConfig,
-) -> Vec<Engine> {
+pub fn seeded_engines(net: &Network, flows: &[FlowSpec], cfg: &EmulationConfig) -> Vec<Engine> {
     assert_eq!(
         cfg.partition.len(),
         net.node_count(),
@@ -121,17 +116,11 @@ pub fn seeded_engines(
         cfg.partition.iter().all(|&p| (p as usize) < cfg.nengines),
         "partition label out of range"
     );
-    let shared = Shared {
-        net,
-        tables,
-        flows,
-        partition: &cfg.partition,
-    };
     let mut engines: Vec<Engine> = (0..cfg.nengines as u32)
         .map(|id| Engine::new(id, cfg.counter_window_us, cfg.netflow, cfg.scheduler))
         .collect();
     for (i, f) in flows.iter().enumerate() {
-        engines[cfg.partition[f.src as usize] as usize].seed_flow(i as u32, f, &shared);
+        engines[cfg.partition[f.src as usize] as usize].seed_flow(i as u32, f, &cfg.partition);
     }
     engines
 }
@@ -318,8 +307,9 @@ pub fn run_parallel(
         // One engine needs no protocol; the sequential path is identical.
         return run_sequential(net, tables, flows, cfg);
     }
-    let engines = seeded_engines(net, tables, flows, cfg);
+    let engines = seeded_engines(net, flows, cfg);
     let lookahead = lookahead_us(net, &cfg.partition);
+    let routes = Routes::of(flows);
 
     // n×n channel mesh: mesh[i][j] carries events from engine i to j.
     let mut senders: Vec<Vec<Sender<Event>>> = vec![Vec::with_capacity(n); n];
@@ -349,11 +339,13 @@ pub fn run_parallel(
             let win_remote = &win_remote;
             let win_progress = &win_progress;
             let barrier = &barrier;
+            let routes = &routes;
             let handle = scope.spawn(move || {
                 let shared = Shared {
                     net,
                     tables,
                     flows,
+                    routes,
                     partition: &cfg.partition,
                 };
                 let shim = StdShim::new(

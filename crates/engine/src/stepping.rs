@@ -17,7 +17,7 @@
 //! engines. [`crate::exec::run_sequential`] is this executor run in one
 //! step.
 
-use crate::engine::{lookahead_us, Engine, Shared};
+use crate::engine::{lookahead_us, Engine, Routes, Shared};
 use crate::exec::{finalize, protocol_loop, seeded_engines, EmulationConfig, ProtocolState};
 use crate::netflow::{merge_dumps, FlowRecord};
 use crate::report::EmulationReport;
@@ -61,6 +61,8 @@ pub struct SteppableEmulation<'a> {
     net: &'a Network,
     tables: &'a RoutingTables,
     flows: &'a [FlowSpec],
+    /// [`Routes::of`] `flows`.
+    routes: Routes,
     cfg: EmulationConfig,
     engines: Vec<Engine>,
     shim: SeqShim,
@@ -83,7 +85,8 @@ impl<'a> SteppableEmulation<'a> {
         cfg: EmulationConfig,
     ) -> Self {
         Self {
-            engines: seeded_engines(net, tables, flows, &cfg),
+            engines: seeded_engines(net, flows, &cfg),
+            routes: Routes::of(flows),
             shim: SeqShim::new(cfg.nengines),
             lookahead: lookahead_us(net, &cfg.partition),
             state: ProtocolState::default(),
@@ -121,6 +124,7 @@ impl<'a> SteppableEmulation<'a> {
             net: self.net,
             tables: self.tables,
             flows: self.flows,
+            routes: &self.routes,
             partition: &self.cfg.partition,
         };
         protocol_loop(

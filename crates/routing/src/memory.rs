@@ -103,7 +103,9 @@ pub struct LazyStats {
     /// Resident bytes — [`RoutingTables::table_bytes`] at sampling time.
     pub resident_bytes: u64,
     /// Row lookups answered (every non-diagonal `entry`, including leaf
-    /// delegations).
+    /// delegations). The mapping stages ask per query; the emulation asks
+    /// once per (engine, route, hop) and pins the answer, so after a run
+    /// this follows the schedule's routes, not its packet count.
     pub lookups: u64,
     /// Lookups that had to materialize a row first — exactly
     /// `rows_materialized`, since each slot initializes once.
@@ -137,7 +139,8 @@ pub struct SliceResidency {
 pub struct SliceStats {
     /// The structural residency facts.
     pub residency: SliceResidency,
-    /// Row lookups charged to this slice's sources.
+    /// Row lookups charged to this slice's sources (from the emulation:
+    /// first sightings of a route at a hop, see [`LazyStats::lookups`]).
     pub lookups: u64,
     /// Lookups that materialized a row (== `residency.rows_materialized`).
     pub demand_misses: u64,

@@ -7,6 +7,7 @@ use massf_core::engine::{run_sequential, EmulationConfig};
 use massf_core::prelude::*;
 use massf_core::routing::RoutingTables;
 use massf_core::topology::brite::{generate, BriteConfig, GrowthModel};
+use massf_core::topology::NodeId;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -103,6 +104,84 @@ proptest! {
         prop_assert_eq!(report.total_events(), reference.total_events());
         prop_assert_eq!(report.latency_sum_us, reference.latency_sum_us);
         prop_assert_eq!(report.virtual_end_us, reference.virtual_end_us);
+    }
+
+    /// Engines pin each route's next link on first sighting. Whatever the
+    /// table representation behind that one lookup, and wherever a remap
+    /// re-homes the hops, the same links are taken — in both directions of
+    /// a windowed flow — and a lazy table is asked for exactly the rows on
+    /// the routes.
+    #[test]
+    fn pinned_forwarding_is_the_same_under_every_table_kind(
+        net_seed in any::<u64>(),
+        flow_seed in any::<u64>(),
+        remap_seed in any::<u64>(),
+        k in 2usize..4,
+    ) {
+        let mut net = small_net(net_seed);
+        let island = net.add_host("island", 0);
+        let mut flows = random_flows(&net, flow_seed, 15);
+        flows.retain(|f| f.src != island && f.dst != island);
+        prop_assume!(!flows.is_empty());
+        flows[0].window = Some(2); // at least one ACK direction
+        let lost_packets = 7;
+        flows.push(FlowSpec {
+            dst: island,
+            packets: lost_packets,
+            window: None,
+            ..flows[0]
+        });
+        let n = net.node_count();
+        let horizon = massf_core::traffic::flow::horizon_us(&flows) + 1;
+
+        let run = |tables: &RoutingTables| -> EmulationReport {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(remap_seed);
+            let initial = random_partition_vec(n, k, &mut rng);
+            let mut emu =
+                SteppableEmulation::new(&net, tables, &flows, EmulationConfig::new(initial, k));
+            emu.run_until(rng.gen_range(1..horizon));
+            emu.repartition(random_partition_vec(n, k, &mut rng), MigrationCost::default());
+            emu.run_to_completion();
+            // The residency block exists only under lazy tables.
+            EmulationReport {
+                routing_slices: None,
+                ..emu.finish()
+            }
+        };
+        let par = Parallelism::serial();
+        let dense = RoutingTables::build_kind(&net, RoutingKind::Dense, par);
+        let lazy = RoutingTables::build_kind(&net, RoutingKind::Lazy, par);
+        let report = run(&dense);
+        prop_assert_eq!(report.dropped, lost_packets);
+        let compressed = RoutingTables::build_kind(&net, RoutingKind::Compressed, par);
+        prop_assert_eq!(&run(&compressed), &report);
+        prop_assert_eq!(&run(&lazy), &report);
+
+        // Rows a lazy table holds afterwards: every forwarding node of
+        // every route that stores a row (a degree-1 leaf stores none and
+        // asks its access router, which is the next node of the route).
+        let stores_row = |v: NodeId| match net.neighbors(v) {
+            &[(parent, _)] => net.degree(parent) < 2,
+            _ => true,
+        };
+        let mut expected = vec![false; n];
+        for f in flows.iter().filter(|f| f.dst != island) {
+            let there = dense.path(f.src, f.dst).expect("BRITE networks are connected");
+            let back = f.window.map(|_| dense.path(f.dst, f.src).expect("and symmetric"));
+            for path in std::iter::once(there).chain(back) {
+                for &v in &path[..path.len() - 1] {
+                    expected[v as usize] = stores_row(v);
+                }
+            }
+        }
+        let each_alone: Vec<u32> = (0..n as u32).collect();
+        let materialized: Vec<bool> = lazy
+            .slice_residency(&each_alone, n)
+            .expect("lazy tables")
+            .iter()
+            .map(|s| s.rows_materialized == 1)
+            .collect();
+        prop_assert_eq!(materialized, expected);
     }
 
     #[test]
