@@ -13,6 +13,14 @@
 //! follow the event count: the binary asserts [`MAX_ALLOCS_PER_KEVENT`] at
 //! full scale and [`SMOKE_ALLOC_CEILINGS`] at smoke scale.
 //!
+//! Forwarding asks the routing tables once per (engine, route, hop) and
+//! pins the answer, so the table representation should not show in the
+//! event rate: `calendar-seq-dense` is `calendar-seq` over
+//! `RoutingKind::Dense` tables instead of the scenario's default ones, and
+//! `table-lookups/kev` is what a lazy table counted per thousand events.
+//! That count follows routes, not packets — the binary asserts that playing
+//! the schedule twice back to back leaves it unchanged.
+//!
 //! Usage: `bench_engine [scale]` (default 1.0) or `bench_engine --smoke`
 //! for the CI smoke run: tiny scale, one rep, and a self-check that the
 //! dumped JSON parses and every throughput cell is positive.
@@ -20,6 +28,7 @@
 use massf_bench::dump_json;
 use massf_core::engine::{run_parallel, run_sequential, EmulationReport, SchedulerKind};
 use massf_core::prelude::*;
+use massf_core::routing::RoutingTables;
 use massf_metrics::report::ResultTable;
 use std::time::Instant;
 
@@ -72,9 +81,15 @@ fn main() {
     assert!(scale > 0.0 && scale <= 1.0, "scale must be in (0, 1]");
     let reps = if smoke { 1 } else { 3 };
 
+    // The `-thr` cells run one thread per engine, so they mean nothing
+    // without the core count they ran on.
     let mut t = ResultTable::new(
         "BENCH_engine",
-        "Engine throughput (events/second unless noted): heap baseline vs calendar queue",
+        format!(
+            "Engine throughput (events/second unless noted): heap baseline vs calendar queue, \
+             {} core(s)",
+            Parallelism::available()
+        ),
     );
 
     for (topo, smoke_ceiling) in Topology::TABLE1.into_iter().zip(SMOKE_ALLOC_CEILINGS) {
@@ -86,6 +101,8 @@ fn main() {
             .map(Approach::Top, &built.predicted, &built.flows);
         let base = EmulationConfig::new(partition.part.clone(), partition.nparts);
         let row = topo.label();
+        let net = &built.study.net;
+        let dense = RoutingTables::build_kind(net, RoutingKind::Dense, Parallelism::serial());
 
         let mut reference: Option<Fingerprint> = None;
         let mut eps_seq = [0.0f64; 2];
@@ -95,14 +112,20 @@ fn main() {
         {
             let cfg = base.clone().with_scheduler(kind);
             let (secs, report) = time_best(reps, || {
-                run_sequential(&built.study.net, &built.study.tables, &built.flows, &cfg)
+                run_sequential(net, &built.study.tables, &built.flows, &cfg)
             });
             let events = report.total_events() as f64;
             eps_seq[i] = events / secs.max(1e-9);
             t.set(row, format!("{}-seq", kind.label()), eps_seq[i]);
+            if kind == SchedulerKind::Calendar {
+                let (secs, dreport) =
+                    time_best(reps, || run_sequential(net, &dense, &built.flows, &cfg));
+                assert_eq!(report, dreport, "{row}: dense tables diverged");
+                t.set(row, "calendar-seq-dense", events / secs.max(1e-9));
+            }
 
             let (secs, preport) = time_best(reps, || {
-                run_parallel(&built.study.net, &built.study.tables, &built.flows, &cfg)
+                run_parallel(net, &built.study.tables, &built.flows, &cfg)
             });
             t.set(
                 row,
@@ -141,6 +164,33 @@ fn main() {
             }
         }
         t.set(row, "seq-speedup", eps_seq[1] / eps_seq[0].max(1e-9));
+
+        // Table lookups of one emulation of `flows`, counted by fresh lazy
+        // tables, with the events they served.
+        let lookups_of = |flows: &[FlowSpec]| {
+            let lazy = RoutingTables::build_lazy(net);
+            let report = run_sequential(net, &lazy, flows, &base);
+            let lookups = lazy.lazy_stats().expect("lazy tables count").lookups;
+            (lookups, report)
+        };
+        let (lookups, once) = lookups_of(&built.flows);
+        assert_eq!(reference, Some(fingerprint(&once)), "{row}: lazy diverged");
+        let replay = built.flows.iter().map(|f| FlowSpec {
+            start_us: f.start_us + once.virtual_end_us + 1_000_000,
+            ..*f
+        });
+        let twice: Vec<FlowSpec> = built.flows.iter().cloned().chain(replay).collect();
+        let (lookups_twice, both) = lookups_of(&twice);
+        assert_eq!(both.total_events(), 2 * once.total_events());
+        assert_eq!(
+            lookups_twice, lookups,
+            "{row}: table lookups followed packets, not routes"
+        );
+        t.set(
+            row,
+            "table-lookups/kev",
+            1000.0 * lookups as f64 / once.total_events().max(1) as f64,
+        );
     }
 
     print!("{}", t.render(1));
@@ -156,11 +206,20 @@ fn main() {
             .expect("smoke: results/BENCH_engine.json written");
         massf_core::obs::json::parse(&json).expect("smoke: dump is valid JSON");
         for row in &t.rows {
-            for col in ["heap-seq", "calendar-seq", "heap-thr", "calendar-thr"] {
+            for col in [
+                "heap-seq",
+                "calendar-seq",
+                "heap-thr",
+                "calendar-thr",
+                "calendar-seq-dense",
+            ] {
                 let v = t.get(row, col).expect("smoke: cell filled");
                 assert!(v > 0.0, "smoke: {row}/{col} throughput must be positive");
             }
         }
-        println!("smoke ok: JSON valid, throughput cells positive, allocations under ceiling");
+        println!(
+            "smoke ok: JSON valid, throughput cells positive, allocations under ceiling, \
+             table lookups unchanged by a second play"
+        );
     }
 }
