@@ -151,7 +151,8 @@ USAGE:
                     identical at any T.
   --routing R       Routing-table representation: `compressed` (default;
                     interval-encoded rows, breaks the O(n²) table wall),
-                    `dense` (the flat baseline matrices), or `lazy`
+                    `dense` (the flat n × n baseline matrices: 10-44×
+                    the memory and no faster to emulate on), or `lazy`
                     (compressed rows materialized on first lookup, so
                     resident bytes follow each engine's own traffic).
                     Routing answers are bit-identical in all three;
