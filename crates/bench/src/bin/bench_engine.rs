@@ -14,12 +14,10 @@
 //! full scale and [`SMOKE_ALLOC_CEILINGS`] at smoke scale.
 //!
 //! Forwarding asks the routing tables once per (engine, route, hop) and
-//! pins the answer, so the table representation should not show in the
-//! event rate: `calendar-seq-dense` is `calendar-seq` over
-//! `RoutingKind::Dense` tables instead of the scenario's default ones, and
-//! `table-lookups/kev` is what a lazy table counted per thousand events.
-//! That count follows routes, not packets — the binary asserts that playing
-//! the schedule twice back to back leaves it unchanged.
+//! pins the answer: `table-lookups/kev` is what a lazy table counted per
+//! thousand events. That count follows routes, not packets — the binary
+//! asserts that playing the schedule twice back to back leaves it
+//! unchanged.
 //!
 //! Usage: `bench_engine [scale]` (default 1.0) or `bench_engine --smoke`
 //! for the CI smoke run: tiny scale, one rep, and a self-check that the
@@ -102,7 +100,6 @@ fn main() {
         let base = EmulationConfig::new(partition.part.clone(), partition.nparts);
         let row = topo.label();
         let net = &built.study.net;
-        let dense = RoutingTables::build_kind(net, RoutingKind::Dense, Parallelism::serial());
 
         let mut reference: Option<Fingerprint> = None;
         let mut eps_seq = [0.0f64; 2];
@@ -117,12 +114,6 @@ fn main() {
             let events = report.total_events() as f64;
             eps_seq[i] = events / secs.max(1e-9);
             t.set(row, format!("{}-seq", kind.label()), eps_seq[i]);
-            if kind == SchedulerKind::Calendar {
-                let (secs, dreport) =
-                    time_best(reps, || run_sequential(net, &dense, &built.flows, &cfg));
-                assert_eq!(report, dreport, "{row}: dense tables diverged");
-                t.set(row, "calendar-seq-dense", events / secs.max(1e-9));
-            }
 
             let (secs, preport) = time_best(reps, || {
                 run_parallel(net, &built.study.tables, &built.flows, &cfg)
@@ -206,13 +197,7 @@ fn main() {
             .expect("smoke: results/BENCH_engine.json written");
         massf_core::obs::json::parse(&json).expect("smoke: dump is valid JSON");
         for row in &t.rows {
-            for col in [
-                "heap-seq",
-                "calendar-seq",
-                "heap-thr",
-                "calendar-thr",
-                "calendar-seq-dense",
-            ] {
+            for col in ["heap-seq", "calendar-seq", "heap-thr", "calendar-thr"] {
                 let v = t.get(row, col).expect("smoke: cell filled");
                 assert!(v > 0.0, "smoke: {row}/{col} throughput must be positive");
             }

@@ -1,12 +1,13 @@
-//! Routing-table representation benchmark: dense `n × n` matrices vs the
-//! compressed interval rows (DESIGN.md §13) over the Table 1 scenarios
-//! plus the 200-router scale-up. Dumps `results/BENCH_routing.json`.
+//! Routing-table benchmark: the interval-row table (DESIGN.md §13) over
+//! the Table 1 scenarios plus the 200-router scale-up, sized against the
+//! analytic `n × n` baseline. Dumps `results/BENCH_routing.json`.
 //!
-//! For every topology the binary builds both representations, **asserts
-//! bit-identical routing** (next hop, next link, and latency on every
-//! (src, dst) pair), then records bytes per table and the compression
-//! ratio, the row/run shape (leaf / shared / unique rows, runs per row),
-//! build wall-clock, and lookup throughput (`next_link_raw` over all
+//! For every topology the binary builds the tables and the test-only
+//! n × n Dijkstra oracle, **asserts identical routing** (next hop, next
+//! link, latency and the hop-visitor trace on every (src, dst) pair),
+//! then records table bytes and the ratio to `dense_bytes()`, the row/run
+//! shape (leaf / unique rows, runs per row), build wall-clock, and
+//! lookup throughput (`next_link_raw` over all
 //! pairs — the forwarding hot-loop query), and the audit's two routing
 //! probes (MC014 asymmetry + MC015 ECMP, `massf_routing::probes`) beside
 //! the pairwise reference they replaced, **asserting equal output**.
@@ -24,10 +25,16 @@
 use massf_bench::dump_json;
 use massf_core::prelude::*;
 use massf_core::routing::probes::{self, AsymmetricPair, EcmpSite};
+use massf_core::routing::spf::shortest_paths;
 use massf_core::routing::RoutingTables;
-use massf_core::topology::NodeId;
+use massf_core::topology::{LinkId, NodeId};
 use massf_metrics::report::ResultTable;
 use std::time::Instant;
+
+/// The n × n routing oracle `massf-routing` keeps for its own tests,
+/// mounted from its source so there is one copy.
+#[path = "../../../routing/src/tables/oracle.rs"]
+mod oracle;
 
 /// The pairwise oracle `massf-routing` keeps for its own tests, mounted
 /// from its source so there is one copy.
@@ -48,30 +55,6 @@ fn time_best<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
         out = Some(r);
     }
     (best, out.expect("reps >= 1"))
-}
-
-/// Every (src, dst) routing answer must agree between representations.
-fn assert_identical(net: &Network, dense: &RoutingTables, comp: &RoutingTables, row: &str) {
-    let n = net.node_count() as NodeId;
-    for a in 0..n {
-        for b in 0..n {
-            assert_eq!(
-                dense.next_hop(a, b),
-                comp.next_hop(a, b),
-                "{row}: next_hop diverges at {a}->{b}"
-            );
-            assert_eq!(
-                dense.next_link_raw(a, b),
-                comp.next_link_raw(a, b),
-                "{row}: next_link diverges at {a}->{b}"
-            );
-            assert_eq!(
-                dense.latency_us(a, b),
-                comp.latency_us(a, b),
-                "{row}: latency diverges at {a}->{b}"
-            );
-        }
-    }
 }
 
 /// All-pairs `next_link_raw` sweep; returns lookups per second.
@@ -116,8 +99,8 @@ fn main() {
 
     let mut t = ResultTable::new(
         "BENCH_routing",
-        "Routing tables: dense n\u{b2} matrices vs compressed interval rows \
-         (bit-identical routes asserted on every pair)",
+        "Routing tables: compressed interval rows, sized against the analytic \
+         n\u{b2} baseline (routes asserted equal to the Dijkstra oracle on every pair)",
     );
 
     let mut best_ratio = 0.0f64;
@@ -131,39 +114,26 @@ fn main() {
         let row = topo.label();
         let par = Parallelism::available();
 
-        let (dense_secs, dense) = time_best(reps, || {
-            RoutingTables::build_kind(&net, RoutingKind::Dense, par)
-        });
-        let (comp_secs, comp) = time_best(reps, || {
-            RoutingTables::build_kind(&net, RoutingKind::Compressed, par)
-        });
-        assert_identical(&net, &dense, &comp, row);
+        let (comp_secs, comp) = time_best(reps, || RoutingTables::build_with(&net, par));
+        oracle::Oracle::build(&net).assert_answers(&comp, row);
 
-        let ratio = dense.table_bytes() as f64 / comp.table_bytes().max(1) as f64;
+        let ratio = comp.dense_bytes() as f64 / comp.table_bytes().max(1) as f64;
         best_ratio = best_ratio.max(ratio);
-        let stats = comp.run_stats().expect("compressed tables have run stats");
+        let stats = comp.run_stats();
 
         t.set(row, "nodes", net.node_count() as f64);
-        t.set(row, "dense-kb", dense.table_bytes() as f64 / 1024.0);
+        t.set(row, "dense-kb", comp.dense_bytes() as f64 / 1024.0);
         t.set(row, "comp-kb", comp.table_bytes() as f64 / 1024.0);
         t.set(row, "ratio", ratio);
         t.set(row, "rows-leaf", stats.leaf_rows as f64);
         t.set(row, "rows-unique", stats.unique_rows as f64);
         t.set(row, "runs-mean", stats.runs_mean_per_row);
         t.set(row, "runs-max", stats.runs_max_per_row as f64);
-        t.set(row, "build-dense-ms", dense_secs * 1e3);
         t.set(row, "build-comp-ms", comp_secs * 1e3);
-        t.set(
-            row,
-            "lookup-dense-M/s",
-            lookup_throughput(&dense, reps) / 1e6,
-        );
         t.set(row, "lookup-comp-M/s", lookup_throughput(&comp, reps) / 1e6);
-        for (kind, tables) in [("dense", &dense), ("comp", &comp)] {
-            let (probes_ms, naive_ms) = audit_probes(&net, tables, reps, row);
-            t.set(row, format!("audit-probes-{kind}-ms"), probes_ms);
-            t.set(row, format!("audit-naive-{kind}-ms"), naive_ms);
-        }
+        let (probes_ms, naive_ms) = audit_probes(&net, &comp, reps, row);
+        t.set(row, "audit-probes-comp-ms", probes_ms);
+        t.set(row, "audit-naive-comp-ms", naive_ms);
     }
 
     print!("{}", t.render(2));
@@ -192,6 +162,6 @@ fn main() {
                 assert!(v > 0.0, "smoke: {row}/{col} must be positive");
             }
         }
-        println!("smoke ok: routes bit-identical, best ratio {best_ratio:.1}x");
+        println!("smoke ok: routes equal the oracle, best ratio {best_ratio:.1}x");
     }
 }

@@ -27,7 +27,7 @@
 //! | `ablate_transport` | extension — paced vs window/ACK transport |
 //! | `bench_pipeline` | mapping-pipeline thread-scaling wall-clock |
 //! | `bench_engine` | event-core throughput: calendar queue vs heap baseline |
-//! | `bench_routing` | routing tables: dense matrices vs compressed interval rows |
+//! | `bench_routing` | routing tables: interval rows vs the analytic n² baseline, oracle-checked |
 //! | `bench_slice` | lazy on-demand rows + per-engine residency slicing |
 //! | `all_experiments` | the §4 set (Table 1, Figures 4–10, Table 2) |
 //!

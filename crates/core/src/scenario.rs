@@ -110,8 +110,8 @@ pub struct Scenario {
     /// partitioner restarts). Results are bit-identical at every setting;
     /// `Parallelism::serial()` runs the exact single-threaded paths.
     pub parallelism: Parallelism,
-    /// Routing-table representation (dense baseline vs compressed interval
-    /// rows). Both answer every routing query bit-identically.
+    /// Routing-table fill policy (interval rows encoded up front vs on
+    /// first lookup). Both answer every routing query bit-identically.
     pub routing: RoutingKind,
     /// Number of emulation epochs for the online rebalancer (`1` = a single
     /// epoch, i.e. no boundaries to rebalance at).

@@ -576,8 +576,8 @@ mod tests {
         let par = run_parallel(&net, &tables, &flows_star(), &cfg);
         assert_eq!(seq, par);
         // Eager runs carry no slice block.
-        let dense = run_sequential(&net, &RoutingTables::build(&net), &flows_star(), &cfg);
-        assert_eq!(dense.routing_slices, None);
+        let eager = run_sequential(&net, &RoutingTables::build(&net), &flows_star(), &cfg);
+        assert_eq!(eager.routing_slices, None);
     }
 
     #[test]

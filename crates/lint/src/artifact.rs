@@ -480,6 +480,18 @@ fn trace_checks(parsed: &Result<Trace, TraceError>, diags: &mut Diagnostics) {
     }
 }
 
+/// The target shares a capacity vector normalizes to (`c / Σc`), or `None`
+/// unless every entry and every share is positive and finite. Entries near
+/// the ends of the `f64` range pass an entry-by-entry check and still
+/// overflow the sum or underflow a share; the partitioner asserts on both,
+/// so a caller maps with the vector only when this answers `Some`.
+pub fn capacity_shares(caps: &[f64]) -> Option<Vec<f64>> {
+    let usable = |x: &f64| x.is_finite() && *x > 0.0;
+    let total: f64 = caps.iter().sum();
+    let shares: Vec<f64> = caps.iter().map(|c| c / total).collect();
+    (caps.iter().all(usable) && shares.iter().all(usable)).then_some(shares)
+}
+
 /// MC017 — heterogeneous engine-capacity feasibility: MC007 generalized
 /// to per-engine capacity vectors (`PartitionConfig::with_capacities`).
 fn capacity_feasibility(input: &ArtifactInput<'_>, diags: &mut Diagnostics) {
@@ -513,11 +525,25 @@ fn capacity_feasibility(input: &ArtifactInput<'_>, diags: &mut Diagnostics) {
             );
         }
     }
-    if invalid || caps.is_empty() || input.net.node_count() == 0 {
+    if invalid || caps.is_empty() {
         return;
     }
-    let total: f64 = caps.iter().sum();
-    let fractions: Vec<f64> = caps.iter().map(|c| c / total).collect();
+    let Some(fractions) = capacity_shares(caps) else {
+        diags.push(
+            Code::Mc017,
+            Severity::Error,
+            loc,
+            format!(
+                "capacity entries sum to {:e}, which leaves some engine a share that is not \
+                 positive and finite; entries must be within the f64 range of each other",
+                caps.iter().sum::<f64>()
+            ),
+        );
+        return;
+    };
+    if input.net.node_count() == 0 {
+        return;
+    }
     let g = weights::latency_graph(input.net);
     for inf in quality::infeasible_target_constraints(&g, &fractions, input.ubfactor) {
         diags.push(
@@ -884,6 +910,22 @@ mod tests {
         assert!(d
             .iter()
             .any(|x| x.code == Code::Mc017 && x.message.contains("3 engines are requested")));
+
+        // Every entry is positive and finite; the shares are not: the sum
+        // overflows to infinity, or one share underflows to zero.
+        for extreme in [[1e308, 1e308, 1e308], [1e308, 1e-308, 1.0]] {
+            assert_eq!(capacity_shares(&extreme), None);
+            let d = lint_artifacts(
+                &ArtifactInput::new(&net)
+                    .with_engines(3)
+                    .with_capacities(&extreme),
+            );
+            let errors: Vec<_> = d.iter().filter(|x| x.code == Code::Mc017).collect();
+            assert_eq!(errors.len(), 1, "{extreme:?}: {errors:?}");
+            assert_eq!(errors[0].severity, Severity::Error);
+            assert!(errors[0].message.contains("share"), "{errors:?}");
+        }
+        assert_eq!(capacity_shares(&[1.0, 3.0]), Some(vec![0.25, 0.75]));
     }
 
     #[test]

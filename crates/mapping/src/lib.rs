@@ -86,10 +86,10 @@ pub struct MapperConfig {
     /// thread count, and `Parallelism::serial()` runs the exact
     /// single-threaded reference paths.
     pub parallelism: Parallelism,
-    /// Routing-table representation the pipeline builds. Dense and
-    /// compressed answer every query bit-identically, so this only moves
-    /// the memory/speed trade-off; compressed (the default) breaks the
-    /// O(n²) table wall.
+    /// When the pipeline's routing table fills its rows: all up front
+    /// (compressed, the default) or each on first lookup (lazy). Both
+    /// answer every query bit-identically, so this only moves when the
+    /// memory is paid.
     pub routing: RoutingKind,
 }
 

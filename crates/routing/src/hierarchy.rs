@@ -13,18 +13,16 @@
 //!   and the next AS takes over — classic hot-potato forwarding.
 //!
 //! Rows are produced AS at a time from per-AS state that is only
-//! `O(Σ mᵢ²)` (`mᵢ` = AS size), and materialize into either
-//! representation of [`RoutingTables`]: the dense matrices, or — via
-//! [`build_hierarchical_kind`] with [`RoutingKind::Compressed`] — straight
-//! into the interval table's row slots *without ever allocating the dense
-//! matrix*. Every consumer (engine, traceroute, mappers) works unchanged.
+//! `O(Σ mᵢ²)` (`mᵢ` = AS size) and stream straight into the interval
+//! table's row slots, so peak memory is one AS's state plus the encoded
+//! output. Every consumer (engine, traceroute, mappers) works unchanged.
 //! Hierarchical paths can be *longer* than global SPF paths (the
 //! well-known path stretch of policy routing); [`path_stretch`]
 //! quantifies it.
 
 use crate::interval::{renumber, IntervalTables, Row};
 use crate::spf::{self, SpfScratch};
-use crate::tables::{link_toward, DenseTables, Repr, RoutingKind, RoutingTables, NO_LINK};
+use crate::tables::{link_toward, RoutingTables, NO_LINK};
 use massf_topology::{LinkId, Network, NodeId};
 use std::collections::BTreeMap;
 
@@ -41,7 +39,7 @@ struct Border {
     latency_us: u64,
 }
 
-/// The AS-level structure both materializers share: AS membership, every
+/// The AS-level structure: AS membership, every
 /// border link per AS pair, and AS-graph shortest-path next hops.
 struct HierPlan {
     /// Number of distinct ASes.
@@ -287,115 +285,34 @@ fn fill_row(
     }
 }
 
-/// Builds two-level routing tables for `net` in the dense representation.
-/// Shorthand for [`build_hierarchical_kind`] with [`RoutingKind::Dense`].
+/// Builds two-level routing tables for `net`, every row encoded up front
+/// (hierarchical rows already stream AS at a time with per-AS peak memory,
+/// so there is nothing to defer to demand — DESIGN.md §16).
 ///
 /// # Panics
 /// Panics if some AS is internally disconnected.
 pub fn build_hierarchical(net: &Network) -> RoutingTables {
-    build_hierarchical_kind(net, RoutingKind::Dense)
-}
-
-/// Builds two-level routing tables for `net` in the representation `kind`
-/// selects. The compressed path streams rows AS at a time straight into
-/// the run encoder, so peak memory is the per-AS `O(m²)` state plus the
-/// compressed output — the dense `n × n` matrix is never allocated.
-///
-/// # Panics
-/// Panics if some AS is internally disconnected.
-pub fn build_hierarchical_kind(net: &Network, kind: RoutingKind) -> RoutingTables {
-    let p = plan(net);
-    match kind {
-        RoutingKind::Dense => materialize_dense(net, &p),
-        // Hierarchical rows already stream AS-at-a-time with per-AS peak
-        // memory, so there is nothing to defer: Lazy falls back to the
-        // eager compressed materialization (documented in DESIGN.md §16).
-        RoutingKind::Compressed | RoutingKind::Lazy => materialize_compressed(net, &p),
-    }
-}
-
-fn materialize_dense(net: &Network, plan: &HierPlan) -> RoutingTables {
-    let n = net.node_count();
-    let mut next_hop = vec![NodeId::MAX; n * n];
-    let mut next_link = vec![NO_LINK; n * n];
-    let mut scratch = SpfScratch::new();
-    for a in 0..plan.nas {
-        let intra = intra_for(net, plan, a, &mut scratch);
-        for &src in &plan.members[a] {
-            let row = src as usize * n..(src as usize + 1) * n;
-            fill_row(
-                plan,
-                &intra,
-                src,
-                &mut next_hop[row.clone()],
-                &mut next_link[row],
-            );
-        }
-    }
-
-    // Materialize latencies by walking next hops (also validates
-    // loop-freedom: a walk longer than n means a routing loop).
-    let mut latency_us = vec![u64::MAX; n * n];
-    for src in 0..n {
-        for dst in 0..n {
-            if src == dst {
-                latency_us[src * n + dst] = 0;
-                continue;
-            }
-            let mut cur = src;
-            let mut lat = 0u64;
-            let mut hops = 0usize;
-            loop {
-                let idx = cur * n + dst;
-                if next_hop[idx] == NodeId::MAX {
-                    break; // unreachable
-                }
-                lat += net.link(next_link[idx]).latency_us;
-                cur = next_hop[idx] as usize;
-                hops += 1;
-                assert!(hops <= n, "routing loop {src} -> {dst}");
-                if cur == dst {
-                    latency_us[src * n + dst] = lat;
-                    break;
-                }
-            }
-        }
-    }
-
-    RoutingTables {
-        n,
-        repr: Repr::Dense(DenseTables {
-            next_hop,
-            latency_us,
-            next_link,
-        }),
-    }
-}
-
-fn materialize_compressed(net: &Network, plan: &HierPlan) -> RoutingTables {
+    let plan = plan(net);
     let n = net.node_count();
     let order = renumber(net);
     // Every source stores a row: the leaf record's "uplink iff the parent
     // reaches it" rule is argued for shortest paths only.
-    let tables = IntervalTables::empty(net, &order, false);
-    // One scratch row, reset per source — never the n × n matrix.
+    let interval = IntervalTables::empty(net, &order, false);
+    // One scratch row, reset per source.
     let mut hops = vec![NodeId::MAX; n];
     let mut links = vec![NO_LINK; n];
     let mut scratch = SpfScratch::new();
     for a in 0..plan.nas {
-        let intra = intra_for(net, plan, a, &mut scratch);
+        let intra = intra_for(net, &plan, a, &mut scratch);
         for &src in &plan.members[a] {
             hops.fill(NodeId::MAX);
             links.fill(NO_LINK);
-            fill_row(plan, &intra, src, &mut hops, &mut links);
+            fill_row(&plan, &intra, src, &mut hops, &mut links);
             let row = Row::encode(&order, src, |dst| (hops[dst as usize], links[dst as usize]));
-            tables.install(src, row);
+            interval.install(src, row);
         }
     }
-    RoutingTables {
-        n,
-        repr: Repr::Interval(tables),
-    }
+    RoutingTables { interval }
 }
 
 /// Mean multiplicative path stretch of `hier` over `flat` across all
@@ -501,22 +418,43 @@ mod tests {
     }
 
     #[test]
-    fn hierarchical_compressed_equals_hierarchical_dense() {
+    fn installed_rows_answer_what_fill_row_wrote() {
+        // Campus is a single AS, TeraGrid has border choices to make.
         for net in [campus(), teragrid()] {
-            let dense = build_hierarchical_kind(&net, RoutingKind::Dense);
-            let comp = build_hierarchical_kind(&net, RoutingKind::Compressed);
-            assert_eq!(dense.kind(), RoutingKind::Dense);
-            assert_eq!(comp.kind(), RoutingKind::Compressed);
-            let n = net.node_count() as NodeId;
-            for a in 0..n {
-                for b in 0..n {
-                    assert_eq!(dense.next_hop(a, b), comp.next_hop(a, b), "hop {a}->{b}");
-                    assert_eq!(dense.next_link(a, b), comp.next_link(a, b), "link {a}->{b}");
-                    assert_eq!(
-                        dense.latency_us(a, b),
-                        comp.latency_us(a, b),
-                        "latency {a}->{b}"
-                    );
+            let hier = build_hierarchical(&net);
+            let p = plan(&net);
+            let n = net.node_count();
+            let mut scratch = SpfScratch::new();
+            for a in 0..p.nas {
+                let intra = intra_for(&net, &p, a, &mut scratch);
+                for &src in &p.members[a] {
+                    let mut hops = vec![NodeId::MAX; n];
+                    let mut links = vec![NO_LINK; n];
+                    fill_row(&p, &intra, src, &mut hops, &mut links);
+                    for dst in 0..n as NodeId {
+                        let hop = hops[dst as usize];
+                        assert_eq!(
+                            hier.next_hop(src, dst),
+                            (hop != NodeId::MAX).then_some(hop),
+                            "hop {src}->{dst}"
+                        );
+                        assert_eq!(
+                            hier.next_link_raw(src, dst),
+                            links[dst as usize],
+                            "link {src}->{dst}"
+                        );
+                    }
+                }
+            }
+            // Loop-freedom, counted here so a loop fails in release too.
+            for a in 0..n as NodeId {
+                for b in 0..n as NodeId {
+                    let (mut cur, mut walked) = (a, 0);
+                    while cur != b {
+                        cur = hier.next_hop(cur, b).expect("both fixtures are connected");
+                        walked += 1;
+                        assert!(walked <= n, "routing loop {a} -> {b}");
+                    }
                 }
             }
         }

@@ -16,7 +16,7 @@
 //!    its access router) routes *everything* over its single uplink, so it
 //!    stores two words instead of a row ([`IntervalTables::leaf`]). Reachability and
 //!    latency delegate to the parent's row, which is exactly what the
-//!    dense Dijkstra row would have said: for a degree-1 source every
+//!    leaf's own Dijkstra row would have said: for a degree-1 source every
 //!    shortest path starts with the uplink, and
 //!    `dist(v, d) = uplink + dist(parent, d)`.
 //!
@@ -29,8 +29,8 @@
 //! observed.
 //!
 //! Latencies are not stored per pair: a query walks the next-hop chain and
-//! sums per-link latencies from a snapshot, which reproduces the dense
-//! Dijkstra distance exactly (it *is* the sum of the links on that chain).
+//! sums per-link latencies from a snapshot, which reproduces the Dijkstra
+//! distance exactly (it *is* the sum of the links on that chain).
 //! A caller that wants every latency toward one destination reads the
 //! column through [`LatenciesTo`](crate::tables::LatenciesTo) instead,
 //! which pays each shared chain tail once.
@@ -337,8 +337,7 @@ impl IntervalTables {
     }
 
     /// `(next_hop, next_link)` from `src` toward `dst`;
-    /// `(NodeId::MAX, NO_LINK)` when `src == dst` or unreachable —
-    /// mirroring the dense sentinel entries exactly.
+    /// `(NodeId::MAX, NO_LINK)` when `src == dst` or unreachable.
     #[inline]
     pub(crate) fn entry(&self, src: NodeId, dst: NodeId) -> (NodeId, LinkId) {
         if src == dst {
@@ -401,9 +400,9 @@ impl IntervalTables {
     }
 
     /// End-to-end latency: the link latencies of the snapshot summed over
-    /// [`walk`](Self::walk); `u64::MAX` when unreachable. Exactly the dense
-    /// value: the dense table stores the Dijkstra distance, which is the
-    /// integer sum of the links on this same chain.
+    /// [`walk`](Self::walk); `u64::MAX` when unreachable. Exactly the
+    /// Dijkstra distance, which is the integer sum of the links on this
+    /// same chain.
     pub(crate) fn latency_us(&self, src: NodeId, dst: NodeId) -> u64 {
         let mut lat = 0u64;
         if self.walk(src, dst, |_, link| {

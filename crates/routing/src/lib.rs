@@ -7,11 +7,12 @@
 //! (`m = 10 + x²` for a router in an AS of `x` routers, §5).
 //!
 //! Routes are latency-weighted shortest paths (ties broken by hop count,
-//! then node id), computed by per-source Dijkstra. Two storage
-//! representations answer the same queries bit-identically
-//! ([`RoutingKind`]): dense `n × n` next-hop tables — the paper's
-//! memory model verbatim — and interval-compressed rows with shared
-//! host rows, which break the O(n²) wall (DESIGN.md §13).
+//! then node id), computed by per-source Dijkstra and stored once, as
+//! interval-compressed rows with shared host rows, which break the O(n²)
+//! wall (DESIGN.md §13). [`RoutingKind`] only picks when the rows are
+//! filled — all up front, or each on its first lookup. The paper's n × n
+//! table survives as an analytic model in [`memory`] and as a test-only
+//! oracle (`src/tables/oracle.rs`), never as a shipped data structure.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -4,13 +4,19 @@
 //! routing table size is in the order of O(n²), where n is the number of
 //! routers in an AS." And from §5: "we use m = 10 + x·x as the memory
 //! requirement for a router, where x is the size of an AS."
+//!
+//! Here that is a *model*: it weighs nodes for the partitioner and gives
+//! the analytic baseline ([`DENSE_ENTRY_BYTES`], [`predicted_table_bytes`],
+//! [`RoutingTables::dense_bytes`]) that the measured side — the interval
+//! table's resident bytes and row/run census, below — is reported against.
+//! No n × n matrix is allocated anywhere in the library.
 
 use crate::interval::{Demand, IntervalTables, Row, RUN_BYTES};
-use crate::tables::{Repr, RoutingTables};
+use crate::tables::RoutingTables;
 use massf_topology::{Network, NodeId, NodeKind};
 
-/// Bytes one dense `(src, dst)` entry occupies: a `u32` next hop, a `u64`
-/// latency, and a `u32` next link.
+/// Bytes one `(src, dst)` entry of a flat matrix would occupy: a `u32`
+/// next hop, a `u64` latency, and a `u32` next link.
 pub const DENSE_ENTRY_BYTES: u64 = 16;
 
 /// Memory weight of a single router in an AS of `as_size` routers:
@@ -68,8 +74,8 @@ pub fn predicted_table_bytes(net: &Network) -> u64 {
     memory_weights(net).iter().sum::<i64>() as u64 * DENSE_ENTRY_BYTES
 }
 
-/// Row/run-shape statistics of a compressed table, surfaced in run
-/// reports and `bench_routing`.
+/// Row/run-shape statistics of the routing table, surfaced in run reports
+/// and `bench_routing`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunStats {
     /// Rows stored as a two-word leaf record (degree-1 nodes sharing
@@ -183,44 +189,30 @@ fn census(t: &IntervalTables) -> Census {
 }
 
 impl RoutingTables {
-    /// The interval table behind the compressed and lazy kinds.
-    fn interval(&self) -> Option<&IntervalTables> {
-        match &self.repr {
-            Repr::Interval(t) => Some(t),
-            Repr::Dense(_) => None,
-        }
-    }
-
-    /// Measured bytes of the table payload as actually *resident* — flat
-    /// matrices for dense ([`DENSE_ENTRY_BYTES`] per pair); for the
-    /// interval table rank + leaf records + row slots + latency snapshot
-    /// plus the runs filled so far, which for lazy tables is the honest
-    /// demand-driven footprint (DESIGN.md §16).
+    /// Measured bytes of the table payload as actually *resident*: rank +
+    /// leaf records + row slots + latency snapshot plus the runs filled so
+    /// far, which for lazy tables is the honest demand-driven footprint
+    /// (DESIGN.md §16).
     pub fn table_bytes(&self) -> u64 {
-        match &self.repr {
-            Repr::Dense(_) => self.dense_bytes(),
-            Repr::Interval(t) => {
-                base_bytes_per_source(t) * t.rows.len() as u64
-                    + 8 * t.link_latency_us.len() as u64
-                    + RUN_BYTES * census(t).runs_total as u64
-            }
-        }
+        let t = &self.interval;
+        base_bytes_per_source(t) * t.rows.len() as u64
+            + 8 * t.link_latency_us.len() as u64
+            + RUN_BYTES * census(t).runs_total as u64
     }
 
-    /// Bytes the dense representation of these tables occupies (or would
-    /// occupy): `n² ×` [`DENSE_ENTRY_BYTES`]. The compression baseline.
+    /// Bytes a flat `n × n` matrix of these routes would occupy:
+    /// `n² ×` [`DENSE_ENTRY_BYTES`]. The analytic compression baseline —
+    /// nothing allocates it.
     pub fn dense_bytes(&self) -> u64 {
-        (self.n as u64) * (self.n as u64) * DENSE_ENTRY_BYTES
+        let n = self.node_count() as u64;
+        n * n * DENSE_ENTRY_BYTES
     }
 
-    /// Row/run statistics; `None` unless the tables are compressed.
-    pub fn run_stats(&self) -> Option<RunStats> {
-        let t = self.interval()?;
-        if t.demand.is_some() {
-            return None;
-        }
-        let c = census(t);
-        Some(RunStats {
+    /// Row/run statistics of the rows filled so far (every row-storing
+    /// source, unless the tables are lazy).
+    pub fn run_stats(&self) -> RunStats {
+        let c = census(&self.interval);
+        RunStats {
             leaf_rows: c.leaf_rows,
             unique_rows: c.filled_rows,
             runs_total: c.runs_total,
@@ -230,12 +222,12 @@ impl RoutingTables {
             } else {
                 c.runs_total as f64 / c.filled_rows as f64
             },
-        })
+        }
     }
 
     /// Demand statistics; `None` unless the tables are lazy.
     pub fn lazy_stats(&self) -> Option<LazyStats> {
-        let t = self.interval()?;
+        let t = &self.interval;
         let demand = t.demand.as_ref()?;
         let c = census(t);
         let lookups = (0..t.rows.len() as NodeId)
@@ -272,7 +264,7 @@ impl RoutingTables {
     /// [`slice_residency`](Self::slice_residency) plus per-slice demand
     /// counters; `None` unless the tables are lazy.
     pub fn slice_stats(&self, assignment: &[u32], nengines: usize) -> Option<Vec<SliceStats>> {
-        let t = self.interval()?;
+        let t = &self.interval;
         let demand = t.demand.as_ref()?;
         debug_assert_eq!(assignment.len(), t.rows.len());
         let base = base_bytes_per_source(t);
@@ -360,26 +352,25 @@ mod tests {
     }
 
     #[test]
-    fn dense_bytes_match_the_matrix_size() {
+    fn dense_bytes_are_the_matrix_size() {
         let net = campus();
-        let t = RoutingTables::build(&net);
         let n = net.node_count() as u64;
-        assert_eq!(t.table_bytes(), n * n * DENSE_ENTRY_BYTES);
-        assert_eq!(t.table_bytes(), t.dense_bytes());
-        assert_eq!(t.run_stats(), None);
+        for t in [RoutingTables::build(&net), RoutingTables::build_lazy(&net)] {
+            assert_eq!(t.dense_bytes(), n * n * DENSE_ENTRY_BYTES);
+        }
     }
 
     #[test]
     fn compressed_tables_beat_dense_bytes() {
         for net in [campus(), teragrid()] {
-            let t = RoutingTables::build_compressed(&net);
+            let t = RoutingTables::build(&net);
             assert!(
                 t.table_bytes() * 5 < t.dense_bytes(),
                 "only {}x reduction on {} nodes",
                 t.dense_bytes() / t.table_bytes().max(1),
                 net.node_count()
             );
-            let s = t.run_stats().expect("compressed tables have run stats");
+            let s = t.run_stats();
             assert!(s.leaf_rows > 0, "both fixtures have degree-1 hosts");
             assert_eq!(s.runs_total, s.runs_total.max(s.runs_max_per_row));
             assert!(s.runs_mean_per_row >= 1.0);
@@ -399,17 +390,18 @@ mod tests {
         assert_eq!(s0.rows_materialized, 0);
         assert_eq!(s0.lookups, 0);
         assert_eq!(s0.resident_bytes, empty);
-        assert_eq!(t.run_stats(), None, "run stats are the compressed kind's");
+        assert_eq!(t.run_stats().unique_rows, 0, "nothing filled yet");
 
         let dst = net.node_count() as u32 - 1;
         let _ = t.path(0, dst).expect("teragrid connected");
         let s1 = t.lazy_stats().unwrap();
         assert!(s1.rows_materialized > 0);
         assert!(s1.resident_bytes > empty, "demand must grow residency");
+        assert_eq!(t.run_stats().unique_rows, s1.rows_materialized);
         assert_eq!(s1.demand_misses, s1.rows_materialized as u64);
         assert_eq!(s1.demand_hits, s1.lookups - s1.demand_misses);
         assert!(
-            s1.resident_bytes < RoutingTables::build_compressed(&net).table_bytes() + empty,
+            s1.resident_bytes < RoutingTables::build(&net).table_bytes() + empty,
             "a few rows must stay far below the full eager pool plus base"
         );
         assert_eq!(
@@ -452,7 +444,7 @@ mod tests {
             t.slice_residency(&assignment, 3).unwrap(),
             slices.iter().map(|s| s.residency).collect::<Vec<_>>()
         );
-        // Dense tables have no slices.
+        // Prefilled tables have no slices.
         assert_eq!(RoutingTables::build(&net).slice_stats(&assignment, 3), None);
     }
 

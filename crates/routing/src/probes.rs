@@ -16,8 +16,8 @@
 //!   set rests on tie-breaks.
 //!
 //! Both probes go through the public [`RoutingTables`] query API — never
-//! the storage internals — so artifact audits run identically over dense
-//! and compressed tables. They read whole latency columns through
+//! the storage internals — so artifact audits run identically over
+//! prefilled and lazy tables. They read whole latency columns through
 //! [`LatenciesTo`](crate::LatenciesTo) — n memoized lookups per
 //! destination — instead of walking a next-hop chain per pair, and hold at
 //! most 1 MiB of scratch (`SCRATCH_BYTES`): never an n × n matrix.
@@ -215,8 +215,15 @@ pub fn ecmp_sites(net: &Network, tables: &RoutingTables, cap: usize) -> (Vec<Ecm
 
 #[cfg(test)]
 mod tests {
+    //! The damaged tables below are interval rows installed by hand
+    //! ([`RoutingTables::hand_installed`]): a latency is the sum along the
+    //! installed chain, so "corruption" is a route no builder would
+    //! produce — a directed detour, a one-way dead end — never a poked
+    //! cell. The one case the n × n matrix had and this table cannot
+    //! express is a corrupted diagonal: `lat(v→v)` is not stored, so there
+    //! is nothing to damage and no test for it.
+
     use super::*;
-    use crate::tables::Repr;
     use massf_topology::brite::{generate, BriteConfig, GrowthModel};
     use massf_topology::Network;
     use proptest::prelude::*;
@@ -233,23 +240,22 @@ mod tests {
         net
     }
 
-    /// Direct mutable access to the dense latency matrix, for the
-    /// corruption tests (only dense tables can be hand-corrupted).
-    fn dense_lat(tables: &mut RoutingTables) -> &mut Vec<u64> {
-        match &mut tables.repr {
-            Repr::Dense(d) => &mut d.latency_us,
-            _ => panic!("corruption tests require dense tables"),
-        }
+    /// `net`'s shortest-path routes with `patch(src, dst)` overriding the
+    /// next hop where it answers (`NodeId::MAX` = no route).
+    fn patched(net: &Network, patch: impl Fn(NodeId, NodeId) -> Option<NodeId>) -> RoutingTables {
+        let honest = RoutingTables::build(net);
+        RoutingTables::hand_installed(net, |src, dst| {
+            patch(src, dst).unwrap_or_else(|| honest.next_hop(src, dst).unwrap_or(NodeId::MAX))
+        })
+    }
+
+    fn both(net: &Network) -> [RoutingTables; 2] {
+        [RoutingTables::build(net), RoutingTables::build_lazy(net)]
     }
 
     #[test]
-    fn intact_tables_are_symmetric_in_both_representations() {
-        let net = square();
-        for tables in [
-            RoutingTables::build(&net),
-            RoutingTables::build_compressed(&net),
-            RoutingTables::build_lazy(&net),
-        ] {
+    fn intact_tables_are_symmetric_under_both_fill_policies() {
+        for tables in both(&square()) {
             let (pairs, total) = asymmetric_latencies(&tables, 8);
             assert!(pairs.is_empty(), "{pairs:?}");
             assert_eq!(total, 0);
@@ -257,37 +263,51 @@ mod tests {
     }
 
     #[test]
-    fn corrupted_direction_is_detected() {
-        let net = square();
-        let mut tables = RoutingTables::build(&net);
-        // Corrupt one direction of the 0→2 route.
-        dense_lat(&mut tables)[2] += 7;
+    fn a_directed_detour_is_detected() {
+        // 0→1 goes the long way round (0-3-2-1, 300 µs); 1→0 stays direct.
+        let tables = patched(&square(), |src, dst| match (src, dst) {
+            (0, 1) => Some(3),
+            (3, 1) => Some(2),
+            _ => None,
+        });
+        assert_eq!(tables.latency_us(0, 1), Some(300));
+        assert_eq!(tables.latency_us(1, 0), Some(100));
         let (pairs, total) = asymmetric_latencies(&tables, 8);
         assert_eq!(total, 1);
-        assert_eq!(pairs.len(), 1);
-        assert_eq!((pairs[0].a, pairs[0].b), (0, 2));
-        assert_eq!(pairs[0].ab_us, tables.latency_us(0, 2).unwrap());
-        assert_eq!(pairs[0].ba_us, tables.latency_us(2, 0).unwrap());
+        assert_eq!(
+            pairs,
+            [AsymmetricPair {
+                a: 0,
+                b: 1,
+                ab_us: 300,
+                ba_us: 100
+            }]
+        );
     }
 
     #[test]
     fn one_way_reachability_counts_as_asymmetry() {
-        let net = square();
-        let mut tables = RoutingTables::build(&net);
-        dense_lat(&mut tables)[3] = u64::MAX;
+        // 0 has no route to 3 (and 1 is kept off it), 3 still reaches 0.
+        let tables = patched(&square(), |src, dst| match (src, dst) {
+            (0, 3) => Some(NodeId::MAX),
+            (1, 3) => Some(2),
+            _ => None,
+        });
         let (pairs, total) = asymmetric_latencies(&tables, 8);
         assert_eq!(total, 1);
+        assert_eq!((pairs[0].a, pairs[0].b), (0, 3));
         assert_eq!(pairs[0].ab_us, u64::MAX);
         assert_eq!(pairs[0].ba_us, tables.latency_us(3, 0).unwrap());
     }
 
     #[test]
     fn cap_bounds_witnesses_but_not_the_total() {
-        let net = square();
-        let mut tables = RoutingTables::build(&net);
-        for dst in 1..4 {
-            dense_lat(&mut tables)[dst] += 1;
-        }
+        // 0 routes nowhere; 1 and 3 reach each other through 2.
+        let tables = patched(&square(), |src, dst| match (src, dst) {
+            (0, _) => Some(NodeId::MAX),
+            (1, 3) | (3, 1) => Some(2),
+            _ => None,
+        });
         let (pairs, total) = asymmetric_latencies(&tables, 2);
         assert_eq!(total, 3);
         assert_eq!(pairs.len(), 2);
@@ -299,11 +319,7 @@ mod tests {
     #[test]
     fn square_has_ecmp_between_opposite_corners() {
         let net = square();
-        for tables in [
-            RoutingTables::build(&net),
-            RoutingTables::build_compressed(&net),
-            RoutingTables::build_lazy(&net),
-        ] {
+        for tables in both(&net) {
             let (sites, total) = ecmp_sites(&net, &tables, 32);
             // 0↔2 and 1↔3 are ambiguous in both directions: 4 ordered pairs.
             assert_eq!(total, 4);
@@ -316,16 +332,15 @@ mod tests {
     }
 
     #[test]
-    fn a_corrupted_diagonal_still_reads_as_zero() {
+    fn a_destination_among_the_optimal_hops_costs_nothing_more() {
         // a-b direct costs what a-c-b costs, so a→b has two optimal first
-        // hops, one of them b itself: its `rest` is dist(b, b).
+        // hops, one of them b itself: its `rest` is dist(b, b) = 0.
         let mut net = Network::new();
         let r: Vec<_> = (0..3).map(|i| net.add_router(format!("r{i}"), 0)).collect();
         net.add_link(r[0], r[1], 1000.0, 200);
         net.add_link(r[0], r[2], 1000.0, 100);
         net.add_link(r[2], r[1], 1000.0, 100);
-        let mut tables = RoutingTables::build(&net);
-        dense_lat(&mut tables)[4] = 7; // (1, 1)
+        let tables = RoutingTables::build(&net);
         let got = ecmp_sites(&net, &tables, 8);
         assert_eq!(got, naive::ecmp_sites(&net, &tables, 8));
         assert_eq!(got.0[0].next_hops, vec![1, 2]);
@@ -339,11 +354,7 @@ mod tests {
         let c = net.add_router("c", 0);
         net.add_link(a, b, 1000.0, 100);
         net.add_link(b, c, 1000.0, 150);
-        for tables in [
-            RoutingTables::build(&net),
-            RoutingTables::build_compressed(&net),
-            RoutingTables::build_lazy(&net),
-        ] {
+        for tables in both(&net) {
             let (sites, total) = ecmp_sites(&net, &tables, 32);
             assert!(sites.is_empty());
             assert_eq!(total, 0);
@@ -353,14 +364,15 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Only dense tables can be hand-corrupted, and only from inside
-        /// the crate: 1–8 damaged cells (diagonal and `u64::MAX` included)
-        /// are reported exactly as the pairwise oracle reports them, at
-        /// every cap and at tile widths that do and do not divide n.
+        /// 1–8 entries of an honest table set to "no route" (loop-free by
+        /// construction: removing a hop cannot close a cycle) dead-end
+        /// every route through them, one direction only. Both probes
+        /// report the damage exactly as the pairwise oracle does, at every
+        /// cap and at tile widths that do and do not divide n.
         #[test]
-        fn corrupted_dense_cells_match_the_oracle(
+        fn dead_ended_entries_match_the_oracle(
             (routers, hosts, seed, tied) in (4usize..14, 0usize..10, any::<u64>(), prop::bool::ANY),
-            cells in prop::collection::vec((any::<usize>(), 0u8..4, 0u64..5_000), 1..9),
+            cells in prop::collection::vec((any::<usize>(), any::<usize>()), 1..9),
             width in 1usize..9,
         ) {
             let net = generate(&BriteConfig {
@@ -373,15 +385,12 @@ mod tests {
                 seed,
                 ..BriteConfig::paper_brite()
             });
-            let mut tables = RoutingTables::build(&net);
             let n = net.node_count();
-            let lat = dense_lat(&mut tables);
-            for (at, how, value) in cells {
-                // A quarter of the damage lands on the diagonal, which
-                // both probes must keep reading as zero.
-                let at = if how == 0 { at % n * (n + 1) } else { at % lat.len() };
-                lat[at] = if how == 1 { u64::MAX } else { value };
-            }
+            let cut: Vec<(NodeId, NodeId)> = cells
+                .into_iter()
+                .map(|(src, dst)| ((src % n) as NodeId, (dst % n) as NodeId))
+                .collect();
+            let tables = patched(&net, |src, dst| cut.contains(&(src, dst)).then_some(NodeId::MAX));
             let asym_total = naive::asymmetric_latencies(&tables, 0).1;
             for cap in [0, 1, 3, asym_total + 5] {
                 let want = naive::asymmetric_latencies(&tables, cap);

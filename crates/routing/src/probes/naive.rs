@@ -10,7 +10,7 @@
 use super::{AsymmetricPair, EcmpSite, Network, NodeId, RoutingTables};
 
 /// Shortest-path latency via the public API, with unreachable/self folded
-/// to the dense sentinel convention the probes compare against.
+/// to the sentinel convention the probes compare against.
 fn lat(tables: &RoutingTables, src: NodeId, dst: NodeId) -> u64 {
     if src == dst {
         return 0;

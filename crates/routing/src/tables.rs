@@ -1,28 +1,26 @@
-//! All-pairs next-hop routing tables: the dense baseline representation
-//! plus the dispatch over the interval-row table (DESIGN.md §13).
+//! All-pairs next-hop routing tables: the public query API over the one
+//! interval-row table (DESIGN.md §13), and the two policies that fill it.
 
 use crate::interval::IntervalTables;
-use crate::spf::{SpfScratch, NO_PREV};
-use massf_par::{par_for_each_init, Parallelism};
+use massf_par::Parallelism;
 use massf_topology::{LinkId, Network, NodeId};
 
-/// Which routing-table representation to build. Selectable through
-/// `MapperConfig`, `Scenario`, and the CLI's `--routing` flag; every
-/// representation answers every query bit-identically (same hops, links,
-/// and latencies), which the equivalence suite and `bench_routing --smoke`
-/// / `bench_slice --smoke` assert on every shipped scenario.
+/// How the routing table's rows get filled. Selectable through
+/// `MapperConfig`, `Scenario`, and the CLI's `--routing` flag; both
+/// policies fill the same structure and answer every query bit-identically
+/// (same hops, links, and latencies), which the equivalence suite and
+/// `bench_routing --smoke` / `bench_slice --smoke` assert on every shipped
+/// scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RoutingKind {
-    /// Flat `n × n` matrices — 16 bytes per (src, dst) pair. Kept as the
-    /// equivalence baseline and for tiny fixtures.
-    Dense,
     /// Run-length/interval-encoded rows over a coalescing-friendly
     /// destination renumbering, with degree-1 hosts sharing their access
-    /// router's uplink instead of materializing a row. The default: it is
-    /// what makes large topologies affordable (the paper's O(n²) wall).
+    /// router's uplink instead of materializing a row, every row encoded
+    /// up front. The default: it is what makes large topologies affordable
+    /// (the paper's O(n²) wall).
     #[default]
     Compressed,
-    /// Compressed rows materialized on demand: the build keeps only the
+    /// The same rows materialized on demand: the build keeps only the
     /// O(n + links) inputs (renumbering, leaf records, link-latency
     /// snapshot, topology snapshot) and encodes a source's row on its
     /// first lookup. With a partitioned emulation each engine only ever
@@ -35,7 +33,6 @@ impl RoutingKind {
     /// CLI / report label.
     pub fn label(&self) -> &'static str {
         match self {
-            RoutingKind::Dense => "dense",
             RoutingKind::Compressed => "compressed",
             RoutingKind::Lazy => "lazy",
         }
@@ -44,7 +41,6 @@ impl RoutingKind {
     /// Parses a CLI label.
     pub fn parse(s: &str) -> Option<Self> {
         match s {
-            "dense" => Some(RoutingKind::Dense),
             "compressed" => Some(RoutingKind::Compressed),
             "lazy" => Some(RoutingKind::Lazy),
             _ => None,
@@ -56,33 +52,11 @@ impl RoutingKind {
 /// `src`, plus path latencies. Built once per topology ("we instantiate the
 /// emulated network and detect the actual routes used", §3.2).
 ///
-/// `PartialEq`/`Eq` compare the full tables; the determinism suite relies
-/// on this to assert parallel and serial builds are identical.
+/// `PartialEq`/`Eq` compare the rows filled so far; the determinism suite
+/// relies on this to assert parallel and serial builds are identical.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoutingTables {
-    pub(crate) n: usize,
-    pub(crate) repr: Repr,
-}
-
-/// The concrete representation behind a [`RoutingTables`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Repr {
-    Dense(DenseTables),
-    /// Prefilled for [`RoutingKind::Compressed`], filled on demand for
-    /// [`RoutingKind::Lazy`].
-    Interval(IntervalTables),
-}
-
-/// The flat `n × n` matrices.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct DenseTables {
-    /// `next_hop[src * n + dst]`; `NodeId::MAX` when `src == dst` or
-    /// unreachable.
-    pub(crate) next_hop: Vec<NodeId>,
-    /// `latency_us[src * n + dst]`; `u64::MAX` when unreachable.
-    pub(crate) latency_us: Vec<u64>,
-    /// `next_link[src * n + dst]`: the link to the next hop.
-    pub(crate) next_link: Vec<LinkId>,
+    pub(crate) interval: IntervalTables,
 }
 
 /// Sentinel link id stored where no next hop exists.
@@ -108,139 +82,64 @@ pub(crate) fn link_toward(
     l
 }
 
-/// Fills the `src` row of each table slice (`n` entries per slice) from
-/// one Dijkstra tree. Rows are independent, which is what makes the
-/// parallel build trivially deterministic: each worker writes a disjoint
-/// row range and never reads another row.
-fn fill_row(
-    net: &Network,
-    src: NodeId,
-    hops: &mut [NodeId],
-    lats: &mut [u64],
-    links: &mut [LinkId],
-    scratch: &mut SpfScratch,
-) {
-    scratch.run(net, src);
-    lats.copy_from_slice(scratch.dist_us());
-    let first = scratch.first_hops();
-    let mut memo: Vec<(NodeId, LinkId)> = Vec::new();
-    for dst in 0..hops.len() {
-        let hop = first[dst];
-        if hop == NO_PREV {
-            continue; // src itself, or unreachable
-        }
-        hops[dst] = hop;
-        links[dst] = link_toward(net, src, hop, &mut memo);
-    }
-}
-
 impl RoutingTables {
-    /// Computes dense routing tables for the whole network (n Dijkstra
-    /// runs) on a single thread. Equivalent to
+    /// Computes the routing tables for the whole network (one Dijkstra
+    /// run per row-storing source) on a single thread. Equivalent to
     /// [`build_with`](Self::build_with)`(net, Parallelism::serial())`.
     pub fn build(net: &Network) -> Self {
         Self::build_with(net, Parallelism::serial())
     }
 
-    /// Computes dense routing tables with up to `par` worker threads, one
-    /// Dijkstra source per work item.
-    ///
-    /// Each source's results occupy one row of the flat `n × n` tables,
-    /// so workers write disjoint ranges and the output is bit-identical
-    /// for every thread count. `Parallelism::serial()` runs the plain
-    /// loop with no thread machinery.
+    /// Computes the routing tables with up to `par` worker threads, one
+    /// Dijkstra source per work item. Every source's row is encoded into
+    /// its own slot, so the output is bit-identical for every thread
+    /// count. `Parallelism::serial()` runs the plain loop with no thread
+    /// machinery.
     pub fn build_with(net: &Network, par: Parallelism) -> Self {
-        let n = net.node_count();
-        let mut next_hop = vec![NodeId::MAX; n * n];
-        let mut latency_us = vec![u64::MAX; n * n];
-        let mut next_link = vec![NO_LINK; n * n];
-        let width = n.max(1); // `chunks_mut(0)` panics; an empty table has no rows anyway
-        let rows = next_hop
-            .chunks_mut(width)
-            .zip(latency_us.chunks_mut(width))
-            .zip(next_link.chunks_mut(width))
-            .enumerate()
-            .collect();
-        // One scratch per worker, reused across its rows.
-        par_for_each_init(
-            par,
-            rows,
-            SpfScratch::new,
-            |scratch, (src, ((hops, lats), links))| {
-                fill_row(net, src as NodeId, hops, lats, links, scratch)
-            },
-        );
         Self {
-            n,
-            repr: Repr::Dense(DenseTables {
-                next_hop,
-                latency_us,
-                next_link,
-            }),
-        }
-    }
-
-    /// Computes compressed routing tables on a single thread. Equivalent
-    /// to [`build_compressed_with`](Self::build_compressed_with)`(net,
-    /// Parallelism::serial())`.
-    pub fn build_compressed(net: &Network) -> Self {
-        Self::build_compressed_with(net, Parallelism::serial())
-    }
-
-    /// Computes compressed routing tables with up to `par` worker threads.
-    /// Every source's row is encoded into its own slot, so the output is
-    /// bit-identical for every thread count.
-    pub fn build_compressed_with(net: &Network, par: Parallelism) -> Self {
-        Self {
-            n: net.node_count(),
-            repr: Repr::Interval(IntervalTables::prefilled(net, par)),
+            interval: IntervalTables::prefilled(net, par),
         }
     }
 
     /// Builds lazy on-demand tables: only the O(n + links) inputs are
     /// computed here (renumbering, leaf records, latency snapshot); rows
-    /// materialize on first lookup, bit-identical to the eager compressed
-    /// encoding regardless of lookup order or thread count. The build is
-    /// already sub-linear in total row work, so there is no parallel
-    /// variant — `build_kind` accepts (and ignores) the parallelism knob.
+    /// materialize on first lookup, bit-identical to the eager encoding
+    /// regardless of lookup order or thread count. The build is already
+    /// sub-linear in total row work, so there is no parallel variant —
+    /// `build_kind` accepts (and ignores) the parallelism knob.
     pub fn build_lazy(net: &Network) -> Self {
         Self {
-            n: net.node_count(),
-            repr: Repr::Interval(IntervalTables::on_demand(net)),
+            interval: IntervalTables::on_demand(net),
         }
     }
 
-    /// Builds the representation `kind` selects.
+    /// Builds the tables under the fill policy `kind` selects.
     pub fn build_kind(net: &Network, kind: RoutingKind, par: Parallelism) -> Self {
         match kind {
-            RoutingKind::Dense => Self::build_with(net, par),
-            RoutingKind::Compressed => Self::build_compressed_with(net, par),
+            RoutingKind::Compressed => Self::build_with(net, par),
             RoutingKind::Lazy => Self::build_lazy(net),
         }
     }
 
-    /// Which representation these tables use.
+    /// Which policy fills these tables.
     pub fn kind(&self) -> RoutingKind {
-        match &self.repr {
-            Repr::Dense(_) => RoutingKind::Dense,
-            Repr::Interval(t) if t.demand.is_some() => RoutingKind::Lazy,
-            Repr::Interval(_) => RoutingKind::Compressed,
+        if self.interval.demand.is_some() {
+            RoutingKind::Lazy
+        } else {
+            RoutingKind::Compressed
         }
     }
 
     /// Number of nodes the tables cover.
     pub fn node_count(&self) -> usize {
-        self.n
+        self.interval.rows.len()
     }
 
     /// Next hop from `src` toward `dst`, or `None` at destination /
     /// unreachable.
     #[inline]
     pub fn next_hop(&self, src: NodeId, dst: NodeId) -> Option<NodeId> {
-        let h = match &self.repr {
-            Repr::Dense(d) => d.next_hop[src as usize * self.n + dst as usize],
-            Repr::Interval(t) => t.entry(src, dst).0,
-        };
+        let h = self.interval.entry(src, dst).0;
         (h != NodeId::MAX).then_some(h)
     }
 
@@ -257,29 +156,20 @@ impl RoutingTables {
 
     /// [`next_link`](Self::next_link) without the `Option` wrapper: returns
     /// [`NO_ROUTE`](Self::NO_ROUTE) instead. An engine calls this the
-    /// first time a route reaches one of its hops and pins the answer;
-    /// dense answers with a single load, compressed with an O(log runs)
-    /// binary search over the source's row.
+    /// first time a route reaches one of its hops and pins the answer: an
+    /// O(log runs) binary search over the source's row.
     #[inline]
     pub fn next_link_raw(&self, src: NodeId, dst: NodeId) -> LinkId {
-        match &self.repr {
-            Repr::Dense(d) => d.next_link[src as usize * self.n + dst as usize],
-            Repr::Interval(t) => t.entry(src, dst).1,
-        }
+        self.interval.entry(src, dst).1
     }
 
-    /// End-to-end latency (µs) of the routed path, `None` if unreachable.
-    ///
-    /// Dense stores the Dijkstra distance; compressed walks the next-hop
-    /// chain summing per-link latencies, which is the same integer sum.
-    /// For many sources toward one destination use
-    /// [`latencies_to`](Self::latencies_to).
+    /// End-to-end latency (µs) of the routed path, `None` if unreachable:
+    /// a walk of the next-hop chain summing per-link latencies, which is
+    /// the Dijkstra distance (the same integer sum). For many sources
+    /// toward one destination use [`latencies_to`](Self::latencies_to).
     #[inline]
     pub fn latency_us(&self, src: NodeId, dst: NodeId) -> Option<u64> {
-        let l = match &self.repr {
-            Repr::Dense(d) => d.latency_us[src as usize * self.n + dst as usize],
-            Repr::Interval(t) => t.latency_us(src, dst),
-        };
+        let l = self.interval.latency_us(src, dst);
         (l != u64::MAX).then_some(l)
     }
 
@@ -289,11 +179,12 @@ impl RoutingTables {
     /// `src == dst`) it is `None`.
     ///
     /// Returns `false` without calling `f` when `dst` is unreachable (a
-    /// hand-installed interval row that dead-ends mid-path also returns
-    /// `false`, after the nodes before the dead end were visited — no
-    /// builder produces one). This is the allocation-free primitive behind [`path`](Self::path),
-    /// [`path_links`](Self::path_links), and the traffic-weight
-    /// accumulators, which previously each re-walked the tables.
+    /// hand-installed row that dead-ends mid-path also returns `false`,
+    /// after the nodes before the dead end were visited — no builder
+    /// produces one). This is the allocation-free primitive behind
+    /// [`path`](Self::path), [`path_links`](Self::path_links), and the
+    /// traffic-weight accumulators, which previously each re-walked the
+    /// tables.
     #[inline]
     pub fn for_each_hop<F: FnMut(NodeId, Option<LinkId>)>(
         &self,
@@ -301,35 +192,13 @@ impl RoutingTables {
         dst: NodeId,
         mut f: F,
     ) -> bool {
-        if src == dst {
-            f(src, None);
-            return true;
+        let reached = self
+            .interval
+            .walk(src, dst, |node, link| f(node, Some(link)));
+        if reached {
+            f(dst, None);
         }
-        match &self.repr {
-            Repr::Dense(d) => {
-                if d.latency_us[src as usize * self.n + dst as usize] == u64::MAX {
-                    return false;
-                }
-                let mut cur = src;
-                let mut hops = 0usize;
-                while cur != dst {
-                    let idx = cur as usize * self.n + dst as usize;
-                    f(cur, Some(d.next_link[idx]));
-                    cur = d.next_hop[idx];
-                    hops += 1;
-                    debug_assert!(hops <= self.n, "routing loop detected");
-                }
-                f(dst, None);
-                true
-            }
-            Repr::Interval(t) => {
-                let reached = t.walk(src, dst, |node, link| f(node, Some(link)));
-                if reached {
-                    f(dst, None);
-                }
-                reached
-            }
-        }
+        reached
     }
 
     /// The full node path `src → dst` (inclusive), following next hops.
@@ -351,24 +220,22 @@ impl RoutingTables {
 /// A memoized climb toward one destination: every source's latency to
 /// `dst`, each resolved at most once per [`retarget`](Self::retarget).
 ///
-/// All routes toward one destination share their tails, so for the
-/// compressed and lazy kinds `lat(s→dst) = link(s, hop) + lat(hop→dst)` is
-/// computed once per node and remembered in epoch-stamped arrays: a full
-/// column costs n single lookups instead of n chain walks, a leaf source
-/// costs no binary search at all (its value is its parent's plus the
-/// uplink), and retargeting is O(1). Dense tables answer from the stored
-/// matrix, so a hand-corrupted latency cell is read, not recomputed.
+/// All routes toward one destination share their tails, so
+/// `lat(s→dst) = link(s, hop) + lat(hop→dst)` is computed once per node
+/// and remembered in epoch-stamped arrays: a full column costs n single
+/// lookups instead of n chain walks, a leaf source costs no binary search
+/// at all (its value is its parent's plus the uplink), and retargeting is
+/// O(1).
 ///
 /// Answers equal [`RoutingTables::latency_us`] with `None` folded to
 /// `u64::MAX`. Created by [`RoutingTables::latencies_to`]; nothing is
 /// allocated after that.
 #[derive(Debug)]
 pub struct LatenciesTo<'t> {
-    tables: &'t RoutingTables,
+    tables: &'t IntervalTables,
     dst: NodeId,
     /// `val[v]` is `lat(v→dst)` where `stamp[v] == epoch`.
     val: Vec<u64>,
-    /// Empty for dense tables, which need no memo.
     stamp: Vec<u32>,
     epoch: u32,
     /// The unresolved part of the chain being climbed: `(node, latency of
@@ -380,26 +247,23 @@ impl RoutingTables {
     /// A reusable latency-column reader over these tables; call
     /// [`retarget`](LatenciesTo::retarget) before the first query.
     pub fn latencies_to(&self) -> LatenciesTo<'_> {
-        let memo = !matches!(self.repr, Repr::Dense(_));
+        let n = self.node_count();
         LatenciesTo {
-            tables: self,
+            tables: &self.interval,
             dst: NodeId::MAX,
-            val: vec![0; self.n],
-            stamp: vec![0; if memo { self.n } else { 0 }],
+            val: vec![0; n],
+            stamp: vec![0; n],
             epoch: 1,
             stack: Vec::new(),
         }
     }
 }
 
-impl<'t> LatenciesTo<'t> {
+impl LatenciesTo<'_> {
     /// Points the reader at `dst`, forgetting the previous column in O(1).
     pub fn retarget(&mut self, dst: NodeId) {
-        assert!((dst as usize) < self.tables.n, "destination out of range");
+        assert!((dst as usize) < self.val.len(), "destination out of range");
         self.dst = dst;
-        if self.stamp.is_empty() {
-            return;
-        }
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // Stamps from 2³² retargets ago would read as current.
@@ -410,69 +274,29 @@ impl<'t> LatenciesTo<'t> {
         self.stamp[dst as usize] = self.epoch;
     }
 
-    fn target(&self) -> (&'t RoutingTables, NodeId) {
-        assert!(self.dst != NodeId::MAX, "LatenciesTo::retarget first");
-        (self.tables, self.dst)
-    }
-
     /// Latency `src → dst` in microseconds; `u64::MAX` when unreachable.
+    /// Walks `src`'s next-hop chain until it meets a node already resolved
+    /// this epoch (`dst` itself at the latest), then unwinds, resolving
+    /// every node it passed.
     ///
     /// # Panics
     /// Panics if no destination was set, or `src` is out of range.
     #[inline]
     pub fn from(&mut self, src: NodeId) -> u64 {
-        let (tables, dst) = self.target();
-        match &tables.repr {
-            Repr::Dense(d) => d.latency_us[src as usize * tables.n + dst as usize],
-            Repr::Interval(t) => self.climb(src, &t.link_latency_us, |s| t.climb_step(s, dst)),
-        }
-    }
-
-    /// Resolves every source and returns the whole column, indexed by
-    /// node id.
-    ///
-    /// # Panics
-    /// Panics if no destination was set.
-    pub fn all(&mut self) -> &[u64] {
-        let (tables, dst) = self.target();
-        match &tables.repr {
-            Repr::Dense(d) => {
-                let column = d.latency_us.iter().skip(dst as usize).step_by(tables.n);
-                for (slot, &lat) in self.val.iter_mut().zip(column) {
-                    *slot = lat;
-                }
-            }
-            _ => {
-                for src in 0..tables.n as NodeId {
-                    self.from(src);
-                }
-            }
-        }
-        &self.val
-    }
-
-    /// Walks `src`'s next-hop chain until it meets a node already resolved
-    /// this epoch (`dst` itself at the latest), then unwinds, resolving
-    /// every node it passed.
-    #[inline]
-    fn climb(
-        &mut self,
-        src: NodeId,
-        link_latency_us: &[u64],
-        step: impl Fn(NodeId) -> (NodeId, LinkId),
-    ) -> u64 {
+        assert!(self.dst != NodeId::MAX, "LatenciesTo::retarget first");
         let mut cur = src;
         let mut lat = loop {
             if self.stamp[cur as usize] == self.epoch {
                 break self.val[cur as usize];
             }
-            let (hop, link) = step(cur);
+            let (hop, link) = self.tables.climb_step(cur, self.dst);
             if hop == NodeId::MAX {
                 self.val[cur as usize] = u64::MAX;
                 self.stamp[cur as usize] = self.epoch;
                 break u64::MAX;
             }
-            self.stack.push((cur, link_latency_us[link.0 as usize]));
+            let via = self.tables.link_latency_us[link.0 as usize];
+            self.stack.push((cur, via));
             debug_assert!(self.stack.len() <= self.val.len(), "routing loop detected");
             cur = hop;
         };
@@ -485,13 +309,52 @@ impl<'t> LatenciesTo<'t> {
         }
         lat
     }
+
+    /// Resolves every source and returns the whole column, indexed by
+    /// node id.
+    ///
+    /// # Panics
+    /// Panics if no destination was set.
+    pub fn all(&mut self) -> &[u64] {
+        for src in 0..self.val.len() as NodeId {
+            self.from(src);
+        }
+        &self.val
+    }
+}
+
+#[cfg(test)]
+use crate::spf::shortest_paths;
+
+#[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
+impl RoutingTables {
+    /// A table whose every row is hand-installed from `route(src, dst)` —
+    /// no leaf records, no builder in the way. `NodeId::MAX` is "no
+    /// route"; the link is the one joining `src` to the hop. For tests
+    /// that need rows no builder would produce.
+    pub(crate) fn hand_installed(net: &Network, route: impl Fn(NodeId, NodeId) -> NodeId) -> Self {
+        use crate::interval::Row;
+        let order: Vec<NodeId> = (0..net.node_count() as NodeId).collect();
+        let interval = IntervalTables::empty(net, &order, false);
+        for &src in &order {
+            let row = Row::encode(&order, src, |dst| match route(src, dst) {
+                NodeId::MAX => (NodeId::MAX, NO_LINK),
+                hop => (hop, net.link_between(src, hop).expect("hops are adjacent")),
+            });
+            interval.install(src, row);
+        }
+        Self { interval }
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::oracle::Oracle;
     use super::*;
     use massf_topology::campus::campus;
-    use massf_topology::Network;
 
     fn line() -> Network {
         let mut net = Network::new();
@@ -504,13 +367,9 @@ mod tests {
         net
     }
 
-    /// Every representation of the same network, for paired assertions.
-    fn both(net: &Network) -> [RoutingTables; 3] {
-        [
-            RoutingTables::build(net),
-            RoutingTables::build_compressed(net),
-            RoutingTables::build_lazy(net),
-        ]
+    /// The same network under both fill policies, for paired assertions.
+    fn both(net: &Network) -> [RoutingTables; 2] {
+        [RoutingTables::build(net), RoutingTables::build_lazy(net)]
     }
 
     #[test]
@@ -575,30 +434,15 @@ mod tests {
 
     #[test]
     fn a_route_that_dead_ends_mid_path_is_unreachable() {
-        use crate::interval::Row;
         // Node 0 says "toward 3, leave for 1"; node 1 says "3? no route".
         // No builder produces such rows; every reader must still agree on
         // "unreachable" — and not index row `NodeId::MAX` in release.
         let net = line();
-        let order: Vec<NodeId> = (0..4).collect();
-        let t = IntervalTables::empty(&net, &order, false);
         let honest = RoutingTables::build(&net);
-        for src in 0..4 {
-            t.install(
-                src,
-                Row::encode(&order, src, |dst| match (src, dst) {
-                    (1, 3) => (NodeId::MAX, NO_LINK),
-                    _ => (
-                        honest.next_hop(src, dst).unwrap(),
-                        honest.next_link_raw(src, dst),
-                    ),
-                }),
-            );
-        }
-        let t = RoutingTables {
-            n: 4,
-            repr: Repr::Interval(t),
-        };
+        let t = RoutingTables::hand_installed(&net, |src, dst| match (src, dst) {
+            (1, 3) => NodeId::MAX,
+            _ => honest.next_hop(src, dst).unwrap(),
+        });
         assert_eq!(t.next_hop(0, 3), Some(1), "the first hop exists");
         assert_eq!(t.path(0, 3), None);
         assert_eq!(t.path_links(0, 3), None);
@@ -609,11 +453,7 @@ mod tests {
     #[test]
     fn parallel_build_matches_serial() {
         for net in [line(), campus()] {
-            for kind in [
-                RoutingKind::Dense,
-                RoutingKind::Compressed,
-                RoutingKind::Lazy,
-            ] {
+            for kind in [RoutingKind::Compressed, RoutingKind::Lazy] {
                 let serial = RoutingTables::build_kind(&net, kind, Parallelism::serial());
                 for threads in [2, 3, 8] {
                     let par = RoutingTables::build_kind(&net, kind, Parallelism::new(threads));
@@ -624,38 +464,30 @@ mod tests {
     }
 
     #[test]
-    fn compressed_equals_dense_on_every_pair() {
-        for net in [line(), campus()] {
-            let dense = RoutingTables::build(&net);
-            let comp = RoutingTables::build_compressed(&net);
-            let n = net.node_count() as NodeId;
-            for a in 0..n {
-                for b in 0..n {
-                    assert_eq!(dense.next_hop(a, b), comp.next_hop(a, b), "hop {a}->{b}");
-                    assert_eq!(dense.next_link(a, b), comp.next_link(a, b), "link {a}->{b}");
-                    assert_eq!(
-                        dense.latency_us(a, b),
-                        comp.latency_us(a, b),
-                        "latency {a}->{b}"
-                    );
-                    assert_eq!(dense.path(a, b), comp.path(a, b), "path {a}->{b}");
-                }
+    fn both_policies_equal_the_oracle_on_every_pair() {
+        let mut island = line();
+        island.add_host("island", 0);
+        for net in [line(), island, campus()] {
+            let oracle = Oracle::build(&net);
+            for t in both(&net) {
+                oracle.assert_answers(&t, t.kind().label());
             }
         }
     }
 
     #[test]
     fn kind_round_trips_through_labels() {
-        for kind in [
-            RoutingKind::Dense,
-            RoutingKind::Compressed,
-            RoutingKind::Lazy,
-        ] {
+        for kind in [RoutingKind::Compressed, RoutingKind::Lazy] {
             assert_eq!(RoutingKind::parse(kind.label()), Some(kind));
             let t = RoutingTables::build_kind(&line(), kind, Parallelism::serial());
             assert_eq!(t.kind(), kind);
         }
         assert_eq!(RoutingKind::parse("sparse"), None);
+        assert_eq!(
+            RoutingKind::parse("dense"),
+            None,
+            "the n × n matrix is gone"
+        );
         assert_eq!(RoutingKind::default(), RoutingKind::Compressed);
     }
 

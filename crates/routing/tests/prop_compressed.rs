@@ -1,17 +1,24 @@
-//! Property tests for the compressed interval-row representation
-//! (DESIGN.md §13): on arbitrary generated Waxman/Barabási–Albert
-//! networks — and the shipped `campus()` fixture plus a host-heavy line —
-//! the compressed tables must answer **every** routing query
-//! bit-identically to the dense baseline, and a prefilled table must be
-//! structurally identical at every thread count to a lazy table whose
-//! every row has been demanded (one structure, two fill policies).
+//! Property tests for the interval-row routing table (DESIGN.md §13): on
+//! arbitrary generated Waxman/Barabási–Albert networks — and the shipped
+//! `campus()` fixture plus a host-heavy line — the prefilled tables must
+//! answer **every** routing query exactly as the n × n Dijkstra oracle
+//! does, and a prefilled table must be structurally identical at every
+//! thread count to a lazy table whose every row has been demanded (one
+//! structure, two fill policies).
 
 use massf_par::Parallelism;
+use massf_routing::spf::shortest_paths;
 use massf_routing::{RoutingKind, RoutingTables};
 use massf_topology::brite::{generate, BriteConfig, GrowthModel};
 use massf_topology::campus::campus;
-use massf_topology::{Network, NodeId};
+use massf_topology::{LinkId, Network, NodeId};
 use proptest::prelude::*;
+
+/// The n × n oracle the crate keeps for its own tests, mounted from its
+/// source so there is one copy.
+#[path = "../src/tables/oracle.rs"]
+mod oracle;
+use oracle::Oracle;
 
 /// Arbitrary small BRITE-like network.
 fn arb_network() -> impl Strategy<Value = Network> {
@@ -53,35 +60,6 @@ fn hosty_line() -> Network {
     net
 }
 
-/// Every query of the public API must agree on every pair: next hop, next
-/// link (both the `Option` and raw forms), latency, and the hop-visitor
-/// trace (which also covers `path`/`path_links`).
-fn assert_equivalent(net: &Network, dense: &RoutingTables, comp: &RoutingTables) {
-    let n = net.node_count() as NodeId;
-    for a in 0..n {
-        for b in 0..n {
-            assert_eq!(dense.next_hop(a, b), comp.next_hop(a, b), "hop {a}->{b}");
-            assert_eq!(dense.next_link(a, b), comp.next_link(a, b), "link {a}->{b}");
-            assert_eq!(
-                dense.next_link_raw(a, b),
-                comp.next_link_raw(a, b),
-                "raw link {a}->{b}"
-            );
-            assert_eq!(
-                dense.latency_us(a, b),
-                comp.latency_us(a, b),
-                "latency {a}->{b}"
-            );
-            let mut dv = Vec::new();
-            let mut cv = Vec::new();
-            let dr = dense.for_each_hop(a, b, |node, link| dv.push((node, link)));
-            let cr = comp.for_each_hop(a, b, |node, link| cv.push((node, link)));
-            assert_eq!(dr, cr, "reachability {a}->{b}");
-            assert_eq!(dv, cv, "visit order {a}->{b}");
-        }
-    }
-}
-
 /// Structural equality, not just query equality: the slots the eager
 /// parallel fill installs are the ones demand would have filled.
 fn prefilled_matches_demanded(net: &Network) -> bool {
@@ -105,18 +83,13 @@ fn prefilled_equals_fully_demanded_lazy_on_fixtures() {
     }
     // A pending row is a structural difference.
     let net = campus();
-    assert_ne!(
-        RoutingTables::build_compressed(&net),
-        RoutingTables::build_lazy(&net)
-    );
+    assert_ne!(RoutingTables::build(&net), RoutingTables::build_lazy(&net));
 }
 
 #[test]
-fn compressed_equals_dense_on_fixtures() {
+fn prefilled_equals_the_oracle_on_fixtures() {
     for net in [campus(), hosty_line()] {
-        let dense = RoutingTables::build(&net);
-        let comp = RoutingTables::build_compressed(&net);
-        assert_equivalent(&net, &dense, &comp);
+        Oracle::build(&net).assert_answers(&RoutingTables::build(&net), "prefilled");
     }
 }
 
@@ -124,10 +97,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn compressed_equals_dense_on_generated_networks(net in arb_network()) {
-        let dense = RoutingTables::build(&net);
-        let comp = RoutingTables::build_compressed(&net);
-        assert_equivalent(&net, &dense, &comp);
+    fn prefilled_equals_the_oracle_on_generated_networks(net in arb_network()) {
+        Oracle::build(&net).assert_answers(&RoutingTables::build(&net), "prefilled");
     }
 
     #[test]

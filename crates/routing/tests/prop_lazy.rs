@@ -1,16 +1,23 @@
 //! Property tests for lazy on-demand row materialization (DESIGN.md
 //! §16): on arbitrary generated Waxman/Barabási–Albert networks the lazy
-//! tables must answer **every** routing query bit-identically to both
-//! precomputed representations, the materialized structure must be
+//! tables must answer **every** routing query exactly as the n × n
+//! Dijkstra oracle does, the materialized structure must be
 //! independent of the demand order (including concurrent demand), and
 //! the per-engine slice accounting must partition the total resident
 //! footprint exactly under any assignment.
 
-use massf_routing::{RoutingKind, RoutingTables};
+use massf_routing::spf::shortest_paths;
+use massf_routing::RoutingTables;
 use massf_topology::brite::{generate, BriteConfig, GrowthModel};
 use massf_topology::campus::campus;
-use massf_topology::{Network, NodeId};
+use massf_topology::{LinkId, Network, NodeId};
 use proptest::prelude::*;
+
+/// The n × n oracle the crate keeps for its own tests, mounted from its
+/// source so there is one copy.
+#[path = "../src/tables/oracle.rs"]
+mod oracle;
+use oracle::Oracle;
 
 /// Arbitrary small BRITE-like network.
 fn arb_network() -> impl Strategy<Value = Network> {
@@ -35,28 +42,6 @@ fn arb_network() -> impl Strategy<Value = Network> {
     )
 }
 
-/// Every query of the public API must agree on every pair.
-fn assert_equivalent(net: &Network, a: &RoutingTables, b: &RoutingTables) {
-    let n = net.node_count() as NodeId;
-    for s in 0..n {
-        for d in 0..n {
-            assert_eq!(a.next_hop(s, d), b.next_hop(s, d), "hop {s}->{d}");
-            assert_eq!(
-                a.next_link_raw(s, d),
-                b.next_link_raw(s, d),
-                "link {s}->{d}"
-            );
-            assert_eq!(a.latency_us(s, d), b.latency_us(s, d), "latency {s}->{d}");
-            let mut av = Vec::new();
-            let mut bv = Vec::new();
-            let ar = a.for_each_hop(s, d, |node, link| av.push((node, link)));
-            let br = b.for_each_hop(s, d, |node, link| bv.push((node, link)));
-            assert_eq!(ar, br, "reachability {s}->{d}");
-            assert_eq!(av, bv, "visit order {s}->{d}");
-        }
-    }
-}
-
 /// All (src, dst) pairs of `net`, permuted by a seeded Fisher–Yates so
 /// two demand orders over the same pair set can be compared.
 fn shuffled_pairs(net: &Network, seed: u64) -> Vec<(NodeId, NodeId)> {
@@ -74,13 +59,9 @@ fn shuffled_pairs(net: &Network, seed: u64) -> Vec<(NodeId, NodeId)> {
 }
 
 #[test]
-fn lazy_equals_both_precomputed_kinds_on_campus() {
+fn lazy_equals_the_oracle_on_campus() {
     let net = campus();
-    let dense = RoutingTables::build(&net);
-    let comp = RoutingTables::build_compressed(&net);
-    let lazy = RoutingTables::build_lazy(&net);
-    assert_equivalent(&net, &dense, &lazy);
-    assert_equivalent(&net, &comp, &lazy);
+    Oracle::build(&net).assert_answers(&RoutingTables::build_lazy(&net), "lazy");
 }
 
 #[test]
@@ -112,11 +93,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn lazy_equals_eager_on_generated_networks(net in arb_network()) {
-        let comp = RoutingTables::build_kind(
-            &net, RoutingKind::Compressed, massf_par::Parallelism::serial());
-        let lazy = RoutingTables::build_lazy(&net);
-        assert_equivalent(&net, &comp, &lazy);
+    fn lazy_equals_the_oracle_on_generated_networks(net in arb_network()) {
+        Oracle::build(&net).assert_answers(&RoutingTables::build_lazy(&net), "lazy");
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Property tests for the audit's routing probes (`probes`, MC014/MC015)
 //! and the memoized latency column they read (`LatenciesTo`): on
 //! generated Waxman/Barabási–Albert networks — with an isolated node and
-//! a two-node island added — over dense, compressed and lazy tables, both
-//! probes return exactly the witnesses and total of the pairwise oracle
-//! at every cap, and the column reader agrees with `latency_us` on every
-//! pair under arbitrary retarget sequences. (Hand-corrupted dense cells
-//! need crate-private access; that property lives in `probes.rs`.)
+//! a two-node island added — over prefilled and lazy tables, both probes
+//! return exactly the witnesses and total of the pairwise oracle at every
+//! cap, and the column reader agrees with `latency_us` on every pair
+//! under arbitrary retarget sequences. (Hand-installed damaged rows need
+//! crate-private access; that property lives in `probes.rs`.)
 
 use massf_routing::probes::{self, AsymmetricPair, EcmpSite};
 use massf_routing::RoutingTables;
@@ -61,12 +61,8 @@ fn arb_network() -> impl Strategy<Value = Network> {
         })
 }
 
-fn every_kind(net: &Network) -> [RoutingTables; 3] {
-    [
-        RoutingTables::build(net),
-        RoutingTables::build_compressed(net),
-        RoutingTables::build_lazy(net),
-    ]
+fn every_kind(net: &Network) -> [RoutingTables; 2] {
+    [RoutingTables::build(net), RoutingTables::build_lazy(net)]
 }
 
 /// Both probes against the oracle at caps 0, 1, 3 and beyond the total.

@@ -277,9 +277,20 @@ pub fn lint_sources(sources: &[SourceFile]) -> Report {
 /// under the root are visited, `target/`, `vendor/`, and dot-directories
 /// are skipped, only `.rs` files are read, and files are processed in
 /// lexicographic order of their `/`-normalized relative paths.
+///
+/// # Errors
+/// A root holding none of the three (a mistyped path, a file) is an error
+/// rather than a clean zero-file report: it must not pass a CI gate.
 pub fn lint_workspace(root: &Path) -> io::Result<Report> {
+    const TOPS: [&str; 3] = ["src", "crates", "tests"];
+    if !TOPS.iter().any(|top| root.join(top).is_dir()) {
+        return Err(io::Error::new(
+            io::ErrorKind::NotFound,
+            "no src/, crates/ or tests/ directory there",
+        ));
+    }
     let mut files = Vec::new();
-    for top in ["src", "crates", "tests"] {
+    for top in TOPS {
         let dir = root.join(top);
         if dir.is_dir() {
             collect_rs_files(&dir, &mut files)?;

@@ -64,7 +64,7 @@ USAGE:
   massf check <network.dml> [--engines K] [--traffic <spec.txt>]
               [--duration-s S] [--audit] [--capacities C1,C2,...]
               [--format human|json] [--deny-warnings] [--threads T]
-              [--routing dense|compressed|lazy]
+              [--routing compressed|lazy]
   massf check <trace.txt> [--network <network.dml>] [--format human|json]
               [--deny-warnings]
       Statically lint the scenario: topology, partition request, traffic
@@ -91,7 +91,8 @@ USAGE:
       accumulation in thread::scope (stable codes SA000..SA007).
       Legitimate sites carry `srclint: allow(SA00x) - reason` comments;
       a stale allow is itself an Error. Exits 0 when no Error-level
-      finding survives, 1 otherwise.
+      finding survives, 1 otherwise — also when <dir> holds none of the
+      three directories (a mistyped root is not a clean tree).
 
   massf partition <network.dml> --engines K [--seed N] [--threads T]
                   [--deny-warnings]
@@ -101,7 +102,7 @@ USAGE:
 
   massf run <network.dml> [--engines K] [--traffic <spec.txt>] [--duration-s S]
             [--approach top|place|profile] [--replay] [--threads T]
-            [--routing dense|compressed|lazy] [--deny-warnings] [--report <run.json>]
+            [--routing compressed|lazy] [--deny-warnings] [--report <run.json>]
             [--epochs E] [--rebalance off|global|incremental]
       Generate background traffic from the spec (a built-in CBR background
       when --traffic is omitted), map it with the chosen approach, emulate,
@@ -133,7 +134,7 @@ USAGE:
 
   massf replay <network.dml> <trace.txt> --engines K
                [--approach top|place|profile] [--threads T]
-               [--routing dense|compressed|lazy] [--deny-warnings]
+               [--routing compressed|lazy] [--deny-warnings]
                [--report <run.json>]
       Replay a recorded trace as fast as possible (isolated network
       emulation, the paper's Figures 9/10 measurement). The trace is
@@ -149,16 +150,13 @@ USAGE:
                     tables, traffic accumulation, partitioner restarts).
                     Defaults to the machine's core count; results are
                     identical at any T.
-  --routing R       Routing-table representation: `compressed` (default;
-                    interval-encoded rows, breaks the O(n²) table wall),
-                    `dense` (the flat n × n baseline matrices: 10-44×
-                    the memory and no faster to emulate on), or `lazy`
-                    (compressed rows materialized on first lookup, so
-                    resident bytes follow each engine's own traffic).
-                    Routing answers are bit-identical in all three;
-                    reports gain `routing.*` size statistics, and lazy
-                    runs add demand/residency lines sampled after the
-                    emulation.
+  --routing R       When the routing table's interval-encoded rows are
+                    filled: `compressed` (default; every row up front)
+                    or `lazy` (each row on its first lookup, so resident
+                    bytes follow each engine's own traffic). Routing
+                    answers are bit-identical in both; reports gain
+                    `routing.*` size statistics, and lazy runs add
+                    demand/residency lines sampled after the emulation.
   --deny-warnings   Promote preflight Warn diagnostics to Errors.
 
   massf help
@@ -319,8 +317,9 @@ fn cmd_check(args: &[String]) -> Result<String, CliError> {
     })?;
     let deny = args.iter().any(|a| a == "--deny-warnings");
     // Validated here, consumed by the audit stage below; every lint stage
-    // is byte-identical at any thread count.
+    // is byte-identical at any thread count and under either routing kind.
     let threads = threads_flag(args)?;
+    let routing = routing_flag(args)?;
     let engines = match flag(args, "--engines") {
         Some(e) => Some(
             e.parse::<usize>()
@@ -395,13 +394,14 @@ fn cmd_check(args: &[String]) -> Result<String, CliError> {
         if let Some(par) = threads {
             cfg = cfg.with_parallelism(par);
         }
-        if let Some(kind) = routing_flag(args)? {
+        if let Some(kind) = routing {
             cfg = cfg.with_routing(kind);
         }
         // A degenerate capacity vector never reaches the mapper (it
-        // asserts on length); MC017 reports it on the audit side instead.
+        // asserts on length and on the normalized shares); MC017 reports
+        // it on the audit side instead.
         if let Some(c) = &caps {
-            if c.len() == engines_n && c.iter().all(|x| x.is_finite() && *x > 0.0) {
+            if c.len() == engines_n && massf_lint::artifact::capacity_shares(c).is_some() {
                 cfg = cfg.with_engine_capacities(c.clone());
             }
         }
@@ -553,7 +553,7 @@ fn cmd_srclint(args: &[String]) -> Result<String, CliError> {
     }
     let root = positionals.first().copied().unwrap_or(".");
     let mut report = massf_srclint::lint_workspace(std::path::Path::new(root))
-        .map_err(|e| err(format!("srclint: cannot scan {root}: {e}")))?;
+        .map_err(|e| err(format!("cannot scan {root}: {e}")))?;
     if deny {
         report.deny_warnings();
     }
@@ -631,19 +631,18 @@ fn write_run_report(
 fn routing_flag(args: &[String]) -> Result<Option<RoutingKind>, CliError> {
     match flag(args, "--routing") {
         None => Ok(None),
-        Some(label) => RoutingKind::parse(label).map(Some).ok_or_else(|| {
-            err(format!(
-                "--routing must be dense|compressed|lazy, got {label:?}"
-            ))
-        }),
+        Some(label) => RoutingKind::parse(label)
+            .map(Some)
+            .ok_or_else(|| err(format!("--routing must be compressed|lazy, got {label:?}"))),
     }
 }
 
 /// Surfaces routing-table size statistics in the run report: measured vs
 /// paper-predicted bytes (the names sort adjacently in the counters
-/// block), the dense baseline, and — for compressed tables — the row and
-/// run shape. All values are deterministic functions of the topology, so
-/// they sit above the report's timing boundary.
+/// block), the analytic n × n baseline, and — for prefilled tables, whose
+/// rows are all there to count — the row and run shape. All values are
+/// deterministic functions of the topology, so they sit above the
+/// report's timing boundary.
 fn record_routing_stats(rec: &mut Recorder, study: &MappingStudy) {
     let tables = &study.tables;
     rec.add_counter("routing.bytes_dense_baseline", tables.dense_bytes());
@@ -656,7 +655,8 @@ fn record_routing_stats(rec: &mut Recorder, study: &MappingStudy) {
         "routing.compression_x",
         tables.dense_bytes() as f64 / tables.table_bytes().max(1) as f64,
     );
-    if let Some(s) = tables.run_stats() {
+    if tables.kind() == RoutingKind::Compressed {
+        let s = tables.run_stats();
         rec.add_counter("routing.rows_leaf", s.leaf_rows as u64);
         rec.add_counter("routing.rows_unique", s.unique_rows as u64);
         rec.add_counter("routing.runs_max_per_row", s.runs_max_per_row as u64);
@@ -667,8 +667,8 @@ fn record_routing_stats(rec: &mut Recorder, study: &MappingStudy) {
 
 /// Surfaces lazy-table demand statistics after the emulation: what the run
 /// actually materialized, the lookup hit/miss split, and each engine's
-/// resident share under the final partition. A no-op for the eager
-/// representations. Every value is a function of the topology and the flow
+/// resident share under the final partition. A no-op for prefilled
+/// tables. Every value is a function of the topology and the flow
 /// schedule — not of the thread count or interleaving — so these counters
 /// land above the report's timing mask and stay byte-identical across
 /// `--threads`.
@@ -1531,6 +1531,53 @@ mod tests {
         assert_eq!(parsed.command, "replay");
         assert_eq!(parsed.scenario.duration_s, None);
         assert!(parsed.emulation.is_some());
+    }
+
+    #[test]
+    fn routing_dense_is_refused_like_any_unknown_label() {
+        let net_file = write_campus();
+        let spec = tempfile_path::write(
+            "massf_cli_dense_spec.txt",
+            "traffic { name CBR\n sessions 5\n rate_mbps 3 }",
+        );
+        let trace = tempfile_path::write("massf_cli_dense_trace.txt", "");
+        run(&args(&[
+            "record",
+            net_file.as_str(),
+            "--traffic",
+            spec.as_str(),
+            "--duration-s",
+            "2",
+            "--out",
+            trace.as_str(),
+        ]))
+        .unwrap();
+        let cases: &[&[&str]] = &[
+            &["check", net_file.as_str()],
+            &["run", net_file.as_str(), "--duration-s", "2"],
+            &[
+                "replay",
+                net_file.as_str(),
+                trace.as_str(),
+                "--engines",
+                "3",
+            ],
+        ];
+        for case in cases {
+            for label in ["dense", "sparse"] {
+                let mut argv = args(case);
+                argv.extend(args(&["--routing", label]));
+                let e = run(&argv).unwrap_err();
+                assert_eq!(
+                    e.0,
+                    format!("--routing must be compressed|lazy, got {label:?}"),
+                    "{case:?}"
+                );
+            }
+        }
+        for line in USAGE.lines().filter(|l| l.contains("[--routing")) {
+            assert!(line.contains("[--routing compressed|lazy]"), "{line}");
+        }
     }
 
     #[test]

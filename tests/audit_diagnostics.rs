@@ -160,6 +160,19 @@ fn check_audits_a_capacity_vector() {
     ]))
     .expect("a feasible vector must pass");
     assert!(ok.contains("20 passes run"), "{ok}");
+    // Entries that each pass the per-entry check but do not normalize (the
+    // sum overflows; a share underflows) stop at the MC017 report instead
+    // of reaching the partitioner's assertions.
+    for extreme in ["1e308,1e308,1e308", "1e308,1e-308,1"] {
+        let e = cli::run(&args(&[
+            "check",
+            "examples/scenarios/campus.dml",
+            "--capacities",
+            extreme,
+        ]))
+        .expect_err("a vector without usable shares must fail the audit");
+        assert!(e.0.contains("error[MC017]"), "{extreme}: {}", e.0);
+    }
 }
 
 #[test]

@@ -121,47 +121,26 @@ fn masked_report_is_byte_identical_across_threads() {
 
 #[test]
 fn masked_report_is_byte_identical_across_routing_kind_and_threads() {
-    // The routing representation may only change the `routing.*` size
-    // statistics — every simulated quantity (partition, emulation,
-    // counters, gauges) must be byte-identical because routing answers
-    // are. And each representation must itself be thread-invariant.
-    let strip_routing_lines = |masked: &str| -> String {
-        masked
-            .lines()
-            .filter(|l| !l.contains("\"routing."))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    let compressed = campus_report_json_with("1", &["--routing", "compressed"]);
-    let dense = campus_report_json_with("1", &["--routing", "dense"]);
-    assert_eq!(
-        strip_routing_lines(mask_json(&compressed)),
-        strip_routing_lines(mask_json(&dense)),
-        "simulated quantities vary with --routing"
-    );
-    assert_ne!(
-        mask_json(&compressed),
-        mask_json(&dense),
-        "routing.* size stats should differ between representations"
-    );
-    for threads in ["2", "4"] {
-        let other = campus_report_json_with(threads, &["--routing", "dense"]);
+    // `--routing compressed` spells out the default, at every thread
+    // count; the other kind, lazy, is swept in the next test.
+    let default = campus_report_json("1");
+    for threads in ["1", "2", "4"] {
+        let compressed = campus_report_json_with(threads, &["--routing", "compressed"]);
         assert_eq!(
-            mask_json(&dense),
-            mask_json(&other),
-            "dense report varies at --threads {threads}"
+            mask_json(&default),
+            mask_json(&compressed),
+            "--routing compressed is not the default at --threads {threads}"
         );
     }
-    // The default is the compressed representation.
-    assert_eq!(mask_json(&campus_report_json("1")), mask_json(&compressed));
 }
 
 #[test]
 fn masked_report_is_byte_identical_across_lazy_and_threads() {
     // Lazy on-demand tables answer every query bit-identically, so the
-    // simulated quantities must match the eager representations exactly;
-    // only the self-describing `routing.*` lines (size stats for eager,
-    // demand/residency stats for lazy) may differ. The lazy demand
+    // simulated quantities (partition, emulation, counters, gauges) must
+    // match the prefilled tables' exactly; only the self-describing
+    // `routing.*` lines (size stats for eager, demand/residency stats for
+    // lazy) may differ — and do. The lazy demand
     // counters themselves are thread-invariant: the demanded row set is
     // a function of the flow schedule, not of engine scheduling.
     let strip_routing_lines = |masked: &str| -> String {
@@ -177,6 +156,11 @@ fn masked_report_is_byte_identical_across_lazy_and_threads() {
         strip_routing_lines(mask_json(&lazy)),
         strip_routing_lines(mask_json(&compressed)),
         "simulated quantities vary between lazy and compressed routing"
+    );
+    assert_ne!(
+        mask_json(&lazy),
+        mask_json(&compressed),
+        "routing.* stats should differ between fill policies"
     );
     for threads in ["2", "4"] {
         let other = campus_report_json_with(threads, &["--routing", "lazy"]);

@@ -66,6 +66,18 @@ fn dirty_tree_fails_with_the_report_as_the_error() {
 }
 
 #[test]
+fn a_root_with_nothing_to_scan_is_an_error() {
+    // A mistyped root used to report "0 file(s) scanned" and exit 0.
+    for root in ["/nonexistent", "Cargo.toml", "examples"] {
+        let err = cli::run(&args(&["srclint", root]))
+            .expect_err("nothing to scan must not pass as a clean tree");
+        let wanted = format!("cannot scan {root}: ");
+        assert!(err.0.starts_with(&wanted), "{root}: {}", err.0);
+        assert_eq!(err.0.lines().count(), 1, "{}", err.0);
+    }
+}
+
+#[test]
 fn list_passes_covers_both_catalogs() {
     let human = cli::run(&args(&["check", "--list-passes"])).expect("catalog renders");
     for code in ["MC001", "MC020", "SA000", "SA007"] {
