@@ -12,8 +12,7 @@
 //!   stays ahead. Reported for honesty.
 
 use massf_bench::{dump_json, scale_from_args};
-use massf_core::engine::MigrationCost;
-use massf_core::mapping::dynamic::{run_dynamic, DynamicConfig};
+use massf_core::mapping::run_online;
 use massf_core::prelude::*;
 use massf_core::topology::NodeId;
 use massf_core::traffic::hotspot::{self, HotspotConfig};
@@ -59,13 +58,15 @@ fn run_case(
     // Epochs much shorter than hotspot phases: remapping reacts within a
     // fraction of a phase and then enjoys the rest of it balanced.
     for (label, epochs) in [("dyn x8", 8usize), ("dyn x16", 16)] {
-        let cfg = DynamicConfig {
+        // `drift_threshold: 0.0` opens the quiet-epoch gate: every
+        // boundary remaps, which is the policy these rows measure.
+        let cfg = IncrementalConfig {
             epochs,
-            migration: MigrationCost::default(),
             cost: CostModel::default(),
+            drift_threshold: 0.0,
             ..Default::default()
         };
-        let out = run_dynamic(study, flows, &cfg);
+        let out = run_online(study, flows, &[], &cfg, RebalanceMode::Global);
         let row = format!("{prefix} {label}");
         t.set(&row, "imbalance", load_imbalance(&out.report.engine_events));
         t.set(

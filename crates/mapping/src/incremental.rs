@@ -1,15 +1,20 @@
-//! Incremental (diffusive) repartitioning — local rebalancing at epoch
-//! boundaries without a global partitioner pass.
+//! Online repartitioning — the paper's §6 direction, implemented: one
+//! epoch driver, [`run_online`], for both remap policies.
 //!
-//! [`crate::dynamic`] answers the paper's §6 call for dynamic remapping by
-//! repeating the *global* PROFILE round every epoch: re-weight the whole
-//! graph, re-run the multilevel partitioner, migrate whatever changed.
-//! That recovers balance but moves many nodes (the partitioner has no
-//! loyalty to the incumbent assignment) and re-runs METIS-scale work
-//! mid-emulation. This module implements the local alternative from the
-//! ROADMAP's online-repartitioning item: **diffusive vertex migration**
-//! (Kurve et al.) with migrations charged against the imbalance they save
-//! (Räcke/Schmid/Zabrodin) — see PAPERS.md.
+//! "Load imbalance happens due to burst/variation of traffic injected from
+//! the application. Static partitions are fundamentally limited for large
+//! emulation if traffic varies widely. … Dynamic remapping the virtual
+//! network during the emulation is the only solution."
+//!
+//! [`RebalanceMode::Global`] answers that call by repeating the PROFILE
+//! round every epoch: re-weight the whole graph from the last two epochs'
+//! NetFlow slices, re-run the multilevel partitioner, migrate whatever
+//! changed. That recovers balance but moves many nodes (the partitioner
+//! has no loyalty to the incumbent assignment) and re-runs METIS-scale
+//! work mid-emulation. [`RebalanceMode::Incremental`] is the local
+//! alternative from the ROADMAP's online-repartitioning item: **diffusive
+//! vertex migration** (Kurve et al.) with migrations charged against the
+//! imbalance they save (Räcke/Schmid/Zabrodin) — see PAPERS.md.
 //!
 //! ## The algorithm (DESIGN.md §15)
 //!
@@ -61,7 +66,7 @@
 //! tests).
 //!
 //! ```
-//! use massf_mapping::incremental::{run_incremental, IncrementalConfig};
+//! use massf_mapping::incremental::{run_online, IncrementalConfig, RebalanceMode};
 //! use massf_mapping::{MapperConfig, MappingStudy};
 //! use massf_topology::campus::campus;
 //! use massf_traffic::gridnpb::{self, GridNpbConfig};
@@ -73,8 +78,9 @@
 //! let cfg = GridNpbConfig { base_bytes: 200_000, ..Default::default() };
 //! let flows = gridnpb::flows(&cfg, &gridnpb::paper_suite(&cfg), &placement);
 //!
-//! let out = run_incremental(&study, &flows, &[], &IncrementalConfig::default());
-//! assert_eq!(out.epoch_stats.len(), IncrementalConfig::default().epochs);
+//! let online = IncrementalConfig::default();
+//! let out = run_online(&study, &flows, &[], &online, RebalanceMode::Incremental);
+//! assert_eq!(out.epoch_stats.len(), online.epochs);
 //! for e in &out.epoch_stats {
 //!     // A rebalanced epoch never ends worse than it started.
 //!     assert!(e.imbalance_after <= e.imbalance_before + 1e-12);
@@ -100,7 +106,7 @@ use massf_traffic::{FlowSpec, PredictedFlow};
 pub enum RebalanceMode {
     /// Measure drift at every boundary but never move a node.
     Off,
-    /// Full PROFILE remap per boundary ([`crate::dynamic`]'s strategy).
+    /// Full PROFILE remap per boundary from the last two epochs' slices.
     Global,
     /// Local diffusive boundary-node migration ([`diffusive_sweep`]).
     Incremental,
@@ -148,7 +154,8 @@ pub struct IncrementalConfig {
     /// threshold, the boundary skips rebalancing entirely.
     pub drift_threshold: f64,
     /// Global mode only: skip a remap whose new partition moves fewer
-    /// nodes than this (mirrors [`crate::dynamic::DynamicConfig`]).
+    /// nodes than this — migrating two nodes to fix 1 % imbalance is
+    /// never worth a stall.
     pub min_moved_nodes: usize,
 }
 
@@ -337,8 +344,9 @@ pub fn run_online(
     let mut current = initial;
     let mut epoch_stats: Vec<EpochStats> = Vec::new();
     let mut prev_engine_loads: Option<Vec<u64>> = None;
-    // Epoch slices kept for the global mode's two-epoch lookback (the
-    // same recency filter crate::dynamic uses).
+    // Epoch slices kept for the global mode's two-epoch lookback: the
+    // last two epochs predict the next stage far better than the whole
+    // history, which over-weights early bursts that will never recur.
     let mut slice_history: Vec<Vec<FlowRecord>> = Vec::new();
     for epoch in 1..=cfg.epochs as u64 {
         let now = epoch * epoch_len;
@@ -471,17 +479,6 @@ pub fn run_online(
     }
 }
 
-/// [`run_online`] in [`RebalanceMode::Incremental`] — the diffusive
-/// rebalancer this module exists for.
-pub fn run_incremental(
-    study: &MappingStudy,
-    flows: &[FlowSpec],
-    predicted: &[PredictedFlow],
-    cfg: &IncrementalConfig,
-) -> IncrementalOutcome {
-    run_online(study, flows, predicted, cfg, RebalanceMode::Incremental)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -504,22 +501,92 @@ mod tests {
         gridnpb::flows(&cfg, &gridnpb::paper_suite(&cfg), &placement)
     }
 
+    fn incremental(
+        s: &MappingStudy,
+        flows: &[FlowSpec],
+        cfg: &IncrementalConfig,
+    ) -> IncrementalOutcome {
+        run_online(s, flows, &[], cfg, RebalanceMode::Incremental)
+    }
+
+    /// The global remap with the drift gate open: every boundary remaps.
+    fn ungated() -> IncrementalConfig {
+        IncrementalConfig {
+            drift_threshold: 0.0,
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn incremental_run_conserves_packets() {
         let s = study();
         let flows = phase_shifting_flows(&s);
         let injected: u64 = flows.iter().map(|f| f.packets).sum();
-        let out = run_incremental(&s, &flows, &[], &IncrementalConfig::default());
-        assert_eq!(out.report.delivered, injected);
-        assert_eq!(out.report.dropped, 0);
-        assert_eq!(out.epoch_stats.len(), 4);
+        for mode in [RebalanceMode::Incremental, RebalanceMode::Global] {
+            let out = run_online(&s, &flows, &[], &IncrementalConfig::default(), mode);
+            assert_eq!(out.report.delivered, injected, "{mode:?}");
+            assert_eq!(out.report.dropped, 0, "{mode:?}");
+            assert_eq!(out.epoch_stats.len(), 4, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn one_epoch_is_static_top() {
+        let s = study();
+        let flows = phase_shifting_flows(&s);
+        let cfg = IncrementalConfig {
+            epochs: 1,
+            ..Default::default()
+        };
+        let out = run_online(&s, &flows, &[], &cfg, RebalanceMode::Global);
+        assert_eq!(out.remaps_applied, 0);
+        assert_eq!(out.epoch_partitions.len(), 1);
+        // Same events as evaluating TOP statically.
+        let top = s.map(crate::Approach::Top, &[], &flows);
+        let static_report = s.evaluate(&top, &flows, CostModel::live_application());
+        assert_eq!(out.report.total_events(), static_report.total_events());
+    }
+
+    #[test]
+    fn global_improves_imbalance_over_static_top() {
+        let s = study();
+        let flows = phase_shifting_flows(&s);
+        let top = s.map(crate::Approach::Top, &[], &flows);
+        let static_report = s.evaluate(&top, &flows, CostModel::live_application());
+        let out = run_online(&s, &flows, &[], &ungated(), RebalanceMode::Global);
+        let static_imb = load_imbalance(&static_report.engine_events);
+        let dyn_imb = load_imbalance(&out.report.engine_events);
+        assert!(
+            dyn_imb < static_imb,
+            "global remap {dyn_imb:.3} should beat static TOP {static_imb:.3}"
+        );
+        assert!(out.remaps_applied >= 1, "expected at least one remap");
+    }
+
+    #[test]
+    fn migration_costs_appear_in_wall_clock() {
+        let s = study();
+        let flows = phase_shifting_flows(&s);
+        let with_cost = |fixed_us, per_node_us| IncrementalConfig {
+            migration: MigrationCost {
+                fixed_us,
+                per_node_us,
+            },
+            ..ungated()
+        };
+        let cheap = run_online(&s, &flows, &[], &with_cost(0.0, 0.0), RebalanceMode::Global);
+        let dear = run_online(&s, &flows, &[], &with_cost(5e6, 1e5), RebalanceMode::Global);
+        // Identical emulation, different modeled cost.
+        assert_eq!(cheap.report.total_events(), dear.report.total_events());
+        assert!(cheap.remaps_applied > 0, "the open gate must remap");
+        assert!(dear.report.wall.total_us > cheap.report.wall.total_us);
     }
 
     #[test]
     fn epochs_never_increase_measured_imbalance() {
         let s = study();
         let flows = phase_shifting_flows(&s);
-        let out = run_incremental(&s, &flows, &[], &IncrementalConfig::default());
+        let out = incremental(&s, &flows, &IncrementalConfig::default());
         for e in &out.epoch_stats {
             assert!(
                 e.imbalance_after <= e.imbalance_before + 1e-12,
@@ -548,7 +615,7 @@ mod tests {
             budget: 3,
             ..Default::default()
         };
-        let out = run_incremental(&s, &flows, &[], &cfg);
+        let out = incremental(&s, &flows, &cfg);
         for e in &out.epoch_stats {
             assert!(e.moves <= 3, "epoch {} moved {}", e.epoch, e.moves);
         }
@@ -581,7 +648,7 @@ mod tests {
             drift_threshold: 2.0, // TV distance is ≤ 1: everything is quiet
             ..Default::default()
         };
-        let out = run_incremental(&s, &flows, &[], &cfg);
+        let out = incremental(&s, &flows, &cfg);
         assert_eq!(out.migrated_nodes, 0);
         assert_eq!(out.remaps_applied, 0);
         let skips = out.epoch_stats.iter().filter(|e| e.skipped).count();
@@ -664,11 +731,14 @@ mod tests {
     fn deterministic_across_runs() {
         let s = study();
         let flows = phase_shifting_flows(&s);
-        let a = run_incremental(&s, &flows, &[], &IncrementalConfig::default());
-        let b = run_incremental(&s, &flows, &[], &IncrementalConfig::default());
-        assert_eq!(a.report.engine_events, b.report.engine_events);
-        assert_eq!(a.epoch_stats, b.epoch_stats);
-        assert_eq!(a.epoch_partitions, b.epoch_partitions);
+        for mode in [RebalanceMode::Incremental, RebalanceMode::Global] {
+            let a = run_online(&s, &flows, &[], &ungated(), mode);
+            let b = run_online(&s, &flows, &[], &ungated(), mode);
+            assert_eq!(a.report.engine_events, b.report.engine_events);
+            assert_eq!(a.migrated_nodes, b.migrated_nodes);
+            assert_eq!(a.epoch_stats, b.epoch_stats);
+            assert_eq!(a.epoch_partitions, b.epoch_partitions);
+        }
     }
 
     #[test]

@@ -38,7 +38,6 @@
 // iterator rewrites clippy suggests are less clear there.
 #![allow(clippy::needless_range_loop)]
 
-pub mod dynamic;
 pub mod incremental;
 pub mod pipeline;
 pub mod place;
@@ -47,10 +46,8 @@ pub mod segments;
 pub mod top;
 pub mod weights;
 
-pub use dynamic::{run_dynamic, DynamicConfig, DynamicOutcome};
 pub use incremental::{
-    diffusive_sweep, run_incremental, run_online, EpochStats, IncrementalConfig,
-    IncrementalOutcome, RebalanceMode,
+    diffusive_sweep, run_online, EpochStats, IncrementalConfig, IncrementalOutcome, RebalanceMode,
 };
 pub use massf_par::Parallelism;
 pub use massf_routing::RoutingKind;
@@ -120,12 +117,6 @@ impl MapperConfig {
     pub fn with_engine_capacities(mut self, capacities: Vec<f64>) -> Self {
         assert_eq!(capacities.len(), self.engines);
         self.engine_capacities = Some(capacities);
-        self
-    }
-
-    /// Builder: set the latency priority `p`.
-    pub fn with_latency_priority(mut self, p: f64) -> Self {
-        self.latency_priority = p;
         self
     }
 

@@ -6,7 +6,7 @@
 //! cargo run --release --example dynamic_remap
 //! ```
 
-use massf_core::mapping::dynamic::{run_dynamic, DynamicConfig};
+use massf_core::mapping::run_online;
 use massf_core::prelude::*;
 
 fn main() {
@@ -25,11 +25,14 @@ fn main() {
         .evaluate(&static_p, &built.flows, CostModel::live_application());
 
     // Dynamic: repartition from live NetFlow at each epoch boundary.
-    let cfg = DynamicConfig {
+    // `drift_threshold: 0.0` opens the quiet-epoch gate, so every
+    // boundary remaps.
+    let cfg = IncrementalConfig {
         epochs: 4,
+        drift_threshold: 0.0,
         ..Default::default()
     };
-    let out = run_dynamic(&built.study, &built.flows, &cfg);
+    let out = run_online(&built.study, &built.flows, &[], &cfg, RebalanceMode::Global);
 
     println!(
         "static PROFILE : imbalance {:.3}, time {:.1}s",

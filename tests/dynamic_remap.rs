@@ -2,8 +2,7 @@
 //! the dynamic mapper must beat every static mapping; migration must never
 //! change what is emulated.
 
-use massf_core::engine::MigrationCost;
-use massf_core::mapping::dynamic::{run_dynamic, DynamicConfig};
+use massf_core::mapping::run_online;
 use massf_core::prelude::*;
 use massf_core::topology::NodeId;
 use massf_core::traffic::hotspot::{self, HotspotConfig};
@@ -40,16 +39,24 @@ fn hotspot_setup() -> (MappingStudy, Vec<FlowSpec>) {
     (study, flows)
 }
 
+/// The global remap at every boundary. `drift_threshold: 0.0` opens the
+/// quiet-epoch gate: with the default 0.02 a boundary whose load shares
+/// barely moved keeps a partition that is already wrong for the next
+/// hotspot phase, and the fine-grained imbalance loses to static PLACE.
+fn run_global(study: &MappingStudy, flows: &[FlowSpec], epochs: usize) -> IncrementalOutcome {
+    let cfg = IncrementalConfig {
+        epochs,
+        cost: CostModel::default(),
+        drift_threshold: 0.0,
+        ..Default::default()
+    };
+    run_online(study, flows, &[], &cfg, RebalanceMode::Global)
+}
+
 #[test]
 fn dynamic_beats_static_on_drifting_hotspot() {
     let (study, flows) = hotspot_setup();
-    let dyn_cfg = DynamicConfig {
-        epochs: 16,
-        migration: MigrationCost::default(),
-        cost: CostModel::default(),
-        ..Default::default()
-    };
-    let dynamic = run_dynamic(&study, &flows, &dyn_cfg);
+    let dynamic = run_global(&study, &flows, 16);
     assert!(dynamic.remaps_applied >= 2, "hotspot must trigger remaps");
 
     let dyn_fine = mean_active_imbalance(&dynamic.report.window_series, 32);
@@ -70,13 +77,7 @@ fn dynamic_net_time_beats_static_profile_on_hotspot() {
     let (study, flows) = hotspot_setup();
     let p = study.map(Approach::Profile, &[], &flows);
     let static_r = study.evaluate(&p, &flows, CostModel::default());
-    let dyn_cfg = DynamicConfig {
-        epochs: 16,
-        migration: MigrationCost::default(),
-        cost: CostModel::default(),
-        ..Default::default()
-    };
-    let dynamic = run_dynamic(&study, &flows, &dyn_cfg);
+    let dynamic = run_global(&study, &flows, 16);
     assert!(
         dynamic.report.emulation_time_s() < static_r.emulation_time_s() * 1.02,
         "dynamic {:.2}s should not lose to static PROFILE {:.2}s",
@@ -92,12 +93,7 @@ fn migration_preserves_emulation_results() {
     // Static reference for totals.
     let top = study.map(Approach::Top, &[], &flows);
     let static_r = study.evaluate(&top, &flows, CostModel::default());
-    let dyn_cfg = DynamicConfig {
-        epochs: 8,
-        cost: CostModel::default(),
-        ..Default::default()
-    };
-    let dynamic = run_dynamic(&study, &flows, &dyn_cfg);
+    let dynamic = run_global(&study, &flows, 8);
     assert_eq!(dynamic.report.delivered, injected);
     assert_eq!(dynamic.report.dropped, 0);
     assert_eq!(
