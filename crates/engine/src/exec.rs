@@ -94,12 +94,6 @@ impl EmulationConfig {
         self.netflow = true;
         self
     }
-
-    /// Replaces the cost model.
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
 }
 
 /// The one construction path of every executor: checks `cfg` against

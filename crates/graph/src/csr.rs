@@ -48,29 +48,6 @@ impl CsrGraph {
         Ok(g)
     }
 
-    /// Assembles a graph from raw CSR arrays without validation.
-    ///
-    /// Used by the partitioner's coarsening loop where the invariants hold by
-    /// construction and revalidating every level would be O(E log E) wasted.
-    /// Debug builds still validate.
-    pub fn from_parts_unchecked(
-        ncon: usize,
-        xadj: Vec<usize>,
-        adjncy: Vec<VertexId>,
-        adjwgt: Vec<Weight>,
-        vwgt: Vec<Weight>,
-    ) -> Self {
-        let g = Self {
-            ncon,
-            xadj,
-            adjncy,
-            adjwgt,
-            vwgt,
-        };
-        debug_assert!(crate::validate::validate(&g).is_ok());
-        g
-    }
-
     /// Number of vertices.
     #[inline]
     pub fn nvtxs(&self) -> usize {

@@ -108,12 +108,6 @@ impl<'a> ArtifactInput<'a> {
         self
     }
 
-    /// Builder: sets the trace parse result to lint.
-    pub fn with_trace(mut self, t: &'a Result<Trace, TraceError>) -> Self {
-        self.trace = Some(t);
-        self
-    }
-
     /// Builder: sets the PLACE-predicted per-engine loads (MC019).
     pub fn with_predicted_loads(mut self, loads: &'a [f64]) -> Self {
         self.predicted_engine_loads = Some(loads);

@@ -157,12 +157,6 @@ impl PartitionConfig {
         self.threads = par;
         self
     }
-
-    /// Returns `self` with a different best-of-`restarts` search width.
-    pub fn with_restarts(mut self, restarts: usize) -> Self {
-        self.restarts = restarts.max(1);
-        self
-    }
 }
 
 /// A k-way partition of a graph.
