@@ -2,26 +2,21 @@
 //! emulations, and probe routes — the whole reproduction stack from a
 //! shell.
 //!
-//! Subcommands (see `massf help`):
-//!
-//! ```text
-//! massf topology <campus|teragrid|brite|brite-scaleup>
-//! massf check <network.dml|trace.txt> [--engines K] [--traffic <spec.txt>]
-//!             [--audit] [--capacities C1,C2,...] [--format human|json]
-//! massf partition <network.dml> --engines K [--seed N]
-//! massf run <network.dml> [--engines K] [--traffic <spec.txt>] [--duration-s S]
-//!           [--approach top|place|profile] [--replay] [--report <run.json>]
-//! massf ping <network.dml> <src-name> <dst-name>
-//! massf report <run.json>
-//! ```
+//! Every subcommand and every flag is declared once, in the table of
+//! `src/cli/args.rs`: `massf help` is rendered from it, [`run`] parses
+//! against it, and the `cmd_*` functions below read checked, typed values
+//! off the parsed `Args` — none of them looks at an argument word itself.
 //!
 //! Every scenario-consuming subcommand runs the `massf-lint` preflight
 //! first and refuses to proceed past an Error-level diagnostic
-//! (`--deny-warnings` promotes warnings). Unknown `--flags` are rejected
-//! on every subcommand.
+//! (`--deny-warnings` promotes warnings); `verdict` is that one rule.
 //!
 //! All logic lives here (testable); `src/bin/massf.rs` is a thin shim.
 
+mod args;
+
+pub use args::usage;
+use args::{Args, COMMANDS};
 use massf_core::engine::engine::lookahead_us;
 use massf_core::engine::probe;
 use massf_core::obs::json::{Layout::Block, Writer};
@@ -53,143 +48,131 @@ fn err(msg: impl Into<String>) -> CliError {
     CliError(msg.into())
 }
 
-/// Usage text.
-pub const USAGE: &str = "\
-massf — traffic-based load balance for scalable network emulation
-
-USAGE:
-  massf topology <campus|teragrid|brite|brite-scaleup>
-      Print the network in the description format.
-
-  massf check <network.dml> [--engines K] [--traffic <spec.txt>]
-              [--duration-s S] [--audit] [--capacities C1,C2,...]
-              [--format human|json] [--deny-warnings] [--threads T]
-              [--routing compressed|lazy]
-  massf check <trace.txt> [--network <network.dml>] [--format human|json]
-              [--deny-warnings]
-      Statically lint the scenario: topology, partition request, traffic
-      spec, and (when a spec and duration are given) the generated flow
-      schedule. --audit (alias --partition) additionally maps a TOP
-      partition and runs the artifact passes MC013..MC018 over the
-      concrete partition and routing tables; --capacities audits a
-      heterogeneous engine-capacity vector and implies --audit. A file
-      beginning with `# massf-trace` is linted as a recorded trace
-      instead (MC016), plus endpoint validity when --network names the
-      topology it was recorded on. Exits 0 when no Error-level
-      diagnostics are found, 1 otherwise; the report is printed either
-      way. --list-passes instead prints the full stable-code catalog
-      (MC001..MC020 scenario/artifact passes + SA000..SA007 source
-      passes) with severities; machine-readable under --format json.
-
-  massf srclint [<dir>] [--format human|json] [--deny-warnings]
-      Source-level determinism lint over the workspace rooted at <dir>
-      (default: the current directory): a comment/string-aware scan of
-      src/, crates/, and tests/ for byte-determinism hazards — unordered
-      HashMap iteration, wall-clock reads outside the massf-obs
-      quarantine, entropy-seeded randomness, environment access, direct
-      printing in libraries, thread-identity probes, and floating-point
-      accumulation in thread::scope (stable codes SA000..SA007).
-      Legitimate sites carry `srclint: allow(SA00x) - reason` comments;
-      a stale allow is itself an Error. Exits 0 when no Error-level
-      finding survives, 1 otherwise — also when <dir> holds none of the
-      three directories (a mistyped root is not a clean tree).
-
-  massf partition <network.dml> --engines K [--seed N] [--threads T]
-                  [--deny-warnings]
-      Partition the network with the TOP approach; prints node -> engine.
-      The produced partition is audited (MC013, MC017, MC018) and the
-      command refuses past any Error-level finding.
-
-  massf run <network.dml> [--engines K] [--traffic <spec.txt>] [--duration-s S]
-            [--approach top|place|profile] [--replay] [--threads T]
-            [--routing compressed|lazy] [--deny-warnings] [--report <run.json>]
-            [--epochs E] [--rebalance off|global|incremental]
-      Generate background traffic from the spec (a built-in CBR background
-      when --traffic is omitted), map it with the chosen approach, emulate,
-      and print the load-balance report. Defaults: 3 engines, 10 s,
-      profile approach. The mapped partition and routing tables are
-      audited (MC013..MC018) before emulating; Errors refuse. --report
-      also writes the versioned JSON run report (see `massf report`),
-      including the audit as its `lint` block.
-
-      --epochs E splits the emulation into E epochs (at most one per µs
-      of the run); each boundary turns the epoch's NetFlow slice into
-      measured per-engine loads and drift values (surfaced in the
-      report's `rebalance` block and audited as MC019/MC020). --rebalance
-      picks what a boundary does when the drift is loud enough:
-      `incremental` migrates boundary nodes locally, `global` recomputes
-      a full PROFILE partition, `off` (default) only measures. The first
-      epoch is mapped traffic-blind with TOP (nothing has been measured
-      yet), so --approach must be top or omitted; --replay is
-      incompatible. `--rebalance` alone implies 4 epochs.
-
-  massf ping <network.dml> <src-name> <dst-name>
-      Emulate an ICMP echo through the discrete-event engine.
-
-  massf record <network.dml> --traffic <spec.txt> --duration-s S --out <trace.txt>
-               [--deny-warnings] [--report <run.json>]
-      Generate a traffic schedule from the spec and save it as a trace
-      (with the declared duration embedded). The trace text is audited
-      (MC016) before anything is written; Errors refuse.
-
-  massf replay <network.dml> <trace.txt> --engines K
-               [--approach top|place|profile] [--threads T]
-               [--routing compressed|lazy] [--deny-warnings]
-               [--report <run.json>]
-      Replay a recorded trace as fast as possible (isolated network
-      emulation, the paper's Figures 9/10 measurement). The trace is
-      checked first (MC016 shape plus endpoint validity against the
-      network), and the mapped partition is audited before emulating.
-
-  massf report <run.json>
-      Render a JSON run report written by --report as human text:
-      sparkline load timelines, imbalance-over-time, partitioner restart
-      outcomes, and the wall-clock stage-timing breakdown.
-
-  --threads T       Worker threads for the mapping pipeline (routing
-                    tables, traffic accumulation, partitioner restarts).
-                    Defaults to the machine's core count; results are
-                    identical at any T.
-  --routing R       When the routing table's interval-encoded rows are
-                    filled: `compressed` (default; every row up front)
-                    or `lazy` (each row on its first lookup, so resident
-                    bytes follow each engine's own traffic). Routing
-                    answers are bit-identical in both; reports gain
-                    `routing.*` size statistics, and lazy runs add
-                    demand/residency lines sampled after the emulation.
-  --deny-warnings   Promote preflight Warn diagnostics to Errors.
-
-  massf help
-      Show this text.
-
-Scenario-consuming subcommands run the massf-lint preflight before the
-pipeline and the artifact audit after it, refusing to proceed past any
-Error-level diagnostic (stable codes MC001..MC020).
-";
-
 /// Runs the CLI; returns the text to print or an error message.
-pub fn run(args: &[String]) -> Result<String, CliError> {
-    match args.first().map(String::as_str) {
-        None | Some("help") | Some("--help") | Some("-h") => Ok(USAGE.to_string()),
-        Some("topology") => cmd_topology(&args[1..]),
-        Some("check") => cmd_check(&args[1..]),
-        Some("srclint") => cmd_srclint(&args[1..]),
-        Some("partition") => cmd_partition(&args[1..]),
-        Some("run") => cmd_run(&args[1..]),
-        Some("ping") => cmd_ping(&args[1..]),
-        Some("record") => cmd_record(&args[1..]),
-        Some("replay") => cmd_replay(&args[1..]),
-        Some("report") => cmd_report(&args[1..]),
-        Some(other) => Err(err(format!("unknown command {other:?}; try `massf help`"))),
+pub fn run(argv: &[String]) -> Result<String, CliError> {
+    let Some((name, rest)) = argv.split_first() else {
+        return Ok(usage());
+    };
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
+        return Ok(usage());
+    }
+    let cmd = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| err(format!("unknown command {name:?}; try `massf help`")))?;
+    (cmd.run)(&Args::parse(cmd, rest)?)
+}
+
+fn read_file(path: &str) -> Result<String, CliError> {
+    std::fs::read_to_string(path).map_err(|e| err(format!("cannot read {path}: {e}")))
+}
+
+fn load_network(path: &str) -> Result<Network, CliError> {
+    // Structural soundness (connectivity, degenerate nodes, ...) is the
+    // lint preflight's job, so parse errors are the only hard failures.
+    dml::parse(&read_file(path)?).map_err(|e| err(format!("{path}: {e}")))
+}
+
+fn load_traffic(path: &str) -> Result<TrafficKind, CliError> {
+    parse_traffic(&read_file(path)?).map_err(|e| err(format!("{path}: {e}")))
+}
+
+/// What [`verdict`] needs of a lint report. `massf-lint` and
+/// `massf-srclint` each keep their own report type (ROADMAP item 5 folds
+/// them); this is the part of both the CLI's exit rule reads.
+trait Findings {
+    fn promote_warnings(&mut self);
+    fn has_errors(&self) -> bool;
+    fn render(&self, json: bool) -> String;
+}
+
+impl Findings for Diagnostics {
+    fn promote_warnings(&mut self) {
+        self.deny_warnings();
+        self.finish();
+    }
+    fn has_errors(&self) -> bool {
+        Diagnostics::has_errors(self)
+    }
+    fn render(&self, json: bool) -> String {
+        if json {
+            render::json(self)
+        } else {
+            render::human(self)
+        }
     }
 }
 
-fn cmd_topology(args: &[String]) -> Result<String, CliError> {
-    validate_flags("topology", args, &[], &[])?;
-    let name = args
-        .first()
-        .ok_or_else(|| err("usage: massf topology <name>"))?;
-    let topo = match name.as_str() {
+impl Findings for massf_srclint::Report {
+    fn promote_warnings(&mut self) {
+        self.deny_warnings();
+    }
+    fn has_errors(&self) -> bool {
+        massf_srclint::Report::has_errors(self)
+    }
+    fn render(&self, json: bool) -> String {
+        if json {
+            massf_srclint::render::render_json(self)
+        } else {
+            massf_srclint::render::render_human(self)
+        }
+    }
+}
+
+/// The one exit rule of every lint-backed step: `--deny-warnings` promotes
+/// warnings, and any Error-level finding left fails the command. Without a
+/// `gate` the rendered report is the output either way (`check`,
+/// `srclint`); with one the step is silent when clean and fails with the
+/// human report under the gate's heading (preflight, trace check, artifact
+/// audit).
+fn verdict(report: &mut impl Findings, a: &Args, gate: Option<&str>) -> Result<String, CliError> {
+    if a.deny_warnings {
+        report.promote_warnings();
+    }
+    match (report.has_errors(), gate) {
+        (false, Some(_)) => Ok(String::new()),
+        (false, None) => Ok(report.render(a.json)),
+        (true, None) => Err(CliError(report.render(a.json))),
+        (true, Some(heading)) => Err(err(format!("{heading}\n{}", report.render(false)))),
+    }
+}
+
+/// [`verdict`]'s gate heading for a refused post-pipeline artifact audit.
+const AUDIT_FAILED: &str = "artifact audit failed";
+
+/// Runs the `massf-lint` preflight over everything the subcommand knows
+/// and refuses past an Error-level diagnostic.
+fn preflight(
+    a: &Args,
+    net: &Network,
+    engines: Option<usize>,
+    traffic: Option<&TrafficKind>,
+    predicted: &[PredictedFlow],
+    flows: &[FlowSpec],
+) -> Result<(), CliError> {
+    let mut input = LintInput::network(net);
+    input.engines = engines;
+    input.predicted = predicted;
+    input.flows = flows;
+    input.traffic = traffic;
+    let mut diags = massf_lint::lint_scenario(&input);
+    verdict(&mut diags, a, Some("preflight check failed")).map(drop)
+}
+
+/// The mapper configuration the flags ask for; a knob the subcommand does
+/// not take (or was not given) keeps its default.
+fn mapper_config(a: &Args, engines: usize) -> MapperConfig {
+    let defaults = MapperConfig::new(engines);
+    MapperConfig {
+        seed: a.seed.unwrap_or(defaults.seed),
+        parallelism: a.threads.unwrap_or(defaults.parallelism),
+        routing: a.routing.unwrap_or(defaults.routing),
+        ..defaults
+    }
+}
+
+fn cmd_topology(a: &Args) -> Result<String, CliError> {
+    let topo = match a.operands[0] {
         "campus" => Topology::Campus,
         "teragrid" => Topology::TeraGrid,
         "brite" => Topology::Brite,
@@ -199,153 +182,28 @@ fn cmd_topology(args: &[String]) -> Result<String, CliError> {
     Ok(dml::write(&topo.build()))
 }
 
-fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-/// Parses `--duration-s S` into `(seconds, microseconds)`; `None` when the
-/// flag is absent. The emulated span must be at least 1 µs and at most
-/// the lint plausibility horizon: NaN, zero and negatives used to
-/// emulate an empty schedule silently, and `1e300` saturated to a run
-/// that never ends.
-fn duration_flag(args: &[String]) -> Result<Option<(f64, u64)>, CliError> {
-    let Some(text) = flag(args, "--duration-s") else {
-        return Ok(None);
+fn cmd_check(a: &Args) -> Result<String, CliError> {
+    if a.list_passes {
+        return Ok(list_passes(a.json));
+    }
+    let Some(&path) = a.operands.first() else {
+        return Err(err("missing <network.dml|trace.txt>; try `massf help`"));
     };
-    let max_us = massf_lint::passes::MAX_PLAUSIBLE_HORIZON_US;
-    match text.parse::<f64>() {
-        // NaN is in no range.
-        Ok(s) if (1.0..=max_us as f64).contains(&(s * 1e6)) => Ok(Some((s, (s * 1e6) as u64))),
-        _ => Err(err(format!(
-            "--duration-s must be a number of seconds between 0.000001 and {}, got {text:?}",
-            max_us / 1_000_000
-        ))),
-    }
-}
-
-/// Rejects any `--flag` the subcommand does not understand. `value_flags`
-/// consume the following argument; `bool_flags` stand alone. A value flag
-/// in final position is also an error (its value is missing).
-fn validate_flags(
-    cmd: &str,
-    args: &[String],
-    value_flags: &[&str],
-    bool_flags: &[&str],
-) -> Result<(), CliError> {
-    let mut i = 0;
-    while i < args.len() {
-        let a = args[i].as_str();
-        if a.starts_with("--") {
-            if value_flags.contains(&a) {
-                if i + 1 >= args.len() {
-                    return Err(err(format!("{a} requires a value")));
-                }
-                i += 2;
-                continue;
-            }
-            if !bool_flags.contains(&a) {
-                return Err(err(format!(
-                    "unknown flag {a:?} for `massf {cmd}`; try `massf help`"
-                )));
-            }
-        }
-        i += 1;
-    }
-    Ok(())
-}
-
-/// Runs the `massf-lint` preflight over everything the subcommand knows
-/// and refuses (with the human-rendered report as the error) when any
-/// Error-level diagnostic — or any warning under `deny_warnings` — is
-/// present.
-fn preflight(
-    net: &Network,
-    engines: Option<usize>,
-    traffic: Option<&TrafficKind>,
-    predicted: &[PredictedFlow],
-    flows: &[FlowSpec],
-    deny_warnings: bool,
-) -> Result<(), CliError> {
-    let mut input = LintInput::network(net);
-    input.engines = engines;
-    input.predicted = predicted;
-    input.flows = flows;
-    input.traffic = traffic;
-    let mut diags = massf_lint::lint_scenario(&input);
-    if deny_warnings {
-        diags.deny_warnings();
-        diags.finish();
-    }
-    if diags.has_errors() {
-        return Err(err(format!(
-            "preflight check failed\n{}",
-            render::human(&diags)
-        )));
-    }
-    Ok(())
-}
-
-fn cmd_check(args: &[String]) -> Result<String, CliError> {
-    validate_flags(
-        "check",
-        args,
-        &[
-            "--engines",
-            "--traffic",
-            "--duration-s",
-            "--format",
-            "--threads",
-            "--routing",
-            "--capacities",
-            "--network",
-        ],
-        &["--deny-warnings", "--audit", "--partition", "--list-passes"],
-    )?;
-    let json = match flag(args, "--format").unwrap_or("human") {
-        "human" => false,
-        "json" => true,
-        other => return Err(err(format!("unknown format {other:?} (human|json)"))),
-    };
-    if args.iter().any(|a| a == "--list-passes") {
-        return Ok(list_passes(json));
-    }
-    let path = args.first().ok_or_else(|| {
-        err("usage: massf check <network.dml|trace.txt> [--engines K] [--traffic <spec>]")
-    })?;
-    let deny = args.iter().any(|a| a == "--deny-warnings");
-    // Validated here, consumed by the audit stage below; every lint stage
-    // is byte-identical at any thread count and under either routing kind.
-    let threads = threads_flag(args)?;
-    let routing = routing_flag(args)?;
-    let engines = match flag(args, "--engines") {
-        Some(e) => Some(
-            e.parse::<usize>()
-                .map_err(|_| err("--engines must be a number"))?,
-        ),
-        None => None,
-    };
-    let text =
-        std::fs::read_to_string(path).map_err(|e| err(format!("cannot read {path}: {e}")))?;
+    let text = read_file(path)?;
     // A trace file lints as a trace, not as a topology. Anything whose
     // first bytes are the trace header goes down the MC016 path —
     // including wrong-version traces, which MC016 rejects with the found
-    // header rather than a DML parse error.
+    // header rather than a DML parse error — plus the request passes
+    // (endpoint validity and schedule feasibility) when `--network`
+    // supplies the topology the trace was recorded on.
     if text.starts_with(massf_core::traffic::tracefile::HEADER_PREFIX) {
-        return check_trace(&text, args, json, deny);
+        let net = a.network.map(load_network).transpose()?;
+        let mut audit = massf_core::audit::audit_trace(&text, net.as_ref());
+        return verdict(&mut audit.diags, a, None);
     }
     let net = dml::parse(&text).map_err(|e| err(format!("{path}: {e}")))?;
-    let kind = match flag(args, "--traffic") {
-        Some(spec_path) => {
-            let text = std::fs::read_to_string(spec_path)
-                .map_err(|e| err(format!("cannot read {spec_path}: {e}")))?;
-            Some(parse_traffic(&text).map_err(|e| err(format!("{spec_path}: {e}")))?)
-        }
-        None => None,
-    };
-    let (_, duration_us) = duration_flag(args)?.unwrap_or(DEFAULT_DURATION);
+    let kind = a.traffic.map(load_traffic).transpose()?;
+    let (_, duration_us) = a.duration.unwrap_or(DEFAULT_DURATION);
 
     // Stage 1: lint everything known statically. Flow generation asserts
     // on degenerate host sets — exactly what the MC010 spec-fit pass
@@ -354,7 +212,7 @@ fn cmd_check(args: &[String]) -> Result<String, CliError> {
     // disconnected topology) do not block stage 2: the report should show
     // the schedule-level findings alongside the structural ones.
     let mut input = LintInput::network(&net);
-    input.engines = engines;
+    input.engines = a.engines;
     input.traffic = kind.as_ref();
     let mut diags = massf_lint::lint_scenario(&input);
     let spec_fits = !diags
@@ -372,91 +230,35 @@ fn cmd_check(args: &[String]) -> Result<String, CliError> {
     // Stage 3 (opt-in): the artifact audit. Map a TOP partition through
     // the real pipeline and run MC013..MC018 over the partition and
     // routing tables it produced.
-    let caps: Option<Vec<f64>> = match flag(args, "--capacities") {
-        Some(list) => Some(
-            list.split(',')
-                .map(|s| {
-                    s.trim()
-                        .parse::<f64>()
-                        .map_err(|_| err(format!("--capacities: {s:?} is not a number")))
-                })
-                .collect::<Result<_, _>>()?,
-        ),
-        None => None,
-    };
-    let audit = caps.is_some() || args.iter().any(|a| a == "--audit" || a == "--partition");
-    let engines_n = engines.unwrap_or(3.min(net.node_count()));
+    let caps = a.capacities.as_ref();
+    let engines = a.engines.unwrap_or(3.min(net.node_count()));
     // The partitioner asserts 1 <= engines <= nodes. A request outside
     // that is already an Error above (MC007, or MC001 for an empty
     // network), so the report stops there: there is no mapping to audit.
-    if audit && (1..=net.node_count()).contains(&engines_n) {
-        let mut cfg = MapperConfig::new(engines_n);
-        if let Some(par) = threads {
-            cfg = cfg.with_parallelism(par);
-        }
-        if let Some(kind) = routing {
-            cfg = cfg.with_routing(kind);
-        }
+    if (a.audit || caps.is_some()) && (1..=net.node_count()).contains(&engines) {
+        let mut cfg = mapper_config(a, engines);
         // A degenerate capacity vector never reaches the mapper (it
         // asserts on length and on the normalized shares); MC017 reports
         // it on the audit side instead.
-        if let Some(c) = &caps {
-            if c.len() == engines_n && massf_lint::artifact::capacity_shares(c).is_some() {
+        if let Some(c) = caps {
+            if c.len() == engines && massf_lint::artifact::capacity_shares(c).is_some() {
                 cfg = cfg.with_engine_capacities(c.clone());
             }
         }
         let study = MappingStudy::new(net.clone(), cfg);
         let partition = study.map(Approach::Top, &[], &[]);
         let mut artifact = ArtifactInput::new(&net)
-            .with_engines(engines_n)
+            .with_engines(engines)
             .with_ubfactor(study.cfg.ubfactor)
             .with_partition(&partition)
             .with_tables(&study.tables);
-        if let Some(c) = &caps {
+        if let Some(c) = caps {
             artifact = artifact.with_capacities(c);
         }
         diags.merge(massf_lint::lint_artifacts(&artifact));
         diags.finish();
     }
-    if deny {
-        diags.deny_warnings();
-        diags.finish();
-    }
-    let report = if json {
-        render::json(&diags)
-    } else {
-        render::human(&diags)
-    };
-    if diags.has_errors() {
-        Err(CliError(report))
-    } else {
-        Ok(report)
-    }
-}
-
-/// The trace half of `massf check`: MC016 over the file text, plus the
-/// request passes (endpoint validity and schedule feasibility) when
-/// `--network` supplies the topology the trace was recorded on.
-fn check_trace(text: &str, args: &[String], json: bool, deny: bool) -> Result<String, CliError> {
-    let net = match flag(args, "--network") {
-        Some(p) => Some(load_network(p)?),
-        None => None,
-    };
-    let mut audit = massf_core::audit::audit_trace(text, net.as_ref());
-    if deny {
-        audit.diags.deny_warnings();
-        audit.diags.finish();
-    }
-    let report = if json {
-        render::json(&audit.diags)
-    } else {
-        render::human(&audit.diags)
-    };
-    if audit.diags.has_errors() {
-        Err(CliError(report))
-    } else {
-        Ok(report)
-    }
+    verdict(&mut diags, a, None)
 }
 
 /// The full stable-code catalog for `massf check --list-passes`: every
@@ -516,74 +318,13 @@ fn list_passes(json: bool) -> String {
     }
 }
 
-/// `massf srclint [<dir>] [--format human|json] [--deny-warnings]` — the
-/// source-level determinism lint (stable codes SA000..SA007) over the
-/// workspace rooted at `<dir>` (default: the current directory). Mirrors
-/// the `massf check` contract: the report is printed either way, and the
-/// command fails when any Error-level finding (or any Warn under
-/// `--deny-warnings`) survives the allow annotations.
-fn cmd_srclint(args: &[String]) -> Result<String, CliError> {
-    validate_flags("srclint", args, &["--format"], &["--deny-warnings"])?;
-    let json = match flag(args, "--format").unwrap_or("human") {
-        "human" => false,
-        "json" => true,
-        other => return Err(err(format!("unknown format {other:?} (human|json)"))),
-    };
-    let deny = args.iter().any(|a| a == "--deny-warnings");
-    // Positional root, skipping flag values.
-    let mut positionals = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = args[i].as_str();
-        if a == "--format" {
-            i += 2;
-            continue;
-        }
-        if a.starts_with("--") {
-            i += 1;
-            continue;
-        }
-        positionals.push(a);
-        i += 1;
-    }
-    if positionals.len() > 1 {
-        return Err(err(
-            "usage: massf srclint [<dir>] [--format human|json] [--deny-warnings]",
-        ));
-    }
-    let root = positionals.first().copied().unwrap_or(".");
+/// The source-level determinism lint (stable codes SA000..SA007) over the
+/// workspace rooted at the operand. Mirrors the `massf check` contract.
+fn cmd_srclint(a: &Args) -> Result<String, CliError> {
+    let root = a.operands.first().copied().unwrap_or(".");
     let mut report = massf_srclint::lint_workspace(std::path::Path::new(root))
         .map_err(|e| err(format!("cannot scan {root}: {e}")))?;
-    if deny {
-        report.deny_warnings();
-    }
-    let text = if json {
-        massf_srclint::render::render_json(&report)
-    } else {
-        massf_srclint::render::render_human(&report)
-    };
-    if report.has_errors() {
-        Err(CliError(text))
-    } else {
-        Ok(text)
-    }
-}
-
-/// Applies `--deny-warnings` to a post-pipeline artifact audit and
-/// refuses — with the human-rendered report — past any Error-level
-/// finding, mirroring the preflight contract.
-fn audit_gate(diags: &mut Diagnostics, deny_warnings: bool) -> Result<(), CliError> {
-    if deny_warnings {
-        diags.deny_warnings();
-        diags.finish();
-    }
-    if diags.has_errors() {
-        return Err(err(format!(
-            "artifact audit failed\n{}",
-            render::human(diags)
-        )));
-    }
-    Ok(())
+    verdict(&mut report, a, None)
 }
 
 /// Digests a finished lint report into the run report's plain-string
@@ -624,17 +365,6 @@ fn write_run_report(
     run_report.lint = Some(lint_summary(audit));
     fill(&mut run_report);
     std::fs::write(path, run_report.to_json()).map_err(|e| err(format!("cannot write {path}: {e}")))
-}
-
-/// Parses `--routing R` into a [`RoutingKind`]; `None` when absent (the
-/// `MapperConfig` default — compressed — applies).
-fn routing_flag(args: &[String]) -> Result<Option<RoutingKind>, CliError> {
-    match flag(args, "--routing") {
-        None => Ok(None),
-        Some(label) => RoutingKind::parse(label)
-            .map(Some)
-            .ok_or_else(|| err(format!("--routing must be compressed|lazy, got {label:?}"))),
-    }
 }
 
 /// Surfaces routing-table size statistics in the run report: measured vs
@@ -705,54 +435,11 @@ fn record_lazy_run_stats(rec: &mut Recorder, study: &MappingStudy, assignment: &
     }
 }
 
-/// Parses `--threads T` into a [`Parallelism`]; `None` when absent.
-fn threads_flag(args: &[String]) -> Result<Option<Parallelism>, CliError> {
-    match flag(args, "--threads") {
-        None => Ok(None),
-        Some(t) => {
-            let n: usize = t
-                .parse()
-                .map_err(|_| err("--threads must be a positive number"))?;
-            if n == 0 {
-                return Err(err("--threads must be a positive number"));
-            }
-            Ok(Some(Parallelism::new(n)))
-        }
-    }
-}
-
-fn load_network(path: &str) -> Result<Network, CliError> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| err(format!("cannot read {path}: {e}")))?;
-    // Structural soundness (connectivity, degenerate nodes, ...) is the
-    // lint preflight's job, so parse errors are the only hard failures.
-    dml::parse(&text).map_err(|e| err(format!("{path}: {e}")))
-}
-
-fn cmd_partition(args: &[String]) -> Result<String, CliError> {
-    validate_flags(
-        "partition",
-        args,
-        &["--engines", "--seed", "--threads"],
-        &["--deny-warnings"],
-    )?;
-    let path = args
-        .first()
-        .ok_or_else(|| err("usage: massf partition <network.dml> --engines K"))?;
-    let engines: usize = flag(args, "--engines")
-        .ok_or_else(|| err("missing --engines"))?
-        .parse()
-        .map_err(|_| err("--engines must be a number"))?;
-    let net = load_network(path)?;
-    let deny = args.iter().any(|a| a == "--deny-warnings");
-    preflight(&net, Some(engines), None, &[], &[], deny)?;
-    let mut cfg = MapperConfig::new(engines);
-    if let Some(seed) = flag(args, "--seed") {
-        cfg = cfg.with_seed(seed.parse().map_err(|_| err("--seed must be a number"))?);
-    }
-    if let Some(par) = threads_flag(args)? {
-        cfg = cfg.with_parallelism(par);
-    }
+fn cmd_partition(a: &Args) -> Result<String, CliError> {
+    let engines = a.engines.expect("the table requires --engines");
+    let net = load_network(a.operands[0])?;
+    preflight(a, &net, Some(engines), None, &[], &[])?;
+    let cfg = mapper_config(a, engines);
     let partition = massf_core::mapping::top::map_top(&net, &cfg);
     // Post-pipeline audit of the concrete partition (no routing tables
     // were built here, so MC014/MC015 skip but still count as run).
@@ -762,7 +449,7 @@ fn cmd_partition(args: &[String]) -> Result<String, CliError> {
             .with_ubfactor(cfg.ubfactor)
             .with_partition(&partition),
     );
-    audit_gate(&mut audit, deny)?;
+    verdict(&mut audit, a, Some(AUDIT_FAILED))?;
     let mut out = String::new();
     for n in net.nodes() {
         out.push_str(&format!("{}\t{}\n", n.name, partition.part[n.id as usize]));
@@ -877,189 +564,200 @@ fn rebalance_info(mode: RebalanceMode, outcome: &IncrementalOutcome) -> Rebalanc
     }
 }
 
-fn cmd_run(args: &[String]) -> Result<String, CliError> {
-    validate_flags(
-        "run",
-        args,
-        &[
-            "--engines",
-            "--traffic",
-            "--duration-s",
-            "--approach",
-            "--threads",
-            "--routing",
-            "--report",
-            "--epochs",
-            "--rebalance",
-        ],
-        &["--replay", "--deny-warnings"],
-    )?;
-    let path = args.first().ok_or_else(|| {
-        err("usage: massf run <network.dml> [--engines K] [--traffic <spec>] [--duration-s S]")
-    })?;
-    let mut rec = Recorder::new();
-    let span = rec.start();
-    let net = load_network(path)?;
-    rec.finish("cli/load_network", span);
-    let engines: usize = match flag(args, "--engines") {
-        Some(e) => e.parse().map_err(|_| err("--engines must be a number"))?,
-        None => 3,
-    };
-    let (spec_label, spec_text) = match flag(args, "--traffic") {
-        Some(spec_path) => (
-            spec_path,
-            std::fs::read_to_string(spec_path)
-                .map_err(|e| err(format!("cannot read {spec_path}: {e}")))?,
-        ),
-        None => ("<built-in CBR>", DEFAULT_TRAFFIC_SPEC.to_string()),
-    };
-    let kind = parse_traffic(&spec_text).map_err(|e| err(format!("{spec_label}: {e}")))?;
-    let (duration_s, duration_us) = duration_flag(args)?.unwrap_or(DEFAULT_DURATION);
-    let approach = match flag(args, "--approach").unwrap_or("profile") {
-        "top" => Approach::Top,
-        "place" => Approach::Place,
-        "profile" => Approach::Profile,
-        other => return Err(err(format!("unknown approach {other:?}"))),
-    };
-    let replay = args.iter().any(|a| a == "--replay");
-    let deny = args.iter().any(|a| a == "--deny-warnings");
-    let mode = match flag(args, "--rebalance") {
-        Some(m) => RebalanceMode::parse(m).ok_or_else(|| {
-            err(format!(
-                "--rebalance must be off|global|incremental, got {m:?}"
-            ))
-        })?,
-        None => RebalanceMode::Off,
-    };
-    let epochs: usize = match flag(args, "--epochs") {
-        Some(e) => {
-            let n = e.parse().map_err(|_| err("--epochs must be a number"))?;
-            if n == 0 {
-                return Err(err("--epochs must be at least 1"));
+/// How [`map_audit_emulate`] emulates the mapped partition.
+enum Emulate {
+    /// Application traffic paced in real time (`run`).
+    Live,
+    /// As fast as possible (`run --replay`, `replay`).
+    Replay,
+    /// In epochs, measuring at each boundary and rebalancing as `mode`
+    /// says (`run --epochs`).
+    Online { epochs: usize, mode: RebalanceMode },
+}
+
+/// A loaded, preflighted scenario on its way through the pipeline tail.
+struct Job<'a> {
+    command: &'static str,
+    net: Network,
+    engines: usize,
+    approach: Approach,
+    predicted: &'a [PredictedFlow],
+    flows: &'a [FlowSpec],
+    duration_s: Option<f64>,
+    /// Findings made before mapping (`replay`'s trace check), folded into
+    /// the audit so the run report's lint block carries both.
+    findings: Option<Diagnostics>,
+    emulate: Emulate,
+}
+
+/// The tail `run` and `replay` share: build the study, map, audit the
+/// mapped partition and routing tables, refuse past an Error, emulate, and
+/// write the `--report` file when asked. Leaves the subcommand the
+/// emulation report (and the rebalance block of an online run) to print.
+fn map_audit_emulate(
+    a: &Args,
+    mut rec: Recorder,
+    job: Job,
+) -> Result<(EmulationReport, Option<RebalanceInfo>), CliError> {
+    rec.add_counter("traffic.flows", job.flows.len() as u64);
+    let cfg = mapper_config(a, job.engines);
+    let threads = cfg.parallelism.get();
+    let study = rec.time("mapping/routing_tables", || MappingStudy::new(job.net, cfg));
+    record_routing_stats(&mut rec, &study);
+    let partition = study.map_obs(job.approach, job.predicted, job.flows, &mut rec);
+    let (report, rebalance, audit, final_partition) = match job.emulate {
+        Emulate::Online { epochs, mode } => {
+            // Online path: the audit runs once, after the emulation, when
+            // the MC019/MC020 drift evidence exists — same refusal contract.
+            let inc_cfg = IncrementalConfig {
+                epochs,
+                ..IncrementalConfig::default()
+            };
+            let outcome = rec.time("engine/emulate", || {
+                massf_core::mapping::run_online(&study, job.flows, job.predicted, &inc_cfg, mode)
+            });
+            // PLACE's plan summed per engine under the initial partition:
+            // the MC019 baseline the measured epochs are compared against.
+            let (_, predicted_node) = massf_core::mapping::weights::accumulate_predicted_with(
+                &study.net,
+                &study.tables,
+                job.predicted,
+                study.cfg.parallelism,
+            );
+            let mut predicted_engine = vec![0.0f64; job.engines];
+            for (v, w) in predicted_node.iter().enumerate() {
+                predicted_engine[partition.part[v] as usize] += w;
             }
-            // Each epoch boundary is a full remap: more of them than the run
-            // has microseconds would remap over zero virtual time.
-            if n as u64 > duration_us {
-                return Err(err(format!(
-                    "--epochs {n} is more than the run's {duration_us} µs"
-                )));
-            }
-            n
+            let epoch_loads: Vec<Vec<u64>> = outcome
+                .epoch_stats
+                .iter()
+                .map(|e| e.engine_loads.clone())
+                .collect();
+            let mut audit = rec.time("cli/audit", || {
+                massf_core::audit::audit_study_online(
+                    &study,
+                    &partition,
+                    &predicted_engine,
+                    &epoch_loads,
+                )
+            });
+            verdict(&mut audit, a, Some(AUDIT_FAILED))?;
+            let info = rebalance_info(mode, &outcome);
+            // The partition actually in force at the end of the run (after
+            // any boundary migrations).
+            let last = outcome.epoch_partitions.into_iter().last();
+            (outcome.report, Some(info), audit, last.unwrap_or(partition))
         }
+        Emulate::Live | Emulate::Replay => {
+            // The mapped partition plus the study's routing tables must
+            // hold up before any emulation time is spent on them.
+            let mut audit = rec.time("cli/audit", || {
+                massf_core::audit::audit_study(&study, &partition)
+            });
+            if let Some(found) = job.findings {
+                audit.merge(found);
+                audit.finish();
+            }
+            verdict(&mut audit, a, Some(AUDIT_FAILED))?;
+            let report = rec.time("engine/emulate", || match job.emulate {
+                Emulate::Replay => study.replay(&partition, job.flows),
+                _ => study.evaluate(&partition, job.flows, CostModel::live_application()),
+            });
+            (report, None, audit, partition)
+        }
+    };
+    record_lazy_run_stats(&mut rec, &study, &final_partition.part);
+    if let Some(path) = a.report {
+        let scenario = ScenarioInfo {
+            network: study.net.summary(),
+            engines: job.engines as u64,
+            approach: job.approach.label().to_string(),
+            flows: job.flows.len() as u64,
+            duration_s: job.duration_s,
+        };
+        write_run_report(path, job.command, scenario, rec, threads, &audit, |r| {
+            r.partition = Some(partition_info(&study.net, &final_partition));
+            r.emulation = Some(emulation_info(&report));
+            r.rebalance = rebalance.clone();
+        })?;
+    }
+    Ok((report, rebalance))
+}
+
+fn cmd_run(a: &Args) -> Result<String, CliError> {
+    let mut rec = Recorder::new();
+    let net = rec.time("cli/load_network", || load_network(a.operands[0]))?;
+    let network = net.summary();
+    let engines = a.engines.unwrap_or(3);
+    let kind = match a.traffic {
+        Some(path) => load_traffic(path)?,
+        None => parse_traffic(DEFAULT_TRAFFIC_SPEC).expect("the built-in spec parses"),
+    };
+    let (duration_s, duration_us) = a.duration.unwrap_or(DEFAULT_DURATION);
+    let epochs = match a.epochs {
+        // Each epoch boundary is a full remap: more of them than the run
+        // has microseconds would remap over zero virtual time.
+        Some(n) if n as u64 > duration_us => {
+            return Err(err(format!(
+                "--epochs {n} is more than the run's {duration_us} µs"
+            )))
+        }
+        Some(n) => n,
         // `--rebalance` without `--epochs` implies the default epoch count
         // (`off` included: it measures epochs without ever migrating).
-        None if flag(args, "--rebalance").is_some() => IncrementalConfig::default().epochs,
+        None if a.rebalance.is_some() => IncrementalConfig::default().epochs,
         None => 1,
     };
-    let online = epochs > 1;
-    if online {
-        if replay {
+    let (approach, emulate) = if epochs > 1 {
+        if a.replay {
             return Err(err("--replay cannot be combined with --epochs"));
         }
         // The online run starts traffic-blind: epoch 1 is mapped with TOP
         // and later boundaries adapt from measurements, so a predicted or
         // profiled initial approach has nothing to contribute.
-        if !matches!(flag(args, "--approach"), None | Some("top")) {
+        if !matches!(a.approach, None | Some(Approach::Top)) {
             return Err(err(
                 "--epochs maps the first epoch with TOP; use --approach top or omit it",
             ));
         }
-    }
-    let approach = if online { Approach::Top } else { approach };
+        let mode = a.rebalance.unwrap_or(RebalanceMode::Off);
+        (Approach::Top, Emulate::Online { epochs, mode })
+    } else if a.replay {
+        (a.approach.unwrap_or(Approach::Profile), Emulate::Replay)
+    } else {
+        (a.approach.unwrap_or(Approach::Profile), Emulate::Live)
+    };
 
     // Stage 1: static preflight; flow generation is only safe on a clean
     // base (generators assert on degenerate host sets).
-    let span = rec.start();
-    preflight(&net, Some(engines), Some(&kind), &[], &[], deny)?;
-    rec.finish("cli/preflight", span);
-    let span = rec.start();
-    let (flows, predicted) = generate_traffic(&net, &kind, duration_us);
-    rec.finish("cli/traffic_gen", span);
+    rec.time("cli/preflight", || {
+        preflight(a, &net, Some(engines), Some(&kind), &[], &[])
+    })?;
+    let (flows, predicted) = rec.time("cli/traffic_gen", || {
+        generate_traffic(&net, &kind, duration_us)
+    });
     if flows.is_empty() {
         return Err(err("the traffic spec generated no flows for this duration"));
     }
     // Stage 2: the generated schedule itself.
-    let span = rec.start();
-    preflight(&net, Some(engines), Some(&kind), &predicted, &flows, deny)?;
-    rec.finish("cli/preflight_schedule", span);
-    rec.add_counter("traffic.flows", flows.len() as u64);
-    let mut cfg = MapperConfig::new(engines);
-    if let Some(par) = threads_flag(args)? {
-        cfg = cfg.with_parallelism(par);
-    }
-    if let Some(kind) = routing_flag(args)? {
-        cfg = cfg.with_routing(kind);
-    }
-    let threads = cfg.parallelism.get();
-    let span = rec.start();
-    let study = MappingStudy::new(net, cfg);
-    rec.finish("mapping/routing_tables", span);
-    record_routing_stats(&mut rec, &study);
-    let partition = study.map_obs(approach, &predicted, &flows, &mut rec);
-    let (report, rebalance, mut audit, final_partition) = if online {
-        // Online path: the audit runs once, after the emulation, when the
-        // MC019/MC020 drift evidence exists — same refusal contract.
-        let inc_cfg = IncrementalConfig {
-            epochs,
-            ..IncrementalConfig::default()
-        };
-        let span = rec.start();
-        let outcome = massf_core::mapping::run_online(&study, &flows, &predicted, &inc_cfg, mode);
-        rec.finish("engine/emulate", span);
-        // PLACE's plan summed per engine under the initial partition: the
-        // MC019 baseline the measured epochs are compared against.
-        let (_, predicted_node) = massf_core::mapping::weights::accumulate_predicted_with(
-            &study.net,
-            &study.tables,
-            &predicted,
-            study.cfg.parallelism,
-        );
-        let mut predicted_engine = vec![0.0f64; engines];
-        for (v, w) in predicted_node.iter().enumerate() {
-            predicted_engine[partition.part[v] as usize] += w;
-        }
-        let epoch_loads: Vec<Vec<u64>> = outcome
-            .epoch_stats
-            .iter()
-            .map(|e| e.engine_loads.clone())
-            .collect();
-        let span = rec.start();
-        let audit = massf_core::audit::audit_study_online(
-            &study,
-            &partition,
-            &predicted_engine,
-            &epoch_loads,
-        );
-        rec.finish("cli/audit", span);
-        let info = rebalance_info(mode, &outcome);
-        let final_partition = outcome
-            .epoch_partitions
-            .last()
-            .cloned()
-            .unwrap_or_else(|| partition.clone());
-        (outcome.report, Some(info), audit, final_partition)
-    } else {
-        // Post-pipeline audit: the mapped partition plus the study's
-        // routing tables must hold up before any emulation time is spent
-        // on them.
-        let span = rec.start();
-        let mut audit = massf_core::audit::audit_study(&study, &partition);
-        rec.finish("cli/audit", span);
-        audit_gate(&mut audit, deny)?;
-        let span = rec.start();
-        let report = if replay {
-            study.replay(&partition, &flows)
-        } else {
-            study.evaluate(&partition, &flows, CostModel::live_application())
-        };
-        rec.finish("engine/emulate", span);
-        (report, None, audit, partition.clone())
+    rec.time("cli/preflight_schedule", || {
+        preflight(a, &net, Some(engines), Some(&kind), &predicted, &flows)
+    })?;
+    let job = Job {
+        command: "run",
+        net,
+        engines,
+        approach,
+        predicted: &predicted,
+        flows: &flows,
+        duration_s: Some(duration_s),
+        findings: None,
+        emulate,
     };
-    audit_gate(&mut audit, deny)?;
-    record_lazy_run_stats(&mut rec, &study, &final_partition.part);
+    let (report, rebalance) = map_audit_emulate(a, rec, job)?;
 
     let mut out = String::new();
-    out.push_str(&format!("network      : {}\n", study.net.summary()));
+    out.push_str(&format!("network      : {network}\n"));
     out.push_str(&format!("approach     : {}\n", approach.label()));
     out.push_str(&format!("flows        : {}\n", flows.len()));
     out.push_str(&format!(
@@ -1105,61 +803,30 @@ fn cmd_run(args: &[String]) -> Result<String, CliError> {
             ));
         }
     }
-
-    if let Some(report_path) = flag(args, "--report") {
-        let scenario = ScenarioInfo {
-            network: study.net.summary(),
-            engines: engines as u64,
-            approach: approach.label().to_string(),
-            flows: flows.len() as u64,
-            duration_s: Some(duration_s),
-        };
-        write_run_report(report_path, "run", scenario, rec, threads, &audit, |r| {
-            // The online path reports the partition actually in force at
-            // the end of the run (after any boundary migrations).
-            r.partition = Some(partition_info(&study.net, &final_partition));
-            r.emulation = Some(emulation_info(&report));
-            r.rebalance = rebalance;
-        })?;
+    if let Some(report_path) = a.report {
         out.push_str(&format!("report       : {report_path}\n"));
     }
     Ok(out)
 }
 
-fn cmd_record(args: &[String]) -> Result<String, CliError> {
-    validate_flags(
-        "record",
-        args,
-        &["--traffic", "--duration-s", "--out", "--report"],
-        &["--deny-warnings"],
-    )?;
-    let path = args.first().ok_or_else(|| {
-        err("usage: massf record <network.dml> --traffic <spec> --duration-s S --out <trace>")
-    })?;
+fn cmd_record(a: &Args) -> Result<String, CliError> {
     let mut rec = Recorder::new();
-    let span = rec.start();
-    let net = load_network(path)?;
-    rec.finish("cli/load_network", span);
-    let spec_path = flag(args, "--traffic").ok_or_else(|| err("missing --traffic"))?;
-    let spec_text = std::fs::read_to_string(spec_path)
-        .map_err(|e| err(format!("cannot read {spec_path}: {e}")))?;
-    let kind = parse_traffic(&spec_text).map_err(|e| err(format!("{spec_path}: {e}")))?;
-    let (duration_s, duration_us) =
-        duration_flag(args)?.ok_or_else(|| err("missing --duration-s"))?;
-    let out_path = flag(args, "--out").ok_or_else(|| err("missing --out"))?;
-    let deny = args.iter().any(|a| a == "--deny-warnings");
-    preflight(&net, None, Some(&kind), &[], &[], deny)?;
-    let span = rec.start();
-    let (flows, _) = generate_traffic(&net, &kind, duration_us);
-    rec.finish("cli/traffic_gen", span);
+    let net = rec.time("cli/load_network", || load_network(a.operands[0]))?;
+    let kind = load_traffic(a.traffic.expect("the table requires --traffic"))?;
+    let (duration_s, duration_us) = a.duration.expect("the table requires --duration-s");
+    let out_path = a.out.expect("the table requires --out");
+    preflight(a, &net, None, Some(&kind), &[], &[])?;
+    let (flows, _) = rec.time("cli/traffic_gen", || {
+        generate_traffic(&net, &kind, duration_us)
+    });
     rec.add_counter("traffic.flows", flows.len() as u64);
     let text = massf_core::traffic::tracefile::write_with_duration(&flows, Some(duration_us));
     // Audit the exact bytes headed for disk — what `replay` and
     // `massf check` will read back — and refuse to write a broken trace.
     let mut audit = massf_core::audit::audit_trace(&text, Some(&net)).diags;
-    audit_gate(&mut audit, deny)?;
+    verdict(&mut audit, a, Some(AUDIT_FAILED))?;
     std::fs::write(out_path, &text).map_err(|e| err(format!("cannot write {out_path}: {e}")))?;
-    if let Some(report_path) = flag(args, "--report") {
+    if let Some(report_path) = a.report {
         // No mapping and no emulation happen here, so the report carries
         // the scenario shape (engines 0, approach "-"), the trace audit,
         // and timing.
@@ -1172,117 +839,46 @@ fn cmd_record(args: &[String]) -> Result<String, CliError> {
         };
         write_run_report(report_path, "record", scenario, rec, 1, &audit, |_| {})?;
     }
-    Ok(format!(
-        "recorded {} flows to {out_path}
-",
-        flows.len()
-    ))
+    Ok(format!("recorded {} flows to {out_path}\n", flows.len()))
 }
 
-fn cmd_replay(args: &[String]) -> Result<String, CliError> {
-    let [path, trace_path, rest @ ..] = args else {
-        return Err(err(
-            "usage: massf replay <network.dml> <trace.txt> --engines K",
-        ));
-    };
-    validate_flags(
-        "replay",
-        rest,
-        &[
-            "--engines",
-            "--approach",
-            "--threads",
-            "--routing",
-            "--report",
-        ],
-        &["--deny-warnings"],
-    )?;
+fn cmd_replay(a: &Args) -> Result<String, CliError> {
     let mut rec = Recorder::new();
-    let span = rec.start();
-    let net = load_network(path)?;
-    rec.finish("cli/load_network", span);
-    let trace_text = std::fs::read_to_string(trace_path)
-        .map_err(|e| err(format!("cannot read {trace_path}: {e}")))?;
-    let deny = rest.iter().any(|a| a == "--deny-warnings");
+    let net = rec.time("cli/load_network", || load_network(a.operands[0]))?;
+    let trace_text = read_file(a.operands[1])?;
     // MC016 trace-shape lint plus endpoint validity against this
-    // topology; the former ad-hoc "trace contains no flows" refusal is
-    // the MC016 empty-trace Error now.
-    let span = rec.start();
-    let trace_audit = massf_core::audit::audit_trace(&trace_text, Some(&net));
-    rec.finish("cli/trace_audit", span);
-    let mut trace_diags = trace_audit.diags;
-    if deny {
-        trace_diags.deny_warnings();
-        trace_diags.finish();
-    }
-    if trace_diags.has_errors() {
-        return Err(err(format!(
-            "trace check failed\n{}",
-            render::human(&trace_diags)
-        )));
-    }
+    // topology; an empty trace is the MC016 empty-trace Error.
+    let mut trace_audit = rec.time("cli/trace_audit", || {
+        massf_core::audit::audit_trace(&trace_text, Some(&net))
+    });
+    verdict(&mut trace_audit.diags, a, Some("trace check failed"))?;
     let flows = trace_audit
         .trace
         .expect("an error-free trace audit implies the trace parsed")
         .flows;
-    let engines: usize = flag(rest, "--engines")
-        .ok_or_else(|| err("missing --engines"))?
-        .parse()
-        .map_err(|_| err("--engines must be a number"))?;
+    let engines = a.engines.expect("the table requires --engines");
     // Infeasible engine counts and degenerate schedules surface here as
     // MC* diagnostics.
-    let span = rec.start();
-    preflight(&net, Some(engines), None, &[], &flows, deny)?;
-    rec.finish("cli/preflight", span);
-    rec.add_counter("traffic.flows", flows.len() as u64);
-    let approach = match flag(rest, "--approach").unwrap_or("profile") {
-        "top" => Approach::Top,
-        "place" => Approach::Place,
-        "profile" => Approach::Profile,
-        other => return Err(err(format!("unknown approach {other:?}"))),
+    rec.time("cli/preflight", || {
+        preflight(a, &net, Some(engines), None, &[], &flows)
+    })?;
+    let approach = a.approach.unwrap_or(Approach::Profile);
+    let job = Job {
+        command: "replay",
+        net,
+        engines,
+        approach,
+        predicted: &[],
+        flows: &flows,
+        // The trace fixes the schedule; no wall-clock duration knob is
+        // involved in a replay.
+        duration_s: None,
+        findings: Some(trace_audit.diags),
+        emulate: Emulate::Replay,
     };
-    let mut cfg = MapperConfig::new(engines);
-    if let Some(par) = threads_flag(rest)? {
-        cfg = cfg.with_parallelism(par);
-    }
-    if let Some(kind) = routing_flag(rest)? {
-        cfg = cfg.with_routing(kind);
-    }
-    let threads = cfg.parallelism.get();
-    let span = rec.start();
-    let study = MappingStudy::new(net, cfg);
-    rec.finish("mapping/routing_tables", span);
-    record_routing_stats(&mut rec, &study);
-    let partition = study.map_obs(approach, &[], &flows, &mut rec);
-    // Post-pipeline audit: partition and routing tables, folded together
-    // with the trace findings for the run report's lint block.
-    let mut audit = massf_core::audit::audit_study(&study, &partition);
-    audit.merge(trace_diags);
-    audit.finish();
-    audit_gate(&mut audit, deny)?;
-    let span = rec.start();
-    let report = study.replay(&partition, &flows);
-    rec.finish("engine/emulate", span);
-    record_lazy_run_stats(&mut rec, &study, &partition.part);
-    if let Some(report_path) = flag(rest, "--report") {
-        let scenario = ScenarioInfo {
-            network: study.net.summary(),
-            engines: engines as u64,
-            approach: approach.label().to_string(),
-            flows: flows.len() as u64,
-            // The trace fixes the schedule; no wall-clock duration knob is
-            // involved in a replay.
-            duration_s: None,
-        };
-        write_run_report(report_path, "replay", scenario, rec, threads, &audit, |r| {
-            r.partition = Some(partition_info(&study.net, &partition));
-            r.emulation = Some(emulation_info(&report));
-        })?;
-    }
+    let (report, _) = map_audit_emulate(a, rec, job)?;
     Ok(format!(
-        "replayed {} flows under {}: {} packets in {:.2}s modeled, imbalance {:.3}
-{}
-",
+        "replayed {} flows under {}: {} packets in {:.2}s modeled, imbalance {:.3}\n{}\n",
         flows.len(),
         approach.label(),
         report.delivered,
@@ -1292,14 +888,10 @@ fn cmd_replay(args: &[String]) -> Result<String, CliError> {
     ))
 }
 
-fn cmd_report(args: &[String]) -> Result<String, CliError> {
-    validate_flags("report", args, &[], &[])?;
-    let path = args
-        .first()
-        .ok_or_else(|| err("usage: massf report <run.json>"))?;
-    let text =
-        std::fs::read_to_string(path).map_err(|e| err(format!("cannot read {path}: {e}")))?;
-    let report = RunReport::from_json(&text).map_err(|e| err(format!("{path}: {e}")))?;
+fn cmd_report(a: &Args) -> Result<String, CliError> {
+    let path = a.operands[0];
+    let report =
+        RunReport::from_json(&read_file(path)?).map_err(|e| err(format!("{path}: {e}")))?;
     Ok(report.render_human())
 }
 
@@ -1311,12 +903,9 @@ fn find_node(net: &Network, name: &str) -> Result<NodeId, CliError> {
         .ok_or_else(|| err(format!("no node named {name:?}")))
 }
 
-fn cmd_ping(args: &[String]) -> Result<String, CliError> {
-    validate_flags("ping", args, &[], &[])?;
-    let [path, src, dst] = args else {
-        return Err(err("usage: massf ping <network.dml> <src-name> <dst-name>"));
-    };
-    let net = load_network(path)?;
+fn cmd_ping(a: &Args) -> Result<String, CliError> {
+    let (src, dst) = (a.operands[1], a.operands[2]);
+    let net = load_network(a.operands[0])?;
     let tables = RoutingTables::build(&net);
     let (s, d) = (find_node(&net, src)?, find_node(&net, dst)?);
     let report = probe::ping(&net, &tables, s, d)
@@ -1372,9 +961,30 @@ mod tests {
     #[test]
     fn help_and_unknown() {
         assert!(run(&[]).unwrap().contains("USAGE"));
-        assert!(run(&args(&["help"])).unwrap().contains("massf topology"));
+        let help = run(&args(&["help"])).unwrap();
+        assert!(help.contains("massf topology"));
         let e = run(&args(&["frobnicate"])).unwrap_err();
         assert!(e.0.contains("unknown command"));
+        // Help is rendered from the table: every subcommand's synopsis
+        // names every flag it takes, and every flag has its help entry.
+        let mut synopses = Vec::new();
+        for cmd in &COMMANDS {
+            let synopsis = cmd.synopsis();
+            assert!(help.contains(&synopsis), "{synopsis}");
+            for f in cmd.flags() {
+                assert!(synopsis.contains(f.name), "{}: {}", cmd.name, f.name);
+                let entry = format!("\n  {}", [f.name, f.metavar].join(" "));
+                assert!(help.contains(entry.trim_end()), "{}", f.name);
+            }
+            synopses.push(synopsis);
+        }
+        // The README's CLI section carries the same block verbatim.
+        let readme = std::fs::read_to_string("README.md").unwrap();
+        assert!(
+            readme.contains(&synopses.join("\n")),
+            "README.md's synopsis block drifted from `massf help`:\n{}",
+            synopses.join("\n")
+        );
     }
 
     #[test]
@@ -1473,6 +1083,21 @@ mod tests {
         assert!(out.contains("delivered"), "{out}");
         assert!(out.contains("imbalance"), "{out}");
         assert!(out.contains("(0 dropped)"), "{out}");
+        // Flags may come before the operand.
+        let flags_first = run(&args(&[
+            "run",
+            "--engines",
+            "3",
+            "--approach",
+            "profile",
+            net_file.as_str(),
+            "--traffic",
+            spec.as_str(),
+            "--duration-s",
+            "2",
+        ]))
+        .unwrap();
+        assert_eq!(flags_first, out);
     }
 
     #[test]
@@ -1575,7 +1200,7 @@ mod tests {
                 );
             }
         }
-        for line in USAGE.lines().filter(|l| l.contains("[--routing")) {
+        for line in usage().lines().filter(|l| l.contains("[--routing")) {
             assert!(line.contains("[--routing compressed|lazy]"), "{line}");
         }
     }
@@ -1696,36 +1321,54 @@ mod tests {
 
     #[test]
     fn duration_flag_is_checked_on_every_subcommand() {
-        let f = write_campus();
-        let spec = "examples/scenarios/cbr.txt";
-        for bad in ["nan", "-5", "0", "1e-9", "1e300", "inf", "soon"] {
-            for cmd in [
-                vec!["run", f.as_str()],
-                vec!["check", f.as_str(), "--traffic", spec],
-                vec![
-                    "record",
-                    f.as_str(),
-                    "--traffic",
-                    spec,
-                    "--out",
-                    "/nonexistent/t",
-                ],
-            ] {
-                let mut all = cmd.clone();
-                all.extend(["--duration-s", bad]);
-                let e = run(&args(&all)).unwrap_err();
-                assert!(
-                    e.0.starts_with("--duration-s must be"),
-                    "{cmd:?} {bad}: {e}"
-                );
-                assert_eq!(e.0.lines().count(), 1, "{e}");
+        // Every numeric flag, on every subcommand that takes it, is
+        // checked once — before any file is read, so no operand is needed
+        // — and a bad value is a one-line error naming the flag.
+        let huge = "99999999999999999999";
+        let sweep: &[(&str, &[&str])] = &[
+            (
+                "--duration-s",
+                &["nan", "-5", "0", "1e-9", "1e300", "inf", "soon", ""],
+            ),
+            ("--engines", &["abc", "-1", "1.5", "", huge]),
+            ("--seed", &["abc", "-1", "1.5", "", huge]),
+            ("--epochs", &["abc", "-1", "1.5", "", "0", huge]),
+            ("--threads", &["abc", "-1", "1.5", "", "0", huge]),
+        ];
+        let mut checked = 0;
+        for cmd in &COMMANDS {
+            for (flag, bad_values) in sweep {
+                if !cmd.flags().any(|f| f.name == *flag) {
+                    continue;
+                }
+                for bad in *bad_values {
+                    let e = run(&args(&[cmd.name, flag, bad])).unwrap_err();
+                    assert!(
+                        e.0.starts_with(&format!("{flag} must be")),
+                        "{} {flag} {bad:?}: {e}",
+                        cmd.name
+                    );
+                    assert_eq!(e.0.lines().count(), 1, "{e}");
+                    checked += 1;
+                }
             }
         }
+        // run, check, record take --duration-s; run, check, partition,
+        // replay --engines and --threads; partition --seed; run --epochs.
+        assert_eq!(checked, 3 * 8 + 4 * 5 + 4 * 6 + 5 + 6);
+        // The range text is part of the contract.
+        let e = run(&args(&["run", "--duration-s", "0"])).unwrap_err();
         assert_eq!(
-            duration_flag(&args(&["--duration-s", "2"])),
-            Ok(Some((2.0, 2_000_000)))
+            e.0,
+            "--duration-s must be a number of seconds between 0.000001 and 1000000, got \"0\""
         );
-        assert_eq!(duration_flag(&args(&["--engines", "2"])), Ok(None));
+        let run_cmd = COMMANDS.iter().find(|c| c.name == "run").unwrap();
+        let duration = |argv: &[&str]| Args::parse(run_cmd, &args(argv)).ok().unwrap().duration;
+        assert_eq!(
+            duration(&["net.dml", "--duration-s", "2"]),
+            Some((2.0, 2_000_000))
+        );
+        assert_eq!(duration(&["net.dml", "--engines", "2"]), None);
     }
 
     #[test]
@@ -1758,25 +1401,55 @@ mod tests {
 
     #[test]
     fn every_subcommand_rejects_unknown_flags() {
+        // Every (subcommand, flag) pair is accepted iff the table declares
+        // it. Operands name nothing readable, so an accepted command line
+        // fails later and elsewhere — never as an unknown flag.
+        let mut all_flags: Vec<(&str, bool)> = vec![("--bogus", false)];
+        for f in COMMANDS.iter().flat_map(|c| c.flags()) {
+            all_flags.push((f.name, !f.metavar.is_empty()));
+        }
+        for cmd in &COMMANDS {
+            for &(flag, takes_value) in &all_flags {
+                let mut argv = vec![cmd.name, "/nonexistent/a", flag];
+                if takes_value {
+                    argv.push("1");
+                }
+                let unknown = format!("unknown flag {flag:?} for `massf {}`", cmd.name);
+                let declared = cmd.flags().any(|f| f.name == flag);
+                match run(&args(&argv)) {
+                    Err(e) if !declared => assert!(e.0.contains(&unknown), "{argv:?}: {e}"),
+                    Err(e) => assert!(!e.0.contains("unknown flag"), "{argv:?}: {e}"),
+                    Ok(_) => assert!(declared, "{argv:?} accepted an undeclared flag"),
+                }
+            }
+        }
+        // A flag given twice is refused, not resolved to either value.
         let f = write_campus();
+        let twice = ["--engines", "2", "--engines", "5"];
+        let e = run(&args(&[&["partition", f.as_str()], &twice[..]].concat())).unwrap_err();
+        assert_eq!(e.0, "--engines given twice");
+        // A surplus operand is refused, not ignored.
         let cases: &[&[&str]] = &[
-            &["topology", "campus", "--bogus"],
-            &["check", f.as_str(), "--bogus"],
-            &["partition", f.as_str(), "--engines", "3", "--bogus"],
-            &["run", f.as_str(), "--engines", "3", "--bogus"],
-            &["ping", f.as_str(), "host0", "host1", "--bogus"],
-            &["record", f.as_str(), "--bogus"],
-            &["replay", f.as_str(), "trace.txt", "--bogus"],
-            &["report", "run.json", "--bogus"],
+            &["run", f.as_str(), "b.dml"],
+            &["report", "a.json", "b.json"],
+            &["topology", "campus", "junk"],
+            &["partition", f.as_str(), "b.dml", "--engines", "2"],
+            &["record", f.as_str(), "b.dml"],
         ];
         for case in cases {
             let e = run(&args(case)).unwrap_err();
+            let usage = format!("; usage: massf {} ", case[0]);
             assert!(
-                e.0.contains("unknown flag \"--bogus\""),
-                "{case:?} accepted an unknown flag: {e}"
+                e.0.starts_with(&format!("unexpected operand {:?}", case[2]))
+                    && e.0.contains(&usage),
+                "{case:?}: {e}"
             );
-            assert!(e.0.contains(case[0]), "{case:?} names the subcommand: {e}");
         }
+        let e = run(&args(&["ping", f.as_str(), "host0"])).unwrap_err();
+        assert!(
+            e.0.starts_with("missing <dst-name>; usage: massf ping "),
+            "{e}"
+        );
     }
 
     #[test]
