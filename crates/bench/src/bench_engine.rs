@@ -1,34 +1,31 @@
 //! Engine event-core throughput: the calendar-queue scheduler against the
 //! binary-heap baseline over the three Table 1 scenarios, driven both
-//! sequentially and with one thread per engine. Dumps
-//! `results/BENCH_engine.json`.
+//! sequentially and with one thread per engine: the `BENCH_engine` table.
 //!
 //! Both schedulers pop the identical total event order, so every run of a
-//! scenario produces the same report — the binary asserts this — and the
+//! scenario produces the same report — the row asserts this — and the
 //! comparison isolates pure scheduler cost. Alongside events/second the
 //! table records peak queue depth, conservative-window rounds, and logical
 //! allocations, in total and per thousand events (scheduler buffer growth +
 //! outbox growth, counted deterministically at the call sites). The
 //! calendar's buffers are bounded by its peak depth, so that count must not
-//! follow the event count: the binary asserts [`MAX_ALLOCS_PER_KEVENT`] at
+//! follow the event count: the row asserts [`MAX_ALLOCS_PER_KEVENT`] at
 //! full scale and [`SMOKE_ALLOC_CEILINGS`] at smoke scale.
 //!
 //! Forwarding asks the routing tables once per (engine, route, hop) and
 //! pins the answer: `table-lookups/kev` is what a lazy table counted per
-//! thousand events. That count follows routes, not packets — the binary
+//! thousand events. That count follows routes, not packets — the row
 //! asserts that playing the schedule twice back to back leaves it
 //! unchanged.
 //!
-//! Usage: `bench_engine [scale]` (default 1.0) or `bench_engine --smoke`
-//! for the CI smoke run: tiny scale, one rep, and a self-check that the
-//! dumped JSON parses and every throughput cell is positive.
+//! `--smoke` is tiny here (scale 0.08, one rep); the binary's self-check
+//! then requires every throughput cell filled and positive.
 
-use massf_bench::dump_json;
+use crate::{time_best, Ctx, Output};
 use massf_core::engine::{run_parallel, run_sequential, EmulationReport, SchedulerKind};
 use massf_core::prelude::*;
 use massf_core::routing::RoutingTables;
 use massf_metrics::report::ResultTable;
-use std::time::Instant;
 
 /// Most logical allocations per thousand events the calendar may make at
 /// full scale, where start-up growth is amortised over millions of events
@@ -40,19 +37,6 @@ const MAX_ALLOCS_PER_KEVENT: f64 = 2.0;
 /// short, so the total is pinned instead — the first run's 71 / 117 / 161
 /// plus a quarter (the leaking queue made 1 125 / 577 / 990).
 const SMOKE_ALLOC_CEILINGS: [u64; 3] = [90, 150, 200];
-
-/// Best-of-`reps` wall-clock seconds for `f`.
-fn time_best<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..reps {
-        let t0 = Instant::now(); // srclint: allow(SA002) — benchmark wall-clock is the measurement itself
-        let r = f();
-        best = best.min(t0.elapsed().as_secs_f64());
-        out = Some(r);
-    }
-    (best, out.expect("reps >= 1"))
-}
 
 /// (engine events, delivered, rounds, virtual end, queue peaks).
 type Fingerprint = (Vec<u64>, u64, u64, u64, Vec<u64>);
@@ -68,16 +52,11 @@ fn fingerprint(r: &EmulationReport) -> Fingerprint {
     )
 }
 
-fn main() {
-    let arg = std::env::args().nth(1); // srclint: allow(SA004) — bench binaries read their own flags
-    let smoke = arg.as_deref() == Some("--smoke");
-    let scale = if smoke {
-        0.08
-    } else {
-        arg.and_then(|s| s.parse::<f64>().ok()).unwrap_or(1.0)
-    };
-    assert!(scale > 0.0 && scale <= 1.0, "scale must be in (0, 1]");
-    let reps = if smoke { 1 } else { 3 };
+/// The `bench_engine` row.
+pub fn run(ctx: &Ctx) -> Output {
+    let smoke = ctx.smoke;
+    let scale = if smoke { 0.08 } else { ctx.scale };
+    let reps = ctx.reps();
 
     // The `-thr` cells run one thread per engine, so they mean nothing
     // without the core count they ran on.
@@ -184,27 +163,14 @@ fn main() {
         );
     }
 
-    print!("{}", t.render(1));
+    let mut notes = String::new();
     for row in &t.rows {
         if let Some(s) = t.get(row, "seq-speedup") {
-            println!("  {row}: calendar is {s:.2}x the heap baseline (sequential)");
+            notes += &format!("  {row}: calendar is {s:.2}x the heap baseline (sequential)\n");
         }
     }
-    dump_json(&t);
-
-    if smoke {
-        let json = std::fs::read_to_string("results/BENCH_engine.json")
-            .expect("smoke: results/BENCH_engine.json written");
-        massf_core::obs::json::parse(&json).expect("smoke: dump is valid JSON");
-        for row in &t.rows {
-            for col in ["heap-seq", "calendar-seq", "heap-thr", "calendar-thr"] {
-                let v = t.get(row, col).expect("smoke: cell filled");
-                assert!(v > 0.0, "smoke: {row}/{col} throughput must be positive");
-            }
-        }
-        println!(
-            "smoke ok: JSON valid, throughput cells positive, allocations under ceiling, \
-             table lookups unchanged by a second play"
-        );
+    Output {
+        positive: &["heap-seq", "calendar-seq", "heap-thr", "calendar-thr"],
+        ..Output::new(vec![(t, 1)], notes)
     }
 }

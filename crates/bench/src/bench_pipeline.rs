@@ -1,38 +1,26 @@
 //! Mapping-pipeline thread scaling: times the three parallelized stages
 //! (routing-table build, predicted-traffic accumulation, partitioner
 //! restart search) plus the end-to-end PROFILE mapping at 1/2/4 worker
-//! threads, checks the results are identical at every count, and dumps
-//! `results/BENCH_pipeline.json`.
+//! threads, and checks the results are identical at every count: the
+//! `BENCH_pipeline` table. Neither the scale nor the tables' size enter —
+//! the stages run at fixed sizes.
 //!
 //! Thread 1 runs the exact serial reference paths, so the `1` column is
 //! the pre-parallelization baseline. Speedups only materialize with real
 //! cores; on a single-core machine every column should be ~equal.
 
-use massf_bench::dump_json;
+use crate::{time_best, Ctx, Output};
 use massf_core::mapping::place::foreground_prediction;
 use massf_core::mapping::weights::{accumulate_predicted_with, latency_graph};
 use massf_core::prelude::*;
 use massf_core::routing::RoutingTables;
 use massf_metrics::report::ResultTable;
-use std::time::Instant;
 
 const THREADS: [usize; 3] = [1, 2, 4];
-const REPS: usize = 3;
 
-/// Best-of-`REPS` wall-clock seconds for `f`.
-fn time_best<R>(mut f: impl FnMut() -> R) -> (f64, R) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..REPS {
-        let t0 = Instant::now(); // srclint: allow(SA002) — benchmark wall-clock is the measurement itself
-        let r = f();
-        best = best.min(t0.elapsed().as_secs_f64());
-        out = Some(r);
-    }
-    (best, out.expect("REPS >= 1"))
-}
-
-fn main() {
+/// The `bench_pipeline` row.
+pub fn run(ctx: &Ctx) -> Output {
+    let reps = ctx.reps();
     let mut t = ResultTable::new(
         "BENCH_pipeline",
         "Mapping-pipeline stage wall-clock (seconds) by worker threads",
@@ -47,7 +35,7 @@ fn main() {
         let col = threads.to_string();
         let par = Parallelism::new(threads);
 
-        let (secs, tables) = time_best(|| RoutingTables::build_with(&net, par));
+        let (secs, tables) = time_best(reps, || RoutingTables::build_with(&net, par));
         t.set("routing-tables", &col, secs);
         match &reference[0] {
             None => reference[0] = Some(tables),
@@ -55,14 +43,15 @@ fn main() {
         }
         let tables = reference[0].as_ref().expect("set above");
 
-        let (secs, _) = time_best(|| accumulate_predicted_with(&net, tables, &pred, par));
+        let (secs, _) = time_best(reps, || accumulate_predicted_with(&net, tables, &pred, par));
         t.set("accumulate-predicted", &col, secs);
 
-        let (secs, _) =
-            time_best(|| partition_kway(&graph, &PartitionConfig::new(8).with_threads(par)));
+        let (secs, _) = time_best(reps, || {
+            partition_kway(&graph, &PartitionConfig::new(8).with_threads(par))
+        });
         t.set("partition-restarts", &col, secs);
 
-        let (secs, _) = time_best(|| {
+        let (secs, _) = time_best(reps, || {
             let built = Scenario::new(Topology::TeraGrid, Workload::Scalapack)
                 .with_scale(0.12)
                 .with_threads(threads)
@@ -74,15 +63,15 @@ fn main() {
         t.set("profile-end-to-end", &col, secs);
     }
 
-    print!("{}", t.render(4));
-    let cores = std::thread::available_parallelism() // srclint: allow(SA006) — sizing the bench sweep to the machine
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let mut notes = String::new();
     for row in &t.rows {
         if let (Some(serial), Some(four)) = (t.get(row, "1"), t.get(row, "4")) {
-            println!("  {row}: {:.2}x speedup at 4 threads", serial / four);
+            notes += &format!("  {row}: {:.2}x speedup at 4 threads\n", serial / four);
         }
     }
-    println!("(machine has {cores} core(s); speedup is bounded by physical cores)");
-    dump_json(&t);
+    notes += &format!(
+        "(machine has {} core(s); speedup is bounded by physical cores)",
+        Parallelism::available()
+    );
+    Output::new(vec![(t, 4)], notes)
 }

@@ -1,8 +1,8 @@
 //! Routing-table benchmark: the interval-row table (DESIGN.md §13) over
 //! the Table 1 scenarios plus the 200-router scale-up, sized against the
-//! analytic `n × n` baseline. Dumps `results/BENCH_routing.json`.
+//! analytic `n × n` baseline: the `BENCH_routing` table.
 //!
-//! For every topology the binary builds the tables and the test-only
+//! For every topology the row builds the tables and the test-only
 //! n × n Dijkstra oracle, **asserts identical routing** (next hop, next
 //! link, latency and the hop-visitor trace on every (src, dst) pair),
 //! then records table bytes and the ratio to `dense_bytes()`, the row/run
@@ -14,48 +14,29 @@
 //!
 //! All size and shape cells are deterministic functions of the topology,
 //! so the `ratio ≥ 10×` acceptance check is flake-free by construction;
-//! only the timing cells vary run to run.
-//!
-//! Usage: `bench_routing [scale]` (scale is accepted for CLI uniformity
-//! but ignored — table size depends only on the topology) or
-//! `bench_routing --smoke` for the CI run: one timing rep plus a
-//! self-check that the dumped JSON parses and the equality/ratio
-//! assertions held.
+//! only the timing cells vary run to run. The scale is ignored — table
+//! size depends only on the topology; `--smoke` takes one timing rep.
 
-use massf_bench::dump_json;
+use crate::{time_best, Ctx, Output};
 use massf_core::prelude::*;
 use massf_core::routing::probes::{self, AsymmetricPair, EcmpSite};
 use massf_core::routing::spf::shortest_paths;
 use massf_core::routing::RoutingTables;
 use massf_core::topology::{LinkId, NodeId};
 use massf_metrics::report::ResultTable;
-use std::time::Instant;
 
 /// The n × n routing oracle `massf-routing` keeps for its own tests,
 /// mounted from its source so there is one copy.
-#[path = "../../../routing/src/tables/oracle.rs"]
-mod oracle;
+#[path = "../../routing/src/tables/oracle.rs"]
+pub(crate) mod oracle;
 
 /// The pairwise oracle `massf-routing` keeps for its own tests, mounted
 /// from its source so there is one copy.
-#[path = "../../../routing/src/probes/naive.rs"]
+#[path = "../../routing/src/probes/naive.rs"]
 mod naive;
 
 /// Witness cap the audit passes (`MAX_DIAGS_PER_CODE - 1`).
 const AUDIT_CAP: usize = 24;
-
-/// Best-of-`reps` wall-clock seconds for `f`.
-fn time_best<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..reps {
-        let t0 = Instant::now(); // srclint: allow(SA002) — benchmark wall-clock is the measurement itself
-        let r = f();
-        best = best.min(t0.elapsed().as_secs_f64());
-        out = Some(r);
-    }
-    (best, out.expect("reps >= 1"))
-}
 
 /// All-pairs `next_link_raw` sweep; returns lookups per second.
 fn lookup_throughput(tables: &RoutingTables, reps: usize) -> f64 {
@@ -93,9 +74,9 @@ fn audit_probes(net: &Network, tables: &RoutingTables, reps: usize, row: &str) -
     (secs * 1e3, naive_secs * 1e3)
 }
 
-fn main() {
-    let smoke = std::env::args().nth(1).as_deref() == Some("--smoke"); // srclint: allow(SA004) — bench binaries read their own flags
-    let reps = if smoke { 1 } else { 3 };
+/// The `bench_routing` row.
+pub fn run(ctx: &Ctx) -> Output {
+    let reps = ctx.reps();
 
     let mut t = ResultTable::new(
         "BENCH_routing",
@@ -136,14 +117,6 @@ fn main() {
         t.set(row, "audit-naive-comp-ms", naive_ms);
     }
 
-    print!("{}", t.render(2));
-    for row in &t.rows {
-        if let (Some(r), Some(m)) = (t.get(row, "ratio"), t.get(row, "runs-mean")) {
-            println!("  {row}: {r:.1}x smaller, {m:.1} runs per unique row");
-        }
-    }
-    dump_json(&t);
-
     // The tentpole acceptance bar: a ≥10× reduction on at least one
     // shipped scenario. Byte counts are deterministic, so this cannot
     // flake.
@@ -152,16 +125,15 @@ fn main() {
         "expected a >=10x table-size reduction on some scenario, best was {best_ratio:.1}x"
     );
 
-    if smoke {
-        let json = std::fs::read_to_string("results/BENCH_routing.json")
-            .expect("smoke: results/BENCH_routing.json written");
-        massf_core::obs::json::parse(&json).expect("smoke: dump is valid JSON");
-        for row in &t.rows {
-            for col in ["dense-kb", "comp-kb", "ratio", "runs-mean"] {
-                let v = t.get(row, col).expect("smoke: cell filled");
-                assert!(v > 0.0, "smoke: {row}/{col} must be positive");
-            }
+    let mut notes = String::new();
+    for row in &t.rows {
+        if let (Some(r), Some(m)) = (t.get(row, "ratio"), t.get(row, "runs-mean")) {
+            notes += &format!("  {row}: {r:.1}x smaller, {m:.1} runs per unique row\n");
         }
-        println!("smoke ok: routes equal the oracle, best ratio {best_ratio:.1}x");
+    }
+    notes += &format!("routes equal the oracle, best ratio {best_ratio:.1}x");
+    Output {
+        positive: &["dense-kb", "comp-kb", "ratio", "runs-mean"],
+        ..Output::new(vec![(t, 2)], notes)
     }
 }

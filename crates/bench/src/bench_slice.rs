@@ -1,11 +1,11 @@
 //! Per-engine routing-slice benchmark: eager-full compressed tables vs
-//! lazy on-demand row materialization (DESIGN.md §16). Dumps
-//! `results/BENCH_routing_slice.json`.
+//! lazy on-demand row materialization (DESIGN.md §16): the
+//! `BENCH_routing_slice` table.
 //!
 //! Two sections:
 //!
 //! 1. **Shipped scenarios** (Table 1 + the §4.2.3 scale-up). For each
-//!    topology the binary times the eager-full and lazy builds, runs the
+//!    topology the row times the eager-full and lazy builds, runs the
 //!    ScaLapack-plus-background emulation over the lazy tables under the
 //!    TOP partition, and samples the per-engine residency
 //!    (`slice_stats`): only rows an engine's own traffic demanded are
@@ -13,8 +13,9 @@
 //!    largest per-engine resident footprint vs the eager-full table on
 //!    at least one k-engine scenario — and since the resident row set is
 //!    a deterministic function of the flow schedule, the check is
-//!    flake-free. Afterwards every `(src, dst)` pair is asserted
-//!    bit-identical between eager and lazy (hop, link, latency), and an
+//!    flake-free. Afterwards both tables are held to `bench_routing`'s
+//!    n × n Dijkstra oracle on every `(src, dst)` pair (hop, link,
+//!    latency, visit list — so eager and lazy are bit-identical), and an
 //!    independent single-scratch Dijkstra sweep re-verifies latencies
 //!    while measuring the allocations the reused [`SpfScratch`] saves —
 //!    the same mechanism the eager build path now uses per worker.
@@ -29,56 +30,34 @@
 //!    dense footprint. Sampled sources are re-checked against a fresh
 //!    Dijkstra run.
 //!
-//! Usage: `bench_slice [scale]` (default 1.0 = the full million-host
-//! run) or `bench_slice --smoke` for the CI run: quarter scale, which
-//! still instantiates ≈250k hosts — the ≥100k-host lazy-sliced smoke.
+//! Scale 1.0 is the full million-host run; `--smoke` is quarter scale,
+//! which still instantiates ≈250k hosts — the ≥100k-host lazy-sliced
+//! smoke.
 
-use massf_bench::dump_json;
+use crate::bench_routing::oracle::Oracle;
+use crate::{time_best, Ctx, Output};
 use massf_core::engine::run_sequential;
 use massf_core::prelude::*;
 use massf_core::routing::spf::{SpfScratch, SPF_RUN_ALLOCS};
-use massf_core::routing::RoutingTables;
+use massf_core::routing::{LazyStats, RoutingTables};
 use massf_core::topology::brite::{self, BriteConfig};
 use massf_core::topology::NodeId;
 use massf_metrics::report::ResultTable;
 use rand::{Rng, SeedableRng};
-use std::time::Instant;
 
-/// Best-of-`reps` wall-clock seconds for `f`.
-fn time_best<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..reps {
-        let t0 = Instant::now(); // srclint: allow(SA002) — benchmark wall-clock is the measurement itself
-        let r = f();
-        best = best.min(t0.elapsed().as_secs_f64());
-        out = Some(r);
-    }
-    (best, out.expect("reps >= 1"))
-}
-
-/// Every (src, dst) routing answer must agree between representations.
-fn assert_identical(net: &Network, eager: &RoutingTables, lazy: &RoutingTables, row: &str) {
-    let n = net.node_count() as NodeId;
-    for a in 0..n {
-        for b in 0..n {
-            assert_eq!(
-                eager.next_hop(a, b),
-                lazy.next_hop(a, b),
-                "{row}: next_hop diverges at {a}->{b}"
-            );
-            assert_eq!(
-                eager.next_link_raw(a, b),
-                lazy.next_link_raw(a, b),
-                "{row}: next_link diverges at {a}->{b}"
-            );
-            assert_eq!(
-                eager.latency_us(a, b),
-                lazy.latency_us(a, b),
-                "{row}: latency diverges at {a}->{b}"
-            );
-        }
-    }
+/// The largest per-engine resident footprint of `lazy` under
+/// `assignment`, in bytes, with the demand counters behind it.
+fn max_resident_bytes(
+    lazy: &RoutingTables,
+    assignment: &[u32],
+    nengines: usize,
+) -> (u64, LazyStats) {
+    let slices = lazy
+        .slice_stats(assignment, nengines)
+        .expect("lazy tables have slice stats");
+    let max = slices.iter().map(|s| s.residency.resident_bytes).max();
+    let stats = lazy.lazy_stats().expect("lazy tables have lazy stats");
+    (max.expect("at least one engine"), stats)
 }
 
 /// Re-derives every source's distances with ONE reused Dijkstra scratch
@@ -138,15 +117,8 @@ fn shipped_section(t: &mut ResultTable, scale: f64, reps: usize) -> bool {
         let report = run_sequential(net, &lazy, &built.flows, &cfg);
         assert!(report.delivered > 0, "{row}: emulation delivered nothing");
 
-        let slices = lazy
-            .slice_stats(&partition.part, partition.nparts)
-            .expect("lazy tables have slice stats");
-        let stats = lazy.lazy_stats().expect("lazy tables have lazy stats");
-        let max_engine_bytes = slices
-            .iter()
-            .map(|s| s.residency.resident_bytes)
-            .max()
-            .expect("at least one engine");
+        let (max_engine_bytes, stats) =
+            max_resident_bytes(&lazy, &partition.part, partition.nparts);
         let reduction = eager.table_bytes() as f64 / max_engine_bytes.max(1) as f64;
         if reduction >= k as f64 / 2.0 {
             any_met_bar = true;
@@ -166,7 +138,9 @@ fn shipped_section(t: &mut ResultTable, scale: f64, reps: usize) -> bool {
         // Correctness: all pairs bit-identical (this sweep materializes
         // the remaining rows — residency was sampled above, first), then
         // the independent one-scratch Dijkstra oracle.
-        assert_identical(net, &eager, &lazy, row);
+        let oracle = Oracle::build(net);
+        oracle.assert_answers(&eager, row);
+        oracle.assert_answers(&lazy, row);
         let saved = scratch_verify_all(net, &lazy, row);
         assert_eq!(saved, (net.node_count() as u64 - 1) * SPF_RUN_ALLOCS);
         t.set(row, "spf-allocs-saved", saved as f64);
@@ -210,15 +184,7 @@ fn million_section(t: &mut ResultTable, scale: f64) {
     });
     assert!(hops as usize >= pairs, "walks must traverse hops");
 
-    let slices = lazy
-        .slice_stats(&assignment, nengines)
-        .expect("lazy tables have slice stats");
-    let stats = lazy.lazy_stats().expect("lazy tables have lazy stats");
-    let max_engine_bytes = slices
-        .iter()
-        .map(|s| s.residency.resident_bytes)
-        .max()
-        .expect("at least one engine");
+    let (max_engine_bytes, stats) = max_resident_bytes(&lazy, &assignment, nengines);
 
     // Demand-bounded residency: sampled paths touch a tiny fraction of
     // the network, so almost every row stays pending and the resident
@@ -269,11 +235,8 @@ fn million_section(t: &mut ResultTable, scale: f64) {
     );
 }
 
-fn main() {
-    let smoke = std::env::args().nth(1).as_deref() == Some("--smoke"); // srclint: allow(SA004) — bench binaries read their own flags
-    let scale = massf_bench::scale_from_args();
-    let reps = if smoke { 1 } else { 3 };
-
+/// The `bench_slice` row.
+pub fn run(ctx: &Ctx) -> Output {
     let mut t = ResultTable::new(
         "BENCH_routing_slice",
         "Per-engine routing slices: eager-full compressed tables vs lazy \
@@ -281,16 +244,8 @@ fn main() {
          after emulation-driven demand)",
     );
 
-    let met_bar = shipped_section(&mut t, scale, reps);
-    million_section(&mut t, scale);
-
-    print!("{}", t.render(2));
-    for row in &t.rows {
-        if let (Some(r), Some(k)) = (t.get(row, "reduction-x"), t.get(row, "engines")) {
-            println!("  {row}: max per-engine slice {r:.1}x smaller than eager-full (k = {k:.0})");
-        }
-    }
-    dump_json(&t);
+    let met_bar = shipped_section(&mut t, ctx.scale, ctx.reps());
+    million_section(&mut t, ctx.scale);
 
     // The tentpole acceptance bar: on at least one k-engine scenario the
     // largest per-engine resident footprint is >= k/2 times smaller than
@@ -300,16 +255,17 @@ fn main() {
         "no shipped scenario met the >= k/2 per-engine reduction bar"
     );
 
-    if smoke {
-        let json = std::fs::read_to_string("results/BENCH_routing_slice.json")
-            .expect("smoke: results/BENCH_routing_slice.json written");
-        massf_core::obs::json::parse(&json).expect("smoke: dump is valid JSON");
-        for row in &t.rows {
-            for col in ["nodes", "rows-mat", "resident-kb-max", "build-lazy-ms"] {
-                let v = t.get(row, col).expect("smoke: cell filled");
-                assert!(v > 0.0, "smoke: {row}/{col} must be positive");
-            }
+    let mut notes = String::new();
+    for row in &t.rows {
+        if let (Some(r), Some(k)) = (t.get(row, "reduction-x"), t.get(row, "engines")) {
+            notes += &format!(
+                "  {row}: max per-engine slice {r:.1}x smaller than eager-full (k = {k:.0})\n"
+            );
         }
-        println!("smoke ok: slices bounded by demand, routes bit-identical");
+    }
+    notes += "slices bounded by demand, routes bit-identical";
+    Output {
+        positive: &["nodes", "rows-mat", "resident-kb-max", "build-lazy-ms"],
+        ..Output::new(vec![(t, 2)], notes)
     }
 }

@@ -1,7 +1,6 @@
 //! Experiment scenarios: the paper's topology × workload grid (§4.1).
 
-use massf_mapping::incremental::{run_online, IncrementalConfig, IncrementalOutcome};
-use massf_mapping::{MapperConfig, MappingStudy, Parallelism, RebalanceMode, RoutingKind};
+use massf_mapping::{MapperConfig, MappingStudy, Parallelism, RoutingKind};
 use massf_topology::brite::{BriteConfig, BRITE_ENGINES, SCALEUP_ENGINES};
 use massf_topology::campus::{campus, CAMPUS_ENGINES};
 use massf_topology::teragrid::{teragrid, TERAGRID_ENGINES};
@@ -113,13 +112,6 @@ pub struct Scenario {
     /// Routing-table fill policy (interval rows encoded up front vs on
     /// first lookup). Both answer every routing query bit-identically.
     pub routing: RoutingKind,
-    /// Number of emulation epochs for the online rebalancer (`1` = a single
-    /// epoch, i.e. no boundaries to rebalance at).
-    pub epochs: usize,
-    /// What the rebalancer does at each epoch boundary (see
-    /// [`massf_mapping::incremental`]). `Off` measures epochs but never
-    /// migrates.
-    pub rebalance: RebalanceMode,
 }
 
 impl Scenario {
@@ -134,8 +126,6 @@ impl Scenario {
             seed: 0x5c2003,
             parallelism: Parallelism::available(),
             routing: RoutingKind::default(),
-            epochs: 1,
-            rebalance: RebalanceMode::Off,
         }
         .with_moderate_background()
     }
@@ -182,19 +172,6 @@ impl Scenario {
     /// Selects the routing-table representation.
     pub fn with_routing(mut self, routing: RoutingKind) -> Self {
         self.routing = routing;
-        self
-    }
-
-    /// Sets the number of emulation epochs (must be at least 1).
-    pub fn with_epochs(mut self, epochs: usize) -> Self {
-        assert!(epochs >= 1, "need at least one epoch");
-        self.epochs = epochs;
-        self
-    }
-
-    /// Sets the epoch-boundary rebalance mode.
-    pub fn with_rebalance(mut self, mode: RebalanceMode) -> Self {
-        self.rebalance = mode;
         self
     }
 
@@ -272,25 +249,6 @@ impl BuiltScenario {
         input.flows = &self.flows;
         input.predicted = &self.predicted;
         massf_lint::lint_scenario(&input)
-    }
-
-    /// Runs the epoch-sliced online emulation honoring the scenario's
-    /// `epochs` and `rebalance` knobs; see
-    /// [`massf_mapping::incremental::run_online`]. Epoch loads and every
-    /// boundary decision are functions of virtual time, so the outcome is
-    /// bit-identical at every thread count.
-    pub fn run_online(&self) -> IncrementalOutcome {
-        let cfg = IncrementalConfig {
-            epochs: self.scenario.epochs,
-            ..IncrementalConfig::default()
-        };
-        run_online(
-            &self.study,
-            &self.flows,
-            &self.predicted,
-            &cfg,
-            self.scenario.rebalance,
-        )
     }
 
     /// Runs the post-pipeline artifact audit (MC013–MC018) over a concrete
@@ -470,34 +428,5 @@ mod tests {
     #[should_panic(expected = "scale must be")]
     fn zero_scale_rejected() {
         Scenario::new(Topology::Campus, Workload::Scalapack).with_scale(0.0);
-    }
-
-    #[test]
-    fn run_online_honors_the_epoch_knobs() {
-        let built = Scenario::new(Topology::Campus, Workload::GridNpb)
-            .without_background()
-            .with_scale(0.1)
-            .with_epochs(3)
-            .with_rebalance(RebalanceMode::Incremental)
-            .build();
-        let out = built.run_online();
-        assert_eq!(out.epoch_stats.len(), 3);
-        assert_eq!(out.epoch_partitions.len(), 3);
-        // Default scenario: a single epoch, nothing to rebalance.
-        let single = Scenario::new(Topology::Campus, Workload::GridNpb)
-            .without_background()
-            .with_scale(0.1)
-            .build();
-        assert_eq!(single.scenario.epochs, 1);
-        assert_eq!(single.scenario.rebalance, RebalanceMode::Off);
-        let out1 = single.run_online();
-        assert_eq!(out1.epoch_stats.len(), 1);
-        assert_eq!(out1.migrated_nodes, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one epoch")]
-    fn zero_epochs_rejected() {
-        Scenario::new(Topology::Campus, Workload::Scalapack).with_epochs(0);
     }
 }

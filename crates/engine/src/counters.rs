@@ -125,27 +125,6 @@ impl EngineCounters {
     pub fn recv_windows(&self) -> &[u64] {
         &self.recv_windows
     }
-
-    /// Pads the window vector to `n` buckets so engines align.
-    pub fn padded_windows(&self, n: usize) -> Vec<u64> {
-        Self::pad(&self.windows, n)
-    }
-
-    /// Pads the stall series to `n` buckets so engines align.
-    pub fn padded_stall_windows(&self, n: usize) -> Vec<u64> {
-        Self::pad(&self.stall_windows, n)
-    }
-
-    /// Pads the receive series to `n` buckets so engines align.
-    pub fn padded_recv_windows(&self, n: usize) -> Vec<u64> {
-        Self::pad(&self.recv_windows, n)
-    }
-
-    fn pad(series: &[u64], n: usize) -> Vec<u64> {
-        let mut w = series.to_vec();
-        w.resize(n.max(w.len()), 0);
-        w
-    }
 }
 
 #[cfg(test)]
@@ -173,14 +152,6 @@ mod tests {
     }
 
     #[test]
-    fn padding_aligns_series() {
-        let mut c = EngineCounters::new(10);
-        c.record_event(5);
-        assert_eq!(c.padded_windows(4), vec![1, 0, 0, 0]);
-        assert_eq!(c.padded_windows(0), vec![1]);
-    }
-
-    #[test]
     fn zero_window_clamped() {
         let c = EngineCounters::new(0);
         assert_eq!(c.window_us(), 1);
@@ -199,7 +170,5 @@ mod tests {
         // Stall/recv sampling never leaks into the event series.
         assert_eq!(c.events, 0);
         assert!(c.windows().is_empty());
-        assert_eq!(c.padded_stall_windows(4), vec![1, 0, 1, 0]);
-        assert_eq!(c.padded_recv_windows(3), vec![0, 1, 0]);
     }
 }

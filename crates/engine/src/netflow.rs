@@ -176,15 +176,6 @@ pub fn epoch_slice(prev: &[FlowRecord], cur: &[FlowRecord]) -> Vec<FlowRecord> {
     out
 }
 
-/// Aggregated per-router packet totals from merged records.
-pub fn packets_per_router(records: &[FlowRecord], node_count: usize) -> Vec<u64> {
-    let mut out = vec![0u64; node_count];
-    for r in records {
-        out[r.router as usize] += r.packets;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,8 +349,7 @@ mod tests {
         let merged = merge_dumps(vec![a, b]);
         assert_eq!(merged[0].router, 2);
         assert_eq!(merged[1].router, 7);
-        let per = packets_per_router(&merged, 8);
-        assert_eq!(per[2], 2);
-        assert_eq!(per[7], 1);
+        assert_eq!(merged[0].packets, 2);
+        assert_eq!(merged[1].packets, 1);
     }
 }

@@ -66,23 +66,6 @@ fn one_way(net: &Network, tables: &RoutingTables, src: NodeId, dst: NodeId) -> O
     (report.delivered == 1).then_some(report.latency_sum_us as u64)
 }
 
-/// The emulated serialization overhead a probe should see on top of pure
-/// propagation: the per-hop store-and-forward delay of `ECHO_BYTES`.
-pub fn expected_serialization_us(
-    net: &Network,
-    tables: &RoutingTables,
-    src: NodeId,
-    dst: NodeId,
-) -> Option<u64> {
-    let links = tables.path_links(src, dst)?;
-    Some(
-        links
-            .iter()
-            .map(|&l| crate::link::tx_time_us(ECHO_BYTES as u32, net.link(l).bandwidth_mbps))
-            .sum(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,14 +80,19 @@ mod tests {
         let net = teragrid();
         let tables = RoutingTables::build(&net);
         let hosts = net.hosts();
+        // Per-hop store-and-forward delay of `ECHO_BYTES`.
+        let serialization_us = |a, b| -> u64 {
+            let links = tables.path_links(a, b).unwrap();
+            let tx = |&l| crate::link::tx_time_us(ECHO_BYTES as u32, net.link(l).bandwidth_mbps);
+            links.iter().map(tx).sum()
+        };
         for (a, b) in [
             (hosts[0], hosts[40]),
             (hosts[10], hosts[149]),
             (hosts[5], hosts[6]),
         ] {
             let report = ping(&net, &tables, a, b).expect("teragrid connected");
-            let expect = tables.latency_us(a, b).unwrap()
-                + expected_serialization_us(&net, &tables, a, b).unwrap();
+            let expect = tables.latency_us(a, b).unwrap() + serialization_us(a, b);
             assert_eq!(report.request_us, expect, "{a}->{b}");
             // Symmetric topology: the reply takes the mirror path.
             assert_eq!(report.reply_us, expect, "{b}->{a}");

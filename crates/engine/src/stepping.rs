@@ -110,11 +110,6 @@ impl<'a> SteppableEmulation<'a> {
         self.engines.iter().all(|e| e.next_time().is_none())
     }
 
-    /// The next pending event time, if any.
-    pub fn next_event_time(&self) -> Option<u64> {
-        self.engines.iter().filter_map(Engine::next_time).min()
-    }
-
     /// Advances the emulation until every pending event time is
     /// `>= until_us` (or until completion). Returns the number of windows
     /// executed.
@@ -349,7 +344,6 @@ mod tests {
         let tables = RoutingTables::build(&net);
         let cfg = EmulationConfig::new(partition_by_router(&net), 2);
         let mut step = SteppableEmulation::new(&net, &tables, &flows, cfg);
-        assert_eq!(step.next_event_time(), Some(500));
         for until in [0, 499, 500] {
             assert_eq!(step.run_until(until), 0);
             assert_eq!(step.state, ProtocolState::default());

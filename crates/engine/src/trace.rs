@@ -74,14 +74,6 @@ pub fn compress_for_replay(flows: &[FlowSpec]) -> Vec<FlowSpec> {
     out
 }
 
-/// Total idle time removed by compression (a sanity metric: replay should
-/// be much shorter than the original for compute-heavy workloads).
-pub fn removed_idle_us(original: &[FlowSpec], compressed: &[FlowSpec]) -> i64 {
-    let o = massf_traffic::flow::horizon_us(original) as i64;
-    let c = massf_traffic::flow::horizon_us(compressed) as i64;
-    o - c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,7 +102,8 @@ mod tests {
         assert_eq!(replay[0].start_us, 0);
         assert_eq!(replay[1].start_us, replay[0].end_us() + 100);
         assert_eq!(replay[2].start_us, replay[1].end_us() + 100);
-        assert!(removed_idle_us(&flows, &replay) > 25_000_000);
+        let horizon = massf_traffic::flow::horizon_us;
+        assert!(horizon(&flows) - horizon(&replay) > 25_000_000);
     }
 
     #[test]

@@ -88,17 +88,6 @@ impl GraphBuilder {
         Ok(())
     }
 
-    /// Adds weight `w` to the vertex's `component`-th balance weight.
-    ///
-    /// # Panics
-    /// Panics on out-of-range vertex or component, or negative result.
-    pub fn add_to_vertex_weight(&mut self, v: VertexId, component: usize, w: Weight) {
-        assert!(component < self.ncon);
-        let idx = v as usize * self.ncon + component;
-        self.vwgt[idx] += w;
-        assert!(self.vwgt[idx] >= 0, "vertex weight went negative");
-    }
-
     /// Finalizes into a validated [`CsrGraph`].
     ///
     /// Parallel edges are merged by summing weights. Runs in
@@ -209,15 +198,6 @@ mod tests {
         assert_eq!(g.nvtxs(), 2);
         assert_eq!(g.nedges(), 0);
         assert_eq!(g.vertex_weight(1), &[5, 6]);
-    }
-
-    #[test]
-    fn add_to_vertex_weight_accumulates() {
-        let mut b = GraphBuilder::new(2);
-        b.add_vertex(&[1, 1]);
-        b.add_to_vertex_weight(0, 1, 41);
-        let g = b.build().unwrap();
-        assert_eq!(g.vertex_weight(0), &[1, 42]);
     }
 
     #[test]

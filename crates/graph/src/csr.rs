@@ -137,11 +137,6 @@ impl CsrGraph {
         self.adjwgt.iter().sum::<Weight>() / 2
     }
 
-    /// Sum of incident edge weights of `v`.
-    pub fn incident_weight(&self, v: VertexId) -> Weight {
-        self.edge_weights(v).iter().sum()
-    }
-
     /// Replaces all vertex weights with a new flattened `[nvtxs * ncon]`
     /// array (possibly changing `ncon`). Used when re-weighting an existing
     /// topology graph for a different mapping approach.
@@ -252,7 +247,6 @@ mod tests {
         let g = triangle();
         assert_eq!(g.total_vertex_weight(), vec![6]);
         assert_eq!(g.total_edge_weight(), 60);
-        assert_eq!(g.incident_weight(0), 40);
         assert_eq!(g.vertex_weight0(2), 3);
     }
 

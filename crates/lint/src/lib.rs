@@ -229,14 +229,6 @@ impl Code {
         }
     }
 
-    /// True for codes reserved in the catalog but not yet backed by a
-    /// pass. Every code is currently implemented (MC019/MC020 landed with
-    /// the online-rebalancing work); the method stays so future appends
-    /// can reserve again.
-    pub fn is_reserved(self) -> bool {
-        false
-    }
-
     /// The worst severity this pass can emit, as reported by the
     /// `massf check --list-passes` catalog. Append-only like the codes
     /// themselves: a pass may gain milder findings, but its worst
@@ -583,12 +575,6 @@ mod tests {
             assert!(!c.name().is_empty());
             assert!(!c.summary().is_empty());
         }
-        let reserved: Vec<&str> = Code::ALL
-            .iter()
-            .filter(|c| c.is_reserved())
-            .map(|c| c.as_str())
-            .collect();
-        assert!(reserved.is_empty(), "every cataloged code has a pass");
     }
 
     #[test]

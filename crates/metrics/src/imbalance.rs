@@ -25,20 +25,6 @@ pub fn load_imbalance(loads: &[u64]) -> f64 {
     var.sqrt() / mean
 }
 
-/// Same metric over floating-point loads (used for rate-based series).
-pub fn load_imbalance_f64(loads: &[f64]) -> f64 {
-    if loads.is_empty() {
-        return 0.0;
-    }
-    let n = loads.len() as f64;
-    let mean = loads.iter().sum::<f64>() / n;
-    if mean == 0.0 {
-        return 0.0;
-    }
-    let var = loads.iter().map(|&k| (k - mean).powi(2)).sum::<f64>() / n;
-    var.sqrt() / mean
-}
-
 /// Relative improvement of `new` over `baseline`, in percent — how the
 /// paper reports "PROFILE improves load balance by 50% to 66%". Positive
 /// means `new` is better (smaller).
@@ -78,13 +64,6 @@ mod tests {
     fn empty_and_idle_are_zero() {
         assert_eq!(load_imbalance(&[]), 0.0);
         assert_eq!(load_imbalance(&[0, 0]), 0.0);
-    }
-
-    #[test]
-    fn f64_variant_matches_u64() {
-        let u = load_imbalance(&[10, 20, 30]);
-        let f = load_imbalance_f64(&[10.0, 20.0, 30.0]);
-        assert!((u - f).abs() < 1e-12);
     }
 
     #[test]

@@ -305,11 +305,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// Whether the value is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
 }
 
 /// A parse failure, with the byte offset where parsing stopped.
@@ -556,7 +551,7 @@ mod tests {
             Some(-3)
         );
         assert_eq!(v.get("b").unwrap().get("c").unwrap().as_bool(), Some(true));
-        assert!(v.get("b").unwrap().get("d").unwrap().is_null());
+        assert_eq!(v.get("b").unwrap().get("d"), Some(&Value::Null));
         assert_eq!(v.get("e").unwrap().as_str(), Some("x\ny"));
     }
 

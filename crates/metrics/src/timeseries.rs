@@ -33,23 +33,6 @@ pub fn imbalance_series(window_series: &[Vec<u64>], min_events: u64) -> Vec<f64>
     out
 }
 
-/// Per-interval total load (Figure 2's per-engine curves summed, or pass a
-/// single engine's row for its individual curve). A bucket whose sum
-/// exceeds `u64::MAX` saturates.
-pub fn total_series(window_series: &[Vec<u64>]) -> Vec<u64> {
-    let Some(buckets) = window_series.iter().map(Vec::len).max() else {
-        return Vec::new();
-    };
-    (0..buckets)
-        .map(|b| {
-            window_series
-                .iter()
-                .map(|e| e.get(b).copied().unwrap_or(0))
-                .fold(0u64, u64::saturating_add)
-        })
-        .collect()
-}
-
 /// Time-averaged imbalance over the active buckets only.
 pub fn mean_active_imbalance(window_series: &[Vec<u64>], min_events: u64) -> f64 {
     let series = imbalance_series(window_series, min_events);
@@ -132,16 +115,8 @@ mod tests {
     }
 
     #[test]
-    fn totals() {
-        let ws = vec![vec![1, 2], vec![3, 4]];
-        assert_eq!(total_series(&ws), vec![4, 6]);
-        assert!(total_series(&[]).is_empty());
-    }
-
-    #[test]
     fn saturated_counters_do_not_overflow() {
         let ws = vec![vec![u64::MAX, 1], vec![u64::MAX, u64::MAX]];
-        assert_eq!(total_series(&ws), vec![u64::MAX, u64::MAX]);
         let s = imbalance_series(&ws, 1);
         assert_eq!(s[0], 0.0, "equal loads, however large");
         assert!(s[1] > 0.9, "one engine idle next to a saturated one");

@@ -54,11 +54,6 @@ impl Parallelism {
         self.0.get()
     }
 
-    /// True when this runs the sequential reference path.
-    pub fn is_serial(self) -> bool {
-        self.get() == 1
-    }
-
     /// Caps the worker count at `n` (useful when there are fewer work
     /// items than threads).
     pub fn capped(self, n: usize) -> Self {
@@ -196,7 +191,7 @@ mod tests {
 
     #[test]
     fn parallelism_basics() {
-        assert!(Parallelism::serial().is_serial());
+        assert_eq!(Parallelism::serial().get(), 1);
         assert_eq!(Parallelism::new(0).get(), 1);
         assert_eq!(Parallelism::new(8).capped(3).get(), 3);
         assert_eq!(Parallelism::new(2).capped(0).get(), 1);

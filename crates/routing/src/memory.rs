@@ -45,26 +45,6 @@ pub fn memory_weights(net: &Network) -> Vec<i64> {
         .collect()
 }
 
-/// Total memory weight of a set of nodes (one engine's memory footprint).
-///
-/// Scans the AS sizes once and weighs only the requested nodes — the full
-/// per-node vector [`memory_weights`] builds is O(total nodes) and this is
-/// called per candidate engine during partition scoring.
-pub fn total_memory(net: &Network, nodes: &[NodeId]) -> i64 {
-    let as_sizes = net.as_router_sizes();
-    let all = net.nodes();
-    nodes
-        .iter()
-        .map(|&id| {
-            let n = &all[id as usize];
-            match n.kind {
-                NodeKind::Router => router_memory_weight(*as_sizes.get(&n.as_id).unwrap_or(&1)),
-                NodeKind::Host => host_memory_weight(),
-            }
-        })
-        .sum()
-}
-
 /// Routing-table bytes the paper's model predicts for `net`: the summed
 /// per-node memory weights (`10 + x²` per router, `10` per host — table
 /// *entries* in the paper's units) times [`DENSE_ENTRY_BYTES`]. Reported
@@ -331,24 +311,6 @@ mod tests {
         let small = router_memory_weight(20);
         let large = router_memory_weight(200);
         assert!(large > 90 * small);
-    }
-
-    #[test]
-    fn total_memory_sums() {
-        let net = teragrid();
-        let all: Vec<_> = (0..net.node_count() as u32).collect();
-        let w = memory_weights(&net);
-        assert_eq!(total_memory(&net, &all), w.iter().sum::<i64>());
-    }
-
-    #[test]
-    fn total_memory_subset_matches_weights() {
-        let net = teragrid();
-        let w = memory_weights(&net);
-        let subset: Vec<u32> = (0..net.node_count() as u32).step_by(3).collect();
-        let expect: i64 = subset.iter().map(|&n| w[n as usize]).sum();
-        assert_eq!(total_memory(&net, &subset), expect);
-        assert_eq!(total_memory(&net, &[]), 0);
     }
 
     #[test]

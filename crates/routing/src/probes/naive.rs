@@ -3,9 +3,9 @@
 //! what the probes were before they read memoized columns.
 //!
 //! Never part of the library. `probes.rs` mounts it under `#[cfg(test)]`;
-//! `tests/prop_probes.rs` and the `bench_routing` binary mount this same
-//! file with `#[path]`, so there is one oracle. Its names come from the
-//! module that mounts it.
+//! `tests/prop_probes.rs` and `massf-bench`'s `bench_routing` row mount
+//! this same file with `#[path]`, so there is one oracle. Its names come
+//! from the module that mounts it.
 
 use super::{AsymmetricPair, EcmpSite, Network, NodeId, RoutingTables};
 

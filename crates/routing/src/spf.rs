@@ -207,29 +207,26 @@ impl SpfTree {
         );
         first
     }
-
-    /// Reconstructs the node path `source → dst` (inclusive), or `None`
-    /// when `dst` is unreachable.
-    pub fn path_to(&self, dst: NodeId) -> Option<Vec<NodeId>> {
-        if self.dist_us[dst as usize] == u64::MAX {
-            return None;
-        }
-        let mut path = vec![dst];
-        let mut cur = dst;
-        while cur != self.source {
-            cur = self.prev[cur as usize];
-            debug_assert_ne!(cur, NO_PREV);
-            path.push(cur);
-        }
-        path.reverse();
-        Some(path)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use massf_topology::Network;
+
+    /// The node path `source → dst` (inclusive) read off the predecessor
+    /// links, or `None` when `dst` is unreachable.
+    fn path_to(t: &SpfTree, dst: NodeId) -> Option<Vec<NodeId>> {
+        if t.dist_us[dst as usize] == u64::MAX {
+            return None;
+        }
+        let mut path = vec![dst];
+        while *path.last().unwrap() != t.source {
+            path.push(t.prev[*path.last().unwrap() as usize]);
+        }
+        path.reverse();
+        Some(path)
+    }
 
     /// Diamond: 0-1-3 (fast), 0-2-3 (slow), plus direct 0-3 (slowest).
     fn diamond() -> Network {
@@ -249,14 +246,14 @@ mod tests {
     fn picks_lowest_latency_path() {
         let t = shortest_paths(&diamond(), 0);
         assert_eq!(t.dist_us[3], 20);
-        assert_eq!(t.path_to(3), Some(vec![0, 1, 3]));
+        assert_eq!(path_to(&t, 3), Some(vec![0, 1, 3]));
     }
 
     #[test]
     fn source_distance_is_zero() {
         let t = shortest_paths(&diamond(), 2);
         assert_eq!(t.dist_us[2], 0);
-        assert_eq!(t.path_to(2), Some(vec![2]));
+        assert_eq!(path_to(&t, 2), Some(vec![2]));
     }
 
     #[test]
@@ -265,7 +262,7 @@ mod tests {
         net.add_router("island", 0);
         let t = shortest_paths(&net, 0);
         assert_eq!(t.dist_us[4], u64::MAX);
-        assert_eq!(t.path_to(4), None);
+        assert_eq!(path_to(&t, 4), None);
     }
 
     #[test]
@@ -281,7 +278,7 @@ mod tests {
         net.add_link(0, 2, 100.0, 5);
         let t = shortest_paths(&net, 0);
         assert_eq!(t.dist_us[3], 40);
-        assert_eq!(t.path_to(3), Some(vec![0, 3]), "fewer hops must win ties");
+        assert_eq!(path_to(&t, 3), Some(vec![0, 3]), "fewer hops must win ties");
     }
 
     #[test]
@@ -295,7 +292,7 @@ mod tests {
             let t = shortest_paths(&net, src);
             let first = t.first_hops();
             for dst in 0..net.node_count() as NodeId {
-                let want = match t.path_to(dst) {
+                let want = match path_to(&t, dst) {
                     Some(p) if p.len() >= 2 => p[1],
                     _ => NO_PREV,
                 };
@@ -343,7 +340,7 @@ mod tests {
         let net = massf_topology::teragrid::teragrid();
         let t = shortest_paths(&net, 0);
         for dst in 0..net.node_count() as NodeId {
-            let path = t.path_to(dst).expect("teragrid is connected");
+            let path = path_to(&t, dst).expect("teragrid is connected");
             let mut lat = 0u64;
             for w in path.windows(2) {
                 let l = net

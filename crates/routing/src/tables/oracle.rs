@@ -3,9 +3,9 @@
 //! representation was before the interval table became the only one.
 //!
 //! Never part of the library. `tables.rs` mounts it under `#[cfg(test)]`;
-//! `tests/prop_compressed.rs`, `tests/prop_lazy.rs` and the `bench_routing`
-//! binary mount this same file with `#[path]`, so there is one oracle. Its
-//! names come from the module that mounts it.
+//! `tests/prop_compressed.rs`, `tests/prop_lazy.rs` and `massf-bench`'s
+//! `bench_routing` row mount this same file with `#[path]`, so there is
+//! one oracle. Its names come from the module that mounts it.
 
 use super::{shortest_paths, LinkId, Network, NodeId, RoutingTables};
 

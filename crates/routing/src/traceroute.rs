@@ -57,24 +57,6 @@ pub fn subnet_representatives(net: &Network) -> Vec<NodeId> {
     reps.into_values().collect()
 }
 
-/// Discovers routes between all pairs of representatives; returns
-/// `(src, dst, node path)` triples for `src < dst`.
-pub fn discover_representative_routes(
-    net: &Network,
-    tables: &RoutingTables,
-) -> Vec<(NodeId, NodeId, Vec<NodeId>)> {
-    let reps = subnet_representatives(net);
-    let mut out = Vec::with_capacity(reps.len() * reps.len() / 2);
-    for (i, &a) in reps.iter().enumerate() {
-        for &b in &reps[i + 1..] {
-            if let Some(path) = tables.path(a, b) {
-                out.push((a, b, path));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,18 +106,6 @@ mod tests {
         assert_eq!(reps.len(), 5);
         let as_ids: Vec<u32> = reps.iter().map(|&r| net.node(r).as_id).collect();
         assert_eq!(as_ids, vec![1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn representative_routes_cover_all_pairs() {
-        let net = teragrid();
-        let t = RoutingTables::build(&net);
-        let routes = discover_representative_routes(&net, &t);
-        assert_eq!(routes.len(), 5 * 4 / 2);
-        for (src, dst, path) in routes {
-            assert_eq!(path.first(), Some(&src));
-            assert_eq!(path.last(), Some(&dst));
-        }
     }
 
     #[test]

@@ -39,13 +39,6 @@ pub struct Scanned {
     pub comments: Vec<Comment>,
 }
 
-impl Scanned {
-    /// The blanked code split into lines (index 0 is line 1).
-    pub fn code_lines(&self) -> Vec<&str> {
-        self.code.lines().collect()
-    }
-}
-
 /// True for characters that can continue a Rust identifier.
 pub fn is_ident_char(c: char) -> bool {
     c.is_ascii_alphanumeric() || c == '_'
@@ -296,7 +289,7 @@ mod tests {
     #[test]
     fn nested_block_comments_blank_fully() {
         let s = scan("a /* outer /* inner */ still */ b\n");
-        let line = s.code_lines()[0].to_string();
+        let line = s.code.lines().next().unwrap().to_string();
         assert!(line.starts_with('a'));
         assert!(line.trim_end().ends_with('b'));
         assert!(!line.contains("inner"));

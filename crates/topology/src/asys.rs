@@ -3,69 +3,6 @@
 
 use crate::model::{Network, NodeId, NodeKind};
 
-/// Reassigns every node to a single AS (id 0), as the §4.2.3 scale-up
-/// requires ("all the routers are created in a single AS").
-pub fn collapse_to_single_as(net: &Network) -> Network {
-    let mut out = Network::new();
-    for n in net.nodes() {
-        match n.kind {
-            NodeKind::Router => out.add_router(n.name.clone(), 0),
-            NodeKind::Host => out.add_host(n.name.clone(), 0),
-        };
-    }
-    for l in net.links() {
-        out.add_link(l.a, l.b, l.bandwidth_mbps, l.latency_us);
-    }
-    out
-}
-
-/// The size (router count) of the AS that node `n` belongs to.
-pub fn as_size_of(net: &Network, n: crate::model::NodeId) -> usize {
-    let as_id = net.node(n).as_id;
-    net.nodes()
-        .iter()
-        .filter(|m| m.kind == NodeKind::Router && m.as_id == as_id)
-        .count()
-}
-
-/// Largest AS in the network, in routers. The paper notes this bounds
-/// scalability: "the routing table size increases rapidly with the number
-/// of routers in the network".
-pub fn largest_as(net: &Network) -> usize {
-    net.as_router_sizes().values().copied().max().unwrap_or(0)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::teragrid::teragrid;
-
-    #[test]
-    fn collapse_merges_ases() {
-        let net = teragrid();
-        assert_eq!(net.as_router_sizes().len(), 6);
-        let flat = collapse_to_single_as(&net);
-        assert_eq!(flat.as_router_sizes().len(), 1);
-        assert_eq!(flat.router_count(), net.router_count());
-        assert_eq!(flat.link_count(), net.link_count());
-        assert_eq!(largest_as(&flat), 27);
-    }
-
-    #[test]
-    fn as_size_counts_routers_of_members_as() {
-        let net = teragrid();
-        // Node 0 is a backbone hub (AS 0 with 2 routers).
-        assert_eq!(as_size_of(&net, 0), 2);
-        // Node 2 is the first site gateway (AS 1 with 5 routers).
-        assert_eq!(as_size_of(&net, 2), 5);
-    }
-
-    #[test]
-    fn largest_as_of_teragrid_is_a_site() {
-        assert_eq!(largest_as(&teragrid()), 5);
-    }
-}
-
 /// Re-assigns routers to `k` autonomous systems as BFS-contiguous regions
 /// (hosts inherit their attachment router's AS). Used to study hierarchical
 /// routing on generated single-AS topologies — BRITE "cannot create
