@@ -1,6 +1,8 @@
 //! Engine event-core throughput: the calendar-queue scheduler against the
 //! binary-heap baseline over the three Table 1 scenarios, driven both
-//! sequentially and with one thread per engine: the `BENCH_engine` table.
+//! sequentially (`-seq`) and with the engines dealt to one worker thread
+//! per core (`-thr`, engaged only on dense slices): the `BENCH_engine`
+//! table.
 //!
 //! Both schedulers pop the identical total event order, so every run of a
 //! scenario produces the same report — the row asserts this — and the
@@ -58,13 +60,13 @@ pub fn run(ctx: &Ctx) -> Output {
     let scale = if smoke { 0.08 } else { ctx.scale };
     let reps = ctx.reps();
 
-    // The `-thr` cells run one thread per engine, so they mean nothing
+    // The `-thr` cells run one worker per core, so they mean nothing
     // without the core count they ran on.
     let mut t = ResultTable::new(
         "BENCH_engine",
         format!(
-            "Engine throughput (events/second unless noted): heap baseline vs calendar queue, \
-             {} core(s)",
+            "Engine throughput (events/second unless noted): heap baseline vs calendar queue; \
+             -seq on one thread, -thr on one worker per core, {} core(s)",
             Parallelism::available()
         ),
     );

@@ -5,7 +5,8 @@
 //!
 //! The production protocol is generic over [`massf_engine::SyncShim`];
 //! this crate instantiates it with *virtual* primitives driven by a
-//! cooperative scheduler ([`sched`]): engine threads are real OS threads,
+//! cooperative scheduler ([`sched`]): the protocol's participants (one
+//! engine each, or a group as in the pooled executor) are real OS threads,
 //! but every barrier arrival, slot publish/read, and channel send/receive
 //! parks the thread until the controller grants it. One thread runs at a
 //! time, so a run is determined entirely by the grant sequence — and the
@@ -23,8 +24,9 @@
 //! ([`scenario::StopState`]: the [`massf_engine::EmulationReport`] so
 //! far, pending events, link occupancy, protocol state) is bit-identical
 //! to the sequential stepping reference's. The protocol is resumable, and
-//! so is the check: a scenario with a mid-run stop/migrate/resume is
-//! explored segment by segment ([`scenario`]). Seeded faults
+//! so is the check: a scenario with a mid-run stop (a time bound or a
+//! round budget, with or without a migration) is explored segment by
+//! segment ([`scenario`]). Seeded faults
 //! ([`sched::Fault`]) mutate the protocol at the shim level to prove the
 //! checker actually detects bugs.
 //!

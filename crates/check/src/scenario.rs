@@ -6,9 +6,10 @@
 //! conservative rounds (so LBTS advances more than once and remote
 //! events span window boundaries).
 //!
-//! A scenario with a [`Migration`] runs in two *segments* — up to the
-//! stop time under the initial partition, then to completion under the
-//! new one — and the checker explores each segment on its own. That is
+//! A scenario with a [`Stop`] runs in two *segments* — up to the stop
+//! (a virtual time or a round budget), then, possibly under a new
+//! partition, to completion — and the checker explores each segment on
+//! its own. That is
 //! sound because a segment's check is that *every* interleaving ends in
 //! the one [`StopState`] the sequential stepping executor reaches: the
 //! next segment then has a single possible start state, which the
@@ -25,14 +26,17 @@ use massf_routing::RoutingTables;
 use massf_topology::{LinkId, Network};
 use massf_traffic::FlowSpec;
 
-/// A stop/migrate/resume point: the run stops once every pending event
-/// is at or after `at_us`, and `partition` is installed through
-/// [`SteppableEmulation::repartition`] before it resumes.
-pub struct Migration {
-    /// Virtual time the first segment runs until.
+/// A stop/resume point: the first segment stops once every pending event
+/// is at or after `at_us` or `at_round` rounds have run, whichever comes
+/// first, and `partition`, if any, is installed through
+/// [`SteppableEmulation::repartition`] before the run resumes.
+pub struct Stop {
+    /// Virtual time the first segment runs until (`u64::MAX`: no bound).
     pub at_us: u64,
-    /// Node → engine assignment of the second segment.
-    pub partition: Vec<u32>,
+    /// Round budget of the first segment (`u64::MAX`: none).
+    pub at_round: u64,
+    /// Node → engine assignment of the second segment, when it migrates.
+    pub partition: Option<Vec<u32>>,
 }
 
 /// Everything a run consists of where [`massf_engine::protocol_loop`]
@@ -71,7 +75,7 @@ impl StopState {
 }
 
 /// One self-contained checking scenario: topology, routes, traffic, and
-/// the emulation configuration (whose `nengines` is the thread count).
+/// the emulation configuration, and which participant owns which engine.
 pub struct Scenario {
     /// Short CLI-stable name.
     pub name: &'static str,
@@ -83,8 +87,10 @@ pub struct Scenario {
     pub flows: Vec<FlowSpec>,
     /// Run configuration (partition, engine count, cost model).
     pub cfg: EmulationConfig,
-    /// Mid-run stop and repartition, if the scenario has one.
-    pub migrate: Option<Migration>,
+    /// Engine → participant (checker thread); `participants()` of them.
+    pub deal: Vec<usize>,
+    /// Mid-run stop, if the scenario has one.
+    pub stop: Option<Stop>,
 }
 
 impl Scenario {
@@ -115,11 +121,26 @@ impl Scenario {
     /// entry changes engines.
     pub fn two_cross_migrate() -> Scenario {
         Scenario {
-            migrate: Some(Migration {
+            stop: Some(Stop {
                 at_us: 500,
-                partition: vec![1, 1, 0, 0],
+                at_round: u64::MAX,
+                partition: Some(vec![1, 1, 0, 0]),
             }),
             ..Self::two_cross_with("two_cross_migrate", RoutingTables::build)
+        }
+    }
+
+    /// [`two_cross`](Self::two_cross) stopped by a round budget after its
+    /// second round and resumed — what the executor does at every slice
+    /// boundary, where the run may also change shims.
+    pub fn two_cross_budget() -> Scenario {
+        Scenario {
+            stop: Some(Stop {
+                at_us: u64::MAX,
+                at_round: 2,
+                partition: None,
+            }),
+            ..Self::two_cross_with("two_cross_budget", RoutingTables::build)
         }
     }
 
@@ -159,7 +180,8 @@ impl Scenario {
             tables,
             flows,
             cfg: EmulationConfig::new(vec![0, 0, 1, 1], 2),
-            migrate: None,
+            deal: vec![0, 1],
+            stop: None,
         }
     }
 
@@ -169,6 +191,18 @@ impl Scenario {
     /// `[0,0 | 1 | 2,2]`. Exercises an engine (the middle one) that only
     /// forwards: it both receives and re-ships remote events.
     pub fn three_chain() -> Scenario {
+        Self::three_chain_dealt("three_chain", vec![0, 1, 2])
+    }
+
+    /// [`three_chain`](Self::three_chain) on two participants, the first
+    /// owning engines 0 and 1 — the pooled executor's shape, where one
+    /// thread publishes, sends and drains for several engines in id order
+    /// between the same barriers.
+    pub fn three_chain_paired() -> Scenario {
+        Self::three_chain_dealt("three_chain_paired", vec![0, 0, 1])
+    }
+
+    fn three_chain_dealt(name: &'static str, deal: Vec<usize>) -> Scenario {
         let mut net = Network::new();
         let h0 = net.add_host("h0", 0);
         let r0 = net.add_router("r0", 0);
@@ -201,12 +235,13 @@ impl Scenario {
             },
         ];
         Scenario {
-            name: "three_chain",
+            name,
             net,
             tables,
             flows,
             cfg: EmulationConfig::new(vec![0, 0, 1, 2, 2], 3),
-            migrate: None,
+            deal,
+            stop: None,
         }
     }
 
@@ -217,6 +252,8 @@ impl Scenario {
             Scenario::three_chain(),
             Scenario::two_cross_lazy(),
             Scenario::two_cross_migrate(),
+            Scenario::three_chain_paired(),
+            Scenario::two_cross_budget(),
         ]
     }
 
@@ -225,32 +262,35 @@ impl Scenario {
         Scenario::all().into_iter().find(|s| s.name == name)
     }
 
-    /// How many segments the checker explores: one, or two around a
-    /// migration.
-    pub fn segments(&self) -> usize {
-        1 + usize::from(self.migrate.is_some())
+    /// How many checker threads run the protocol.
+    pub fn participants(&self) -> usize {
+        self.deal.iter().max().map_or(0, |&p| p + 1)
     }
 
-    /// The virtual-time bound segment `segment` runs until.
-    pub fn until_us(&self, segment: usize) -> u64 {
-        match (&self.migrate, segment) {
-            (Some(m), 0) => m.at_us,
-            _ => u64::MAX,
+    /// How many segments the checker explores: one, or two around a stop.
+    pub fn segments(&self) -> usize {
+        1 + usize::from(self.stop.is_some())
+    }
+
+    /// The virtual-time bound and round budget segment `segment` runs to.
+    pub fn bounds(&self, segment: usize) -> (u64, u64) {
+        match (&self.stop, segment) {
+            (Some(stop), 0) => (stop.at_us, stop.at_round),
+            _ => (u64::MAX, u64::MAX),
         }
     }
 
     /// The sequential stepping executor at the start of `segment`: fresh
-    /// for segment 0, stopped and repartitioned for segment 1.
+    /// for segment 0, stopped (and repartitioned) for segment 1.
     pub fn stepped_to(&self, segment: usize) -> SteppableEmulation<'_> {
         let mut emu =
             SteppableEmulation::new(&self.net, &self.tables, &self.flows, self.cfg.clone());
         if segment > 0 {
-            let m = self
-                .migrate
-                .as_ref()
-                .expect("only a migration adds a segment");
-            emu.run_until(m.at_us);
-            emu.repartition(m.partition.clone(), MigrationCost::default());
+            let stop = self.stop.as_ref().expect("only a stop adds a segment");
+            emu.run_bounded(stop.at_us, stop.at_round);
+            if let Some(partition) = &stop.partition {
+                emu.repartition(partition.clone(), MigrationCost::default());
+            }
         }
         emu
     }
@@ -260,7 +300,8 @@ impl Scenario {
     /// bit-for-bit.
     pub fn stop_state(&self, segment: usize) -> StopState {
         let mut emu = self.stepped_to(segment);
-        emu.run_until(self.until_us(segment));
+        let (until_us, round_limit) = self.bounds(segment);
+        emu.run_bounded(until_us, round_limit);
         let (engines, cfg, protocol) = emu.into_parts();
         StopState::of(engines, &cfg, &self.tables, protocol)
     }
@@ -306,6 +347,16 @@ mod tests {
             s.reference().delivered,
             Scenario::two_cross().reference().delivered
         );
+    }
+
+    #[test]
+    fn the_round_budget_stops_between_two_rounds_of_the_same_run() {
+        let s = Scenario::two_cross_budget();
+        let stop = s.stop_state(0);
+        assert_eq!(stop.protocol.rounds, 2);
+        assert!(stop.pending.iter().any(|q| !q.is_empty()), "{stop:?}");
+        // Where the rounds are cut changes nothing that is counted.
+        assert_eq!(s.reference(), Scenario::two_cross().reference());
     }
 
     #[test]

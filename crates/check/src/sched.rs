@@ -1,6 +1,7 @@
 //! The cooperative scheduler: runs one schedule of the engine protocol.
 //!
-//! Engine threads are real OS threads, but every shared-state operation
+//! The participants (a thread per group of engines, [`Scenario::deal`])
+//! are real OS threads, but every shared-state operation
 //! goes through the virtual shim, which parks the thread until the
 //! controller (on the caller's thread) *grants* the operation. Exactly one
 //! thread executes at a time, so a run is fully determined by the sequence
@@ -209,7 +210,7 @@ struct Core {
     states: Vec<TState>,
     /// Return value of the last granted op (reads).
     ret: Vec<u64>,
-    /// Events staged by the controller for a granted `Recv`.
+    /// Events staged by the controller for a granted `Recv`, per engine.
     inboxes: Vec<Vec<Event>>,
     /// Non-`Cancel` panic messages, per thread.
     panics: Vec<Option<String>>,
@@ -229,13 +230,14 @@ fn lock(m: &Mutex<Core>) -> std::sync::MutexGuard<'_, Core> {
 }
 
 impl Sched {
-    fn new(n: usize) -> Self {
+    /// For `threads` participants over `n` engines.
+    fn new(n: usize, threads: usize) -> Self {
         Sched {
             core: Mutex::new(Core {
-                states: vec![TState::Running; n],
-                ret: vec![0; n],
+                states: vec![TState::Running; threads],
+                ret: vec![0; threads],
                 inboxes: (0..n).map(|_| Vec::new()).collect(),
-                panics: (0..n).map(|_| None).collect(),
+                panics: (0..threads).map(|_| None).collect(),
                 cancelled: false,
             }),
             cv: Condvar::new(),
@@ -346,7 +348,9 @@ struct Instrument {
 }
 
 impl Instrument {
-    fn new(n: usize) -> Self {
+    /// For `n` engines (slots, channels) run by `threads` participants
+    /// (clock components).
+    fn new(n: usize, threads: usize) -> Self {
         let slots = 4 * n;
         let mut slot_val = vec![0u64; slots];
         // Match the parallel executor's initial values: idle minima.
@@ -355,12 +359,12 @@ impl Instrument {
         }
         Instrument {
             n,
-            tvv: (0..n).map(|_| VersionVec::new(n)).collect(),
-            wvv: (0..slots).map(|_| VersionVec::new(n)).collect(),
-            rvv: (0..slots).map(|_| VersionVec::new(n)).collect(),
-            cvv: (0..n * n).map(|_| VersionVec::new(n)).collect(),
-            accum: VersionVec::new(n),
-            pending: (0..n).map(|_| VersionVec::new(n)).collect(),
+            tvv: (0..threads).map(|_| VersionVec::new(threads)).collect(),
+            wvv: (0..slots).map(|_| VersionVec::new(threads)).collect(),
+            rvv: (0..slots).map(|_| VersionVec::new(threads)).collect(),
+            cvv: (0..n * n).map(|_| VersionVec::new(threads)).collect(),
+            accum: VersionVec::new(threads),
+            pending: (0..threads).map(|_| VersionVec::new(threads)).collect(),
             slot_val,
             trace_hash: 0,
         }
@@ -390,8 +394,9 @@ impl Instrument {
 
 /// Executes one schedule of one segment of `scenario` and checks every
 /// property. The segment starts from the sequential stepping executor's
-/// state ([`Scenario::stepped_to`]), is taken apart into one engine per
-/// thread, and runs [`protocol_loop`] until [`Scenario::until_us`].
+/// state ([`Scenario::stepped_to`]), is taken apart into one group of
+/// engines per participant ([`Scenario::deal`]), and runs
+/// [`protocol_loop`] to [`Scenario::bounds`].
 ///
 /// `prefix` replays previously-taken choices; past its end the controller
 /// always takes choice 0 (first enabled thread), recording every decision
@@ -415,7 +420,8 @@ pub fn run_schedule(
     let (engines, cfg, start) = scenario.stepped_to(segment).into_parts();
     let cfg = &cfg;
     let n = cfg.nengines;
-    let until_us = scenario.until_us(segment);
+    let threads = scenario.participants();
+    let (until_us, round_limit) = scenario.bounds(segment);
     let routes = Routes::of(&scenario.flows);
     let shared = Shared {
         net: &scenario.net,
@@ -426,8 +432,8 @@ pub fn run_schedule(
     };
     let lookahead = lookahead_us(&scenario.net, &cfg.partition);
 
-    let sched = Sched::new(n);
-    let mut ins = Instrument::new(n);
+    let sched = Sched::new(n, threads);
+    let mut ins = Instrument::new(n, threads);
     let mut chans: Vec<VecDeque<Event>> = (0..n * n).map(|_| VecDeque::new()).collect();
 
     // Controller-side bookkeeping.
@@ -437,7 +443,7 @@ pub fn run_schedule(
     let mut lbts_floor = start.last_lbts;
     let mut release_count = 0u64;
     // Fault state.
-    let mut barrier_arrivals = vec![0u64; n];
+    let mut barrier_arrivals = vec![0u64; threads];
     let mut chan_consumed = vec![0u64; n * n];
     let mut delayed: Option<(usize, Event)> = None; // (receiver, event)
     let mut fault_done = false;
@@ -447,8 +453,12 @@ pub fn run_schedule(
     let replay_steps = prefix.len().saturating_sub(1);
 
     let (ctl_violation, results) = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n);
-        for (tid, mut engine) in engines.into_iter().enumerate() {
+        let mut groups: Vec<Vec<Engine>> = (0..threads).map(|_| Vec::new()).collect();
+        for (engine, &tid) in engines.into_iter().zip(&scenario.deal) {
+            groups[tid].push(engine);
+        }
+        let mut handles = Vec::with_capacity(threads);
+        for (tid, mut group) in groups.into_iter().enumerate() {
             let sched = &sched;
             let shared = &shared;
             let mut state = start.clone();
@@ -457,15 +467,16 @@ pub fn run_schedule(
                 let run = panic::catch_unwind(AssertUnwindSafe(|| {
                     let shim = VirtualShim { sched, tid };
                     protocol_loop(
-                        std::slice::from_mut(&mut engine),
+                        &mut group,
                         &shim,
                         shared,
                         cfg,
                         lookahead,
                         until_us,
+                        round_limit,
                         &mut state,
                     );
-                    (engine, state)
+                    (group, state)
                 }));
                 let mut core = lock(&sched.core);
                 let ret = match run {
@@ -519,11 +530,11 @@ pub fn run_schedule(
             if core.states.iter().all(|s| matches!(s, TState::Finished)) {
                 break 'control;
             }
-            let enabled: Vec<usize> = (0..n)
+            let enabled: Vec<usize> = (0..threads)
                 .filter(|&t| matches!(core.states[t], TState::Requesting(_) | TState::Resumable))
                 .collect();
             if enabled.is_empty() {
-                let stuck: Vec<usize> = (0..n)
+                let stuck: Vec<usize> = (0..threads)
                     .filter(|&t| matches!(core.states[t], TState::WaitingBarrier))
                     .collect();
                 violation = Some((
@@ -684,8 +695,8 @@ pub fn run_schedule(
                                 .iter()
                                 .filter(|s| matches!(s, TState::WaitingBarrier))
                                 .count();
-                            if arrived == n {
-                                for t in 0..n {
+                            if arrived == threads {
+                                for t in 0..threads {
                                     ins.pending[t] = ins.accum.clone();
                                     core.states[t] = TState::Resumable;
                                 }
@@ -734,7 +745,7 @@ pub fn run_schedule(
         }
         drop(core);
 
-        let results: Vec<Option<(Engine, ProtocolState)>> = handles
+        let results: Vec<Option<(Vec<Engine>, ProtocolState)>> = handles
             .into_iter()
             .map(|h| h.join().expect("engine wrapper never panics"))
             .collect();
@@ -767,8 +778,8 @@ pub fn run_schedule(
     let mut outcomes = Vec::with_capacity(n);
     for (tid, r) in results.into_iter().enumerate() {
         match r {
-            Some((e, o)) => {
-                engines.push(e);
+            Some((group, o)) => {
+                engines.extend(group);
                 outcomes.push(o);
             }
             None => {
@@ -791,6 +802,7 @@ pub fn run_schedule(
             },
         };
     }
+    engines.sort_by_key(|e| e.id); // back from deal order to id order
     let stop = StopState::of(engines, cfg, &scenario.tables, outcomes.swap_remove(0));
     if &stop != expected {
         let differing = [

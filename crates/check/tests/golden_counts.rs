@@ -81,6 +81,16 @@ fn schedule_counts_are_pinned() {
     );
     out.push_str(&line("two_cross_migrate", "exhaustive", r.stats));
 
+    // The pooled executor's two shapes: one participant owning two
+    // engines, and a run cut by the round budget and resumed (two
+    // segments, like the migration).
+    for s in [Scenario::three_chain_paired(), Scenario::two_cross_budget()] {
+        let r = explore(&s, ExploreOpts::default());
+        assert!(r.violation.is_none(), "{}: {:?}", s.name, r.violation);
+        assert!(r.stats.exhaustive, "{} must be fully explorable", s.name);
+        out.push_str(&line(s.name, "exhaustive", r.stats));
+    }
+
     assert_golden(&out, "tests/golden/counts.txt");
 }
 

@@ -113,6 +113,25 @@ fn faults_on_other_threads_are_caught_too() {
 }
 
 #[test]
+fn faults_are_caught_where_a_participant_owns_two_engines() {
+    // The pooled executor's shape: the two-engine participant misses a
+    // barrier; an event it ships to the other participant arrives a
+    // window late.
+    let s = Scenario::three_chain_paired();
+    for fault in [
+        Fault::SkipBarrier { thread: 0, nth: 3 },
+        Fault::DelayDelivery {
+            from: 1,
+            to: 2,
+            nth: 1,
+        },
+    ] {
+        let kind = find_and_replay_in(&s, fault);
+        assert_ne!(kind, ViolationKind::Divergence, "{fault:?}");
+    }
+}
+
+#[test]
 fn clean_protocol_replays_clean() {
     // Replaying the empty schedule (pure first-choice run) of the correct
     // protocol completes with every property intact.

@@ -157,17 +157,10 @@ impl Engine {
         self.counters.events - before
     }
 
-    /// Appends the outbox to `into`, keeping the outbox's capacity for the
-    /// next window (the steady-state, allocation-free drain).
-    pub fn drain_outbox(&mut self, into: &mut Vec<RemoteEvent>) {
-        into.append(&mut self.outbox);
-    }
-
-    /// True when the cross-engine outbox is empty — a protocol invariant
-    /// at the end of every round (asserted by the executors and proved
-    /// over all interleavings by `massf-check`).
-    pub fn outbox_is_empty(&self) -> bool {
-        self.outbox.is_empty()
+    /// Empties the outbox, keeping its capacity for the next window (the
+    /// steady-state, allocation-free drain).
+    pub fn drain_outbox(&mut self) -> std::vec::Drain<'_, RemoteEvent> {
+        self.outbox.drain(..)
     }
 
     /// Drains every pending event in ascending order (used when nodes
@@ -444,9 +437,8 @@ mod tests {
         let flows = vec![flow(0, 2, 1)];
         let partition = vec![0u32, 0, 1];
         let (mut e, _) = engine_after(&net, &tables, &flows, &partition, false, u64::MAX);
-        let mut out = Vec::new();
-        e.drain_outbox(&mut out);
-        assert!(e.outbox_is_empty());
+        let out: Vec<RemoteEvent> = e.drain_outbox().collect();
+        assert_eq!(e.drain_outbox().count(), 0);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].to_engine, 1);
         assert_eq!(out[0].event.node, 2);

@@ -2,35 +2,34 @@
 //!
 //! [`protocol_loop`] is the only window loop in the workspace — the one
 //! caller of [`Engine::process_window`]. It stops at a virtual-time bound
-//! and resumes from a caller-owned [`ProtocolState`], so every executor
-//! is a driver around it:
+//! or a round budget and resumes from a caller-owned [`ProtocolState`],
+//! so every executor is a driver around it:
 //!
-//! * [`crate::stepping::SteppableEmulation`] owns all engines in one
-//!   thread and calls it once per `run_until` — epoch boundaries and live
-//!   migration are stop/resume points of the same protocol;
-//! * [`run_sequential`] is that executor run in a single step (for
-//!   determinism-testing and cheap sweeps);
-//! * [`run_parallel`] runs it on one OS thread per engine (the real
-//!   parallel substrate);
-//! * `massf-check` runs it on virtual primitives under every interleaving.
+//! * [`crate::stepping::SteppableEmulation`] is the one executor: it owns
+//!   all engines and calls the loop slice by slice, on the calling thread
+//!   or on [`EmulationConfig::workers`] worker threads — epoch boundaries
+//!   and live migration are stop/resume points of the same protocol;
+//! * [`run`] is that executor run in a single step, [`run_sequential`]
+//!   the same at one worker (the strict reference), [`run_parallel`] at
+//!   one worker per CPU;
+//! * `massf-check` runs the loop on virtual primitives under every
+//!   interleaving.
 //!
 //! All of them build their engines through [`seeded_engines`] and merge
 //! them through [`finalize`], and produce bit-identical reports.
 
 use crate::cost::{CostModel, WallClock};
-use crate::engine::{lookahead_us, Engine, RemoteEvent, Routes, Shared};
+use crate::engine::{Engine, RemoteEvent, Shared};
 use crate::event::Event;
 use crate::netflow::merge_dumps;
 use crate::report::EmulationReport;
 use crate::sched::SchedulerKind;
-use crate::shim::{SlotArray, StdShim, SyncShim};
+use crate::shim::{SlotArray, SyncShim};
 use crate::stepping::SteppableEmulation;
 use massf_routing::RoutingTables;
 use massf_topology::Network;
 use massf_traffic::FlowSpec;
-use std::sync::atomic::AtomicU64;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Barrier;
+use std::borrow::BorrowMut;
 
 /// Configuration of one emulation run.
 #[derive(Debug, Clone)]
@@ -53,6 +52,10 @@ pub struct EmulationConfig {
     /// Event-scheduler implementation. Both kinds pop in the identical
     /// total event order, so this only affects throughput — never results.
     pub scheduler: SchedulerKind,
+    /// Worker threads the engines are dealt to (capped at `nengines`).
+    /// 1 is the strict single-threaded path; any count produces the same
+    /// report.
+    pub workers: usize,
 }
 
 impl EmulationConfig {
@@ -67,7 +70,14 @@ impl EmulationConfig {
             cost: CostModel::default(),
             engine_speeds: None,
             scheduler: SchedulerKind::default(),
+            workers: 1,
         }
+    }
+
+    /// Sets the worker-thread count (zero is clamped to one).
+    pub fn with_workers(mut self, workers: usize) -> Self {
+        self.workers = workers.max(1);
+        self
     }
 
     /// Selects the event-scheduler implementation.
@@ -122,11 +132,11 @@ pub fn seeded_engines(net: &Network, flows: &[FlowSpec], cfg: &EmulationConfig) 
 /// What one protocol participant carries from window to window: the
 /// modeled wall clock, the conservative rounds executed, the virtual-time
 /// frontier, and the last agreed LBTS. Owned by the caller so that
-/// [`protocol_loop`] can stop at a virtual-time bound and resume later
-/// (the epoch boundaries of [`crate::stepping`]). Every participant of a
-/// parallel run computes identical values (each reads the same published
-/// window statistics), which the model checker asserts and the parallel
-/// executor exploits by keeping only one copy.
+/// [`protocol_loop`] can stop at a virtual-time bound or round budget and
+/// resume later (the epoch boundaries and slices of [`crate::stepping`]).
+/// Every participant of a parallel run computes identical values (each
+/// reads the same published window statistics), which the model checker
+/// and the executor both assert where the participants join.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProtocolState {
     /// Modeled wall-clock accumulation over all windows (and migrations).
@@ -142,14 +152,17 @@ pub struct ProtocolState {
 /// The windowed conservative protocol, written exactly once over the
 /// [`SyncShim`] surface, resumable at any virtual-time bound.
 ///
-/// `engines` are the engines owned by this participant: all of them in
-/// the sequential/steppable executor, exactly one per OS thread in the
-/// parallel executor and in the `massf-check` model checker. `cfg` is the
+/// `engines` are the engines owned by this participant (owned or
+/// borrowed): all of them in a sequential slice, one worker's group in a
+/// pooled slice and in the `massf-check` model checker. `cfg` is the
 /// whole run's configuration; `shared.partition` is `cfg.partition`.
 ///
 /// The loop runs windows until every pending event time is `>= until_us`
-/// (`u64::MAX` runs to completion), accumulating into the caller-owned
-/// `state`; calling it again with a later bound continues the same run.
+/// (`u64::MAX` runs to completion) or, at the top of a round, `state`
+/// has counted `round_limit` rounds (`u64::MAX`: no budget) — a budget
+/// never truncates a window, so where the rounds are cut changes nothing
+/// that is counted. It accumulates into the caller-owned `state`; calling
+/// it again with a later bound or budget continues the same run.
 /// Between calls the caller may migrate events between engines and pass a
 /// new `lookahead`, as long as no event moves below `state.last_lbts`.
 ///
@@ -166,25 +179,26 @@ pub struct ProtocolState {
 ///
 /// The `debug_assert!`s state the protocol invariants the model checker
 /// proves hold under every interleaving: LBTS never regresses, windows
-/// are fully drained before they close, outboxes empty at round end, and
-/// no cross-engine event lands inside a closed window.
-pub fn protocol_loop<S: SyncShim>(
-    engines: &mut [Engine],
+/// are fully drained before they close, and no cross-engine event lands
+/// inside a closed window.
+#[allow(clippy::too_many_arguments)]
+pub fn protocol_loop<S: SyncShim, E: BorrowMut<Engine>>(
+    engines: &mut [E],
     shim: &S,
     shared: &Shared<'_>,
     cfg: &EmulationConfig,
     lookahead: u64,
     until_us: u64,
+    round_limit: u64,
     state: &mut ProtocolState,
 ) {
     let nengines = cfg.nengines;
     let cost = &cfg.cost;
-    // Reused across rounds — no per-window outbox allocation.
-    let mut out_buf: Vec<RemoteEvent> = Vec::new();
-
-    loop {
+    // Every participant counts the same rounds, so all stop here together.
+    while state.rounds < round_limit {
         // Phase 1: publish local minima, agree on LBTS.
         for e in engines.iter() {
+            let e: &Engine = e.borrow();
             shim.publish(
                 SlotArray::Mins,
                 e.id as usize,
@@ -213,6 +227,7 @@ pub fn protocol_loop<S: SyncShim>(
 
         // Phase 2: process the window, ship remote events, publish stats.
         for e in engines.iter_mut() {
+            let e: &mut Engine = e.borrow_mut();
             let id = e.id as usize;
             let sent_before = e.remote_sent();
             let events = e.process_window(lbts, shared);
@@ -224,9 +239,7 @@ pub fn protocol_loop<S: SyncShim>(
                 "window not drained: an event below LBTS {lbts} survived processing"
             );
             let sent = e.remote_sent() - sent_before;
-            e.drain_outbox(&mut out_buf);
-            debug_assert!(e.outbox_is_empty(), "outbox not empty at round end");
-            for RemoteEvent { to_engine, event } in out_buf.drain(..) {
+            for RemoteEvent { to_engine, event } in e.drain_outbox() {
                 shim.send(id, to_engine as usize, event);
             }
             shim.publish(SlotArray::WinEvents, id, events);
@@ -241,6 +254,7 @@ pub fn protocol_loop<S: SyncShim>(
 
         // Phase 3: drain inboxes, account the window.
         for e in engines.iter_mut() {
+            let e: &mut Engine = e.borrow_mut();
             shim.recv_all(e.id as usize, &mut |event: Event| {
                 debug_assert!(
                     event.time_us >= lbts,
@@ -271,113 +285,47 @@ pub fn protocol_loop<S: SyncShim>(
     }
 }
 
-/// Runs the emulation in a single thread, simulating the synchronous
-/// rounds. Deterministic; used by tests, sweeps, and benches. This is the
-/// steppable executor run in one step — there is one sequential executor.
+/// Runs the emulation to completion on `cfg.workers` worker threads: the
+/// steppable executor run in one step — there is one executor.
+pub fn run(
+    net: &Network,
+    tables: &RoutingTables,
+    flows: &[FlowSpec],
+    cfg: EmulationConfig,
+) -> EmulationReport {
+    let mut emu = SteppableEmulation::new(net, tables, flows, cfg);
+    emu.run_to_completion();
+    emu.finish()
+}
+
+/// [`run`] in a single thread whatever `cfg.workers` says: the strict
+/// reference every other configuration must reproduce.
 pub fn run_sequential(
     net: &Network,
     tables: &RoutingTables,
     flows: &[FlowSpec],
     cfg: &EmulationConfig,
 ) -> EmulationReport {
-    let mut emu = SteppableEmulation::new(net, tables, flows, cfg.clone());
-    emu.run_to_completion();
-    emu.finish()
+    run(net, tables, flows, cfg.clone().with_workers(1))
 }
 
-/// Runs the emulation with one OS thread per engine, exchanging events over
-/// `mpsc` channels under the synchronous conservative protocol. Produces
-/// the same report as [`run_sequential`] for the same inputs: both run the
-/// identical [`protocol_loop`], differing only in the [`SyncShim`]
-/// instantiation.
+/// [`run`] on one worker per available CPU. Produces the same report as
+/// [`run_sequential`] for the same inputs: both run the identical
+/// [`protocol_loop`], differing only in the [`SyncShim`] under it.
 pub fn run_parallel(
     net: &Network,
     tables: &RoutingTables,
     flows: &[FlowSpec],
     cfg: &EmulationConfig,
 ) -> EmulationReport {
-    let n = cfg.nengines;
-    if n == 1 {
-        // One engine needs no protocol; the sequential path is identical.
-        return run_sequential(net, tables, flows, cfg);
-    }
-    let engines = seeded_engines(net, flows, cfg);
-    let lookahead = lookahead_us(net, &cfg.partition);
-    let routes = Routes::of(flows);
-
-    // n×n channel mesh: mesh[i][j] carries events from engine i to j.
-    let mut senders: Vec<Vec<Sender<Event>>> = vec![Vec::with_capacity(n); n];
-    let mut receivers: Vec<Vec<Receiver<Event>>> = (0..n).map(|_| Vec::new()).collect();
-    for i in 0..n {
-        for j in 0..n {
-            let (tx, rx) = channel();
-            senders[i].push(tx);
-            receivers[j].push(rx);
-        }
-    }
-
-    let mins: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(u64::MAX)).collect();
-    let win_events: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-    let win_remote: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-    let win_progress: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-    let barrier = Barrier::new(n);
-
-    let results: Vec<(Engine, ProtocolState)> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n);
-        for (mut engine, (my_senders, my_receivers)) in engines
-            .into_iter()
-            .zip(senders.drain(..).zip(receivers.drain(..)))
-        {
-            let mins = &mins;
-            let win_events = &win_events;
-            let win_remote = &win_remote;
-            let win_progress = &win_progress;
-            let barrier = &barrier;
-            let routes = &routes;
-            let handle = scope.spawn(move || {
-                let shared = Shared {
-                    net,
-                    tables,
-                    flows,
-                    routes,
-                    partition: &cfg.partition,
-                };
-                let shim = StdShim::new(
-                    engine.id as usize,
-                    barrier,
-                    [mins, win_events, win_remote, win_progress],
-                    my_senders,
-                    my_receivers,
-                );
-                let mut state = ProtocolState::default();
-                protocol_loop(
-                    std::slice::from_mut(&mut engine),
-                    &shim,
-                    &shared,
-                    cfg,
-                    lookahead,
-                    u64::MAX,
-                    &mut state,
-                );
-                (engine, state)
-            });
-            handles.push(handle);
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("engine thread panicked"))
-            .collect()
-    });
-
-    // Every participant computed the same state; keep the first copy.
-    let (engines, mut states): (Vec<Engine>, Vec<ProtocolState>) = results.into_iter().unzip();
-    finalize(engines, cfg, tables, states.swap_remove(0))
+    let cpus = massf_par::Parallelism::available().get();
+    run(net, tables, flows, cfg.clone().with_workers(cpus))
 }
 
-/// Merges per-engine state into the final report. Used by every executor
-/// — sequential, parallel, steppable, and the `massf-check` model checker
-/// — so all paths report identically. `tables` is sampled for the lazy
-/// per-engine residency block (`None` for the eager representations).
+/// Merges per-engine state into the final report. Used by the executor
+/// and the `massf-check` model checker, so all paths report identically.
+/// `tables` is sampled for the lazy per-engine residency block (`None`
+/// for the eager representations).
 pub fn finalize(
     engines: Vec<Engine>,
     cfg: &EmulationConfig,
@@ -479,6 +427,20 @@ mod tests {
         net
     }
 
+    /// Every slice on two workers, whatever its density (`run_parallel`
+    /// leaves windows as sparse as these tests' on the calling thread).
+    fn run_on_workers(
+        net: &Network,
+        tables: &RoutingTables,
+        flows: &[FlowSpec],
+        cfg: &EmulationConfig,
+    ) -> EmulationReport {
+        let mut emu = SteppableEmulation::new(net, tables, flows, cfg.clone());
+        emu.set_workers((0..cfg.nengines).map(|e| e % 2).collect(), 0);
+        emu.run_to_completion();
+        emu.finish()
+    }
+
     fn flows_star() -> Vec<FlowSpec> {
         vec![
             FlowSpec {
@@ -536,7 +498,7 @@ mod tests {
         ] {
             let cfg = EmulationConfig::new(part.clone(), 2).with_netflow();
             let seq = run_sequential(&net, &tables, &flows_star(), &cfg);
-            let par = run_parallel(&net, &tables, &flows_star(), &cfg);
+            let par = run_on_workers(&net, &tables, &flows_star(), &cfg);
             assert_eq!(seq.engine_events, par.engine_events, "partition {part:?}");
             assert_eq!(seq.delivered, par.delivered);
             assert_eq!(seq.latency_sum_us, par.latency_sum_us);
@@ -567,7 +529,7 @@ mod tests {
         // A second run over the same shared tables demands the same rows:
         // the materialized set is idempotent, so the whole report — slice
         // block included — stays equal across executors.
-        let par = run_parallel(&net, &tables, &flows_star(), &cfg);
+        let par = run_on_workers(&net, &tables, &flows_star(), &cfg);
         assert_eq!(seq, par);
         // Eager runs carry no slice block.
         let eager = run_sequential(&net, &RoutingTables::build(&net), &flows_star(), &cfg);
@@ -609,7 +571,7 @@ mod tests {
         let net = star();
         let tables = RoutingTables::build(&net);
         let cfg = EmulationConfig::new(vec![0, 0, 1, 1, 1], 2);
-        let r = run_parallel(&net, &tables, &[], &cfg);
+        let r = run_on_workers(&net, &tables, &[], &cfg);
         assert_eq!(r.total_events(), 0);
         assert_eq!(r.rounds, 0);
     }
@@ -657,7 +619,7 @@ mod tests {
             .collect();
         let cfg = EmulationConfig::new(part, 5);
         let seq = run_sequential(&net, &tables, &flows, &cfg);
-        let par = run_parallel(&net, &tables, &flows, &cfg);
+        let par = run_on_workers(&net, &tables, &flows, &cfg);
         assert_eq!(seq.delivered, 400);
         assert_eq!(seq.engine_events, par.engine_events);
         assert_eq!(seq.rounds, par.rounds);

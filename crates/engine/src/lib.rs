@@ -7,7 +7,8 @@
 //! ## What it models
 //!
 //! The virtual network is partitioned across `k` *simulation engines* (the
-//! paper's physical cluster nodes; here, one OS thread each). Packets are
+//! paper's physical cluster nodes; here, plain structs dealt to worker
+//! threads). Packets are
 //! *references*, not payloads ("the real network traffic data does not
 //! actually travel through the emulator; only packet references are
 //! processed by it", §3.3). Each packet hop is one kernel event — the
@@ -24,12 +25,15 @@
 //! partitions (§2.2.3): larger cut latencies mean larger windows and fewer
 //! synchronizations.
 //!
-//! The round loop is written once ([`exec::protocol_loop`]) and driven in
-//! modes producing bit-identical results: [`exec::run_sequential`] (rounds
-//! simulated in one thread), [`exec::run_parallel`] (one thread per engine
-//! over `mpsc` channels), and [`stepping::SteppableEmulation`] (the
-//! sequential executor stopped and resumed at epoch boundaries, with live
-//! node migration in between).
+//! The round loop is written once ([`exec::protocol_loop`]) and driven by
+//! one executor, [`stepping::SteppableEmulation`], which can be stopped
+//! and resumed at epoch boundaries with live node migration in between.
+//! It deals the engines to [`exec::EmulationConfig::workers`] worker
+//! threads and engages them slice by slice, only while the windows hold
+//! enough events to pay for the synchronization; [`exec::run_sequential`]
+//! (one worker, the strict reference) and [`exec::run_parallel`] (one per
+//! CPU) run it in one step, and every worker count produces the same
+//! report bit for bit.
 //!
 //! ## Event scheduling
 //!
@@ -95,8 +99,31 @@ pub mod stepping;
 pub mod trace;
 
 pub use cost::CostModel;
-pub use exec::{protocol_loop, run_parallel, run_sequential, EmulationConfig, ProtocolState};
+pub use exec::{protocol_loop, run, run_parallel, run_sequential, EmulationConfig, ProtocolState};
 pub use report::EmulationReport;
 pub use sched::{SchedStats, SchedulerKind};
 pub use shim::{SlotArray, SyncShim};
 pub use stepping::{MigrationCost, SteppableEmulation};
+
+#[cfg(test)]
+mod tests {
+    /// DESIGN.md §3's `massf-engine` row names this crate's modules: the
+    /// backticked names of its last cell, in order, are the `pub mod`
+    /// lines above.
+    #[test]
+    fn design_inventory_lists_exactly_the_public_modules() {
+        let declared: Vec<&str> = include_str!("lib.rs")
+            .lines()
+            .filter_map(|l| l.strip_prefix("pub mod ")?.strip_suffix(';'))
+            .collect();
+        assert!(declared.len() > 10, "{declared:?}");
+        let design = include_str!("../../../DESIGN.md");
+        let row = design
+            .lines()
+            .find(|l| l.starts_with("| `crates/engine` (`massf-engine`) |"))
+            .expect("DESIGN.md §3 has a massf-engine row");
+        let cell = row.trim_end_matches([' ', '|']).rsplit('|').next().unwrap();
+        let listed: Vec<&str> = cell.split('`').skip(1).step_by(2).collect();
+        assert_eq!(listed, declared, "DESIGN.md §3 drifted from lib.rs");
+    }
+}

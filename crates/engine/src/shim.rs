@@ -4,20 +4,20 @@
 //! The protocol round loop ([`crate::exec::protocol_loop`]) is written
 //! exactly once, generic over [`SyncShim`]. Three instantiations exist:
 //!
-//! * [`StdShim`] — the production parallel substrate: `std::sync::Barrier`,
-//!   `SeqCst` atomics, and an `mpsc` channel mesh. Every method is a thin
-//!   `#[inline]` wrapper, so monomorphization compiles the generic loop
-//!   down to the exact code the executor ran before the shim existed.
 //! * `SeqShim` (crate-private) — the single-threaded substrate of
-//!   [`crate::stepping::SteppableEmulation`], which is both the
-//!   epoch-stepping executor and (run in one step) the sequential one:
-//!   barriers are no-ops (one thread owns every engine), slots are plain
-//!   cells, the channel mesh is one inbox per destination.
+//!   [`crate::stepping::SteppableEmulation`]: barriers are no-ops (one
+//!   thread owns every engine), slots are plain cells, the outboxes are
+//!   one inbox per destination.
+//! * `PoolShim` (crate-private) — the same executor's parallel substrate
+//!   for the slices of a run whose windows are dense enough to pay for
+//!   synchronization: the engines are dealt to a few worker threads over
+//!   a sense-reversing spin-then-park barrier, one cache line of atomic
+//!   slots per engine, and one outbox per (sender, receiver) pair.
 //! * `massf-check`'s virtual shim — cooperative primitives driven by a
 //!   model-checking scheduler that exhaustively enumerates interleavings
 //!   of these exact shim operations.
 //!
-//! Everything the engine threads share flows through this surface; the
+//! Everything the participants share flows through this surface; the
 //! code between shim calls touches only thread-owned state. That is the
 //! property that makes shim-operation granularity a *sound* abstraction
 //! level for the model checker: two schedules that order the shim
@@ -25,9 +25,8 @@
 
 use crate::event::Event;
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::Barrier;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex};
 
 /// The shared `u64` slot arrays the protocol publishes into, one slot per
 /// engine. `Mins` carries each engine's next-event time (phase 1); the
@@ -36,7 +35,7 @@ use std::sync::Barrier;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SlotArray {
     /// Next pending event time per engine (`u64::MAX` when idle).
-    Mins,
+    Mins = 0,
     /// Kernel events executed in the current window, per engine.
     WinEvents,
     /// Cross-engine events sent in the current window, per engine.
@@ -46,35 +45,22 @@ pub enum SlotArray {
 }
 
 impl SlotArray {
-    /// All arrays, indexable in a fixed order.
-    pub const ALL: [SlotArray; 4] = [
-        SlotArray::Mins,
-        SlotArray::WinEvents,
-        SlotArray::WinRemote,
-        SlotArray::WinProgress,
-    ];
-
     /// Dense index of this array (0..4).
     #[inline]
     pub fn index(self) -> usize {
-        match self {
-            SlotArray::Mins => 0,
-            SlotArray::WinEvents => 1,
-            SlotArray::WinRemote => 2,
-            SlotArray::WinProgress => 3,
-        }
+        self as usize
     }
 }
 
-/// One engine thread's view of the synchronization substrate.
+/// One protocol participant's view of the synchronization substrate.
 ///
-/// A shim value belongs to a single protocol participant (one OS thread in
-/// the parallel executor; the whole run in the sequential/stepping
-/// executor). The round loop calls these methods in a fixed pattern — see
+/// A participant is one thread and the engines it owns (all of them in a
+/// sequential slice, a fixed group per worker in a pooled one, chosen
+/// groups in the model checker). The round loop calls these methods in a fixed pattern — see
 /// [`crate::exec::protocol_loop`] for the choreography and the invariants
 /// asserted between calls.
 pub trait SyncShim {
-    /// Blocks until every engine thread has arrived (a no-op when one
+    /// Blocks until every participant has arrived (a no-op when one
     /// participant owns all engines).
     fn barrier_wait(&self);
 
@@ -96,67 +82,179 @@ pub trait SyncShim {
     fn recv_all(&self, to: usize, deliver: &mut dyn FnMut(Event));
 }
 
-/// Production shim: one per engine thread, over std primitives. See the
-/// [module docs](self) — all methods inline to the raw primitive calls.
-pub struct StdShim<'a> {
-    id: usize,
-    barrier: &'a Barrier,
-    slots: [&'a [AtomicU64]; 4],
-    senders: Vec<Sender<Event>>,
-    receivers: Vec<Receiver<Event>>,
+/// Polls of the generation word (about 15 ns each) before a barrier
+/// waiter parks: enough for the fuller half of an ordinary window to
+/// close (at 128 an undisturbed `emulate_cbr` parked at most barriers
+/// and took 10 s for 2.3). Past it the participant waited for has most
+/// likely lost its core, and the waiter sleeps — it neither burns the
+/// core the other may need nor, as a yielding waiter would, hands it to
+/// whatever else wants one (with one of two cores taken by another
+/// process, yielding made `emulate_cbr` 45–97 s for 3, parking 8–10).
+const BARRIER_SPINS: u32 = 1024;
+
+/// A value on cache lines of its own.
+#[repr(align(64))]
+struct Padded<T>(T);
+
+/// The pooled parallel shim, shared by reference among the worker threads
+/// the engines are dealt to: a sense-reversing spin-then-park barrier,
+/// the four slot arrays, and one outbox per (sender, receiver), laid out
+/// receiver-major so a drain scans one row in sender-id order — the fill
+/// order of [`SeqShim`]'s inbox, which is one half of the
+/// bit-identical-reports guarantee.
+///
+/// Every participant reads every slot and every flag of its engines' rows
+/// each round, so what is read together is packed together (eight slots
+/// to a line, a receiver's flags in one run) and only what different
+/// threads write at different times — the barrier words, the four arrays
+/// — is kept on separate lines.
+///
+/// The barrier is `SeqCst` throughout: an arrival publishes the
+/// participant's writes, passing acquires everyone's; and a releaser that
+/// reads `sleepers == 0` is ordered before any later sleeper's count,
+/// whose check under the lock then sees the new generation. Slots and
+/// `pending` flags are `Relaxed`, because a barrier separates every read
+/// of one from the write it observes.
+pub(crate) struct PoolShim {
+    nengines: usize,
+    participants: usize,
+    /// Zero when participants outnumber CPUs: whoever they wait for
+    /// cannot be running, so they park at once.
+    spins: u32,
+    /// Arrivals at the barrier in progress; the last one resets it, then
+    /// bumps `generation`, which the others poll, then wakes the parked.
+    arrived: Padded<AtomicUsize>,
+    generation: Padded<AtomicUsize>,
+    sleepers: AtomicUsize,
+    lock: Mutex<()>,
+    wake: Condvar,
+    /// Set when a participant unwinds, so that its peers fail too instead
+    /// of waiting for an arrival that never comes.
+    poisoned: AtomicBool,
+    /// `slots[array.index()][engine / 8].0[engine % 8]`.
+    slots: [Vec<Padded<[AtomicU64; 8]>>; 4],
+    /// `outboxes[to * nengines + from]`: filled by the sender's owner in
+    /// phase 2, drained by the receiver's in phase 3, never both at once —
+    /// the uncontended mutex only makes the hand-over safe Rust. A vector
+    /// keeps its capacity across windows.
+    outboxes: Vec<Mutex<Vec<Event>>>,
+    /// Which outboxes hold events: spares the receiver the locks of the
+    /// (mostly) empty ones.
+    pending: Vec<AtomicBool>,
 }
 
-impl<'a> StdShim<'a> {
-    /// Builds engine thread `id`'s shim from the shared barrier, the four
-    /// slot arrays (indexed by [`SlotArray::index`]), this thread's row of
-    /// senders (`senders[j]` ships to engine `j`) and its column of
-    /// receivers (`receivers[i]` receives from engine `i`).
-    pub fn new(
-        id: usize,
-        barrier: &'a Barrier,
-        slots: [&'a [AtomicU64]; 4],
-        senders: Vec<Sender<Event>>,
-        receivers: Vec<Receiver<Event>>,
-    ) -> Self {
-        Self {
-            id,
-            barrier,
-            slots,
-            senders,
-            receivers,
+/// Held by every participant of a [`PoolShim`] while it runs the protocol.
+pub(crate) struct PoisonOnPanic<'a>(&'a PoolShim);
+
+impl Drop for PoisonOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poisoned.store(true, Ordering::SeqCst);
+            self.0.wake_sleepers();
         }
     }
 }
 
-impl SyncShim for StdShim<'_> {
-    #[inline]
+impl PoolShim {
+    /// A shim for `nengines` engines dealt to `participants` threads.
+    pub(crate) fn new(nengines: usize, participants: usize) -> Self {
+        let cpus = massf_par::Parallelism::available().get();
+        let slots = || (0..nengines.div_ceil(8)).map(|_| Padded(Default::default()));
+        let pairs = || 0..nengines * nengines;
+        Self {
+            nengines,
+            participants,
+            spins: BARRIER_SPINS * u32::from(participants <= cpus),
+            arrived: Padded(AtomicUsize::new(0)),
+            generation: Padded(AtomicUsize::new(0)),
+            sleepers: AtomicUsize::new(0),
+            lock: Mutex::new(()),
+            wake: Condvar::new(),
+            poisoned: AtomicBool::new(false),
+            slots: std::array::from_fn(|_| slots().collect()),
+            outboxes: pairs().map(|_| Mutex::new(Vec::new())).collect(),
+            pending: pairs().map(|_| AtomicBool::new(false)).collect(),
+        }
+    }
+
+    /// How many threads the barrier waits for.
+    pub(crate) fn participants(&self) -> usize {
+        self.participants
+    }
+
+    /// The guard that fails the other participants when this one panics.
+    pub(crate) fn poison_on_panic(&self) -> PoisonOnPanic<'_> {
+        PoisonOnPanic(self)
+    }
+
+    fn wake_sleepers(&self) {
+        // Taking the lock waits out a sleeper between its check and its wait.
+        drop(self.lock.lock());
+        self.wake.notify_all();
+    }
+}
+
+impl SyncShim for PoolShim {
     fn barrier_wait(&self) {
-        self.barrier.wait();
+        let generation = self.generation.0.load(Ordering::SeqCst);
+        let passed = || self.generation.0.load(Ordering::SeqCst) != generation;
+        if self.arrived.0.fetch_add(1, Ordering::SeqCst) + 1 == self.participants {
+            self.arrived.0.store(0, Ordering::SeqCst);
+            let next = generation.wrapping_add(1);
+            self.generation.0.store(next, Ordering::SeqCst);
+            if self.sleepers.load(Ordering::SeqCst) > 0 {
+                self.wake_sleepers();
+            }
+            return;
+        }
+        for _ in 0..self.spins {
+            if passed() {
+                return;
+            }
+            std::hint::spin_loop();
+        }
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        let mut guard = self.lock.lock().expect("nothing panics under it");
+        let poisoned = || self.poisoned.load(Ordering::SeqCst);
+        while !passed() && !poisoned() {
+            guard = self.wake.wait(guard).expect("nothing panics under it");
+        }
+        drop(guard);
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        assert!(!poisoned(), "another protocol participant panicked");
     }
 
     #[inline]
     fn publish(&self, array: SlotArray, slot: usize, value: u64) {
-        debug_assert_eq!(slot, self.id, "engines publish only their own slot");
-        self.slots[array.index()][slot].store(value, Ordering::SeqCst);
+        self.slots[array.index()][slot / 8].0[slot % 8].store(value, Ordering::Relaxed);
     }
 
     #[inline]
     fn read(&self, array: SlotArray, slot: usize) -> u64 {
-        self.slots[array.index()][slot].load(Ordering::SeqCst)
+        self.slots[array.index()][slot / 8].0[slot % 8].load(Ordering::Relaxed)
     }
 
     #[inline]
     fn send(&self, from: usize, to: usize, event: Event) {
-        debug_assert_eq!(from, self.id, "engines send only from themselves");
-        self.senders[to].send(event).expect("peer thread alive");
+        let pair = to * self.nengines + from;
+        let mut events = self.outboxes[pair]
+            .lock()
+            .expect("only a failed run poisons");
+        if events.is_empty() {
+            self.pending[pair].store(true, Ordering::Relaxed);
+        }
+        events.push(event);
     }
 
     #[inline]
     fn recv_all(&self, to: usize, deliver: &mut dyn FnMut(Event)) {
-        debug_assert_eq!(to, self.id, "engines drain only their own inbox");
-        for rx in &self.receivers {
-            for event in rx.try_iter() {
-                deliver(event);
+        for pair in to * self.nengines..(to + 1) * self.nengines {
+            if self.pending[pair].load(Ordering::Relaxed) {
+                self.pending[pair].store(false, Ordering::Relaxed);
+                let mut events = self.outboxes[pair]
+                    .lock()
+                    .expect("only a failed run poisons");
+                events.drain(..).for_each(&mut *deliver);
             }
         }
     }
@@ -166,7 +264,7 @@ impl SyncShim for StdShim<'_> {
 /// participant owns every engine, so barriers vanish and the channel mesh
 /// collapses to one inbox per destination. The owner runs its engines in
 /// id order, so an inbox fills sender-id major, FIFO within a sender —
-/// the drain order of [`StdShim`], which is one half of the
+/// the drain order of [`PoolShim`], which is one half of the
 /// bit-identical-reports guarantee.
 pub(crate) struct SeqShim {
     slots: [Vec<Cell<u64>>; 4],
@@ -213,5 +311,88 @@ impl SyncShim for SeqShim {
         for (_, event) in self.inboxes[to].borrow_mut().drain(..) {
             deliver(event);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::event::EventKind;
+
+    fn event(time_us: u64) -> Event {
+        let kind = EventKind::Inject {
+            flow: 0,
+            packet_no: time_us,
+        };
+        Event {
+            time_us,
+            node: 0,
+            kind,
+        }
+    }
+
+    fn drained(shim: &impl SyncShim, to: usize) -> Vec<u64> {
+        let mut times = Vec::new();
+        shim.recv_all(to, &mut |e| times.push(e.time_us));
+        times
+    }
+
+    #[test]
+    fn both_shims_drain_sender_major_and_fifo() {
+        // The sequential owner sends in engine order; workers in any.
+        let seq = SeqShim::new(3);
+        for (from, t) in [(0, 1), (0, 3), (1, 2)] {
+            seq.send(from, 2, event(t));
+        }
+        let pool = PoolShim::new(3, 2);
+        for (from, t) in [(1, 2), (0, 1), (0, 3)] {
+            pool.send(from, 2, event(t));
+        }
+        pool.send(2, 0, event(9));
+        assert_eq!(drained(&seq, 2), [1, 3, 2]);
+        assert_eq!(drained(&pool, 2), [1, 3, 2]);
+        assert_eq!(drained(&pool, 2), [], "a drain empties the row");
+        assert_eq!(drained(&pool, 1), []);
+        assert_eq!(drained(&pool, 0), [9]);
+    }
+
+    #[test]
+    fn the_barrier_orders_slot_writes_round_after_round() {
+        // More participants than this machine may have cores: the waiters
+        // yield, and every round still reads every peer's latest write.
+        const PARTIES: usize = 5;
+        let pool = PoolShim::new(PARTIES, PARTIES);
+        std::thread::scope(|scope| {
+            for me in 0..PARTIES {
+                let pool = &pool;
+                scope.spawn(move || {
+                    for round in 1..=200u64 {
+                        pool.publish(SlotArray::Mins, me, round * 10 + me as u64);
+                        pool.barrier_wait();
+                        for peer in 0..PARTIES {
+                            assert_eq!(pool.read(SlotArray::Mins, peer), round * 10 + peer as u64);
+                        }
+                        pool.barrier_wait(); // everyone has read before anyone rewrites
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn a_panicking_participant_fails_its_peers_at_the_barrier() {
+        let pool = PoolShim::new(2, 2);
+        let failed = std::thread::scope(|scope| {
+            let bad = scope.spawn(|| {
+                let _poison = pool.poison_on_panic();
+                panic!("a protocol invariant fired (expected by this test)");
+            });
+            let peer = scope.spawn(|| {
+                let _poison = pool.poison_on_panic();
+                pool.barrier_wait();
+            });
+            (bad.join().is_err(), peer.join().is_err())
+        });
+        assert_eq!(failed, (true, true));
     }
 }

@@ -3,25 +3,29 @@
 //! the emulation is the only solution. Such dynamic remapping is a major
 //! challenge for distributed emulators like MaSSF."
 //!
-//! [`SteppableEmulation`] is the sequential executor: all engines, the
-//! single-threaded shim, and a [`ProtocolState`]. Every
-//! [`run_until`](SteppableEmulation::run_until) is one call of
-//! [`crate::exec::protocol_loop`] with a virtual-time bound, so control
-//! returns to the caller at any boundary while the windows, their
-//! accounting and their `debug_assert!` invariants stay the protocol's
-//! own — this module contains no window logic. Between steps the caller
+//! [`SteppableEmulation`] is the executor: all engines, the two shims,
+//! and a [`ProtocolState`]. Every
+//! [`run_until`](SteppableEmulation::run_until) advances
+//! [`crate::exec::protocol_loop`] to a virtual-time bound in slices of
+//! [`SLICE_ROUNDS`] rounds, so control returns to the caller at any
+//! boundary while the windows, their accounting and their
+//! `debug_assert!` invariants stay the protocol's own — this module
+//! contains no window logic. A slice runs on the calling thread over
+//! `SeqShim`, or — when the run has more than one worker and the
+//! previous slice's windows were dense ([`DENSE_EVENTS_PER_ROUND`]) — on
+//! the worker threads over `PoolShim`; which of the two ran a slice
+//! changes nothing that is counted. Between steps the caller
 //! may inspect live NetFlow dumps and install a new node→engine
 //! assignment; pending events and link-occupancy state migrate with their
 //! nodes, and a configurable wall-clock charge models the
 //! checkpoint/transfer cost of moving virtual nodes between physical
-//! engines. [`crate::exec::run_sequential`] is this executor run in one
-//! step.
+//! engines. [`crate::exec::run`] is this executor run in one step.
 
 use crate::engine::{lookahead_us, Engine, Routes, Shared};
 use crate::exec::{finalize, protocol_loop, seeded_engines, EmulationConfig, ProtocolState};
 use crate::netflow::{merge_dumps, FlowRecord};
 use crate::report::EmulationReport;
-use crate::shim::SeqShim;
+use crate::shim::{PoolShim, SeqShim};
 use massf_routing::RoutingTables;
 use massf_topology::Network;
 use massf_traffic::FlowSpec;
@@ -55,8 +59,26 @@ impl MigrationCost {
     }
 }
 
+/// Rounds per slice, the grain at which the executor re-decides between
+/// the calling thread and the workers: starting the workers (tens of µs)
+/// vanishes in a dense slice (tens of ms), and a run of a few thousand
+/// rounds still spends most of them past the first, sequential, slice.
+pub const SLICE_ROUNDS: u64 = 256;
+
+/// Events per round over a slice from which the next slice runs on the
+/// workers. A round costs them what a sequential round does not (three
+/// barriers, slots and events crossing cores, the wait for the fuller
+/// half of an uneven window) against 0.1 µs per event split between
+/// them. Measured on 2 cores, CBR on the 200-router BRITE at 8 engines,
+/// two workers ÷ calling thread: 0.34× at 8 events per round, 0.67× at
+/// 29, 0.92× at 57, 1.02× at 114, 1.28× at 223, 1.47× at 444. Of
+/// `benchmark/`'s workloads `emulate_cbr` (223) and `profile_scalapack`
+/// (586) gain, and `online_onoff` (7.5) forced onto the workers takes
+/// 10.7 s for 4.7.
+pub const DENSE_EVENTS_PER_ROUND: u64 = 128;
+
 /// An emulation that can be advanced in increments and remapped between
-/// them. Sequential and fully deterministic.
+/// them. Fully deterministic at every worker count.
 pub struct SteppableEmulation<'a> {
     net: &'a Network,
     tables: &'a RoutingTables,
@@ -66,6 +88,13 @@ pub struct SteppableEmulation<'a> {
     cfg: EmulationConfig,
     engines: Vec<Engine>,
     shim: SeqShim,
+    /// Engine → worker, and the workers' shim (`None` at one worker).
+    deal: Vec<usize>,
+    pool: Option<PoolShim>,
+    /// Events per round over the last slice, and the density from which
+    /// the next one goes to the workers.
+    density: u64,
+    dense_from: u64,
     lookahead: u64,
     state: ProtocolState,
     /// Cumulative NetFlow state at the last epoch-slice call.
@@ -84,10 +113,16 @@ impl<'a> SteppableEmulation<'a> {
         flows: &'a [FlowSpec],
         cfg: EmulationConfig,
     ) -> Self {
-        Self {
+        let n = cfg.nengines;
+        let workers = cfg.workers.clamp(1, n);
+        let mut emu = Self {
             engines: seeded_engines(net, flows, &cfg),
             routes: Routes::of(flows),
-            shim: SeqShim::new(cfg.nengines),
+            shim: SeqShim::new(n),
+            deal: Vec::new(),
+            pool: None,
+            density: 0,
+            dense_from: 0,
             lookahead: lookahead_us(net, &cfg.partition),
             state: ProtocolState::default(),
             net,
@@ -97,7 +132,23 @@ impl<'a> SteppableEmulation<'a> {
             epoch_mark: Vec::new(),
             migrated_nodes: 0,
             remaps: 0,
-        }
+        };
+        // Consecutive, near-equal groups: engine e of n on worker ⌊e·w/n⌋.
+        let deal = (0..n).map(|e| e * workers / n).collect();
+        emu.set_workers(deal, DENSE_EVENTS_PER_ROUND);
+        emu
+    }
+
+    /// Replaces the deal (`deal[e]` is engine `e`'s worker; the largest
+    /// entry plus one is the worker count) and the density gate (0 puts
+    /// every slice on the workers, `u64::MAX` none). Every choice produces
+    /// the same report; this exists so that tests can show it.
+    #[doc(hidden)]
+    pub fn set_workers(&mut self, deal: Vec<usize>, dense_from: u64) {
+        assert_eq!(deal.len(), self.cfg.nengines);
+        let workers = deal.iter().max().map_or(1, |&w| w + 1);
+        self.pool = (workers > 1).then(|| PoolShim::new(deal.len(), workers));
+        (self.deal, self.dense_from) = (deal, dense_from);
     }
 
     /// The current node→engine assignment.
@@ -114,7 +165,32 @@ impl<'a> SteppableEmulation<'a> {
     /// `>= until_us` (or until completion). Returns the number of windows
     /// executed.
     pub fn run_until(&mut self, until_us: u64) -> u64 {
+        self.run_bounded(until_us, u64::MAX)
+    }
+
+    /// [`run_until`](Self::run_until) that also stops, between two
+    /// rounds, once the run has executed `round_limit` rounds in total.
+    pub fn run_bounded(&mut self, until_us: u64, round_limit: u64) -> u64 {
+        let events = |engines: &[Engine]| engines.iter().map(|e| e.counters.events).sum::<u64>();
         let rounds_before = self.state.rounds;
+        loop {
+            let (rounds, before) = (self.state.rounds, events(&self.engines));
+            let slice_end = rounds.saturating_add(SLICE_ROUNDS).min(round_limit);
+            self.run_slice(until_us, slice_end);
+            if self.state.rounds > rounds {
+                self.density = (events(&self.engines) - before) / (self.state.rounds - rounds);
+            }
+            // Short of the slice's end: the time bound stopped it.
+            if self.state.rounds < slice_end || slice_end == round_limit {
+                return self.state.rounds - rounds_before;
+            }
+        }
+    }
+
+    /// One call of the protocol loop per participant: the calling thread
+    /// alone over `SeqShim`, or, when the last slice was dense, one thread
+    /// per worker (the caller is worker 0) over `PoolShim`.
+    fn run_slice(&mut self, until: u64, limit: u64) {
         let shared = Shared {
             net: self.net,
             tables: self.tables,
@@ -122,16 +198,40 @@ impl<'a> SteppableEmulation<'a> {
             routes: &self.routes,
             partition: &self.cfg.partition,
         };
-        protocol_loop(
-            &mut self.engines,
-            &self.shim,
-            &shared,
-            &self.cfg,
-            self.lookahead,
-            until_us,
-            &mut self.state,
-        );
-        self.state.rounds - rounds_before
+        let (cfg, ahead, shim) = (&self.cfg, self.lookahead, &self.shim);
+        let Some(pool) = self
+            .pool
+            .as_ref()
+            .filter(|_| self.density >= self.dense_from)
+        else {
+            let (engines, state) = (&mut self.engines[..], &mut self.state);
+            return protocol_loop(engines, shim, &shared, cfg, ahead, until, limit, state);
+        };
+        let mut groups: Vec<Vec<&mut Engine>> = Vec::new();
+        groups.resize_with(pool.participants(), Vec::new);
+        for (engine, &worker) in self.engines.iter_mut().zip(&self.deal) {
+            groups[worker].push(engine);
+        }
+        let start = &self.state;
+        let work = |mut group: Vec<&mut Engine>| {
+            let _poison = pool.poison_on_panic();
+            let mut state = start.clone();
+            protocol_loop(
+                &mut group, pool, &shared, cfg, ahead, until, limit, &mut state,
+            );
+            state
+        };
+        self.state = std::thread::scope(|scope| {
+            let mut groups = groups.into_iter();
+            let mine = groups.next().expect("a pool has at least two workers");
+            let spawned: Vec<_> = groups.map(|g| scope.spawn(|| work(g))).collect();
+            let state = work(mine);
+            for handle in spawned {
+                let theirs = handle.join().expect("a worker panicked");
+                assert_eq!(theirs, state, "participants disagree on the protocol state");
+            }
+            state
+        });
     }
 
     /// Runs to completion.
@@ -333,6 +433,44 @@ mod tests {
             },
             batch
         );
+    }
+
+    #[test]
+    fn a_round_budget_cuts_the_run_without_changing_it() {
+        let (net, flows) = net_and_flows();
+        let tables = RoutingTables::build(&net);
+        let cfg = EmulationConfig::new(partition_by_router(&net), 2).with_netflow();
+        let batch = run_sequential(&net, &tables, &flows, &cfg);
+        let mut step = SteppableEmulation::new(&net, &tables, &flows, cfg);
+        let mut budget = 0;
+        while !step.finished() {
+            budget += 3;
+            assert!(step.run_bounded(u64::MAX, budget) <= 3);
+            assert!(step.state.rounds <= budget);
+        }
+        assert!(budget > 6, "the run must have been cut more than once");
+        assert_eq!(step.finish(), batch);
+    }
+
+    #[test]
+    fn workers_reproduce_the_sequential_run_across_stops_and_remaps() {
+        let (net, flows) = net_and_flows();
+        let tables = RoutingTables::build(&net);
+        let part = partition_by_router(&net);
+        let swapped: Vec<u32> = part.iter().map(|&p| 1 - p).collect();
+        let run = |deal: Vec<usize>| {
+            let cfg = EmulationConfig::new(part.clone(), 2).with_netflow();
+            let mut step = SteppableEmulation::new(&net, &tables, &flows, cfg);
+            step.set_workers(deal, 0); // every slice on the workers, if any
+            step.run_until(3_000);
+            let mid = step.netflow_epoch_slice();
+            step.repartition(swapped.clone(), MigrationCost::default());
+            step.run_to_completion();
+            (mid, step.finish())
+        };
+        let reference = run(vec![0, 0]);
+        assert_eq!(run(vec![0, 1]), reference);
+        assert_eq!(run(vec![1, 0]), reference);
     }
 
     #[test]

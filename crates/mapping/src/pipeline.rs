@@ -6,8 +6,9 @@ use crate::profile::map_profile_obs;
 use crate::top::map_top_obs;
 use crate::MapperConfig;
 use massf_engine::netflow::FlowRecord;
-use massf_engine::{run_sequential, CostModel, EmulationConfig, EmulationReport, SchedulerKind};
+use massf_engine::{CostModel, EmulationConfig, EmulationReport, SchedulerKind};
 use massf_obs::Recorder;
+use massf_par::Parallelism;
 use massf_partition::Partitioning;
 use massf_routing::RoutingTables;
 use massf_topology::Network;
@@ -107,7 +108,8 @@ impl MappingStudy {
     }
 
     /// The engine configuration of every emulation this study runs: its
-    /// counter window and engine capacities, under `partition`.
+    /// counter window, engine capacities and worker threads
+    /// (`cfg.parallelism`, at most one per CPU), under `partition`.
     pub(crate) fn emulation_config(
         &self,
         partition: &Partitioning,
@@ -122,6 +124,11 @@ impl MappingStudy {
             cost,
             engine_speeds: self.cfg.engine_capacities.clone(),
             scheduler: SchedulerKind::default(),
+            workers: self
+                .cfg
+                .parallelism
+                .capped(Parallelism::available().get())
+                .get(),
         }
     }
 
@@ -129,7 +136,7 @@ impl MappingStudy {
     /// returns the merged dumps.
     pub fn profile_records(&self, flows: &[FlowSpec], initial: &Partitioning) -> Vec<FlowRecord> {
         let cfg = self.emulation_config(initial, true, CostModel::default());
-        run_sequential(&self.net, &self.tables, flows, &cfg).netflow
+        massf_engine::run(&self.net, &self.tables, flows, cfg).netflow
     }
 
     /// Evaluates a partition by emulating `flows` under it.
@@ -140,7 +147,7 @@ impl MappingStudy {
         cost: CostModel,
     ) -> EmulationReport {
         let cfg = self.emulation_config(partition, false, cost);
-        run_sequential(&self.net, &self.tables, flows, &cfg)
+        massf_engine::run(&self.net, &self.tables, flows, cfg)
     }
 
     /// Replays `flows` "as fast as possible" (compressed schedule, no

@@ -101,7 +101,7 @@ static THREADS: Flag = Flag {
         let n: usize = v.parse().ok()?;
         put(&mut a.threads, (n > 0).then(|| Parallelism::new(n)))
     },
-    help: "Mapping-pipeline worker threads (default: all cores); results are identical at any T.",
+    help: "Worker threads of the mapping pipeline and of the emulation (default: all cores); results are identical at any T.",
 };
 static ROUTING: Flag = Flag {
     name: "--routing",

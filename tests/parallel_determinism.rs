@@ -1,8 +1,24 @@
 //! The parallel substrate must be bit-identical to the sequential
-//! reference on real scenarios, for every approach and topology.
+//! reference on real scenarios, for every approach and topology — and at
+//! every worker count, engine → worker deal and density-gate setting.
 
-use massf_core::engine::{run_parallel, run_sequential};
+use massf_core::engine::{run, run_parallel, run_sequential, SteppableEmulation};
 use massf_core::prelude::*;
+use massf_core::routing::RoutingTables;
+
+/// The run with every slice on two worker threads, whatever its density
+/// (`run_parallel` leaves windows this sparse on the calling thread).
+fn run_on_workers(
+    net: &Network,
+    tables: &RoutingTables,
+    flows: &[FlowSpec],
+    cfg: &EmulationConfig,
+) -> EmulationReport {
+    let mut emu = SteppableEmulation::new(net, tables, flows, cfg.clone());
+    emu.set_workers((0..cfg.nengines).map(|e| e % 2).collect(), 0);
+    emu.run_to_completion();
+    emu.finish()
+}
 
 fn check(topo: Topology, wl: Workload, approach: Approach) {
     let built = Scenario::new(topo, wl)
@@ -12,7 +28,11 @@ fn check(topo: Topology, wl: Workload, approach: Approach) {
     let partition = built.study.map(approach, &built.predicted, &built.flows);
     let cfg = EmulationConfig::new(partition.part.clone(), partition.nparts).with_netflow();
     let seq = run_sequential(&built.study.net, &built.study.tables, &built.flows, &cfg);
-    let par = run_parallel(&built.study.net, &built.study.tables, &built.flows, &cfg);
+    let par = run_on_workers(&built.study.net, &built.study.tables, &built.flows, &cfg);
+    assert_eq!(
+        seq,
+        run_parallel(&built.study.net, &built.study.tables, &built.flows, &cfg)
+    );
     assert_eq!(
         seq.engine_events, par.engine_events,
         "{topo:?}/{wl:?}/{approach:?}"
@@ -57,11 +77,48 @@ fn repeated_parallel_runs_are_stable() {
         .study
         .map(Approach::Place, &built.predicted, &built.flows);
     let cfg = EmulationConfig::new(partition.part.clone(), partition.nparts);
-    let first = run_parallel(&built.study.net, &built.study.tables, &built.flows, &cfg);
+    let first = run_on_workers(&built.study.net, &built.study.tables, &built.flows, &cfg);
     for _ in 0..4 {
-        let again = run_parallel(&built.study.net, &built.study.tables, &built.flows, &cfg);
+        let again = run_on_workers(&built.study.net, &built.study.tables, &built.flows, &cfg);
         assert_eq!(first.engine_events, again.engine_events);
         assert_eq!(first.latency_sum_us, again.latency_sum_us);
         assert_eq!(first.rounds, again.rounds);
+    }
+}
+
+#[test]
+fn every_worker_count_deal_and_gate_reproduces_the_sequential_report() {
+    // 16 engines on a round-robin partition: every hop crosses engines
+    // and the lookahead is the shortest link, so the run is all protocol.
+    const ENGINES: usize = 16;
+    let built = Scenario::new(Topology::Brite, Workload::Scalapack)
+        .with_scale(0.06)
+        .without_background()
+        .build();
+    let (net, flows) = (&built.study.net, &built.flows[..]);
+    let partition = (0..net.node_count()).map(|v| (v % ENGINES) as u32);
+    let cfg = EmulationConfig::new(partition.collect(), ENGINES).with_netflow();
+    let lazy = RoutingTables::build_lazy(net);
+    for tables in [&built.study.tables, &lazy] {
+        let seq = run_sequential(net, tables, flows, &cfg);
+        assert!(seq.rounds > 2 * massf_core::engine::stepping::SLICE_ROUNDS);
+        let dealt = |deal: Vec<usize>, dense_from: u64| {
+            let mut emu = SteppableEmulation::new(net, tables, flows, cfg.clone());
+            emu.set_workers(deal, dense_from);
+            emu.run_to_completion();
+            emu.finish()
+        };
+        // Worker counts that do not divide 16, and far more than cores.
+        for workers in [1, 2, 3, 5, 8, 16] {
+            let blocks: Vec<usize> = (0..ENGINES).map(|e| e * workers / ENGINES).collect();
+            let shuffled: Vec<usize> = (0..ENGINES).map(|e| (e * 7 + 3) % workers).collect();
+            // Gate forced open (every slice on the workers), forced shut,
+            // and left to what the run measures.
+            assert_eq!(seq, dealt(blocks.clone(), 0), "{workers} workers");
+            assert_eq!(seq, dealt(shuffled, 0), "{workers} workers, shuffled");
+            assert_eq!(seq, dealt(blocks, u64::MAX), "{workers} workers, gate shut");
+            let measured = run(net, tables, flows, cfg.clone().with_workers(workers));
+            assert_eq!(seq, measured, "{workers} workers, measured gate");
+        }
     }
 }

@@ -19,6 +19,11 @@ fn args(list: &[&str]) -> Vec<String> {
 /// Runs the campus CBR scenario with `--report` (plus `extra` CLI flags)
 /// and returns the JSON text.
 fn campus_report_json_with(threads: &str, extra: &[&str]) -> String {
+    campus_report_json_on("examples/scenarios/cbr.txt", threads, extra)
+}
+
+/// The same over the traffic spec at `traffic`.
+fn campus_report_json_on(traffic: &str, threads: &str, extra: &[&str]) -> String {
     let path = std::env::temp_dir().join(format!(
         "massf_run_report_{}_t{threads}_{}.json",
         std::process::id(),
@@ -31,7 +36,7 @@ fn campus_report_json_with(threads: &str, extra: &[&str]) -> String {
         "--engines",
         "3",
         "--traffic",
-        "examples/scenarios/cbr.txt",
+        traffic,
         "--duration-s",
         "2",
         "--threads",
@@ -114,6 +119,35 @@ fn masked_report_is_byte_identical_across_threads() {
         assert_eq!(
             mask_json(&base),
             mask_json(&other),
+            "simulated quantities vary at --threads {threads}"
+        );
+    }
+}
+
+#[test]
+fn masked_report_is_byte_identical_across_emulation_workers() {
+    // The shipped CBR spec averages five events per sync window, so its
+    // runs stay on the calling thread at any --threads. This one holds
+    // hundreds: from --threads 2 up (on two or more cores) the emulate
+    // stage runs on worker threads, and must report the same bytes.
+    let dense = |threads| {
+        campus_report_json_on(
+            "tests/fixtures/cbr_dense.txt",
+            threads,
+            &["--approach", "top"],
+        )
+    };
+    let base = dense("1");
+    let rounds = RunReport::from_json(&base)
+        .unwrap()
+        .emulation
+        .unwrap()
+        .rounds;
+    assert!(rounds > 512, "too short to leave the first slice: {rounds}");
+    for threads in ["2", "4"] {
+        assert_eq!(
+            mask_json(&base),
+            mask_json(&dense(threads)),
             "simulated quantities vary at --threads {threads}"
         );
     }

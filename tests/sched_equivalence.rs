@@ -1,13 +1,14 @@
 //! The calendar-queue scheduler must be invisible in results: on real
 //! scenarios, swapping it against the binary-heap baseline — and swapping
-//! the sequential executor against the per-engine-thread one — must leave
+//! the calling thread against worker threads — must leave
 //! every simulated quantity bit-identical. Only the scheduler's own
 //! internal-cost counters (`engine_sched_resizes`, `engine_reallocs`) may
 //! differ between kinds, and even those must be deterministic within a
 //! kind across executors.
 
-use massf_core::engine::{run_parallel, run_sequential, EmulationReport, SchedulerKind};
+use massf_core::engine::{run_sequential, SchedulerKind, SteppableEmulation};
 use massf_core::prelude::*;
+use massf_core::routing::RoutingTables;
 
 /// Asserts every simulated (scheduler-independent) field matches.
 fn assert_simulated_equal(a: &EmulationReport, b: &EmulationReport, what: &str) {
@@ -28,6 +29,20 @@ fn assert_simulated_equal(a: &EmulationReport, b: &EmulationReport, what: &str) 
     assert_eq!(a.netflow, b.netflow, "{what}");
 }
 
+/// The run with every slice on two worker threads, whatever its density
+/// (`run_parallel` leaves windows this sparse on the calling thread).
+fn run_on_workers(
+    net: &Network,
+    tables: &RoutingTables,
+    flows: &[FlowSpec],
+    cfg: &EmulationConfig,
+) -> EmulationReport {
+    let mut emu = SteppableEmulation::new(net, tables, flows, cfg.clone());
+    emu.set_workers((0..cfg.nengines).map(|e| e % 2).collect(), 0);
+    emu.run_to_completion();
+    emu.finish()
+}
+
 fn check(topo: Topology, wl: Workload) {
     let built = Scenario::new(topo, wl).with_scale(0.08).build();
     let partition = built
@@ -42,8 +57,8 @@ fn check(topo: Topology, wl: Workload) {
 
     let heap_seq = run_sequential(net, tables, &built.flows, &heap_cfg);
     let cal_seq = run_sequential(net, tables, &built.flows, &cal_cfg);
-    let heap_par = run_parallel(net, tables, &built.flows, &heap_cfg);
-    let cal_par = run_parallel(net, tables, &built.flows, &cal_cfg);
+    let heap_par = run_on_workers(net, tables, &built.flows, &heap_cfg);
+    let cal_par = run_on_workers(net, tables, &built.flows, &cal_cfg);
 
     let label = format!("{topo:?}/{wl:?}");
     assert_simulated_equal(
