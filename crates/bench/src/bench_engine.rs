@@ -1,8 +1,10 @@
 //! Engine event-core throughput: the calendar-queue scheduler against the
-//! binary-heap baseline over the three Table 1 scenarios, driven both
-//! sequentially (`-seq`) and with the engines dealt to one worker thread
-//! per core (`-thr`, engaged only on dense slices): the `BENCH_engine`
-//! table.
+//! binary-heap baseline over the three Table 1 scenarios and one schedule
+//! of thousands of late-starting flows (`Brite-ONOFF`: on/off sources on
+//! the Brite shape), driven both sequentially (`-seq`) and with the engines
+//! dealt to one worker thread per core (`-thr`, engaged only on dense
+//! slices), and sequentially with NetFlow on (`netflow-seq`): the
+//! `BENCH_engine` table.
 //!
 //! Both schedulers pop the identical total event order, so every run of a
 //! scenario produces the same report — the row asserts this — and the
@@ -13,6 +15,13 @@
 //! calendar's buffers are bounded by its peak depth, so that count must not
 //! follow the event count: the row asserts [`MAX_ALLOCS_PER_KEVENT`] at
 //! full scale and [`SMOKE_ALLOC_CEILINGS`] at smoke scale.
+//!
+//! `sorted-share` is the share of the calendar's pushes that were a
+//! binary-search insert into its sorted front (`SchedStats::sorted_inserts`
+//! over events): near 1 the calendar has degenerated into one sorted list,
+//! which is what a queue holding every flow's start did on `Brite-ONOFF`.
+//! The row asserts it below [`MAX_SORTED_SHARE`] under `--smoke` (the heap
+//! reports 0).
 //!
 //! Forwarding asks the routing tables once per (engine, route, hop) and
 //! pins the answer: `table-lookups/kev` is what a lazy table counted per
@@ -27,6 +36,7 @@ use crate::{time_best, Ctx, Output};
 use massf_core::engine::{run_parallel, run_sequential, EmulationReport, SchedulerKind};
 use massf_core::prelude::*;
 use massf_core::routing::RoutingTables;
+use massf_core::traffic::onoff;
 use massf_metrics::report::ResultTable;
 
 /// Most logical allocations per thousand events the calendar may make at
@@ -35,10 +45,19 @@ use massf_metrics::report::ResultTable;
 const MAX_ALLOCS_PER_KEVENT: f64 = 2.0;
 
 /// Most logical allocations the calendar may make in the `--smoke` run of
-/// each [`Topology::TABLE1`] scenario: start-up growth dominates a run that
-/// short, so the total is pinned instead — the first run's 71 / 117 / 161
-/// plus a quarter (the leaking queue made 1 125 / 577 / 990).
-const SMOKE_ALLOC_CEILINGS: [u64; 3] = [90, 150, 200];
+/// each row: start-up growth dominates a run that short, so the total is
+/// pinned instead — the first run's 47 / 84 / 112 / 88 plus a quarter (the
+/// leaking queue made 1 125 / 577 / 990 on the Table 1 rows).
+const SMOKE_ALLOC_CEILINGS: [u64; 4] = [60, 105, 140, 110];
+
+/// Largest sorted-insert share a calendar row may show (measured: 0.02–0.21;
+/// `benchmark/`'s `online_onoff` read 0.99 with every start in the queue).
+const MAX_SORTED_SHARE: f64 = 0.25;
+
+/// Emulated seconds of the `Brite-ONOFF` schedule at full scale: 48 sources
+/// bursting once a second make some 2 900 flows, all but a few of which
+/// start long after the first window.
+const ONOFF_SECONDS: f64 = 60.0;
 
 /// (engine events, delivered, rounds, virtual end, queue peaks).
 type Fingerprint = (Vec<u64>, u64, u64, u64, Vec<u64>);
@@ -71,15 +90,27 @@ pub fn run(ctx: &Ctx) -> Output {
         ),
     );
 
-    for (topo, smoke_ceiling) in Topology::TABLE1.into_iter().zip(SMOKE_ALLOC_CEILINGS) {
-        let built = Scenario::new(topo, Workload::Scalapack)
+    let cases = Topology::TABLE1.map(|t| (t, false)).into_iter();
+    let cases = cases.chain([(Topology::Brite, true)]);
+    for ((topo, bursty), smoke_ceiling) in cases.zip(SMOKE_ALLOC_CEILINGS) {
+        let mut built = Scenario::new(topo, Workload::Scalapack)
             .with_scale(scale)
             .build();
+        let row = format!("{}{}", topo.label(), if bursty { "-ONOFF" } else { "" });
+        let row = row.as_str();
+        if bursty {
+            let sources = onoff::OnOffConfig {
+                sessions: 48,
+                ..onoff::OnOffConfig::default()
+            };
+            let hosts = built.study.net.hosts();
+            built.flows = onoff::generate(&hosts, &sources, (ONOFF_SECONDS * scale * 1e6) as u64);
+            built.predicted = onoff::predict(&hosts, &sources);
+        }
         let partition = built
             .study
             .map(Approach::Top, &built.predicted, &built.flows);
         let base = EmulationConfig::new(partition.part.clone(), partition.nparts);
-        let row = topo.label();
         let net = &built.study.net;
 
         let mut reference: Option<Fingerprint> = None;
@@ -114,7 +145,25 @@ pub fn run(ctx: &Ctx) -> Output {
                 }
             }
 
-            if kind == SchedulerKind::Calendar {
+            let sorted_share = report.sorted_insert_share();
+            if kind == SchedulerKind::Heap {
+                assert_eq!(sorted_share, 0.0, "{row}: the heap has no sorted front");
+            } else {
+                t.set(row, "sorted-share", sorted_share);
+                assert!(
+                    !smoke || sorted_share < MAX_SORTED_SHARE,
+                    "{row}: {sorted_share:.3} of the pushes were sorted inserts"
+                );
+                let profiled = cfg.clone().with_netflow();
+                let (secs, nreport) = time_best(reps, || {
+                    run_sequential(net, &built.study.tables, &built.flows, &profiled)
+                });
+                assert_eq!(
+                    reference,
+                    Some(fingerprint(&nreport)),
+                    "{row}: NetFlow diverged"
+                );
+                t.set(row, "netflow-seq", events / secs.max(1e-9));
                 let allocs: u64 = report.engine_reallocs.iter().sum();
                 t.set(row, "allocs", allocs as f64);
                 let per_kevent = 1000.0 * allocs as f64 / events.max(1.0);
@@ -172,7 +221,13 @@ pub fn run(ctx: &Ctx) -> Output {
         }
     }
     Output {
-        positive: &["heap-seq", "calendar-seq", "heap-thr", "calendar-thr"],
+        positive: &[
+            "heap-seq",
+            "calendar-seq",
+            "heap-thr",
+            "calendar-thr",
+            "netflow-seq",
+        ],
         ..Output::new(vec![(t, 1)], notes)
     }
 }

@@ -26,6 +26,9 @@ use massf_routing::RoutingTables;
 use massf_topology::{LinkId, Network};
 use massf_traffic::FlowSpec;
 
+/// When the extra flow of the stopped `two_cross` scenarios starts (µs).
+pub const LATE_START_US: u64 = 900;
+
 /// A stop/resume point: the first segment stops once every pending event
 /// is at or after `at_us` or `at_round` rounds have run, whichever comes
 /// first, and `partition`, if any, is installed through
@@ -47,7 +50,8 @@ pub struct Stop {
 pub struct StopState {
     /// The engines' counters, series and NetFlow tables, finalized.
     pub report: EmulationReport,
-    /// Pending events per engine, ascending.
+    /// Pending events per engine, ascending — the first injections of its
+    /// unstarted flows among them.
     pub pending: Vec<Vec<Event>>,
     /// Link-occupancy entries per engine, in key order.
     pub links: Vec<Vec<((LinkId, bool), u64)>>,
@@ -116,9 +120,9 @@ impl Scenario {
 
     /// [`two_cross`](Self::two_cross) stopped at 500 µs — events in
     /// flight across the cut in both directions, both cut directions'
-    /// link occupancy live — with the two engines' node sets swapped
-    /// before it resumes, so every node, pending event and occupancy
-    /// entry changes engines.
+    /// link occupancy live, one flow yet to start — with the two engines'
+    /// node sets swapped before it resumes, so every node, pending event,
+    /// unstarted flow and occupancy entry changes engines.
     pub fn two_cross_migrate() -> Scenario {
         Scenario {
             stop: Some(Stop {
@@ -126,13 +130,14 @@ impl Scenario {
                 at_round: u64::MAX,
                 partition: Some(vec![1, 1, 0, 0]),
             }),
-            ..Self::two_cross_with("two_cross_migrate", RoutingTables::build)
+            ..Self::two_cross_late("two_cross_migrate")
         }
     }
 
     /// [`two_cross`](Self::two_cross) stopped by a round budget after its
     /// second round and resumed — what the executor does at every slice
-    /// boundary, where the run may also change shims.
+    /// boundary, where the run may also change shims — with one flow yet
+    /// to start at the stop.
     pub fn two_cross_budget() -> Scenario {
         Scenario {
             stop: Some(Stop {
@@ -140,8 +145,23 @@ impl Scenario {
                 at_round: 2,
                 partition: None,
             }),
-            ..Self::two_cross_with("two_cross_budget", RoutingTables::build)
+            ..Self::two_cross_late("two_cross_budget")
         }
+    }
+
+    /// [`two_cross`](Self::two_cross) plus a flow that starts at
+    /// [`LATE_START_US`], after either stop: until then it is no queue
+    /// entry but the head of its source engine's start cursor, which the
+    /// stop state must carry like any pending event.
+    fn two_cross_late(name: &'static str) -> Scenario {
+        let mut s = Self::two_cross_with(name, RoutingTables::build);
+        s.flows.push(FlowSpec {
+            start_us: LATE_START_US,
+            packets: 1,
+            bytes: 1_500,
+            ..s.flows[0]
+        });
+        s
     }
 
     fn two_cross_with(name: &'static str, build: fn(&Network) -> RoutingTables) -> Scenario {
@@ -338,15 +358,34 @@ mod tests {
         assert!(stop.pending.iter().all(|q| !q.is_empty()), "{stop:?}");
         assert!(stop.links.iter().all(|l| !l.is_empty()), "{stop:?}");
         assert_eq!(stop.protocol.last_lbts, 500);
+        assert_eq!(late_starts(&stop), [1, 0], "at its source's engine");
         let mut emu = s.stepped_to(1);
         assert_eq!(emu.migrated_nodes, s.net.node_count());
+        // The unstarted flow followed its source: it is engine 1's next event.
+        emu.run_until(LATE_START_US);
+        let (engines, cfg, protocol) = emu.into_parts();
+        assert_eq!(engines[1].next_time(), Some(LATE_START_US));
+        let moved = StopState::of(engines, &cfg, &s.tables, protocol);
+        assert_eq!(late_starts(&moved), [0, 1]);
+        let mut emu = s.stepped_to(1);
         emu.run_to_completion();
         assert_eq!(emu.finish(), s.reference());
         // Migration changes where events run, never what is emulated.
-        assert_eq!(
-            s.reference().delivered,
-            Scenario::two_cross().reference().delivered
-        );
+        assert_eq!(s.reference().delivered, unstopped(s).reference().delivered);
+    }
+
+    /// Per engine, the pending first injections at [`LATE_START_US`].
+    fn late_starts(stop: &StopState) -> Vec<usize> {
+        let late = |e: &&Event| e.time_us == LATE_START_US;
+        stop.pending
+            .iter()
+            .map(|q| q.iter().filter(late).count())
+            .collect()
+    }
+
+    /// The same network and flows run in one piece.
+    fn unstopped(s: Scenario) -> Scenario {
+        Scenario { stop: None, ..s }
     }
 
     #[test]
@@ -354,9 +393,10 @@ mod tests {
         let s = Scenario::two_cross_budget();
         let stop = s.stop_state(0);
         assert_eq!(stop.protocol.rounds, 2);
-        assert!(stop.pending.iter().any(|q| !q.is_empty()), "{stop:?}");
+        assert!(stop.protocol.last_lbts < LATE_START_US);
+        assert_eq!(late_starts(&stop), [1, 0], "stopped with a start pending");
         // Where the rounds are cut changes nothing that is counted.
-        assert_eq!(s.reference(), Scenario::two_cross().reference());
+        assert_eq!(s.reference(), unstopped(s).reference());
     }
 
     #[test]

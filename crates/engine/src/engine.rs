@@ -5,7 +5,7 @@ use crate::event::{Event, EventKind, Packet};
 use crate::link::LinkOccupancy;
 use crate::netflow::NetFlowCollector;
 use crate::sched::{EventQueue, SchedStats, SchedulerKind};
-use massf_routing::RoutingTables;
+use massf_routing::{RoutingKind, RoutingTables};
 use massf_topology::{LinkId, Network, NodeId, NodeKind};
 use massf_traffic::FlowSpec;
 
@@ -33,8 +33,8 @@ pub struct Shared<'a> {
 pub struct Routes {
     /// Route id of every flow.
     of_flow: Vec<u32>,
-    /// Number of distinct routes.
-    count: usize,
+    /// The routes: `(lower, higher)` endpoint of each, ascending.
+    ends: Vec<(NodeId, NodeId)>,
 }
 
 impl Routes {
@@ -50,8 +50,36 @@ impl Routes {
             .collect();
         Self {
             of_flow,
-            count: pairs.len(),
+            ends: pairs,
         }
+    }
+
+    /// Lanes per hop: two directions of every route.
+    fn width(&self) -> usize {
+        2 * self.ends.len()
+    }
+
+    /// The lane `pkt` is in: its `(route, direction, hop)` as one index,
+    /// hop-major. Routes never change during a run (DESIGN.md §13), so a
+    /// lane is one node of one path — it names the link the packet leaves
+    /// over (an engine's pins) and, at a router, the NetFlow records of the
+    /// flows that pass this way (the collector's cells).
+    #[inline]
+    fn lane(&self, pkt: &Packet) -> usize {
+        let slot = 2 * self.of_flow[pkt.flow as usize] as usize + (pkt.src > pkt.dst) as usize;
+        pkt.hop as usize * self.width() + slot
+    }
+}
+
+/// The event that starts flow `idx`: its first injection, at its source.
+pub fn first_injection(idx: u32, flow: &FlowSpec) -> Event {
+    Event {
+        time_us: flow.start_us,
+        node: flow.src,
+        kind: EventKind::Inject {
+            flow: idx,
+            packet_no: 0,
+        },
     }
 }
 
@@ -74,10 +102,22 @@ pub struct RemoteEvent {
 
 /// One simulation engine: event queue, link occupancy for its nodes'
 /// outgoing transmissions, counters, and NetFlow tables for its routers.
+///
+/// Engines sit side by side in one vector and neighbours can be dealt to
+/// different worker threads, so each starts on a cache-line pair of its
+/// own: with the hot words of two engines on one line, `bench_engine`'s
+/// Campus row ran at 3.2 M events/s on two workers against 11.5 M aligned.
+#[repr(align(128))]
 pub struct Engine {
     /// This engine's id (partition label).
     pub id: u32,
     queue: EventQueue,
+    /// The start cursor: first injections of this engine's flows that have
+    /// not started, latest first (the next to start is last). They are
+    /// pending events like the queue's, but they wait here, so the
+    /// scheduler holds — and sizes its buckets on — in-flight events only,
+    /// however many flows the schedule has.
+    starts: Vec<Event>,
     links: LinkOccupancy,
     /// Kernel-event accounting.
     pub counters: EngineCounters,
@@ -86,9 +126,9 @@ pub struct Engine {
     /// Outbox filled during a window, drained by the executor into a
     /// reusable buffer (the capacity survives across windows).
     outbox: Vec<RemoteEvent>,
-    /// `pins[hop * 2 * routes + 2 * route + (src > dst)]`: the link a
-    /// packet of that route and direction leaves over after crossing `hop`
-    /// links, [`UNPINNED`] until this engine first forwards one there. One
+    /// `pins[lane]` ([`Routes::lane`]): the link a packet of that route and
+    /// direction leaves over after crossing `hop` links, [`UNPINNED`] until
+    /// this engine first forwards one there. One
     /// row per hop, so it grows a handful of times and then never again.
     /// Exact because routes never change during a run (DESIGN.md §13), and
     /// filled only for hops this engine owns, so lazy tables stay sliced
@@ -108,6 +148,7 @@ impl Engine {
         Self {
             id,
             queue: EventQueue::new(scheduler),
+            starts: Vec::new(),
             links: LinkOccupancy::new(),
             counters: EngineCounters::new(counter_window_us),
             netflow: NetFlowCollector::new(netflow_enabled),
@@ -116,33 +157,37 @@ impl Engine {
         }
     }
 
-    /// Seeds the first injection event of flow `idx` if its source belongs
-    /// to this engine.
-    pub fn seed_flow(&mut self, idx: u32, flow: &FlowSpec, partition: &[u32]) {
-        if partition[flow.src as usize] == self.id {
-            self.queue.push(Event {
-                time_us: flow.start_us,
-                node: flow.src,
-                kind: EventKind::Inject {
-                    flow: idx,
-                    packet_no: 0,
-                },
-            });
+    /// Takes over pending events: a flow's first injection (how a run is
+    /// seeded, and what an unstarted flow is when its source migrates here)
+    /// waits in the start cursor, anything else goes to the scheduler.
+    pub fn adopt(&mut self, pending: impl IntoIterator<Item = Event>) {
+        for ev in pending {
+            match ev.kind {
+                EventKind::Inject { packet_no: 0, .. } => self.starts.push(ev),
+                _ => self.queue.push(ev),
+            }
         }
+        self.starts.sort_unstable_by(|a, b| b.cmp(a));
     }
 
-    /// Accepts an event shipped from another engine (or re-enqueues a
-    /// deferred local one).
+    /// Accepts an event shipped from another engine.
     pub fn enqueue(&mut self, event: Event) {
         self.queue.push(event);
     }
 
-    /// Timestamp of the next pending event, or `None` when idle.
+    /// Timestamp of the next pending event — the scheduler's head or the
+    /// next flow start, whichever is earlier — or `None` when idle.
     pub fn next_time(&self) -> Option<u64> {
-        self.queue.next_time()
+        let start = self.starts.last().map(|s| s.time_us);
+        match (self.queue.next_time(), start) {
+            (Some(queued), Some(start)) => Some(queued.min(start)),
+            (queued, start) => queued.or(start),
+        }
     }
 
-    /// Scheduler counters (peak depth, rebuilds, logical reallocations).
+    /// Scheduler counters (peak depth, rebuilds, logical reallocations,
+    /// sorted inserts). The depth is the scheduler's: flows still in the
+    /// start cursor are not in it.
     pub fn queue_stats(&self) -> SchedStats {
         self.queue.stats()
     }
@@ -151,8 +196,23 @@ impl Engine {
     /// kernel events handled. Cross-engine packets accumulate in the outbox.
     pub fn process_window(&mut self, lbts: u64, shared: &Shared<'_>) -> u64 {
         let before = self.counters.events;
-        while let Some(ev) = self.queue.pop_below(lbts) {
-            self.handle(ev, shared);
+        loop {
+            // A flow starts when everything earlier has been popped and
+            // nothing at its own instant has, so events are handled in the
+            // order a queue seeded with every start would have popped them.
+            let due = self.starts.last().map_or(lbts, |s| s.time_us.min(lbts));
+            while let Some(ev) = self.queue.pop_below(due) {
+                self.handle(ev, shared);
+            }
+            if due == lbts {
+                break;
+            }
+            let start = self.starts.pop().expect("a start set `due`");
+            if self.queue.next_time() == Some(due) {
+                self.queue.push(start); // the scheduler breaks the tie
+            } else {
+                self.handle(start, shared);
+            }
         }
         self.counters.events - before
     }
@@ -163,10 +223,14 @@ impl Engine {
         self.outbox.drain(..)
     }
 
-    /// Drains every pending event in ascending order (used when nodes
-    /// migrate between engines: events follow their node).
+    /// Drains every pending event in ascending order, the first injections
+    /// of unstarted flows included (used when nodes migrate between
+    /// engines: events follow their node, flows their source).
     pub fn drain_events(&mut self) -> Vec<Event> {
-        self.queue.drain()
+        let mut all = self.queue.drain();
+        all.append(&mut self.starts);
+        all.sort_unstable();
+        all
     }
 
     /// Drains the per-direction link occupancy (migrated with the sending
@@ -178,11 +242,6 @@ impl Engine {
     /// Installs a link-occupancy entry.
     pub fn insert_link_state(&mut self, key: (massf_topology::LinkId, bool), busy_until_us: u64) {
         self.links.insert(key, busy_until_us);
-    }
-
-    /// Live NetFlow dump of this engine's routers.
-    pub fn netflow_snapshot(&self) -> Vec<crate::netflow::FlowRecord> {
-        self.netflow.snapshot()
     }
 
     /// Number of remote events sent so far (monotone counter mirror).
@@ -215,8 +274,9 @@ impl Engine {
                 self.forward(pkt, f.src, ev.time_us, shared);
             }
             EventKind::Arrive { pkt } => {
-                if shared.net.node(ev.node).kind == NodeKind::Router {
-                    self.netflow.record(ev.node, &pkt, ev.time_us);
+                if self.netflow.enabled() && shared.net.node(ev.node).kind == NodeKind::Router {
+                    let lane = shared.routes.lane(&pkt);
+                    self.netflow.record(lane, ev.node, &pkt, ev.time_us);
                 }
                 if pkt.dst != ev.node {
                     self.forward(pkt, ev.node, ev.time_us, shared);
@@ -247,38 +307,69 @@ impl Engine {
         }
     }
 
-    /// The link `pkt` leaves `node` over: the route's pin for this hop,
+    /// The link `pkt` leaves `node` over: the pin of its lane,
     /// [`filled`](Self::fill_pin) the first time a packet of the route
     /// gets here.
     #[inline]
     fn pinned_link(&mut self, pkt: &Packet, node: NodeId, shared: &Shared<'_>) -> LinkId {
-        let routes = shared.routes;
-        let (row, width) = (pkt.hop as usize, 2 * routes.count);
-        let slot = 2 * routes.of_flow[pkt.flow as usize] as usize + (pkt.src > pkt.dst) as usize;
-        match self.pins.get(row * width + slot) {
+        let lane = shared.routes.lane(pkt);
+        match self.pins.get(lane) {
             Some(&link) if link != UNPINNED => link,
-            _ => self.fill_pin(row, width, slot, shared.tables.next_link_raw(node, pkt.dst)),
+            _ => {
+                let link = shared.tables.next_link_raw(node, pkt.dst);
+                self.fill_pin(lane, shared.routes.width(), link)
+            }
         }
     }
 
-    /// Pins `link` at `(row, slot)`, growing the array to `row` first. The
-    /// caller's `next_link_raw` is the emulation's only routing query, and
-    /// it is always for an engine-owned source: under lazy tables each
-    /// engine therefore materializes only its own slice of the rows
-    /// (DESIGN.md §16). `NO_ROUTE` is pinned too, so an unreachable route
-    /// is probed once.
+    /// Pins `link` at `lane`, growing the array to the lane's row first
+    /// (`width` lanes a row). The caller's `next_link_raw` is the
+    /// emulation's only routing query, and it is always for an engine-owned
+    /// source: under lazy tables each engine therefore materializes only
+    /// its own slice of the rows (DESIGN.md §16). `NO_ROUTE` is pinned too,
+    /// so an unreachable route is probed once.
     #[cold]
-    fn fill_pin(&mut self, row: usize, width: usize, slot: usize, link: LinkId) -> LinkId {
+    fn fill_pin(&mut self, lane: usize, width: usize, link: LinkId) -> LinkId {
         assert_ne!(link, UNPINNED, "link id collides with the unpinned mark");
-        if self.pins.len() < (row + 1) * width {
+        let rows = lane / width + 1;
+        if self.pins.len() < rows * width {
             if self.pins.capacity() == 0 {
                 // One allocation covers the usual path; longer ones double it.
-                self.pins.reserve(PIN_ROWS.max(row + 1) * width);
+                self.pins.reserve(PIN_ROWS.max(rows) * width);
             }
-            self.pins.resize((row + 1) * width, UNPINNED);
+            self.pins.resize(rows * width, UNPINNED);
         }
-        self.pins[row * width + slot] = link;
+        self.pins[lane] = link;
         link
+    }
+
+    /// Panics unless every filled pin is still the link the tables name for
+    /// its lane: pins — and the NetFlow cells that share their lanes — are
+    /// exact only while routes do not change during a run (DESIGN.md §13).
+    /// Eager tables only: asking a lazy table is a demand, which would
+    /// materialize rows no packet asked for.
+    pub fn assert_pins_hold(&self, shared: &Shared<'_>) {
+        if shared.tables.kind() == RoutingKind::Lazy {
+            return;
+        }
+        let width = shared.routes.width();
+        let filled = self
+            .pins
+            .iter()
+            .enumerate()
+            .filter(|(_, &pin)| pin != UNPINNED);
+        for (lane, &pin) in filled {
+            let (hop, slot) = (lane / width, lane % width);
+            let (lo, hi) = shared.routes.ends[slot / 2];
+            let (src, dst) = if slot % 2 == 0 { (lo, hi) } else { (hi, lo) };
+            let path = shared.tables.path_links(src, dst).unwrap_or_default();
+            let link = path.get(hop).copied().unwrap_or(RoutingTables::NO_ROUTE);
+            assert_eq!(
+                link, pin,
+                "engine {}: stale pin, hop {hop} of {src} -> {dst}",
+                self.id
+            );
+        }
     }
 
     /// Transmits `pkt` from `node` toward its destination, producing the
@@ -397,7 +488,7 @@ mod tests {
             partition,
         };
         let mut e = Engine::new(0, 1_000_000, netflow, SchedulerKind::default());
-        e.seed_flow(0, &flows[0], partition);
+        e.adopt([first_injection(0, &flows[0])]);
         let n = e.process_window(lbts, &shared);
         (e, n)
     }
@@ -491,6 +582,27 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "stale pin")]
+    fn a_pin_the_tables_no_longer_name_is_caught() {
+        let net = net_line();
+        let tables = RoutingTables::build(&net);
+        let flows = vec![flow(0, 2, 1)];
+        let partition = vec![0u32; 3];
+        let (mut e, _) = engine_after(&net, &tables, &flows, &partition, false, u64::MAX);
+        let routes = Routes::of(&flows);
+        let shared = Shared {
+            net: &net,
+            tables: &tables,
+            flows: &flows,
+            routes: &routes,
+            partition: &partition,
+        };
+        e.assert_pins_hold(&shared); // both hops as the tables have them
+        e.pins.swap(0, routes.width()); // hop 0 leaves over hop 1's link
+        e.assert_pins_hold(&shared);
+    }
+
+    #[test]
     fn flows_of_one_pair_share_a_route() {
         // {1, 4} twice, {0, 2} in both directions, {0, 3}.
         let flows = vec![
@@ -502,8 +614,8 @@ mod tests {
         ];
         let routes = Routes::of(&flows);
         assert_eq!(routes.of_flow, vec![2, 0, 2, 0, 1]);
-        assert_eq!(routes.count, 3);
-        assert_eq!(Routes::of(&[]).count, 0);
+        assert_eq!(routes.ends, vec![(0, 2), (0, 3), (1, 4)]);
+        assert_eq!(Routes::of(&[]).width(), 0);
     }
 
     #[test]

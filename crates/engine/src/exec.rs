@@ -19,9 +19,9 @@
 //! them through [`finalize`], and produce bit-identical reports.
 
 use crate::cost::{CostModel, WallClock};
-use crate::engine::{Engine, RemoteEvent, Shared};
+use crate::engine::{first_injection, Engine, RemoteEvent, Shared};
 use crate::event::Event;
-use crate::netflow::merge_dumps;
+use crate::netflow::merge_collectors;
 use crate::report::EmulationReport;
 use crate::sched::SchedulerKind;
 use crate::shim::{SlotArray, SyncShim};
@@ -107,8 +107,8 @@ impl EmulationConfig {
 }
 
 /// The one construction path of every executor: checks `cfg` against
-/// `net`, builds one engine per partition label, and seeds each flow's
-/// first injection at the engine that owns its source.
+/// `net`, builds one engine per partition label, and hands each the first
+/// injections of the flows whose source it owns (its start cursor).
 pub fn seeded_engines(net: &Network, flows: &[FlowSpec], cfg: &EmulationConfig) -> Vec<Engine> {
     assert_eq!(
         cfg.partition.len(),
@@ -120,13 +120,15 @@ pub fn seeded_engines(net: &Network, flows: &[FlowSpec], cfg: &EmulationConfig) 
         cfg.partition.iter().all(|&p| (p as usize) < cfg.nengines),
         "partition label out of range"
     );
-    let mut engines: Vec<Engine> = (0..cfg.nengines as u32)
-        .map(|id| Engine::new(id, cfg.counter_window_us, cfg.netflow, cfg.scheduler))
-        .collect();
-    for (i, f) in flows.iter().enumerate() {
-        engines[cfg.partition[f.src as usize] as usize].seed_flow(i as u32, f, &cfg.partition);
-    }
-    engines
+    (0..cfg.nengines as u32)
+        .map(|id| {
+            let mut engine = Engine::new(id, cfg.counter_window_us, cfg.netflow, cfg.scheduler);
+            let mine = flows.iter().enumerate();
+            let mine = mine.filter(|(_, f)| cfg.partition[f.src as usize] == id);
+            engine.adopt(mine.map(|(i, f)| first_injection(i as u32, f)));
+            engine
+        })
+        .collect()
 }
 
 /// What one protocol participant carries from window to window: the
@@ -340,16 +342,16 @@ pub fn finalize(
     let mut engine_queue_peak = Vec::with_capacity(nengines);
     let mut engine_sched_resizes = Vec::with_capacity(nengines);
     let mut engine_reallocs = Vec::with_capacity(nengines);
+    let mut engine_sorted_inserts = Vec::with_capacity(nengines);
     let mut delivered = 0;
     let mut dropped = 0;
     let mut latency_sum_us = 0u128;
     let mut remote_messages = 0;
-    let mut dumps = Vec::with_capacity(nengines);
     let mut raw_windows = Vec::with_capacity(nengines);
     let mut raw_stalls = Vec::with_capacity(nengines);
     let mut raw_recvs = Vec::with_capacity(nengines);
     let mut last_event_us = 0u64;
-    for e in engines {
+    for e in &engines {
         let sched = e.queue_stats();
         engine_events.push(e.counters.events);
         engine_stalls.push(e.counters.stalled_rounds);
@@ -358,6 +360,7 @@ pub fn finalize(
         engine_queue_peak.push(sched.peak_depth);
         engine_sched_resizes.push(sched.resizes);
         engine_reallocs.push(sched.reallocs + e.counters.reallocs);
+        engine_sorted_inserts.push(sched.sorted_inserts);
         delivered += e.counters.delivered;
         dropped += e.counters.dropped;
         latency_sum_us += e.counters.latency_sum_us;
@@ -366,7 +369,6 @@ pub fn finalize(
         raw_windows.push(e.counters.windows().to_vec());
         raw_stalls.push(e.counters.stall_windows().to_vec());
         raw_recvs.push(e.counters.recv_windows().to_vec());
-        dumps.push(e.netflow.into_records());
     }
     // One shared bucket count so every series row lines up.
     let buckets = raw_windows
@@ -394,6 +396,7 @@ pub fn finalize(
         engine_queue_peak,
         engine_sched_resizes,
         engine_reallocs,
+        engine_sorted_inserts,
         delivered,
         dropped,
         latency_sum_us,
@@ -404,7 +407,7 @@ pub fn finalize(
         window_series: pad(raw_windows),
         stall_series: pad(raw_stalls),
         recv_series: pad(raw_recvs),
-        netflow: merge_dumps(dumps),
+        netflow: merge_collectors(engines.iter().map(|e| &e.netflow)),
         routing_slices: tables.slice_residency(&cfg.partition, nengines),
         wall: state.wall,
     }

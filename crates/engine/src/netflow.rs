@@ -45,13 +45,33 @@ impl FlowRecord {
     }
 }
 
+/// A cell no packet has come through yet. Not a flow: a schedule of 2³² − 1
+/// flows does not fit in memory.
+const NO_FLOW: u32 = u32::MAX;
+
 /// Per-engine NetFlow collector.
+///
+/// A sighting names the *lane* the packet is in (the engine's
+/// `(route, direction, hop)` index, DESIGN.md §13), and a lane is one router
+/// of one path: its cell remembers the flow that last came through and where
+/// that flow's record at this router is, so a packet that follows one of its
+/// own flow — nearly all do — updates the record without a search. Anything
+/// else (a first sighting, an ACK that reaches the router through the
+/// reverse lane, flows of one host pair interleaving) is found through the
+/// ordered `(router, flow)` index, which is also the dump order. The cell is
+/// a shortcut into that index, not a second store: a stale one (the router
+/// migrated away and back) still points at this engine's record of
+/// `(router, flow)`, because records are never removed.
 #[derive(Debug, Default)]
 pub struct NetFlowCollector {
-    // BTreeMap, not a hash map: the iteration order in snapshot() and
-    // into_records() is then the (router, flow) sort the dump format
-    // promises, with no hasher in the loop (srclint SA001).
-    records: BTreeMap<(NodeId, u32), FlowRecord>,
+    /// The records, in first-sighting order.
+    records: Vec<FlowRecord>,
+    // BTreeMap, not a hash map: the iteration order in the dumps is then the
+    // (router, flow) sort the dump format promises, with no hasher in the
+    // loop (srclint SA001).
+    slots: BTreeMap<(NodeId, u32), u32>,
+    /// Per lane, the `(flow, slot in records)` last recorded through it.
+    cells: Vec<(u32, u32)>,
     enabled: bool,
 }
 
@@ -60,8 +80,8 @@ impl NetFlowCollector {
     /// is only turned on for PROFILE's initial run).
     pub fn new(enabled: bool) -> Self {
         Self {
-            records: BTreeMap::new(),
             enabled,
+            ..Self::default()
         }
     }
 
@@ -70,16 +90,32 @@ impl NetFlowCollector {
         self.enabled
     }
 
-    /// Records a packet sighting at `router`.
+    /// Records a packet sighting at `router`, reached through `lane`. A lane
+    /// must always name the same router.
     #[inline]
-    pub fn record(&mut self, router: NodeId, pkt: &Packet, now_us: u64) {
+    pub fn record(&mut self, lane: usize, router: NodeId, pkt: &Packet, now_us: u64) {
         if !self.enabled {
             return;
         }
-        let rec = self
-            .records
-            .entry((router, pkt.flow))
-            .or_insert_with(|| FlowRecord {
+        let slot = match self.cells.get(lane) {
+            Some(&(flow, slot)) if flow == pkt.flow => slot,
+            _ => self.find_slot(lane, router, pkt, now_us),
+        };
+        let rec = &mut self.records[slot as usize];
+        debug_assert_eq!((rec.router, rec.flow), (router, pkt.flow), "lane {lane}");
+        rec.packets += 1;
+        rec.bytes += pkt.bytes as u64;
+        rec.first_us = rec.first_us.min(now_us);
+        rec.last_us = rec.last_us.max(now_us);
+    }
+
+    /// The slot of `(router, pkt.flow)` through the index, opening the
+    /// record on a first sighting; `lane`'s cell then points at it.
+    fn find_slot(&mut self, lane: usize, router: NodeId, pkt: &Packet, now_us: u64) -> u32 {
+        let fresh = self.records.len() as u32;
+        let slot = *self.slots.entry((router, pkt.flow)).or_insert(fresh);
+        if slot == fresh {
+            self.records.push(FlowRecord {
                 router,
                 flow: pkt.flow,
                 src: pkt.src,
@@ -89,27 +125,55 @@ impl NetFlowCollector {
                 first_us: now_us,
                 last_us: now_us,
             });
-        rec.packets += 1;
-        rec.bytes += pkt.bytes as u64;
-        rec.first_us = rec.first_us.min(now_us);
-        rec.last_us = rec.last_us.max(now_us);
+        }
+        if self.cells.len() <= lane {
+            self.cells.resize(lane + 1, (NO_FLOW, 0));
+        }
+        self.cells[lane] = (pkt.flow, slot);
+        slot
     }
 
-    /// Clones the records accumulated so far (a live dump, used by the
-    /// dynamic-remapping driver at epoch boundaries).
+    /// Appends the records accumulated so far to `out`, in `(router, flow)`
+    /// order.
+    pub fn dump_into(&self, out: &mut Vec<FlowRecord>) {
+        out.extend(
+            self.slots
+                .values()
+                .map(|&s| self.records[s as usize].clone()),
+        );
+    }
+
+    /// Clones the records accumulated so far (a live dump), in
+    /// `(router, flow)` order.
     pub fn snapshot(&self) -> Vec<FlowRecord> {
-        // BTreeMap iteration is already the (router, flow) key order.
-        self.records.values().cloned().collect()
+        let mut out = Vec::with_capacity(self.records.len());
+        self.dump_into(&mut out);
+        out
     }
 
-    /// Drains this collector's records (the per-router "dump files").
+    /// This collector's records (the per-router "dump files"), in
+    /// `(router, flow)` order.
     pub fn into_records(self) -> Vec<FlowRecord> {
-        self.records.into_values().collect()
+        self.snapshot()
     }
 }
 
-/// Merges per-engine dumps into one sorted list ("parsing the dump files
-/// allows computation of the aggregated traffic on every router and link").
+/// One sorted dump of several engines' collectors ("parsing the dump files
+/// allows computation of the aggregated traffic on every router and link"),
+/// built in one reserved vector: each collector's key-ordered run, then a
+/// stable sort, so a key two engines hold keeps engine order.
+pub fn merge_collectors<'a>(
+    collectors: impl Iterator<Item = &'a NetFlowCollector> + Clone,
+) -> Vec<FlowRecord> {
+    let mut all = Vec::with_capacity(collectors.clone().map(|c| c.records.len()).sum());
+    for c in collectors {
+        c.dump_into(&mut all);
+    }
+    all.sort_by_key(|r| (r.router, r.flow));
+    all
+}
+
+/// Merges dumps into one list sorted by `(router, flow)`.
 pub fn merge_dumps(dumps: Vec<Vec<FlowRecord>>) -> Vec<FlowRecord> {
     let mut all: Vec<FlowRecord> = dumps.into_iter().flatten().collect();
     all.sort_by_key(|r| (r.router, r.flow));
@@ -138,7 +202,7 @@ pub fn coalesce_records(records: &[FlowRecord]) -> Vec<FlowRecord> {
 
 /// The traffic of one epoch: the per-key delta between two *cumulative*
 /// snapshots (both sorted by `(router, flow)`, as [`NetFlowCollector::
-/// snapshot`] and [`merge_dumps`] produce; duplicate keys from migrated
+/// snapshot`], [`merge_collectors`] and [`merge_dumps`] produce; duplicate keys from migrated
 /// nodes are coalesced first).
 ///
 /// The collector accumulates from emulation start, so an epoch's own
@@ -179,6 +243,7 @@ pub fn epoch_slice(prev: &[FlowRecord], cur: &[FlowRecord]) -> Vec<FlowRecord> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn pkt(flow: u32, no: u64, bytes: u32) -> Packet {
         Packet::for_flow(flow, no, 10, 20, bytes, 0)
@@ -187,10 +252,10 @@ mod tests {
     #[test]
     fn aggregates_per_flow_per_router() {
         let mut c = NetFlowCollector::new(true);
-        c.record(5, &pkt(0, 0, 1500), 100);
-        c.record(5, &pkt(0, 1, 1500), 300);
-        c.record(5, &pkt(1, 0, 500), 200);
-        c.record(6, &pkt(0, 2, 1500), 400);
+        c.record(5, 5, &pkt(0, 0, 1500), 100);
+        c.record(5, 5, &pkt(0, 1, 1500), 300);
+        c.record(5, 5, &pkt(1, 0, 500), 200);
+        c.record(6, 6, &pkt(0, 2, 1500), 400);
         let recs = c.into_records();
         assert_eq!(recs.len(), 3);
         let r = &recs[0];
@@ -201,7 +266,7 @@ mod tests {
     #[test]
     fn disabled_collector_records_nothing() {
         let mut c = NetFlowCollector::new(false);
-        c.record(5, &pkt(0, 0, 1500), 100);
+        c.record(5, 5, &pkt(0, 0, 1500), 100);
         assert!(c.into_records().is_empty());
     }
 
@@ -239,11 +304,11 @@ mod tests {
     #[test]
     fn epoch_slice_is_the_per_key_delta() {
         let mut c = NetFlowCollector::new(true);
-        c.record(5, &pkt(0, 0, 1500), 100);
-        c.record(5, &pkt(1, 0, 500), 150);
+        c.record(5, 5, &pkt(0, 0, 1500), 100);
+        c.record(5, 5, &pkt(1, 0, 500), 150);
         let prev = c.snapshot();
-        c.record(5, &pkt(0, 1, 1500), 400);
-        c.record(6, &pkt(0, 0, 1500), 500);
+        c.record(5, 5, &pkt(0, 1, 1500), 400);
+        c.record(6, 6, &pkt(0, 0, 1500), 500);
         let cur = c.snapshot();
 
         let delta = epoch_slice(&prev, &cur);
@@ -274,7 +339,12 @@ mod tests {
         let mut c = NetFlowCollector::new(true);
         let mut boundaries = Vec::new();
         for t in 0..30u64 {
-            c.record((t % 3) as NodeId, &pkt((t % 2) as u32, t, 1000), t * 10);
+            c.record(
+                (t % 3) as usize,
+                (t % 3) as NodeId,
+                &pkt((t % 2) as u32, t, 1000),
+                t * 10,
+            );
             if t % 7 == 6 {
                 boundaries.push(c.snapshot());
             }
@@ -317,11 +387,69 @@ mod tests {
     #[test]
     fn epoch_slice_from_empty_prev_is_identity() {
         let mut c = NetFlowCollector::new(true);
-        c.record(5, &pkt(0, 0, 1500), 100);
-        c.record(6, &pkt(1, 0, 700), 200);
+        c.record(5, 5, &pkt(0, 0, 1500), 100);
+        c.record(6, 6, &pkt(1, 0, 700), 200);
         let cur = c.snapshot();
         assert_eq!(epoch_slice(&[], &cur), cur);
         assert!(epoch_slice(&cur, &cur).is_empty(), "quiet epoch is empty");
+    }
+
+    proptest! {
+        /// The collector against a plain ordered map. Lanes `l`, `l + 4` and
+        /// `l + 8` all cross router `l % 4`, so one flow's data and ACKs
+        /// reach a router through different lanes and several flows share a
+        /// lane; the routers change hands between two engines as the run
+        /// goes, so a lane's cell goes stale and is used again. Live dumps
+        /// at every hand-over and the final dumps are equal element for
+        /// element, each engine's and the merged one.
+        #[test]
+        fn collector_matches_an_ordered_map(
+            sightings in prop::collection::vec(
+                (0usize..12, 0u32..5, prop::bool::ANY, 1u32..1500, 0u64..5_000, 0u8..12),
+                1..300,
+            )
+        ) {
+            let mut engines = [NetFlowCollector::new(true), NetFlowCollector::new(true)];
+            let mut models: [BTreeMap<(NodeId, u32), FlowRecord>; 2] = Default::default();
+            let merged = |models: &[BTreeMap<(NodeId, u32), FlowRecord>; 2]| {
+                merge_dumps(models.iter().map(|m| m.values().cloned().collect()).collect())
+            };
+            let mut epoch = 0;
+            for (lane, flow, ack, bytes, now_us, remap) in sightings {
+                if remap == 0 {
+                    epoch += 1;
+                    for (engine, model) in engines.iter().zip(&models) {
+                        let want: Vec<FlowRecord> = model.values().cloned().collect();
+                        prop_assert_eq!(engine.snapshot(), want);
+                    }
+                    prop_assert_eq!(merge_collectors(engines.iter()), merged(&models));
+                }
+                let router = (lane % 4) as NodeId;
+                let owner = (router as usize + epoch) % 2;
+                let data = Packet::for_flow(flow, 0, 10 + flow, 20 + flow, bytes, 0);
+                let pkt = if ack { Packet::ack_for(&data, 0) } else { data };
+                engines[owner].record(lane, router, &pkt, now_us);
+                let rec = models[owner].entry((router, flow)).or_insert(FlowRecord {
+                    router,
+                    flow,
+                    src: pkt.src,
+                    dst: pkt.dst,
+                    packets: 0,
+                    bytes: 0,
+                    first_us: now_us,
+                    last_us: now_us,
+                });
+                rec.packets += 1;
+                rec.bytes += pkt.bytes as u64;
+                rec.first_us = rec.first_us.min(now_us);
+                rec.last_us = rec.last_us.max(now_us);
+            }
+            prop_assert_eq!(merge_collectors(engines.iter()), merged(&models));
+            for (engine, model) in engines.into_iter().zip(models) {
+                let want: Vec<FlowRecord> = model.into_values().collect();
+                prop_assert_eq!(engine.into_records(), want);
+            }
+        }
     }
 
     #[test]

@@ -40,6 +40,10 @@ pub struct EmulationReport {
     /// of the scheduler's buffers plus the cross-engine outbox. Counted
     /// deterministically at the call sites.
     pub engine_reallocs: Vec<u64>,
+    /// Pushes per engine that were a binary-search insert into the
+    /// calendar's sorted front (0 under the heap scheduler); see
+    /// [`sorted_insert_share`](Self::sorted_insert_share).
+    pub engine_sorted_inserts: Vec<u64>,
     /// Packets delivered end-to-end.
     pub delivered: u64,
     /// Packets dropped (unreachable destinations).
@@ -84,6 +88,14 @@ impl EmulationReport {
         self.engine_events.iter().sum()
     }
 
+    /// Share of the schedulers' pushes that were sorted inserts — every
+    /// event is pushed once, so over the events: how far the calendars ran
+    /// as one sorted list each (DESIGN.md §12).
+    pub fn sorted_insert_share(&self) -> f64 {
+        let sorted: u64 = self.engine_sorted_inserts.iter().sum();
+        sorted as f64 / self.total_events().max(1) as f64
+    }
+
     /// Mean end-to-end packet latency in µs (0 when nothing delivered).
     pub fn mean_latency_us(&self) -> f64 {
         if self.delivered == 0 {
@@ -125,6 +137,7 @@ mod tests {
             engine_queue_peak: vec![6, 3],
             engine_sched_resizes: vec![1, 0],
             engine_reallocs: vec![2, 1],
+            engine_sorted_inserts: vec![5, 0],
             delivered: 4,
             dropped: 0,
             latency_sum_us: 400,
@@ -151,6 +164,7 @@ mod tests {
         assert_eq!(r.total_events(), 40);
         assert!((r.mean_latency_us() - 100.0).abs() < 1e-9);
         assert!((r.emulation_time_s() - 2.0).abs() < 1e-9);
+        assert!((r.sorted_insert_share() - 0.125).abs() < 1e-9);
     }
 
     #[test]

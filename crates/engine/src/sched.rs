@@ -31,14 +31,23 @@
 //! pending events and is reused, never freed, so the steady state allocates
 //! nothing — and a mis-sized width costs one larger sort per bucket, not an
 //! insertion per push. Events at or beyond the calendar year
-//! (`year_end_us`) wait in the unsorted `far` overflow ladder and are
-//! folded in at the next rebuild. Bucket indices clamp at both ends (events
+//! (`year_end_us`) wait in `far`, one more unsorted list through the same
+//! slab, and are folded in at the next rebuild — which relinks the slab's
+//! nodes in place, so the queue is three buffers (slab, front, bucket
+//! heads) and its memory follows the peak depth once. Bucket indices clamp
+//! at both ends (events
 //! earlier than `base_us` — possible after a live migration re-enqueues
 //! another engine's backlog — go to bucket 0; saturated years clamp to the
 //! last bucket), which preserves the one invariant everything rests on: the
 //! bucket index is monotone non-decreasing in event time, and same-time
 //! events always share a bucket. A push at or before `cur` is a
-//! binary-search insert into the front, so its head is the global minimum.
+//! binary-search insert into the front, so its head is the global minimum;
+//! [`SchedStats::sorted_inserts`] counts those, because a width far wider
+//! than the spacing of the in-flight events turns every push into one. The
+//! engine therefore keeps what would stretch the horizon — the first
+//! injections of flows that start later — out of the queue until their
+//! window (`Engine`'s start cursor): the width is sized on in-flight
+//! events only.
 //!
 //! Rebuilds (triggered when the queue doubles past the bucket count,
 //! shrinks far below it, or the calendar drains while `far` holds events)
@@ -73,8 +82,9 @@ impl SchedulerKind {
 
 /// Scheduler counters surfaced into the run report.
 ///
-/// All three are simulated quantities — pure functions of the event set —
-/// so they are identical across sequential and per-thread execution.
+/// All are simulated quantities — pure functions of the sequence of pushes
+/// and pops — so they are identical across sequential and per-thread
+/// execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Largest number of pending events ever observed.
@@ -82,11 +92,16 @@ pub struct SchedStats {
     /// Calendar rebuilds (bucket-array re-spans); always 0 for the heap.
     pub resizes: u64,
     /// Logical allocations on the event path: pushes that found a scheduler
-    /// buffer at capacity (calendar: node slab, front, `far`, rebuild scratch,
-    /// bucket heads; heap: its one vector). Counted at the call sites, not by
-    /// a counting allocator, because the workspace is `forbid(unsafe_code)`;
-    /// buffers are reused once grown, so steady state adds ~0 per event.
+    /// buffer at capacity (calendar: node slab, front, bucket heads; heap:
+    /// its one vector). Counted at the call sites, not by a counting
+    /// allocator, because the workspace is `forbid(unsafe_code)`; buffers are
+    /// reused once grown, so steady state adds ~0 per event.
     pub reallocs: u64,
+    /// Pushes that were a binary-search insert into the calendar's sorted
+    /// front (the event fell in the current bucket); always 0 for the heap.
+    /// Their share of all pushes is how far the calendar has degenerated
+    /// into one sorted list.
+    pub sorted_inserts: u64,
 }
 
 /// Fewest buckets the calendar ever uses.
@@ -98,14 +113,15 @@ const INITIAL_WIDTH_US: u64 = 1024;
 /// End of a bucket list and of the free list.
 const NIL: u32 = u32::MAX;
 
-/// One slab slot: an event pending in some later bucket, or a free slot.
+/// One slab slot: an event pending in some later bucket or in `far`, or a
+/// free slot.
 #[derive(Debug, Clone, Copy)]
 struct Node {
     ev: Event,
     next: u32,
 }
 
-/// The calendar/ladder queue. See the module docs for the layout and the
+/// The calendar queue. See the module docs for the layout and the
 /// determinism argument.
 #[derive(Debug, Clone)]
 pub struct CalendarQueue {
@@ -127,12 +143,10 @@ pub struct CalendarQueue {
     /// `base_us + (heads.len() << shift)` (saturating): first timestamp
     /// the calendar cannot hold.
     year_end_us: u64,
-    /// Overflow ladder: events at/after `year_end_us`, unsorted.
-    far: Vec<Event>,
+    /// Head of the overflow list: events at/after `year_end_us`, unsorted.
+    far: u32,
     /// Total pending events (front + lists + far).
     len: usize,
-    /// Reusable rebuild buffer, recycled across rebuilds.
-    scratch: Vec<Event>,
     stats: SchedStats,
 }
 
@@ -154,9 +168,8 @@ impl CalendarQueue {
             shift: INITIAL_WIDTH_US.trailing_zeros(),
             base_us: 0,
             year_end_us: INITIAL_WIDTH_US * MIN_BUCKETS as u64,
-            far: Vec::new(),
+            far: NIL,
             len: 0,
-            scratch: Vec::new(),
             stats: SchedStats::default(),
         }
     }
@@ -180,8 +193,7 @@ impl CalendarQueue {
     pub fn retained_bytes(&self) -> usize {
         self.nodes.capacity() * size_of::<Node>()
             + self.heads.capacity() * size_of::<u32>()
-            + (self.front.capacity() + self.far.capacity() + self.scratch.capacity())
-                * size_of::<Event>()
+            + self.front.capacity() * size_of::<Event>()
     }
 
     /// Timestamp of the next event, or `None` when idle. O(1).
@@ -203,19 +215,19 @@ impl CalendarQueue {
         self.base_us.saturating_add(year_us)
     }
 
-    /// Pushes `ev` onto the unsorted list of bucket `b`.
+    /// Puts `ev` in a slab slot linked ahead of `next`; returns the slot,
+    /// the new head of that list.
     #[inline]
-    fn list_push(&mut self, b: usize, ev: Event) {
-        let next = self.heads[b];
+    fn link(&mut self, next: u32, ev: Event) -> u32 {
         let node = Node { ev, next };
         if self.free == NIL {
             self.stats.reallocs += (self.nodes.len() == self.nodes.capacity()) as u64;
-            self.heads[b] = self.nodes.len() as u32;
             self.nodes.push(node);
-        } else {
-            self.heads[b] = self.free;
-            self.free = std::mem::replace(&mut self.nodes[self.free as usize], node).next;
+            return self.nodes.len() as u32 - 1;
         }
+        let at = self.free;
+        self.free = std::mem::replace(&mut self.nodes[at as usize], node).next;
+        at
     }
 
     /// Moves the first non-empty list at or after bucket `from` into the
@@ -248,14 +260,14 @@ impl CalendarQueue {
             self.cur = 0;
         }
         if ev.time_us >= self.year_end_us && self.len > 0 {
-            self.stats.reallocs += (self.far.len() == self.far.capacity()) as u64;
             // Later than every calendar event: the minimum cannot change.
-            self.far.push(ev);
+            self.far = self.link(self.far, ev);
         } else {
             let b = self.bucket_of(ev.time_us);
             if b > self.cur {
-                self.list_push(b, ev);
+                self.heads[b] = self.link(self.heads[b], ev);
             } else {
+                self.stats.sorted_inserts += 1;
                 self.stats.reallocs += (self.front.len() == self.front.capacity()) as u64;
                 let pos = self.front.partition_point(|q| q < &ev);
                 self.front.insert(pos, ev);
@@ -273,8 +285,8 @@ impl CalendarQueue {
         let ev = self.front.pop_front()?;
         self.len -= 1;
         // Buckets up to `cur` are empty (monotone index; the front held the
-        // minimum): the next one is in the first non-empty list or the ladder.
-        if self.front.is_empty() && !self.refill(self.cur + 1) && !self.far.is_empty() {
+        // minimum): the next one is in the first non-empty list or in `far`.
+        if self.front.is_empty() && !self.refill(self.cur + 1) && self.far != NIL {
             self.rebuild();
         }
         if self.len * 4 < self.heads.len() && self.heads.len() > MIN_BUCKETS {
@@ -293,62 +305,78 @@ impl CalendarQueue {
         self.pop()
     }
 
-    /// Moves every pending event into `out` — the calendar bucket by bucket,
-    /// so ascending, then `far` as it stands — and restarts the slab.
-    fn take_all(&mut self, out: &mut Vec<Event>) {
-        out.extend(self.front.drain(..));
-        while self.refill(self.cur + 1) {
-            out.extend(self.front.drain(..));
+    /// Unlinks every list — `far` and each bucket after `cur` — and chains
+    /// their nodes into one; returns its head and the `(earliest, latest)`
+    /// timestamps on it. One pass, no event moves; the bucket heads are left
+    /// stale for the caller to reset.
+    fn chain_lists(&mut self) -> (u32, u64, u64) {
+        let (mut chain, mut lo, mut hi) = (NIL, u64::MAX, 0);
+        let far = std::mem::replace(&mut self.far, NIL);
+        for head in std::iter::once(far).chain(self.heads[self.cur + 1..].iter().copied()) {
+            let mut at = head;
+            while at != NIL {
+                let node = &mut self.nodes[at as usize];
+                (lo, hi) = (lo.min(node.ev.time_us), hi.max(node.ev.time_us));
+                let next = std::mem::replace(&mut node.next, chain);
+                chain = at;
+                at = next;
+            }
         }
-        out.append(&mut self.far);
-        self.nodes.clear();
-        self.free = NIL;
-        self.cur = 0;
+        (chain, lo, hi)
     }
 
     /// Removes every pending event (ascending order). Used when nodes
     /// migrate between engines.
     pub fn drain(&mut self) -> Vec<Event> {
         let mut out = Vec::with_capacity(self.len);
-        self.far.sort_unstable();
-        self.take_all(&mut out);
+        out.extend(self.front.drain(..));
+        let (mut at, ..) = self.chain_lists();
+        while at != NIL {
+            out.push(self.nodes[at as usize].ev);
+            at = self.nodes[at as usize].next;
+        }
+        out.sort_unstable();
+        self.nodes.clear();
+        self.free = NIL;
+        self.heads.fill(NIL);
         self.len = 0;
         out
     }
 
-    /// Collects every event, re-spans the horizon at ~1 event/bucket with
-    /// a power-of-two width, redistributes, and makes bucket 0 the front.
-    /// Folds the `far` ladder back in.
+    /// Re-spans the horizon of the pending events at ~1 event/bucket with a
+    /// power-of-two width and makes bucket 0 the front, folding `far` back
+    /// in. The slab's nodes are relinked where they are; only the front's
+    /// few events move (into the slab, then out again with bucket 0).
     fn rebuild(&mut self) {
         self.stats.resizes += 1;
-        let mut all = std::mem::take(&mut self.scratch);
-        self.stats.reallocs += (all.capacity() < self.len) as u64;
-        self.take_all(&mut all);
-        debug_assert_eq!(all.len(), self.len);
-        if all.is_empty() {
+        if self.len == 0 {
             self.heads.truncate(MIN_BUCKETS);
             self.shift = INITIAL_WIDTH_US.trailing_zeros();
-            self.scratch = all;
             return;
         }
-        let (min_us, max_us) = all.iter().fold((u64::MAX, 0), |(lo, hi), e| {
-            (lo.min(e.time_us), hi.max(e.time_us))
-        });
-        let nbuckets = all
-            .len()
-            .next_power_of_two()
-            .clamp(MIN_BUCKETS, MAX_BUCKETS);
-        let width_us = ((max_us - min_us) / all.len() as u64 + 1).next_power_of_two();
+        let (mut at, lo, hi) = self.chain_lists();
+        // The front is sorted: its ends are its span.
+        let min_us = self.front.front().map_or(lo, |e| lo.min(e.time_us));
+        let max_us = self.front.back().map_or(hi, |e| hi.max(e.time_us));
+        let nbuckets = self.len.next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS);
+        let width_us = ((max_us - min_us) / self.len as u64 + 1).next_power_of_two();
         self.shift = width_us.trailing_zeros();
         self.stats.reallocs += (nbuckets > self.heads.capacity()) as u64;
+        self.heads.clear();
         self.heads.resize(nbuckets, NIL);
         self.base_us = min_us;
         self.year_end_us = self.year_end();
-        for ev in all.drain(..) {
-            self.list_push(self.bucket_of(ev.time_us), ev);
+        while at != NIL {
+            let b = self.bucket_of(self.nodes[at as usize].ev.time_us);
+            let next = std::mem::replace(&mut self.nodes[at as usize].next, self.heads[b]);
+            self.heads[b] = at;
+            at = next;
+        }
+        while let Some(ev) = self.front.pop_front() {
+            let b = self.bucket_of(ev.time_us);
+            self.heads[b] = self.link(self.heads[b], ev);
         }
         self.refill(0);
-        self.scratch = all;
     }
 }
 
@@ -607,7 +635,20 @@ mod tests {
         assert_eq!(q.pop().map(|e| e.time_us), Some(1 << 40));
         assert_eq!(q.pop().map(|e| e.time_us), Some(1 << 41));
         assert_eq!(q.pop(), None);
-        assert!(q.stats().resizes > 0, "ladder fold-in is a rebuild");
+        assert!(q.stats().resizes > 0, "folding `far` in is a rebuild");
+    }
+
+    #[test]
+    fn sorted_inserts_count_pushes_into_the_front_bucket() {
+        let mut q = CalendarQueue::new();
+        q.push(inject(0, 0, 0, 0)); // anchors bucket 0, the front
+        q.push(inject(10, 0, 1, 0)); // the same 1 024 µs bucket
+        q.push(inject(5_000, 0, 2, 0)); // a later bucket: a list push
+        q.push(inject(1 << 40, 0, 3, 0)); // beyond the year: `far`
+        assert_eq!(q.stats().sorted_inserts, 2);
+        let mut heap = HeapQueue::new();
+        heap.push(inject(0, 0, 0, 0));
+        assert_eq!(heap.stats().sorted_inserts, 0);
     }
 
     #[test]

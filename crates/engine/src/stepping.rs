@@ -23,7 +23,7 @@
 
 use crate::engine::{lookahead_us, Engine, Routes, Shared};
 use crate::exec::{finalize, protocol_loop, seeded_engines, EmulationConfig, ProtocolState};
-use crate::netflow::{merge_dumps, FlowRecord};
+use crate::netflow::{merge_collectors, FlowRecord};
 use crate::report::EmulationReport;
 use crate::shim::{PoolShim, SeqShim};
 use massf_routing::RoutingTables;
@@ -156,7 +156,7 @@ impl<'a> SteppableEmulation<'a> {
         &self.cfg.partition
     }
 
-    /// True when no events remain anywhere.
+    /// True when no events remain anywhere and every flow has started.
     pub fn finished(&self) -> bool {
         self.engines.iter().all(|e| e.next_time().is_none())
     }
@@ -241,7 +241,7 @@ impl<'a> SteppableEmulation<'a> {
 
     /// Live merged NetFlow dump (empty unless profiling is enabled).
     pub fn netflow_snapshot(&self) -> Vec<FlowRecord> {
-        merge_dumps(self.engines.iter().map(Engine::netflow_snapshot).collect())
+        merge_collectors(self.engines.iter().map(|e| &e.netflow))
     }
 
     /// The engine-side epoch feed: NetFlow records for the traffic seen
@@ -260,7 +260,8 @@ impl<'a> SteppableEmulation<'a> {
 
     /// Installs a new node→engine assignment between two `run_until`
     /// calls: stop, migrate pending events and link state with their
-    /// nodes, recompute the lookahead, charge `cost` to the wall clock,
+    /// nodes (a flow that has not started is a pending event at its
+    /// source), recompute the lookahead, charge `cost` to the wall clock,
     /// resume. Returns the number of nodes that changed engines.
     pub fn repartition(&mut self, new_partition: Vec<u32>, cost: MigrationCost) -> usize {
         assert_eq!(new_partition.len(), self.net.node_count());
@@ -284,9 +285,15 @@ impl<'a> SteppableEmulation<'a> {
         }
         self.cfg.partition = new_partition;
         self.lookahead = lookahead_us(self.net, &self.cfg.partition);
-        for ev in events {
-            let owner = self.cfg.partition[ev.node as usize] as usize;
-            self.engines[owner].enqueue(ev);
+        let partition = &self.cfg.partition;
+        for e in self.engines.iter_mut() {
+            let id = e.id;
+            e.adopt(
+                events
+                    .iter()
+                    .filter(|ev| partition[ev.node as usize] == id)
+                    .copied(),
+            );
         }
         for (key, busy) in link_state {
             let link = self.net.link(key.0);
@@ -318,6 +325,18 @@ impl<'a> SteppableEmulation<'a> {
     /// are charged to their destination engine — the migration ownership
     /// rule (DESIGN.md §16) falls out of sampling the current assignment.
     pub fn finish(self) -> EmulationReport {
+        if cfg!(debug_assertions) {
+            let shared = Shared {
+                net: self.net,
+                tables: self.tables,
+                flows: self.flows,
+                routes: &self.routes,
+                partition: &self.cfg.partition,
+            };
+            self.engines
+                .iter()
+                .for_each(|e| e.assert_pins_hold(&shared));
+        }
         let tables = self.tables;
         let (engines, cfg, state) = self.into_parts();
         finalize(engines, &cfg, tables, state)
@@ -429,6 +448,7 @@ mod tests {
                 engine_queue_peak: per_round.engine_queue_peak,
                 engine_sched_resizes: per_round.engine_sched_resizes,
                 engine_reallocs: per_round.engine_reallocs,
+                engine_sorted_inserts: per_round.engine_sorted_inserts,
                 ..report
             },
             batch
@@ -489,6 +509,87 @@ mod tests {
         assert_eq!(step.run_until(501), 1);
         assert_eq!(step.state.rounds, 1);
         assert_eq!(step.state.last_lbts, 501);
+    }
+
+    /// Two short flows 50 ms apart: between them nothing is in flight.
+    fn early_and_late() -> (Network, Vec<FlowSpec>) {
+        let (net, mut flows) = net_and_flows();
+        flows.truncate(2);
+        for (f, start_us) in flows.iter_mut().zip([0, 50_000]) {
+            (f.start_us, f.packets, f.bytes) = (start_us, 2, 3_000);
+        }
+        (net, flows)
+    }
+
+    #[test]
+    fn an_unstarted_flow_is_pending_at_every_stop_and_follows_its_source() {
+        let (net, flows) = early_and_late();
+        let tables = RoutingTables::build(&net);
+        let part = partition_by_router(&net);
+        let cfg = EmulationConfig::new(part.clone(), 2);
+        let batch = run_sequential(&net, &tables, &flows, &cfg);
+        let late_owner = |step: &SteppableEmulation| {
+            let waiting = |e: &&Engine| e.next_time() == Some(50_000);
+            step.engines.iter().find(waiting).map(|e| e.id)
+        };
+
+        // A round budget stops the run with the late start pending.
+        let mut step = SteppableEmulation::new(&net, &tables, &flows, cfg.clone());
+        assert_eq!(step.run_bounded(u64::MAX, 1), 1);
+        assert!(!step.finished());
+        // So does a time bound, with nothing else left: not "done".
+        step.run_until(50_000);
+        assert!(step.engines.iter().all(|e| e.queue_stats().peak_depth <= 2));
+        assert!(!step.finished(), "a flow has yet to start");
+        let src = flows[1].src as usize;
+        assert_eq!(late_owner(&step), Some(part[src]));
+        let rounds = step.state.rounds;
+        step.run_to_completion();
+        assert!(step.finished());
+        assert!(step.state.rounds > rounds, "the late flow ran");
+        assert_eq!(step.finish(), batch);
+
+        // Its source migrates while it waits: it fires on the new owner.
+        let mut step = SteppableEmulation::new(&net, &tables, &flows, cfg);
+        step.run_until(50_000);
+        let swapped: Vec<u32> = part.iter().map(|&p| 1 - p).collect();
+        step.repartition(swapped.clone(), MigrationCost::default());
+        assert_eq!(late_owner(&step), Some(swapped[src]));
+        step.run_to_completion();
+        let report = step.finish();
+        assert_eq!(report.delivered, batch.delivered);
+        assert_eq!(report.total_events(), batch.total_events());
+    }
+
+    #[test]
+    fn the_schedule_length_shows_neither_in_queue_depth_nor_in_sorted_inserts() {
+        // One flow every 3 ms, each 60 ms long: twenty are active at any
+        // time however many the schedule holds, and the queues hold what
+        // those have in flight. (Seeded with every start, the source's
+        // engine peaked at the flow count and its calendar, sized on starts
+        // seconds away, took nearly every push as a sorted insert.)
+        let (net, flows) = net_and_flows();
+        let tables = RoutingTables::build(&net);
+        let cfg = EmulationConfig::new(partition_by_router(&net), 2);
+        let run = |count: u64| {
+            let flows: Vec<FlowSpec> = (0..count)
+                .map(|i| FlowSpec {
+                    start_us: i * 3_000,
+                    packet_interval_us: 3_000,
+                    ..flows[0].clone()
+                })
+                .collect();
+            let report = run_sequential(&net, &tables, &flows, &cfg);
+            assert_eq!(report.delivered, count * flows[0].packets);
+            let peak = *report.engine_queue_peak.iter().max().unwrap();
+            (peak, report.sorted_insert_share())
+        };
+        let ((peak_short, share_short), (peak_long, share_long)) = (run(100), run(1_000));
+        assert_eq!(peak_long, peak_short);
+        assert!(
+            share_long < share_short + 0.02,
+            "sorted-insert share {share_short:.3} -> {share_long:.3}"
+        );
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //! drains — with timestamps drawn from ranges narrow enough to force heavy
 //! ties — both schedulers must report the same lengths, the same
 //! `next_time`, and pop the byte-identical event sequence, and the calendar
-//! must never hold more memory than a small multiple of its peak depth.
+//! must never hold more memory than a small multiple of its peak depth. A
+//! skewed workload — a sparse backlog over a horizon a million times the
+//! spacing of the busy stream — holds it to the same under the shape that
+//! turns every push into a sorted insert.
 
 use massf_engine::event::{Event, EventKind, Packet};
 use massf_engine::sched::{CalendarQueue, HeapQueue};
@@ -42,17 +45,59 @@ fn arb_op(max_time: u64) -> impl Strategy<Value = Op> {
     })
 }
 
-/// The calendar may hold on to at most 9 events' worth of bytes per event of
-/// its peak depth: its five buffers (node slab, front, `far`, rebuild
-/// scratch, bucket heads) are doubling vectors that each hold at most the
-/// peak — the slab's slot is 8/7 of an event and the heads cost under 8 B
-/// per event — which comes to 8.5 in the worst case.
+/// The calendar may hold on to at most 4.5 events' worth of bytes per event
+/// of its peak depth: its three buffers (node slab, front, bucket heads) are
+/// doubling vectors that each hold at most the peak — the slab's slot is 8/7
+/// of an event and the heads cost under 8 B per event — which comes to 4.43
+/// in the worst case.
 fn assert_footprint(cal: &CalendarQueue) {
     let (held, peak) = (cal.retained_bytes(), cal.stats().peak_depth);
     assert!(
-        held <= 9 * peak as usize * size_of::<Event>() + 4096,
+        held <= 9 * peak as usize * size_of::<Event>() / 2 + 4096,
         "calendar holds {held} B at peak depth {peak}"
     );
+}
+
+/// Microseconds between two events of the skewed workload's stream.
+const SPACING_US: u64 = 8;
+
+/// The late-start shape that degenerated the calendar before engines kept
+/// unstarted flows out of it: a few hundred events spread over a horizon
+/// 10⁶ × [`SPACING_US`], under a stream pushed up to a few buckets ahead of a
+/// frontier that `PopBelow` moves one spacing at a time. A `Drain` takes the
+/// backlog out as a migration does, and the part of it still ahead of the
+/// frontier comes back.
+fn arb_skewed_ops() -> impl Strategy<Value = Vec<Op>> {
+    let far = prop::collection::vec((0..SPACING_US * 1_000_000, 0u32..8), 200..400);
+    let step = (0u8..32, 0..64 * SPACING_US, 0u32..8, prop::bool::ANY);
+    (far, prop::collection::vec(step, 100..400)).prop_map(|(far, stream)| {
+        let backlog = |after: u64| {
+            let ahead = far.iter().filter(move |&&(time, _)| time >= after);
+            ahead.map(|&(time, node)| Op::Push {
+                time,
+                node,
+                arrive: false,
+            })
+        };
+        let mut ops: Vec<Op> = backlog(0).collect();
+        for (i, (sel, ahead, node, arrive)) in stream.into_iter().enumerate() {
+            let frontier = i as u64 * SPACING_US;
+            ops.push(Op::Push {
+                time: frontier + ahead,
+                node,
+                arrive,
+            });
+            match sel {
+                0..=19 => ops.push(Op::PopBelow { bound: frontier }),
+                20..=29 => ops.push(Op::Pop),
+                _ => {
+                    ops.push(Op::Drain);
+                    ops.extend(backlog(frontier));
+                }
+            }
+        }
+        ops
+    })
 }
 
 /// Builds the event for push number `seq`. The sequence number becomes the
@@ -183,6 +228,13 @@ proptest! {
     /// ladder, triggering grow/shrink/fold-in rebuilds.
     #[test]
     fn calendar_matches_heap_wide_times(ops in prop::collection::vec(arb_op(5_000_000), 1..300)) {
+        check_against_reference(&ops);
+    }
+
+    /// Skewed horizon: far events size the buckets, the stream lives in
+    /// the front bucket, and rebuilds relink a slab that holds both.
+    #[test]
+    fn calendar_matches_heap_skewed_horizon(ops in arb_skewed_ops()) {
         check_against_reference(&ops);
     }
 

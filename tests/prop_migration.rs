@@ -88,9 +88,14 @@ proptest! {
             &flows,
             EmulationConfig::new(initial, k),
         );
-        for _ in 0..nremaps {
-            let t = rng.gen_range(1..horizon.max(2));
+        // The first remap comes while the last flow has yet to start: it
+        // waits in a start cursor and follows its source.
+        let last_start = flows.iter().map(|f| f.start_us).max().unwrap_or(0);
+        for remap in 0..nremaps {
+            let before = if remap == 0 { last_start } else { horizon };
+            let t = rng.gen_range(1..before.max(2));
             emu.run_until(t);
+            prop_assert!(!emu.finished() || t > last_start);
             let next = random_partition_vec(n, k, &mut rng);
             emu.repartition(next, MigrationCost::default());
         }
@@ -197,9 +202,12 @@ proptest! {
 
         let batch = run_sequential(&net, &tables, &flows, &cfg);
         let mut emu = SteppableEmulation::new(&net, &tables, &flows, cfg);
+        let last_start = flows.iter().map(|f| f.start_us).max().unwrap_or(0);
         let mut t = step_us;
         while !emu.finished() {
             emu.run_until(t);
+            // Not done while a flow has yet to start, in flight or not.
+            prop_assert!(!emu.finished() || t > last_start);
             t += step_us;
         }
         let stepped = emu.finish();

@@ -11,9 +11,10 @@ use massf_core::prelude::*;
 /// ScaLapack on the campus network, its flow schedule played once and then
 /// eight times back to back: seven more repetitions of the same bursts,
 /// the same queue depths — and some 130 k more kernel events. Returns
-/// `(more allocations, more events)`. With `window`, every flow is
-/// ACK-clocked, so packets also travel the reverse direction.
-fn eight_plays_against_one(window: Option<u32>) -> (usize, u64) {
+/// `(more allocations, more events, more NetFlow records)`. With `window`,
+/// every flow is ACK-clocked, so packets also travel the reverse direction;
+/// with `netflow`, every router records every flow it sees.
+fn eight_plays_against_one(window: Option<u32>, netflow: bool) -> (usize, u64, usize) {
     let built = Scenario::new(Topology::Campus, Workload::Scalapack)
         .with_scale(0.12)
         .with_threads(1)
@@ -21,7 +22,8 @@ fn eight_plays_against_one(window: Option<u32>) -> (usize, u64) {
     let partition = built
         .study
         .map(Approach::Top, &built.predicted, &built.flows);
-    let cfg = EmulationConfig::new(partition.part.clone(), partition.nparts);
+    let mut cfg = EmulationConfig::new(partition.part.clone(), partition.nparts);
+    cfg.netflow = netflow;
     let run = |reps: u64, period_us: u64| -> (EmulationReport, usize) {
         let flows: Vec<FlowSpec> = (0..reps)
             .flat_map(|rep| {
@@ -38,18 +40,22 @@ fn eight_plays_against_one(window: Option<u32>) -> (usize, u64) {
     let (once, allocs_once) = run(1, 0);
     let (eight, allocs_eight) = run(8, once.virtual_end_us + 1_000_000);
     let more_allocs = allocs_eight.saturating_sub(allocs_once);
-    (more_allocs, eight.total_events() - once.total_events())
+    (
+        more_allocs,
+        eight.total_events() - once.total_events(),
+        eight.netflow.len() - once.netflow.len(),
+    )
 }
 
 #[test]
 fn allocations_stop_growing_with_the_event_count() {
-    let (more_allocs, more_events) = eight_plays_against_one(None);
+    let (more_allocs, more_events, _) = eight_plays_against_one(None, false);
     assert!(more_events > 100_000, "only {more_events} more events");
 
     // What still grows (16 at the time of writing) is logarithmic: the
     // per-window counter series double as virtual time runs on, and each
-    // repetition parks one more start event per flow in the queues. The
-    // calendar that kept a vector per bucket made 1 034 more allocations
+    // repetition parks one more start event per flow in the start cursors.
+    // The calendar that kept a vector per bucket made 1 034 more allocations
     // here, its buckets regrowing as the packet front swept across them.
     // The engines' next-link pins are keyed by route, and eight plays of
     // one schedule add flows, not routes: the pins of the eighth play are
@@ -64,10 +70,26 @@ fn allocations_stop_growing_with_the_event_count() {
 /// per route too.
 #[test]
 fn allocations_stop_growing_under_window_transport() {
-    let (more_allocs, more_events) = eight_plays_against_one(Some(4));
+    let (more_allocs, more_events, _) = eight_plays_against_one(Some(4), false);
     assert!(more_events > 100_000, "only {more_events} more events");
     assert!(
         more_allocs <= 40,
         "{more_allocs} more allocations for {more_events} more events"
+    );
+}
+
+/// With NetFlow on, allocations follow the records — seven more plays are
+/// seven times the flows, so seven times the `(router, flow)` records: the
+/// record vector doubles and the ordered index takes a node every few keys —
+/// not the packets, which find their record through their lane's cell
+/// (151 more allocations for 784 more records at the time of writing).
+#[test]
+fn netflow_allocations_follow_records_not_packets() {
+    let (more_allocs, more_events, more_records) = eight_plays_against_one(None, true);
+    assert!(more_events > 100_000, "only {more_events} more events");
+    assert!(more_records > 500, "only {more_records} more records");
+    assert!(
+        more_allocs <= 40 + more_records / 4,
+        "{more_allocs} more allocations for {more_records} more records"
     );
 }
