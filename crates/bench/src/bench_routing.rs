@@ -35,7 +35,7 @@ pub(crate) mod oracle;
 #[path = "../../routing/src/probes/naive.rs"]
 mod naive;
 
-/// Witness cap the audit passes (`MAX_DIAGS_PER_CODE - 1`).
+/// Witness cap the audit passes (the MC catalog's `CAP - 1`).
 const AUDIT_CAP: usize = 24;
 
 /// All-pairs `next_link_raw` sweep; returns lookups per second.

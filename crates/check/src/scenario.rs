@@ -16,7 +16,7 @@
 //! checker rebuilds sequentially ([`Scenario::stepped_to`]). Schedule
 //! counts therefore add across segments instead of multiplying.
 
-use massf_engine::engine::Engine;
+use massf_engine::engine::{Engine, Routes, Shared};
 use massf_engine::event::Event;
 use massf_engine::exec::finalize;
 use massf_engine::{
@@ -60,17 +60,31 @@ pub struct StopState {
 }
 
 impl StopState {
-    /// Takes `engines` (in id order) apart at a stop point.
+    /// Takes `engines` (in id order) of a run of `scenario` apart at a stop
+    /// point. Debug builds first check, as `SteppableEmulation::finish`
+    /// does, that every engine's pinned next links are still the links
+    /// the tables route over (eager tables only).
     pub fn of(
         mut engines: Vec<Engine>,
         cfg: &EmulationConfig,
-        tables: &RoutingTables,
+        scenario: &Scenario,
         protocol: ProtocolState,
     ) -> StopState {
+        if cfg!(debug_assertions) {
+            let routes = Routes::of(&scenario.flows);
+            let shared = Shared {
+                net: &scenario.net,
+                tables: &scenario.tables,
+                flows: &scenario.flows,
+                routes: &routes,
+                partition: &cfg.partition,
+            };
+            engines.iter().for_each(|e| e.assert_pins_hold(&shared));
+        }
         let pending = engines.iter_mut().map(Engine::drain_events).collect();
         let links = engines.iter_mut().map(Engine::drain_link_state).collect();
         StopState {
-            report: finalize(engines, cfg, tables, protocol.clone()),
+            report: finalize(engines, cfg, &scenario.tables, protocol.clone()),
             pending,
             links,
             protocol,
@@ -323,7 +337,7 @@ impl Scenario {
         let (until_us, round_limit) = self.bounds(segment);
         emu.run_bounded(until_us, round_limit);
         let (engines, cfg, protocol) = emu.into_parts();
-        StopState::of(engines, &cfg, &self.tables, protocol)
+        StopState::of(engines, &cfg, self, protocol)
     }
 
     /// The sequential-execution report of the whole run.
@@ -365,7 +379,7 @@ mod tests {
         emu.run_until(LATE_START_US);
         let (engines, cfg, protocol) = emu.into_parts();
         assert_eq!(engines[1].next_time(), Some(LATE_START_US));
-        let moved = StopState::of(engines, &cfg, &s.tables, protocol);
+        let moved = StopState::of(engines, &cfg, &s, protocol);
         assert_eq!(late_starts(&moved), [0, 1]);
         let mut emu = s.stepped_to(1);
         emu.run_to_completion();

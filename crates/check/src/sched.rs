@@ -803,7 +803,7 @@ pub fn run_schedule(
         };
     }
     engines.sort_by_key(|e| e.id); // back from deal order to id order
-    let stop = StopState::of(engines, cfg, &scenario.tables, outcomes.swap_remove(0));
+    let stop = StopState::of(engines, cfg, scenario, outcomes.swap_remove(0));
     if &stop != expected {
         let differing = [
             ("report", stop.report != expected.report),

@@ -77,7 +77,6 @@ pub fn audit_trace(text: &str, net: Option<&Network>) -> TraceAudit {
         let mut input = massf_lint::LintInput::network(net);
         input.flows = &trace.flows;
         diags.merge(massf_lint::lint_scenario(&input));
-        diags.finish();
     }
     TraceAudit {
         diags,
@@ -88,6 +87,7 @@ pub fn audit_trace(text: &str, net: Option<&Network>) -> TraceAudit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use massf_lint::Code;
     use massf_mapping::{Approach, MapperConfig};
     use massf_topology::campus::campus;
     use massf_traffic::FlowSpec;
@@ -99,7 +99,7 @@ mod tests {
         let d = audit_study(&study, &p);
         assert!(!d.has_errors(), "{}", d.summary_line());
         assert_eq!(
-            d.passes_run(),
+            d.passes_run,
             massf_lint::artifact::artifact_registry().len()
         );
     }
@@ -112,12 +112,12 @@ mod tests {
         let epochs = vec![vec![100, 0, 0], vec![0, 100, 0]];
         let predicted = vec![34.0, 33.0, 33.0];
         let d = audit_study_online(&study, &p, &predicted, &epochs);
-        assert!(d.iter().any(|x| x.code.as_str() == "MC020"), "{d:?}");
+        assert!(d.iter().any(|x| x.code == Code::Mc020), "{d:?}");
         // A steady, well-predicted run stays drift-clean.
         let quiet = vec![vec![34, 33, 33], vec![34, 33, 33]];
         let d = audit_study_online(&study, &p, &predicted, &quiet);
-        assert!(!d.iter().any(|x| x.code.as_str() == "MC019"));
-        assert!(!d.iter().any(|x| x.code.as_str() == "MC020"));
+        assert!(!d.iter().any(|x| x.code == Code::Mc019));
+        assert!(!d.iter().any(|x| x.code == Code::Mc020));
     }
 
     #[test]
@@ -135,7 +135,7 @@ mod tests {
         let text = tracefile::write(&flows);
         let audit = audit_trace(&text, Some(&net));
         assert!(audit.diags.has_errors());
-        assert!(audit.diags.iter().any(|x| x.code.as_str() == "MC009"));
+        assert!(audit.diags.iter().any(|x| x.code == Code::Mc009));
         assert!(audit.trace.is_some());
 
         // Without a network, only the trace-shape checks run: this trace

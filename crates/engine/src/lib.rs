@@ -107,23 +107,53 @@ pub use stepping::{MigrationCost, SteppableEmulation};
 
 #[cfg(test)]
 mod tests {
-    /// DESIGN.md §3's `massf-engine` row names this crate's modules: the
-    /// backticked names of its last cell, in order, are the `pub mod`
-    /// lines above.
+    /// DESIGN.md §3 names every library crate's modules: for each
+    /// `crates/*/src/lib.rs`, the backticked names of the last cell of the
+    /// crate's row are that file's non-test `mod` declarations, in order.
     #[test]
-    fn design_inventory_lists_exactly_the_public_modules() {
-        let declared: Vec<&str> = include_str!("lib.rs")
-            .lines()
-            .filter_map(|l| l.strip_prefix("pub mod ")?.strip_suffix(';'))
+    fn design_inventory_lists_every_crates_modules() {
+        let crates = concat!(env!("CARGO_MANIFEST_DIR"), "/..");
+        let design = std::fs::read_to_string(format!("{crates}/../DESIGN.md")).expect("DESIGN.md");
+        let mut dirs: Vec<String> = std::fs::read_dir(crates)
+            .expect("crates/ lists")
+            .map(|e| {
+                e.expect("crates/ entry")
+                    .file_name()
+                    .to_string_lossy()
+                    .into_owned()
+            })
             .collect();
-        assert!(declared.len() > 10, "{declared:?}");
-        let design = include_str!("../../../DESIGN.md");
-        let row = design
+        dirs.sort();
+        let mut checked = 0;
+        for dir in dirs {
+            let Ok(lib) = std::fs::read_to_string(format!("{crates}/{dir}/src/lib.rs")) else {
+                continue;
+            };
+            let mut declared = Vec::new();
+            let mut test_gated = false;
+            for line in lib.lines() {
+                let decl = line.strip_prefix("pub mod ").or(line.strip_prefix("mod "));
+                if let (Some(rest), false) = (decl, test_gated) {
+                    declared.push(rest.trim_end_matches([';', '{']).trim_end());
+                }
+                test_gated = line == "#[cfg(test)]";
+            }
+            let row = design
+                .lines()
+                .find(|l| l.starts_with(&format!("| `crates/{dir}` ")))
+                .unwrap_or_else(|| panic!("DESIGN.md §3 has no crates/{dir} row"));
+            let cell = row.trim_end_matches([' ', '|']).rsplit('|').next().unwrap();
+            let listed: Vec<&str> = cell.split('`').skip(1).step_by(2).collect();
+            assert_eq!(
+                listed, declared,
+                "DESIGN.md §3 drifted from crates/{dir}/src/lib.rs"
+            );
+            checked += 1;
+        }
+        let rows = design
             .lines()
-            .find(|l| l.starts_with("| `crates/engine` (`massf-engine`) |"))
-            .expect("DESIGN.md §3 has a massf-engine row");
-        let cell = row.trim_end_matches([' ', '|']).rsplit('|').next().unwrap();
-        let listed: Vec<&str> = cell.split('`').skip(1).step_by(2).collect();
-        assert_eq!(listed, declared, "DESIGN.md §3 drifted from lib.rs");
+            .filter(|l| l.starts_with("| `crates/"))
+            .count();
+        assert_eq!(rows, checked, "a DESIGN.md §3 row names no crate");
     }
 }

@@ -712,6 +712,7 @@ fn degree_anomalies(input: &LintInput<'_>, diags: &mut Diagnostics) {
 mod tests {
     use super::*;
     use crate::{lint_partition, lint_scenario, DEFAULT_UBFACTOR};
+    use massf_metrics::diag::Code as _;
     use massf_traffic::spec::parse_traffic;
     use massf_traffic::{FlowSpec, PredictedFlow};
 

@@ -29,7 +29,7 @@ fn audit_partitioned(net: &Network, engines: usize, what: &str) {
         diags.summary_line(),
         diags
             .iter()
-            .map(|d| format!("{}[{}] {}", d.severity.label(), d.code.as_str(), d.message))
+            .map(|d| format!("{}[{}] {}", d.severity.label(), d.code, d.message))
             .collect::<Vec<_>>()
             .join("\n")
     );

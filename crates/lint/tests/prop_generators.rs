@@ -21,7 +21,7 @@ fn assert_error_free(net: &Network, what: &str) {
         diags.summary_line(),
         diags
             .iter()
-            .map(|d| format!("{}[{}] {}", d.severity.label(), d.code.as_str(), d.message))
+            .map(|d| format!("{}[{}] {}", d.severity.label(), d.code, d.message))
             .collect::<Vec<_>>()
             .join("\n")
     );

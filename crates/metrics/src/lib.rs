@@ -2,6 +2,9 @@
 //!
 //! Evaluation metrics and reporting for the MaSSF reproduction (§4.1.1):
 //!
+//! * [`diag`] — the diagnostics model both lint crates share: the
+//!   severity model, the code-catalog trait and its [`catalog!`] table,
+//!   one finding type, one report with its human and JSON renderings;
 //! * [`imbalance`] — the paper's load-imbalance metric: the normalized
 //!   standard deviation of per-engine kernel event rates;
 //! * [`drift`] — total-variation distance between per-engine load
@@ -10,8 +13,7 @@
 //! * [`timeseries`] — fine-grained per-interval imbalance series
 //!   (Figures 2 and 8);
 //! * [`report`] — table/figure text rendering and JSON export for the
-//!   benchmark harness, plus the severity model and check-document
-//!   skeleton the two lint crates share;
+//!   benchmark harness;
 //! * [`json`] — the workspace's only JSON writer and reader (this crate is
 //!   the std-only leaf every emitter can reach; `massf_obs::json`
 //!   re-exports it).
@@ -22,6 +24,7 @@
 // iterator rewrites clippy suggests are less clear there.
 #![allow(clippy::needless_range_loop)]
 
+pub mod diag;
 pub mod drift;
 pub mod imbalance;
 pub mod json;

@@ -1,5 +1,4 @@
-//! Text tables and JSON export for the figure/table regenerators, and
-//! the pieces the two lint crates' reports have in common.
+//! Text tables and JSON export for the figure/table regenerators.
 //!
 //! All JSON goes through [`crate::json::Writer`]. Result tables print
 //! `f64` values with `{:?}` so whole numbers keep a trailing `.0`
@@ -7,69 +6,6 @@
 //! was first written with).
 
 use crate::json::{Layout::Block, Writer};
-
-/// How serious a diagnostic is — the severity model `massf-lint` (MC*)
-/// and `massf-srclint` (SA*) share.
-///
-/// Ordered `Note < Warn < Error` so `max()` over a report gives the
-/// overall outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Severity {
-    /// Informational; never fails a check.
-    Note,
-    /// Suspicious; fails only under `--deny-warnings`.
-    Warn,
-    /// Malformed input or a determinism hazard; always fails the check.
-    Error,
-}
-
-impl Severity {
-    /// Lower-case label used by every renderer (`error`, `warning`, `note`).
-    pub fn label(self) -> &'static str {
-        match self {
-            Severity::Note => "note",
-            Severity::Warn => "warning",
-            Severity::Error => "error",
-        }
-    }
-}
-
-/// Renders the JSON document `massf check` and `massf srclint` share:
-/// `tool`, `format`, a `summary` of per-severity counts over `rows`
-/// followed by `extras`, the `diagnostics` array, and whatever keys
-/// `trailer` appends. A row is `(code, severity, location, message)`.
-/// Trailing newline included.
-pub fn check_document(
-    tool: &str,
-    format: u32,
-    extras: &[(&str, usize)],
-    rows: &[(&str, Severity, String, &str)],
-    trailer: impl FnOnce(&mut Writer),
-) -> String {
-    let mut w = Writer::new();
-    w.object(Block, |w| {
-        w.key("tool").string(tool);
-        w.key("format").uint(format as u64);
-        w.key("summary").object(Block, |w| {
-            let count = |s| rows.iter().filter(|r| r.1 == s).count() as u64;
-            w.key("errors").uint(count(Severity::Error));
-            w.key("warnings").uint(count(Severity::Warn));
-            w.key("notes").uint(count(Severity::Note));
-            for &(key, n) in extras {
-                w.key(key).uint(n as u64);
-            }
-        });
-        w.key("diagnostics")
-            .rows(Block, rows, |w, (code, severity, location, message)| {
-                w.key("code").string(code);
-                w.key("severity").string(severity.label());
-                w.key("location").string(location);
-                w.key("message").string(message);
-            });
-        trailer(w);
-    });
-    w.finish() + "\n"
-}
 
 /// One cell value in a result table.
 #[derive(Debug, Clone)]

@@ -13,6 +13,7 @@ use std::collections::BTreeMap;
 
 use crate::json::{self, fmt_f64, Layout::Block, Layout::Inline, Value, Writer};
 use crate::{PhaseInfo, ProfileTelemetry, Recorder, RestartBatch, RestartOutcome, Span};
+use massf_metrics::diag::{self, Code, Severity};
 use massf_metrics::timeseries::{
     imbalance_series, mean_active_imbalance, sparkline, sparkline_f64,
 };
@@ -144,10 +145,8 @@ pub struct RebalanceInfo {
     pub epochs: Vec<EpochRow>,
 }
 
-/// One post-pipeline lint finding carried in the report. Plain strings:
-/// `massf-obs` sits below `massf-lint` in the crate graph (lint depends on
-/// the mapping pipeline, which records through obs), so the audit's typed
-/// diagnostics are flattened by the caller.
+/// One post-pipeline lint finding carried in the report, as the plain
+/// strings the report stores and reads back.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LintFinding {
     /// Severity label (`error`, `warning`, `note`).
@@ -175,6 +174,27 @@ pub struct LintSummary {
     pub passes_run: u64,
     /// The findings, in report order.
     pub findings: Vec<LintFinding>,
+}
+
+/// Digests a finished lint report into the run report's `lint` block.
+impl<C: Code> From<&diag::Report<C>> for LintSummary {
+    fn from(report: &diag::Report<C>) -> Self {
+        LintSummary {
+            errors: report.count(Severity::Error) as u64,
+            warnings: report.count(Severity::Warn) as u64,
+            notes: report.count(Severity::Note) as u64,
+            passes_run: report.passes_run as u64,
+            findings: report
+                .iter()
+                .map(|d| LintFinding {
+                    severity: d.severity.label().to_string(),
+                    code: d.code.as_str().to_string(),
+                    location: d.location.to_string(),
+                    message: d.message.clone(),
+                })
+                .collect(),
+        }
+    }
 }
 
 /// Wall-clock data: everything in the report that is *not* deterministic.

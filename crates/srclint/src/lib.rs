@@ -15,158 +15,64 @@
 //! an Error, code SA000), so suppressions cannot rot.
 //!
 //! The crate depends only on the std-only leaf crate `massf-metrics`
-//! (for the severity model and the JSON check document it shares with
-//! `massf-lint`): the linter must stay buildable and trustworthy even when
-//! the rest of the workspace is mid-refactor, and its scan results must
-//! never depend on anything but the bytes of the files it reads.
+//! (for the diagnostics model it shares with `massf-lint`: the catalog
+//! trait, the finding and report types, and their renderings): the
+//! linter must stay buildable and trustworthy even when the rest of the
+//! workspace is mid-refactor, and its scan results must never depend on
+//! anything but the bytes of the files it reads.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod passes;
-pub mod render;
 pub mod tokenizer;
 
-pub use massf_metrics::report::Severity;
+pub use massf_metrics::diag::Severity;
 
-use std::cmp::Reverse;
+use massf_metrics::diag::{Code as _, Extra};
+use massf_metrics::json::{Layout::Block, Writer};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Stable source-analysis pass codes. Append-only: codes are never
-/// renumbered or reused, mirroring the MC* catalog in `massf-lint`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum SaCode {
-    /// Allow-annotation hygiene: stale, malformed, or reason-less allows.
-    Sa000,
-    /// HashMap/HashSet iteration in deterministic crates.
-    Sa001,
-    /// Wall-clock reads outside the `massf-obs` timing quarantine.
-    Sa002,
-    /// Entropy-seeded randomness anywhere in the workspace.
-    Sa003,
-    /// Environment access outside the CLI crate.
-    Sa004,
-    /// Direct stdout/stderr printing in library crates.
-    Sa005,
-    /// Thread-identity / parallelism probes outside `massf-par`.
-    Sa006,
-    /// Unordered floating-point accumulation inside `thread::scope`.
-    Sa007,
-}
-
-impl SaCode {
-    /// Every pass, in catalog order.
-    pub const ALL: [SaCode; 8] = [
-        SaCode::Sa000,
-        SaCode::Sa001,
-        SaCode::Sa002,
-        SaCode::Sa003,
-        SaCode::Sa004,
-        SaCode::Sa005,
-        SaCode::Sa006,
-        SaCode::Sa007,
-    ];
-
-    /// The stable code string, e.g. `"SA001"`.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SaCode::Sa000 => "SA000",
-            SaCode::Sa001 => "SA001",
-            SaCode::Sa002 => "SA002",
-            SaCode::Sa003 => "SA003",
-            SaCode::Sa004 => "SA004",
-            SaCode::Sa005 => "SA005",
-            SaCode::Sa006 => "SA006",
-            SaCode::Sa007 => "SA007",
-        }
-    }
-
-    /// Short kebab-case pass name.
-    pub fn name(self) -> &'static str {
-        match self {
-            SaCode::Sa000 => "allow-hygiene",
-            SaCode::Sa001 => "hashmap-iteration",
-            SaCode::Sa002 => "wall-clock-read",
-            SaCode::Sa003 => "entropy-randomness",
-            SaCode::Sa004 => "env-access",
-            SaCode::Sa005 => "direct-print",
-            SaCode::Sa006 => "thread-identity",
-            SaCode::Sa007 => "float-accumulation",
-        }
-    }
-
-    /// One-line human description of what the pass flags.
-    pub fn summary(self) -> &'static str {
-        match self {
-            SaCode::Sa000 => "srclint allow annotation is stale, malformed, or missing a reason",
-            SaCode::Sa001 => {
-                "HashMap/HashSet iteration in a deterministic crate (unordered visit order)"
-            }
-            SaCode::Sa002 => "wall-clock read outside the massf-obs timing quarantine",
-            SaCode::Sa003 => "entropy-seeded randomness (seeded streams only, everywhere)",
-            SaCode::Sa004 => "environment access (env::var/args) outside the CLI crate",
-            SaCode::Sa005 => "println!/eprintln! in a library crate (output goes through renderers)",
-            SaCode::Sa006 => "thread-identity or parallelism probe outside massf-par",
-            SaCode::Sa007 => {
-                "floating-point accumulation in thread::scope without a deterministic-reduction note"
-            }
-        }
-    }
-
-    /// The severity every finding from this pass carries.
-    pub fn severity(self) -> Severity {
-        match self {
-            SaCode::Sa000 => Severity::Error,
-            SaCode::Sa001 => Severity::Error,
-            SaCode::Sa002 => Severity::Error,
-            SaCode::Sa003 => Severity::Error,
-            SaCode::Sa004 => Severity::Warn,
-            SaCode::Sa005 => Severity::Warn,
-            SaCode::Sa006 => Severity::Error,
-            SaCode::Sa007 => Severity::Warn,
-        }
-    }
-
-    /// Parses `"SA001"` (case-sensitive) back to a code.
-    pub fn parse(s: &str) -> Option<SaCode> {
-        SaCode::ALL.iter().copied().find(|c| c.as_str() == s)
+massf_metrics::catalog! {
+    /// Stable source-analysis pass codes. Append-only: codes are never
+    /// renumbered or reused, mirroring the MC* catalog in `massf-lint`.
+    /// Every finding carries its code's severity, and none is capped.
+    pub enum SaCode {
+        tool = "srclint", location = Line, extra = Scan, cap = usize::MAX;
+        Sa000 = ("SA000", "allow-hygiene", Error,
+            "srclint allow annotation is stale, malformed, or missing a reason"),
+        Sa001 = ("SA001", "hashmap-iteration", Error,
+            "HashMap/HashSet iteration in a deterministic crate (unordered visit order)"),
+        Sa002 = ("SA002", "wall-clock-read", Error,
+            "wall-clock read outside the massf-obs timing quarantine"),
+        Sa003 = ("SA003", "entropy-randomness", Error,
+            "entropy-seeded randomness (seeded streams only, everywhere)"),
+        Sa004 = ("SA004", "env-access", Warn,
+            "environment access (env::var/args) outside the CLI crate"),
+        Sa005 = ("SA005", "direct-print", Warn,
+            "println!/eprintln! in a library crate (output goes through renderers)"),
+        Sa006 = ("SA006", "thread-identity", Error,
+            "thread-identity or parallelism probe outside massf-par"),
+        Sa007 = ("SA007", "float-accumulation", Warn,
+            "floating-point accumulation in thread::scope without a deterministic-reduction note"),
     }
 }
 
-impl fmt::Display for SaCode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// One finding: a hazard at a specific file/line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Finding {
-    /// The pass that produced this finding.
-    pub code: SaCode,
-    /// Severity (always `code.severity()`).
-    pub severity: Severity,
+/// Where a source finding points: a file and a line in it.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Line {
     /// Workspace-relative path with `/` separators.
     pub path: String,
     /// 1-based line number.
     pub line: usize,
-    /// Human-readable description of the specific site.
-    pub message: String,
 }
 
-impl Finding {
-    #[cfg(test)]
-    fn new(code: SaCode, path: &str, line: usize, message: String) -> Finding {
-        Finding {
-            code,
-            severity: code.severity(),
-            path: path.to_string(),
-            line,
-            message,
-        }
+impl fmt::Display for Line {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}:{}", self.path, self.line)
     }
 }
 
@@ -179,94 +85,70 @@ pub struct SourceFile {
     pub text: String,
 }
 
-/// An acknowledged (suppressed) site, aggregated per code and file so the
-/// workspace golden stays stable under unrelated line churn.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AllowedSite {
-    /// The suppressed code.
-    pub code: SaCode,
-    /// File the allow lives in.
-    pub path: String,
-    /// Number of findings suppressed by allows in this file for this code.
-    pub count: usize,
-}
-
-/// The full scan result.
-#[derive(Debug, Clone, Default)]
-pub struct Report {
-    /// Surviving findings, deterministically sorted by [`Report::finish`].
-    pub findings: Vec<Finding>,
-    /// Suppressed sites, aggregated per `(code, path)`.
-    pub allows: Vec<AllowedSite>,
+/// What a scan reports beside its findings.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Scan {
+    /// Findings suppressed by allow annotations, per `(code, file)` —
+    /// counts without lines, so the workspace golden stays stable under
+    /// unrelated line churn.
+    pub allows: BTreeMap<(SaCode, String), usize>,
     /// Number of files scanned.
     pub files_scanned: usize,
 }
 
-impl Report {
-    /// Number of passes every scan runs (the full SA catalog).
-    pub const PASSES_RUN: usize = SaCode::ALL.len();
+/// A scan's report over the SA catalog.
+pub type Report = massf_metrics::diag::Report<SaCode>;
 
-    /// Deterministic final order: severity (errors first), then code,
-    /// path, line, message. Must be called before rendering.
-    pub fn finish(&mut self) {
-        self.findings.sort_by(|a, b| {
-            (Reverse(a.severity), a.code, &a.path, a.line, &a.message).cmp(&(
-                Reverse(b.severity),
-                b.code,
-                &b.path,
-                b.line,
-                &b.message,
-            ))
-        });
-        self.allows
-            .sort_by(|a, b| (a.code, &a.path).cmp(&(b.code, &b.path)));
+/// The SA report's extras: the files scanned, and the acknowledged sites
+/// as its trailer.
+impl Extra<SaCode> for Scan {
+    fn counts(report: &Report) -> Vec<(&'static str, &'static str, usize)> {
+        vec![(
+            "files_scanned",
+            "file(s) scanned",
+            report.extra.files_scanned,
+        )]
     }
 
-    /// Count of findings at exactly `sev`.
-    pub fn count(&self, sev: Severity) -> usize {
-        self.findings.iter().filter(|f| f.severity == sev).count()
+    fn human_trailer(report: &Report) -> String {
+        report
+            .extra
+            .allows
+            .iter()
+            .map(|((code, path), n)| format!("allow[{code}] {path}: {n} acknowledged site(s)\n"))
+            .collect()
     }
 
-    /// True when any Error-severity finding survived.
-    pub fn has_errors(&self) -> bool {
-        self.findings.iter().any(|f| f.severity == Severity::Error)
-    }
-
-    /// Promotes every Warn finding to Error (the `--deny-warnings` gate).
-    pub fn deny_warnings(&mut self) {
-        for f in &mut self.findings {
-            if f.severity == Severity::Warn {
-                f.severity = Severity::Error;
-            }
-        }
-        self.finish();
+    fn json_trailer(report: &Report, w: &mut Writer) {
+        w.key("allows")
+            .rows(Block, &report.extra.allows, |w, ((code, path), n)| {
+                w.key("code").string(code.as_str());
+                w.key("path").string(path);
+                w.key("count").uint(*n as u64);
+            });
     }
 }
 
-/// Lints a set of in-memory sources. Output depends only on `sources`
-/// (order-insensitive: files are sorted by path first).
+/// Lints a set of in-memory sources into a finished report. Output
+/// depends only on `sources` (order-insensitive: files are sorted by path
+/// first).
 pub fn lint_sources(sources: &[SourceFile]) -> Report {
     let mut sources: Vec<&SourceFile> = sources.iter().collect();
     sources.sort_by(|a, b| a.path.cmp(&b.path));
 
-    let mut findings = Vec::new();
-    let mut allow_counts: BTreeMap<(SaCode, String), usize> = BTreeMap::new();
+    let mut report = Report::default();
     for src in &sources {
-        let (file_findings, file_allows) = passes::lint_file(&src.path, &src.text);
-        findings.extend(file_findings);
-        for (code, count) in file_allows {
-            *allow_counts.entry((code, src.path.clone())).or_insert(0) += count;
+        let (findings, allows) = passes::lint_file(&src.path, &src.text);
+        for f in findings {
+            report.push(f.code, f.severity, f.location, f.message);
+        }
+        for (code, count) in allows {
+            let site = report.extra.allows.entry((code, src.path.clone()));
+            *site.or_insert(0) += count;
         }
     }
-
-    let mut report = Report {
-        findings,
-        allows: allow_counts
-            .into_iter()
-            .map(|((code, path), count)| AllowedSite { code, path, count })
-            .collect(),
-        files_scanned: sources.len(),
-    };
+    report.passes_run = SaCode::CATALOG.len();
+    report.extra.files_scanned = sources.len();
     report.finish();
     report
 }
@@ -311,23 +193,24 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
     Ok(lint_sources(&sources))
 }
 
+/// Collects the `.rs` files under `dir` in name order. Symlinks are not
+/// followed — neither into directories nor to files — so no file is
+/// scanned twice and a link cycle cannot loop.
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
-    let mut entries: Vec<(String, PathBuf, bool)> = Vec::new();
+    let mut entries = Vec::new();
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
-        let path = entry.path();
         let name = entry.file_name().to_string_lossy().into_owned();
-        let is_dir = path.is_dir();
-        entries.push((name, path, is_dir));
+        entries.push((name, entry.path(), entry.file_type()?));
     }
     entries.sort_by(|a, b| a.0.cmp(&b.0));
-    for (name, path, is_dir) in entries {
-        if is_dir {
+    for (name, path, kind) in entries {
+        if kind.is_dir() {
             if name == "target" || name == "vendor" || name.starts_with('.') {
                 continue;
             }
             collect_rs_files(&path, out)?;
-        } else if name.ends_with(".rs") {
+        } else if kind.is_file() && name.ends_with(".rs") {
             out.push(path);
         }
     }
@@ -340,70 +223,49 @@ mod tests {
 
     #[test]
     fn catalog_codes_are_stable_and_ordered() {
-        let strs: Vec<&str> = SaCode::ALL.iter().map(|c| c.as_str()).collect();
+        let strs: Vec<&str> = SaCode::all().map(|c| c.as_str()).collect();
         assert_eq!(
             strs,
             ["SA000", "SA001", "SA002", "SA003", "SA004", "SA005", "SA006", "SA007"]
         );
-        for c in SaCode::ALL {
+        for c in SaCode::all() {
             assert_eq!(SaCode::parse(c.as_str()), Some(c));
             assert!(!c.name().is_empty());
             assert!(!c.summary().is_empty());
         }
         assert_eq!(SaCode::parse("SA999"), None);
         assert_eq!(SaCode::parse("sa001"), None);
+        assert_eq!(SaCode::CAP, usize::MAX);
     }
 
     #[test]
-    fn report_finish_orders_errors_first_then_code_path_line() {
-        let mut r = Report {
-            findings: vec![
-                Finding::new(SaCode::Sa004, "b.rs", 3, "w".into()),
-                Finding::new(SaCode::Sa001, "z.rs", 9, "e".into()),
-                Finding::new(SaCode::Sa001, "a.rs", 1, "e".into()),
-            ],
-            allows: vec![],
-            files_scanned: 3,
+    fn lint_sources_is_input_order_insensitive_and_path_ordered() {
+        let clock = |path: &str| SourceFile {
+            path: path.into(),
+            text: "fn f() { let t = std::time::Instant::now(); drop(t); }\n".into(),
         };
-        r.finish();
-        let order: Vec<(&str, &str)> = r
-            .findings
-            .iter()
-            .map(|f| (f.code.as_str(), f.path.as_str()))
-            .collect();
-        assert_eq!(
-            order,
-            [("SA001", "a.rs"), ("SA001", "z.rs"), ("SA004", "b.rs")]
+        let (x, y) = (
+            clock("crates/engine/src/x.rs"),
+            clock("crates/engine/src/y.rs"),
         );
+        let r1 = lint_sources(&[x.clone(), y.clone()]);
+        let r2 = lint_sources(&[y, x]);
+        assert_eq!(r1, r2);
+        let at: Vec<String> = r1.iter().map(|f| f.location.to_string()).collect();
+        assert_eq!(at, ["crates/engine/src/x.rs:1", "crates/engine/src/y.rs:1"]);
+        assert_eq!(r1.extra.files_scanned, 2);
+        assert_eq!(r1.passes_run, 8);
     }
 
     #[test]
-    fn deny_warnings_promotes_and_resorts() {
-        let mut r = Report {
-            findings: vec![Finding::new(SaCode::Sa005, "lib.rs", 2, "p".into())],
-            allows: vec![],
-            files_scanned: 1,
-        };
-        assert!(!r.has_errors());
-        r.deny_warnings();
-        assert!(r.has_errors());
-        assert_eq!(r.count(Severity::Warn), 0);
-    }
-
-    #[test]
-    fn lint_sources_is_input_order_insensitive() {
-        let a = SourceFile {
-            path: "crates/engine/src/x.rs".into(),
-            text: "fn f(m: &std::collections::HashMap<u32, u32>) { for v in m.values() {} }\n"
-                .into(),
-        };
-        let b = SourceFile {
-            path: "crates/engine/src/y.rs".into(),
-            text: "fn g() {}\n".into(),
-        };
-        let r1 = lint_sources(&[a.clone(), b.clone()]);
-        let r2 = lint_sources(&[b, a]);
-        assert_eq!(r1.findings, r2.findings);
-        assert_eq!(r1.files_scanned, 2);
+    fn empty_scan_renders_its_counts_and_an_empty_allows_block() {
+        let r = lint_sources(&[]);
+        assert!(r
+            .json()
+            .ends_with("\"diagnostics\": [],\n  \"allows\": []\n}\n"));
+        assert_eq!(
+            r.human(),
+            "srclint: 0 error(s), 0 warning(s), 0 note(s) \u{2014} 0 file(s) scanned, 8 passes run\n"
+        );
     }
 }

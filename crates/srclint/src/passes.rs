@@ -20,8 +20,25 @@
 //! * binary targets (`src/main.rs`, `src/bin/`) are exempt from SA005.
 
 use crate::tokenizer::{is_ident_char, scan, Comment};
-use crate::{Finding, SaCode};
+use crate::{Line, SaCode};
+use massf_metrics::diag::{Code as _, Diagnostic};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// A source finding: an SA diagnostic.
+type Finding = Diagnostic<SaCode>;
+
+/// A finding at `path:line`, at its code's severity.
+fn finding(code: SaCode, path: &str, line: usize, message: String) -> Finding {
+    Diagnostic {
+        code,
+        severity: code.severity(),
+        location: Line {
+            path: path.to_string(),
+            line,
+        },
+        message,
+    }
+}
 
 /// Lints one file. Returns the surviving findings plus, per code, how
 /// many findings were suppressed by (non-stale) allow annotations.
@@ -36,13 +53,7 @@ pub fn lint_file(path: &str, text: &str) -> (Vec<Finding>, Vec<(SaCode, usize)>)
     let mut seen: BTreeSet<(SaCode, usize)> = BTreeSet::new();
     let mut push = |raw: &mut Vec<Finding>, code: SaCode, line: usize, message: String| {
         if seen.insert((code, line)) {
-            raw.push(Finding {
-                code,
-                severity: code.severity(),
-                path: path.to_string(),
-                line,
-                message,
-            });
+            raw.push(finding(code, path, line, message));
         }
     };
 
@@ -600,36 +611,23 @@ fn apply_allows(
         }
         let rest = text["srclint:".len()..].trim_start();
         let Some(body) = rest.strip_prefix("allow(") else {
-            hygiene.push(Finding {
-                code: SaCode::Sa000,
-                severity: SaCode::Sa000.severity(),
-                path: path.to_string(),
-                line: c.line,
-                message: malformed_msg(),
-            });
+            hygiene.push(finding(SaCode::Sa000, path, c.line, malformed_msg()));
             continue;
         };
         let Some(close) = body.find(')') else {
-            hygiene.push(Finding {
-                code: SaCode::Sa000,
-                severity: SaCode::Sa000.severity(),
-                path: path.to_string(),
-                line: c.line,
-                message: malformed_msg(),
-            });
+            hygiene.push(finding(SaCode::Sa000, path, c.line, malformed_msg()));
             continue;
         };
         let Some(code) = SaCode::parse(body[..close].trim()) else {
-            hygiene.push(Finding {
-                code: SaCode::Sa000,
-                severity: SaCode::Sa000.severity(),
-                path: path.to_string(),
-                line: c.line,
-                message: format!(
+            hygiene.push(finding(
+                SaCode::Sa000,
+                path,
+                c.line,
+                format!(
                     "unknown code `{}` in srclint allow annotation",
                     body[..close].trim()
                 ),
-            });
+            ));
             continue;
         };
         // Everything after the `)` minus separator punctuation is the
@@ -642,15 +640,14 @@ fn apply_allows(
             }
         }
         if reason.trim().is_empty() {
-            hygiene.push(Finding {
-                code: SaCode::Sa000,
-                severity: SaCode::Sa000.severity(),
-                path: path.to_string(),
-                line: c.line,
-                message: format!(
+            hygiene.push(finding(
+                SaCode::Sa000,
+                path,
+                c.line,
+                format!(
                     "allow({code}) missing a reason (write `srclint: allow({code}) \u{2014} why`)"
                 ),
-            });
+            ));
             continue;
         }
         // Trailing comment → this line; standalone → next line with code.
@@ -676,7 +673,7 @@ fn apply_allows(
     for f in raw {
         let hit = allows
             .iter()
-            .position(|a| a.code == f.code && a.target_line == f.line);
+            .position(|a| a.code == f.code && a.target_line == f.location.line);
         if let Some(i) = hit {
             used[i] = true;
             *suppressed.entry(f.code).or_insert(0) += 1;
@@ -686,16 +683,15 @@ fn apply_allows(
     }
     for (a, used) in allows.iter().zip(&used) {
         if !used {
-            hygiene.push(Finding {
-                code: SaCode::Sa000,
-                severity: SaCode::Sa000.severity(),
-                path: path.to_string(),
-                line: a.comment_line,
-                message: format!(
+            hygiene.push(finding(
+                SaCode::Sa000,
+                path,
+                a.comment_line,
+                format!(
                     "stale allow({}): no {} finding on line {} \u{2014} remove the annotation",
                     a.code, a.code, a.target_line
                 ),
-            });
+            ));
         }
     }
     survivors.extend(hygiene);
@@ -723,7 +719,7 @@ mod tests {
                    }\n";
         let fs = lint("crates/engine/src/x.rs", src);
         assert_eq!(codes(&fs), ["SA001"]);
-        assert_eq!(fs[0].line, 4);
+        assert_eq!(fs[0].location.line, 4);
         assert!(fs[0].message.contains("records.values"));
     }
 
@@ -737,8 +733,8 @@ mod tests {
                    fn g(mut m2: HashMap<u32, u32>) { let _v: Vec<_> = m2.drain().collect(); }\n";
         let fs = lint("crates/engine/src/x.rs", src);
         assert_eq!(codes(&fs), ["SA001", "SA001"]);
-        assert_eq!(fs[0].line, 4);
-        assert_eq!(fs[1].line, 6);
+        assert_eq!(fs[0].location.line, 4);
+        assert_eq!(fs[1].location.line, 6);
     }
 
     #[test]
@@ -807,7 +803,10 @@ mod tests {
                      }\n";
         let fs = lint("crates/engine/src/lib.rs", dirty);
         assert_eq!(codes(&fs), ["SA007"]);
-        assert_eq!(fs[0].line, 4, "only the in-scope accumulation: {fs:?}");
+        assert_eq!(
+            fs[0].location.line, 4,
+            "only the in-scope accumulation: {fs:?}"
+        );
 
         let documented = dirty.replace(
             "s.spawn",

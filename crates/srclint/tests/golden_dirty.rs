@@ -4,7 +4,8 @@
 //! Regenerate with `MASSF_BLESS=1 cargo test -p massf-srclint --test
 //! golden_dirty` after an intentional format or pass change.
 
-use massf_srclint::{lint_sources, render, Report, SaCode, SourceFile};
+use massf_metrics::diag::Code;
+use massf_srclint::{lint_sources, Report, SaCode, SourceFile};
 use std::collections::BTreeSet;
 
 const DIRTY: &str = include_str!("fixtures/dirty_rs.txt");
@@ -34,30 +35,31 @@ fn assert_golden(actual: &str, path: &str) {
 #[test]
 fn dirty_fixture_triggers_every_sa_code() {
     let report = dirty_report();
-    let hit: BTreeSet<SaCode> = report.findings.iter().map(|f| f.code).collect();
-    for code in SaCode::ALL {
+    let hit: BTreeSet<SaCode> = report.iter().map(|f| f.code).collect();
+    for code in SaCode::all() {
         assert!(
             hit.contains(&code),
-            "fixture does not trigger {code}; findings: {:#?}",
-            report.findings
+            "fixture does not trigger {code}; findings: {report:#?}"
         );
     }
     // The one valid allow is acknowledged, not reported.
-    assert_eq!(report.allows.len(), 1);
-    assert_eq!(report.allows[0].code, SaCode::Sa002);
-    assert_eq!(report.allows[0].count, 1);
+    let allows: Vec<_> = report.extra.allows.iter().collect();
+    assert_eq!(
+        allows,
+        [(&(SaCode::Sa002, "crates/dirty/src/lib.rs".into()), &1)]
+    );
 }
 
 #[test]
 fn dirty_fixture_matches_human_golden() {
     let report = dirty_report();
-    assert_golden(&render::render_human(&report), "tests/golden/dirty.txt");
+    assert_golden(&report.human(), "tests/golden/dirty.txt");
 }
 
 #[test]
 fn dirty_fixture_matches_json_golden_and_is_byte_stable() {
-    let j1 = render::render_json(&dirty_report());
-    let j2 = render::render_json(&dirty_report());
+    let j1 = dirty_report().json();
+    let j2 = dirty_report().json();
     assert_eq!(j1, j2, "repeated renders must be byte-identical");
     assert_golden(&j1, "tests/golden/dirty.json");
 }

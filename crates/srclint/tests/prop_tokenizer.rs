@@ -59,8 +59,8 @@ fn lint_text(text: String) -> usize {
         path: "crates/engine/src/generated.rs".to_string(),
         text,
     }])
-    .findings
-    .len()
+    .iter()
+    .count()
 }
 
 proptest! {

@@ -21,8 +21,7 @@ use massf_core::engine::engine::lookahead_us;
 use massf_core::engine::probe;
 use massf_core::obs::json::{Layout::Block, Writer};
 use massf_core::obs::report::{
-    EmulationInfo, EngineLoad, EpochRow, LintFinding, LintSummary, PartitionInfo, RebalanceInfo,
-    ScenarioInfo,
+    EmulationInfo, EngineLoad, EpochRow, LintSummary, PartitionInfo, RebalanceInfo, ScenarioInfo,
 };
 use massf_core::prelude::*;
 use massf_core::routing::RoutingTables;
@@ -30,7 +29,8 @@ use massf_core::topology::dml;
 use massf_core::topology::NodeId;
 use massf_core::traffic::spec::{parse_traffic, TrafficKind};
 use massf_core::traffic::{cbr, http, onoff};
-use massf_lint::{render, ArtifactInput, Diagnostics, LintInput};
+use massf_lint::{ArtifactInput, Diagnostics, LintInput};
+use massf_metrics::diag::{Code, Report};
 
 /// A CLI failure with a user-facing message.
 #[derive(Debug, PartialEq, Eq)]
@@ -77,63 +77,26 @@ fn load_traffic(path: &str) -> Result<TrafficKind, CliError> {
     parse_traffic(&read_file(path)?).map_err(|e| err(format!("{path}: {e}")))
 }
 
-/// What [`verdict`] needs of a lint report. `massf-lint` and
-/// `massf-srclint` each keep their own report type (ROADMAP item 5 folds
-/// them); this is the part of both the CLI's exit rule reads.
-trait Findings {
-    fn promote_warnings(&mut self);
-    fn has_errors(&self) -> bool;
-    fn render(&self, json: bool) -> String;
-}
-
-impl Findings for Diagnostics {
-    fn promote_warnings(&mut self) {
-        self.deny_warnings();
-        self.finish();
-    }
-    fn has_errors(&self) -> bool {
-        Diagnostics::has_errors(self)
-    }
-    fn render(&self, json: bool) -> String {
-        if json {
-            render::json(self)
-        } else {
-            render::human(self)
-        }
-    }
-}
-
-impl Findings for massf_srclint::Report {
-    fn promote_warnings(&mut self) {
-        self.deny_warnings();
-    }
-    fn has_errors(&self) -> bool {
-        massf_srclint::Report::has_errors(self)
-    }
-    fn render(&self, json: bool) -> String {
-        if json {
-            massf_srclint::render::render_json(self)
-        } else {
-            massf_srclint::render::render_human(self)
-        }
-    }
-}
-
 /// The one exit rule of every lint-backed step: `--deny-warnings` promotes
 /// warnings, and any Error-level finding left fails the command. Without a
 /// `gate` the rendered report is the output either way (`check`,
 /// `srclint`); with one the step is silent when clean and fails with the
 /// human report under the gate's heading (preflight, trace check, artifact
-/// audit).
-fn verdict(report: &mut impl Findings, a: &Args, gate: Option<&str>) -> Result<String, CliError> {
+/// audit). The report renders itself, with its catalog's extras.
+fn verdict<C: Code>(
+    report: &mut Report<C>,
+    a: &Args,
+    gate: Option<&str>,
+) -> Result<String, CliError> {
     if a.deny_warnings {
-        report.promote_warnings();
+        report.deny_warnings();
     }
+    let rendered = |json: bool| if json { report.json() } else { report.human() };
     match (report.has_errors(), gate) {
         (false, Some(_)) => Ok(String::new()),
-        (false, None) => Ok(report.render(a.json)),
-        (true, None) => Err(CliError(report.render(a.json))),
-        (true, Some(heading)) => Err(err(format!("{heading}\n{}", report.render(false)))),
+        (false, None) => Ok(rendered(a.json)),
+        (true, None) => Err(CliError(rendered(a.json))),
+        (true, Some(heading)) => Err(err(format!("{heading}\n{}", rendered(false)))),
     }
 }
 
@@ -256,7 +219,6 @@ fn cmd_check(a: &Args) -> Result<String, CliError> {
             artifact = artifact.with_capacities(c);
         }
         diags.merge(massf_lint::lint_artifacts(&artifact));
-        diags.finish();
     }
     verdict(&mut diags, a, None)
 }
@@ -268,25 +230,20 @@ fn cmd_check(a: &Args) -> Result<String, CliError> {
 /// `--format json` with byte-deterministic output.
 fn list_passes(json: bool) -> String {
     // (code, family, severity label, name, summary) rows in catalog order.
-    let mut rows: Vec<(&str, &str, &str, &str, &str)> = Vec::new();
-    for code in massf_lint::Code::ALL {
-        rows.push((
-            code.as_str(),
-            "scenario",
-            code.worst_severity().label(),
-            code.name(),
-            code.summary(),
-        ));
+    fn rows<C: Code>(family: &str) -> impl Iterator<Item = (&str, &str, &str, &str, &str)> {
+        C::all().map(move |c| {
+            (
+                c.as_str(),
+                family,
+                c.severity().label(),
+                c.name(),
+                c.summary(),
+            )
+        })
     }
-    for code in massf_srclint::SaCode::ALL {
-        rows.push((
-            code.as_str(),
-            "source",
-            code.severity().label(),
-            code.name(),
-            code.summary(),
-        ));
-    }
+    let rows: Vec<_> = rows::<massf_lint::Code>("scenario")
+        .chain(rows::<massf_srclint::SaCode>("source"))
+        .collect();
     if json {
         let mut w = Writer::new();
         w.object(Block, |w| {
@@ -311,8 +268,8 @@ fn list_passes(json: bool) -> String {
         }
         out.push_str(&format!(
             "{} scenario/artifact passes (MC), {} source passes (SA)\n",
-            massf_lint::Code::ALL.len(),
-            massf_srclint::SaCode::ALL.len()
+            massf_lint::Code::CATALOG.len(),
+            massf_srclint::SaCode::CATALOG.len()
         ));
         out
     }
@@ -325,28 +282,6 @@ fn cmd_srclint(a: &Args) -> Result<String, CliError> {
     let mut report = massf_srclint::lint_workspace(std::path::Path::new(root))
         .map_err(|e| err(format!("cannot scan {root}: {e}")))?;
     verdict(&mut report, a, None)
-}
-
-/// Digests a finished lint report into the run report's plain-string
-/// `lint` block (`massf-obs` cannot depend on `massf-lint` without a
-/// crate cycle, so the conversion lives here).
-fn lint_summary(diags: &Diagnostics) -> LintSummary {
-    use massf_lint::Severity;
-    LintSummary {
-        errors: diags.count(Severity::Error) as u64,
-        warnings: diags.count(Severity::Warn) as u64,
-        notes: diags.count(Severity::Note) as u64,
-        passes_run: diags.passes_run() as u64,
-        findings: diags
-            .iter()
-            .map(|d| LintFinding {
-                severity: d.severity.label().to_string(),
-                code: d.code.as_str().to_string(),
-                location: d.location.render(),
-                message: d.message.clone(),
-            })
-            .collect(),
-    }
 }
 
 /// Assembles and writes a `--report` file: the recorder's telemetry, the
@@ -362,7 +297,7 @@ fn write_run_report(
     fill: impl FnOnce(&mut RunReport),
 ) -> Result<(), CliError> {
     let mut run_report = RunReport::new(command, scenario, rec, threads);
-    run_report.lint = Some(lint_summary(audit));
+    run_report.lint = Some(LintSummary::from(audit));
     fill(&mut run_report);
     std::fs::write(path, run_report.to_json()).map_err(|e| err(format!("cannot write {path}: {e}")))
 }
@@ -656,7 +591,6 @@ fn map_audit_emulate(
             });
             if let Some(found) = job.findings {
                 audit.merge(found);
-                audit.finish();
             }
             verdict(&mut audit, a, Some(AUDIT_FAILED))?;
             let report = rec.time("engine/emulate", || match job.emulate {

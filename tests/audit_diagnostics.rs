@@ -6,7 +6,7 @@
 //! Regenerate the goldens with `MASSF_BLESS=1 cargo test --test
 //! audit_diagnostics` after an intentional output change.
 
-use massf_lint::{lint_artifacts, render, ArtifactInput};
+use massf_lint::{lint_artifacts, ArtifactInput};
 use massf_partition::Partitioning;
 use massf_repro::cli;
 use massf_topology::dml;
@@ -63,16 +63,13 @@ fn broken_partition_audit() -> massf_lint::Diagnostics {
 fn broken_partition_human_report_matches_golden() {
     let diags = broken_partition_audit();
     assert!(diags.has_errors(), "{}", diags.summary_line());
-    assert_golden(
-        &render::human(&diags),
-        "tests/golden/broken_partition_audit.txt",
-    );
+    assert_golden(&diags.human(), "tests/golden/broken_partition_audit.txt");
 }
 
 #[test]
 fn broken_partition_json_report_matches_golden() {
     assert_golden(
-        &render::json(&broken_partition_audit()),
+        &broken_partition_audit().json(),
         "tests/golden/broken_partition_audit.json",
     );
 }

@@ -31,7 +31,7 @@ fn nets() -> Vec<(&'static str, Network)> {
 fn routing_tables_identical_across_thread_counts() {
     for (name, net) in nets() {
         let serial = RoutingTables::build_with(&net, Parallelism::serial());
-        for threads in [2, 4, 7] {
+        for threads in [2, 4, 7, 16, 64] {
             let parallel = RoutingTables::build_with(&net, Parallelism::new(threads));
             assert_eq!(
                 serial, parallel,
@@ -47,12 +47,23 @@ fn predicted_accumulators_are_bit_identical() {
         let tables = RoutingTables::build(&net);
         let pred = foreground_prediction(&net, &net.hosts());
         let (link1, node1) = accumulate_predicted_with(&net, &tables, &pred, Parallelism::serial());
-        let (link4, node4) = accumulate_predicted_with(&net, &tables, &pred, Parallelism::new(4));
         // f64 sums must match to the bit, not within an epsilon: the
         // blocked reduction fixes the association order.
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&link1), bits(&link4), "{name} link weights differ");
-        assert_eq!(bits(&node1), bits(&node4), "{name} node weights differ");
+        for threads in [4, 16, 64] {
+            let (link, node) =
+                accumulate_predicted_with(&net, &tables, &pred, Parallelism::new(threads));
+            assert_eq!(
+                bits(&link1),
+                bits(&link),
+                "{name} link weights differ at {threads}"
+            );
+            assert_eq!(
+                bits(&node1),
+                bits(&node),
+                "{name} node weights differ at {threads}"
+            );
+        }
     }
 }
 
@@ -97,7 +108,7 @@ fn partition_kway_identical_across_thread_counts() {
     for (name, net) in nets() {
         let g = latency_graph(&net);
         let serial = partition_kway(&g, &PartitionConfig::new(4));
-        for threads in [2, 4, 7] {
+        for threads in [2, 4, 7, 16, 64] {
             let cfg = PartitionConfig::new(4).with_threads(Parallelism::new(threads));
             let parallel = partition_kway(&g, &cfg);
             assert_eq!(

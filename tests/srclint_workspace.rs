@@ -62,6 +62,23 @@ fn dirty_tree_fails_with_the_report_as_the_error() {
     assert!(err.0.contains("error[SA002]"), "report:\n{}", err.0);
     assert!(err.0.contains("1 error(s)"), "report:\n{}", err.0);
 
+    // A symlink cycle is not followed: the one (now clean) file is
+    // scanned once and the walk ends.
+    #[cfg(unix)]
+    {
+        std::fs::write(src.join("lib.rs"), "pub fn one() -> u32 { 1 }\n").expect("clean file");
+        std::fs::create_dir_all(root.join("tests")).expect("mkdir tests");
+        std::os::unix::fs::symlink("..", root.join("tests/loop")).expect("symlink tests/loop");
+        let json = cli::run(&args(&[
+            "srclint",
+            root.to_str().unwrap(),
+            "--format",
+            "json",
+        ]))
+        .expect("a symlink cycle must not fail the scan");
+        assert!(json.contains("\"files_scanned\": 1,"), "{json}");
+    }
+
     std::fs::remove_dir_all(&root).ok();
 }
 
