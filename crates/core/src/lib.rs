@@ -51,8 +51,8 @@ pub mod prelude {
     pub use crate::scenario::{BuiltScenario, Scenario, Topology, Workload};
     pub use massf_engine::{CostModel, EmulationConfig, EmulationReport};
     pub use massf_mapping::{
-        Approach, EpochStats, IncrementalConfig, IncrementalOutcome, MapperConfig, MappingStudy,
-        Parallelism, RebalanceMode, RoutingKind,
+        Approach, IncrementalConfig, IncrementalOutcome, MapperConfig, MappingStudy, Parallelism,
+        RebalanceMode, RoutingKind,
     };
     pub use massf_metrics::{improvement_pct, load_imbalance};
     pub use massf_obs::{report::RunReport, Recorder};

@@ -96,6 +96,7 @@ use massf_engine::stepping::{MigrationCost, SteppableEmulation};
 use massf_engine::{CostModel, EmulationReport};
 use massf_metrics::drift::{load_drift, load_drift_u64};
 use massf_metrics::load_imbalance;
+use massf_obs::report::EpochRow;
 use massf_partition::Partitioning;
 use massf_topology::{Network, NodeId};
 use massf_traffic::flow::horizon_us;
@@ -173,49 +174,14 @@ impl Default for IncrementalConfig {
     }
 }
 
-/// What one epoch measured and decided — the run report's epoch block.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EpochStats {
-    /// Epoch index (1-based; epoch 1 ends at the first boundary).
-    pub epoch: usize,
-    /// Virtual end time of the epoch (µs).
-    pub end_us: u64,
-    /// Measured per-engine load (kernel events attributed via NetFlow)
-    /// during this epoch, under the partition in force while it ran.
-    pub engine_loads: Vec<u64>,
-    /// Packets that crossed engine boundaries this epoch (per-edge cut
-    /// traffic summed over cut links).
-    pub cut_packets: u64,
-    /// MC020 metric: total-variation drift of this epoch's load shares
-    /// vs. the previous epoch's (epoch 1: vs. the balanced target).
-    pub drift_measured: f64,
-    /// MC019 metric: total-variation drift of this epoch's load shares
-    /// vs. the PLACE-predicted shares under the current partition.
-    pub drift_predicted: f64,
-    /// True when this boundary migrated nodes.
-    pub applied: bool,
-    /// True when this boundary evaluated a rebalance and declined (quiet
-    /// drift, no positive-gain move, or below the global-mode gate). The
-    /// final epoch has no boundary: both flags stay false.
-    pub skipped: bool,
-    /// Nodes migrated at this boundary.
-    pub moves: usize,
-    /// Wall-clock migration cost charged (µs).
-    pub cost_us: f64,
-    /// Imbalance of this epoch's measured loads before the rebalance.
-    pub imbalance_before: f64,
-    /// Imbalance of the same loads re-summed under the new partition
-    /// (equals `imbalance_before` when nothing moved).
-    pub imbalance_after: f64,
-}
-
 /// Outcome of an online-rebalancing run.
 #[derive(Debug)]
 pub struct IncrementalOutcome {
     /// The final emulation report (covers the whole run).
     pub report: EmulationReport,
-    /// Per-epoch measurements and decisions, in epoch order.
-    pub epoch_stats: Vec<EpochStats>,
+    /// Per-epoch measurements and decisions, in epoch order: the run
+    /// report's `rebalance.epochs` rows.
+    pub epoch_stats: Vec<EpochRow>,
     /// Partition in force during each epoch.
     pub epoch_partitions: Vec<Partitioning>,
     /// Total nodes migrated.
@@ -342,7 +308,7 @@ pub fn run_online(
     let lambda_cost = cfg.lambda * (cfg.migration.per_node_us / epoch_len as f64);
     let mut epoch_partitions = vec![initial.clone()];
     let mut current = initial;
-    let mut epoch_stats: Vec<EpochStats> = Vec::new();
+    let mut epoch_stats: Vec<EpochRow> = Vec::new();
     let mut prev_engine_loads: Option<Vec<u64>> = None;
     // Epoch slices kept for the global mode's two-epoch lookback: the
     // last two epochs predict the next stage far better than the whole
@@ -393,8 +359,8 @@ pub fn run_online(
         let drift_predicted = load_drift(&predicted_engine, &measured_f);
 
         let imbalance_before = load_imbalance(&engine_loads);
-        let mut st = EpochStats {
-            epoch: epoch as usize,
+        let mut st = EpochRow {
+            epoch,
             end_us: now.min(horizon),
             engine_loads: engine_loads.clone(),
             cut_packets,
@@ -446,7 +412,7 @@ pub fn run_online(
                 Some(part) => {
                     let moved = emu.repartition(part.clone(), cfg.migration);
                     st.applied = true;
-                    st.moves = moved;
+                    st.moves = moved as u64;
                     st.cost_us = cfg.migration.stall_us(moved);
                     current = Partitioning {
                         part,

@@ -47,7 +47,7 @@ pub mod top;
 pub mod weights;
 
 pub use incremental::{
-    diffusive_sweep, run_online, EpochStats, IncrementalConfig, IncrementalOutcome, RebalanceMode,
+    diffusive_sweep, run_online, IncrementalConfig, IncrementalOutcome, RebalanceMode,
 };
 pub use massf_par::Parallelism;
 pub use massf_routing::RoutingKind;

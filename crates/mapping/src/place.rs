@@ -19,7 +19,7 @@ use crate::weights::{
 };
 use crate::MapperConfig;
 use massf_obs::Recorder;
-use massf_partition::multiobjective::combine_and_partition_obs;
+use massf_partition::multiobjective::combine_and_partition;
 use massf_partition::Partitioning;
 use massf_routing::RoutingTables;
 use massf_topology::{Network, NodeId};
@@ -72,7 +72,7 @@ pub fn map_place_obs(
     let traffic = with_vertex_weights(&traffic, ncon, vwgt);
     rec.finish("mapping/place/weights", span);
 
-    combine_and_partition_obs(
+    combine_and_partition(
         &latency,
         &traffic,
         cfg.latency_priority,

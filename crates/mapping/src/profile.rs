@@ -18,7 +18,7 @@ use crate::weights::{
 use crate::MapperConfig;
 use massf_engine::netflow::FlowRecord;
 use massf_obs::{PhaseInfo, ProfileTelemetry, Recorder};
-use massf_partition::multiobjective::combine_and_partition_obs;
+use massf_partition::multiobjective::combine_and_partition;
 use massf_partition::Partitioning;
 use massf_routing::RoutingTables;
 use massf_topology::Network;
@@ -121,7 +121,7 @@ pub fn map_profile_obs(
     }
     pcfg.ub_vec = Some(ubs);
 
-    combine_and_partition_obs(
+    combine_and_partition(
         &latency,
         &traffic,
         cfg.latency_priority,

@@ -202,11 +202,6 @@ impl Writer {
         }
     }
 
-    /// An inline array of unsigned integers: `[3, 2, 1]`.
-    pub fn uints(&mut self, xs: &[u64]) {
-        self.array(Layout::Inline, |w| xs.iter().for_each(|&x| w.uint(x)));
-    }
-
     /// A block array with one `layout` object per item, its members
     /// written by `row`.
     pub fn rows<T>(
@@ -220,14 +215,6 @@ impl Writer {
                 w.object(layout, |w| row(w, item));
             }
         });
-    }
-
-    /// `null` for `None`, otherwise whatever `some` writes (one value).
-    pub fn option<T>(&mut self, v: Option<T>, some: impl FnOnce(&mut Self, T)) {
-        match v {
-            Some(v) => some(self, v),
-            None => self.null(),
-        }
     }
 }
 
@@ -591,10 +578,11 @@ mod tests {
             w.key("s").string("a\"b");
             w.key("empty_obj").object(Block, |_| {});
             w.key("empty_arr").array(Inline, |_| {});
-            w.key("none").option(None, Writer::uint);
-            w.key("some").option(Some(2.5), Writer::fixed);
+            w.key("none").null();
+            w.key("some").fixed(2.5);
             w.key("nan").shortest(f64::NAN);
-            w.key("ints").uints(&[3, 2, 1]);
+            w.key("ints")
+                .array(Inline, |w| [3, 2, 1].into_iter().for_each(|x| w.uint(x)));
             w.key("rows")
                 .rows(Inline, [(1, true), (-2, false)], |w, (n, b)| {
                     w.key("n").int(n);

@@ -62,6 +62,7 @@
 #![deny(missing_docs)]
 
 pub mod report;
+pub use report::{PhaseInfo, ProfileTelemetry, RestartBatch, RestartOutcome, Span};
 
 // The JSON module lives in the leaf crate so the lint crates can reach
 // it too; this path is the public one the report readers use.
@@ -70,81 +71,11 @@ pub use massf_metrics::json;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-/// One finished wall-clock span: a stable `area/stage` name plus the
-/// elapsed time. Spans are *timing* data — never part of the
-/// deterministic report sections.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Span {
-    /// Stable `area/stage` name (see DESIGN.md §11 for the convention).
-    pub name: String,
-    /// Elapsed wall-clock microseconds.
-    pub wall_us: u64,
-}
-
 /// A span in flight; produced by [`Recorder::start`], consumed by
 /// [`Recorder::finish`]. Lets instrumented code time a region that itself
 /// needs `&mut Recorder` (where a closure-based scope would not borrow).
 #[derive(Debug)]
 pub struct SpanStart(Instant);
-
-/// The outcome of one independent partitioner restart: did it satisfy
-/// every balance constraint, what edge cut did it reach, and how far from
-/// perfect balance it landed. Deterministic — restart `i` always runs seed
-/// `base + i` and outcomes are reported in index order at any thread count.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RestartOutcome {
-    /// All balance constraints within tolerance.
-    pub feasible: bool,
-    /// Edge cut achieved.
-    pub cut: i64,
-    /// Worst per-constraint balance ratio (1.0 = perfect).
-    pub balance: f64,
-}
-
-/// The outcomes of one best-of-N restart search, labeled with the pipeline
-/// stage that ran it (e.g. `profile/combined`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RestartBatch {
-    /// Which partitioning call this was (`top`, `place/latency`, …).
-    pub stage: String,
-    /// Index into `outcomes` of the winning restart.
-    pub winner: u64,
-    /// Per-restart outcomes in seed order.
-    pub outcomes: Vec<RestartOutcome>,
-}
-
-/// One detected PROFILE load phase (§3.3): a half-open bucket range, the
-/// node dominating the smoothed load curve inside it, and its event total.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PhaseInfo {
-    /// First bucket of the phase (inclusive).
-    pub start_bucket: u64,
-    /// One past the last bucket of the phase.
-    pub end_bucket: u64,
-    /// Node with the maximal load inside the phase; `None` when the phase
-    /// is all-idle.
-    pub dominating_node: Option<u64>,
-    /// Total observed events inside the phase.
-    pub events: u64,
-}
-
-/// PROFILE phase-detection telemetry: how the profiling run's load curves
-/// were bucketed, clustered into phases, and turned into the partitioner's
-/// multi-constraint vertex-weight columns.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProfileTelemetry {
-    /// Virtual-time width of one digest bucket (µs).
-    pub bucket_us: u64,
-    /// Number of digest buckets.
-    pub nbuckets: u64,
-    /// Balance-constraint columns handed to the partitioner.
-    pub constraints: u64,
-    /// Total vertex weight per constraint column (the constraint vectors'
-    /// column sums, in constraint order).
-    pub constraint_totals: Vec<i64>,
-    /// The detected phases, covering `[0, nbuckets)`.
-    pub phases: Vec<PhaseInfo>,
-}
 
 /// Collects spans, counters, gauges, and structured telemetry during a
 /// run. Cheap to create; instrumented entry points take `&mut Recorder`

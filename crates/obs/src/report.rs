@@ -1,18 +1,20 @@
 //! The versioned run report: what `--report <path>` writes and
 //! `massf report` reads back.
 //!
-//! A [`RunReport`] is serialized through [`json::Writer`] with a fixed key
-//! order (the call order in [`RunReport::to_json`]) and fixed number
-//! formatting, so two runs of the same scenario produce byte-identical
-//! documents except for the `timing` object —
-//! which is always the **last** top-level key, letting golden tests mask
-//! it by truncating at the `"timing"` line. Schema changes bump
+//! Each block of the report is one struct below, declared once through
+//! `block!`: its fields are the block's keys, in declaration order, and
+//! that one declaration drives both [`RunReport::to_json`] and
+//! [`RunReport::from_json`]. Serialization goes through [`json::Writer`]
+//! with fixed number formatting, so two runs of the same scenario produce
+//! byte-identical documents except for the `timing` object — which is
+//! always the **last** top-level key, letting golden tests mask it by
+//! truncating at the `"timing"` line. Schema changes bump
 //! [`JSON_FORMAT_VERSION`]; every key is documented in DESIGN.md §11.
 
 use std::collections::BTreeMap;
 
-use crate::json::{self, fmt_f64, Layout::Block, Layout::Inline, Value, Writer};
-use crate::{PhaseInfo, ProfileTelemetry, Recorder, RestartBatch, RestartOutcome, Span};
+use crate::json::{self, fmt_f64, Layout, Layout::Block, Layout::Inline, Value, Writer};
+use crate::Recorder;
 use massf_metrics::diag::{self, Code, Severity};
 use massf_metrics::timeseries::{
     imbalance_series, mean_active_imbalance, sparkline, sparkline_f64,
@@ -21,159 +23,399 @@ use massf_metrics::timeseries::{
 /// Version of the run-report JSON schema (`"format"` key).
 pub const JSON_FORMAT_VERSION: u32 = 1;
 
-/// What was run: scenario shape and mapping configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioInfo {
-    /// Human description of the network (e.g. `"42 nodes, 58 links"`).
-    pub network: String,
-    /// Number of emulation engines mapped onto.
-    pub engines: u64,
-    /// Mapping approach label (`TOP`, `PLACE`, `PROFILE`).
-    pub approach: String,
-    /// Number of traffic flows driven through the network.
-    pub flows: u64,
-    /// Emulated duration in seconds; `None` for partition-only commands.
-    pub duration_s: Option<f64>,
+/// A report value's JSON form, in both directions. `block!` derives it for
+/// every report struct; the impls below cover the values inside them.
+trait Field: Sized {
+    /// Layout of an array of these: scalars share one line, objects get a
+    /// line each.
+    const ARRAY: Layout = Inline;
+
+    /// Writes the value; its key, if any, is already written.
+    fn write(&self, w: &mut Writer);
+
+    /// Reads the value back, saying what was expected when it is ill-typed.
+    fn read(v: &Value) -> Result<Self, String>;
+
+    /// Reads member `key` of the object `obj`. An absent key reads as
+    /// `null`: `None` for an `Option`, an error for anything else.
+    fn member(obj: &Value, key: &str) -> Result<Self, String> {
+        match obj.get(key) {
+            Some(v) => Self::read(v).map_err(|e| format!("\"{key}\": {e}")),
+            None => Self::read(&Value::Null).map_err(|_| format!("missing key \"{key}\"")),
+        }
+    }
 }
 
-/// The final partitioning, summarized.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PartitionInfo {
-    /// Nodes per engine, in engine order.
-    pub sizes: Vec<u64>,
-    /// Links whose endpoints map to different engines.
-    pub cut_links: u64,
-    /// Conservative window lookahead (minimum cut-link latency), µs.
-    pub lookahead_us: u64,
+impl Field for u64 {
+    fn write(&self, w: &mut Writer) {
+        w.uint(*self);
+    }
+    fn read(v: &Value) -> Result<Self, String> {
+        v.as_u64()
+            .ok_or_else(|| "expected an unsigned integer".into())
+    }
 }
 
-/// Per-engine load totals and virtual-time timelines.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EngineLoad {
-    /// Events executed by this engine.
-    pub events: u64,
-    /// Rounds in which the engine had no work inside the window.
-    pub stalled_rounds: u64,
-    /// Events sent to other engines.
-    pub remote_sent: u64,
-    /// Events received from other engines.
-    pub remote_recv: u64,
-    /// Peak pending-event count in the engine's scheduler queue.
-    /// Identical across scheduler kinds and thread counts.
-    pub queue_peak: u64,
-    /// Scheduler bucket-array rebuilds (0 for the heap baseline).
-    /// Deterministic per scheduler kind.
-    pub sched_resizes: u64,
-    /// Executed events per virtual-time window.
-    pub timeline: Vec<u64>,
-    /// Stalled rounds per virtual-time window (bucketed at the stall's
-    /// window lower bound).
-    pub stall_timeline: Vec<u64>,
-    /// Remote receives per virtual-time window.
-    pub recv_timeline: Vec<u64>,
+impl Field for i64 {
+    fn write(&self, w: &mut Writer) {
+        w.int(*self);
+    }
+    fn read(v: &Value) -> Result<Self, String> {
+        v.as_i64().ok_or_else(|| "expected an integer".into())
+    }
 }
 
-/// Emulation outcome: totals plus the per-engine loads.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EmulationInfo {
-    /// Packets delivered to their destination host.
-    pub delivered: u64,
-    /// Packets dropped (no route).
-    pub dropped: u64,
-    /// Events executed across all engines.
-    pub total_events: u64,
-    /// Conservative-window rounds executed.
-    pub rounds: u64,
-    /// Cross-engine messages exchanged.
-    pub remote_messages: u64,
-    /// Virtual time at which the emulation ended, µs.
-    pub virtual_end_us: u64,
-    /// Width of one timeline window, µs.
-    pub counter_window_us: u64,
-    /// Mean end-to-end packet latency, µs.
-    pub mean_latency_us: f64,
-    /// Final whole-run load imbalance (max/mean − 1 over engine events).
-    pub imbalance: f64,
-    /// Per-engine breakdown, in engine order.
-    pub engines: Vec<EngineLoad>,
+impl Field for f64 {
+    fn write(&self, w: &mut Writer) {
+        w.fixed(*self);
+    }
+    fn read(v: &Value) -> Result<Self, String> {
+        v.as_f64().ok_or_else(|| "expected a number".into())
+    }
 }
 
-/// One emulation epoch as observed by the online rebalancer: the measured
-/// per-engine load, both drift diagnostics, and what the boundary decided.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EpochRow {
-    /// 1-based epoch index.
-    pub epoch: u64,
-    /// Virtual time at which the epoch ended, µs.
-    pub end_us: u64,
-    /// NetFlow-measured per-engine load (packet observations), engine order.
-    pub engine_loads: Vec<u64>,
-    /// Packets that crossed a cut link during the epoch.
-    pub cut_packets: u64,
-    /// Total-variation drift of this epoch's load shares vs. the previous
-    /// epoch (epoch 1: vs. the balanced target shares).
-    pub drift_measured: f64,
-    /// Total-variation drift of measured load shares vs. the PLACE
-    /// prediction under the partition in force.
-    pub drift_predicted: f64,
-    /// A repartition was applied at this epoch's boundary.
-    pub applied: bool,
-    /// The boundary was skipped because the drift stayed under threshold.
-    pub skipped: bool,
-    /// Nodes migrated at the boundary (0 when nothing was applied).
-    pub moves: u64,
-    /// Migration stall charged for the boundary, µs.
-    pub cost_us: f64,
-    /// Measured load imbalance before the boundary decision.
-    pub imbalance_before: f64,
-    /// Measured load imbalance under the post-boundary partition.
-    pub imbalance_after: f64,
+impl Field for bool {
+    fn write(&self, w: &mut Writer) {
+        w.bool(*self);
+    }
+    fn read(v: &Value) -> Result<Self, String> {
+        v.as_bool().ok_or_else(|| "expected a boolean".into())
+    }
 }
 
-/// Summary of the online rebalancer (`--epochs`/`--rebalance`): one row per
-/// epoch plus migration totals. Epoch loads are functions of virtual time,
-/// so this block is byte-identical across `--threads`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RebalanceInfo {
-    /// Rebalance mode label (`off`, `global`, `incremental`).
-    pub mode: String,
-    /// Total nodes migrated across all boundaries.
-    pub migrated_nodes: u64,
-    /// Boundaries at which a repartition was applied.
-    pub remaps_applied: u64,
-    /// Per-epoch measurements and decisions, in epoch order.
-    pub epochs: Vec<EpochRow>,
+impl Field for String {
+    fn write(&self, w: &mut Writer) {
+        w.string(self);
+    }
+    fn read(v: &Value) -> Result<Self, String> {
+        v.as_str()
+            .map(str::to_string)
+            .ok_or_else(|| "expected a string".into())
+    }
 }
 
-/// One post-pipeline lint finding carried in the report, as the plain
-/// strings the report stores and reads back.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LintFinding {
-    /// Severity label (`error`, `warning`, `note`).
-    pub severity: String,
-    /// Stable pass code (`MC013`…).
-    pub code: String,
-    /// Rendered location (`part 2`, `route 3->9`, …).
-    pub location: String,
-    /// Human-readable explanation.
-    pub message: String,
+impl<T: Field> Field for Option<T> {
+    fn write(&self, w: &mut Writer) {
+        match self {
+            Some(v) => v.write(w),
+            None => w.null(),
+        }
+    }
+    fn read(v: &Value) -> Result<Self, String> {
+        match v {
+            Value::Null => Ok(None),
+            v => T::read(v).map(Some),
+        }
+    }
 }
 
-/// Summary of the post-pipeline artifact audit (`massf-lint` MC013–MC018),
-/// fully deterministic: the audit runs single-threaded over deterministic
-/// pipeline outputs, so this block is byte-identical across `--threads`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LintSummary {
-    /// Error-level findings.
-    pub errors: u64,
-    /// Warn-level findings.
-    pub warnings: u64,
-    /// Note-level findings.
-    pub notes: u64,
-    /// Passes that ran to produce the audit.
-    pub passes_run: u64,
-    /// The findings, in report order.
-    pub findings: Vec<LintFinding>,
+impl<T: Field> Field for Vec<T> {
+    fn write(&self, w: &mut Writer) {
+        w.array(T::ARRAY, |w| self.iter().for_each(|x| x.write(w)));
+    }
+    fn read(v: &Value) -> Result<Self, String> {
+        v.as_array()
+            .ok_or("expected an array")?
+            .iter()
+            .map(T::read)
+            .collect()
+    }
+}
+
+impl<T: Field> Field for BTreeMap<String, T> {
+    fn write(&self, w: &mut Writer) {
+        w.object(Block, |w| self.iter().for_each(|(k, v)| v.write(w.key(k))));
+    }
+    fn read(v: &Value) -> Result<Self, String> {
+        let Value::Obj(members) = v else {
+            return Err("expected an object".into());
+        };
+        members
+            .iter()
+            .map(|(k, v)| Ok((k.clone(), T::read(v)?)))
+            .collect()
+    }
+}
+
+/// Declares report blocks: each struct exactly as written, plus its
+/// [`Field`] codec — one `$layout` object whose keys are the field names in
+/// declaration order. A new key is one field line here; the writer and the
+/// reader both follow.
+macro_rules! block {
+    ($layout:ident; $($(#[$attr:meta])* pub struct $name:ident {
+        $($(#[$doc:meta])* pub $field:ident: $ty:ty,)*
+    })*) => {$(
+        $(#[$attr])*
+        pub struct $name {
+            $($(#[$doc])* pub $field: $ty,)*
+        }
+
+        impl Field for $name {
+            const ARRAY: Layout = Block;
+            fn write(&self, w: &mut Writer) {
+                w.object($layout, |w| {
+                    $(self.$field.write(w.key(stringify!($field)));)*
+                });
+            }
+            fn read(v: &Value) -> Result<Self, String> {
+                Ok($name {
+                    $($field: Field::member(v, stringify!($field))?,)*
+                })
+            }
+        }
+    )*};
+}
+
+// The blocks written one key per line.
+block! { Block;
+    /// What was run: scenario shape and mapping configuration.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ScenarioInfo {
+        /// Human description of the network (e.g. `"42 nodes, 58 links"`).
+        pub network: String,
+        /// Number of emulation engines mapped onto.
+        pub engines: u64,
+        /// Mapping approach label (`TOP`, `PLACE`, `PROFILE`).
+        pub approach: String,
+        /// Number of traffic flows driven through the network.
+        pub flows: u64,
+        /// Emulated duration in seconds; `None` for partition-only commands.
+        pub duration_s: Option<f64>,
+    }
+
+    /// The final partitioning, summarized.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct PartitionInfo {
+        /// Nodes per engine, in engine order.
+        pub sizes: Vec<u64>,
+        /// Links whose endpoints map to different engines.
+        pub cut_links: u64,
+        /// Conservative window lookahead (minimum cut-link latency), µs.
+        pub lookahead_us: u64,
+    }
+
+    /// The outcomes of one best-of-N restart search, labeled with the
+    /// pipeline stage that ran it (e.g. `profile/combined`).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct RestartBatch {
+        /// Which partitioning call this was (`top`, `place/latency`, …).
+        pub stage: String,
+        /// Index into `outcomes` of the winning restart.
+        pub winner: u64,
+        /// Per-restart outcomes in seed order.
+        pub outcomes: Vec<RestartOutcome>,
+    }
+
+    /// PROFILE phase-detection telemetry: how the profiling run's load
+    /// curves were bucketed, clustered into phases, and turned into the
+    /// partitioner's multi-constraint vertex-weight columns.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ProfileTelemetry {
+        /// Virtual-time width of one digest bucket (µs).
+        pub bucket_us: u64,
+        /// Number of digest buckets.
+        pub nbuckets: u64,
+        /// Balance-constraint columns handed to the partitioner.
+        pub constraints: u64,
+        /// Total vertex weight per constraint column (the constraint
+        /// vectors' column sums, in constraint order).
+        pub constraint_totals: Vec<i64>,
+        /// The detected phases, covering `[0, nbuckets)`.
+        pub phases: Vec<PhaseInfo>,
+    }
+
+    /// Per-engine load totals and virtual-time timelines.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct EngineLoad {
+        /// Events executed by this engine.
+        pub events: u64,
+        /// Rounds in which the engine had no work inside the window.
+        pub stalled_rounds: u64,
+        /// Events sent to other engines.
+        pub remote_sent: u64,
+        /// Events received from other engines.
+        pub remote_recv: u64,
+        /// Peak pending-event count in the engine's scheduler queue.
+        /// Identical across scheduler kinds and thread counts.
+        pub queue_peak: u64,
+        /// Scheduler bucket-array rebuilds (0 for the heap baseline).
+        /// Deterministic per scheduler kind.
+        pub sched_resizes: u64,
+        /// Executed events per virtual-time window.
+        pub timeline: Vec<u64>,
+        /// Stalled rounds per virtual-time window (bucketed at the stall's
+        /// window lower bound).
+        pub stall_timeline: Vec<u64>,
+        /// Remote receives per virtual-time window.
+        pub recv_timeline: Vec<u64>,
+    }
+
+    /// Emulation outcome: totals plus the per-engine loads.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct EmulationInfo {
+        /// Packets delivered to their destination host.
+        pub delivered: u64,
+        /// Packets dropped (no route).
+        pub dropped: u64,
+        /// Events executed across all engines.
+        pub total_events: u64,
+        /// Conservative-window rounds executed.
+        pub rounds: u64,
+        /// Cross-engine messages exchanged.
+        pub remote_messages: u64,
+        /// Virtual time at which the emulation ended, µs.
+        pub virtual_end_us: u64,
+        /// Width of one timeline window, µs.
+        pub counter_window_us: u64,
+        /// Mean end-to-end packet latency, µs.
+        pub mean_latency_us: f64,
+        /// Final whole-run load imbalance: the normalized standard
+        /// deviation (std/mean) of the engines' event counts, the paper's
+        /// metric (`massf_metrics::load_imbalance`).
+        pub imbalance: f64,
+        /// Per-engine breakdown, in engine order.
+        pub engines: Vec<EngineLoad>,
+    }
+
+    /// What one epoch of an online run measured and decided: filled in by
+    /// the rebalancer (`massf_mapping::incremental::run_online`) and
+    /// written as one row of the `rebalance` block.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct EpochRow {
+        /// Epoch index (1-based; epoch 1 ends at the first boundary).
+        pub epoch: u64,
+        /// Virtual time at which the epoch ended, µs.
+        pub end_us: u64,
+        /// Measured per-engine load (kernel events attributed via NetFlow)
+        /// during this epoch, under the partition in force while it ran.
+        pub engine_loads: Vec<u64>,
+        /// Packets that crossed engine boundaries this epoch (per-edge cut
+        /// traffic summed over cut links).
+        pub cut_packets: u64,
+        /// MC020 metric: total-variation drift of this epoch's load shares
+        /// vs. the previous epoch's (epoch 1: vs. the balanced target).
+        pub drift_measured: f64,
+        /// MC019 metric: total-variation drift of this epoch's load shares
+        /// vs. the PLACE prediction under the partition in force.
+        pub drift_predicted: f64,
+        /// A repartition was applied at this epoch's boundary.
+        pub applied: bool,
+        /// The boundary evaluated a rebalance and declined (quiet drift, no
+        /// positive-gain move, or below the global-mode gate). The final
+        /// epoch has no boundary: both flags stay false.
+        pub skipped: bool,
+        /// Nodes migrated at the boundary (0 when nothing was applied).
+        pub moves: u64,
+        /// Migration stall charged for the boundary, µs.
+        pub cost_us: f64,
+        /// Measured load imbalance before the boundary decision.
+        pub imbalance_before: f64,
+        /// The same loads' imbalance re-summed under the post-boundary
+        /// partition (equals `imbalance_before` when nothing moved).
+        pub imbalance_after: f64,
+    }
+
+    /// Summary of the online rebalancer (`--epochs`/`--rebalance`): one row
+    /// per epoch plus migration totals. Epoch loads are functions of
+    /// virtual time, so this block is byte-identical across `--threads`.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct RebalanceInfo {
+        /// Rebalance mode label (`off`, `global`, `incremental`).
+        pub mode: String,
+        /// Total nodes migrated across all boundaries.
+        pub migrated_nodes: u64,
+        /// Boundaries at which a repartition was applied.
+        pub remaps_applied: u64,
+        /// Per-epoch measurements and decisions, in epoch order.
+        pub epochs: Vec<EpochRow>,
+    }
+
+    /// Summary of the post-pipeline artifact audit (`massf-lint`
+    /// MC013–MC018), fully deterministic: the audit runs single-threaded
+    /// over deterministic pipeline outputs, so this block is byte-identical
+    /// across `--threads`.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct LintSummary {
+        /// Error-level findings.
+        pub errors: u64,
+        /// Warn-level findings.
+        pub warnings: u64,
+        /// Note-level findings.
+        pub notes: u64,
+        /// Passes that ran to produce the audit.
+        pub passes_run: u64,
+        /// The findings, in report order.
+        pub findings: Vec<LintFinding>,
+    }
+
+    /// Wall-clock data: everything in the report that is *not*
+    /// deterministic.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Timing {
+        /// Worker threads the run used.
+        pub threads: u64,
+        /// Finished spans, in completion order.
+        pub spans: Vec<Span>,
+    }
+}
+
+// The row objects written on one line each.
+block! { Inline;
+    /// The outcome of one independent partitioner restart: did it satisfy
+    /// every balance constraint, what edge cut did it reach, and how far
+    /// from perfect balance it landed. Deterministic — restart `i` always
+    /// runs seed `base + i` and outcomes are reported in index order at any
+    /// thread count.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct RestartOutcome {
+        /// All balance constraints within tolerance.
+        pub feasible: bool,
+        /// Edge cut achieved.
+        pub cut: i64,
+        /// Worst per-constraint balance ratio (1.0 = perfect).
+        pub balance: f64,
+    }
+
+    /// One detected PROFILE load phase (§3.3): a half-open bucket range,
+    /// the node dominating the smoothed load curve inside it, and its event
+    /// total.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct PhaseInfo {
+        /// First bucket of the phase (inclusive).
+        pub start_bucket: u64,
+        /// One past the last bucket of the phase.
+        pub end_bucket: u64,
+        /// Node with the maximal load inside the phase; `None` when the
+        /// phase is all-idle.
+        pub dominating_node: Option<u64>,
+        /// Total observed events inside the phase.
+        pub events: u64,
+    }
+
+    /// One post-pipeline lint finding carried in the report, as the plain
+    /// strings the report stores and reads back.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct LintFinding {
+        /// Severity label (`error`, `warning`, `note`).
+        pub severity: String,
+        /// Stable pass code (`MC013`…).
+        pub code: String,
+        /// Rendered location (`part 2`, `route 3->9`, …).
+        pub location: String,
+        /// Human-readable explanation.
+        pub message: String,
+    }
+
+    /// One finished wall-clock span: a stable `area/stage` name plus the
+    /// elapsed time. Spans are *timing* data — never part of the
+    /// deterministic report sections.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Span {
+        /// Stable `area/stage` name (see DESIGN.md §11 for the convention).
+        pub name: String,
+        /// Elapsed wall-clock microseconds.
+        pub wall_us: u64,
+    }
 }
 
 /// Digests a finished lint report into the run report's `lint` block.
@@ -195,15 +437,6 @@ impl<C: Code> From<&diag::Report<C>> for LintSummary {
                 .collect(),
         }
     }
-}
-
-/// Wall-clock data: everything in the report that is *not* deterministic.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Timing {
-    /// Worker threads the run used.
-    pub threads: u64,
-    /// Finished spans, in completion order.
-    pub spans: Vec<Span>,
 }
 
 /// The complete run report. See the crate docs for the determinism rule
@@ -266,123 +499,22 @@ impl RunReport {
         w.object(Block, |w| {
             w.key("tool").string("massf-run");
             w.key("format").uint(JSON_FORMAT_VERSION as u64);
-            w.key("command").string(&self.command);
-            w.key("scenario").object(Block, |w| {
-                w.key("network").string(&self.scenario.network);
-                w.key("engines").uint(self.scenario.engines);
-                w.key("approach").string(&self.scenario.approach);
-                w.key("flows").uint(self.scenario.flows);
-                w.key("duration_s")
-                    .option(self.scenario.duration_s, Writer::fixed);
-            });
-            w.key("partition").option(self.partition.as_ref(), |w, p| {
-                w.object(Block, |w| {
-                    w.key("sizes").uints(&p.sizes);
-                    w.key("cut_links").uint(p.cut_links);
-                    w.key("lookahead_us").uint(p.lookahead_us);
-                })
-            });
-            w.key("restarts").rows(Block, &self.restarts, |w, batch| {
-                w.key("stage").string(&batch.stage);
-                w.key("winner").uint(batch.winner);
-                w.key("outcomes").rows(Inline, &batch.outcomes, |w, o| {
-                    w.key("feasible").bool(o.feasible);
-                    w.key("cut").int(o.cut);
-                    w.key("balance").fixed(o.balance);
-                });
-            });
-            w.key("profile").option(self.profile.as_ref(), |w, p| {
-                w.object(Block, |w| {
-                    w.key("bucket_us").uint(p.bucket_us);
-                    w.key("nbuckets").uint(p.nbuckets);
-                    w.key("constraints").uint(p.constraints);
-                    w.key("constraint_totals").array(Inline, |w| {
-                        p.constraint_totals.iter().for_each(|&x| w.int(x));
-                    });
-                    w.key("phases").rows(Inline, &p.phases, |w, ph| {
-                        w.key("start_bucket").uint(ph.start_bucket);
-                        w.key("end_bucket").uint(ph.end_bucket);
-                        w.key("dominating_node")
-                            .option(ph.dominating_node, Writer::uint);
-                        w.key("events").uint(ph.events);
-                    });
-                })
-            });
-            w.key("counters").object(Block, |w| {
-                self.counters.iter().for_each(|(k, &v)| w.key(k).uint(v));
-            });
-            w.key("gauges").object(Block, |w| {
-                self.gauges.iter().for_each(|(k, &v)| w.key(k).fixed(v));
-            });
-            w.key("emulation").option(self.emulation.as_ref(), |w, e| {
-                w.object(Block, |w| {
-                    w.key("delivered").uint(e.delivered);
-                    w.key("dropped").uint(e.dropped);
-                    w.key("total_events").uint(e.total_events);
-                    w.key("rounds").uint(e.rounds);
-                    w.key("remote_messages").uint(e.remote_messages);
-                    w.key("virtual_end_us").uint(e.virtual_end_us);
-                    w.key("counter_window_us").uint(e.counter_window_us);
-                    w.key("mean_latency_us").fixed(e.mean_latency_us);
-                    w.key("imbalance").fixed(e.imbalance);
-                    w.key("engines").rows(Block, &e.engines, |w, eng| {
-                        w.key("events").uint(eng.events);
-                        w.key("stalled_rounds").uint(eng.stalled_rounds);
-                        w.key("remote_sent").uint(eng.remote_sent);
-                        w.key("remote_recv").uint(eng.remote_recv);
-                        w.key("queue_peak").uint(eng.queue_peak);
-                        w.key("sched_resizes").uint(eng.sched_resizes);
-                        w.key("timeline").uints(&eng.timeline);
-                        w.key("stall_timeline").uints(&eng.stall_timeline);
-                        w.key("recv_timeline").uints(&eng.recv_timeline);
-                    });
-                })
-            });
+            self.command.write(w.key("command"));
+            self.scenario.write(w.key("scenario"));
+            self.partition.write(w.key("partition"));
+            self.restarts.write(w.key("restarts"));
+            self.profile.write(w.key("profile"));
+            self.counters.write(w.key("counters"));
+            self.gauges.write(w.key("gauges"));
+            self.emulation.write(w.key("emulation"));
             // The key is omitted (not null) when absent: documents written
             // before the rebalancer existed stay byte-identical.
             if let Some(r) = &self.rebalance {
-                w.key("rebalance").object(Block, |w| {
-                    w.key("mode").string(&r.mode);
-                    w.key("migrated_nodes").uint(r.migrated_nodes);
-                    w.key("remaps_applied").uint(r.remaps_applied);
-                    w.key("epochs").rows(Block, &r.epochs, |w, ep| {
-                        w.key("epoch").uint(ep.epoch);
-                        w.key("end_us").uint(ep.end_us);
-                        w.key("engine_loads").uints(&ep.engine_loads);
-                        w.key("cut_packets").uint(ep.cut_packets);
-                        w.key("drift_measured").fixed(ep.drift_measured);
-                        w.key("drift_predicted").fixed(ep.drift_predicted);
-                        w.key("applied").bool(ep.applied);
-                        w.key("skipped").bool(ep.skipped);
-                        w.key("moves").uint(ep.moves);
-                        w.key("cost_us").fixed(ep.cost_us);
-                        w.key("imbalance_before").fixed(ep.imbalance_before);
-                        w.key("imbalance_after").fixed(ep.imbalance_after);
-                    });
-                });
+                r.write(w.key("rebalance"));
             }
-            w.key("lint").option(self.lint.as_ref(), |w, l| {
-                w.object(Block, |w| {
-                    w.key("errors").uint(l.errors);
-                    w.key("warnings").uint(l.warnings);
-                    w.key("notes").uint(l.notes);
-                    w.key("passes_run").uint(l.passes_run);
-                    w.key("findings").rows(Inline, &l.findings, |w, f| {
-                        w.key("severity").string(&f.severity);
-                        w.key("code").string(&f.code);
-                        w.key("location").string(&f.location);
-                        w.key("message").string(&f.message);
-                    });
-                })
-            });
+            self.lint.write(w.key("lint"));
             // `timing` must stay the last key: golden tests truncate here.
-            w.key("timing").object(Block, |w| {
-                w.key("threads").uint(self.timing.threads);
-                w.key("spans").rows(Inline, &self.timing.spans, |w, s| {
-                    w.key("name").string(&s.name);
-                    w.key("wall_us").uint(s.wall_us);
-                });
-            });
+            self.timing.write(w.key("timing"));
         });
         w.finish() + "\n"
     }
@@ -391,216 +523,32 @@ impl RunReport {
     ///
     /// Rejects documents with the wrong `tool`, an unsupported `format`,
     /// or missing/ill-typed fields; the error string names the offender.
+    /// An absent optional block (`partition`, `rebalance`, `lint`, …)
+    /// reads as `None`.
     pub fn from_json(input: &str) -> Result<RunReport, String> {
         let root = json::parse(input).map_err(|e| e.to_string())?;
-        let tool = req_str(&root, "tool")?;
+        let tool = String::member(&root, "tool")?;
         if tool != "massf-run" {
             return Err(format!("not a massf run report (tool = \"{tool}\")"));
         }
-        let format = req_u64(&root, "format")?;
+        let format = u64::member(&root, "format")?;
         if format != JSON_FORMAT_VERSION as u64 {
             return Err(format!(
                 "unsupported report format {format} (this build reads format {JSON_FORMAT_VERSION})"
             ));
         }
-
-        let sc = root.get("scenario").ok_or("missing key \"scenario\"")?;
-        let scenario = ScenarioInfo {
-            network: req_str(sc, "network")?.to_string(),
-            engines: req_u64(sc, "engines")?,
-            approach: req_str(sc, "approach")?.to_string(),
-            flows: req_u64(sc, "flows")?,
-            duration_s: match sc.get("duration_s") {
-                None | Some(Value::Null) => None,
-                Some(v) => Some(v.as_f64().ok_or("\"duration_s\" is not a number")?),
-            },
-        };
-
-        let partition = match root.get("partition") {
-            None | Some(Value::Null) => None,
-            Some(p) => Some(PartitionInfo {
-                sizes: req_u64_list(p, "sizes")?,
-                cut_links: req_u64(p, "cut_links")?,
-                lookahead_us: req_u64(p, "lookahead_us")?,
-            }),
-        };
-
-        let mut restarts = Vec::new();
-        for batch in req_array(&root, "restarts")? {
-            let mut outcomes = Vec::new();
-            for o in req_array(batch, "outcomes")? {
-                outcomes.push(RestartOutcome {
-                    feasible: req_bool(o, "feasible")?,
-                    cut: o
-                        .get("cut")
-                        .and_then(Value::as_i64)
-                        .ok_or("missing key \"cut\"")?,
-                    balance: req_f64(o, "balance")?,
-                });
-            }
-            restarts.push(RestartBatch {
-                stage: req_str(batch, "stage")?.to_string(),
-                winner: req_u64(batch, "winner")?,
-                outcomes,
-            });
-        }
-
-        let profile = match root.get("profile") {
-            None | Some(Value::Null) => None,
-            Some(p) => {
-                let mut phases = Vec::new();
-                for ph in req_array(p, "phases")? {
-                    phases.push(PhaseInfo {
-                        start_bucket: req_u64(ph, "start_bucket")?,
-                        end_bucket: req_u64(ph, "end_bucket")?,
-                        dominating_node: match ph.get("dominating_node") {
-                            None | Some(Value::Null) => None,
-                            Some(v) => {
-                                Some(v.as_u64().ok_or("\"dominating_node\" is not an integer")?)
-                            }
-                        },
-                        events: req_u64(ph, "events")?,
-                    });
-                }
-                let totals = req_array(p, "constraint_totals")?
-                    .iter()
-                    .map(|v| v.as_i64().ok_or("constraint total is not an integer"))
-                    .collect::<Result<Vec<_>, _>>()?;
-                Some(ProfileTelemetry {
-                    bucket_us: req_u64(p, "bucket_us")?,
-                    nbuckets: req_u64(p, "nbuckets")?,
-                    constraints: req_u64(p, "constraints")?,
-                    constraint_totals: totals,
-                    phases,
-                })
-            }
-        };
-
-        let mut counters = BTreeMap::new();
-        if let Some(Value::Obj(members)) = root.get("counters") {
-            for (k, v) in members {
-                counters.insert(
-                    k.clone(),
-                    v.as_u64().ok_or("counter value is not an integer")?,
-                );
-            }
-        }
-        let mut gauges = BTreeMap::new();
-        if let Some(Value::Obj(members)) = root.get("gauges") {
-            for (k, v) in members {
-                gauges.insert(k.clone(), v.as_f64().ok_or("gauge value is not a number")?);
-            }
-        }
-
-        let emulation = match root.get("emulation") {
-            None | Some(Value::Null) => None,
-            Some(e) => {
-                let mut engines = Vec::new();
-                for eng in req_array(e, "engines")? {
-                    engines.push(EngineLoad {
-                        events: req_u64(eng, "events")?,
-                        stalled_rounds: req_u64(eng, "stalled_rounds")?,
-                        remote_sent: req_u64(eng, "remote_sent")?,
-                        remote_recv: req_u64(eng, "remote_recv")?,
-                        queue_peak: req_u64(eng, "queue_peak")?,
-                        sched_resizes: req_u64(eng, "sched_resizes")?,
-                        timeline: req_u64_list(eng, "timeline")?,
-                        stall_timeline: req_u64_list(eng, "stall_timeline")?,
-                        recv_timeline: req_u64_list(eng, "recv_timeline")?,
-                    });
-                }
-                Some(EmulationInfo {
-                    delivered: req_u64(e, "delivered")?,
-                    dropped: req_u64(e, "dropped")?,
-                    total_events: req_u64(e, "total_events")?,
-                    rounds: req_u64(e, "rounds")?,
-                    remote_messages: req_u64(e, "remote_messages")?,
-                    virtual_end_us: req_u64(e, "virtual_end_us")?,
-                    counter_window_us: req_u64(e, "counter_window_us")?,
-                    mean_latency_us: req_f64(e, "mean_latency_us")?,
-                    imbalance: req_f64(e, "imbalance")?,
-                    engines,
-                })
-            }
-        };
-
-        // Absent key (pre-epoch documents) parses as `None`, like `lint`.
-        let rebalance = match root.get("rebalance") {
-            None | Some(Value::Null) => None,
-            Some(r) => {
-                let mut epochs = Vec::new();
-                for ep in req_array(r, "epochs")? {
-                    epochs.push(EpochRow {
-                        epoch: req_u64(ep, "epoch")?,
-                        end_us: req_u64(ep, "end_us")?,
-                        engine_loads: req_u64_list(ep, "engine_loads")?,
-                        cut_packets: req_u64(ep, "cut_packets")?,
-                        drift_measured: req_f64(ep, "drift_measured")?,
-                        drift_predicted: req_f64(ep, "drift_predicted")?,
-                        applied: req_bool(ep, "applied")?,
-                        skipped: req_bool(ep, "skipped")?,
-                        moves: req_u64(ep, "moves")?,
-                        cost_us: req_f64(ep, "cost_us")?,
-                        imbalance_before: req_f64(ep, "imbalance_before")?,
-                        imbalance_after: req_f64(ep, "imbalance_after")?,
-                    });
-                }
-                Some(RebalanceInfo {
-                    mode: req_str(r, "mode")?.to_string(),
-                    migrated_nodes: req_u64(r, "migrated_nodes")?,
-                    remaps_applied: req_u64(r, "remaps_applied")?,
-                    epochs,
-                })
-            }
-        };
-
-        let lint = match root.get("lint") {
-            None | Some(Value::Null) => None,
-            Some(l) => {
-                let mut findings = Vec::new();
-                for f in req_array(l, "findings")? {
-                    findings.push(LintFinding {
-                        severity: req_str(f, "severity")?.to_string(),
-                        code: req_str(f, "code")?.to_string(),
-                        location: req_str(f, "location")?.to_string(),
-                        message: req_str(f, "message")?.to_string(),
-                    });
-                }
-                Some(LintSummary {
-                    errors: req_u64(l, "errors")?,
-                    warnings: req_u64(l, "warnings")?,
-                    notes: req_u64(l, "notes")?,
-                    passes_run: req_u64(l, "passes_run")?,
-                    findings,
-                })
-            }
-        };
-
-        let t = root.get("timing").ok_or("missing key \"timing\"")?;
-        let mut spans = Vec::new();
-        for s in req_array(t, "spans")? {
-            spans.push(Span {
-                name: req_str(s, "name")?.to_string(),
-                wall_us: req_u64(s, "wall_us")?,
-            });
-        }
-        let timing = Timing {
-            threads: req_u64(t, "threads")?,
-            spans,
-        };
-
         Ok(RunReport {
-            command: req_str(&root, "command")?.to_string(),
-            scenario,
-            partition,
-            restarts,
-            profile,
-            counters,
-            gauges,
-            emulation,
-            rebalance,
-            lint,
-            timing,
+            command: Field::member(&root, "command")?,
+            scenario: Field::member(&root, "scenario")?,
+            partition: Field::member(&root, "partition")?,
+            restarts: Field::member(&root, "restarts")?,
+            profile: Field::member(&root, "profile")?,
+            counters: Field::member(&root, "counters")?,
+            gauges: Field::member(&root, "gauges")?,
+            emulation: Field::member(&root, "emulation")?,
+            rebalance: Field::member(&root, "rebalance")?,
+            lint: Field::member(&root, "lint")?,
+            timing: Field::member(&root, "timing")?,
         })
     }
 
@@ -804,49 +752,10 @@ impl RunReport {
     }
 }
 
-fn req_str<'v>(v: &'v Value, key: &str) -> Result<&'v str, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("missing key \"{key}\""))
-}
-
-fn req_u64(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing key \"{key}\""))
-}
-
-fn req_f64(v: &Value, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("missing key \"{key}\""))
-}
-
-fn req_bool(v: &Value, key: &str) -> Result<bool, String> {
-    v.get(key)
-        .and_then(Value::as_bool)
-        .ok_or_else(|| format!("missing key \"{key}\""))
-}
-
-fn req_array<'v>(v: &'v Value, key: &str) -> Result<&'v [Value], String> {
-    v.get(key)
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("missing key \"{key}\""))
-}
-
-fn req_u64_list(v: &Value, key: &str) -> Result<Vec<u64>, String> {
-    req_array(v, key)?
-        .iter()
-        .map(|x| {
-            x.as_u64()
-                .ok_or_else(|| format!("\"{key}\" entry is not an integer"))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn sample() -> RunReport {
         let mut rec = Recorder::new();
@@ -1041,6 +950,82 @@ mod tests {
         assert!(RunReport::from_json(&future)
             .unwrap_err()
             .contains("unsupported report format 99"));
+        // A map block of the wrong JSON type is ill-typed, not empty.
+        let json = sample().to_json();
+        for (block, ill_typed) in [
+            (
+                "\"counters\": {\n    \"mapping.flows_aggregated\": 12\n  }",
+                "\"counters\": 7",
+            ),
+            (
+                "\"gauges\": {\n    \"partition.balance\": 1.042000\n  }",
+                "\"gauges\": []",
+            ),
+        ] {
+            assert!(json.contains(block), "{json}");
+            let e = RunReport::from_json(&json.replace(block, ill_typed)).unwrap_err();
+            assert!(e.contains("expected an object"), "{e}");
+        }
+    }
+
+    #[test]
+    fn every_emitted_key_path_is_in_the_design_schema_table() {
+        // DESIGN.md §11's schema table: each row's key path (a trailing
+        // `[]` dropped) and the whole row, whose text may name members.
+        let design =
+            std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../DESIGN.md"))
+                .expect("DESIGN.md");
+        let section = &design[design.find("\n## 11.").unwrap()..design.find("\n## 12.").unwrap()];
+        let rows: Vec<(&str, &str)> = section
+            .lines()
+            .filter_map(|l| Some((l.strip_prefix("| `")?.split('`').next()?, l)))
+            .collect();
+        let row = |path: &str| {
+            let path = path.trim_end_matches("[]");
+            rows.iter()
+                .find(|r| r.0.trim_end_matches("[]") == path)
+                .map(|r| r.1)
+        };
+
+        // Every key path the writer emits, array items as `[]`. Counter
+        // and gauge names are data, not schema.
+        fn key_paths(v: &Value, path: &str, out: &mut BTreeSet<String>) {
+            match v {
+                Value::Obj(members) => {
+                    for (key, v) in members {
+                        let at = if path.is_empty() {
+                            key.clone()
+                        } else {
+                            format!("{path}.{key}")
+                        };
+                        if at != "counters" && at != "gauges" {
+                            key_paths(v, &at, out);
+                        }
+                        out.insert(at);
+                    }
+                }
+                Value::Arr(items) => items
+                    .iter()
+                    .for_each(|v| key_paths(v, &format!("{path}[]"), out)),
+                _ => {}
+            }
+        }
+        let mut paths = BTreeSet::new();
+        let doc = json::parse(&sample_with_rebalance().to_json()).unwrap();
+        key_paths(&doc, "", &mut paths);
+        assert!(paths.contains("rebalance.epochs[].imbalance_after"));
+        assert!(paths.contains("profile.phases[].dominating_node"));
+
+        // A path is documented by its own row, or by its leaf backticked
+        // in its parent's row (as `emulation.engines[]` lists its members).
+        let missing: Vec<&String> = paths
+            .iter()
+            .filter(|at| {
+                let (parent, leaf) = at.rsplit_once('.').unwrap_or(("", at));
+                row(at).is_none() && !row(parent).is_some_and(|r| r.contains(&format!("`{leaf}`")))
+            })
+            .collect();
+        assert!(missing.is_empty(), "DESIGN.md §11 lacks {missing:?}");
     }
 
     #[test]

@@ -72,27 +72,10 @@ pub fn combine_edge_weights(
 }
 
 /// Runs the full §2.3 pipeline: two single-objective partitions to obtain
-/// the normalizers, then the final partition on combined weights.
-pub fn combine_and_partition(
-    g_latency: &CsrGraph,
-    g_bandwidth: &CsrGraph,
-    p: f64,
-    cfg: &PartitionConfig,
-) -> MultiObjectiveResult {
-    combine_and_partition_obs(
-        g_latency,
-        g_bandwidth,
-        p,
-        cfg,
-        "combine",
-        &mut Recorder::new(),
-    )
-}
-
-/// [`combine_and_partition`] with observability: the three partitioner
-/// calls record restart batches `{stage_prefix}/latency`,
+/// the normalizers, then the final partition on combined weights. The
+/// three partitioner calls record restart batches `{stage_prefix}/latency`,
 /// `{stage_prefix}/bandwidth`, and `{stage_prefix}/combined` on `rec`.
-pub fn combine_and_partition_obs(
+pub fn combine_and_partition(
     g_latency: &CsrGraph,
     g_bandwidth: &CsrGraph,
     p: f64,
@@ -147,7 +130,7 @@ mod tests {
     fn p_one_recovers_latency_objective() {
         let (lat, bw) = ring_views();
         let cfg = PartitionConfig::new(2);
-        let r = combine_and_partition(&lat, &bw, 1.0, &cfg);
+        let r = combine_and_partition(&lat, &bw, 1.0, &cfg, "combine", &mut Recorder::new());
         // Cutting 3-4 and 7-0 yields latency cut 2; any other balanced
         // 2-way ring cut costs >= 10 in latency weight.
         assert_eq!(edge_cut(&lat, &r.partitioning.part), 2);
@@ -157,7 +140,7 @@ mod tests {
     fn p_zero_recovers_bandwidth_objective() {
         let (lat, bw) = ring_views();
         let cfg = PartitionConfig::new(2);
-        let r = combine_and_partition(&lat, &bw, 0.0, &cfg);
+        let r = combine_and_partition(&lat, &bw, 0.0, &cfg, "combine", &mut Recorder::new());
         assert_eq!(edge_cut(&bw, &r.partitioning.part), 2);
     }
 
@@ -165,7 +148,7 @@ mod tests {
     fn intermediate_cuts_reported() {
         let (lat, bw) = ring_views();
         let cfg = PartitionConfig::new(2);
-        let r = combine_and_partition(&lat, &bw, 0.6, &cfg);
+        let r = combine_and_partition(&lat, &bw, 0.6, &cfg, "combine", &mut Recorder::new());
         assert_eq!(r.latency_cut, 2);
         assert_eq!(r.bandwidth_cut, 2);
     }

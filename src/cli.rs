@@ -21,7 +21,7 @@ use massf_core::engine::engine::lookahead_us;
 use massf_core::engine::probe;
 use massf_core::obs::json::{Layout::Block, Writer};
 use massf_core::obs::report::{
-    EmulationInfo, EngineLoad, EpochRow, LintSummary, PartitionInfo, RebalanceInfo, ScenarioInfo,
+    EmulationInfo, EngineLoad, LintSummary, PartitionInfo, RebalanceInfo, ScenarioInfo,
 };
 use massf_core::prelude::*;
 use massf_core::routing::RoutingTables;
@@ -471,34 +471,6 @@ fn emulation_info(report: &EmulationReport) -> EmulationInfo {
     }
 }
 
-/// Digests an online-rebalancing outcome into the run report's
-/// `rebalance` block.
-fn rebalance_info(mode: RebalanceMode, outcome: &IncrementalOutcome) -> RebalanceInfo {
-    RebalanceInfo {
-        mode: mode.label().to_string(),
-        migrated_nodes: outcome.migrated_nodes as u64,
-        remaps_applied: outcome.remaps_applied as u64,
-        epochs: outcome
-            .epoch_stats
-            .iter()
-            .map(|e| EpochRow {
-                epoch: e.epoch as u64,
-                end_us: e.end_us,
-                engine_loads: e.engine_loads.clone(),
-                cut_packets: e.cut_packets,
-                drift_measured: e.drift_measured,
-                drift_predicted: e.drift_predicted,
-                applied: e.applied,
-                skipped: e.skipped,
-                moves: e.moves as u64,
-                cost_us: e.cost_us,
-                imbalance_before: e.imbalance_before,
-                imbalance_after: e.imbalance_after,
-            })
-            .collect(),
-    }
-}
-
 /// How [`map_audit_emulate`] emulates the mapped partition.
 enum Emulate {
     /// Application traffic paced in real time (`run`).
@@ -577,7 +549,12 @@ fn map_audit_emulate(
                 )
             });
             verdict(&mut audit, a, Some(AUDIT_FAILED))?;
-            let info = rebalance_info(mode, &outcome);
+            let info = RebalanceInfo {
+                mode: mode.label().to_string(),
+                migrated_nodes: outcome.migrated_nodes as u64,
+                remaps_applied: outcome.remaps_applied as u64,
+                epochs: outcome.epoch_stats,
+            };
             // The partition actually in force at the end of the run (after
             // any boundary migrations).
             let last = outcome.epoch_partitions.into_iter().last();

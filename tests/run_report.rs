@@ -8,6 +8,8 @@
 //! below that boundary by construction, so the masked prefix must match
 //! byte for byte across runs *and* across `--threads` settings.
 
+use massf_core::metrics::load_imbalance;
+use massf_core::obs::json::fmt_f64;
 use massf_core::obs::report::RunReport;
 use massf_repro::cli;
 use proptest::prelude::*;
@@ -421,4 +423,8 @@ fn unmutated_golden_document_reads_back() {
     // document the reader accepts, so the edits are what it rejects.
     let report = RunReport::from_json(&golden_document()).expect("golden + timing parses");
     assert_eq!(mask_json(&report.to_json()), mask_json(&golden_document()));
+    // `imbalance` is the paper's metric over the report's own engine events.
+    let emu = report.emulation.expect("golden has an emulation block");
+    let events: Vec<u64> = emu.engines.iter().map(|e| e.events).collect();
+    assert_eq!(fmt_f64(emu.imbalance), fmt_f64(load_imbalance(&events)));
 }
