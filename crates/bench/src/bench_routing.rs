@@ -20,7 +20,7 @@
 use crate::{time_best, Ctx, Output};
 use massf_core::prelude::*;
 use massf_core::routing::probes::{self, AsymmetricPair, EcmpSite};
-use massf_core::routing::spf::shortest_paths;
+use massf_core::routing::spf::SpfTree;
 use massf_core::routing::RoutingTables;
 use massf_core::topology::{LinkId, NodeId};
 use massf_metrics::report::ResultTable;
@@ -59,10 +59,8 @@ fn lookup_throughput(tables: &RoutingTables, reps: usize) -> f64 {
 /// Returns `(probes_ms, naive_ms)`.
 fn audit_probes(net: &Network, tables: &RoutingTables, reps: usize, row: &str) -> (f64, f64) {
     let (secs, got) = time_best(reps, || {
-        (
-            probes::asymmetric_latencies(tables, AUDIT_CAP),
-            probes::ecmp_sites(net, tables, AUDIT_CAP),
-        )
+        let found = probes::sweep(net, tables, AUDIT_CAP);
+        (found.asymmetric, found.ecmp)
     });
     let (naive_secs, want) = time_best(1, || {
         (

@@ -33,12 +33,13 @@ use massf_routing::probes;
 use massf_routing::RoutingTables;
 use massf_topology::Network;
 use massf_traffic::tracefile::{Trace, TraceError};
+use std::sync::OnceLock;
 
 /// Everything the artifact audit may inspect. Optional parts simply skip
 /// the passes that need them, so one input type serves a post-`partition`
 /// audit (partition only), a post-`run` audit (partition + tables), and a
 /// trace-file check alike.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct ArtifactInput<'a> {
     /// The emulated network the artifacts were produced from.
     pub net: &'a Network,
@@ -61,6 +62,9 @@ pub struct ArtifactInput<'a> {
     /// (MC019 compares their total against the prediction; MC020 checks
     /// epoch-over-epoch stability).
     pub epoch_engine_loads: Option<&'a [Vec<u64>]>,
+    /// MC014's and MC015's findings: one sweep of `tables`, made by
+    /// whichever of the two passes runs first.
+    routing_probes: OnceLock<probes::Findings>,
 }
 
 impl<'a> ArtifactInput<'a> {
@@ -76,7 +80,18 @@ impl<'a> ArtifactInput<'a> {
             trace: None,
             predicted_engine_loads: None,
             epoch_engine_loads: None,
+            routing_probes: OnceLock::new(),
         }
+    }
+
+    /// The routing probes' findings, swept on first use; `None` without
+    /// tables.
+    fn routing_probes(&self) -> Option<&probes::Findings> {
+        let tables = self.tables?;
+        Some(
+            self.routing_probes
+                .get_or_init(|| probes::sweep(self.net, tables, Code::CAP - 1)),
+        )
     }
 
     /// Builder: sets the requested engine count.
@@ -309,10 +324,13 @@ fn partition_shape(input: &ArtifactInput<'_>, diags: &mut Diagnostics) {
 /// construction; any disagreement means corrupted tables and an unsound
 /// lookahead bound.
 fn routing_asymmetry(input: &ArtifactInput<'_>, diags: &mut Diagnostics) {
-    let Some(tables) = input.tables else {
+    let Some(probes::Findings {
+        asymmetric: (pairs, total),
+        ..
+    }) = input.routing_probes()
+    else {
         return;
     };
-    let (pairs, total) = probes::asymmetric_latencies(tables, Code::CAP - 1);
     let fmt_us = |us: u64| {
         if us == u64::MAX {
             "unreachable".to_string()
@@ -320,7 +338,7 @@ fn routing_asymmetry(input: &ArtifactInput<'_>, diags: &mut Diagnostics) {
             format!("{us} µs")
         }
     };
-    for pair in &pairs {
+    for pair in pairs {
         diags.push(
             Code::Mc014,
             Severity::Error,
@@ -336,7 +354,7 @@ fn routing_asymmetry(input: &ArtifactInput<'_>, diags: &mut Diagnostics) {
             ),
         );
     }
-    if total > pairs.len() {
+    if *total > pairs.len() {
         diags.push(
             Code::Mc014,
             Severity::Error,
@@ -353,11 +371,14 @@ fn routing_asymmetry(input: &ArtifactInput<'_>, diags: &mut Diagnostics) {
 /// chosen by the deterministic tie-break, not by cost. Renumbering the
 /// topology re-routes this traffic, shifting link load between engines.
 fn ecmp_ambiguity(input: &ArtifactInput<'_>, diags: &mut Diagnostics) {
-    let Some(tables) = input.tables else {
+    let Some(probes::Findings {
+        ecmp: (sites, total),
+        ..
+    }) = input.routing_probes()
+    else {
         return;
     };
-    let (sites, total) = probes::ecmp_sites(input.net, tables, Code::CAP - 1);
-    for site in &sites {
+    for site in sites {
         let hops: Vec<String> = site.next_hops.iter().map(|h| h.to_string()).collect();
         diags.push(
             Code::Mc015,
@@ -373,7 +394,7 @@ fn ecmp_ambiguity(input: &ArtifactInput<'_>, diags: &mut Diagnostics) {
             ),
         );
     }
-    if total > sites.len() {
+    if *total > sites.len() {
         diags.push(
             Code::Mc015,
             Severity::Note,

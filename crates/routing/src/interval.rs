@@ -320,20 +320,40 @@ impl IntervalTables {
         }
     }
 
-    /// The run of `src`'s row covering `dst`, filling the row first if
-    /// this is its first demand. The winner of a race encodes; losers
-    /// observe the winner's row — and every encoding of the same row is
-    /// bit-identical anyway.
+    /// `src`'s row, filled first if this is its first demand. The winner
+    /// of a race encodes; losers observe the winner's row — and every
+    /// encoding of the same row is bit-identical anyway.
     #[inline]
-    fn run_entry(&self, src: NodeId, dst: NodeId) -> (NodeId, LinkId) {
-        let row = self.rows[src as usize].get_or_init(|| {
+    fn row(&self, src: NodeId) -> &Row {
+        self.rows[src as usize].get_or_init(|| {
             let d = self
                 .demand
                 .as_ref()
                 .expect("a table without encode inputs has every row installed");
             encode_spf_row(&d.net, src, &d.order, &mut SpfScratch::new())
-        });
-        row.lookup(self.rank[dst as usize])
+        })
+    }
+
+    /// The run of `src`'s row covering `dst`.
+    #[inline]
+    fn run_entry(&self, src: NodeId, dst: NodeId) -> (NodeId, LinkId) {
+        self.row(src).lookup(self.rank[dst as usize])
+    }
+
+    /// The whole row of the non-leaf `src` into `out`, indexed by
+    /// destination rank: one in-order pass over its runs, no search.
+    /// Counted and filled as one [`entry`](Self::entry) lookup. `src`'s
+    /// own rank holds a neighbouring run's answer, not the diagonal's.
+    pub(crate) fn decode_row(&self, src: NodeId, out: &mut Vec<(NodeId, LinkId)>) {
+        self.count(src);
+        let row = self.row(src);
+        let (starts, rest) = row.0.split_at(row.len());
+        let (hops, links) = rest.split_at(row.len());
+        out.clear();
+        for (i, (&hop, &link)) in hops.iter().zip(links).enumerate() {
+            let end = starts.get(i + 1).map_or(self.rank.len(), |&s| s as usize);
+            out.resize(end, (hop, LinkId(link)));
+        }
     }
 
     /// `(next_hop, next_link)` from `src` toward `dst`;

@@ -1,26 +1,39 @@
 //! Static probes over built routing tables, consumed by the artifact
-//! audit (`massf-lint` MC014/MC015).
+//! audit (`massf-lint` MC014/MC015). [`sweep`] runs both and returns
+//! their [`Findings`]:
 //!
-//! * [`asymmetric_latencies`] — (src, dst) pairs whose A→B and B→A
-//!   shortest-path latencies disagree. Links are bidirectional with one
-//!   latency, so Dijkstra over an intact table is symmetric by
-//!   construction; asymmetry means a corrupted or hand-edited table (or a
-//!   future directed-link model leaking in) and breaks the conservative
+//! * **asymmetry** — (src, dst) pairs whose A→B and B→A shortest-path
+//!   latencies disagree. Links are bidirectional with one latency, so
+//!   Dijkstra over an intact table is symmetric by construction;
+//!   asymmetry means a corrupted or hand-edited table (or a future
+//!   directed-link model leaking in) and breaks the conservative
 //!   lookahead argument, which assumes the cut latency bounds *both*
 //!   directions.
-//! * [`ecmp_sites`] — (src, dst) pairs with several equal-cost first hops.
+//! * **ECMP** — (src, dst) pairs with several equal-cost first hops.
 //!   The Dijkstra tie-break (latency, then hop count, then node id) picks
 //!   one deterministically, but the choice is an artifact of node
 //!   numbering: renumbering the topology re-routes that traffic and shifts
 //!   link load between engines. The audit surfaces how much of the route
 //!   set rests on tie-breaks.
 //!
-//! Both probes go through the public [`RoutingTables`] query API — never
-//! the storage internals — so artifact audits run identically over
-//! prefilled and lazy tables. They read whole latency columns through
-//! [`LatenciesTo`](crate::LatenciesTo) — n memoized lookups per
-//! destination — instead of walking a next-hop chain per pair, and hold at
-//! most 1 MiB of scratch (`SCRATCH_BYTES`): never an n × n matrix.
+//! The sweep covers the router core, not every node. A leaf (a degree-1
+//! node with the tables' leaf record, hanging off parent `p` over an
+//! uplink of latency `u`) is *folded* onto `p` when the tables prove
+//! `lat(x→h) = lat(x→p) + u` for every `x`: every non-leaf row sends `h`
+//! the same `(hop, link)` as `p`, and `p`'s row sends `h` over the uplink
+//! — one in-order pass over each row's runs (`Fold::new`).
+//! `lat(h→x) = u + lat(p→x)` holds by construction (a leaf row delegates
+//! to its parent's). A leaf that fails the check is swept like any core
+//! node, so a damaged table is reported pair by pair, exactly; tables
+//! without leaf records sweep every node. Each swept result then stands
+//! for the folded pairs it implies, and every witness goes through the
+//! same first-`cap` selection, so totals and witness lists are those of a
+//! sweep over every pair.
+//!
+//! The columns come through [`LatenciesTo`](crate::LatenciesTo) — one
+//! memoized lookup per node per destination — each is read once and
+//! feeds both probes, and the sweep holds at most 1 MiB of scratch
+//! (`SCRATCH_BYTES`): never an n × n matrix.
 //!
 //! Both probes collect at most a caller-given number of witnesses and
 //! return the exact total alongside, so lint reports stay bounded while
@@ -33,16 +46,17 @@ use std::collections::BinaryHeap;
 #[cfg(test)]
 mod naive;
 
-/// Most the asymmetry probe may hold at once: its tile of resident
-/// columns plus the climb's own arrays. 1 MiB is 64 columns at n = 1 980;
-/// it is the binding limit from n ≈ 2 050 up.
+/// Most the sweep may hold at once: its tile of resident columns plus
+/// the climb's own arrays. A column holds one latency per swept node;
+/// the budget binds before the `MIN_TILES` share does from about
+/// n = 2 020 nodes up.
 const SCRATCH_BYTES: usize = 1 << 20;
 
-/// Fewest tiles a sweep is cut into: a tile is at most 1/32 of the
-/// columns even when the budget would hold more, so on a small network
-/// the scratch stays in proportion to a run that itself peaks at a few
-/// MiB (a budget-sized tile at n = 564 measured +0.4 MiB on a 5.2 MiB
-/// peak; 1/32 of the columns, 80 KiB, measures +0).
+/// A tile holds no more bytes than 1/32 of the n columns of n nodes
+/// would, even when the budget allows more, so on a small network the
+/// scratch stays in proportion to a run that itself peaks at a few MiB
+/// (a budget-sized tile at n = 564 measured +0.4 MiB on a 5.2 MiB peak;
+/// 1/32 of the columns, 80 KiB, measures +0).
 const MIN_TILES: usize = 32;
 
 /// The first `cap` witnesses in ascending key order, from sweeps that
@@ -77,6 +91,49 @@ impl<T: Ord> FirstK<T> {
     }
 }
 
+/// The swept nodes and the leaves folded onto each (see the module doc).
+struct Fold {
+    /// Every node without a leaf record, and every leaf that failed the
+    /// check, ascending.
+    swept: Vec<NodeId>,
+    /// `group[i]` is `swept[i]` at shift 0, then each leaf folded onto it
+    /// with its uplink latency: every member's latencies are `swept[i]`'s
+    /// shifted by its own uplink.
+    group: Vec<Vec<(NodeId, u64)>>,
+}
+
+impl Fold {
+    fn new(tables: &RoutingTables) -> Self {
+        let t = &tables.interval;
+        // `folds[h]`: `h` is a leaf and every row read so far agrees.
+        let mut folds: Vec<bool> = t.leaf.iter().map(Option::is_some).collect();
+        let mut row = Vec::new();
+        for x in (0..t.leaf.len() as NodeId).filter(|&x| t.leaf[x as usize].is_none()) {
+            t.decode_row(x, &mut row);
+            for (h, leaf) in t.leaf.iter().enumerate() {
+                if let &Some((p, uplink)) = leaf {
+                    let want = if p == x {
+                        (h as NodeId, uplink)
+                    } else {
+                        row[t.rank[p as usize] as usize]
+                    };
+                    folds[h] &= row[t.rank[h] as usize] == want;
+                }
+            }
+        }
+        let swept: Vec<NodeId> = (0..folds.len() as NodeId)
+            .filter(|&v| !folds[v as usize])
+            .collect();
+        let mut group: Vec<_> = swept.iter().map(|&v| vec![(v, 0)]).collect();
+        for (h, leaf) in t.leaf.iter().enumerate().filter(|&(h, _)| folds[h]) {
+            let (p, uplink) = leaf.expect("only leaves fold");
+            let i = swept.binary_search(&p).expect("a leaf's parent is swept");
+            group[i].push((h as NodeId, t.link_latency_us[uplink.0 as usize]));
+        }
+        Self { swept, group }
+    }
+}
+
 /// One src/dst pair whose two directions disagree on shortest-path
 /// latency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,64 +146,6 @@ pub struct AsymmetricPair {
     pub ab_us: u64,
     /// Latency b→a in microseconds (`u64::MAX` when unreachable).
     pub ba_us: u64,
-}
-
-/// Scans the latency matrix for direction disagreements. Returns up to
-/// `cap` witness pairs in ascending `(a, b)` order plus the total number
-/// of asymmetric pairs. One-way reachability (one direction `u64::MAX`)
-/// counts as asymmetry.
-pub fn asymmetric_latencies(tables: &RoutingTables, cap: usize) -> (Vec<AsymmetricPair>, usize) {
-    let n = tables.node_count().max(1);
-    // 12 bytes per node are the climb's value and stamp arrays.
-    let width = SCRATCH_BYTES.saturating_sub(12 * n) / (8 * n);
-    asymmetric_tiled(tables, cap, width.clamp(1, n.div_ceil(MIN_TILES)))
-}
-
-/// The matrix is compared with its transpose one tile at a time: the
-/// columns toward `width` consecutive nodes `a` stay resident (`lat(b→a)`
-/// for every `b`), then each `b` is climbed toward from the tile's
-/// sources only — their chains merge on the way to `b`, and the memo pays
-/// each shared tail once.
-fn asymmetric_tiled(
-    tables: &RoutingTables,
-    cap: usize,
-    width: usize,
-) -> (Vec<AsymmetricPair>, usize) {
-    let n = tables.node_count();
-    let mut first = FirstK::new(cap);
-    let mut total = 0usize;
-    let mut col = tables.latencies_to();
-    // `tile[k][b]` is `lat(b → a0 + k)`. One allocation per column: each
-    // is small enough to be served from memory the routing build has
-    // already returned, where a single 1 MiB block is fresh pages on top
-    // of the run's peak RSS (measured: +1.0 MiB on 11.6).
-    let mut tile: Vec<Vec<u64>> = (0..width).map(|_| vec![0u64; n]).collect();
-    for a0 in (0..n).step_by(width) {
-        let a1 = (a0 + width).min(n);
-        for (a, column) in (a0..a1).zip(&mut tile) {
-            col.retarget(a as NodeId);
-            // Pairs are unordered: only `b` above the tile's first node
-            // is ever compared.
-            for (b, back) in column.iter_mut().enumerate().skip(a0 + 1) {
-                *back = col.from(b as NodeId);
-            }
-        }
-        for b in a0 + 1..n {
-            col.retarget(b as NodeId);
-            for (a, back) in (a0 as NodeId..).zip(&tile[..a1.min(b) - a0]) {
-                let (ab, ba) = (col.from(a), back[b]);
-                if ab != ba {
-                    total += 1;
-                    first.offer((a, b as NodeId), || (ab, ba));
-                }
-            }
-        }
-    }
-    let pairs = first
-        .into_sorted()
-        .map(|((a, b), (ab_us, ba_us))| AsymmetricPair { a, b, ab_us, ba_us })
-        .collect();
-    (pairs, total)
 }
 
 /// One src/dst pair whose shortest path admits several equal-cost first
@@ -162,55 +161,187 @@ pub struct EcmpSite {
     pub next_hops: Vec<NodeId>,
 }
 
-/// Finds routes with equal-cost next-hop alternatives: neighbor `v` of
-/// `src` is cost-optimal toward `dst` when
-/// `link(src,v) + dist(v,dst) == dist(src,dst)`. Returns up to `cap`
-/// witness sites in ascending `(src, dst)` order plus the total count of
-/// ambiguous pairs.
-///
-/// Sweeps destination-major: `dist` and every neighbour's `rest` come out
-/// of the one resident column, O(n + links) per destination.
-pub fn ecmp_sites(net: &Network, tables: &RoutingTables, cap: usize) -> (Vec<EcmpSite>, usize) {
-    let n = tables.node_count();
-    debug_assert_eq!(n, net.node_count());
-    let mut first = FirstK::new(cap);
-    let mut total = 0usize;
+/// Both probes' findings: up to `cap` witnesses each in ascending key
+/// order, with the exact total beside them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Findings {
+    /// Pairs whose two directions disagree on latency, keyed `(a, b)`
+    /// with `a < b`. One-way reachability (one direction `u64::MAX`)
+    /// counts as asymmetry.
+    pub asymmetric: (Vec<AsymmetricPair>, usize),
+    /// Routes with several cost-optimal first hops, keyed `(src, dst)`:
+    /// neighbour `v` of `src` is optimal toward `dst` when
+    /// `link(src,v) + dist(v,dst) == dist(src,dst)`.
+    pub ecmp: (Vec<EcmpSite>, usize),
+}
+
+/// Runs both probes in one sweep of the swept set's latency columns.
+pub fn sweep(net: &Network, tables: &RoutingTables, cap: usize) -> Findings {
+    let fold = Fold::new(tables);
+    let (n, s) = (tables.node_count(), fold.swept.len().max(1));
+    // 12 bytes per node are the climb's value and stamp arrays.
+    let bytes = SCRATCH_BYTES
+        .saturating_sub(12 * n)
+        .min(8 * n * n.div_ceil(MIN_TILES));
+    sweep_tiled(net, tables, &fold, cap, (bytes / (8 * s)).clamp(1, s))
+}
+
+/// The swept nodes are taken `width` at a time. Each one's whole column
+/// is read once: MC015 runs over it there and then, and its swept
+/// entries (`lat(q→p)` for every swept `q`) stay resident for MC014,
+/// which then climbs toward each `q` from the tile's nodes only — their
+/// chains merge on the way to `q`, and the memo pays each shared tail
+/// once. An asymmetric `(p, q)` stands for every pair of their groups,
+/// each shifted by both members' uplinks; pairs inside one group are
+/// symmetric (`u + u'` both ways).
+fn sweep_tiled(
+    net: &Network,
+    tables: &RoutingTables,
+    fold: &Fold,
+    cap: usize,
+    width: usize,
+) -> Findings {
+    debug_assert_eq!(tables.node_count(), net.node_count());
+    let (swept, s) = (&fold.swept, fold.swept.len());
+    let (mut asym, mut asym_total) = (FirstK::new(cap), 0usize);
+    let mut ecmp = Ecmp {
+        net,
+        // Degree-1 sources are skipped: one neighbour never gives two hops.
+        sources: swept
+            .iter()
+            .copied()
+            .filter(|&v| net.degree(v) >= 2)
+            .collect(),
+        hops: Vec::new(),
+        first: FirstK::new(cap),
+        total: 0,
+    };
     let mut col = tables.latencies_to();
-    for dst in 0..n as NodeId {
-        col.retarget(dst);
-        let lat = col.all();
-        for src in 0..n as NodeId {
-            let dist = lat[src as usize];
-            if src == dst || dist == u64::MAX {
-                continue;
+    // `tile[k][j]` is `lat(swept[j] → swept[i0 + k])`. One allocation per
+    // column: each is small enough to be served from memory the routing
+    // build has already returned, where a single 1 MiB block is fresh
+    // pages on top of the run's peak RSS (measured: +1.0 MiB on 11.6).
+    let mut tile: Vec<Vec<u64>> = (0..width).map(|_| vec![0u64; s]).collect();
+    for i0 in (0..s).step_by(width) {
+        let i1 = (i0 + width).min(s);
+        for (i, column) in (i0..i1).zip(&mut tile) {
+            col.retarget(swept[i]);
+            let lat = col.all();
+            ecmp.toward(&fold.group[i], lat);
+            for (back, &q) in column.iter_mut().zip(swept) {
+                *back = lat[q as usize];
             }
-            let optimal_hops = || {
-                net.neighbors(src).iter().filter_map(|&(v, l)| {
-                    let rest = if v == dst { 0 } else { lat[v as usize] };
-                    let optimal =
-                        rest != u64::MAX && net.link(l).latency_us.saturating_add(rest) == dist;
-                    optimal.then_some(v)
-                })
-            };
-            if optimal_hops().count() >= 2 {
-                total += 1;
-                first.offer((src, dst), || {
-                    let mut hops: Vec<NodeId> = optimal_hops().collect();
-                    hops.sort_unstable();
-                    hops
-                });
+        }
+        // Pairs are unordered: only `q` above the tile's first node is
+        // ever compared, and a `q` inside the tile has its column there.
+        for j in i0 + 1..s {
+            if j >= i1 {
+                col.retarget(swept[j]);
+            }
+            for (i, back) in (i0..).zip(&tile[..i1.min(j) - i0]) {
+                let pq = if j < i1 {
+                    tile[j - i0][i]
+                } else {
+                    col.from(swept[i])
+                };
+                let qp = back[j];
+                if pq == qp {
+                    continue;
+                }
+                for &(a, ua) in &fold.group[i] {
+                    for &(b, ub) in &fold.group[j] {
+                        let (ab, ba) = (pq.saturating_add(ua + ub), qp.saturating_add(ua + ub));
+                        asym_total += 1;
+                        if a < b {
+                            asym.offer((a, b), || (ab, ba));
+                        } else {
+                            asym.offer((b, a), || (ba, ab));
+                        }
+                    }
+                }
             }
         }
     }
-    let sites = first
-        .into_sorted()
-        .map(|((src, dst), next_hops)| EcmpSite {
-            src,
-            dst,
-            next_hops,
-        })
-        .collect();
-    (sites, total)
+    let pairs = asym.into_sorted();
+    let sites = ecmp.first.into_sorted();
+    Findings {
+        asymmetric: (
+            pairs
+                .map(|((a, b), (ab_us, ba_us))| AsymmetricPair { a, b, ab_us, ba_us })
+                .collect(),
+            asym_total,
+        ),
+        ecmp: (
+            sites
+                .map(|((src, dst), next_hops)| EcmpSite {
+                    src,
+                    dst,
+                    next_hops,
+                })
+                .collect(),
+            ecmp.total,
+        ),
+    }
+}
+
+/// The MC015 half of the sweep.
+struct Ecmp<'n> {
+    net: &'n Network,
+    /// The swept nodes of degree ≥ 2.
+    sources: Vec<NodeId>,
+    hops: Vec<NodeId>,
+    first: FirstK<Vec<NodeId>>,
+    total: usize,
+}
+
+impl Ecmp<'_> {
+    /// Every site toward the swept `group[0]` and the leaves folded onto
+    /// it, from its whole column `lat`. A site `(x, p)` stands for
+    /// `(x, h)` with the same hops for every leaf `h` folded onto `p`
+    /// (both sides of the test shift by `h`'s uplink); `(p, h)` itself is
+    /// tested over `p`'s neighbours, whose `rest` is the column's shifted
+    /// the same way.
+    fn toward(&mut self, group: &[(NodeId, u64)], lat: &[u64]) {
+        let dst = group[0].0;
+        for i in 0..self.sources.len() {
+            let src = self.sources[i];
+            let dist = lat[src as usize];
+            if src != dst && dist != u64::MAX && self.optimal(src, dist, |v| lat[v as usize]) {
+                for &(d, _) in group {
+                    self.total += 1;
+                    self.first.offer((src, d), || self.hops.clone());
+                }
+            }
+        }
+        for &(h, u) in &group[1..] {
+            let rest = |v| {
+                if v == h {
+                    0
+                } else {
+                    lat[v as usize].saturating_add(u)
+                }
+            };
+            if self.optimal(dst, u, rest) {
+                self.total += 1;
+                self.first.offer((dst, h), || self.hops.clone());
+            }
+        }
+    }
+
+    /// Fills `hops` with the neighbours `v` of `src` on a route of latency
+    /// `dist`, `rest(v)` being the latency on from `v`, ascending; true
+    /// when there are several.
+    fn optimal(&mut self, src: NodeId, dist: u64, rest: impl Fn(NodeId) -> u64) -> bool {
+        self.hops.clear();
+        for &(v, l) in self.net.neighbors(src) {
+            let rest = rest(v);
+            if rest != u64::MAX && self.net.link(l).latency_us.saturating_add(rest) == dist {
+                self.hops.push(v);
+            }
+        }
+        self.hops.sort_unstable();
+        self.hops.len() >= 2
+    }
 }
 
 #[cfg(test)]
@@ -241,10 +372,15 @@ mod tests {
     }
 
     /// `net`'s shortest-path routes with `patch(src, dst)` overriding the
-    /// next hop where it answers (`NodeId::MAX` = no route).
-    fn patched(net: &Network, patch: impl Fn(NodeId, NodeId) -> Option<NodeId>) -> RoutingTables {
+    /// next hop where it answers (`NodeId::MAX` = no route); with
+    /// `leaves`, degree-1 nodes keep their leaf records.
+    fn patched(
+        net: &Network,
+        leaves: bool,
+        patch: impl Fn(NodeId, NodeId) -> Option<NodeId>,
+    ) -> RoutingTables {
         let honest = RoutingTables::build(net);
-        RoutingTables::hand_installed(net, |src, dst| {
+        RoutingTables::hand_installed(net, leaves, |src, dst| {
             patch(src, dst).unwrap_or_else(|| honest.next_hop(src, dst).unwrap_or(NodeId::MAX))
         })
     }
@@ -253,10 +389,19 @@ mod tests {
         [RoutingTables::build(net), RoutingTables::build_lazy(net)]
     }
 
+    /// The pairwise oracle's findings, in the sweep's shape.
+    fn oracle(net: &Network, tables: &RoutingTables, cap: usize) -> Findings {
+        Findings {
+            asymmetric: naive::asymmetric_latencies(tables, cap),
+            ecmp: naive::ecmp_sites(net, tables, cap),
+        }
+    }
+
     #[test]
     fn intact_tables_are_symmetric_under_both_fill_policies() {
-        for tables in both(&square()) {
-            let (pairs, total) = asymmetric_latencies(&tables, 8);
+        let net = square();
+        for tables in both(&net) {
+            let (pairs, total) = sweep(&net, &tables, 8).asymmetric;
             assert!(pairs.is_empty(), "{pairs:?}");
             assert_eq!(total, 0);
         }
@@ -265,14 +410,15 @@ mod tests {
     #[test]
     fn a_directed_detour_is_detected() {
         // 0→1 goes the long way round (0-3-2-1, 300 µs); 1→0 stays direct.
-        let tables = patched(&square(), |src, dst| match (src, dst) {
+        let net = square();
+        let tables = patched(&net, false, |src, dst| match (src, dst) {
             (0, 1) => Some(3),
             (3, 1) => Some(2),
             _ => None,
         });
         assert_eq!(tables.latency_us(0, 1), Some(300));
         assert_eq!(tables.latency_us(1, 0), Some(100));
-        let (pairs, total) = asymmetric_latencies(&tables, 8);
+        let (pairs, total) = sweep(&net, &tables, 8).asymmetric;
         assert_eq!(total, 1);
         assert_eq!(
             pairs,
@@ -288,12 +434,13 @@ mod tests {
     #[test]
     fn one_way_reachability_counts_as_asymmetry() {
         // 0 has no route to 3 (and 1 is kept off it), 3 still reaches 0.
-        let tables = patched(&square(), |src, dst| match (src, dst) {
+        let net = square();
+        let tables = patched(&net, false, |src, dst| match (src, dst) {
             (0, 3) => Some(NodeId::MAX),
             (1, 3) => Some(2),
             _ => None,
         });
-        let (pairs, total) = asymmetric_latencies(&tables, 8);
+        let (pairs, total) = sweep(&net, &tables, 8).asymmetric;
         assert_eq!(total, 1);
         assert_eq!((pairs[0].a, pairs[0].b), (0, 3));
         assert_eq!(pairs[0].ab_us, u64::MAX);
@@ -303,12 +450,13 @@ mod tests {
     #[test]
     fn cap_bounds_witnesses_but_not_the_total() {
         // 0 routes nowhere; 1 and 3 reach each other through 2.
-        let tables = patched(&square(), |src, dst| match (src, dst) {
+        let net = square();
+        let tables = patched(&net, false, |src, dst| match (src, dst) {
             (0, _) => Some(NodeId::MAX),
             (1, 3) | (3, 1) => Some(2),
             _ => None,
         });
-        let (pairs, total) = asymmetric_latencies(&tables, 2);
+        let (pairs, total) = sweep(&net, &tables, 2).asymmetric;
         assert_eq!(total, 3);
         assert_eq!(pairs.len(), 2);
         assert!(pairs
@@ -320,7 +468,7 @@ mod tests {
     fn square_has_ecmp_between_opposite_corners() {
         let net = square();
         for tables in both(&net) {
-            let (sites, total) = ecmp_sites(&net, &tables, 32);
+            let (sites, total) = sweep(&net, &tables, 32).ecmp;
             // 0↔2 and 1↔3 are ambiguous in both directions: 4 ordered pairs.
             assert_eq!(total, 4);
             let site = sites
@@ -341,9 +489,9 @@ mod tests {
         net.add_link(r[0], r[2], 1000.0, 100);
         net.add_link(r[2], r[1], 1000.0, 100);
         let tables = RoutingTables::build(&net);
-        let got = ecmp_sites(&net, &tables, 8);
-        assert_eq!(got, naive::ecmp_sites(&net, &tables, 8));
-        assert_eq!(got.0[0].next_hops, vec![1, 2]);
+        let got = sweep(&net, &tables, 8);
+        assert_eq!(got, oracle(&net, &tables, 8));
+        assert_eq!(got.ecmp.0[0].next_hops, vec![1, 2]);
     }
 
     #[test]
@@ -355,10 +503,41 @@ mod tests {
         net.add_link(a, b, 1000.0, 100);
         net.add_link(b, c, 1000.0, 150);
         for tables in both(&net) {
-            let (sites, total) = ecmp_sites(&net, &tables, 32);
+            let (sites, total) = sweep(&net, &tables, 32).ecmp;
             assert!(sites.is_empty());
             assert_eq!(total, 0);
         }
+    }
+
+    #[test]
+    fn a_damaged_uplink_entry_unfolds_its_leaf() {
+        // r0-r1-r2 with host h on r1: r0, r2 and h are all leaves of r1.
+        // r1 losing its route to h fails h's check, so h is swept, and
+        // the one swept asymmetry (r1, h) stands for r0's and r2's too.
+        let mut net = Network::new();
+        let r: Vec<_> = (0..3).map(|i| net.add_router(format!("r{i}"), 0)).collect();
+        let h = net.add_host("h", 0);
+        net.add_link(r[0], r[1], 1000.0, 100);
+        net.add_link(r[1], r[2], 1000.0, 100);
+        net.add_link(r[1], h, 1000.0, 10);
+        let tables = patched(&net, true, |src, dst| {
+            (src, dst).eq(&(1, h)).then_some(NodeId::MAX)
+        });
+        let fold = Fold::new(&tables);
+        assert_eq!(fold.swept, [1, h]);
+        assert_eq!(fold.group[0], [(1, 0), (0, 100), (2, 100)]);
+        let got = sweep(&net, &tables, 8);
+        assert_eq!(got, oracle(&net, &tables, 8));
+        let back: Vec<_> = got
+            .asymmetric
+            .0
+            .iter()
+            .map(|p| (p.a, p.ab_us, p.ba_us))
+            .collect();
+        assert_eq!(
+            back,
+            [(0, u64::MAX, 110), (1, u64::MAX, 10), (2, u64::MAX, 110)]
+        );
     }
 
     proptest! {
@@ -366,13 +545,18 @@ mod tests {
 
         /// 1–8 entries of an honest table set to "no route" (loop-free by
         /// construction: removing a hop cannot close a cycle) dead-end
-        /// every route through them, one direction only. Both probes
-        /// report the damage exactly as the pairwise oracle does, at every
-        /// cap and at tile widths that do and do not divide n.
+        /// every route through them, one direction only; up to three more
+        /// are aimed at the fold — in a non-leaf row `x`, the entry toward
+        /// a leaf `h`, toward its parent `p`, both, or `p`'s uplink entry
+        /// toward `h`. With and without leaf records, both probes report
+        /// the damage exactly as the pairwise oracle does, at every cap
+        /// and at tile widths that do and do not divide the swept count.
         #[test]
         fn dead_ended_entries_match_the_oracle(
             (routers, hosts, seed, tied) in (4usize..14, 0usize..10, any::<u64>(), prop::bool::ANY),
             cells in prop::collection::vec((any::<usize>(), any::<usize>()), 1..9),
+            aimed in prop::collection::vec((any::<usize>(), any::<usize>(), 0u8..4), 0..4),
+            leaves in prop::bool::ANY,
             width in 1usize..9,
         ) {
             let net = generate(&BriteConfig {
@@ -386,23 +570,32 @@ mod tests {
                 ..BriteConfig::paper_brite()
             });
             let n = net.node_count();
-            let cut: Vec<(NodeId, NodeId)> = cells
+            let mut cut: Vec<(NodeId, NodeId)> = cells
                 .into_iter()
                 .map(|(src, dst)| ((src % n) as NodeId, (dst % n) as NodeId))
                 .collect();
-            let tables = patched(&net, |src, dst| cut.contains(&(src, dst)).then_some(NodeId::MAX));
-            let asym_total = naive::asymmetric_latencies(&tables, 0).1;
-            for cap in [0, 1, 3, asym_total + 5] {
-                let want = naive::asymmetric_latencies(&tables, cap);
-                prop_assert_eq!(&asymmetric_latencies(&tables, cap), &want);
-                prop_assert_eq!(&asymmetric_tiled(&tables, cap, width.min(n)), &want);
+            let leaf = RoutingTables::build(&net).interval.leaf;
+            let rows: Vec<NodeId> = (0..n as NodeId).filter(|&v| leaf[v as usize].is_none()).collect();
+            let leaf: Vec<(NodeId, NodeId)> = (0..n as NodeId)
+                .filter_map(|h| leaf[h as usize].map(|(p, _)| (h, p)))
+                .collect();
+            for (l, x, what) in aimed.into_iter().filter(|_| !leaf.is_empty()) {
+                let ((h, p), x) = (leaf[l % leaf.len()], rows[x % rows.len()]);
+                match what {
+                    0 => cut.push((x, h)),
+                    1 => cut.push((x, p)),
+                    2 => cut.extend([(x, h), (x, p)]),
+                    _ => cut.push((p, h)),
+                }
             }
-            let ecmp_total = naive::ecmp_sites(&net, &tables, 0).1;
-            for cap in [0, 1, 3, ecmp_total + 5] {
-                prop_assert_eq!(
-                    ecmp_sites(&net, &tables, cap),
-                    naive::ecmp_sites(&net, &tables, cap)
-                );
+            let tables = patched(&net, leaves, |src, dst| cut.contains(&(src, dst)).then_some(NodeId::MAX));
+            let fold = Fold::new(&tables);
+            let width = width.min(fold.swept.len());
+            let totals = oracle(&net, &tables, 0);
+            for cap in [0, 1, 3, totals.asymmetric.1 + 5, totals.ecmp.1 + 5] {
+                let want = oracle(&net, &tables, cap);
+                prop_assert_eq!(&sweep(&net, &tables, cap), &want);
+                prop_assert_eq!(&sweep_tiled(&net, &tables, &fold, cap, width), &want);
             }
         }
     }

@@ -18,7 +18,7 @@ fn lat(tables: &RoutingTables, src: NodeId, dst: NodeId) -> u64 {
     tables.latency_us(src, dst).unwrap_or(u64::MAX)
 }
 
-/// Reference for `probes::asymmetric_latencies`.
+/// Reference for `probes::sweep(..).asymmetric`.
 pub fn asymmetric_latencies(tables: &RoutingTables, cap: usize) -> (Vec<AsymmetricPair>, usize) {
     let n = tables.node_count();
     let mut out = Vec::new();
@@ -43,7 +43,7 @@ pub fn asymmetric_latencies(tables: &RoutingTables, cap: usize) -> (Vec<Asymmetr
     (out, total)
 }
 
-/// Reference for `probes::ecmp_sites`.
+/// Reference for `probes::sweep(..).ecmp`.
 pub fn ecmp_sites(net: &Network, tables: &RoutingTables, cap: usize) -> (Vec<EcmpSite>, usize) {
     let n = tables.node_count();
     let mut out = Vec::new();

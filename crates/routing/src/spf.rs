@@ -57,6 +57,13 @@ impl SpfScratch {
     /// Runs Dijkstra from `source`, reusing this scratch's buffers. The
     /// results stay readable through [`dist_us`](Self::dist_us) and
     /// [`first_hops`](Self::first_hops) until the next `run`.
+    ///
+    /// A degree-1 node other than the source never enters the heap: its
+    /// one neighbour is the node being settled when it is first relaxed,
+    /// so that relaxation is final, and settling it would relax nothing.
+    /// Its dist/hops/prev are recorded there and then — on a host-heavy
+    /// network the heap holds the router core only, and every result is
+    /// what queueing each node would give.
     pub fn run(&mut self, net: &Network, source: NodeId) {
         let n = net.node_count();
         self.runs += 1;
@@ -95,7 +102,9 @@ impl SpfScratch {
                     self.dist_us[u as usize] = nd;
                     self.hops[u as usize] = nh;
                     self.prev[u as usize] = v;
-                    self.heap.push(Reverse((nd, nh, u)));
+                    if net.degree(u) != 1 {
+                        self.heap.push(Reverse((nd, nh, u)));
+                    }
                 }
             }
         }
@@ -312,16 +321,47 @@ mod tests {
         assert_eq!(first[0], 0, "direct neighbour is its own first hop");
     }
 
+    /// The diamond plus the shapes a settled degree-1 node meets: a host
+    /// on a degree-2 router, a router whose only links are two hosts, a
+    /// two-node island and an isolated node.
+    fn leafy() -> Network {
+        let mut net = diamond();
+        let stub = net.add_router("stub", 0);
+        let host = net.add_host("h", 0);
+        net.add_link(3, stub, 100.0, 7);
+        net.add_link(stub, host, 100.0, 3);
+        let hub = net.add_router("hub", 0);
+        for i in 0..2 {
+            let x = net.add_host(format!("x{i}"), 0);
+            net.add_link(hub, x, 100.0, 4);
+        }
+        let a = net.add_router("island-a", 0);
+        let b = net.add_router("island-b", 0);
+        net.add_link(a, b, 100.0, 5);
+        net.add_host("isolated", 0);
+        net
+    }
+
     #[test]
     fn scratch_reuse_matches_standalone_runs() {
-        // One scratch across different sources *and* different networks
-        // (the hierarchical builder's reuse pattern) must reproduce the
-        // allocating path bit for bit.
+        // One scratch across every source *and* different networks (the
+        // hierarchical builder's reuse pattern) must reproduce the
+        // allocating path bit for bit, and both must equal the Dijkstra
+        // that queues every node — degree-1 sources included.
         let mut scratch = SpfScratch::new();
-        let nets = [diamond(), massf_topology::teragrid::teragrid(), diamond()];
+        let nets = [
+            diamond(),
+            massf_topology::teragrid::teragrid(),
+            diamond(),
+            leafy(),
+        ];
         for (i, net) in nets.iter().enumerate() {
-            for src in [0, (net.node_count() as NodeId - 1) / 2] {
+            for src in 0..net.node_count() as NodeId {
                 let tree = shortest_paths(net, src);
+                let plain = crate::tables::oracle::plain_tree(net, src);
+                assert_eq!(tree.dist_us, plain.dist_us, "net {i} src {src}");
+                assert_eq!(tree.hops, plain.hops, "net {i} src {src}");
+                assert_eq!(tree.prev, plain.prev, "net {i} src {src}");
                 scratch.run(net, src);
                 assert_eq!(scratch.dist_us(), &tree.dist_us[..], "net {i} src {src}");
                 assert_eq!(
@@ -331,8 +371,9 @@ mod tests {
                 );
             }
         }
-        assert_eq!(scratch.runs(), 6);
-        assert_eq!(scratch.allocs_saved(), 5 * SPF_RUN_ALLOCS);
+        let runs = nets.iter().map(|net| net.node_count() as u64).sum::<u64>();
+        assert_eq!(scratch.runs(), runs);
+        assert_eq!(scratch.allocs_saved(), (runs - 1) * SPF_RUN_ALLOCS);
     }
 
     #[test]

@@ -324,22 +324,31 @@ impl LatenciesTo<'_> {
 }
 
 #[cfg(test)]
-use crate::spf::shortest_paths;
+use crate::spf::SpfTree;
 
 #[cfg(test)]
-mod oracle;
+pub(crate) mod oracle;
 
 #[cfg(test)]
 impl RoutingTables {
-    /// A table whose every row is hand-installed from `route(src, dst)` —
-    /// no leaf records, no builder in the way. `NodeId::MAX` is "no
-    /// route"; the link is the one joining `src` to the hop. For tests
-    /// that need rows no builder would produce.
-    pub(crate) fn hand_installed(net: &Network, route: impl Fn(NodeId, NodeId) -> NodeId) -> Self {
+    /// A table whose rows are hand-installed from `route(src, dst)` — no
+    /// builder in the way. `NodeId::MAX` is "no route"; the link is the
+    /// one joining `src` to the hop. For tests that need rows no builder
+    /// would produce. Without `leaves` every node gets a row; with it,
+    /// degree-1 nodes keep the builders' leaf records (and `route` is
+    /// never asked for their rows).
+    pub(crate) fn hand_installed(
+        net: &Network,
+        leaves: bool,
+        route: impl Fn(NodeId, NodeId) -> NodeId,
+    ) -> Self {
         use crate::interval::Row;
         let order: Vec<NodeId> = (0..net.node_count() as NodeId).collect();
-        let interval = IntervalTables::empty(net, &order, false);
-        for &src in &order {
+        let interval = IntervalTables::empty(net, &order, leaves);
+        for &src in order
+            .iter()
+            .filter(|&&v| interval.leaf[v as usize].is_none())
+        {
             let row = Row::encode(&order, src, |dst| match route(src, dst) {
                 NodeId::MAX => (NodeId::MAX, NO_LINK),
                 hop => (hop, net.link_between(src, hop).expect("hops are adjacent")),
@@ -439,7 +448,7 @@ mod tests {
         // "unreachable" — and not index row `NodeId::MAX` in release.
         let net = line();
         let honest = RoutingTables::build(&net);
-        let t = RoutingTables::hand_installed(&net, |src, dst| match (src, dst) {
+        let t = RoutingTables::hand_installed(&net, false, |src, dst| match (src, dst) {
             (1, 3) => NodeId::MAX,
             _ => honest.next_hop(src, dst).unwrap(),
         });

@@ -7,11 +7,44 @@
 //! `bench_routing` row mount this same file with `#[path]`, so there is
 //! one oracle. Its names come from the module that mounts it.
 
-use super::{shortest_paths, LinkId, Network, NodeId, RoutingTables};
+use super::{LinkId, Network, NodeId, RoutingTables, SpfTree};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// Dijkstra from `source` in its textbook form: every node it reaches is
+/// queued and settled, where `SpfScratch::run` settles degree-1 nodes
+/// without queueing them. Same `(latency, hops, node id)` tie-break, so
+/// the two must agree on every dist, hop count and predecessor — and
+/// "tables ≡ oracle" compares two independent Dijkstras.
+pub fn plain_tree(net: &Network, source: NodeId) -> SpfTree {
+    let n = net.node_count();
+    let mut t = SpfTree {
+        source,
+        dist_us: vec![u64::MAX; n],
+        hops: vec![u32::MAX; n],
+        prev: vec![NodeId::MAX; n],
+    };
+    let mut done = vec![false; n];
+    let mut heap = BinaryHeap::from([Reverse((0u64, 0u32, source))]);
+    (t.dist_us[source as usize], t.hops[source as usize]) = (0, 0);
+    while let Some(Reverse((d, h, v))) = heap.pop() {
+        if std::mem::replace(&mut done[v as usize], true) {
+            continue;
+        }
+        for &(u, l) in net.neighbors(v) {
+            let (nd, nh, i) = (d + net.link(l).latency_us, h + 1, u as usize);
+            if !done[i] && (nd, nh, v) < (t.dist_us[i], t.hops[i], t.prev[i]) {
+                (t.dist_us[i], t.hops[i], t.prev[i]) = (nd, nh, v);
+                heap.push(Reverse((nd, nh, u)));
+            }
+        }
+    }
+    t
+}
 
 /// `next_hop[src * n + dst]` (`NodeId::MAX` on the diagonal and where
 /// unreachable) and `latency_us[src * n + dst]` (`u64::MAX` where
-/// unreachable), straight from `shortest_paths(net, src)`.
+/// unreachable), straight from `plain_tree(net, src)`.
 pub struct Oracle<'n> {
     net: &'n Network,
     n: usize,
@@ -24,7 +57,7 @@ impl<'n> Oracle<'n> {
         let n = net.node_count();
         let (mut next_hop, mut latency_us) = (Vec::new(), Vec::new());
         for src in 0..n as NodeId {
-            let tree = shortest_paths(net, src);
+            let tree = plain_tree(net, src);
             next_hop.extend(tree.first_hops());
             latency_us.extend(tree.dist_us);
         }

@@ -1,13 +1,14 @@
 //! Property tests for the interval-row routing table (DESIGN.md §13): on
-//! arbitrary generated Waxman/Barabási–Albert networks — and the shipped
-//! `campus()` fixture plus a host-heavy line — the prefilled tables must
-//! answer **every** routing query exactly as the n × n Dijkstra oracle
+//! arbitrary generated Waxman/Barabási–Albert networks with degree-1
+//! shapes added — and the shipped `campus()` fixture plus a host-heavy
+//! line — the prefilled tables must answer **every** routing query
+//! exactly as the n × n oracle over a Dijkstra that queues every node
 //! does, and a prefilled table must be structurally identical at every
 //! thread count to a lazy table whose every row has been demanded (one
 //! structure, two fill policies).
 
 use massf_par::Parallelism;
-use massf_routing::spf::shortest_paths;
+use massf_routing::spf::SpfTree;
 use massf_routing::{RoutingKind, RoutingTables};
 use massf_topology::brite::{generate, BriteConfig, GrowthModel};
 use massf_topology::campus::campus;
@@ -20,7 +21,10 @@ use proptest::prelude::*;
 mod oracle;
 use oracle::Oracle;
 
-/// Arbitrary small BRITE-like network.
+/// Arbitrary small BRITE-like network, plus the shapes in which Dijkstra
+/// settles a degree-1 node without queueing it: a host on a degree-2
+/// router, a router whose only links are two hosts, a two-node island and
+/// an isolated node. (Every node is a source, degree-1 ones included.)
 fn arb_network() -> impl Strategy<Value = Network> {
     (5usize..20, 0usize..12, any::<u64>(), prop::bool::ANY).prop_map(
         |(routers, hosts, seed, waxman)| {
@@ -32,13 +36,27 @@ fn arb_network() -> impl Strategy<Value = Network> {
             } else {
                 GrowthModel::BarabasiAlbert { m: 2 }
             };
-            generate(&BriteConfig {
+            let mut net = generate(&BriteConfig {
                 routers,
                 hosts,
                 model,
                 seed,
                 ..BriteConfig::paper_brite()
-            })
+            });
+            let stub = net.add_router("stub", 0);
+            let host = net.add_host("stub-host", 0);
+            net.add_link(0, stub, 1000.0, 120);
+            net.add_link(stub, host, 100.0, 10);
+            let hub = net.add_router("hub", 98);
+            for i in 0..2 {
+                let x = net.add_host(format!("hub-host{i}"), 98);
+                net.add_link(hub, x, 100.0, 10);
+            }
+            let a = net.add_router("island-a", 99);
+            let b = net.add_router("island-b", 99);
+            net.add_link(a, b, 100.0, 5);
+            net.add_host("isolated", 0);
+            net
         },
     )
 }

@@ -6,7 +6,7 @@
 //! the per-engine slice accounting must partition the total resident
 //! footprint exactly under any assignment.
 
-use massf_routing::spf::shortest_paths;
+use massf_routing::spf::SpfTree;
 use massf_routing::RoutingTables;
 use massf_topology::brite::{generate, BriteConfig, GrowthModel};
 use massf_topology::campus::campus;

@@ -65,35 +65,44 @@ fn every_kind(net: &Network) -> [RoutingTables; 2] {
     [RoutingTables::build(net), RoutingTables::build_lazy(net)]
 }
 
-/// Both probes against the oracle at caps 0, 1, 3 and beyond the total.
+/// Both probes against the oracle at caps 0, 1, 3 and beyond each total.
 fn assert_probes_match_oracle(net: &Network, tables: &RoutingTables) {
     let kind = tables.kind();
     let asym_total = naive::asymmetric_latencies(tables, 0).1;
-    for cap in [0, 1, 3, asym_total + 5] {
+    let ecmp_total = naive::ecmp_sites(net, tables, 0).1;
+    for cap in [0, 1, 3, asym_total + 5, ecmp_total + 5] {
+        let got = probes::sweep(net, tables, cap);
         assert_eq!(
-            probes::asymmetric_latencies(tables, cap),
+            got.asymmetric,
             naive::asymmetric_latencies(tables, cap),
             "{kind:?} asymmetry, cap {cap}"
         );
-    }
-    let ecmp_total = naive::ecmp_sites(net, tables, 0).1;
-    for cap in [0, 1, 3, ecmp_total + 5] {
         assert_eq!(
-            probes::ecmp_sites(net, tables, cap),
+            got.ecmp,
             naive::ecmp_sites(net, tables, cap),
             "{kind:?} ECMP, cap {cap}"
         );
     }
 }
 
-/// The asymmetry probe sweeps in tiles of ⌈n / 32⌉ resident columns: at
-/// 402 nodes that is thirty tiles of 13 and a ragged one of 12.
+/// The sweep covers the nodes without a leaf record (degree-1 nodes off a
+/// degree ≥ 2 neighbour are folded) in tiles of as many s-long columns
+/// as fit in the bytes of ⌈n / 32⌉ n-long ones: the 130 routers and 2
+/// isolated hosts of these 402 nodes are s = 132, so tiles of
+/// 8·402·13 / (8·132) = 39 columns, three whole and a ragged one of 15.
 #[test]
 fn probes_match_oracle_across_a_ragged_tile_boundary() {
     let mut net = brite(130, 270, 11, false, true);
     net.add_host("isolated", 0);
     net.add_host("isolated-too", 0);
     assert_eq!(net.node_count(), 402);
+    let leaf = |v: NodeId| match net.neighbors(v) {
+        &[(p, _)] => net.degree(p) >= 2,
+        _ => false,
+    };
+    let swept = (0..402).filter(|&v| !leaf(v)).count();
+    let width = 402 * 402usize.div_ceil(32) / swept;
+    assert_eq!((swept, width, swept % width), (132, 39, 15));
     for tables in every_kind(&net) {
         assert_probes_match_oracle(&net, &tables);
     }

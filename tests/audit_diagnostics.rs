@@ -96,6 +96,24 @@ fn corrupt_trace_json_report_matches_golden() {
 }
 
 #[test]
+fn brite_audit_json_report_matches_golden() {
+    // Two of every three BRITE nodes are degree-1 hosts, and many of the
+    // equal-cost routes the audit lists end at one: the routing probes
+    // must report them exactly as a sweep over every node would.
+    let report = cli::run(&args(&[
+        "check",
+        "examples/scenarios/brite.dml",
+        "--audit",
+        "--engines",
+        "4",
+        "--format",
+        "json",
+    ]))
+    .expect("the BRITE audit is error-free");
+    assert_golden(&report, "tests/golden/brite_audit.json");
+}
+
+#[test]
 fn corrupt_trace_fails_under_deny_warnings() {
     let e = cli::run(&args(&[
         "check",
