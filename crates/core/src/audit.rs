@@ -1,5 +1,5 @@
 //! Post-pipeline artifact audits: thin entry points over `massf-lint`'s
-//! artifact-pass registry (MC013–MC020).
+//! artifact stage (MC013–MC020).
 //!
 //! The request preflight ([`crate::scenario::BuiltScenario::lint`]) judges
 //! what was asked for; these helpers judge what the pipeline produced — a
@@ -8,48 +8,45 @@
 //! `record`, and `replay` and refuses past any Error, the same contract
 //! as the preflight.
 
-use massf_lint::{ArtifactInput, Diagnostics};
+use massf_lint::{Diagnostics, LintInput};
 use massf_mapping::MappingStudy;
 use massf_partition::Partitioning;
 use massf_topology::Network;
 use massf_traffic::tracefile::{self, Trace};
 
-/// Audits the pipeline outputs of `study` — the given `partition` plus the
-/// study's routing tables — under the study's engine count, tolerance, and
-/// (when configured) heterogeneous capacity vector. Returns a finished
-/// MC013–MC018 report.
-pub fn audit_study(study: &MappingStudy, partition: &Partitioning) -> Diagnostics {
-    let mut input = ArtifactInput::new(&study.net)
+/// What the study produced, as a lint input: `partition` plus the study's
+/// routing tables under its engine count, tolerance, and (when
+/// configured) heterogeneous capacity vector.
+fn study_input<'a>(study: &'a MappingStudy, partition: &'a Partitioning) -> LintInput<'a> {
+    let mut input = LintInput::network(&study.net)
         .with_engines(study.cfg.engines)
         .with_ubfactor(study.cfg.ubfactor)
         .with_partition(partition)
         .with_tables(&study.tables);
-    if let Some(caps) = &study.cfg.engine_capacities {
-        input.engine_capacities = Some(caps);
-    }
-    massf_lint::lint_artifacts(&input)
+    input.engine_capacities = study.cfg.engine_capacities.as_deref();
+    input
+}
+
+/// Audits the pipeline outputs of `study` for the given `partition`.
+/// Returns a finished MC013–MC020 report; the drift passes (MC019/MC020)
+/// have no load evidence here and emit nothing.
+pub fn audit_study(study: &MappingStudy, partition: &Partitioning) -> Diagnostics {
+    massf_lint::lint_artifacts(&study_input(study, partition))
 }
 
 /// [`audit_study`] extended with the online-rebalancer's load evidence:
 /// `predicted_engine_loads` (PLACE's plan, summed per engine) and
 /// `epoch_engine_loads` (what NetFlow measured per epoch) additionally
-/// feed the MC019/MC020 drift passes, which skip in the plain audit.
+/// feed the MC019/MC020 drift passes.
 pub fn audit_study_online(
     study: &MappingStudy,
     partition: &Partitioning,
     predicted_engine_loads: &[f64],
     epoch_engine_loads: &[Vec<u64>],
 ) -> Diagnostics {
-    let mut input = ArtifactInput::new(&study.net)
-        .with_engines(study.cfg.engines)
-        .with_ubfactor(study.cfg.ubfactor)
-        .with_partition(partition)
-        .with_tables(&study.tables)
+    let input = study_input(study, partition)
         .with_predicted_loads(predicted_engine_loads)
         .with_epoch_loads(epoch_engine_loads);
-    if let Some(caps) = &study.cfg.engine_capacities {
-        input.engine_capacities = Some(caps);
-    }
     massf_lint::lint_artifacts(&input)
 }
 
@@ -74,7 +71,7 @@ pub fn audit_trace(text: &str, net: Option<&Network>) -> TraceAudit {
     let parsed = tracefile::parse_trace(text);
     let mut diags = massf_lint::lint_trace(&parsed);
     if let (Some(net), Ok(trace)) = (net, &parsed) {
-        let mut input = massf_lint::LintInput::network(net);
+        let mut input = LintInput::network(net);
         input.flows = &trace.flows;
         diags.merge(massf_lint::lint_scenario(&input));
     }
@@ -98,10 +95,7 @@ mod tests {
         let p = study.map(Approach::Top, &[], &[]);
         let d = audit_study(&study, &p);
         assert!(!d.has_errors(), "{}", d.summary_line());
-        assert_eq!(
-            d.passes_run,
-            massf_lint::artifact::artifact_registry().len()
-        );
+        assert_eq!(d.passes_run, 8);
     }
 
     #[test]

@@ -240,7 +240,7 @@ pub struct BuiltScenario {
 impl BuiltScenario {
     /// Runs the `massf-lint` preflight over the instantiated scenario:
     /// network, engine count, imbalance tolerance, flow schedule, and
-    /// PLACE predictions all feed the pass registry. Callers should refuse
+    /// PLACE predictions all feed the request passes. Callers should refuse
     /// to emulate when [`massf_lint::Diagnostics::has_errors`] is true.
     pub fn lint(&self) -> massf_lint::Diagnostics {
         let mut input = massf_lint::LintInput::network(&self.study.net);
@@ -251,7 +251,7 @@ impl BuiltScenario {
         massf_lint::lint_scenario(&input)
     }
 
-    /// Runs the post-pipeline artifact audit (MC013–MC018) over a concrete
+    /// Runs the post-pipeline artifact audit (MC013–MC020) over a concrete
     /// partitioning produced from this scenario; see
     /// [`crate::audit::audit_study`].
     pub fn audit(&self, partition: &massf_partition::Partitioning) -> massf_lint::Diagnostics {

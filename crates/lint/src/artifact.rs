@@ -1,205 +1,31 @@
-//! Artifact-aware lint passes: the post-pipeline half of the catalog.
+//! The artifact passes, MC013–MC020: what the pipeline *produced* —
+//! concrete partitionings, built routing tables, recorded trace files and
+//! measured loads. These are the properties the paper's quality story
+//! rests on: cut latency is the conservative-PDES lookahead, part balance
+//! is the load balance, and a recorded trace is only replayable if it is
+//! internally consistent.
 //!
-//! The request passes ([`crate::passes`], MC001–MC012) judge what the user
-//! *asked for*; the passes here judge what the pipeline *produced* —
-//! concrete partitionings, built routing tables, and recorded trace files.
-//! These are the properties the paper's quality story rests on: cut
-//! latency is the conservative-PDES lookahead, part balance is the load
-//! balance, and a recorded trace is only replayable if it is internally
-//! consistent.
-//!
-//! Codes MC013–MC020 live here; MC019/MC020 are the load-drift passes
+//! The passes read the artifact parts of a [`LintInput`] and run through
+//! [`crate::lint_artifacts`]. MC019/MC020 are the load-drift passes
 //! (PLACE-predicted vs. NetFlow-measured per-engine load, and measured
 //! load across epochs) that trigger the incremental rebalancer
-//! (DESIGN.md §15). Entry points:
-//!
-//! * [`lint_artifacts`] — run every artifact pass over an
-//!   [`ArtifactInput`]; passes whose artifact is absent still count as run
-//!   (mirroring the request registry), so `passes_run` is deterministic.
-//! * [`lint_trace`] — just the MC016 trace checks over a parse result,
-//!   for callers with no network in hand.
+//! (DESIGN.md §15). A trace file is no part of a `LintInput`:
+//! [`lint_trace`] runs MC016 over a parse result, for callers with no
+//! network in hand too.
 //!
 //! The CLI folds these reports into the request preflight with
 //! [`crate::Diagnostics::merge`]; `partition`/`run`/`record`/`replay`
 //! refuse past any Error, exactly like the preflight contract.
 
 use crate::passes::{node_loc, LOOKAHEAD_HAZARD_US};
-use crate::{Code, Diagnostics, Location, Severity};
+use crate::{Code, Diagnostics, LintInput, Location, Severity};
 use massf_mapping::weights;
-use massf_metrics::diag::Code as _;
 use massf_partition::quality;
-use massf_partition::Partitioning;
 use massf_routing::probes;
-use massf_routing::RoutingTables;
-use massf_topology::Network;
 use massf_traffic::tracefile::{Trace, TraceError};
-use std::sync::OnceLock;
 
-/// Everything the artifact audit may inspect. Optional parts simply skip
-/// the passes that need them, so one input type serves a post-`partition`
-/// audit (partition only), a post-`run` audit (partition + tables), and a
-/// trace-file check alike.
-#[derive(Debug, Clone)]
-pub struct ArtifactInput<'a> {
-    /// The emulated network the artifacts were produced from.
-    pub net: &'a Network,
-    /// Requested engine count, if known (validates capacity vectors).
-    pub engines: Option<usize>,
-    /// Partitioner imbalance tolerance used for feasibility checks.
-    pub ubfactor: f64,
-    /// Heterogeneous per-engine capacity vector, if one was requested.
-    pub engine_capacities: Option<&'a [f64]>,
-    /// A concrete partitioning to audit (MC013).
-    pub partition: Option<&'a Partitioning>,
-    /// Built routing tables to probe (MC014, MC015).
-    pub tables: Option<&'a RoutingTables>,
-    /// A parsed trace file — or its parse failure — to lint (MC016).
-    pub trace: Option<&'a Result<Trace, TraceError>>,
-    /// PLACE-predicted per-engine loads, for the drift comparison
-    /// against measured loads (MC019).
-    pub predicted_engine_loads: Option<&'a [f64]>,
-    /// Measured per-engine loads, one vector per emulation epoch
-    /// (MC019 compares their total against the prediction; MC020 checks
-    /// epoch-over-epoch stability).
-    pub epoch_engine_loads: Option<&'a [Vec<u64>]>,
-    /// MC014's and MC015's findings: one sweep of `tables`, made by
-    /// whichever of the two passes runs first.
-    routing_probes: OnceLock<probes::Findings>,
-}
-
-impl<'a> ArtifactInput<'a> {
-    /// A bare input: network only, every artifact absent.
-    pub fn new(net: &'a Network) -> Self {
-        Self {
-            net,
-            engines: None,
-            ubfactor: crate::DEFAULT_UBFACTOR,
-            engine_capacities: None,
-            partition: None,
-            tables: None,
-            trace: None,
-            predicted_engine_loads: None,
-            epoch_engine_loads: None,
-            routing_probes: OnceLock::new(),
-        }
-    }
-
-    /// The routing probes' findings, swept on first use; `None` without
-    /// tables.
-    fn routing_probes(&self) -> Option<&probes::Findings> {
-        let tables = self.tables?;
-        Some(
-            self.routing_probes
-                .get_or_init(|| probes::sweep(self.net, tables, Code::CAP - 1)),
-        )
-    }
-
-    /// Builder: sets the requested engine count.
-    pub fn with_engines(mut self, engines: usize) -> Self {
-        self.engines = Some(engines);
-        self
-    }
-
-    /// Builder: sets the imbalance tolerance.
-    pub fn with_ubfactor(mut self, ub: f64) -> Self {
-        self.ubfactor = ub;
-        self
-    }
-
-    /// Builder: sets the heterogeneous capacity vector.
-    pub fn with_capacities(mut self, caps: &'a [f64]) -> Self {
-        self.engine_capacities = Some(caps);
-        self
-    }
-
-    /// Builder: sets the partitioning to audit.
-    pub fn with_partition(mut self, p: &'a Partitioning) -> Self {
-        self.partition = Some(p);
-        self
-    }
-
-    /// Builder: sets the routing tables to probe.
-    pub fn with_tables(mut self, t: &'a RoutingTables) -> Self {
-        self.tables = Some(t);
-        self
-    }
-
-    /// Builder: sets the PLACE-predicted per-engine loads (MC019).
-    pub fn with_predicted_loads(mut self, loads: &'a [f64]) -> Self {
-        self.predicted_engine_loads = Some(loads);
-        self
-    }
-
-    /// Builder: sets the per-epoch measured per-engine loads
-    /// (MC019/MC020).
-    pub fn with_epoch_loads(mut self, epochs: &'a [Vec<u64>]) -> Self {
-        self.epoch_engine_loads = Some(epochs);
-        self
-    }
-}
-
-/// One artifact pass: a stable code and its runner.
-pub struct ArtifactPass {
-    /// The code this pass emits.
-    pub code: Code,
-    /// The pass body.
-    pub run: fn(&ArtifactInput<'_>, &mut Diagnostics),
-}
-
-static ARTIFACT_REGISTRY: [ArtifactPass; 8] = [
-    ArtifactPass {
-        code: Code::Mc013,
-        run: partition_shape,
-    },
-    ArtifactPass {
-        code: Code::Mc014,
-        run: routing_asymmetry,
-    },
-    ArtifactPass {
-        code: Code::Mc015,
-        run: ecmp_ambiguity,
-    },
-    ArtifactPass {
-        code: Code::Mc016,
-        run: trace_lint,
-    },
-    ArtifactPass {
-        code: Code::Mc017,
-        run: capacity_feasibility,
-    },
-    ArtifactPass {
-        code: Code::Mc018,
-        run: cross_as_lookahead,
-    },
-    ArtifactPass {
-        code: Code::Mc019,
-        run: predicted_load_drift,
-    },
-    ArtifactPass {
-        code: Code::Mc020,
-        run: measured_load_drift,
-    },
-];
-
-/// The artifact passes, in catalog order (MC013–MC020).
-pub fn artifact_registry() -> &'static [ArtifactPass] {
-    &ARTIFACT_REGISTRY
-}
-
-/// Runs every artifact pass over `input` and returns the finished,
-/// deterministically ordered report.
-pub fn lint_artifacts(input: &ArtifactInput<'_>) -> Diagnostics {
-    let mut diags = Diagnostics::default();
-    for pass in artifact_registry() {
-        (pass.run)(input, &mut diags);
-        diags.passes_run += 1;
-    }
-    diags.finish();
-    diags
-}
-
-/// Lints a trace parse result alone (the MC016 checks) — the entry point
-/// for `massf check <trace.txt>` when no network is supplied.
+/// Runs MC016 over a trace parse result: the one pass whose input is not a
+/// [`LintInput`], so a trace checks with or without its network.
 pub fn lint_trace(parsed: &Result<Trace, TraceError>) -> Diagnostics {
     let mut diags = Diagnostics::default();
     trace_checks(parsed, &mut diags);
@@ -211,7 +37,7 @@ pub fn lint_trace(parsed: &Result<Trace, TraceError>) -> Diagnostics {
 /// MC013 — partition-shape audit of a concrete partitioning: coverage,
 /// label range, empty/singleton parts, per-part contiguity, and the
 /// cut-latency floor that becomes the conservative lookahead.
-fn partition_shape(input: &ArtifactInput<'_>, diags: &mut Diagnostics) {
+pub(crate) fn partition_shape(input: &LintInput<'_>, diags: &mut Diagnostics) {
     let Some(p) = input.partition else {
         return;
     };
@@ -323,7 +149,7 @@ fn partition_shape(input: &ArtifactInput<'_>, diags: &mut Diagnostics) {
 /// bidirectional with one latency, so intact tables are symmetric by
 /// construction; any disagreement means corrupted tables and an unsound
 /// lookahead bound.
-fn routing_asymmetry(input: &ArtifactInput<'_>, diags: &mut Diagnostics) {
+pub(crate) fn routing_asymmetry(input: &LintInput<'_>, diags: &mut Diagnostics) {
     let Some(probes::Findings {
         asymmetric: (pairs, total),
         ..
@@ -370,7 +196,7 @@ fn routing_asymmetry(input: &ArtifactInput<'_>, diags: &mut Diagnostics) {
 /// MC015 — equal-cost multi-path ambiguity: routes whose first hop is
 /// chosen by the deterministic tie-break, not by cost. Renumbering the
 /// topology re-routes this traffic, shifting link load between engines.
-fn ecmp_ambiguity(input: &ArtifactInput<'_>, diags: &mut Diagnostics) {
+pub(crate) fn ecmp_ambiguity(input: &LintInput<'_>, diags: &mut Diagnostics) {
     let Some(probes::Findings {
         ecmp: (sites, total),
         ..
@@ -409,13 +235,6 @@ fn ecmp_ambiguity(input: &ArtifactInput<'_>, diags: &mut Diagnostics) {
 
 /// MC016 — trace-file lint: parse/version failures, empty schedules,
 /// non-monotonic timestamps, and flows outside the declared duration.
-fn trace_lint(input: &ArtifactInput<'_>, diags: &mut Diagnostics) {
-    let Some(parsed) = input.trace else {
-        return;
-    };
-    trace_checks(parsed, diags);
-}
-
 fn trace_checks(parsed: &Result<Trace, TraceError>, diags: &mut Diagnostics) {
     let loc = Location::Field("trace");
     let trace = match parsed {
@@ -510,7 +329,7 @@ pub fn capacity_shares(caps: &[f64]) -> Option<Vec<f64>> {
 
 /// MC017 — heterogeneous engine-capacity feasibility: MC007 generalized
 /// to per-engine capacity vectors (`PartitionConfig::with_capacities`).
-fn capacity_feasibility(input: &ArtifactInput<'_>, diags: &mut Diagnostics) {
+pub(crate) fn capacity_feasibility(input: &LintInput<'_>, diags: &mut Diagnostics) {
     let Some(caps) = input.engine_capacities else {
         return;
     };
@@ -580,7 +399,7 @@ fn capacity_feasibility(input: &ArtifactInput<'_>, diags: &mut Diagnostics) {
 /// below the lookahead-hazard threshold. MC003 flags individual fast
 /// links; this is the aggregate form — any partition that puts such an AS
 /// on its own engine gets a sync window capped by its fastest escape.
-fn cross_as_lookahead(input: &ArtifactInput<'_>, diags: &mut Diagnostics) {
+pub(crate) fn cross_as_lookahead(input: &LintInput<'_>, diags: &mut Diagnostics) {
     let net = input.net;
     // max boundary-link latency per AS; absent key = no boundary links.
     let mut escape: std::collections::BTreeMap<u32, u64> = std::collections::BTreeMap::new();
@@ -633,7 +452,7 @@ fn drift_severity(drift: f64) -> Option<Severity> {
 /// Large drift means the placement prediction mis-modeled the traffic:
 /// the partition was optimized for loads that never materialized, and a
 /// PROFILE (or online) remap is due.
-fn predicted_load_drift(input: &ArtifactInput<'_>, diags: &mut Diagnostics) {
+pub(crate) fn predicted_load_drift(input: &LintInput<'_>, diags: &mut Diagnostics) {
     let (Some(predicted), Some(epochs)) = (input.predicted_engine_loads, input.epoch_engine_loads)
     else {
         return;
@@ -685,7 +504,7 @@ fn predicted_load_drift(input: &ArtifactInput<'_>, diags: &mut Diagnostics) {
 /// epochs whose load shares move sharply mean no static partition fits
 /// the whole run — the §6 regime where "dynamic remapping … is the only
 /// solution", and the trigger condition of the incremental rebalancer.
-fn measured_load_drift(input: &ArtifactInput<'_>, diags: &mut Diagnostics) {
+pub(crate) fn measured_load_drift(input: &LintInput<'_>, diags: &mut Diagnostics) {
     let Some(epochs) = input.epoch_engine_loads else {
         return;
     };
@@ -728,6 +547,10 @@ fn measured_load_drift(input: &ArtifactInput<'_>, diags: &mut Diagnostics) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lint_artifacts;
+    use massf_partition::Partitioning;
+    use massf_routing::RoutingTables;
+    use massf_topology::Network;
     use massf_traffic::tracefile;
     use massf_traffic::FlowSpec;
 
@@ -763,10 +586,10 @@ mod tests {
             part: vec![0, 0, 1, 1],
             nparts: 2,
         };
-        let input = ArtifactInput::new(&net).with_partition(&p);
+        let input = LintInput::network(&net).with_partition(&p);
         let d = lint_artifacts(&input);
         assert!(d.iter().next().is_none(), "{d:?}");
-        assert_eq!(d.passes_run, artifact_registry().len());
+        assert_eq!(d.passes_run, 8);
     }
 
     #[test]
@@ -776,7 +599,7 @@ mod tests {
             part: vec![0, 0, 0, 1],
             nparts: 3,
         };
-        let d = lint_artifacts(&ArtifactInput::new(&net).with_partition(&p));
+        let d = lint_artifacts(&LintInput::network(&net).with_partition(&p));
         assert!(d.has_errors());
         assert!(d.iter().any(|x| x.code == Code::Mc013
             && x.severity == Severity::Error
@@ -794,7 +617,7 @@ mod tests {
             part: vec![0, 1, 1, 0],
             nparts: 2,
         };
-        let d = lint_artifacts(&ArtifactInput::new(&net).with_partition(&p));
+        let d = lint_artifacts(&LintInput::network(&net).with_partition(&p));
         assert!(!d.has_errors(), "{d:?}");
         assert!(d.iter().any(|x| x.code == Code::Mc013
             && x.severity == Severity::Note
@@ -815,7 +638,7 @@ mod tests {
             part: vec![0, 1, 0, 1],
             nparts: 2,
         };
-        let d = lint_artifacts(&ArtifactInput::new(&net).with_partition(&p));
+        let d = lint_artifacts(&LintInput::network(&net).with_partition(&p));
         assert!(d.iter().any(|x| x.code == Code::Mc013
             && x.severity == Severity::Warn
             && x.message.contains("cut-latency floor")));
@@ -828,7 +651,7 @@ mod tests {
             part: vec![0, 1],
             nparts: 2,
         };
-        let d = lint_artifacts(&ArtifactInput::new(&net).with_partition(&p));
+        let d = lint_artifacts(&LintInput::network(&net).with_partition(&p));
         assert!(d.has_errors());
         assert!(d
             .iter()
@@ -839,7 +662,7 @@ mod tests {
     fn intact_routing_tables_audit_clean_of_asymmetry() {
         let net = line_net();
         let tables = RoutingTables::build(&net);
-        let d = lint_artifacts(&ArtifactInput::new(&net).with_tables(&tables));
+        let d = lint_artifacts(&LintInput::network(&net).with_tables(&tables));
         assert!(!d.iter().any(|x| x.code == Code::Mc014), "{d:?}");
     }
 
@@ -852,7 +675,7 @@ mod tests {
         net.add_link(r[2], r[3], 1000.0, 100);
         net.add_link(r[3], r[0], 1000.0, 100);
         let tables = RoutingTables::build(&net);
-        let d = lint_artifacts(&ArtifactInput::new(&net).with_tables(&tables));
+        let d = lint_artifacts(&LintInput::network(&net).with_tables(&tables));
         assert!(!d.has_errors(), "{d:?}");
         let notes: Vec<_> = d.iter().filter(|x| x.code == Code::Mc015).collect();
         assert_eq!(notes.len(), 4, "{notes:?}");
@@ -909,7 +732,7 @@ mod tests {
         let net = line_net();
         let bad = [1.0, -2.0, f64::NAN];
         let d = lint_artifacts(
-            &ArtifactInput::new(&net)
+            &LintInput::network(&net)
                 .with_engines(3)
                 .with_capacities(&bad),
         );
@@ -919,7 +742,7 @@ mod tests {
 
         let mismatched = [1.0, 1.0];
         let d = lint_artifacts(
-            &ArtifactInput::new(&net)
+            &LintInput::network(&net)
                 .with_engines(3)
                 .with_capacities(&mismatched),
         );
@@ -932,7 +755,7 @@ mod tests {
         for extreme in [[1e308, 1e308, 1e308], [1e308, 1e-308, 1.0]] {
             assert_eq!(capacity_shares(&extreme), None);
             let d = lint_artifacts(
-                &ArtifactInput::new(&net)
+                &LintInput::network(&net)
                     .with_engines(3)
                     .with_capacities(&extreme),
             );
@@ -958,7 +781,7 @@ mod tests {
         net.add_link(h1, r1, 10.0, 100);
         let skewed = [1.0, 1.0, 1.0, 1.0];
         let d = lint_artifacts(
-            &ArtifactInput::new(&net)
+            &LintInput::network(&net)
                 .with_engines(4)
                 .with_capacities(&skewed)
                 .with_ubfactor(1.05),
@@ -970,7 +793,7 @@ mod tests {
         // A vector with one big target part is feasible for the same net.
         let generous = [0.97, 0.01, 0.01, 0.01];
         let d = lint_artifacts(
-            &ArtifactInput::new(&net)
+            &LintInput::network(&net)
                 .with_engines(4)
                 .with_capacities(&generous)
                 .with_ubfactor(1.05),
@@ -985,18 +808,18 @@ mod tests {
         // Measured matches the prediction: clean.
         let matching = vec![vec![50u64, 50, 50], vec![50, 50, 50]];
         let d = lint_artifacts(
-            &ArtifactInput::new(&net)
+            &LintInput::network(&net)
                 .with_predicted_loads(&predicted)
                 .with_epoch_loads(&matching),
         );
         assert!(!d.iter().any(|x| x.code == Code::Mc019), "{d:?}");
-        assert_eq!(d.passes_run, artifact_registry().len());
+        assert_eq!(d.passes_run, 8);
 
         // All measured load on one engine: shares (1,0,0) vs (⅓,⅓,⅓)
         // drift by ⅔ > DRIFT_WARN.
         let skewed = vec![vec![300u64, 0, 0]];
         let d = lint_artifacts(
-            &ArtifactInput::new(&net)
+            &LintInput::network(&net)
                 .with_predicted_loads(&predicted)
                 .with_epoch_loads(&skewed),
         );
@@ -1011,7 +834,7 @@ mod tests {
         let predicted = [100.0, 100.0];
         let epochs = vec![vec![10u64, 10, 10]];
         let d = lint_artifacts(
-            &ArtifactInput::new(&net)
+            &LintInput::network(&net)
                 .with_predicted_loads(&predicted)
                 .with_epoch_loads(&epochs),
         );
@@ -1029,7 +852,7 @@ mod tests {
             vec![110u64, 100, 95],
             vec![10u64, 400, 10],
         ];
-        let d = lint_artifacts(&ArtifactInput::new(&net).with_epoch_loads(&epochs));
+        let d = lint_artifacts(&LintInput::network(&net).with_epoch_loads(&epochs));
         let findings: Vec<_> = d.iter().filter(|x| x.code == Code::Mc020).collect();
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].severity, Severity::Warn);
@@ -1037,18 +860,18 @@ mod tests {
 
         // A single epoch has no boundaries: silent.
         let one = vec![vec![1u64, 2, 3]];
-        let d = lint_artifacts(&ArtifactInput::new(&net).with_epoch_loads(&one));
+        let d = lint_artifacts(&LintInput::network(&net).with_epoch_loads(&one));
         assert!(!d.iter().any(|x| x.code == Code::Mc020), "{d:?}");
     }
 
     #[test]
     fn drift_passes_skip_when_artifacts_absent() {
         let net = line_net();
-        let d = lint_artifacts(&ArtifactInput::new(&net));
+        let d = lint_artifacts(&LintInput::network(&net));
         assert!(!d
             .iter()
             .any(|x| matches!(x.code, Code::Mc019 | Code::Mc020)));
-        assert_eq!(d.passes_run, artifact_registry().len());
+        assert_eq!(d.passes_run, 8);
     }
 
     #[test]
@@ -1059,7 +882,7 @@ mod tests {
         let r2 = net.add_router("r2", 1);
         net.add_link(r0, r1, 1000.0, LOOKAHEAD_HAZARD_US - 20);
         net.add_link(r1, r2, 1000.0, 100);
-        let d = lint_artifacts(&ArtifactInput::new(&net));
+        let d = lint_artifacts(&LintInput::network(&net));
         let warns: Vec<_> = d.iter().filter(|x| x.code == Code::Mc018).collect();
         // Both AS 0 and AS 1 escape only over the 30 µs link.
         assert_eq!(warns.len(), 2, "{warns:?}");
@@ -1069,7 +892,7 @@ mod tests {
         let a = slow.add_router("a", 0);
         let b = slow.add_router("b", 1);
         slow.add_link(a, b, 1000.0, 100);
-        let d = lint_artifacts(&ArtifactInput::new(&slow));
+        let d = lint_artifacts(&LintInput::network(&slow));
         assert!(!d.iter().any(|x| x.code == Code::Mc018), "{d:?}");
     }
 }

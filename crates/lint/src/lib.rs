@@ -14,22 +14,27 @@
 //! report over this catalog — that renders both human-readable and
 //! byte-deterministic JSON.
 //!
-//! Entry points:
+//! Every pass reads one [`LintInput`]: the network plus whatever request
+//! parts (engines, traffic spec, flow schedule, predictions) and pipeline
+//! artifacts (capacities, partition, routing tables, predicted and
+//! measured loads) the caller holds. One exhaustive `match` maps each
+//! [`Code`] to its pass, and the catalog splits into two stages:
 //!
-//! * [`lint_scenario`] — run every pass over a full scenario description
-//!   ([`LintInput`]: network + optional engines / traffic spec / flow
-//!   schedule / predictions);
-//! * [`lint_network`] — the structural subset for a bare topology;
-//! * [`lint_partition`] — a topology plus a partition request;
-//! * [`lint_graph`] — CSR invariants of an already-built partitioner
-//!   input graph (the former `massf-graph::validate` checks as passes).
+//! * [`lint_scenario`] — the request passes MC001–MC012 ([`passes`]):
+//!   what the user *asked for*, run as the preflight of `partition`,
+//!   `run`, `record` and `replay`;
+//! * [`lint_artifacts`] — the artifact passes MC013–MC020 ([`artifact`]):
+//!   what the pipeline *produced*, run as the post-mapping audit;
+//! * [`lint_trace`] — MC016 over a trace parse result, the one check
+//!   whose input is not a [`LintInput`].
 //!
-//! The `massf check` CLI subcommand wraps [`lint_scenario`]; the
-//! `partition`/`run`/`replay` subcommands call it as a preflight and
-//! refuse to proceed past any Error-level diagnostic.
+//! A pass whose input part is absent emits nothing but still counts as
+//! run, so `passes_run` is 12 and 8 whatever the caller supplied. The
+//! `massf check` CLI subcommand wraps both stages; the pipeline
+//! subcommands refuse to proceed past any Error-level diagnostic.
 //!
 //! ```
-//! use massf_lint::lint_network;
+//! use massf_lint::{lint_scenario, LintInput};
 //! use massf_metrics::diag::Code;
 //! use massf_topology::Network;
 //!
@@ -38,7 +43,7 @@
 //! let h = net.add_host("h", 0);
 //! net.add_link(r, h, 100.0, 50);
 //! net.add_host("lonely", 0); // no link: disconnected
-//! let diags = lint_network(&net);
+//! let diags = lint_scenario(&LintInput::network(&net));
 //! assert!(diags.has_errors());
 //! assert!(diags.iter().any(|d| d.code.as_str() == "MC001"));
 //! ```
@@ -49,15 +54,18 @@
 pub mod artifact;
 pub mod passes;
 
-pub use artifact::{lint_artifacts, lint_trace, ArtifactInput};
+pub use artifact::lint_trace;
 pub use massf_metrics::diag::Severity;
 
 use massf_metrics::diag::{Code as _, Extra, Report};
 use massf_metrics::json::{Layout::Spaced, Writer};
+use massf_partition::Partitioning;
+use massf_routing::{probes, RoutingTables};
 use massf_topology::{Network, NodeId};
 use massf_traffic::spec::TrafficKind;
 use massf_traffic::{FlowSpec, PredictedFlow};
 use std::fmt;
+use std::sync::OnceLock;
 
 massf_metrics::catalog! {
     /// Stable diagnostic codes, one per pass. Codes are append-only: a code
@@ -180,10 +188,14 @@ impl Extra<Code> for () {
     }
 }
 
-/// Everything the linter may inspect. Optional parts simply skip the
-/// passes that need them, so one input type serves bare-topology checks
-/// and full scenario preflights alike.
-#[derive(Debug, Clone, Copy)]
+/// Everything the linter may inspect: the network plus every request part
+/// and pipeline artifact, each optional. A pass whose part is absent emits
+/// nothing, so one input serves a bare-topology check, a scenario
+/// preflight, a post-`partition` audit and a post-`run` audit alike.
+///
+/// `Clone`, not `Copy`: it owns the MC014/MC015 routing sweep, which
+/// whichever of the two passes runs first makes.
+#[derive(Debug, Clone)]
 pub struct LintInput<'a> {
     /// The emulated network.
     pub net: &'a Network,
@@ -197,10 +209,26 @@ pub struct LintInput<'a> {
     pub flows: &'a [FlowSpec],
     /// The parsed background-traffic spec, if any.
     pub traffic: Option<&'a TrafficKind>,
+    /// Heterogeneous per-engine capacity vector, if one was requested
+    /// (MC017).
+    pub engine_capacities: Option<&'a [f64]>,
+    /// A concrete partitioning to audit (MC013).
+    pub partition: Option<&'a Partitioning>,
+    /// Built routing tables to probe (MC014, MC015).
+    pub tables: Option<&'a RoutingTables>,
+    /// PLACE-predicted per-engine loads, for the drift comparison
+    /// against measured loads (MC019).
+    pub predicted_engine_loads: Option<&'a [f64]>,
+    /// Measured per-engine loads, one vector per emulation epoch
+    /// (MC019 compares their total against the prediction; MC020 checks
+    /// epoch-over-epoch stability).
+    pub epoch_engine_loads: Option<&'a [Vec<u64>]>,
+    /// MC014's and MC015's findings: one sweep of `tables`.
+    routing_probes: OnceLock<probes::Findings>,
 }
 
 impl<'a> LintInput<'a> {
-    /// A bare-topology input: no partition request, no traffic knowledge.
+    /// A bare-topology input: every request part and artifact absent.
     pub fn network(net: &'a Network) -> Self {
         Self {
             net,
@@ -209,7 +237,23 @@ impl<'a> LintInput<'a> {
             predicted: &[],
             flows: &[],
             traffic: None,
+            engine_capacities: None,
+            partition: None,
+            tables: None,
+            predicted_engine_loads: None,
+            epoch_engine_loads: None,
+            routing_probes: OnceLock::new(),
         }
+    }
+
+    /// The routing probes' findings, swept on first use; `None` without
+    /// tables.
+    fn routing_probes(&self) -> Option<&probes::Findings> {
+        let tables = self.tables?;
+        Some(
+            self.routing_probes
+                .get_or_init(|| probes::sweep(self.net, tables, Code::CAP - 1)),
+        )
     }
 
     /// Builder: sets the partition request.
@@ -223,48 +267,92 @@ impl<'a> LintInput<'a> {
         self.ubfactor = ub;
         self
     }
+
+    /// Builder: sets the heterogeneous capacity vector.
+    pub fn with_capacities(mut self, caps: &'a [f64]) -> Self {
+        self.engine_capacities = Some(caps);
+        self
+    }
+
+    /// Builder: sets the partitioning to audit.
+    pub fn with_partition(mut self, p: &'a Partitioning) -> Self {
+        self.partition = Some(p);
+        self
+    }
+
+    /// Builder: sets the routing tables to probe.
+    pub fn with_tables(mut self, t: &'a RoutingTables) -> Self {
+        self.tables = Some(t);
+        self
+    }
+
+    /// Builder: sets the PLACE-predicted per-engine loads (MC019).
+    pub fn with_predicted_loads(mut self, loads: &'a [f64]) -> Self {
+        self.predicted_engine_loads = Some(loads);
+        self
+    }
+
+    /// Builder: sets the per-epoch measured per-engine loads
+    /// (MC019/MC020).
+    pub fn with_epoch_loads(mut self, epochs: &'a [Vec<u64>]) -> Self {
+        self.epoch_engine_loads = Some(epochs);
+        self
+    }
 }
 
 /// Default imbalance tolerance assumed when the caller does not supply
 /// one; matches `MapperConfig::new`'s default.
 pub const DEFAULT_UBFACTOR: f64 = 1.25;
 
-/// Runs every registered pass over `input` and returns the finished,
-/// deterministically ordered report.
-pub fn lint_scenario(input: &LintInput<'_>) -> Diagnostics {
+/// The pass behind `code`. The `match` is exhaustive, so a catalog row
+/// without a pass does not compile.
+fn pass(code: Code) -> fn(&LintInput<'_>, &mut Diagnostics) {
+    use crate::{artifact as a, passes as p};
+    match code {
+        Code::Mc001 => p::connectivity,
+        Code::Mc002 => p::csr_invariants,
+        Code::Mc003 => p::lookahead_hazard,
+        Code::Mc004 => p::oversubscribed_injection,
+        Code::Mc005 => p::unreachable_injection,
+        Code::Mc006 => p::weight_sanity,
+        Code::Mc007 => p::partition_feasibility,
+        Code::Mc008 => p::degenerate_phases,
+        Code::Mc009 => p::foreign_endpoints,
+        Code::Mc010 => p::spec_topology_fit,
+        Code::Mc011 => p::parallel_links,
+        Code::Mc012 => p::degree_anomalies,
+        Code::Mc013 => a::partition_shape,
+        Code::Mc014 => a::routing_asymmetry,
+        Code::Mc015 => a::ecmp_ambiguity,
+        // A trace file is no part of a `LintInput`: `lint_trace` runs MC016.
+        Code::Mc016 => |_, _| {},
+        Code::Mc017 => a::capacity_feasibility,
+        Code::Mc018 => a::cross_as_lookahead,
+        Code::Mc019 => a::predicted_load_drift,
+        Code::Mc020 => a::measured_load_drift,
+    }
+}
+
+/// Runs the pass of every code `stage` selects, in catalog order, and
+/// returns the finished, deterministically ordered report.
+fn run(input: &LintInput<'_>, stage: impl Fn(Code) -> bool) -> Diagnostics {
     let mut diags = Diagnostics::default();
-    for pass in passes::registry() {
-        (pass.run)(input, &mut diags);
+    for code in Code::all().filter(|&c| stage(c)) {
+        pass(code)(input, &mut diags);
         diags.passes_run += 1;
     }
     diags.finish();
     diags
 }
 
-/// Lints a bare topology (the structural subset of the catalog).
-pub fn lint_network(net: &Network) -> Diagnostics {
-    lint_scenario(&LintInput::network(net))
+/// The request stage: runs MC001–MC012 over `input`.
+pub fn lint_scenario(input: &LintInput<'_>) -> Diagnostics {
+    run(input, |c| c < Code::Mc013)
 }
 
-/// Lints a topology plus a partition request (`engines` parts at
-/// imbalance tolerance `ubfactor`).
-pub fn lint_partition(net: &Network, engines: usize, ubfactor: f64) -> Diagnostics {
-    lint_scenario(
-        &LintInput::network(net)
-            .with_engines(engines)
-            .with_ubfactor(ubfactor),
-    )
-}
-
-/// Checks the CSR invariants of an already-built partitioner input graph,
-/// reporting violations as `MC002` diagnostics — `massf-graph`'s
-/// `validate` absorbed into the pass framework.
-pub fn lint_graph(g: &massf_graph::CsrGraph) -> Diagnostics {
-    let mut diags = Diagnostics::default();
-    passes::csr_invariants_of(g, &mut diags);
-    diags.passes_run = 1;
-    diags.finish();
-    diags
+/// The artifact stage: runs MC013–MC020 over `input`.
+pub fn lint_artifacts(input: &LintInput<'_>) -> Diagnostics {
+    run(input, |c| c >= Code::Mc013)
 }
 
 #[cfg(test)]
@@ -285,10 +373,66 @@ mod tests {
 
     #[test]
     fn clean_network_is_clean() {
-        let d = lint_network(&line_net());
+        let d = lint_scenario(&LintInput::network(&line_net()));
         assert!(!d.has_errors(), "{d:?}");
         assert_eq!(d.count(Severity::Warn), 0, "{d:?}");
-        assert_eq!(d.passes_run, passes::registry().len());
+        assert_eq!(d.passes_run, 12);
+    }
+
+    #[test]
+    fn each_stage_runs_only_its_own_codes_over_a_full_input() {
+        // Broken every way both stages look: an isolated host, a parallel
+        // link, a 10 µs router link that is AS 2's only escape, and a
+        // multihomed host.
+        let mut net = line_net();
+        net.add_link(1, 2, 500.0, 4000);
+        let r2 = net.add_router("r2", 2);
+        net.add_link(2, r2, 1000.0, 10);
+        net.add_link(0, 2, 100.0, 100);
+        net.add_host("lonely", 0);
+        let flows = [FlowSpec::from_bytes(0, 99, 0, 3000, 10.0)];
+        let predicted = [PredictedFlow {
+            src: 0,
+            dst: 3,
+            bandwidth_mbps: f64::NAN,
+        }];
+        let traffic = massf_traffic::spec::parse_traffic("traffic { name CBR }").unwrap();
+        let caps = [1.0, 2.0];
+        let partition = Partitioning {
+            part: vec![0, 0, 2, 2, 0, 0],
+            nparts: 3,
+        };
+        let tables = RoutingTables::build(&net);
+        let loads = [1.0, 1.0, 1.0];
+        let epochs = [vec![300, 0, 0], vec![0, 300, 0]];
+        let mut input = LintInput::network(&net)
+            .with_engines(3)
+            .with_capacities(&caps)
+            .with_partition(&partition)
+            .with_tables(&tables)
+            .with_predicted_loads(&loads)
+            .with_epoch_loads(&epochs);
+        input.flows = &flows;
+        input.predicted = &predicted;
+        input.traffic = Some(&traffic);
+
+        let request = lint_scenario(&input);
+        assert_eq!(request.passes_run, 12);
+        assert!(request.has_errors(), "{request:?}");
+        assert!(request.iter().all(|d| d.code < Code::Mc013), "{request:?}");
+        let audit = lint_artifacts(&input);
+        assert_eq!(audit.passes_run, 8);
+        assert!(audit.has_errors(), "{audit:?}");
+        assert!(audit.iter().all(|d| d.code >= Code::Mc013), "{audit:?}");
+        for code in [
+            Code::Mc013,
+            Code::Mc017,
+            Code::Mc018,
+            Code::Mc019,
+            Code::Mc020,
+        ] {
+            assert!(audit.iter().any(|d| d.code == code), "{code}: {audit:?}");
+        }
     }
 
     #[test]
@@ -337,16 +481,5 @@ mod tests {
         assert!(json.contains("\"location\": \"link 1 (0-2)\""));
         assert!(json
             .ends_with("\"suppressed\": [\n    { \"code\": \"MC009\", \"count\": 3 }\n  ]\n}\n"));
-    }
-
-    #[test]
-    fn lint_graph_flags_corrupt_csr() {
-        // A valid graph first.
-        let mut b = massf_graph::GraphBuilder::new(1);
-        b.add_unit_vertices(3);
-        b.add_edge(0, 1, 1).unwrap();
-        b.add_edge(1, 2, 1).unwrap();
-        let g = b.build().unwrap();
-        assert!(!lint_graph(&g).has_errors());
     }
 }

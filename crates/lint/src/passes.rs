@@ -1,18 +1,16 @@
-//! The pass catalog: every check `massf check` runs, keyed by stable code.
+//! The request passes, MC001–MC012: what the user *asked for* — the
+//! network, the partition request, the traffic spec, the flow schedule
+//! and the PLACE predictions of a [`LintInput`].
 //!
 //! Each pass is a plain function from a [`LintInput`] to zero or more
 //! diagnostics. Passes never mutate the input and never depend on thread
 //! count or wall-clock time, so a report is a pure function of the
 //! scenario — the property the byte-deterministic JSON renderer relies on.
-//!
-//! Passes degrade gracefully on partial inputs: a check that needs a
-//! partition request, a traffic spec, or a flow schedule simply emits
-//! nothing when that part is absent, which is how one catalog serves
-//! bare-topology lints and full scenario preflights alike.
+//! A pass whose part is absent emits nothing, which is how one catalog
+//! serves bare-topology lints and full scenario preflights alike.
 
 use crate::{Code, Diagnostics, LintInput, Location, Severity};
 use massf_graph::connectivity::connected_components;
-use massf_graph::CsrGraph;
 use massf_mapping::weights::{self, MBPS_SCALE};
 use massf_topology::{Network, NodeId, NodeKind};
 use massf_traffic::spec::TrafficKind;
@@ -38,70 +36,6 @@ pub const PROFILE_MIN_BUCKET_EVENTS: u64 = 16;
 /// preview rather than allocating a bucket per 2 s of a bogus schedule.
 pub const MAX_PLAUSIBLE_HORIZON_US: u64 = 1_000_000_000_000;
 
-/// One registered pass.
-pub struct Pass {
-    /// The stable code of the diagnostics this pass emits.
-    pub code: Code,
-    /// The pass body.
-    pub run: fn(&LintInput<'_>, &mut Diagnostics),
-}
-
-static REGISTRY: [Pass; 12] = [
-    Pass {
-        code: Code::Mc001,
-        run: connectivity,
-    },
-    Pass {
-        code: Code::Mc002,
-        run: csr_invariants,
-    },
-    Pass {
-        code: Code::Mc003,
-        run: lookahead_hazard,
-    },
-    Pass {
-        code: Code::Mc004,
-        run: oversubscribed_injection,
-    },
-    Pass {
-        code: Code::Mc005,
-        run: unreachable_injection,
-    },
-    Pass {
-        code: Code::Mc006,
-        run: weight_sanity,
-    },
-    Pass {
-        code: Code::Mc007,
-        run: partition_feasibility,
-    },
-    Pass {
-        code: Code::Mc008,
-        run: degenerate_phases,
-    },
-    Pass {
-        code: Code::Mc009,
-        run: foreign_endpoints,
-    },
-    Pass {
-        code: Code::Mc010,
-        run: spec_topology_fit,
-    },
-    Pass {
-        code: Code::Mc011,
-        run: parallel_links,
-    },
-    Pass {
-        code: Code::Mc012,
-        run: degree_anomalies,
-    },
-];
-
-/// All passes, in catalog order.
-pub fn registry() -> &'static [Pass] {
-    &REGISTRY
-}
-
 pub(crate) fn node_loc(net: &Network, id: NodeId) -> Location {
     Location::Node {
         id,
@@ -110,7 +44,7 @@ pub(crate) fn node_loc(net: &Network, id: NodeId) -> Location {
 }
 
 /// MC001 — the network must be one connected component.
-fn connectivity(input: &LintInput<'_>, diags: &mut Diagnostics) {
+pub(crate) fn connectivity(input: &LintInput<'_>, diags: &mut Diagnostics) {
     let net = input.net;
     if net.node_count() == 0 {
         diags.push(
@@ -138,21 +72,13 @@ fn connectivity(input: &LintInput<'_>, diags: &mut Diagnostics) {
     }
 }
 
-/// MC002 — the partitioner's input graph must satisfy all CSR invariants.
-fn csr_invariants(input: &LintInput<'_>, diags: &mut Diagnostics) {
+/// MC002 — the partitioner's input graph must satisfy all CSR invariants
+/// (`massf-graph`'s `validate`, reported as a finding).
+pub(crate) fn csr_invariants(input: &LintInput<'_>, diags: &mut Diagnostics) {
     if input.net.node_count() == 0 {
         return; // MC001 already rejected the empty network.
     }
-    let g = weights::latency_graph(input.net);
-    csr_invariants_of(&g, diags);
-}
-
-/// Reports CSR-invariant violations of `g` as `MC002` errors — the former
-/// `massf-graph::validate` check absorbed into the pass framework. Public
-/// so [`crate::lint_graph`] can vet an already-built partitioner input
-/// without a surrounding network.
-pub fn csr_invariants_of(g: &CsrGraph, diags: &mut Diagnostics) {
-    if let Err(e) = massf_graph::validate::validate(g) {
+    if let Err(e) = massf_graph::validate::validate(&weights::latency_graph(input.net)) {
         diags.push(
             Code::Mc002,
             Severity::Error,
@@ -163,7 +89,7 @@ pub fn csr_invariants_of(g: &CsrGraph, diags: &mut Diagnostics) {
 }
 
 /// MC003 — near-zero-latency router-router links are lookahead hazards.
-fn lookahead_hazard(input: &LintInput<'_>, diags: &mut Diagnostics) {
+pub(crate) fn lookahead_hazard(input: &LintInput<'_>, diags: &mut Diagnostics) {
     let net = input.net;
     for (i, l) in net.links().iter().enumerate() {
         let both_routers =
@@ -189,7 +115,7 @@ fn lookahead_hazard(input: &LintInput<'_>, diags: &mut Diagnostics) {
 }
 
 /// MC004 — predicted PLACE demand must fit the access-link capacity.
-fn oversubscribed_injection(input: &LintInput<'_>, diags: &mut Diagnostics) {
+pub(crate) fn oversubscribed_injection(input: &LintInput<'_>, diags: &mut Diagnostics) {
     let net = input.net;
     let n = net.node_count();
     if input.predicted.is_empty() || n == 0 {
@@ -228,7 +154,7 @@ fn oversubscribed_injection(input: &LintInput<'_>, diags: &mut Diagnostics) {
 }
 
 /// MC005 — every injection point must reach at least one other one.
-fn unreachable_injection(input: &LintInput<'_>, diags: &mut Diagnostics) {
+pub(crate) fn unreachable_injection(input: &LintInput<'_>, diags: &mut Diagnostics) {
     let net = input.net;
     let n = net.node_count();
     let mut points: BTreeSet<NodeId> = BTreeSet::new();
@@ -271,7 +197,7 @@ fn unreachable_injection(input: &LintInput<'_>, diags: &mut Diagnostics) {
 }
 
 /// MC006 — weights must be finite, non-negative, and safe to quantize.
-fn weight_sanity(input: &LintInput<'_>, diags: &mut Diagnostics) {
+pub(crate) fn weight_sanity(input: &LintInput<'_>, diags: &mut Diagnostics) {
     let mut total_mbps = 0.0f64;
     for (i, f) in input.predicted.iter().enumerate() {
         if !f.bandwidth_mbps.is_finite() {
@@ -362,7 +288,7 @@ fn weight_sanity(input: &LintInput<'_>, diags: &mut Diagnostics) {
 }
 
 /// MC007 — the partition request must be satisfiable.
-fn partition_feasibility(input: &LintInput<'_>, diags: &mut Diagnostics) {
+pub(crate) fn partition_feasibility(input: &LintInput<'_>, diags: &mut Diagnostics) {
     let Some(engines) = input.engines else {
         return;
     };
@@ -423,7 +349,7 @@ fn partition_feasibility(input: &LintInput<'_>, diags: &mut Diagnostics) {
 }
 
 /// MC008 — PROFILE phase detection needs non-empty, non-zero load buckets.
-fn degenerate_phases(input: &LintInput<'_>, diags: &mut Diagnostics) {
+pub(crate) fn degenerate_phases(input: &LintInput<'_>, diags: &mut Diagnostics) {
     let loc = Location::Field("traffic");
     if input.flows.is_empty() {
         if input.predicted.is_empty() && input.traffic.is_none() {
@@ -477,7 +403,7 @@ fn degenerate_phases(input: &LintInput<'_>, diags: &mut Diagnostics) {
 }
 
 /// MC009 — flow endpoints must be in-range hosts, not routers/self-loops.
-fn foreign_endpoints(input: &LintInput<'_>, diags: &mut Diagnostics) {
+pub(crate) fn foreign_endpoints(input: &LintInput<'_>, diags: &mut Diagnostics) {
     let net = input.net;
     let endpoints = input
         .predicted
@@ -530,7 +456,7 @@ fn foreign_endpoints(input: &LintInput<'_>, diags: &mut Diagnostics) {
 }
 
 /// MC010 — the background-traffic spec must fit the topology.
-fn spec_topology_fit(input: &LintInput<'_>, diags: &mut Diagnostics) {
+pub(crate) fn spec_topology_fit(input: &LintInput<'_>, diags: &mut Diagnostics) {
     let Some(kind) = input.traffic else {
         return;
     };
@@ -658,7 +584,7 @@ fn spec_topology_fit(input: &LintInput<'_>, diags: &mut Diagnostics) {
 }
 
 /// MC011 — parallel links merge in the partitioner graph.
-fn parallel_links(input: &LintInput<'_>, diags: &mut Diagnostics) {
+pub(crate) fn parallel_links(input: &LintInput<'_>, diags: &mut Diagnostics) {
     let mut seen = BTreeSet::new();
     for (i, l) in input.net.links().iter().enumerate() {
         let key = (l.a.min(l.b), l.a.max(l.b));
@@ -683,7 +609,7 @@ fn parallel_links(input: &LintInput<'_>, diags: &mut Diagnostics) {
 }
 
 /// MC012 — degree anomalies: isolated nodes and multihomed hosts.
-fn degree_anomalies(input: &LintInput<'_>, diags: &mut Diagnostics) {
+pub(crate) fn degree_anomalies(input: &LintInput<'_>, diags: &mut Diagnostics) {
     let net = input.net;
     for node in net.nodes() {
         let d = net.degree(node.id);
@@ -711,7 +637,7 @@ fn degree_anomalies(input: &LintInput<'_>, diags: &mut Diagnostics) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{lint_partition, lint_scenario, DEFAULT_UBFACTOR};
+    use crate::{lint_scenario, DEFAULT_UBFACTOR};
     use massf_metrics::diag::Code as _;
     use massf_traffic::spec::parse_traffic;
     use massf_traffic::{FlowSpec, PredictedFlow};
@@ -720,6 +646,18 @@ mod tests {
         d.iter()
             .map(|x| (x.code.as_str(), x.severity.label()))
             .collect()
+    }
+
+    fn lint_topology(net: &Network) -> Diagnostics {
+        lint_scenario(&LintInput::network(net))
+    }
+
+    fn lint_request(net: &Network, engines: usize, ubfactor: f64) -> Diagnostics {
+        lint_scenario(
+            &LintInput::network(net)
+                .with_engines(engines)
+                .with_ubfactor(ubfactor),
+        )
     }
 
     fn has(d: &Diagnostics, code: &str, sev: Severity) -> bool {
@@ -744,7 +682,7 @@ mod tests {
     fn disconnected_network_is_mc001_error() {
         let mut net = line_net();
         net.add_host("lonely", 0);
-        let d = crate::lint_network(&net);
+        let d = lint_topology(&net);
         assert!(has(&d, "MC001", Severity::Error), "{:?}", codes(&d));
         // The isolated node is also a degree anomaly.
         assert!(has(&d, "MC012", Severity::Error), "{:?}", codes(&d));
@@ -752,7 +690,7 @@ mod tests {
 
     #[test]
     fn empty_network_is_mc001_error() {
-        let d = crate::lint_network(&Network::new());
+        let d = lint_topology(&Network::new());
         assert!(has(&d, "MC001", Severity::Error));
     }
 
@@ -761,12 +699,12 @@ mod tests {
         let mut net = line_net();
         let r2 = net.add_router("r2", 0);
         net.add_link(1, r2, 1000.0, LOOKAHEAD_HAZARD_US - 1);
-        let d = crate::lint_network(&net);
+        let d = lint_topology(&net);
         assert!(has(&d, "MC003", Severity::Warn), "{:?}", codes(&d));
         // Host access links at the same latency are fine (never cut hazards
         // in the same way; hosts follow their router).
         let clean = line_net(); // host links at 100 µs, core at 5000 µs
-        assert!(!has(&crate::lint_network(&clean), "MC003", Severity::Warn));
+        assert!(!has(&lint_topology(&clean), "MC003", Severity::Warn));
     }
 
     #[test]
@@ -885,22 +823,22 @@ mod tests {
     fn infeasible_engine_counts_are_mc007() {
         let net = line_net();
         assert!(has(
-            &lint_partition(&net, 0, DEFAULT_UBFACTOR),
+            &lint_request(&net, 0, DEFAULT_UBFACTOR),
             "MC007",
             Severity::Error
         ));
         assert!(has(
-            &lint_partition(&net, 9, DEFAULT_UBFACTOR),
+            &lint_request(&net, 9, DEFAULT_UBFACTOR),
             "MC007",
             Severity::Error
         ));
         // 3 engines for 2 routers: legal but degenerate.
         assert!(has(
-            &lint_partition(&net, 3, DEFAULT_UBFACTOR),
+            &lint_request(&net, 3, DEFAULT_UBFACTOR),
             "MC007",
             Severity::Warn
         ));
-        assert!(!lint_partition(&net, 2, DEFAULT_UBFACTOR).has_errors());
+        assert!(!lint_request(&net, 2, DEFAULT_UBFACTOR).has_errors());
     }
 
     #[test]
@@ -915,7 +853,7 @@ mod tests {
             let h = net.add_host(format!("h{i}"), 0);
             net.add_link(r, h, 10.0, 100);
         }
-        let d = lint_partition(&net, 3, 1.10);
+        let d = lint_request(&net, 3, 1.10);
         assert!(
             d.iter().any(|x| x.code == Code::Mc007
                 && x.severity == Severity::Warn
@@ -946,7 +884,7 @@ mod tests {
 
     #[test]
     fn no_traffic_at_all_is_mc008_note() {
-        let d = crate::lint_network(&line_net());
+        let d = lint_topology(&line_net());
         assert!(has(&d, "MC008", Severity::Note));
     }
 
@@ -1029,7 +967,7 @@ mod tests {
     fn parallel_links_are_mc011_warn() {
         let mut net = line_net();
         net.add_link(1, 2, 500.0, 4000); // duplicates the r0-r1 link
-        let d = crate::lint_network(&net);
+        let d = lint_topology(&net);
         assert!(has(&d, "MC011", Severity::Warn), "{:?}", codes(&d));
     }
 
@@ -1037,7 +975,7 @@ mod tests {
     fn multihomed_host_is_mc012_note() {
         let mut net = line_net();
         net.add_link(0, 2, 100.0, 100); // h0 gains a second access link
-        let d = crate::lint_network(&net);
+        let d = lint_topology(&net);
         assert!(has(&d, "MC012", Severity::Note), "{:?}", codes(&d));
         assert!(!d.has_errors());
     }

@@ -5,7 +5,7 @@
 //! (they are Notes), but empty parts, foreign labels, and coverage
 //! mismatches would surface here as MC013 errors.
 
-use massf_lint::{lint_artifacts, ArtifactInput, Severity};
+use massf_lint::{lint_artifacts, LintInput, Severity};
 use massf_mapping::weights;
 use massf_partition::{partition_kway, PartitionConfig};
 use massf_topology::brite::{generate, BriteConfig, GrowthModel};
@@ -18,7 +18,7 @@ fn audit_partitioned(net: &Network, engines: usize, what: &str) {
     let g = weights::latency_graph(net);
     let p = partition_kway(&g, &PartitionConfig::new(engines));
     let diags = lint_artifacts(
-        &ArtifactInput::new(net)
+        &LintInput::network(net)
             .with_engines(engines)
             .with_partition(&p),
     );
@@ -68,7 +68,7 @@ proptest! {
         let g = weights::latency_graph(&net);
         let p = partition_kway(&g, &PartitionConfig::new(engines));
         let diags = lint_artifacts(
-            &ArtifactInput::new(&net)
+            &LintInput::network(&net)
                 .with_engines(engines)
                 .with_partition(&p),
         );

@@ -5,7 +5,7 @@
 //! dense-id networks by design; a generator regression that violates any
 //! of those invariants shows up here as an `MC*` error.
 
-use massf_lint::{lint_network, LintInput, Severity};
+use massf_lint::{lint_scenario, LintInput, Severity};
 use massf_topology::brite::{generate, BriteConfig, GrowthModel};
 use massf_topology::campus::campus;
 use massf_topology::teragrid::teragrid;
@@ -13,7 +13,7 @@ use massf_topology::Network;
 use proptest::prelude::*;
 
 fn assert_error_free(net: &Network, what: &str) {
-    let diags = lint_network(net);
+    let diags = lint_scenario(&LintInput::network(net));
     assert_eq!(
         diags.count(Severity::Error),
         0,
@@ -52,7 +52,7 @@ fn paper_topologies_pass_partition_feasibility() {
         (generate(&BriteConfig::paper_brite()), 8, "brite"),
     ] {
         let input = LintInput::network(&net).with_engines(engines);
-        let diags = massf_lint::lint_scenario(&input);
+        let diags = lint_scenario(&input);
         assert_eq!(
             diags.count(Severity::Error),
             0,
@@ -84,7 +84,7 @@ proptest! {
             seed,
             ..BriteConfig::paper_brite()
         });
-        let diags = lint_network(&net);
+        let diags = lint_scenario(&LintInput::network(&net));
         prop_assert_eq!(
             diags.count(Severity::Error),
             0,

@@ -188,6 +188,9 @@ pub struct IncrementalOutcome {
     pub migrated_nodes: usize,
     /// Remaps actually applied (skipped boundaries excluded).
     pub remaps_applied: usize,
+    /// PLACE's prediction summed per engine under the initial partition:
+    /// the MC019 baseline the measured epochs are compared against.
+    pub predicted_engine_loads: Vec<f64>,
 }
 
 /// One deterministic diffusive pass over `partition` in place: boundary
@@ -300,6 +303,14 @@ pub fn run_online(
         predicted,
         study.cfg.parallelism,
     );
+    let per_engine = |p: &Partitioning| {
+        let mut loads = vec![0.0f64; p.nparts];
+        for (v, load) in predicted_node.iter().enumerate() {
+            loads[p.part[v] as usize] += load;
+        }
+        loads
+    };
+    let predicted_engine_loads = per_engine(&initial);
 
     // NetFlow on: live profiling is what enables rebalancing.
     let emu_cfg = study.emulation_config(&initial, true, cfg.cost);
@@ -352,11 +363,7 @@ pub fn run_online(
                 load_drift(&target, &measured_f)
             }
         };
-        let mut predicted_engine = vec![0.0f64; current.nparts];
-        for v in 0..n {
-            predicted_engine[current.part[v] as usize] += predicted_node[v];
-        }
-        let drift_predicted = load_drift(&predicted_engine, &measured_f);
+        let drift_predicted = load_drift(&per_engine(&current), &measured_f);
 
         let imbalance_before = load_imbalance(&engine_loads);
         let mut st = EpochRow {
@@ -442,6 +449,7 @@ pub fn run_online(
         epoch_partitions,
         migrated_nodes,
         remaps_applied,
+        predicted_engine_loads,
     }
 }
 

@@ -29,7 +29,7 @@ use massf_core::topology::dml;
 use massf_core::topology::NodeId;
 use massf_core::traffic::spec::{parse_traffic, TrafficKind};
 use massf_core::traffic::{cbr, http, onoff};
-use massf_lint::{ArtifactInput, Diagnostics, LintInput};
+use massf_lint::{Diagnostics, LintInput};
 use massf_metrics::diag::{Code, Report};
 
 /// A CLI failure with a user-facing message.
@@ -191,7 +191,7 @@ fn cmd_check(a: &Args) -> Result<String, CliError> {
     }
 
     // Stage 3 (opt-in): the artifact audit. Map a TOP partition through
-    // the real pipeline and run MC013..MC018 over the partition and
+    // the real pipeline and run MC013..MC020 over the partition and
     // routing tables it produced.
     let caps = a.capacities.as_ref();
     let engines = a.engines.unwrap_or(3.min(net.node_count()));
@@ -210,7 +210,7 @@ fn cmd_check(a: &Args) -> Result<String, CliError> {
         }
         let study = MappingStudy::new(net.clone(), cfg);
         let partition = study.map(Approach::Top, &[], &[]);
-        let mut artifact = ArtifactInput::new(&net)
+        let mut artifact = LintInput::network(&net)
             .with_engines(engines)
             .with_ubfactor(study.cfg.ubfactor)
             .with_partition(&partition)
@@ -379,7 +379,7 @@ fn cmd_partition(a: &Args) -> Result<String, CliError> {
     // Post-pipeline audit of the concrete partition (no routing tables
     // were built here, so MC014/MC015 skip but still count as run).
     let mut audit = massf_lint::lint_artifacts(
-        &ArtifactInput::new(&net)
+        &LintInput::network(&net)
             .with_engines(engines)
             .with_ubfactor(cfg.ubfactor)
             .with_partition(&partition),
@@ -523,18 +523,6 @@ fn map_audit_emulate(
             let outcome = rec.time("engine/emulate", || {
                 massf_core::mapping::run_online(&study, job.flows, job.predicted, &inc_cfg, mode)
             });
-            // PLACE's plan summed per engine under the initial partition:
-            // the MC019 baseline the measured epochs are compared against.
-            let (_, predicted_node) = massf_core::mapping::weights::accumulate_predicted_with(
-                &study.net,
-                &study.tables,
-                job.predicted,
-                study.cfg.parallelism,
-            );
-            let mut predicted_engine = vec![0.0f64; job.engines];
-            for (v, w) in predicted_node.iter().enumerate() {
-                predicted_engine[partition.part[v] as usize] += w;
-            }
             let epoch_loads: Vec<Vec<u64>> = outcome
                 .epoch_stats
                 .iter()
@@ -544,7 +532,7 @@ fn map_audit_emulate(
                 massf_core::audit::audit_study_online(
                     &study,
                     &partition,
-                    &predicted_engine,
+                    &outcome.predicted_engine_loads,
                     &epoch_loads,
                 )
             });

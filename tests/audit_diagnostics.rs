@@ -1,12 +1,12 @@
 //! Golden-file and refusal tests for the post-pipeline artifact audit
-//! (MC013–MC018): a deliberately broken partition rendered through
+//! (MC013–MC020): a deliberately broken partition rendered through
 //! `massf-lint`, a corrupted trace fixture driven through `massf check`,
 //! and byte-determinism of the audit report across `--threads`.
 //!
 //! Regenerate the goldens with `MASSF_BLESS=1 cargo test --test
 //! audit_diagnostics` after an intentional output change.
 
-use massf_lint::{lint_artifacts, ArtifactInput};
+use massf_lint::{lint_artifacts, LintInput};
 use massf_partition::Partitioning;
 use massf_repro::cli;
 use massf_topology::dml;
@@ -52,7 +52,7 @@ fn broken_partition_audit() -> massf_lint::Diagnostics {
     };
     let caps = [1.0, 2.0];
     lint_artifacts(
-        &ArtifactInput::new(&net)
+        &LintInput::network(&net)
             .with_engines(3)
             .with_partition(&partition)
             .with_capacities(&caps),

@@ -1,12 +1,32 @@
-//! The system allocator with a per-thread tally, shared by the integration
-//! tests that bound what one call holds or how often it allocates while
-//! other tests run beside it.
+//! What the integration tests share: the system allocator with a
+//! per-thread tally, for the tests that bound what one call holds or how
+//! often it allocates while other tests run beside it, and
+//! [`run_on_workers`], for the tests that hold the worker path to the
+//! sequential one.
 
-// Each test binary uses only the half of this module it needs.
+// Each test binary uses only the part of this module it needs.
 #![allow(dead_code)]
 
+use massf_core::engine::{EmulationConfig, EmulationReport, SteppableEmulation};
+use massf_core::routing::RoutingTables;
+use massf_core::topology::Network;
+use massf_core::traffic::FlowSpec;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+
+/// The run with every slice on two worker threads, whatever its density
+/// (`run_parallel` leaves windows this sparse on the calling thread).
+pub fn run_on_workers(
+    net: &Network,
+    tables: &RoutingTables,
+    flows: &[FlowSpec],
+    cfg: &EmulationConfig,
+) -> EmulationReport {
+    let mut emu = SteppableEmulation::new(net, tables, flows, cfg.clone());
+    emu.set_workers((0..cfg.nengines).map(|e| e % 2).collect(), 0);
+    emu.run_to_completion();
+    emu.finish()
+}
 
 thread_local! {
     /// Bytes this thread holds relative to the last reset, their peak, and

@@ -2,23 +2,12 @@
 //! reference on real scenarios, for every approach and topology — and at
 //! every worker count, engine → worker deal and density-gate setting.
 
+mod common;
+
+use common::run_on_workers;
 use massf_core::engine::{run, run_parallel, run_sequential, SteppableEmulation};
 use massf_core::prelude::*;
 use massf_core::routing::RoutingTables;
-
-/// The run with every slice on two worker threads, whatever its density
-/// (`run_parallel` leaves windows this sparse on the calling thread).
-fn run_on_workers(
-    net: &Network,
-    tables: &RoutingTables,
-    flows: &[FlowSpec],
-    cfg: &EmulationConfig,
-) -> EmulationReport {
-    let mut emu = SteppableEmulation::new(net, tables, flows, cfg.clone());
-    emu.set_workers((0..cfg.nengines).map(|e| e % 2).collect(), 0);
-    emu.run_to_completion();
-    emu.finish()
-}
 
 fn check(topo: Topology, wl: Workload, approach: Approach) {
     let built = Scenario::new(topo, wl)

@@ -4,7 +4,10 @@
 //! cross-engine send/receive ledger must balance, and the parallel
 //! executor must produce exactly the sequential executor's series.
 
-use massf_core::engine::{run_sequential, SteppableEmulation};
+mod common;
+
+use common::run_on_workers;
+use massf_core::engine::run_sequential;
 use massf_core::prelude::*;
 use massf_core::routing::RoutingTables;
 use massf_core::topology::brite::{generate, BriteConfig, GrowthModel};
@@ -31,20 +34,6 @@ fn arb_network() -> impl Strategy<Value = Network> {
             })
         },
     )
-}
-
-/// The run with every slice on two worker threads, whatever its density
-/// (`run_parallel` leaves windows this sparse on the calling thread).
-fn run_on_workers(
-    net: &Network,
-    tables: &RoutingTables,
-    flows: &[FlowSpec],
-    cfg: &EmulationConfig,
-) -> EmulationReport {
-    let mut emu = SteppableEmulation::new(net, tables, flows, cfg.clone());
-    emu.set_workers((0..cfg.nengines).map(|e| e % 2).collect(), 0);
-    emu.run_to_completion();
-    emu.finish()
 }
 
 /// Arbitrary flow schedule between hosts of `net`.

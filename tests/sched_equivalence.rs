@@ -6,9 +6,11 @@
 //! differ between kinds, and even those must be deterministic within a
 //! kind across executors.
 
-use massf_core::engine::{run_sequential, SchedulerKind, SteppableEmulation};
+mod common;
+
+use common::run_on_workers;
+use massf_core::engine::{run_sequential, SchedulerKind};
 use massf_core::prelude::*;
-use massf_core::routing::RoutingTables;
 
 /// Asserts every simulated (scheduler-independent) field matches.
 fn assert_simulated_equal(a: &EmulationReport, b: &EmulationReport, what: &str) {
@@ -27,20 +29,6 @@ fn assert_simulated_equal(a: &EmulationReport, b: &EmulationReport, what: &str) 
     assert_eq!(a.stall_series, b.stall_series, "{what}");
     assert_eq!(a.recv_series, b.recv_series, "{what}");
     assert_eq!(a.netflow, b.netflow, "{what}");
-}
-
-/// The run with every slice on two worker threads, whatever its density
-/// (`run_parallel` leaves windows this sparse on the calling thread).
-fn run_on_workers(
-    net: &Network,
-    tables: &RoutingTables,
-    flows: &[FlowSpec],
-    cfg: &EmulationConfig,
-) -> EmulationReport {
-    let mut emu = SteppableEmulation::new(net, tables, flows, cfg.clone());
-    emu.set_workers((0..cfg.nengines).map(|e| e % 2).collect(), 0);
-    emu.run_to_completion();
-    emu.finish()
 }
 
 fn check(topo: Topology, wl: Workload) {

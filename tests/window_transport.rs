@@ -1,7 +1,10 @@
 //! Window/ACK-clocked transport (TCP-like) integration checks: ACK
 //! dynamics, RTT sensitivity, determinism across engines, and conservation.
 
-use massf_core::engine::{run_sequential, EmulationConfig, EmulationReport, SteppableEmulation};
+mod common;
+
+use common::run_on_workers;
+use massf_core::engine::{run_sequential, EmulationConfig};
 use massf_core::prelude::*;
 use massf_core::routing::RoutingTables;
 use massf_core::topology::Network;
@@ -17,20 +20,6 @@ fn dumbbell() -> Network {
     net.add_link(r0, r1, 45.0, 20_000);
     net.add_link(r1, h1, 100.0, 100);
     net
-}
-
-/// The run with every slice on two worker threads, whatever its density
-/// (`run_parallel` leaves windows this sparse on the calling thread).
-fn run_on_workers(
-    net: &Network,
-    tables: &RoutingTables,
-    flows: &[FlowSpec],
-    cfg: &EmulationConfig,
-) -> EmulationReport {
-    let mut emu = SteppableEmulation::new(net, tables, flows, cfg.clone());
-    emu.set_workers((0..cfg.nengines).map(|e| e % 2).collect(), 0);
-    emu.run_to_completion();
-    emu.finish()
 }
 
 fn windowed_flow(packets: u64, window: u32) -> FlowSpec {
