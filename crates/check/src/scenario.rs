@@ -19,11 +19,12 @@
 use massf_engine::engine::{Engine, Routes, Shared};
 use massf_engine::event::Event;
 use massf_engine::exec::finalize;
+use massf_engine::link::Directions;
 use massf_engine::{
     EmulationConfig, EmulationReport, MigrationCost, ProtocolState, SteppableEmulation,
 };
 use massf_routing::RoutingTables;
-use massf_topology::{LinkId, Network};
+use massf_topology::Network;
 use massf_traffic::FlowSpec;
 
 /// When the extra flow of the stopped `two_cross` scenarios starts (µs).
@@ -53,8 +54,9 @@ pub struct StopState {
     /// Pending events per engine, ascending — the first injections of its
     /// unstarted flows among them.
     pub pending: Vec<Vec<Event>>,
-    /// Link-occupancy entries per engine, in key order.
-    pub links: Vec<Vec<((LinkId, bool), u64)>>,
+    /// Link-occupancy entries per engine, `(direction, busy until)` in
+    /// direction order.
+    pub links: Vec<Vec<(u32, u64)>>,
     /// The protocol state (wall clock, rounds, frontier, last LBTS).
     pub protocol: ProtocolState,
 }
@@ -72,11 +74,13 @@ impl StopState {
     ) -> StopState {
         if cfg!(debug_assertions) {
             let routes = Routes::of(&scenario.flows);
+            let dirs = Directions::of(&scenario.net);
             let shared = Shared {
                 net: &scenario.net,
                 tables: &scenario.tables,
                 flows: &scenario.flows,
                 routes: &routes,
+                dirs: &dirs,
                 partition: &cfg.partition,
             };
             engines.iter().for_each(|e| e.assert_pins_hold(&shared));

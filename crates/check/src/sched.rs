@@ -28,6 +28,7 @@ use crate::scenario::{Scenario, StopState};
 use crate::vv::VersionVec;
 use massf_engine::engine::{lookahead_us, Engine, Routes, Shared};
 use massf_engine::event::Event;
+use massf_engine::link::Directions;
 use massf_engine::shim::{SlotArray, SyncShim};
 use massf_engine::{protocol_loop, ProtocolState};
 use std::cell::Cell;
@@ -423,11 +424,13 @@ pub fn run_schedule(
     let threads = scenario.participants();
     let (until_us, round_limit) = scenario.bounds(segment);
     let routes = Routes::of(&scenario.flows);
+    let dirs = Directions::of(&scenario.net);
     let shared = Shared {
         net: &scenario.net,
         tables: &scenario.tables,
         flows: &scenario.flows,
         routes: &routes,
+        dirs: &dirs,
         partition: &cfg.partition,
     };
     let lookahead = lookahead_us(&scenario.net, &cfg.partition);

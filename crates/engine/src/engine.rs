@@ -1,12 +1,13 @@
-//! The per-partition sequential kernel: one simulation engine's event loop.
+//! The per-partition sequential kernel: one simulation engine's event loop,
+//! forwarding each packet over its route's pinned link direction.
 
 use crate::counters::EngineCounters;
 use crate::event::{Event, EventKind, Packet};
-use crate::link::LinkOccupancy;
+use crate::link::{dir_index, Directions, LinkOccupancy, NO_ROUTE, UNPINNED};
 use crate::netflow::NetFlowCollector;
 use crate::sched::{EventQueue, SchedStats, SchedulerKind};
 use massf_routing::{RoutingKind, RoutingTables};
-use massf_topology::{LinkId, Network, NodeId, NodeKind};
+use massf_topology::{Network, NodeId, NodeKind};
 use massf_traffic::FlowSpec;
 
 /// Immutable state shared by every engine during a run.
@@ -19,6 +20,8 @@ pub struct Shared<'a> {
     pub flows: &'a [FlowSpec],
     /// The schedule's routes ([`Routes::of`] `flows`, built once per run).
     pub routes: &'a Routes,
+    /// The link directions ([`Directions::of`] `net`, built once per run).
+    pub dirs: &'a Directions,
     /// Node → engine assignment.
     pub partition: &'a [u32],
 }
@@ -83,10 +86,6 @@ pub fn first_injection(idx: u32, flow: &FlowSpec) -> Event {
     }
 }
 
-/// A pin slot no packet has reached yet. Not a link: ids index the
-/// network's link array, which cannot hold 2³² − 2 links.
-const UNPINNED: LinkId = LinkId(u32::MAX - 1);
-
 /// Rows of pins an engine reserves on its first sighting: paths on the
 /// shipped topologies stay under this many hops.
 const PIN_ROWS: usize = 16;
@@ -126,14 +125,14 @@ pub struct Engine {
     /// Outbox filled during a window, drained by the executor into a
     /// reusable buffer (the capacity survives across windows).
     outbox: Vec<RemoteEvent>,
-    /// `pins[lane]` ([`Routes::lane`]): the link a packet of that route and
-    /// direction leaves over after crossing `hop` links, [`UNPINNED`] until
-    /// this engine first forwards one there. One
-    /// row per hop, so it grows a handful of times and then never again.
+    /// `pins[lane]` ([`Routes::lane`]): the link direction a packet of that
+    /// route and direction leaves over after crossing `hop` links (or
+    /// [`NO_ROUTE`]), [`UNPINNED`] until this engine first forwards one there.
+    /// One row per hop, so it grows a handful of times and then never again.
     /// Exact because routes never change during a run (DESIGN.md §13), and
     /// filled only for hops this engine owns, so lazy tables stay sliced
     /// per engine.
-    pins: Vec<LinkId>,
+    pins: Vec<u32>,
 }
 
 impl Engine {
@@ -149,7 +148,7 @@ impl Engine {
             id,
             queue: EventQueue::new(scheduler),
             starts: Vec::new(),
-            links: LinkOccupancy::new(),
+            links: LinkOccupancy::default(),
             counters: EngineCounters::new(counter_window_us),
             netflow: NetFlowCollector::new(netflow_enabled),
             outbox: Vec::new(),
@@ -233,15 +232,16 @@ impl Engine {
         all
     }
 
-    /// Drains the per-direction link occupancy (migrated with the sending
-    /// node so FIFO serialization order survives remapping).
-    pub fn drain_link_state(&mut self) -> Vec<((massf_topology::LinkId, bool), u64)> {
+    /// Drains the per-direction link occupancy, `(direction, busy until)`
+    /// (migrated with the sending node so FIFO serialization order survives
+    /// remapping).
+    pub fn drain_link_state(&mut self) -> Vec<(u32, u64)> {
         self.links.drain_all()
     }
 
     /// Installs a link-occupancy entry.
-    pub fn insert_link_state(&mut self, key: (massf_topology::LinkId, bool), busy_until_us: u64) {
-        self.links.insert(key, busy_until_us);
+    pub fn insert_link_state(&mut self, dir: u32, busy_until_us: u64) {
+        self.links.insert(dir, busy_until_us);
     }
 
     /// Number of remote events sent so far (monotone counter mirror).
@@ -307,30 +307,33 @@ impl Engine {
         }
     }
 
-    /// The link `pkt` leaves `node` over: the pin of its lane,
+    /// The link direction `pkt` leaves `node` over: the pin of its lane,
     /// [`filled`](Self::fill_pin) the first time a packet of the route
     /// gets here.
     #[inline]
-    fn pinned_link(&mut self, pkt: &Packet, node: NodeId, shared: &Shared<'_>) -> LinkId {
+    fn pinned_dir(&mut self, pkt: &Packet, node: NodeId, shared: &Shared<'_>) -> u32 {
         let lane = shared.routes.lane(pkt);
         match self.pins.get(lane) {
-            Some(&link) if link != UNPINNED => link,
-            _ => {
-                let link = shared.tables.next_link_raw(node, pkt.dst);
-                self.fill_pin(lane, shared.routes.width(), link)
-            }
+            Some(&dir) if dir != UNPINNED => dir,
+            _ => self.fill_pin(lane, pkt, node, shared),
         }
     }
 
-    /// Pins `link` at `lane`, growing the array to the lane's row first
-    /// (`width` lanes a row). The caller's `next_link_raw` is the
+    /// Pins the direction from `node` toward `pkt.dst` at `lane`, growing
+    /// the array to the lane's row first. Its `next_link_raw` is the
     /// emulation's only routing query, and it is always for an engine-owned
     /// source: under lazy tables each engine therefore materializes only
-    /// its own slice of the rows (DESIGN.md §16). `NO_ROUTE` is pinned too,
-    /// so an unreachable route is probed once.
+    /// its own slice of the rows (DESIGN.md §16). [`NO_ROUTE`] is pinned
+    /// too, so an unreachable route is probed once.
     #[cold]
-    fn fill_pin(&mut self, lane: usize, width: usize, link: LinkId) -> LinkId {
-        assert_ne!(link, UNPINNED, "link id collides with the unpinned mark");
+    fn fill_pin(&mut self, lane: usize, pkt: &Packet, node: NodeId, shared: &Shared<'_>) -> u32 {
+        let link = shared.tables.next_link_raw(node, pkt.dst);
+        let dir = if link == RoutingTables::NO_ROUTE {
+            NO_ROUTE
+        } else {
+            dir_index(link, shared.net.link(link).a == node)
+        };
+        let width = shared.routes.width();
         let rows = lane / width + 1;
         if self.pins.len() < rows * width {
             if self.pins.capacity() == 0 {
@@ -339,15 +342,16 @@ impl Engine {
             }
             self.pins.resize(rows * width, UNPINNED);
         }
-        self.pins[lane] = link;
-        link
+        self.pins[lane] = dir;
+        dir
     }
 
-    /// Panics unless every filled pin is still the link the tables name for
-    /// its lane: pins — and the NetFlow cells that share their lanes — are
-    /// exact only while routes do not change during a run (DESIGN.md §13).
-    /// Eager tables only: asking a lazy table is a demand, which would
-    /// materialize rows no packet asked for.
+    /// Panics unless every filled pin is still the direction the tables
+    /// name for its lane — the link at its hop of the path, left from the
+    /// side the path reaches it on: pins — and the NetFlow cells that share
+    /// their lanes — are exact only while routes do not change during a run
+    /// (DESIGN.md §13). Eager tables only: asking a lazy table is a demand,
+    /// which would materialize rows no packet asked for.
     pub fn assert_pins_hold(&self, shared: &Shared<'_>) {
         if shared.tables.kind() == RoutingKind::Lazy {
             return;
@@ -363,9 +367,13 @@ impl Engine {
             let (lo, hi) = shared.routes.ends[slot / 2];
             let (src, dst) = if slot % 2 == 0 { (lo, hi) } else { (hi, lo) };
             let path = shared.tables.path_links(src, dst).unwrap_or_default();
-            let link = path.get(hop).copied().unwrap_or(RoutingTables::NO_ROUTE);
+            let dir = path.get(hop).map_or(NO_ROUTE, |&link| {
+                let walk = path[..hop].iter().map(|&l| shared.net.link(l));
+                let sender = walk.fold(src, |at, l| l.opposite(at));
+                dir_index(link, shared.net.link(link).a == sender)
+            });
             assert_eq!(
-                link, pin,
+                dir, pin,
                 "engine {}: stale pin, hop {hop} of {src} -> {dst}",
                 self.id
             );
@@ -374,31 +382,29 @@ impl Engine {
 
     /// Transmits `pkt` from `node` toward its destination, producing the
     /// arrival event locally or in the outbox.
-    fn forward(&mut self, mut pkt: Packet, node: NodeId, now_us: u64, shared: &Shared<'_>) {
+    fn forward(&mut self, pkt: Packet, node: NodeId, now_us: u64, shared: &Shared<'_>) {
         debug_assert_eq!(
             shared.partition[node as usize], self.id,
             "engine {} forwarded for node {node} it does not own",
             self.id
         );
-        let link_id = self.pinned_link(&pkt, node, shared);
-        if link_id == RoutingTables::NO_ROUTE {
+        let dir = self.pinned_dir(&pkt, node, shared);
+        if dir == NO_ROUTE {
             // Unreachable destination (or src == dst): account and drop.
             self.counters.dropped += 1;
             return;
         }
-        let link = shared.net.link(link_id);
-        let from_a = link.a == node;
-        let transit = self
-            .links
-            .schedule(link_id, link, from_a, now_us, pkt.bytes);
-        let next = link.opposite(node);
-        pkt.hop += 1;
+        let d = shared.dirs.get(dir);
+        let pkt = Packet {
+            hop: pkt.hop + 1,
+            ..pkt
+        };
         let event = Event {
-            time_us: transit.arrive_us,
-            node: next,
+            time_us: self.links.schedule(dir, d, now_us, pkt.bytes),
+            node: d.to,
             kind: EventKind::Arrive { pkt },
         };
-        let owner = shared.partition[next as usize];
+        let owner = shared.partition[d.to as usize];
         if owner == self.id {
             self.queue.push(event);
         } else {
@@ -480,11 +486,13 @@ mod tests {
         lbts: u64,
     ) -> (Engine, u64) {
         let routes = Routes::of(flows);
+        let dirs = Directions::of(net);
         let shared = Shared {
             net,
             tables,
             flows,
             routes: &routes,
+            dirs: &dirs,
             partition,
         };
         let mut e = Engine::new(0, 1_000_000, netflow, SchedulerKind::default());
@@ -590,15 +598,38 @@ mod tests {
         let partition = vec![0u32; 3];
         let (mut e, _) = engine_after(&net, &tables, &flows, &partition, false, u64::MAX);
         let routes = Routes::of(&flows);
+        let dirs = Directions::of(&net);
         let shared = Shared {
             net: &net,
             tables: &tables,
             flows: &flows,
             routes: &routes,
+            dirs: &dirs,
             partition: &partition,
         };
         e.assert_pins_hold(&shared); // both hops as the tables have them
         e.pins.swap(0, routes.width()); // hop 0 leaves over hop 1's link
+        e.assert_pins_hold(&shared);
+    }
+
+    #[test]
+    #[should_panic(expected = "stale pin, hop 1")]
+    fn a_pin_on_the_right_link_from_the_wrong_side_is_caught() {
+        let net = net_line();
+        let tables = RoutingTables::build(&net);
+        let flows = vec![flow(0, 2, 1)];
+        let partition = vec![0u32; 3];
+        let (mut e, _) = engine_after(&net, &tables, &flows, &partition, false, u64::MAX);
+        let (routes, dirs) = (Routes::of(&flows), Directions::of(&net));
+        let shared = Shared {
+            net: &net,
+            tables: &tables,
+            flows: &flows,
+            routes: &routes,
+            dirs: &dirs,
+            partition: &partition,
+        };
+        e.pins[routes.width()] ^= 1; // hop 1 leaves its link from h1's end
         e.assert_pins_hold(&shared);
     }
 

@@ -114,28 +114,29 @@ pub struct Event {
 const _: () = assert!(std::mem::size_of::<Event>() == 56);
 
 impl Event {
-    /// Total order: `(time, kind class, packet/flow id, node)`.
-    ///
-    /// Every event key in one run is unique — a packet arrives at a given
-    /// node at most once and injections carry unique `(flow, packet_no)` —
-    /// so processing order is deterministic regardless of which thread
-    /// enqueued the event first.
-    pub(crate) fn key(&self) -> (u64, u8, u64, NodeId) {
-        match self.kind {
-            EventKind::Inject { flow, packet_no } => (
-                self.time_us,
-                0,
-                ((flow as u64) << 32) | packet_no,
-                self.node,
-            ),
-            EventKind::Arrive { pkt } => (self.time_us, 1, pkt.id, self.node),
-        }
+    /// The order key but the node as one integer, `time << 65 | class << 64
+    /// | id`: injections (class 0) before arrivals, an injection's id is
+    /// `(flow << 32) | packet_no`. Exact while `time_us < 2⁶³`, which trace
+    /// parsing guarantees.
+    #[inline]
+    pub(crate) fn packed_key(&self) -> u128 {
+        debug_assert!(self.time_us < 1 << 63, "event time past the packed key");
+        let (class, id) = match self.kind {
+            EventKind::Inject { flow, packet_no } => (0, ((flow as u64) << 32) | packet_no),
+            EventKind::Arrive { pkt } => (1, pkt.id),
+        };
+        (self.time_us as u128) << 65 | class << 64 | id as u128
     }
 }
 
+/// Total order: `(time, kind class, packet/flow id, node)`, the packed key
+/// then the node. Every event key in one run is unique — a packet arrives
+/// at a given node at most once and injections carry unique `(flow,
+/// packet_no)` — so processing order is deterministic regardless of which
+/// thread enqueued the event first.
 impl Ord for Event {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.key().cmp(&other.key())
+        (self.packed_key(), self.node).cmp(&(other.packed_key(), other.node))
     }
 }
 
@@ -214,5 +215,69 @@ mod tests {
         };
         assert!(a < b);
         assert_ne!(a, b);
+    }
+
+    /// The event at `time_us` and `node` of kind `class` and packet id `id`.
+    fn keyed(time_us: u64, class: u8, id: u64, node: NodeId) -> Event {
+        let kind = if class == 0 {
+            EventKind::Inject {
+                flow: (id >> 32) as u32,
+                packet_no: id & 0xffff_ffff,
+            }
+        } else {
+            let pkt = Packet {
+                id,
+                ..Packet::for_flow(0, 0, 0, 1, 1, 0)
+            };
+            EventKind::Arrive { pkt }
+        };
+        Event {
+            time_us,
+            node,
+            kind,
+        }
+    }
+
+    #[test]
+    fn the_packed_key_orders_as_the_fields_do() {
+        let times = [0, 1, u32::MAX as u64 + 1, (1 << 62) + 7, (1 << 63) - 1];
+        let ids = [
+            0,
+            1,
+            u32::MAX as u64,
+            1 << 32,
+            ACK_ID_BIT - 1,
+            ACK_ID_BIT,
+            ACK_ID_BIT | 5,
+            u64::MAX,
+        ];
+        let nodes = [0, 1, NodeId::MAX];
+        // The order by definition, field by field.
+        let fields = |e: &Event| match e.kind {
+            EventKind::Inject { flow, packet_no } => {
+                (e.time_us, 0, ((flow as u64) << 32) | packet_no, e.node)
+            }
+            EventKind::Arrive { pkt } => (e.time_us, 1, pkt.id, e.node),
+        };
+        for (t, c, i, n) in [
+            (0, 0, 0, 0),
+            (1 << 40, 0, 1 << 32, 1),
+            (5, 1, ACK_ID_BIT | 3, 7),
+        ] {
+            // Every family differs from `(t, c, i, n)` in one field only.
+            let families: [Vec<Event>; 4] = [
+                times.iter().map(|&t| keyed(t, c, i, n)).collect(),
+                [0, 1].iter().map(|&c| keyed(t, c, i, n)).collect(),
+                ids.iter().map(|&i| keyed(t, c, i, n)).collect(),
+                nodes.iter().map(|&n| keyed(t, c, i, n)).collect(),
+            ];
+            for family in &families {
+                for a in family {
+                    for b in family {
+                        assert_eq!(a.cmp(b), fields(a).cmp(&fields(b)), "{a:?} vs {b:?}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -19,6 +19,7 @@
 //! them through [`finalize`], and produce bit-identical reports.
 
 use crate::cost::{CostModel, WallClock};
+use crate::counters::EngineCounters;
 use crate::engine::{first_injection, Engine, RemoteEvent, Shared};
 use crate::event::Event;
 use crate::netflow::merge_collectors;
@@ -334,81 +335,48 @@ pub fn finalize(
     tables: &RoutingTables,
     state: ProtocolState,
 ) -> EmulationReport {
-    let nengines = cfg.nengines;
-    let mut engine_events = Vec::with_capacity(nengines);
-    let mut engine_stalls = Vec::with_capacity(nengines);
-    let mut engine_remote_sent = Vec::with_capacity(nengines);
-    let mut engine_remote_recv = Vec::with_capacity(nengines);
-    let mut engine_queue_peak = Vec::with_capacity(nengines);
-    let mut engine_sched_resizes = Vec::with_capacity(nengines);
-    let mut engine_reallocs = Vec::with_capacity(nengines);
-    let mut engine_sorted_inserts = Vec::with_capacity(nengines);
-    let mut delivered = 0;
-    let mut dropped = 0;
-    let mut latency_sum_us = 0u128;
-    let mut remote_messages = 0;
-    let mut raw_windows = Vec::with_capacity(nengines);
-    let mut raw_stalls = Vec::with_capacity(nengines);
-    let mut raw_recvs = Vec::with_capacity(nengines);
-    let mut last_event_us = 0u64;
-    for e in &engines {
-        let sched = e.queue_stats();
-        engine_events.push(e.counters.events);
-        engine_stalls.push(e.counters.stalled_rounds);
-        engine_remote_sent.push(e.counters.remote_sent);
-        engine_remote_recv.push(e.counters.remote_recv);
-        engine_queue_peak.push(sched.peak_depth);
-        engine_sched_resizes.push(sched.resizes);
-        engine_reallocs.push(sched.reallocs + e.counters.reallocs);
-        engine_sorted_inserts.push(sched.sorted_inserts);
-        delivered += e.counters.delivered;
-        dropped += e.counters.dropped;
-        latency_sum_us += e.counters.latency_sum_us;
-        remote_messages += e.counters.remote_sent;
-        last_event_us = last_event_us.max(e.counters.last_event_us);
-        raw_windows.push(e.counters.windows().to_vec());
-        raw_stalls.push(e.counters.stall_windows().to_vec());
-        raw_recvs.push(e.counters.recv_windows().to_vec());
+    fn rows(c: &EngineCounters) -> [&[u64]; 3] {
+        [c.windows(), c.stall_windows(), c.recv_windows()]
     }
+    let each = |f: &dyn Fn(&Engine) -> u64| -> Vec<u64> { engines.iter().map(f).collect() };
+    let counters = || engines.iter().map(|e| &e.counters);
+    let total = |f: fn(&EngineCounters) -> u64| counters().map(f).sum();
     // One shared bucket count so every series row lines up.
-    let buckets = raw_windows
-        .iter()
-        .chain(&raw_stalls)
-        .chain(&raw_recvs)
-        .map(Vec::len)
+    let buckets = counters()
+        .flat_map(rows)
+        .map(<[u64]>::len)
         .max()
         .unwrap_or(0);
-    let pad = |rows: Vec<Vec<u64>>| -> Vec<Vec<u64>> {
-        rows.into_iter()
-            .map(|mut w| {
-                w.resize(buckets, 0);
-                w
-            })
-            .collect()
+    let series = |row: usize| -> Vec<Vec<u64>> {
+        let padded = |c| {
+            let mut w = rows(c)[row].to_vec();
+            w.resize(buckets, 0);
+            w
+        };
+        counters().map(padded).collect()
     };
-
     EmulationReport {
-        nengines,
-        engine_events,
-        engine_stalls,
-        engine_remote_sent,
-        engine_remote_recv,
-        engine_queue_peak,
-        engine_sched_resizes,
-        engine_reallocs,
-        engine_sorted_inserts,
-        delivered,
-        dropped,
-        latency_sum_us,
-        remote_messages,
+        nengines: cfg.nengines,
+        engine_events: each(&|e| e.counters.events),
+        engine_stalls: each(&|e| e.counters.stalled_rounds),
+        engine_remote_sent: each(&|e| e.counters.remote_sent),
+        engine_remote_recv: each(&|e| e.counters.remote_recv),
+        engine_queue_peak: each(&|e| e.queue_stats().peak_depth),
+        engine_sched_resizes: each(&|e| e.queue_stats().resizes),
+        engine_reallocs: each(&|e| e.queue_stats().reallocs + e.counters.reallocs),
+        engine_sorted_inserts: each(&|e| e.queue_stats().sorted_inserts),
+        delivered: total(|c| c.delivered),
+        dropped: total(|c| c.dropped),
+        latency_sum_us: counters().map(|c| c.latency_sum_us).sum(),
+        remote_messages: total(|c| c.remote_sent),
         rounds: state.rounds,
-        virtual_end_us: last_event_us,
+        virtual_end_us: counters().map(|c| c.last_event_us).max().unwrap_or(0),
         counter_window_us: cfg.counter_window_us,
-        window_series: pad(raw_windows),
-        stall_series: pad(raw_stalls),
-        recv_series: pad(raw_recvs),
+        window_series: series(0),
+        stall_series: series(1),
+        recv_series: series(2),
         netflow: merge_collectors(engines.iter().map(|e| &e.netflow)),
-        routing_slices: tables.slice_residency(&cfg.partition, nengines),
+        routing_slices: tables.slice_residency(&cfg.partition, cfg.nengines),
         wall: state.wall,
     }
 }

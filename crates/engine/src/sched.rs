@@ -21,33 +21,34 @@
 //!
 //! ## Calendar layout
 //!
-//! One bucket per `1 << shift` µs of virtual time starting at `base_us`:
-//! the bucket index is a shift, not a division. Only the *current* bucket
-//! `cur` is kept in order: it lives in `front`, a sorted ring popped at its
-//! head. Every later bucket is an **unsorted** singly linked list threaded
-//! through one slab (`nodes`, with a free list): a push there is a
-//! push-front, and a bucket is sorted once, when the front empties and the
-//! list is moved into it. Every buffer is bounded by the peak number of
-//! pending events and is reused, never freed, so the steady state allocates
-//! nothing — and a mis-sized width costs one larger sort per bucket, not an
-//! insertion per push. Events at or beyond the calendar year
-//! (`year_end_us`) wait in `far`, one more unsorted list through the same
-//! slab, and are folded in at the next rebuild — which relinks the slab's
-//! nodes in place, so the queue is three buffers (slab, front, bucket
-//! heads) and its memory follows the peak depth once. Bucket indices clamp
-//! at both ends (events
-//! earlier than `base_us` — possible after a live migration re-enqueues
-//! another engine's backlog — go to bucket 0; saturated years clamp to the
-//! last bucket), which preserves the one invariant everything rests on: the
-//! bucket index is monotone non-decreasing in event time, and same-time
-//! events always share a bucket. A push at or before `cur` is a
-//! binary-search insert into the front, so its head is the global minimum;
-//! [`SchedStats::sorted_inserts`] counts those, because a width far wider
-//! than the spacing of the in-flight events turns every push into one. The
-//! engine therefore keeps what would stretch the horizon — the first
-//! injections of flows that start later — out of the queue until their
-//! window (`Engine`'s start cursor): the width is sized on in-flight
-//! events only.
+//! A push writes the event once into a slot of the slab (`events`, with a
+//! free list) and the pop that returns it reads it once; in between only
+//! slots and keys move. One bucket per `1 << shift` µs of virtual time
+//! from `base_us`: the index is a shift, not a division. Only the
+//! *current* bucket `cur` is kept in order: `front`, a ring of `(packed
+//! key, slot)` entries sorted by [`Event::packed_key`] and, on an equal
+//! key, by node — exactly `Ord for Event` — popped at its head. Every
+//! later bucket is an **unsorted** list of slots threaded through `next`:
+//! a push there is a push-front, and a bucket is keyed and sorted once,
+//! when the front empties. Every buffer is bounded by the peak number of
+//! pending events and is reused, never freed, so the steady state
+//! allocates nothing — and a mis-sized width costs one larger sort per
+//! bucket, not an insertion per push. Events at or beyond the calendar
+//! year (`year_end_us`) wait in `far`, one more list of slots, and are
+//! folded in at the next rebuild, which relinks every slot in place: the
+//! queue's memory follows the peak depth once. Bucket indices clamp at
+//! both ends (events earlier than `base_us` — possible after a live
+//! migration re-enqueues another engine's backlog — go to bucket 0;
+//! saturated years clamp to the last bucket), which preserves the one
+//! invariant everything rests on: the bucket index is monotone
+//! non-decreasing in event time, and same-time events always share a
+//! bucket. A push at or before `cur` is a binary-search insert into the
+//! front, so its head is the global minimum; [`SchedStats::sorted_inserts`]
+//! counts those, because a width far wider than the spacing of the
+//! in-flight events turns every push into one. The engine therefore keeps
+//! what would stretch the horizon — the first injections of flows that
+//! start later — out of the queue until their window (`Engine`'s start
+//! cursor): the width is sized on in-flight events only.
 //!
 //! Rebuilds (triggered when the queue doubles past the bucket count,
 //! shrinks far below it, or the calendar drains while `far` holds events)
@@ -56,7 +57,7 @@
 //! are themselves deterministic and safe to surface in the run report.
 
 use crate::event::Event;
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
 
 /// Which scheduler implementation an engine uses.
@@ -92,7 +93,7 @@ pub struct SchedStats {
     /// Calendar rebuilds (bucket-array re-spans); always 0 for the heap.
     pub resizes: u64,
     /// Logical allocations on the event path: pushes that found a scheduler
-    /// buffer at capacity (calendar: node slab, front, bucket heads; heap:
+    /// buffer at capacity (calendar: event slab, front, bucket heads; heap:
     /// its one vector). Counted at the call sites, not by a counting
     /// allocator, because the workspace is `forbid(unsafe_code)`; buffers are
     /// reused once grown, so steady state adds ~0 per event.
@@ -113,27 +114,39 @@ const INITIAL_WIDTH_US: u64 = 1024;
 /// End of a bucket list and of the free list.
 const NIL: u32 = u32::MAX;
 
-/// One slab slot: an event pending in some later bucket or in `far`, or a
-/// free slot.
-#[derive(Debug, Clone, Copy)]
-struct Node {
-    ev: Event,
-    next: u32,
+/// A front entry: an event's [`Event::packed_key`] and its slab slot.
+type Entry = (u128, u32);
+
+/// Timestamp of the event behind `entry`: the packed key's top bits.
+#[inline]
+fn entry_time((key, _): Entry) -> u64 {
+    (key >> 65) as u64
+}
+
+/// The front's order, which is `Ord for Event`: the packed key, then on a
+/// tie the node, read through the slab.
+#[inline]
+fn entry_cmp(events: &[Event], a: &Entry, b: &Entry) -> Ordering {
+    let node = |e: &Entry| events[e.1 as usize].node;
+    a.0.cmp(&b.0).then_with(|| node(a).cmp(&node(b)))
 }
 
 /// The calendar queue. See the module docs for the layout and the
 /// determinism argument.
 #[derive(Debug, Clone)]
 pub struct CalendarQueue {
-    /// Slab behind every bucket list; grows to the peak and is reused.
-    nodes: Vec<Node>,
-    /// Head of the free list through `nodes`.
+    /// The slab: each pending event in the slot it holds from push to pop.
+    events: Vec<Event>,
+    /// Per slot, the next of its list (a bucket, `far`, the free list): a
+    /// walk reads 4 B a slot, and the events it reaches are independent.
+    next: Vec<u32>,
+    /// Head of the free list.
     free: u32,
     /// Per bucket, the head of its unsorted list (`NIL` when empty).
     heads: Vec<u32>,
-    /// The events of buckets `..= cur`, ascending: the head is the global
-    /// minimum. Non-empty whenever the calendar holds anything.
-    front: VecDeque<Event>,
+    /// Buckets `..= cur` in event order: the head is the global minimum.
+    /// Non-empty whenever the calendar holds anything.
+    front: VecDeque<Entry>,
     /// The bucket `front` stands for; `heads[..= cur]` are all `NIL`.
     cur: usize,
     /// `log2` of the bucket width in µs — the bucket index is a shift.
@@ -160,7 +173,8 @@ impl CalendarQueue {
     /// An empty queue with the minimum geometry.
     pub fn new() -> Self {
         Self {
-            nodes: Vec::new(),
+            events: Vec::new(),
+            next: Vec::new(),
             free: NIL,
             heads: vec![NIL; MIN_BUCKETS],
             front: VecDeque::new(),
@@ -191,15 +205,15 @@ impl CalendarQueue {
 
     /// Bytes of buffer capacity held, in use or not (read by tests only).
     pub fn retained_bytes(&self) -> usize {
-        self.nodes.capacity() * size_of::<Node>()
-            + self.heads.capacity() * size_of::<u32>()
-            + self.front.capacity() * size_of::<Event>()
+        self.events.capacity() * size_of::<Event>()
+            + (self.next.capacity() + self.heads.capacity()) * size_of::<u32>()
+            + self.front.capacity() * size_of::<Entry>()
     }
 
     /// Timestamp of the next event, or `None` when idle. O(1).
     #[inline]
     pub fn next_time(&self) -> Option<u64> {
-        self.front.front().map(|e| e.time_us)
+        self.front.front().map(|&e| entry_time(e))
     }
 
     #[inline]
@@ -215,39 +229,40 @@ impl CalendarQueue {
         self.base_us.saturating_add(year_us)
     }
 
-    /// Puts `ev` in a slab slot linked ahead of `next`; returns the slot,
+    /// Puts `ev` in a slab slot linked ahead of `head`; returns the slot,
     /// the new head of that list.
     #[inline]
-    fn link(&mut self, next: u32, ev: Event) -> u32 {
-        let node = Node { ev, next };
+    fn link(&mut self, head: u32, ev: Event) -> u32 {
         if self.free == NIL {
-            self.stats.reallocs += (self.nodes.len() == self.nodes.capacity()) as u64;
-            self.nodes.push(node);
-            return self.nodes.len() as u32 - 1;
+            // `next` grows with `events`: one buffer as far as counting goes.
+            self.stats.reallocs += (self.events.len() == self.events.capacity()) as u64;
+            self.events.push(ev);
+            self.next.push(head);
+            return self.events.len() as u32 - 1;
         }
         let at = self.free;
-        self.free = std::mem::replace(&mut self.nodes[at as usize], node).next;
+        self.free = std::mem::replace(&mut self.next[at as usize], head);
+        self.events[at as usize] = ev;
         at
     }
 
     /// Moves the first non-empty list at or after bucket `from` into the
-    /// (empty) front and sorts it; false when there is none.
+    /// (empty) front as entries and sorts them; false when there is none.
     fn refill(&mut self, from: usize) -> bool {
         let Some(skip) = self.heads[from..].iter().position(|&h| h != NIL) else {
             return false;
         };
         self.cur = from + skip;
-        self.front.clear();
+        self.front.clear(); // empty already: this makes it start contiguous
         let mut at = std::mem::replace(&mut self.heads[self.cur], NIL);
         while at != NIL {
-            let Node { ev, next } = self.nodes[at as usize];
             self.stats.reallocs += (self.front.len() == self.front.capacity()) as u64;
-            self.front.push_back(ev);
-            self.nodes[at as usize].next = self.free;
-            self.free = at;
-            at = next;
+            self.front
+                .push_back((self.events[at as usize].packed_key(), at));
+            at = self.next[at as usize];
         }
-        self.front.make_contiguous().sort_unstable();
+        let (events, front) = (&self.events, self.front.make_contiguous());
+        front.sort_unstable_by(|a, b| entry_cmp(events, a, b));
         true
     }
 
@@ -269,8 +284,12 @@ impl CalendarQueue {
             } else {
                 self.stats.sorted_inserts += 1;
                 self.stats.reallocs += (self.front.len() == self.front.capacity()) as u64;
-                let pos = self.front.partition_point(|q| q < &ev);
-                self.front.insert(pos, ev);
+                let entry = (ev.packed_key(), self.link(NIL, ev));
+                let events = &self.events;
+                let pos = self
+                    .front
+                    .partition_point(|q| entry_cmp(events, q, &entry).is_lt());
+                self.front.insert(pos, entry);
             }
         }
         self.len += 1;
@@ -282,7 +301,9 @@ impl CalendarQueue {
 
     /// Removes and returns the minimum event. O(1) amortized.
     pub fn pop(&mut self) -> Option<Event> {
-        let ev = self.front.pop_front()?;
+        let (_, at) = self.front.pop_front()?;
+        let ev = self.events[at as usize];
+        self.next[at as usize] = std::mem::replace(&mut self.free, at);
         self.len -= 1;
         // Buckets up to `cur` are empty (monotone index; the front held the
         // minimum): the next one is in the first non-empty list or in `far`.
@@ -299,25 +320,34 @@ impl CalendarQueue {
     /// `bound_us` — the conservative-window primitive.
     #[inline]
     pub fn pop_below(&mut self, bound_us: u64) -> Option<Event> {
-        if self.front.front()?.time_us >= bound_us {
+        if entry_time(*self.front.front()?) >= bound_us {
             return None;
         }
         self.pop()
     }
 
-    /// Unlinks every list — `far` and each bucket after `cur` — and chains
-    /// their nodes into one; returns its head and the `(earliest, latest)`
-    /// timestamps on it. One pass, no event moves; the bucket heads are left
-    /// stale for the caller to reset.
-    fn chain_lists(&mut self) -> (u32, u64, u64) {
+    /// Unlinks every pending event — the front's, `far`'s and each bucket
+    /// list's after `cur` — into one chain through the slab; returns its
+    /// head and the `(earliest, latest)` timestamps on it. One pass, no
+    /// event moves; the front is left empty and the bucket heads stale for
+    /// the caller to reset.
+    fn chain_all(&mut self) -> (u32, u64, u64) {
         let (mut chain, mut lo, mut hi) = (NIL, u64::MAX, 0);
+        // The front is sorted: its ends are its span.
+        if let (Some(&first), Some(&last)) = (self.front.front(), self.front.back()) {
+            (lo, hi) = (entry_time(first), entry_time(last));
+        }
+        for (_, at) in self.front.drain(..) {
+            self.next[at as usize] = chain;
+            chain = at;
+        }
         let far = std::mem::replace(&mut self.far, NIL);
         for head in std::iter::once(far).chain(self.heads[self.cur + 1..].iter().copied()) {
             let mut at = head;
             while at != NIL {
-                let node = &mut self.nodes[at as usize];
-                (lo, hi) = (lo.min(node.ev.time_us), hi.max(node.ev.time_us));
-                let next = std::mem::replace(&mut node.next, chain);
+                let time_us = self.events[at as usize].time_us;
+                (lo, hi) = (lo.min(time_us), hi.max(time_us));
+                let next = std::mem::replace(&mut self.next[at as usize], chain);
                 chain = at;
                 at = next;
             }
@@ -329,14 +359,14 @@ impl CalendarQueue {
     /// migrate between engines.
     pub fn drain(&mut self) -> Vec<Event> {
         let mut out = Vec::with_capacity(self.len);
-        out.extend(self.front.drain(..));
-        let (mut at, ..) = self.chain_lists();
+        let (mut at, ..) = self.chain_all();
         while at != NIL {
-            out.push(self.nodes[at as usize].ev);
-            at = self.nodes[at as usize].next;
+            out.push(self.events[at as usize]);
+            at = self.next[at as usize];
         }
         out.sort_unstable();
-        self.nodes.clear();
+        self.events.clear();
+        self.next.clear();
         self.free = NIL;
         self.heads.fill(NIL);
         self.len = 0;
@@ -345,8 +375,7 @@ impl CalendarQueue {
 
     /// Re-spans the horizon of the pending events at ~1 event/bucket with a
     /// power-of-two width and makes bucket 0 the front, folding `far` back
-    /// in. The slab's nodes are relinked where they are; only the front's
-    /// few events move (into the slab, then out again with bucket 0).
+    /// in. Every slot is relinked where it is: no event moves.
     fn rebuild(&mut self) {
         self.stats.resizes += 1;
         if self.len == 0 {
@@ -354,10 +383,7 @@ impl CalendarQueue {
             self.shift = INITIAL_WIDTH_US.trailing_zeros();
             return;
         }
-        let (mut at, lo, hi) = self.chain_lists();
-        // The front is sorted: its ends are its span.
-        let min_us = self.front.front().map_or(lo, |e| lo.min(e.time_us));
-        let max_us = self.front.back().map_or(hi, |e| hi.max(e.time_us));
+        let (mut at, min_us, max_us) = self.chain_all();
         let nbuckets = self.len.next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS);
         let width_us = ((max_us - min_us) / self.len as u64 + 1).next_power_of_two();
         self.shift = width_us.trailing_zeros();
@@ -367,14 +393,10 @@ impl CalendarQueue {
         self.base_us = min_us;
         self.year_end_us = self.year_end();
         while at != NIL {
-            let b = self.bucket_of(self.nodes[at as usize].ev.time_us);
-            let next = std::mem::replace(&mut self.nodes[at as usize].next, self.heads[b]);
+            let b = self.bucket_of(self.events[at as usize].time_us);
+            let next = std::mem::replace(&mut self.next[at as usize], self.heads[b]);
             self.heads[b] = at;
             at = next;
-        }
-        while let Some(ev) = self.front.pop_front() {
-            let b = self.bucket_of(ev.time_us);
-            self.heads[b] = self.link(self.heads[b], ev);
         }
         self.refill(0);
     }

@@ -23,6 +23,7 @@
 
 use crate::engine::{lookahead_us, Engine, Routes, Shared};
 use crate::exec::{finalize, protocol_loop, seeded_engines, EmulationConfig, ProtocolState};
+use crate::link::Directions;
 use crate::netflow::{merge_collectors, FlowRecord};
 use crate::report::EmulationReport;
 use crate::shim::{PoolShim, SeqShim};
@@ -68,13 +69,13 @@ pub const SLICE_ROUNDS: u64 = 256;
 /// Events per round over a slice from which the next slice runs on the
 /// workers. A round costs them what a sequential round does not (three
 /// barriers, slots and events crossing cores, the wait for the fuller
-/// half of an uneven window) against 0.1 µs per event split between
+/// half of an uneven window) against 0.05 µs per event split between
 /// them. Measured on 2 cores, CBR on the 200-router BRITE at 8 engines,
-/// two workers ÷ calling thread: 0.34× at 8 events per round, 0.67× at
-/// 29, 0.92× at 57, 1.02× at 114, 1.28× at 223, 1.47× at 444. Of
-/// `benchmark/`'s workloads `emulate_cbr` (223) and `profile_scalapack`
-/// (586) gain, and `online_onoff` (7.5) forced onto the workers takes
-/// 10.7 s for 4.7.
+/// two workers ÷ calling thread, best of 3: 0.19× at 7 events per round,
+/// 0.34× at 28, 0.46× at 57, 0.72× at 114, 0.83× at 171, 1.00× at 223,
+/// 1.11× at 283, 1.18× at 452. Past 223 the workers gain, yet a gate of
+/// 256 left `emulate_cbr` (223) flat and slowed `profile_scalapack`
+/// (586 on average, in bursts), so the gate stays below both.
 pub const DENSE_EVENTS_PER_ROUND: u64 = 128;
 
 /// An emulation that can be advanced in increments and remapped between
@@ -85,6 +86,8 @@ pub struct SteppableEmulation<'a> {
     flows: &'a [FlowSpec],
     /// [`Routes::of`] `flows`.
     routes: Routes,
+    /// [`Directions::of`] `net`.
+    dirs: Directions,
     cfg: EmulationConfig,
     engines: Vec<Engine>,
     shim: SeqShim,
@@ -118,6 +121,7 @@ impl<'a> SteppableEmulation<'a> {
         let mut emu = Self {
             engines: seeded_engines(net, flows, &cfg),
             routes: Routes::of(flows),
+            dirs: Directions::of(net),
             shim: SeqShim::new(n),
             deal: Vec::new(),
             pool: None,
@@ -196,6 +200,7 @@ impl<'a> SteppableEmulation<'a> {
             tables: self.tables,
             flows: self.flows,
             routes: &self.routes,
+            dirs: &self.dirs,
             partition: &self.cfg.partition,
         };
         let (cfg, ahead, shim) = (&self.cfg, self.lookahead, &self.shim);
@@ -295,11 +300,11 @@ impl<'a> SteppableEmulation<'a> {
                     .copied(),
             );
         }
-        for (key, busy) in link_state {
-            let link = self.net.link(key.0);
-            let sender = if key.1 { link.a } else { link.b };
+        for (dir, busy) in link_state {
+            // The sender is where the opposite direction leads.
+            let sender = self.dirs.get(dir ^ 1).to;
             let owner = self.cfg.partition[sender as usize] as usize;
-            self.engines[owner].insert_link_state(key, busy);
+            self.engines[owner].insert_link_state(dir, busy);
         }
 
         // The remap stalls every engine for no virtual-time progress.
@@ -331,6 +336,7 @@ impl<'a> SteppableEmulation<'a> {
                 tables: self.tables,
                 flows: self.flows,
                 routes: &self.routes,
+                dirs: &self.dirs,
                 partition: &self.cfg.partition,
             };
             self.engines

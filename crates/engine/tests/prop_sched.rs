@@ -8,9 +8,12 @@
 //! must never hold more memory than a small multiple of its peak depth. A
 //! skewed workload — a sparse backlog over a horizon a million times the
 //! spacing of the busy stream — holds it to the same under the shape that
-//! turns every push into a sorted insert.
+//! turns every push into a sorted insert. Event ids spread over every bit
+//! the calendar's packed key holds — flows up to 2³¹ − 1, packet numbers up
+//! to 2³² − 1, the ACK bit — and one workload runs at the top of the time
+//! range, just below 2⁶³.
 
-use massf_engine::event::{Event, EventKind, Packet};
+use massf_engine::event::{Event, EventKind, Packet, ACK_ID_BIT};
 use massf_engine::sched::{CalendarQueue, HeapQueue};
 use proptest::prelude::*;
 use std::cmp::Reverse;
@@ -19,9 +22,15 @@ use std::collections::BinaryHeap;
 /// One step of the schedule workload.
 #[derive(Debug, Clone)]
 enum Op {
-    /// Push an event at `time`; `arrive` picks the event class and `node`
-    /// the tie-breaking node id.
-    Push { time: u64, node: u32, arrive: bool },
+    /// Push an event at `time`; `arrive` picks the event class, `ack` an
+    /// acknowledgement's id for an arrival, and `node` the tie-breaking
+    /// node id.
+    Push {
+        time: u64,
+        node: u32,
+        arrive: bool,
+        ack: bool,
+    },
     /// Pop the minimum.
     Pop,
     /// Drain everything strictly below `bound` (a conservative window).
@@ -30,12 +39,20 @@ enum Op {
     Drain,
 }
 
-/// Ops weighted 16:8:4:1 push : pop : windowed drain : full drain (the
-/// vendored proptest has no `prop_oneof!`, so a selector drives the choice).
-fn arb_op(max_time: u64) -> impl Strategy<Value = Op> {
-    (0u8..29, 0..max_time, 0u32..8, prop::bool::ANY).prop_map(move |(sel, time, node, arrive)| {
+/// Ops weighted 16:8:4:1 push : pop : windowed drain : full drain at times
+/// `base..base + span` (the vendored proptest has no `prop_oneof!`, so a
+/// selector drives the choice).
+fn arb_op(base: u64, span: u64) -> impl Strategy<Value = Op> {
+    let fields = (0u8..29, 0..span, 0u32..8, prop::bool::ANY, prop::bool::ANY);
+    fields.prop_map(move |(sel, time, node, arrive, ack)| {
+        let time = base + time;
         match sel {
-            0..=15 => Op::Push { time, node, arrive },
+            0..=15 => Op::Push {
+                time,
+                node,
+                arrive,
+                ack,
+            },
             16..=23 => Op::Pop,
             24..=27 => Op::PopBelow {
                 bound: time.saturating_add(10),
@@ -46,10 +63,10 @@ fn arb_op(max_time: u64) -> impl Strategy<Value = Op> {
 }
 
 /// The calendar may hold on to at most 4.5 events' worth of bytes per event
-/// of its peak depth: its three buffers (node slab, front, bucket heads) are
-/// doubling vectors that each hold at most the peak — the slab's slot is 8/7
-/// of an event and the heads cost under 8 B per event — which comes to 4.43
-/// in the worst case.
+/// of its peak depth: its buffers (the event slab and its `u32` links, the
+/// front, the bucket heads) are doubling vectors that each hold at most the
+/// peak — a slot is 15/14 of an event, a front entry 4/7 of one, and the
+/// heads cost under 8 B per event — which comes to 3.43 in the worst case.
 fn assert_footprint(cal: &CalendarQueue) {
     let (held, peak) = (cal.retained_bytes(), cal.stats().peak_depth);
     assert!(
@@ -77,6 +94,7 @@ fn arb_skewed_ops() -> impl Strategy<Value = Vec<Op>> {
                 time,
                 node,
                 arrive: false,
+                ack: false,
             })
         };
         let mut ops: Vec<Op> = backlog(0).collect();
@@ -86,6 +104,7 @@ fn arb_skewed_ops() -> impl Strategy<Value = Vec<Op>> {
                 time: frontier + ahead,
                 node,
                 arrive,
+                ack: arrive,
             });
             match sel {
                 0..=19 => ops.push(Op::PopBelow { bound: frontier }),
@@ -100,20 +119,25 @@ fn arb_skewed_ops() -> impl Strategy<Value = Vec<Op>> {
     })
 }
 
-/// Builds the event for push number `seq`. The sequence number becomes the
-/// packet/flow id, so every event key in one run is unique — mirroring the
-/// engine, where a packet arrives at a given node at most once. Times and
-/// nodes still collide constantly, exercising every tie-break level.
-fn event(seq: u64, time: u64, node: u32, arrive: bool) -> Event {
+/// Builds the event for push number `seq`. The sequence number, times an
+/// odd constant modulo 2⁶³, becomes the flow and packet number — a flow
+/// below 2³¹, a packet number below 2³², distinct for every push — so
+/// every event key in one run is unique, mirroring the engine, where a
+/// packet arrives at a given node at most once, while ids reach every bit
+/// of the packed key. Times and nodes still collide constantly, exercising
+/// every tie-break level.
+fn event(seq: u64, time: u64, node: u32, arrive: bool, ack: bool) -> Event {
+    let id = seq.wrapping_mul(0x9e37_79b9_7f4a_7c15) & !ACK_ID_BIT;
+    let (flow, packet_no) = ((id >> 32) as u32, id & 0xffff_ffff);
     let kind = if arrive {
-        EventKind::Arrive {
-            pkt: Packet::for_flow(0, seq, 0, 1, 100, 0),
-        }
+        let pkt = Packet {
+            id: if ack { id | ACK_ID_BIT } else { id },
+            ack,
+            ..Packet::for_flow(flow, 0, 0, 1, 100, 0)
+        };
+        EventKind::Arrive { pkt }
     } else {
-        EventKind::Inject {
-            flow: 0,
-            packet_no: seq,
-        }
+        EventKind::Inject { flow, packet_no }
     };
     Event {
         time_us: time,
@@ -130,8 +154,13 @@ fn check_against_reference(ops: &[Op]) {
     let mut seq = 0u64;
     for op in ops {
         match *op {
-            Op::Push { time, node, arrive } => {
-                let ev = event(seq, time, node, arrive);
+            Op::Push {
+                time,
+                node,
+                arrive,
+                ack,
+            } => {
+                let ev = event(seq, time, node, arrive, ack);
                 seq += 1;
                 cal.push(ev);
                 reference.push(Reverse(ev));
@@ -196,7 +225,7 @@ fn sweeping_front_keeps_memory_near_the_live_set() {
     let mut cal = CalendarQueue::new();
     let mut seq = 0u64;
     let mut push = |cal: &mut CalendarQueue, time: u64, arrive: bool| {
-        cal.push(event(seq, time, (seq % 8) as u32, arrive));
+        cal.push(event(seq, time, (seq % 8) as u32, arrive, false));
         seq += 1;
     };
     for i in 0..FAR_EVENTS {
@@ -227,7 +256,15 @@ proptest! {
     /// Wide timestamp range: events spread across buckets and the far
     /// ladder, triggering grow/shrink/fold-in rebuilds.
     #[test]
-    fn calendar_matches_heap_wide_times(ops in prop::collection::vec(arb_op(5_000_000), 1..300)) {
+    fn calendar_matches_heap_wide_times(ops in prop::collection::vec(arb_op(0, 5_000_000), 1..300)) {
+        check_against_reference(&ops);
+    }
+
+    /// The same just below 2⁶³, where the packed key's time field ends.
+    #[test]
+    fn calendar_matches_heap_at_the_top_of_time(
+        ops in prop::collection::vec(arb_op((1 << 63) - 5_000_000, 5_000_000), 1..300),
+    ) {
         check_against_reference(&ops);
     }
 
@@ -241,21 +278,21 @@ proptest! {
     /// Narrow timestamp range: almost every event ties on time, so order
     /// is decided entirely by the (kind class, id, node) tie-break.
     #[test]
-    fn calendar_matches_heap_heavy_ties(ops in prop::collection::vec(arb_op(6), 1..300)) {
+    fn calendar_matches_heap_heavy_ties(ops in prop::collection::vec(arb_op(0, 6), 1..300)) {
         check_against_reference(&ops);
     }
 
     /// The production wrapper with the heap kind must equal the raw
     /// reference too — it is the benchmark baseline.
     #[test]
-    fn heap_queue_matches_reference(ops in prop::collection::vec(arb_op(1_000), 1..150)) {
+    fn heap_queue_matches_reference(ops in prop::collection::vec(arb_op(0, 1_000), 1..150)) {
         let mut hq = HeapQueue::new();
         let mut reference: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
         let mut seq = 0u64;
         for op in &ops {
             match *op {
-                Op::Push { time, node, arrive } => {
-                    let ev = event(seq, time, node, arrive);
+                Op::Push { time, node, arrive, ack } => {
+                    let ev = event(seq, time, node, arrive, ack);
                     seq += 1;
                     hq.push(ev);
                     reference.push(Reverse(ev));

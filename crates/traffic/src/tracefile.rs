@@ -30,6 +30,16 @@ pub const HEADER_PREFIX: &str = "# massf-trace";
 /// Structured metadata comment declaring the emulation horizon.
 const DURATION_KEY: &str = "# duration_us ";
 
+/// Latest injection instant a flow may have, in µs (2⁶², some 146 000
+/// years). Every event the emulator derives from a flow lands within a
+/// path's worth of link time of one of its injections, so timestamps stay
+/// well below 2⁶³, where the scheduler's packed event key ends.
+pub const MAX_INJECTION_US: u64 = 1 << 62;
+
+/// Most packets a flow may have: packet numbers share a packet id with the
+/// flow index, 32 bits each.
+pub const MAX_PACKETS: u64 = u32::MAX as u64;
+
 /// Errors from [`parse`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceError {
@@ -163,8 +173,19 @@ pub fn parse_trace(text: &str) -> Result<Trace, TraceError> {
         if packets == 0 {
             return Err(bad("packets must be >= 1"));
         }
+        if packets > MAX_PACKETS {
+            return Err(bad(&format!("{packets} packets exceed {MAX_PACKETS}")));
+        }
         if packet_interval_us == 0 {
             return Err(bad("interval must be >= 1"));
+        }
+        let last_us = (packets - 1)
+            .checked_mul(packet_interval_us)
+            .and_then(|span| span.checked_add(start_us));
+        if last_us.is_none_or(|t| t > MAX_INJECTION_US) {
+            return Err(bad(&format!(
+                "the last injection passes {MAX_INJECTION_US} µs"
+            )));
         }
         let window = match toks.get(6) {
             None => None,
@@ -258,6 +279,33 @@ mod tests {
             parse(&format!("{HEADER}\nflow 4294967296 2 0 1 100 1\n")).is_err(),
             "a node id past u32 must not wrap to node 0"
         );
+    }
+
+    #[test]
+    fn injections_past_the_time_bound_or_too_many_packets_are_refused() {
+        let line_of = |flow: &str| match parse(&format!("{HEADER}\n# c\n{flow}\n")) {
+            Err(TraceError::BadLine { line, message }) => (line, message),
+            other => panic!("{flow}: expected BadLine, got {other:?}"),
+        };
+        for flow in [
+            "flow 10 20 18446744073709550000 3 4500 1000",
+            "flow 1 2 4611686018427387905 1 100 1",
+            "flow 1 2 4611686018427387000 2 100 1000",
+            "flow 1 2 0 4294967295 100 18446744073709551615",
+        ] {
+            let (line, message) = line_of(flow);
+            assert_eq!(line, 3, "{flow}");
+            assert!(message.contains("last injection"), "{flow}: {message}");
+        }
+        let (line, message) = line_of("flow 10 20 0 5000000000 4500 1000");
+        assert_eq!(line, 3);
+        assert!(message.contains("packets exceed"), "{message}");
+        // Both bounds are inclusive.
+        let edge = format!(
+            "{HEADER}\nflow 1 2 {} 2 100 1\nflow 1 2 0 {MAX_PACKETS} 100 1\n",
+            MAX_INJECTION_US - 1
+        );
+        assert_eq!(parse(&edge).unwrap().len(), 2);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! `examples/scenarios/*` files go in, `Ok` or `Err` comes out, and the
 //! parse never holds more than a small multiple of its input.
 //!
-//! The two inputs under `tests/fixtures/hostile/` are the named cases:
-//! each used to get past its parser and panic a later stage.
+//! The inputs under `tests/fixtures/hostile/` are the named cases: each
+//! used to get past its parser and panic or corrupt a later stage.
 
 mod common;
 
@@ -61,9 +61,12 @@ fn parse_all(text: &str) {
         text.len()
     );
     if let Ok(flows) = flows {
-        assert!(flows
-            .iter()
-            .all(|f| f.packets >= 1 && f.packet_interval_us >= 1));
+        for f in flows {
+            assert!(f.packets >= 1 && f.packet_interval_us >= 1);
+            assert!(f.packets <= tracefile::MAX_PACKETS, "{f:?}");
+            let last_us = (f.packets - 1) as u128 * f.packet_interval_us as u128;
+            assert!(f.start_us as u128 + last_us <= tracefile::MAX_INJECTION_US as u128);
+        }
     }
 }
 
@@ -105,6 +108,9 @@ fn read_documents() -> Vec<String> {
 const HOSTILE_TOKENS: &[&str] = &[
     "18446744073709551615",
     "18446744073709551616",
+    "18446744073709550000",
+    "4611686018427387905",
+    "5000000000",
     "4294967296",
     "4000000000",
     "1000000000001",
@@ -192,6 +198,30 @@ fn link_latency_of_u64_max_is_a_line_numbered_diagnostic() {
         argv.extend_from_slice(extra);
         let e = cli::run(&args(&argv)).unwrap_err();
         assert!(e.0.contains("line 7") && e.0.contains("latency"), "{e}");
+    }
+}
+
+#[test]
+fn trace_flows_past_the_time_or_packet_bound_are_a_line_numbered_diagnostic() {
+    let net = "examples/scenarios/campus.dml";
+    for (fixture, what) in [
+        ("injection_overflow", "last injection"),
+        ("packets_overflow", "packets exceed"),
+    ] {
+        let hostile = format!("tests/fixtures/hostile/{fixture}.txt");
+        let text = std::fs::read_to_string(&hostile).unwrap();
+        parse_all(&text);
+        assert!(tracefile::parse(&text).is_err(), "{fixture}");
+        for argv in [
+            vec!["replay", net, &hostile, "--engines", "2"],
+            vec!["check", &hostile, "--network", net],
+        ] {
+            let e = cli::run(&args(&argv)).unwrap_err();
+            assert!(
+                e.0.contains("line 4") && e.0.contains(what),
+                "{argv:?}: {e}"
+            );
+        }
     }
 }
 
