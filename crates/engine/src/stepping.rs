@@ -160,6 +160,12 @@ impl<'a> SteppableEmulation<'a> {
         &self.cfg.partition
     }
 
+    /// The conservative lookahead of the current partition, µs: the
+    /// minimum latency of any cut link.
+    pub fn lookahead_us(&self) -> u64 {
+        self.lookahead
+    }
+
     /// True when no events remain anywhere and every flow has started.
     pub fn finished(&self) -> bool {
         self.engines.iter().all(|e| e.next_time().is_none())

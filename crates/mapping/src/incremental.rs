@@ -24,22 +24,29 @@
 //! accumulate_measured_with`] converts them into per-node measured loads
 //! and per-link (cut) traffic. [`diffusive_sweep`] then walks *boundary*
 //! nodes — nodes with a neighbor on another engine — in ascending node-id
-//! order. Each boundary node evaluates moving to each neighboring engine
-//! (ascending engine id) and computes the local gain
+//! order. A boundary node moves as a **group** with every leaf
+//! ([`Network::leaf_uplink`], e.g. a host) on its engine; a leaf beside
+//! its parent is never a candidate on its own, while a leaf stranded on
+//! another engine may rejoin its parent. A stranded leaf puts its access
+//! link in the cut, and the minimum cut latency is the engine's
+//! conservative lookahead: one 100 µs host link sets the window length of
+//! every later round. Each group evaluates moving to each neighboring
+//! engine (ascending engine id) and computes the local gain
 //!
 //! ```text
-//! gain = Δimbalance − λ · migration_cost
+//! gain = Δimbalance − λ · migration_cost · group size
 //! ```
 //!
 //! where `Δimbalance` is the drop in the coefficient-of-variation load
-//! imbalance if the node moved, and `λ · migration_cost` expresses the
+//! imbalance if the group moved, and `λ · migration_cost` expresses the
 //! per-node migration stall as a fraction of the epoch it disrupts. The
 //! best strictly positive gain is applied immediately (ties break to the
 //! lowest engine id) and the sweep repeats until a full pass applies no
-//! move or the per-epoch migration budget is exhausted. A move is only
+//! move or the per-epoch migration budget is exhausted; the budget and
+//! the never-empty rule count every node of a group. A move is only
 //! applied when `Δimbalance > λ·cost ≥ 0`, so **an epoch's rebalance can
 //! never increase the measured imbalance** — the property the proptests
-//! pin down.
+//! pin down, together with "no move strands a leaf".
 //!
 //! The delta-partition is handed to the existing [`SteppableEmulation::
 //! repartition`] migration path; no METIS-style restart ever runs
@@ -147,8 +154,10 @@ pub struct IncrementalConfig {
     /// per-node migration stall, expressed as a fraction of the epoch
     /// length, scaled by λ before it is charged against imbalance saved.
     pub lambda: f64,
-    /// Per-epoch migration budget: the diffusive sweep stops after moving
-    /// this many nodes, bounding the stall any single boundary can cause.
+    /// Per-epoch migration budget in moved nodes: a group move counts
+    /// each of its nodes, and the diffusive sweep moves no group that
+    /// would take it past this many, bounding the stall any single
+    /// boundary can cause.
     pub budget: usize,
     /// Quiet-epoch trigger: when the measured per-engine load drift
     /// (total-variation, [`massf_metrics::drift`]) stays under this
@@ -194,11 +203,13 @@ pub struct IncrementalOutcome {
 }
 
 /// One deterministic diffusive pass over `partition` in place: boundary
-/// nodes (ascending node id) evaluate moving to each neighboring engine
-/// (ascending engine id); the best gain `Δimbalance − lambda_cost` is
-/// applied immediately when strictly positive; sweeps repeat until a full
-/// pass applies nothing or `budget` nodes have moved. A source engine is
-/// never emptied. Returns the applied moves as `(node, from, to)`.
+/// nodes (ascending node id), each with the leaves on its engine, evaluate
+/// moving to each neighboring engine (ascending engine id); the best gain
+/// `Δimbalance − lambda_cost · group size` is applied immediately when
+/// strictly positive; sweeps repeat until a full pass applies nothing or
+/// `budget` nodes have moved. A leaf beside its parent only moves with it,
+/// and a source engine is never emptied. Returns the applied moves as
+/// `(node, from, to)`, one per moved node.
 ///
 /// Pure and engine-free: callable on any load vector, which is what the
 /// property tests exploit.
@@ -222,37 +233,46 @@ pub fn diffusive_sweep(
     }
     let mut moves = Vec::new();
     let mut candidates: Vec<u32> = Vec::new();
+    let mut group: Vec<NodeId> = Vec::new();
     loop {
         let mut moved_this_pass = false;
-        for v in 0..n {
+        for v in 0..n as NodeId {
             if moves.len() >= budget {
                 return moves;
             }
-            let from = partition[v] as usize;
-            if engine_sizes[from] <= 1 {
-                continue; // never empty an engine
+            let from = partition[v as usize];
+            if net
+                .leaf_uplink(v)
+                .is_some_and(|(p, _)| partition[p as usize] == from)
+            {
+                continue; // a leaf beside its parent moves only with it
             }
+            group.clear();
+            group.push(v);
             candidates.clear();
-            candidates.extend(
-                net.neighbors(v as NodeId)
-                    .iter()
-                    .map(|&(nb, _)| partition[nb as usize])
-                    .filter(|&e| e as usize != from),
-            );
-            if candidates.is_empty() {
-                continue; // interior node
+            for &(nb, _) in net.neighbors(v) {
+                if partition[nb as usize] != from {
+                    candidates.push(partition[nb as usize]);
+                } else if net.leaf_uplink(nb).is_some() {
+                    group.push(nb); // a leaf's one neighbour is its parent
+                }
+            }
+            let (from, size) = (from as usize, group.len());
+            if candidates.is_empty() || engine_sizes[from] <= size || moves.len() + size > budget {
+                continue; // interior, would empty its engine, or over budget
             }
             candidates.sort_unstable();
             candidates.dedup();
+            let load: u64 = group.iter().map(|&u| node_loads[u as usize]).sum();
             let cur = load_imbalance(&engine_loads);
             let mut best: Option<(f64, u32)> = None;
             for &to in &candidates {
-                engine_loads[from] -= node_loads[v];
-                engine_loads[to as usize] += node_loads[v];
+                engine_loads[from] -= load;
+                engine_loads[to as usize] += load;
                 let moved = load_imbalance(&engine_loads);
-                engine_loads[to as usize] -= node_loads[v];
-                engine_loads[from] += node_loads[v];
-                let gain = (cur - moved) - lambda_cost;
+                engine_loads[to as usize] -= load;
+                engine_loads[from] += load;
+                let gain = (cur - moved) - lambda_cost * size as f64;
                 // Strict `>` twice: only positive gains move, and a tie
                 // keeps the earlier (lowest-id) target engine.
                 if gain > 0.0 && best.is_none_or(|(b, _)| gain > b) {
@@ -260,12 +280,14 @@ pub fn diffusive_sweep(
                 }
             }
             if let Some((_, to)) = best {
-                engine_loads[from] -= node_loads[v];
-                engine_loads[to as usize] += node_loads[v];
-                engine_sizes[from] -= 1;
-                engine_sizes[to as usize] += 1;
-                partition[v] = to;
-                moves.push((v as NodeId, from as u32, to));
+                engine_loads[from] -= load;
+                engine_loads[to as usize] += load;
+                engine_sizes[from] -= size;
+                engine_sizes[to as usize] += size;
+                for &u in &group {
+                    partition[u as usize] = to;
+                    moves.push((u, from as u32, to));
+                }
                 moved_this_pass = true;
             }
         }
@@ -379,6 +401,7 @@ pub fn run_online(
             cost_us: 0.0,
             imbalance_before,
             imbalance_after: imbalance_before,
+            lookahead_us: 0,
         };
 
         slice_history.push(records);
@@ -434,6 +457,7 @@ pub fn run_online(
                 None => st.skipped = true,
             }
         }
+        st.lookahead_us = emu.lookahead_us();
         prev_engine_loads = Some(engine_loads);
         epoch_stats.push(st);
         if epoch < cfg.epochs as u64 {
@@ -689,6 +713,30 @@ mod tests {
         for e in 0..nengines {
             assert!(a.iter().any(|&p| p as usize == e));
         }
+    }
+
+    #[test]
+    fn a_router_moves_with_its_hosts() {
+        // r0 (+ host a) on engine 0; r1 (+ hosts b, c) and r2 (+ host d)
+        // on engine 1. Moving r1 alone would strand b and c behind two
+        // 100 µs cut links.
+        let mut net = Network::new();
+        let [r0, r1, r2] = ["r0", "r1", "r2"].map(|r| net.add_router(r, 0));
+        let [a, b, c, d] = ["a", "b", "c", "d"].map(|h| net.add_host(h, 0));
+        net.add_link(r0, r1, 1000.0, 1000);
+        net.add_link(r1, r2, 1000.0, 1000);
+        for (r, h) in [(r0, a), (r1, b), (r1, c), (r2, d)] {
+            net.add_link(r, h, 100.0, 100);
+        }
+        let base = vec![0, 1, 1, 0, 1, 1, 1];
+        let loads = [0, 10, 10, 0, 10, 10, 0];
+        let mut part = base.clone();
+        let moves = diffusive_sweep(&net, &mut part, 2, &loads, 0.0, 8);
+        assert_eq!(moves, vec![(r1, 1, 0), (b, 1, 0), (c, 1, 0)]);
+        assert_eq!(part, vec![0, 0, 1, 0, 0, 0, 1]);
+        // The group counts against the budget: three nodes do not fit in two.
+        let mut part = base.clone();
+        assert!(diffusive_sweep(&net, &mut part, 2, &loads, 0.0, 2).is_empty());
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Property-based tests for the incremental rebalancer: a diffusive sweep
 //! must never increase the measured load imbalance (the gain formula only
 //! accepts strictly positive `Δimbalance − λ·cost` moves), must respect
-//! its migration budget, and must be a pure function of its inputs — the
-//! determinism the run report's epoch block relies on.
+//! its migration budget counted per moved node, must never strand a leaf
+//! that shared its parent's engine, and must be a pure function of its
+//! inputs — the determinism the run report's epoch block relies on.
 
 use massf_mapping::incremental::{run_online, IncrementalConfig, RebalanceMode};
 use massf_mapping::{diffusive_sweep, MapperConfig, MappingStudy};
 use massf_metrics::load_imbalance;
 use massf_topology::campus::campus;
+use massf_topology::Network;
 use massf_traffic::gridnpb::{self, GridNpbConfig};
 use proptest::prelude::*;
 
@@ -18,6 +20,42 @@ fn engine_loads(partition: &[u32], loads: &[u64], nengines: usize) -> Vec<u64> {
         out[p as usize] += loads[v];
     }
     out
+}
+
+/// The leaves that share their parent's engine under `partition`.
+fn leaves_beside_parent(net: &Network, partition: &[u32]) -> Vec<u32> {
+    (0..net.node_count() as u32)
+        .filter(|&v| {
+            net.leaf_uplink(v)
+                .is_some_and(|(p, _)| partition[p as usize] == partition[v as usize])
+        })
+        .collect()
+}
+
+/// A random connected router graph (a random tree plus a few chords) with
+/// zero to three hosts hung off each router on 100 µs access links.
+fn network_with_hosts(rng: &mut impl rand::Rng) -> Network {
+    let mut net = Network::new();
+    let routers = rng.gen_range(2..12u32);
+    for r in 0..routers {
+        net.add_router(format!("r{r}"), 0);
+    }
+    for r in 1..routers {
+        net.add_link(r, rng.gen_range(0..r), 1000.0, rng.gen_range(200..2000));
+    }
+    for _ in 0..rng.gen_range(0..routers) {
+        let (a, b) = (rng.gen_range(0..routers), rng.gen_range(0..routers));
+        if a != b {
+            net.add_link(a, b, 1000.0, rng.gen_range(200..2000));
+        }
+    }
+    for r in 0..routers {
+        for i in 0..rng.gen_range(0..4) {
+            let h = net.add_host(format!("h{r}.{i}"), 0);
+            net.add_link(r, h, 100.0, 100);
+        }
+    }
+    net
 }
 
 proptest! {
@@ -78,6 +116,42 @@ proptest! {
         prop_assert_eq!(ma, mb);
         prop_assert_eq!(a, b);
     }
+
+    #[test]
+    fn no_move_strands_a_leaf(
+        seed in any::<u64>(),
+        nengines in 2usize..5,
+        lambda_cost in 0.0f64..0.2,
+        budget in 0usize..12,
+    ) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let net = network_with_hosts(&mut rng);
+        let n = net.node_count();
+        let loads: Vec<u64> = (0..n).map(|_| rng.gen_range(0..1_000)).collect();
+        let base: Vec<u32> = (0..n).map(|_| rng.gen_range(0..nengines as u32)).collect();
+        let mut part = base.clone();
+        let moves = diffusive_sweep(&net, &mut part, nengines, &loads, lambda_cost, budget);
+
+        for v in leaves_beside_parent(&net, &base) {
+            let (p, _) = net.leaf_uplink(v).unwrap();
+            prop_assert_eq!(part[v as usize], part[p as usize], "leaf {} stranded", v);
+        }
+        let before = load_imbalance(&engine_loads(&base, &loads, nengines));
+        let after = load_imbalance(&engine_loads(&part, &loads, nengines));
+        prop_assert!(after <= before + 1e-12, "imbalance rose {} -> {}", before, after);
+        prop_assert!(moves.len() <= budget, "budget exceeded");
+        for &(node, from, to) in &moves {
+            prop_assert!(from != to && (to as usize) < nengines && (node as usize) < n);
+            prop_assert!(part.contains(&from), "engine {} was emptied", from);
+        }
+        let mut again = base.clone();
+        prop_assert_eq!(
+            diffusive_sweep(&net, &mut again, nengines, &loads, lambda_cost, budget),
+            moves
+        );
+        prop_assert_eq!(again, part);
+    }
 }
 
 /// Phase-shifting foreground mirroring the unit tests: enough traffic to
@@ -113,6 +187,16 @@ fn online_epochs_are_identical_across_thread_counts() {
         assert_eq!(base.migrated_nodes, other.migrated_nodes);
         for (a, b) in base.epoch_partitions.iter().zip(&other.epoch_partitions) {
             assert_eq!(a.part, b.part, "partitions vary at {threads} threads");
+        }
+    }
+    // No boundary separates a leaf from the parent it shared an engine with.
+    for pair in base.epoch_partitions.windows(2) {
+        for v in leaves_beside_parent(&s1.net, &pair[0].part) {
+            let (p, _) = s1.net.leaf_uplink(v).unwrap();
+            assert_eq!(
+                pair[1].part[v as usize], pair[1].part[p as usize],
+                "leaf {v} stranded"
+            );
         }
     }
     // And the documented invariant holds on the real run too: no epoch's

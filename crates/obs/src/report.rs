@@ -313,6 +313,10 @@ block! { Block;
         /// The same loads' imbalance re-summed under the post-boundary
         /// partition (equals `imbalance_before` when nothing moved).
         pub imbalance_after: f64,
+        /// Conservative lookahead after the boundary decision, µs: the
+        /// minimum cut-link latency the next epoch runs at (the final
+        /// epoch's own).
+        pub lookahead_us: u64,
     }
 
     /// Summary of the online rebalancer (`--epochs`/`--rebalance`): one row
@@ -688,7 +692,7 @@ impl RunReport {
                 };
                 out.push_str(&format!(
                     "  epoch {} @ {} us  loads {:?}  cut {}  drift {} (pred {})  \
-                     imbalance {} -> {}  {}\n",
+                     imbalance {} -> {}  lookahead {} us  {}\n",
                     ep.epoch,
                     ep.end_us,
                     ep.engine_loads,
@@ -697,6 +701,7 @@ impl RunReport {
                     fmt_f64(ep.drift_predicted),
                     fmt_f64(ep.imbalance_before),
                     fmt_f64(ep.imbalance_after),
+                    ep.lookahead_us,
                     decision
                 ));
             }
@@ -893,6 +898,7 @@ mod tests {
                     cost_us: 26000.0,
                     imbalance_before: 0.4,
                     imbalance_after: 0.1,
+                    lookahead_us: 274,
                 },
                 EpochRow {
                     epoch: 2,
@@ -907,6 +913,7 @@ mod tests {
                     cost_us: 0.0,
                     imbalance_before: 0.04,
                     imbalance_after: 0.04,
+                    lookahead_us: 274,
                 },
             ],
         });

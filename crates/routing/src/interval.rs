@@ -245,20 +245,17 @@ fn encode_spf_row(net: &Network, src: NodeId, order: &[NodeId], scratch: &mut Sp
 impl IntervalTables {
     /// A table over `net` with every row slot empty and no encode inputs;
     /// the caller installs each row through [`install`](Self::install).
-    /// With `share_leaves`, a degree-1 node whose neighbour has degree ≥ 2
-    /// stores a leaf record and never a row — valid whenever routes are
-    /// shortest paths. The parent-degree guard keeps two-node islands
-    /// (both ends degree 1) on rows, so a leaf delegates at most once.
+    /// With `share_leaves`, every [`Network::leaf_uplink`] leaf stores a
+    /// leaf record and never a row — valid whenever routes are shortest
+    /// paths. A leaf's parent is never a leaf, so a leaf delegates at most
+    /// once.
     pub(crate) fn empty(net: &Network, order: &[NodeId], share_leaves: bool) -> Self {
         let mut rank = vec![0u32; order.len()];
         for (pos, &v) in order.iter().enumerate() {
             rank[v as usize] = pos as u32;
         }
         let leaf = (0..order.len() as NodeId)
-            .map(|v| match net.neighbors(v) {
-                &[uplink] if share_leaves && net.degree(uplink.0) >= 2 => Some(uplink),
-                _ => None,
-            })
+            .map(|v| net.leaf_uplink(v).filter(|_| share_leaves))
             .collect();
         Self {
             rank,

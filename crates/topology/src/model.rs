@@ -204,6 +204,16 @@ impl Network {
         self.adjacency[n as usize].len()
     }
 
+    /// The `(parent, link)` uplink of `n` when `n` is a leaf: a degree-1
+    /// node whose neighbour has degree ≥ 2. Neither end of a two-node
+    /// island is a leaf, so a leaf's parent is never a leaf itself.
+    pub fn leaf_uplink(&self, n: NodeId) -> Option<(NodeId, LinkId)> {
+        match self.neighbors(n) {
+            &[uplink] if self.degree(uplink.0) >= 2 => Some(uplink),
+            _ => None,
+        }
+    }
+
     /// Sum of the bandwidths of all links incident to `n`, in Mbps.
     ///
     /// This is the TOP approach's vertex weight: "each virtual node is
@@ -329,6 +339,38 @@ mod tests {
         let net = tiny();
         let l = net.link(LinkId(0));
         l.opposite(3);
+    }
+
+    #[test]
+    fn campus_hosts_are_leaves_of_their_router() {
+        let net = crate::campus::campus();
+        for h in net.hosts() {
+            let (parent, link) = net.leaf_uplink(h).expect("a campus host is a leaf");
+            assert_eq!(net.node(parent).kind, NodeKind::Router);
+            assert_eq!(net.link(link).opposite(h), parent);
+        }
+        assert!(net.routers().iter().all(|&r| net.leaf_uplink(r).is_none()));
+    }
+
+    #[test]
+    fn island_ends_and_host_only_routers_are_not_leaves() {
+        let mut net = Network::new();
+        let a = net.add_host("a", 0);
+        let b = net.add_host("b", 0);
+        net.add_link(a, b, 10.0, 1);
+        assert_eq!((net.leaf_uplink(a), net.leaf_uplink(b)), (None, None));
+        // A router whose only neighbours are hosts is their parent, not a leaf.
+        let mut net = Network::new();
+        let r = net.add_router("r", 0);
+        let hosts = ["h0", "h1"].map(|name| {
+            let h = net.add_host(name, 0);
+            net.add_link(r, h, 100.0, 100);
+            h
+        });
+        assert_eq!(net.leaf_uplink(r), None);
+        for h in hosts {
+            assert_eq!(net.leaf_uplink(h).map(|(p, _)| p), Some(r));
+        }
     }
 
     #[test]
