@@ -321,10 +321,9 @@ pub fn hetero(ctx: &Ctx) -> Output {
     )
 }
 
-/// The drifting campus hotspot both remapping ablations run: heavy
-/// traffic concentrates in one building per phase, cycling. Long-lived
-/// phases (one per building) are the regime where reacting within a phase
-/// pays off.
+/// The drifting campus hotspot the online ablation runs: heavy traffic
+/// concentrates in one building per phase, cycling. Long-lived phases (one
+/// per building) are the regime where reacting within a phase pays off.
 fn drifting_hotspot(ctx: &Ctx) -> (MappingStudy, Vec<FlowSpec>) {
     let net = Topology::Campus.build();
     // Campus hosts grouped by the building ("bldg{b}-…") of their router.
@@ -343,104 +342,44 @@ fn drifting_hotspot(ctx: &Ctx) -> (MappingStudy, Vec<FlowSpec>) {
     (study, hotspot::generate(&cfg))
 }
 
-/// The columns the two remapping ablations share: three read off the
-/// report, then the nodes moved (0 for a static run).
-const REMAP_COLS: [&str; 4] = ["imbalance", "fine_grained", "net_time_s", "migrated"];
-
-/// Extension ablation — dynamic remapping (§6 future work, implemented).
-///
-/// Two workloads:
-///
-/// * a **drifting hotspot** — the §6 stress case where "traffic varies
-///   widely" and dynamic remapping should win;
-/// * **GridNPB** — non-recurring workflow phases, where the paper itself
-///   cautions that profile-driven prediction "is not accurate if the
-///   application shows great dynamic behavior"; reactive remapping lags
-///   and the static PROFILE oracle (which saw the whole run beforehand)
-///   stays ahead. Reported for honesty.
-pub fn dynamic(ctx: &Ctx) -> Output {
-    let mut t = ResultTable::new(
-        "ablate_dynamic",
-        "Dynamic remapping vs static mappings (Campus, 3 engines)",
-    );
-    let (hot_study, hot_flows) = drifting_hotspot(ctx);
-    let mut built = Scenario::new(Topology::Campus, Workload::GridNpb)
-        .with_scale(ctx.scale)
-        .build();
-    built.study.counter_window_us = 500_000;
-    for (prefix, study, predicted, flows) in [
-        ("hotspot", &hot_study, &[][..], &hot_flows),
-        ("gridnpb", &built.study, &built.predicted[..], &built.flows),
-    ] {
-        // "Isolated network emulation" semantics (§4.1.1): no real-time
-        // pacing floor, so the numbers directly measure mapping quality.
-        let cost = CostModel::default();
-        let case = (study, predicted, &flows[..]);
-        approach_rows(&mut t, &format!("{prefix} static"), case, cost, &REMAP_COLS);
-        // Epochs much shorter than hotspot phases: remapping reacts within
-        // a fraction of a phase and then enjoys the rest of it balanced.
-        for epochs in [8usize, 16] {
-            // `drift_threshold: 0.0` opens the quiet-epoch gate: every
-            // boundary remaps, which is the policy these rows measure.
-            let cfg = IncrementalConfig {
-                epochs,
-                cost,
-                drift_threshold: 0.0,
-                ..Default::default()
-            };
-            let out = run_online(study, flows, &[], &cfg, RebalanceMode::Global);
-            let row = format!("{prefix} dyn x{epochs}");
-            fill(&mut t, &row, &out.report, &REMAP_COLS[..3]);
-            t.set(&row, "migrated", out.migrated_nodes as f64);
-        }
-    }
-    Output::new(
-        vec![(t, 3)],
-        "expected: on the drifting hotspot, dynamic beats every static\n\
-         mapping (static must compromise across phases). On GridNPB's\n\
-         non-recurring stages, reactive remapping lags and static PROFILE\n\
-         (an oracle that profiled the identical run beforehand) wins —\n\
-         the paper's own §6 caveat.",
-    )
-}
-
-/// Extension ablation — online incremental repartitioning vs a global
-/// per-epoch remap on shifting traffic.
+/// Extension ablation — online incremental repartitioning vs the static
+/// mappings and vs the same epoch schedule with rebalancing off, on
+/// shifting traffic.
 ///
 /// On the drifting hotspot the static mappings must compromise across
-/// phases, a global remap rebuilds the whole partition at every noisy
-/// epoch boundary, and the incremental diffusive pass migrates only the
-/// handful of boundary nodes the drift actually moved. The acceptance bar
-/// this table records: incremental reaches at least the imbalance
-/// reduction of the global remap while migrating strictly fewer nodes.
+/// phases, while the incremental diffusive pass migrates only the handful
+/// of boundary nodes the drift actually moved.
 pub fn online(ctx: &Ctx) -> Output {
     let mut t = ResultTable::new(
         "ablate_online",
-        "Online incremental repartitioning vs global remap (drifting hotspot, Campus, 3 engines)",
+        "Online incremental repartitioning vs static and off (drifting hotspot, Campus, 3 engines)",
     );
     let (study, flows) = drifting_hotspot(ctx);
 
-    // Every row runs the same epoch schedule (two boundaries per hotspot
-    // phase) under the same cost model — the live-application pacing
-    // `run_online` defaults to — so `net_time_s` is comparable down the
-    // whole column.
-    let inc_cfg = IncrementalConfig {
-        epochs: 8,
-        ..IncrementalConfig::default()
-    };
+    // Every row runs under the live-application pacing `run_online` uses,
+    // so `net_time_s` is comparable down the whole column; the online rows
+    // share one epoch schedule (two boundaries per hotspot phase).
+    let inc_cfg = IncrementalConfig { epochs: 8 };
 
     // The hotspot is unannounced (no predicted flows), so PLACE/PROFILE
     // fall back to their traffic-blind structure — the regime §6 warns
-    // about.
-    let cols = [&REMAP_COLS[..], &["remaps"]].concat();
+    // about. The last two columns count the nodes moved and the remaps
+    // (0 for a static run).
+    let cols = [
+        "imbalance",
+        "fine_grained",
+        "net_time_s",
+        "migrated",
+        "remaps",
+    ];
     let case = (&study, &[][..], &flows[..]);
-    let static_top_events = approach_rows(&mut t, "static", case, inc_cfg.cost, &cols);
+    let cost = CostModel::live_application();
+    let static_top_events = approach_rows(&mut t, "static", case, cost, &cols);
 
     // Online runs: identical measurement path; only the boundary policy
     // varies.
     for (label, mode) in [
         ("online off", RebalanceMode::Off),
-        ("online global", RebalanceMode::Global),
         ("online incremental", RebalanceMode::Incremental),
     ] {
         let out = run_online(&study, &flows, &[], &inc_cfg, mode);
@@ -456,7 +395,7 @@ pub fn online(ctx: &Ctx) -> Output {
                 "online off {off_s} s vs static TOP {top_s} s"
             );
         }
-        fill(&mut t, label, &out.report, &REMAP_COLS[..3]);
+        fill(&mut t, label, &out.report, &cols[..3]);
         t.set(label, "migrated", out.migrated_nodes as f64);
         t.set(label, "remaps", out.remaps_applied as f64);
     }
@@ -464,16 +403,14 @@ pub fn online(ctx: &Ctx) -> Output {
     // Under a time-varying partition the whole-run `imbalance` aggregate is
     // not meaningful (a node's events land on different engines in
     // different epochs); `fine_grained` — the mean per-window imbalance —
-    // is the quality metric, as in ablate_dynamic.
+    // is the quality metric.
     let cell = |row, col| t.get(row, col).expect("set above");
-    let off = cell("online off", "fine_grained");
     let notes = format!(
-        "fine-grained imbalance reduction vs off: global {:.3}, incremental {:.3}\n\
-         migrated nodes: global {:.0}, incremental {:.0} \
-         (incremental must reduce at least as much while moving fewer)",
-        off - cell("online global", "fine_grained"),
-        off - cell("online incremental", "fine_grained"),
-        cell("online global", "migrated"),
+        "incremental vs online off: fine-grained imbalance reduced by {:.3}, \
+         net_time_s {:.3} s vs {:.3} s, {:.0} nodes migrated",
+        cell("online off", "fine_grained") - cell("online incremental", "fine_grained"),
+        cell("online incremental", "net_time_s"),
+        cell("online off", "net_time_s"),
         cell("online incremental", "migrated"),
     );
     Output::new(vec![(t, 3)], notes)

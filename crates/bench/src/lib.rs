@@ -209,16 +209,9 @@ pub static REGISTRY: &[Experiment] = &[
         run: ablate::hetero,
     },
     Experiment {
-        ids: &["ablate_dynamic"],
-        tables: &["ablate_dynamic"],
-        about: "extension — dynamic remapping (§6 future work)",
-        deterministic: true,
-        run: ablate::dynamic,
-    },
-    Experiment {
         ids: &["ablate_online"],
         tables: &["ablate_online"],
-        about: "extension — incremental vs global online repartitioning",
+        about: "extension — online incremental repartitioning (§6)",
         deterministic: true,
         run: ablate::online,
     },

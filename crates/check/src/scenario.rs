@@ -20,9 +20,7 @@ use massf_engine::engine::{Engine, Routes, Shared};
 use massf_engine::event::Event;
 use massf_engine::exec::finalize;
 use massf_engine::link::Directions;
-use massf_engine::{
-    EmulationConfig, EmulationReport, MigrationCost, ProtocolState, SteppableEmulation,
-};
+use massf_engine::{EmulationConfig, EmulationReport, ProtocolState, SteppableEmulation};
 use massf_routing::RoutingTables;
 use massf_topology::Network;
 use massf_traffic::FlowSpec;
@@ -327,7 +325,7 @@ impl Scenario {
             let stop = self.stop.as_ref().expect("only a stop adds a segment");
             emu.run_bounded(stop.at_us, stop.at_round);
             if let Some(partition) = &stop.partition {
-                emu.repartition(partition.clone(), MigrationCost::default());
+                emu.repartition(partition.clone());
             }
         }
         emu

@@ -173,13 +173,6 @@ pub fn merge_collectors<'a>(
     all
 }
 
-/// Merges dumps into one list sorted by `(router, flow)`.
-pub fn merge_dumps(dumps: Vec<Vec<FlowRecord>>) -> Vec<FlowRecord> {
-    let mut all: Vec<FlowRecord> = dumps.into_iter().flatten().collect();
-    all.sort_by_key(|r| (r.router, r.flow));
-    all
-}
-
 /// Combines duplicate `(router, flow)` keys in a sorted record list into
 /// one record each (packets/bytes sum, sighting window widens). Live node
 /// migration splits a router's observations across engines, so a merged
@@ -202,8 +195,8 @@ pub fn coalesce_records(records: &[FlowRecord]) -> Vec<FlowRecord> {
 
 /// The traffic of one epoch: the per-key delta between two *cumulative*
 /// snapshots (both sorted by `(router, flow)`, as [`NetFlowCollector::
-/// snapshot`], [`merge_collectors`] and [`merge_dumps`] produce; duplicate keys from migrated
-/// nodes are coalesced first).
+/// snapshot`] and [`merge_collectors`] produce; duplicate keys from
+/// migrated nodes are coalesced first).
 ///
 /// The collector accumulates from emulation start, so an epoch's own
 /// traffic is `cur − prev` per `(router, flow)` key. Keys whose packet
@@ -247,6 +240,14 @@ mod tests {
 
     fn pkt(flow: u32, no: u64, bytes: u32) -> Packet {
         Packet::for_flow(flow, no, 10, 20, bytes, 0)
+    }
+
+    /// The reference merge: every dump's records in one list, sorted by
+    /// `(router, flow)`.
+    fn merge_dumps(dumps: Vec<Vec<FlowRecord>>) -> Vec<FlowRecord> {
+        let mut all: Vec<FlowRecord> = dumps.into_iter().flatten().collect();
+        all.sort_by_key(|r| (r.router, r.flow));
+        all
     }
 
     #[test]
@@ -450,34 +451,5 @@ mod tests {
                 prop_assert_eq!(engine.into_records(), want);
             }
         }
-    }
-
-    #[test]
-    fn merge_sorts_across_engines() {
-        let a = vec![FlowRecord {
-            router: 7,
-            flow: 1,
-            src: 0,
-            dst: 1,
-            packets: 1,
-            bytes: 1,
-            first_us: 0,
-            last_us: 0,
-        }];
-        let b = vec![FlowRecord {
-            router: 2,
-            flow: 0,
-            src: 0,
-            dst: 1,
-            packets: 2,
-            bytes: 2,
-            first_us: 0,
-            last_us: 0,
-        }];
-        let merged = merge_dumps(vec![a, b]);
-        assert_eq!(merged[0].router, 2);
-        assert_eq!(merged[1].router, 7);
-        assert_eq!(merged[0].packets, 2);
-        assert_eq!(merged[1].packets, 1);
     }
 }

@@ -26,7 +26,7 @@
 //! slots and keys move. One bucket per `1 << shift` µs of virtual time
 //! from `base_us`: the index is a shift, not a division. Only the
 //! *current* bucket `cur` is kept in order: `front`, a ring of `(packed
-//! key, slot)` entries sorted by [`Event::packed_key`] and, on an equal
+//! key, slot)` entries sorted by `Event::packed_key` and, on an equal
 //! key, by node — exactly `Ord for Event` — popped at its head. Every
 //! later bucket is an **unsorted** list of slots threaded through `next`:
 //! a push there is a push-front, and a bucket is keyed and sorted once,

@@ -17,7 +17,7 @@
 //! changes nothing that is counted. Between steps the caller
 //! may inspect live NetFlow dumps and install a new node→engine
 //! assignment; pending events and link-occupancy state migrate with their
-//! nodes, and a configurable wall-clock charge models the
+//! nodes, and a fixed wall-clock charge ([`MIGRATION`]) models the
 //! checkpoint/transfer cost of moving virtual nodes between physical
 //! engines. [`crate::exec::run`] is this executor run in one step.
 
@@ -41,16 +41,13 @@ pub struct MigrationCost {
     pub per_node_us: f64,
 }
 
-impl Default for MigrationCost {
-    fn default() -> Self {
-        // Moving a virtual router's state (routing table, queues) across
-        // 100 Mbps Ethernet is on the order of milliseconds.
-        Self {
-            fixed_us: 20_000.0,
-            per_node_us: 2_000.0,
-        }
-    }
-}
+/// The charge every [`SteppableEmulation::repartition`] makes: moving a
+/// virtual router's state (routing table, queues) across 100 Mbps
+/// Ethernet is on the order of milliseconds.
+pub const MIGRATION: MigrationCost = MigrationCost {
+    fixed_us: 20_000.0,
+    per_node_us: 2_000.0,
+};
 
 impl MigrationCost {
     /// The stall one remap that moves `moved` nodes imposes on every
@@ -272,9 +269,9 @@ impl<'a> SteppableEmulation<'a> {
     /// Installs a new node→engine assignment between two `run_until`
     /// calls: stop, migrate pending events and link state with their
     /// nodes (a flow that has not started is a pending event at its
-    /// source), recompute the lookahead, charge `cost` to the wall clock,
-    /// resume. Returns the number of nodes that changed engines.
-    pub fn repartition(&mut self, new_partition: Vec<u32>, cost: MigrationCost) -> usize {
+    /// source), recompute the lookahead, charge [`MIGRATION`] to the wall
+    /// clock, resume. Returns the number of nodes that changed engines.
+    pub fn repartition(&mut self, new_partition: Vec<u32>) -> usize {
         assert_eq!(new_partition.len(), self.net.node_count());
         assert!(new_partition
             .iter()
@@ -316,7 +313,7 @@ impl<'a> SteppableEmulation<'a> {
         // The remap stalls every engine for no virtual-time progress.
         self.state
             .wall
-            .add_busy_window(&self.cfg.cost, cost.stall_us(moved), 0);
+            .add_busy_window(&self.cfg.cost, MIGRATION.stall_us(moved), 0);
         self.migrated_nodes += moved;
         self.remaps += 1;
         moved
@@ -496,7 +493,7 @@ mod tests {
             step.set_workers(deal, 0); // every slice on the workers, if any
             step.run_until(3_000);
             let mid = step.netflow_epoch_slice();
-            step.repartition(swapped.clone(), MigrationCost::default());
+            step.repartition(swapped.clone());
             step.run_to_completion();
             (mid, step.finish())
         };
@@ -565,7 +562,7 @@ mod tests {
         let mut step = SteppableEmulation::new(&net, &tables, &flows, cfg);
         step.run_until(50_000);
         let swapped: Vec<u32> = part.iter().map(|&p| 1 - p).collect();
-        step.repartition(swapped.clone(), MigrationCost::default());
+        step.repartition(swapped.clone());
         assert_eq!(late_owner(&step), Some(swapped[src]));
         step.run_to_completion();
         let report = step.finish();
@@ -614,7 +611,7 @@ mod tests {
         step.run_until(3_000);
         // Swap the two engines entirely mid-flight.
         let swapped: Vec<u32> = part.iter().map(|&p| 1 - p).collect();
-        let moved = step.repartition(swapped, MigrationCost::default());
+        let moved = step.repartition(swapped);
         assert_eq!(moved, net.node_count(), "every node changed engines");
         step.run_to_completion();
         let report = step.finish();
@@ -644,7 +641,7 @@ mod tests {
         let mut step = SteppableEmulation::new(&net, &tables, &flows, cfg);
         step.run_until(3_000);
         let swapped: Vec<u32> = part.iter().map(|&p| 1 - p).collect();
-        step.repartition(swapped.clone(), MigrationCost::default());
+        step.repartition(swapped.clone());
         step.run_to_completion();
         let report = step.finish();
         let slices = report.routing_slices.expect("lazy run reports slices");
@@ -661,27 +658,19 @@ mod tests {
         let tables = RoutingTables::build(&net);
         let part = partition_by_router(&net);
 
-        let run = |remap: bool| -> f64 {
+        let run = |remap: bool| -> (f64, usize) {
             let cfg = EmulationConfig::new(part.clone(), 2);
             let mut step = SteppableEmulation::new(&net, &tables, &flows, cfg);
             step.run_until(3_000);
-            if remap {
-                let swapped: Vec<u32> = part.iter().map(|&p| 1 - p).collect();
-                step.repartition(
-                    swapped,
-                    MigrationCost {
-                        fixed_us: 1e6,
-                        per_node_us: 0.0,
-                    },
-                );
-            }
+            let swapped: Vec<u32> = part.iter().map(|&p| 1 - p).collect();
+            let moved = if remap { step.repartition(swapped) } else { 0 };
             step.run_to_completion();
-            step.finish().wall.total_us
+            (step.finish().wall.total_us, moved)
         };
-        let without = run(false);
-        let with = run(true);
+        let (without, _) = run(false);
+        let (with, moved) = run(true);
         assert!(
-            with >= without + 1e6 - 1.0,
+            with >= without + MIGRATION.stall_us(moved) - 1.0,
             "remap cost missing: {with} vs {without}"
         );
     }
@@ -694,7 +683,7 @@ mod tests {
         let cfg = EmulationConfig::new(part.clone(), 2);
         let mut step = SteppableEmulation::new(&net, &tables, &flows, cfg);
         step.run_until(2_000);
-        assert_eq!(step.repartition(part, MigrationCost::default()), 0);
+        assert_eq!(step.repartition(part), 0);
         assert_eq!(step.migrated_nodes, 0);
         assert_eq!(step.remaps, 1);
     }

@@ -1,19 +1,13 @@
 //! Online repartitioning — the paper's §6 direction, implemented: one
-//! epoch driver, [`run_online`], for both remap policies.
+//! epoch driver, [`run_online`], with one remap policy.
 //!
 //! "Load imbalance happens due to burst/variation of traffic injected from
 //! the application. Static partitions are fundamentally limited for large
 //! emulation if traffic varies widely. … Dynamic remapping the virtual
 //! network during the emulation is the only solution."
 //!
-//! [`RebalanceMode::Global`] answers that call by repeating the PROFILE
-//! round every epoch: re-weight the whole graph from the last two epochs'
-//! NetFlow slices, re-run the multilevel partitioner, migrate whatever
-//! changed. That recovers balance but moves many nodes (the partitioner
-//! has no loyalty to the incumbent assignment) and re-runs METIS-scale
-//! work mid-emulation. [`RebalanceMode::Incremental`] is the local
-//! alternative from the ROADMAP's online-repartitioning item: **diffusive
-//! vertex migration** (Kurve et al.) with migrations charged against the
+//! [`RebalanceMode::Incremental`] answers that call with **diffusive
+//! vertex migration** (Kurve et al.), migrations charged against the
 //! imbalance they save (Räcke/Schmid/Zabrodin) — see PAPERS.md.
 //!
 //! ## The algorithm (DESIGN.md §15)
@@ -38,15 +32,15 @@
 //! ```
 //!
 //! where `Δimbalance` is the drop in the coefficient-of-variation load
-//! imbalance if the group moved, and `λ · migration_cost` expresses the
-//! per-node migration stall as a fraction of the epoch it disrupts. The
-//! best strictly positive gain is applied immediately (ties break to the
-//! lowest engine id) and the sweep repeats until a full pass applies no
-//! move or the per-epoch migration budget is exhausted; the budget and
-//! the never-empty rule count every node of a group. A move is only
-//! applied when `Δimbalance > λ·cost ≥ 0`, so **an epoch's rebalance can
-//! never increase the measured imbalance** — the property the proptests
-//! pin down, together with "no move strands a leaf".
+//! imbalance if the group moved, and `λ · migration_cost` ([`LAMBDA`] times
+//! [`MIGRATION`]'s per-node stall as a fraction of the epoch it disrupts)
+//! prices the move. The best strictly positive gain is applied immediately
+//! (ties break to the lowest engine id) and the sweep repeats until a full
+//! pass applies no move or the per-epoch migration budget ([`BUDGET`]) is
+//! exhausted; the budget and the never-empty rule count every node of a
+//! group. A move is only applied when `Δimbalance > λ·cost ≥ 0`, so **an
+//! epoch's rebalance can never increase the measured imbalance** — the
+//! property the proptests pin down, together with "no move strands a leaf".
 //!
 //! The delta-partition is handed to the existing [`SteppableEmulation::
 //! repartition`] migration path; no METIS-style restart ever runs
@@ -54,15 +48,15 @@
 //!
 //! ## The drift trigger (MC019 / MC020)
 //!
-//! Rebalancing is *triggered*, not unconditional. Every epoch computes
-//! the [`massf_metrics::drift`] total-variation distance of its measured
-//! per-engine load shares against the previous epoch's (the MC020
-//! metric; the first epoch compares against the balanced target shares)
-//! and against the PLACE-predicted shares (the MC019 metric, recorded
-//! for the run report and the lint passes). A quiet epoch — measured
-//! drift under [`IncrementalConfig::drift_threshold`] — skips the
-//! rebalance entirely: the traffic shape did not move, so the incumbent
-//! partition is as good as it was when it was last fixed.
+//! Rebalancing is *triggered*, not unconditional. Every epoch computes the
+//! [`massf_metrics::drift`] total-variation distance of its measured
+//! per-engine load shares against the previous epoch's (the MC020 metric;
+//! the first epoch compares against the balanced target shares) and against
+//! the PLACE-predicted shares (the MC019 metric, recorded for the run
+//! report and the lint passes). A quiet epoch — measured drift under
+//! [`DRIFT_THRESHOLD`] — skips the rebalance entirely: the traffic shape
+//! did not move, so the incumbent partition is as good as it was when it
+//! was last fixed.
 //!
 //! ## Determinism
 //!
@@ -94,12 +88,10 @@
 //! }
 //! ```
 
-use crate::profile::map_profile;
 use crate::top::map_top;
 use crate::weights;
 use crate::MappingStudy;
-use massf_engine::netflow::{merge_dumps, FlowRecord};
-use massf_engine::stepping::{MigrationCost, SteppableEmulation};
+use massf_engine::stepping::{SteppableEmulation, MIGRATION};
 use massf_engine::{CostModel, EmulationReport};
 use massf_metrics::drift::{load_drift, load_drift_u64};
 use massf_metrics::load_imbalance;
@@ -114,18 +106,15 @@ use massf_traffic::{FlowSpec, PredictedFlow};
 pub enum RebalanceMode {
     /// Measure drift at every boundary but never move a node.
     Off,
-    /// Full PROFILE remap per boundary from the last two epochs' slices.
-    Global,
     /// Local diffusive boundary-node migration ([`diffusive_sweep`]).
     Incremental,
 }
 
 impl RebalanceMode {
-    /// Parses the CLI spelling (`off` / `global` / `incremental`).
+    /// Parses the CLI spelling (`off` / `incremental`).
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "off" => Some(RebalanceMode::Off),
-            "global" => Some(RebalanceMode::Global),
             "incremental" => Some(RebalanceMode::Incremental),
             _ => None,
         }
@@ -135,7 +124,6 @@ impl RebalanceMode {
     pub fn label(&self) -> &'static str {
         match self {
             RebalanceMode::Off => "off",
-            RebalanceMode::Global => "global",
             RebalanceMode::Incremental => "incremental",
         }
     }
@@ -146,40 +134,11 @@ impl RebalanceMode {
 pub struct IncrementalConfig {
     /// Number of epochs (1 = static, no boundaries to rebalance at).
     pub epochs: usize,
-    /// Wall-clock cost charged per remap.
-    pub migration: MigrationCost,
-    /// Cost model for the emulation itself.
-    pub cost: CostModel,
-    /// Migration-cost weight λ in the gain `Δimbalance − λ·cost`: the
-    /// per-node migration stall, expressed as a fraction of the epoch
-    /// length, scaled by λ before it is charged against imbalance saved.
-    pub lambda: f64,
-    /// Per-epoch migration budget in moved nodes: a group move counts
-    /// each of its nodes, and the diffusive sweep moves no group that
-    /// would take it past this many, bounding the stall any single
-    /// boundary can cause.
-    pub budget: usize,
-    /// Quiet-epoch trigger: when the measured per-engine load drift
-    /// (total-variation, [`massf_metrics::drift`]) stays under this
-    /// threshold, the boundary skips rebalancing entirely.
-    pub drift_threshold: f64,
-    /// Global mode only: skip a remap whose new partition moves fewer
-    /// nodes than this — migrating two nodes to fix 1 % imbalance is
-    /// never worth a stall.
-    pub min_moved_nodes: usize,
 }
 
 impl Default for IncrementalConfig {
     fn default() -> Self {
-        Self {
-            epochs: 4,
-            migration: MigrationCost::default(),
-            cost: CostModel::live_application(),
-            lambda: 0.5,
-            budget: 8,
-            drift_threshold: 0.02,
-            min_moved_nodes: 2,
-        }
+        Self { epochs: 4 }
     }
 }
 
@@ -201,6 +160,21 @@ pub struct IncrementalOutcome {
     /// the MC019 baseline the measured epochs are compared against.
     pub predicted_engine_loads: Vec<f64>,
 }
+
+/// Migration-cost weight λ in the gain `Δimbalance − λ·cost`: the
+/// per-node migration stall, expressed as a fraction of the epoch length,
+/// scaled by λ before it is charged against imbalance saved.
+pub const LAMBDA: f64 = 0.5;
+
+/// Per-epoch migration budget in moved nodes: a group move counts each of
+/// its nodes, and the diffusive sweep moves no group that would take it
+/// past this many, bounding the stall any single boundary can cause.
+pub const BUDGET: usize = 8;
+
+/// Quiet-epoch trigger: when the measured per-engine load drift
+/// (total-variation, [`massf_metrics::drift`]) stays under this threshold,
+/// the boundary skips rebalancing entirely.
+pub const DRIFT_THRESHOLD: f64 = 0.02;
 
 /// One deterministic diffusive pass over `partition` in place: boundary
 /// nodes (ascending node id), each with the leaves on its engine, evaluate
@@ -300,7 +274,9 @@ pub fn diffusive_sweep(
 /// Runs `flows` with online rebalancing in `mode`. The initial epoch uses
 /// the TOP partition (nothing has been measured yet); every boundary
 /// measures the epoch's NetFlow slice, computes the MC019/MC020 drift
-/// values, and — unless the epoch was quiet — rebalances per `mode`.
+/// values, and — unless the epoch was quiet or `mode` is
+/// [`RebalanceMode::Off`] — runs one [`diffusive_sweep`]. The emulation
+/// runs under [`CostModel::live_application`].
 /// `predicted` feeds the MC019 comparison (PLACE's prediction); pass
 /// `&[]` when no prediction exists and the predicted drift reads 0.
 pub fn run_online(
@@ -335,18 +311,14 @@ pub fn run_online(
     let predicted_engine_loads = per_engine(&initial);
 
     // NetFlow on: live profiling is what enables rebalancing.
-    let emu_cfg = study.emulation_config(&initial, true, cfg.cost);
+    let emu_cfg = study.emulation_config(&initial, true, CostModel::live_application());
     let mut emu = SteppableEmulation::new(&study.net, &study.tables, flows, emu_cfg);
 
-    let lambda_cost = cfg.lambda * (cfg.migration.per_node_us / epoch_len as f64);
+    let lambda_cost = LAMBDA * (MIGRATION.per_node_us / epoch_len as f64);
     let mut epoch_partitions = vec![initial.clone()];
     let mut current = initial;
     let mut epoch_stats: Vec<EpochRow> = Vec::new();
     let mut prev_engine_loads: Option<Vec<u64>> = None;
-    // Epoch slices kept for the global mode's two-epoch lookback: the
-    // last two epochs predict the next stage far better than the whole
-    // history, which over-weights early bursts that will never recur.
-    let mut slice_history: Vec<Vec<FlowRecord>> = Vec::new();
     for epoch in 1..=cfg.epochs as u64 {
         let now = epoch * epoch_len;
         emu.run_until(now);
@@ -404,57 +376,31 @@ pub fn run_online(
             lookahead_us: 0,
         };
 
-        slice_history.push(records);
         let boundary = epoch < cfg.epochs as u64 && !emu.finished();
-        if boundary && mode != RebalanceMode::Off {
-            let candidate: Option<Vec<u32>> = if drift_measured < cfg.drift_threshold {
-                None // quiet epoch: the traffic shape did not move
+        if boundary && mode == RebalanceMode::Incremental {
+            let mut part = current.part.clone();
+            // A quiet epoch (the traffic shape did not move) sweeps nothing.
+            let quiet = drift_measured < DRIFT_THRESHOLD;
+            let k = current.nparts;
+            if quiet
+                || diffusive_sweep(&study.net, &mut part, k, &per_node, lambda_cost, BUDGET)
+                    .is_empty()
+            {
+                st.skipped = true;
             } else {
-                match mode {
-                    RebalanceMode::Incremental => {
-                        let mut part = current.part.clone();
-                        let moves = diffusive_sweep(
-                            &study.net,
-                            &mut part,
-                            current.nparts,
-                            &per_node,
-                            lambda_cost,
-                            cfg.budget,
-                        );
-                        (!moves.is_empty()).then_some(part)
-                    }
-                    RebalanceMode::Global => {
-                        let lookback = slice_history.len().saturating_sub(2);
-                        let recent = merge_dumps(slice_history[lookback..].to_vec());
-                        let cand = map_profile(&study.net, &study.tables, &recent, &study.cfg);
-                        let moved = current
-                            .part
-                            .iter()
-                            .zip(&cand.part)
-                            .filter(|(a, b)| a != b)
-                            .count();
-                        (moved >= cfg.min_moved_nodes).then_some(cand.part)
-                    }
-                    RebalanceMode::Off => unreachable!(),
+                let moved = emu.repartition(part.clone());
+                st.applied = true;
+                st.moves = moved as u64;
+                st.cost_us = MIGRATION.stall_us(moved);
+                current = Partitioning {
+                    part,
+                    nparts: current.nparts,
+                };
+                let mut after = vec![0u64; current.nparts];
+                for v in 0..n {
+                    after[current.part[v] as usize] += per_node[v];
                 }
-            };
-            match candidate {
-                Some(part) => {
-                    let moved = emu.repartition(part.clone(), cfg.migration);
-                    st.applied = true;
-                    st.moves = moved as u64;
-                    st.cost_us = cfg.migration.stall_us(moved);
-                    current = Partitioning {
-                        part,
-                        nparts: current.nparts,
-                    };
-                    let mut after = vec![0u64; current.nparts];
-                    for v in 0..n {
-                        after[current.part[v] as usize] += per_node[v];
-                    }
-                    st.imbalance_after = load_imbalance(&after);
-                }
-                None => st.skipped = true,
+                st.imbalance_after = load_imbalance(&after);
             }
         }
         st.lookahead_us = emu.lookahead_us();
@@ -482,6 +428,7 @@ mod tests {
     use super::*;
     use crate::MapperConfig;
     use massf_topology::campus::campus;
+    use massf_traffic::cbr::{self, CbrConfig};
     use massf_traffic::gridnpb::{self, GridNpbConfig};
 
     fn study() -> MappingStudy {
@@ -507,77 +454,29 @@ mod tests {
         run_online(s, flows, &[], cfg, RebalanceMode::Incremental)
     }
 
-    /// The global remap with the drift gate open: every boundary remaps.
-    fn ungated() -> IncrementalConfig {
-        IncrementalConfig {
-            drift_threshold: 0.0,
-            ..Default::default()
-        }
-    }
-
     #[test]
     fn incremental_run_conserves_packets() {
         let s = study();
         let flows = phase_shifting_flows(&s);
         let injected: u64 = flows.iter().map(|f| f.packets).sum();
-        for mode in [RebalanceMode::Incremental, RebalanceMode::Global] {
-            let out = run_online(&s, &flows, &[], &IncrementalConfig::default(), mode);
-            assert_eq!(out.report.delivered, injected, "{mode:?}");
-            assert_eq!(out.report.dropped, 0, "{mode:?}");
-            assert_eq!(out.epoch_stats.len(), 4, "{mode:?}");
-        }
+        let out = incremental(&s, &flows, &IncrementalConfig::default());
+        assert_eq!(out.report.delivered, injected);
+        assert_eq!(out.report.dropped, 0);
+        assert_eq!(out.epoch_stats.len(), 4);
     }
 
     #[test]
     fn one_epoch_is_static_top() {
         let s = study();
         let flows = phase_shifting_flows(&s);
-        let cfg = IncrementalConfig {
-            epochs: 1,
-            ..Default::default()
-        };
-        let out = run_online(&s, &flows, &[], &cfg, RebalanceMode::Global);
+        let cfg = IncrementalConfig { epochs: 1 };
+        let out = incremental(&s, &flows, &cfg);
         assert_eq!(out.remaps_applied, 0);
         assert_eq!(out.epoch_partitions.len(), 1);
         // Same events as evaluating TOP statically.
         let top = s.map(crate::Approach::Top, &[], &flows);
         let static_report = s.evaluate(&top, &flows, CostModel::live_application());
         assert_eq!(out.report.total_events(), static_report.total_events());
-    }
-
-    #[test]
-    fn global_improves_imbalance_over_static_top() {
-        let s = study();
-        let flows = phase_shifting_flows(&s);
-        let top = s.map(crate::Approach::Top, &[], &flows);
-        let static_report = s.evaluate(&top, &flows, CostModel::live_application());
-        let out = run_online(&s, &flows, &[], &ungated(), RebalanceMode::Global);
-        let static_imb = load_imbalance(&static_report.engine_events);
-        let dyn_imb = load_imbalance(&out.report.engine_events);
-        assert!(
-            dyn_imb < static_imb,
-            "global remap {dyn_imb:.3} should beat static TOP {static_imb:.3}"
-        );
-        assert!(out.remaps_applied >= 1, "expected at least one remap");
-    }
-
-    #[test]
-    fn migration_costs_appear_in_wall_clock() {
-        let s = study();
-        let flows = phase_shifting_flows(&s);
-        let with_cost = |fixed_us, per_node_us| IncrementalConfig {
-            migration: MigrationCost {
-                fixed_us,
-                per_node_us,
-            },
-            ..ungated()
-        };
-        let cheap = run_online(&s, &flows, &[], &with_cost(0.0, 0.0), RebalanceMode::Global);
-        let dear = run_online(&s, &flows, &[], &with_cost(5e6, 1e5), RebalanceMode::Global);
-        // Identical emulation, different modeled cost.
-        assert_eq!(cheap.report.total_events(), dear.report.total_events());
-        assert!(cheap.remaps_applied > 0, "the open gate must remap");
-        assert!(dear.report.wall.total_us > cheap.report.wall.total_us);
     }
 
     #[test]
@@ -609,15 +508,17 @@ mod tests {
     fn budget_bounds_per_epoch_moves() {
         let s = study();
         let flows = phase_shifting_flows(&s);
-        let cfg = IncrementalConfig {
-            budget: 3,
-            ..Default::default()
-        };
+        let cfg = IncrementalConfig::default();
         let out = incremental(&s, &flows, &cfg);
         for e in &out.epoch_stats {
-            assert!(e.moves <= 3, "epoch {} moved {}", e.epoch, e.moves);
+            assert!(
+                e.moves <= BUDGET as u64,
+                "epoch {} moved {}",
+                e.epoch,
+                e.moves
+            );
         }
-        assert!(out.migrated_nodes <= 3 * (cfg.epochs - 1));
+        assert!(out.migrated_nodes <= BUDGET * (cfg.epochs - 1));
     }
 
     #[test]
@@ -639,41 +540,25 @@ mod tests {
     }
 
     #[test]
-    fn high_threshold_skips_every_boundary() {
+    fn steady_traffic_skips_its_quiet_boundaries() {
         let s = study();
-        let flows = phase_shifting_flows(&s);
-        let cfg = IncrementalConfig {
-            drift_threshold: 2.0, // TV distance is ≤ 1: everything is quiet
-            ..Default::default()
-        };
+        let flows = cbr::generate(&s.net.hosts(), &CbrConfig::default(), 8_000_000);
+        let cfg = IncrementalConfig { epochs: 8 };
         let out = incremental(&s, &flows, &cfg);
-        assert_eq!(out.migrated_nodes, 0);
-        assert_eq!(out.remaps_applied, 0);
-        let skips = out.epoch_stats.iter().filter(|e| e.skipped).count();
-        assert_eq!(skips, cfg.epochs - 1, "every boundary skipped as quiet");
-        // The emulation itself is untouched by skipped boundaries: same
-        // events as a static TOP run.
+        // Constant-rate streams: once the first sweeps have settled, the
+        // per-engine shares stop moving, and a quiet boundary sweeps nothing.
+        for e in &out.epoch_stats[..cfg.epochs - 1] {
+            let quiet = e.drift_measured < DRIFT_THRESHOLD;
+            assert!(quiet || e.epoch < 4, "epoch {} drifted", e.epoch);
+            if quiet {
+                assert!(e.skipped && !e.applied && e.moves == 0, "epoch {}", e.epoch);
+            }
+        }
+        // Migration never changes what is emulated: same events as a
+        // static TOP run.
         let top = s.map(crate::Approach::Top, &[], &flows);
         let st = s.evaluate(&top, &flows, CostModel::live_application());
         assert_eq!(out.report.total_events(), st.total_events());
-    }
-
-    #[test]
-    fn incremental_moves_fewer_nodes_than_global() {
-        let s = study();
-        let flows = phase_shifting_flows(&s);
-        let cfg = IncrementalConfig::default();
-        let inc = run_online(&s, &flows, &[], &cfg, RebalanceMode::Incremental);
-        let glo = run_online(&s, &flows, &[], &cfg, RebalanceMode::Global);
-        if glo.migrated_nodes > 0 {
-            assert!(
-                inc.migrated_nodes < glo.migrated_nodes,
-                "incremental {} vs global {}",
-                inc.migrated_nodes,
-                glo.migrated_nodes
-            );
-        }
-        assert!(inc.migrated_nodes <= cfg.budget * (cfg.epochs - 1));
     }
 
     #[test]
@@ -753,25 +638,20 @@ mod tests {
     fn deterministic_across_runs() {
         let s = study();
         let flows = phase_shifting_flows(&s);
-        for mode in [RebalanceMode::Incremental, RebalanceMode::Global] {
-            let a = run_online(&s, &flows, &[], &ungated(), mode);
-            let b = run_online(&s, &flows, &[], &ungated(), mode);
-            assert_eq!(a.report.engine_events, b.report.engine_events);
-            assert_eq!(a.migrated_nodes, b.migrated_nodes);
-            assert_eq!(a.epoch_stats, b.epoch_stats);
-            assert_eq!(a.epoch_partitions, b.epoch_partitions);
-        }
+        let cfg = IncrementalConfig::default();
+        let (a, b) = (incremental(&s, &flows, &cfg), incremental(&s, &flows, &cfg));
+        assert_eq!(a.report.engine_events, b.report.engine_events);
+        assert_eq!(a.migrated_nodes, b.migrated_nodes);
+        assert_eq!(a.epoch_stats, b.epoch_stats);
+        assert_eq!(a.epoch_partitions, b.epoch_partitions);
     }
 
     #[test]
     fn mode_labels_round_trip() {
-        for m in [
-            RebalanceMode::Off,
-            RebalanceMode::Global,
-            RebalanceMode::Incremental,
-        ] {
+        for m in [RebalanceMode::Off, RebalanceMode::Incremental] {
             assert_eq!(RebalanceMode::parse(m.label()), Some(m));
         }
+        assert_eq!(RebalanceMode::parse("global"), None);
         assert_eq!(RebalanceMode::parse("metis"), None);
     }
 }

@@ -300,9 +300,9 @@ block! { Block;
         pub drift_predicted: f64,
         /// A repartition was applied at this epoch's boundary.
         pub applied: bool,
-        /// The boundary evaluated a rebalance and declined (quiet drift, no
-        /// positive-gain move, or below the global-mode gate). The final
-        /// epoch has no boundary: both flags stay false.
+        /// The boundary evaluated a rebalance and declined (quiet drift or
+        /// no positive-gain move). The final epoch has no boundary: both
+        /// flags stay false.
         pub skipped: bool,
         /// Nodes migrated at the boundary (0 when nothing was applied).
         pub moves: u64,
@@ -324,7 +324,7 @@ block! { Block;
     /// virtual time, so this block is byte-identical across `--threads`.
     #[derive(Debug, Clone, PartialEq)]
     pub struct RebalanceInfo {
-        /// Rebalance mode label (`off`, `global`, `incremental`).
+        /// Rebalance mode label (`off`, `incremental`).
         pub mode: String,
         /// Total nodes migrated across all boundaries.
         pub migrated_nodes: u64,

@@ -516,10 +516,7 @@ fn map_audit_emulate(
         Emulate::Online { epochs, mode } => {
             // Online path: the audit runs once, after the emulation, when
             // the MC019/MC020 drift evidence exists — same refusal contract.
-            let inc_cfg = IncrementalConfig {
-                epochs,
-                ..IncrementalConfig::default()
-            };
+            let inc_cfg = IncrementalConfig { epochs };
             let outcome = rec.time("engine/emulate", || {
                 massf_core::mapping::run_online(&study, job.flows, job.predicted, &inc_cfg, mode)
             });
@@ -594,8 +591,8 @@ fn cmd_run(a: &Args) -> Result<String, CliError> {
     };
     let (duration_s, duration_us) = a.duration.unwrap_or(DEFAULT_DURATION);
     let epochs = match a.epochs {
-        // Each epoch boundary is a full remap: more of them than the run
-        // has microseconds would remap over zero virtual time.
+        // Each epoch boundary measures an epoch's slice: more of them than
+        // the run has microseconds would measure zero virtual time.
         Some(n) if n as u64 > duration_us => {
             return Err(err(format!(
                 "--epochs {n} is more than the run's {duration_us} µs"
@@ -1203,7 +1200,9 @@ mod tests {
         .unwrap_err();
         assert!(e.0.contains("more than the run's 10000 µs"), "{e}");
         let e = run(&args(&["run", f.as_str(), "--rebalance", "sideways"])).unwrap_err();
-        assert!(e.0.contains("off|global|incremental"), "{e}");
+        assert!(e.0.contains("off|incremental"), "{e}");
+        let e = run(&args(&["run", f.as_str(), "--rebalance", "global"])).unwrap_err();
+        assert!(e.0.contains("off|incremental"), "{e}");
         let e = run(&args(&["run", f.as_str(), "--epochs", "2", "--replay"])).unwrap_err();
         assert!(e.0.contains("--replay cannot be combined"), "{e}");
         let e = run(&args(&[

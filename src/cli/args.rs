@@ -191,8 +191,8 @@ static EPOCHS: Flag = Flag {
 };
 static REBALANCE: Flag = Flag {
     name: "--rebalance",
-    metavar: "off|global|incremental",
-    expects: "off|global|incremental",
+    metavar: "off|incremental",
+    expects: "off|incremental",
     set: |a, v| put(&mut a.rebalance, RebalanceMode::parse(v)),
     help: "What a boundary with loud drift does (default off); alone implies 4 epochs.",
 };
@@ -314,11 +314,10 @@ pub(super) static COMMANDS: [Command; 9] = [
       measured per-engine loads and drift values (surfaced in the
       report's `rebalance` block and audited as MC019/MC020). --rebalance
       picks what a boundary does when the drift is loud enough:
-      `incremental` migrates boundary nodes locally, `global` recomputes
-      a full PROFILE partition, `off` (default) only measures. The first
-      epoch is mapped traffic-blind with TOP (nothing has been measured
-      yet), so --approach must be top or omitted; --replay is
-      incompatible.",
+      `incremental` migrates boundary nodes locally, `off` (default)
+      only measures. The first epoch is mapped traffic-blind with TOP
+      (nothing has been measured yet), so --approach must be top or
+      omitted; --replay is incompatible.",
     },
     Command {
         name: "ping",

@@ -2,7 +2,7 @@
 //! nodes at arbitrary instants, to arbitrary valid partitions, must never
 //! change the discrete outcome of the emulation.
 
-use massf_core::engine::stepping::{MigrationCost, SteppableEmulation};
+use massf_core::engine::stepping::SteppableEmulation;
 use massf_core::engine::{run_sequential, EmulationConfig};
 use massf_core::prelude::*;
 use massf_core::routing::RoutingTables;
@@ -97,7 +97,7 @@ proptest! {
             emu.run_until(t);
             prop_assert!(!emu.finished() || t > last_start);
             let next = random_partition_vec(n, k, &mut rng);
-            emu.repartition(next, MigrationCost::default());
+            emu.repartition(next);
         }
         emu.run_to_completion();
         let report = emu.finish();
@@ -145,7 +145,7 @@ proptest! {
             let mut emu =
                 SteppableEmulation::new(&net, tables, &flows, EmulationConfig::new(initial, k));
             emu.run_until(rng.gen_range(1..horizon));
-            emu.repartition(random_partition_vec(n, k, &mut rng), MigrationCost::default());
+            emu.repartition(random_partition_vec(n, k, &mut rng));
             emu.run_to_completion();
             // The residency block exists only under lazy tables.
             EmulationReport {
