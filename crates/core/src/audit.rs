@@ -15,12 +15,11 @@ use massf_topology::Network;
 use massf_traffic::tracefile::{self, Trace};
 
 /// What the study produced, as a lint input: `partition` plus the study's
-/// routing tables under its engine count, tolerance, and (when
-/// configured) heterogeneous capacity vector.
+/// routing tables under its engine count and (when configured)
+/// heterogeneous capacity vector.
 fn study_input<'a>(study: &'a MappingStudy, partition: &'a Partitioning) -> LintInput<'a> {
     let mut input = LintInput::network(&study.net)
         .with_engines(study.cfg.engines)
-        .with_ubfactor(study.cfg.ubfactor)
         .with_partition(partition)
         .with_tables(&study.tables);
     input.engine_capacities = study.cfg.engine_capacities.as_deref();

@@ -25,23 +25,10 @@ pub struct ApproachResult {
     pub report: EmulationReport,
 }
 
-/// Convenience runner over a built scenario.
-pub trait ExperimentRun {
+impl BuiltScenario {
     /// Maps with `approach`, emulates live (with real-time pacing) and in
     /// replay mode, and gathers the metrics.
-    fn run_approach(&self, approach: Approach) -> ApproachResult;
-
-    /// Runs all three approaches (TOP, PLACE, PROFILE).
-    fn run_all(&self) -> Vec<ApproachResult> {
-        Approach::ALL
-            .iter()
-            .map(|&a| self.run_approach(a))
-            .collect()
-    }
-}
-
-impl ExperimentRun for BuiltScenario {
-    fn run_approach(&self, approach: Approach) -> ApproachResult {
+    pub fn run_approach(&self, approach: Approach) -> ApproachResult {
         let partitioning = self.study.map(approach, &self.predicted, &self.flows);
         let report = self
             .study
@@ -55,6 +42,14 @@ impl ExperimentRun for BuiltScenario {
             partitioning,
             report,
         }
+    }
+
+    /// Runs all three approaches (TOP, PLACE, PROFILE).
+    pub fn run_all(&self) -> Vec<ApproachResult> {
+        Approach::ALL
+            .iter()
+            .map(|&a| self.run_approach(a))
+            .collect()
     }
 }
 

@@ -42,12 +42,12 @@ pub use massf_routing as routing;
 pub use massf_topology as topology;
 pub use massf_traffic as traffic;
 
-pub use experiment::{ApproachResult, ExperimentRun};
+pub use experiment::ApproachResult;
 pub use scenario::{BuiltScenario, Scenario, Topology, Workload};
 
 /// The common imports for examples and benches.
 pub mod prelude {
-    pub use crate::experiment::{ApproachResult, ExperimentRun};
+    pub use crate::experiment::ApproachResult;
     pub use crate::scenario::{BuiltScenario, Scenario, Topology, Workload};
     pub use massf_engine::{CostModel, EmulationConfig, EmulationReport};
     pub use massf_mapping::{

@@ -1,6 +1,6 @@
 //! Experiment scenarios: the paper's topology × workload grid (§4.1).
 
-use massf_mapping::{MapperConfig, MappingStudy, Parallelism, RoutingKind};
+use massf_mapping::{MapperConfig, MappingStudy, Parallelism};
 use massf_topology::brite::{BriteConfig, BRITE_ENGINES, SCALEUP_ENGINES};
 use massf_topology::campus::{campus, CAMPUS_ENGINES};
 use massf_topology::teragrid::{teragrid, TERAGRID_ENGINES};
@@ -109,9 +109,6 @@ pub struct Scenario {
     /// partitioner restarts). Results are bit-identical at every setting;
     /// `Parallelism::serial()` runs the exact single-threaded paths.
     pub parallelism: Parallelism,
-    /// Routing-table fill policy (interval rows encoded up front vs on
-    /// first lookup). Both answer every routing query bit-identically.
-    pub routing: RoutingKind,
 }
 
 impl Scenario {
@@ -125,7 +122,6 @@ impl Scenario {
             scale: 1.0,
             seed: 0x5c2003,
             parallelism: Parallelism::available(),
-            routing: RoutingKind::default(),
         }
         .with_moderate_background()
     }
@@ -169,12 +165,6 @@ impl Scenario {
         self
     }
 
-    /// Selects the routing-table representation.
-    pub fn with_routing(mut self, routing: RoutingKind) -> Self {
-        self.routing = routing;
-        self
-    }
-
     /// Instantiates the network, routing, placement, flow schedule, and
     /// PLACE predictions.
     pub fn build(&self) -> BuiltScenario {
@@ -211,8 +201,7 @@ impl Scenario {
 
         let cfg = MapperConfig::new(self.topology.engines())
             .with_seed(self.seed)
-            .with_parallelism(self.parallelism)
-            .with_routing(self.routing);
+            .with_parallelism(self.parallelism);
         BuiltScenario {
             scenario: self.clone(),
             study: MappingStudy::new(net, cfg),
@@ -239,13 +228,12 @@ pub struct BuiltScenario {
 
 impl BuiltScenario {
     /// Runs the `massf-lint` preflight over the instantiated scenario:
-    /// network, engine count, imbalance tolerance, flow schedule, and
-    /// PLACE predictions all feed the request passes. Callers should refuse
-    /// to emulate when [`massf_lint::Diagnostics::has_errors`] is true.
+    /// network, engine count, flow schedule, and PLACE predictions all
+    /// feed the request passes. Callers should refuse to emulate when
+    /// [`massf_lint::Diagnostics::has_errors`] is true.
     pub fn lint(&self) -> massf_lint::Diagnostics {
         let mut input = massf_lint::LintInput::network(&self.study.net);
         input.engines = Some(self.study.cfg.engines);
-        input.ubfactor = self.study.cfg.ubfactor;
         input.flows = &self.flows;
         input.predicted = &self.predicted;
         massf_lint::lint_scenario(&input)

@@ -32,6 +32,10 @@ use massf_topology::Network;
 use massf_traffic::FlowSpec;
 use std::borrow::BorrowMut;
 
+/// The default bucket width (µs) of the fine-grained load series: the
+/// paper samples "in two second intervals" (Figure 8).
+pub const COUNTER_WINDOW_US: u64 = 2_000_000;
+
 /// Configuration of one emulation run.
 #[derive(Debug, Clone)]
 pub struct EmulationConfig {
@@ -39,8 +43,8 @@ pub struct EmulationConfig {
     pub partition: Vec<u32>,
     /// Number of engines (labels in `partition` must be `< nengines`).
     pub nengines: usize,
-    /// Virtual-time bucket width for the fine-grained load series; the
-    /// paper samples "in two second intervals" (Figure 8).
+    /// Virtual-time bucket width for the fine-grained load series
+    /// (default [`COUNTER_WINDOW_US`]).
     pub counter_window_us: u64,
     /// Enable NetFlow profiling (the PROFILE approach's initial run).
     pub netflow: bool,
@@ -66,7 +70,7 @@ impl EmulationConfig {
         Self {
             partition,
             nengines,
-            counter_window_us: 2_000_000,
+            counter_window_us: COUNTER_WINDOW_US,
             netflow: false,
             cost: CostModel::default(),
             engine_speeds: None,

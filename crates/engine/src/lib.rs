@@ -99,7 +99,10 @@ pub mod stepping;
 pub mod trace;
 
 pub use cost::CostModel;
-pub use exec::{protocol_loop, run, run_parallel, run_sequential, EmulationConfig, ProtocolState};
+pub use exec::{
+    protocol_loop, run, run_parallel, run_sequential, EmulationConfig, ProtocolState,
+    COUNTER_WINDOW_US,
+};
 pub use report::EmulationReport;
 pub use sched::{SchedStats, SchedulerKind};
 pub use shim::{SlotArray, SyncShim};

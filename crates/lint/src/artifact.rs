@@ -19,7 +19,7 @@
 
 use crate::passes::{node_loc, LOOKAHEAD_HAZARD_US};
 use crate::{Code, Diagnostics, LintInput, Location, Severity};
-use massf_mapping::weights;
+use massf_mapping::{weights, UBFACTOR};
 use massf_partition::quality;
 use massf_routing::probes;
 use massf_traffic::tracefile::{Trace, TraceError};
@@ -380,7 +380,7 @@ pub(crate) fn capacity_feasibility(input: &LintInput<'_>, diags: &mut Diagnostic
         return;
     }
     let g = weights::latency_graph(input.net);
-    for inf in quality::infeasible_target_constraints(&g, &fractions, input.ubfactor) {
+    for inf in quality::infeasible_target_constraints(&g, &fractions, UBFACTOR) {
         diags.push(
             Code::Mc017,
             Severity::Warn,
@@ -389,7 +389,7 @@ pub(crate) fn capacity_feasibility(input: &LintInput<'_>, diags: &mut Diagnostic
                 "balance constraint {}: heaviest vertex weight {} exceeds the largest \
                  target capacity {:.1} at tolerance {:.2}; no partition over this \
                  capacity vector can meet the balance target",
-                inf.constraint, inf.max_vertex_weight, inf.capacity, input.ubfactor
+                inf.constraint, inf.max_vertex_weight, inf.capacity, UBFACTOR
             ),
         );
     }
@@ -783,8 +783,7 @@ mod tests {
         let d = lint_artifacts(
             &LintInput::network(&net)
                 .with_engines(4)
-                .with_capacities(&skewed)
-                .with_ubfactor(1.05),
+                .with_capacities(&skewed),
         );
         assert!(d.iter().any(|x| x.code == Code::Mc017
             && x.severity == Severity::Warn
@@ -795,8 +794,7 @@ mod tests {
         let d = lint_artifacts(
             &LintInput::network(&net)
                 .with_engines(4)
-                .with_capacities(&generous)
-                .with_ubfactor(1.05),
+                .with_capacities(&generous),
         );
         assert!(!d.iter().any(|x| x.code == Code::Mc017), "{d:?}");
     }

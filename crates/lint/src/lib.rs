@@ -201,8 +201,6 @@ pub struct LintInput<'a> {
     pub net: &'a Network,
     /// Requested engine count (partition request), if any.
     pub engines: Option<usize>,
-    /// Partitioner imbalance tolerance used for feasibility checks.
-    pub ubfactor: f64,
     /// PLACE-style predicted flows, if any.
     pub predicted: &'a [PredictedFlow],
     /// The concrete flow schedule, if any.
@@ -233,7 +231,6 @@ impl<'a> LintInput<'a> {
         Self {
             net,
             engines: None,
-            ubfactor: DEFAULT_UBFACTOR,
             predicted: &[],
             flows: &[],
             traffic: None,
@@ -259,12 +256,6 @@ impl<'a> LintInput<'a> {
     /// Builder: sets the partition request.
     pub fn with_engines(mut self, engines: usize) -> Self {
         self.engines = Some(engines);
-        self
-    }
-
-    /// Builder: sets the imbalance tolerance for feasibility checks.
-    pub fn with_ubfactor(mut self, ub: f64) -> Self {
-        self.ubfactor = ub;
         self
     }
 
@@ -299,10 +290,6 @@ impl<'a> LintInput<'a> {
         self
     }
 }
-
-/// Default imbalance tolerance assumed when the caller does not supply
-/// one; matches `MapperConfig::new`'s default.
-pub const DEFAULT_UBFACTOR: f64 = 1.25;
 
 /// The pass behind `code`. The `match` is exhaustive, so a catalog row
 /// without a pass does not compile.

@@ -11,7 +11,9 @@
 
 use crate::{Code, Diagnostics, LintInput, Location, Severity};
 use massf_graph::connectivity::connected_components;
+use massf_mapping::profile::MIN_BUCKET_EVENTS;
 use massf_mapping::weights::{self, MBPS_SCALE};
+use massf_mapping::UBFACTOR;
 use massf_topology::{Network, NodeId, NodeKind};
 use massf_traffic::spec::TrafficKind;
 use std::collections::BTreeSet;
@@ -23,13 +25,9 @@ use std::collections::BTreeSet;
 /// real hazards from normal topologies.
 pub const LOOKAHEAD_HAZARD_US: u64 = 50;
 
-/// Virtual-time bucket width (µs) for the static phase-detection preview
-/// in `MC008`; mirrors the profiler's default counter window.
-pub const PROFILE_BUCKET_US: u64 = 2_000_000;
-
-/// Minimum packet events a bucket needs before PROFILE's segment
-/// clustering can see structure; mirrors `MapperConfig::min_bucket_events`.
-pub const PROFILE_MIN_BUCKET_EVENTS: u64 = 16;
+/// Virtual-time bucket width (µs) of the static phase-detection preview
+/// in `MC008`: the emulation's fine-grained counter window.
+pub const PROFILE_BUCKET_US: u64 = massf_mapping::COUNTER_WINDOW_US;
 
 /// Flows injecting past this horizon (µs, ~11.6 days of virtual time) are
 /// treated as implausible: `MC006` warns and `MC008` skips its bucket
@@ -332,7 +330,7 @@ pub(crate) fn partition_feasibility(input: &LintInput<'_>, diags: &mut Diagnosti
     }
     if engines > 1 {
         let g = weights::latency_graph(net);
-        for inf in massf_partition::quality::infeasible_constraints(&g, engines, input.ubfactor) {
+        for inf in massf_partition::quality::infeasible_constraints(&g, engines, UBFACTOR) {
             diags.push(
                 Code::Mc007,
                 Severity::Warn,
@@ -341,7 +339,7 @@ pub(crate) fn partition_feasibility(input: &LintInput<'_>, diags: &mut Diagnosti
                     "balance constraint {}: heaviest vertex weight {} exceeds the \
                      per-engine capacity {:.1} at tolerance {:.2}; no {}-way partition \
                      can meet the balance target",
-                    inf.constraint, inf.max_vertex_weight, inf.capacity, input.ubfactor, engines
+                    inf.constraint, inf.max_vertex_weight, inf.capacity, UBFACTOR, engines
                 ),
             );
         }
@@ -386,7 +384,7 @@ pub(crate) fn degenerate_phases(input: &LintInput<'_>, diags: &mut Diagnostics) 
         }
     }
     let max = totals.iter().copied().max().unwrap_or(0);
-    if max < PROFILE_MIN_BUCKET_EVENTS {
+    if max < MIN_BUCKET_EVENTS {
         diags.push(
             Code::Mc008,
             Severity::Warn,
@@ -396,7 +394,7 @@ pub(crate) fn degenerate_phases(input: &LintInput<'_>, diags: &mut Diagnostics) 
                  PROFILE's phase detection will see a single flat phase and add \
                  no information over PLACE",
                 PROFILE_BUCKET_US / 1_000_000,
-                PROFILE_MIN_BUCKET_EVENTS
+                MIN_BUCKET_EVENTS
             ),
         );
     }
@@ -637,7 +635,7 @@ pub(crate) fn degree_anomalies(input: &LintInput<'_>, diags: &mut Diagnostics) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{lint_scenario, DEFAULT_UBFACTOR};
+    use crate::lint_scenario;
     use massf_metrics::diag::Code as _;
     use massf_traffic::spec::parse_traffic;
     use massf_traffic::{FlowSpec, PredictedFlow};
@@ -652,12 +650,8 @@ mod tests {
         lint_scenario(&LintInput::network(net))
     }
 
-    fn lint_request(net: &Network, engines: usize, ubfactor: f64) -> Diagnostics {
-        lint_scenario(
-            &LintInput::network(net)
-                .with_engines(engines)
-                .with_ubfactor(ubfactor),
-        )
+    fn lint_request(net: &Network, engines: usize) -> Diagnostics {
+        lint_scenario(&LintInput::network(net).with_engines(engines))
     }
 
     fn has(d: &Diagnostics, code: &str, sev: Severity) -> bool {
@@ -822,29 +816,17 @@ mod tests {
     #[test]
     fn infeasible_engine_counts_are_mc007() {
         let net = line_net();
-        assert!(has(
-            &lint_request(&net, 0, DEFAULT_UBFACTOR),
-            "MC007",
-            Severity::Error
-        ));
-        assert!(has(
-            &lint_request(&net, 9, DEFAULT_UBFACTOR),
-            "MC007",
-            Severity::Error
-        ));
+        assert!(has(&lint_request(&net, 0), "MC007", Severity::Error));
+        assert!(has(&lint_request(&net, 9), "MC007", Severity::Error));
         // 3 engines for 2 routers: legal but degenerate.
-        assert!(has(
-            &lint_request(&net, 3, DEFAULT_UBFACTOR),
-            "MC007",
-            Severity::Warn
-        ));
-        assert!(!lint_request(&net, 2, DEFAULT_UBFACTOR).has_errors());
+        assert!(has(&lint_request(&net, 3), "MC007", Severity::Warn));
+        assert!(!lint_request(&net, 2).has_errors());
     }
 
     #[test]
     fn dominant_vertex_makes_balance_infeasible() {
         // A star: the hub holds ~half the total incident bandwidth, which
-        // no 3-way split can balance within 1.10 (cap ≈ 0.37 · total).
+        // no 3-way split can balance within 1.25 (cap ≈ 0.42 · total).
         let mut net = Network::new();
         let hub = net.add_router("hub", 0);
         for i in 0..4 {
@@ -853,7 +835,7 @@ mod tests {
             let h = net.add_host(format!("h{i}"), 0);
             net.add_link(r, h, 10.0, 100);
         }
-        let d = lint_request(&net, 3, 1.10);
+        let d = lint_request(&net, 3);
         assert!(
             d.iter().any(|x| x.code == Code::Mc007
                 && x.severity == Severity::Warn

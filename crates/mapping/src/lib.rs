@@ -49,9 +49,19 @@ pub mod weights;
 pub use incremental::{
     diffusive_sweep, run_online, IncrementalConfig, IncrementalOutcome, RebalanceMode,
 };
+pub use massf_engine::COUNTER_WINDOW_US;
 pub use massf_par::Parallelism;
 pub use massf_routing::RoutingKind;
 pub use pipeline::{Approach, MappingStudy};
+
+/// The partitioner imbalance tolerance of every mapping approach.
+///
+/// It is looser than METIS's classic 1.03: the emulation graphs are tiny
+/// (tens of nodes per engine) with highly skewed traffic weights, and an
+/// over-tight constraint forces the partitioner to cut low-latency access
+/// links, destroying the conservative engine's lookahead — exactly the
+/// §2.2.3 trade-off. The lint's feasibility passes judge against it too.
+pub const UBFACTOR: f64 = 1.25;
 
 /// Shared configuration of all mapping approaches.
 #[derive(Debug, Clone)]
@@ -61,8 +71,6 @@ pub struct MapperConfig {
     /// Latency-objective priority `p` of §2.3; the paper's default ratio is
     /// 6:4, i.e. `p = 0.6`.
     pub latency_priority: f64,
-    /// Partitioner imbalance tolerance.
-    pub ubfactor: f64,
     /// Partitioner seed (all runs deterministic).
     pub seed: u64,
     /// Add the routing-table memory model as an extra balance constraint
@@ -70,8 +78,6 @@ pub struct MapperConfig {
     pub include_memory: bool,
     /// PROFILE: maximum phase segments fed as constraints.
     pub max_segments: usize,
-    /// PROFILE: buckets with fewer total events are treated as idle.
-    pub min_bucket_events: u64,
     /// Relative capacity (CPU speed) per engine. `None` = homogeneous
     /// cluster, the paper's assumption (§5). When set, the partitioner
     /// targets weight shares proportional to capacity and the cost model
@@ -86,27 +92,21 @@ pub struct MapperConfig {
     /// When the pipeline's routing table fills its rows: all up front
     /// (compressed, the default) or each on first lookup (lazy). Both
     /// answer every query bit-identically, so this only moves when the
-    /// memory is paid.
+    /// memory is paid. No caller sets it: it stays because `benchmark/`
+    /// reads it, and goes when that crate reads the run report instead
+    /// (ROADMAP item 2).
     pub routing: RoutingKind,
 }
 
 impl MapperConfig {
-    /// Defaults for `engines` engines (p = 0.6, ub = 1.25, 3 segments).
-    ///
-    /// The imbalance tolerance is looser than METIS's classic 1.03: the
-    /// emulation graphs are tiny (tens of nodes per engine) with highly
-    /// skewed traffic weights, and an over-tight constraint forces the
-    /// partitioner to cut low-latency access links, destroying the
-    /// conservative engine's lookahead — exactly the §2.2.3 trade-off.
+    /// Defaults for `engines` engines (p = 0.6, 3 segments).
     pub fn new(engines: usize) -> Self {
         Self {
             engines,
             latency_priority: 0.6,
-            ubfactor: 1.25,
             seed: 0x6a55e,
             include_memory: false,
             max_segments: 3,
-            min_bucket_events: 16,
             engine_capacities: None,
             parallelism: Parallelism::available(),
             routing: RoutingKind::default(),
@@ -145,17 +145,11 @@ impl MapperConfig {
         self
     }
 
-    /// Builder: select the routing-table representation.
-    pub fn with_routing(mut self, routing: RoutingKind) -> Self {
-        self.routing = routing;
-        self
-    }
-
     /// The underlying partitioner configuration.
     pub fn partition_config(&self) -> massf_partition::PartitionConfig {
         let cfg = massf_partition::PartitionConfig::new(self.engines)
             .with_seed(self.seed)
-            .with_ubfactor(self.ubfactor)
+            .with_ubfactor(UBFACTOR)
             .with_threads(self.parallelism);
         match &self.engine_capacities {
             Some(caps) => cfg.with_capacities(caps),

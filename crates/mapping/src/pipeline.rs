@@ -6,7 +6,7 @@ use crate::profile::map_profile_obs;
 use crate::top::map_top_obs;
 use crate::MapperConfig;
 use massf_engine::netflow::FlowRecord;
-use massf_engine::{CostModel, EmulationConfig, EmulationReport, SchedulerKind};
+use massf_engine::{CostModel, EmulationConfig, EmulationReport, SchedulerKind, COUNTER_WINDOW_US};
 use massf_obs::Recorder;
 use massf_par::Parallelism;
 use massf_partition::Partitioning;
@@ -48,7 +48,8 @@ pub struct MappingStudy {
     pub tables: RoutingTables,
     /// Mapper configuration.
     pub cfg: MapperConfig,
-    /// Virtual-time bucket width for fine-grained load series.
+    /// Virtual-time bucket width for fine-grained load series (default
+    /// [`COUNTER_WINDOW_US`]).
     pub counter_window_us: u64,
 }
 
@@ -61,7 +62,7 @@ impl MappingStudy {
             net,
             tables,
             cfg,
-            counter_window_us: 2_000_000,
+            counter_window_us: COUNTER_WINDOW_US,
         }
     }
 

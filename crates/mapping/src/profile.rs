@@ -15,7 +15,7 @@ use crate::weights::{
     append_memory_constraint, latency_graph, measured_traffic_graph_with, node_time_loads,
     with_vertex_weights,
 };
-use crate::MapperConfig;
+use crate::{MapperConfig, UBFACTOR};
 use massf_engine::netflow::FlowRecord;
 use massf_obs::{PhaseInfo, ProfileTelemetry, Recorder};
 use massf_partition::multiobjective::combine_and_partition;
@@ -28,6 +28,10 @@ const SMOOTH_BUCKETS: usize = 3;
 
 /// Number of time buckets the profile is digested into before clustering.
 pub const PROFILE_BUCKETS: u64 = 24;
+
+/// Buckets with fewer total packet events than this are idle to the phase
+/// clustering; the lint's MC008 warns when no bucket reaches it.
+pub const MIN_BUCKET_EVENTS: u64 = 16;
 
 /// Maps the network using NetFlow records from a profiling run.
 ///
@@ -66,12 +70,7 @@ pub fn map_profile_obs(
 
     let span = rec.start();
     let loads = node_time_loads(net, records, bucket_us);
-    let segments = cluster_segments(
-        &loads,
-        cfg.min_bucket_events,
-        SMOOTH_BUCKETS,
-        cfg.max_segments,
-    );
+    let segments = cluster_segments(&loads, MIN_BUCKET_EVENTS, SMOOTH_BUCKETS, cfg.max_segments);
     rec.finish("mapping/profile/segments", span);
     let span = rec.start();
     // Constraint 0 is always the *total* measured load — the quantity the
@@ -115,9 +114,9 @@ pub fn map_profile_obs(
     // columns extra slack: phases are noisy estimates, and over-constraining
     // them forces low-latency cuts that hurt more than phase skew does.
     let mut pcfg = cfg.partition_config();
-    let mut ubs = vec![cfg.ubfactor; ncon];
+    let mut ubs = vec![UBFACTOR; ncon];
     for ub in ubs.iter_mut().skip(1) {
-        *ub = cfg.ubfactor + 0.35;
+        *ub = UBFACTOR + 0.35;
     }
     pcfg.ub_vec = Some(ubs);
 

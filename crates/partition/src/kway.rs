@@ -9,13 +9,22 @@ use massf_graph::CsrGraph;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
+/// Coarsening stops when the graph has at most `max(COARSEN_TO, 4 *
+/// nparts)` vertices.
+const COARSEN_TO: usize = 40;
+
+/// Maximum greedy refinement passes per level.
+const REFINE_PASSES: usize = 8;
+
 /// Multilevel k-way partitioning (the classical METIS scheme).
 ///
 /// 1. Coarsen with heavy-edge matching until at most
-///    `max(cfg.coarsen_to, 4 * nparts)` vertices remain.
+///    `max(COARSEN_TO, 4 * nparts)` vertices remain.
 /// 2. Partition the coarsest graph by greedy-growing recursive bisection.
 /// 3. Walk the levels back up, projecting the partition through each
-///    matching and running rebalance + FM refinement at every level.
+///    matching and running rebalance, greedy refinement and one
+///    Fiduccia–Mattheyses pass (with rollback, so it escapes local minima
+///    the greedy pass cannot) at every level.
 ///
 /// Deterministic for a fixed `cfg.seed`.
 ///
@@ -38,7 +47,7 @@ pub fn multilevel_kway(g: &CsrGraph, cfg: &PartitionConfig) -> Partitioning {
         };
     }
 
-    let target = cfg.coarsen_to.max(4 * cfg.nparts);
+    let target = COARSEN_TO.max(4 * cfg.nparts);
     let levels = coarsen_to(g, target, &mut rng);
     let coarsest: &CsrGraph = levels.last().map(|l| &l.graph).unwrap_or(g);
 
@@ -55,12 +64,8 @@ pub fn multilevel_kway(g: &CsrGraph, cfg: &PartitionConfig) -> Partitioning {
     };
     let mut part = initial_partition(coarsest, &spec.fractions, &ubs, &mut rng);
     rebalance(coarsest, &mut part, &spec, &mut rng);
-    kway_refine(coarsest, &mut part, &spec, cfg.refine_passes, &mut rng);
-    for _ in 0..cfg.fm_passes {
-        if fm_pass(coarsest, &mut part, &spec) == 0 {
-            break;
-        }
-    }
+    kway_refine(coarsest, &mut part, &spec, REFINE_PASSES, &mut rng);
+    fm_pass(coarsest, &mut part, &spec);
 
     // Uncoarsen: levels run finest -> coarsest, so walk them in reverse.
     for i in (0..levels.len()).rev() {
@@ -71,12 +76,8 @@ pub fn multilevel_kway(g: &CsrGraph, cfg: &PartitionConfig) -> Partitioning {
             fine_part[v] = part[map[v] as usize];
         }
         rebalance(fine, &mut fine_part, &spec, &mut rng);
-        kway_refine(fine, &mut fine_part, &spec, cfg.refine_passes, &mut rng);
-        for _ in 0..cfg.fm_passes {
-            if fm_pass(fine, &mut fine_part, &spec) == 0 {
-                break;
-            }
-        }
+        kway_refine(fine, &mut fine_part, &spec, REFINE_PASSES, &mut rng);
+        fm_pass(fine, &mut fine_part, &spec);
         part = fine_part;
     }
 

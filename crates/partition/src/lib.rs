@@ -68,14 +68,6 @@ pub struct PartitionConfig {
     pub ubfactor: f64,
     /// RNG seed; every run with the same seed is bit-identical.
     pub seed: u64,
-    /// Coarsening stops when the graph has at most
-    /// `max(coarsen_to, 4 * nparts)` vertices.
-    pub coarsen_to: usize,
-    /// Maximum greedy refinement passes per level.
-    pub refine_passes: usize,
-    /// Fiduccia–Mattheyses hill-climbing passes per level (with rollback);
-    /// escapes local minima the greedy pass cannot. 0 disables.
-    pub fm_passes: usize,
     /// Independent multilevel runs (seeds `seed..seed+restarts`); the best
     /// result by (balance feasibility, edge cut) wins. Multilevel + FM is
     /// randomized, and restarts close most of the quality gap to METIS's
@@ -105,9 +97,6 @@ impl PartitionConfig {
             nparts,
             ubfactor: 1.10,
             seed: 0x5eed_cafe,
-            coarsen_to: 40,
-            refine_passes: 8,
-            fm_passes: 1,
             restarts: 6,
             ub_vec: None,
             target_fractions: None,

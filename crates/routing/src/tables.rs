@@ -5,12 +5,10 @@ use crate::interval::IntervalTables;
 use massf_par::Parallelism;
 use massf_topology::{LinkId, Network, NodeId};
 
-/// How the routing table's rows get filled. Selectable through
-/// `MapperConfig`, `Scenario`, and the CLI's `--routing` flag; both
-/// policies fill the same structure and answer every query bit-identically
-/// (same hops, links, and latencies), which the equivalence suite and
-/// `bench_routing --smoke` / `bench_slice --smoke` assert on every shipped
-/// scenario.
+/// How the routing table's rows get filled. Both policies fill the same
+/// structure and answer every query bit-identically (same hops, links,
+/// and latencies), which the equivalence suite and `bench_routing
+/// --smoke` / `bench_slice --smoke` assert on every shipped scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RoutingKind {
     /// Run-length/interval-encoded rows over a coalescing-friendly
@@ -27,25 +25,6 @@ pub enum RoutingKind {
     /// queries its own sources, so resident bytes follow the engine's
     /// slice of the network, not all n rows (DESIGN.md §16).
     Lazy,
-}
-
-impl RoutingKind {
-    /// CLI / report label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            RoutingKind::Compressed => "compressed",
-            RoutingKind::Lazy => "lazy",
-        }
-    }
-
-    /// Parses a CLI label.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "compressed" => Some(RoutingKind::Compressed),
-            "lazy" => Some(RoutingKind::Lazy),
-            _ => None,
-        }
-    }
 }
 
 /// All-pairs routing state: for every `(src, dst)` the next hop out of
@@ -479,24 +458,17 @@ mod tests {
         for net in [line(), island, campus()] {
             let oracle = Oracle::build(&net);
             for t in both(&net) {
-                oracle.assert_answers(&t, t.kind().label());
+                oracle.assert_answers(&t, &format!("{:?}", t.kind()));
             }
         }
     }
 
     #[test]
-    fn kind_round_trips_through_labels() {
+    fn tables_report_the_kind_they_were_built_with() {
         for kind in [RoutingKind::Compressed, RoutingKind::Lazy] {
-            assert_eq!(RoutingKind::parse(kind.label()), Some(kind));
             let t = RoutingTables::build_kind(&line(), kind, Parallelism::serial());
             assert_eq!(t.kind(), kind);
         }
-        assert_eq!(RoutingKind::parse("sparse"), None);
-        assert_eq!(
-            RoutingKind::parse("dense"),
-            None,
-            "the n × n matrix is gone"
-        );
         assert_eq!(RoutingKind::default(), RoutingKind::Compressed);
     }
 

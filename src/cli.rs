@@ -129,7 +129,6 @@ fn mapper_config(a: &Args, engines: usize) -> MapperConfig {
     MapperConfig {
         seed: a.seed.unwrap_or(defaults.seed),
         parallelism: a.threads.unwrap_or(defaults.parallelism),
-        routing: a.routing.unwrap_or(defaults.routing),
         ..defaults
     }
 }
@@ -212,7 +211,6 @@ fn cmd_check(a: &Args) -> Result<String, CliError> {
         let partition = study.map(Approach::Top, &[], &[]);
         let mut artifact = LintInput::network(&net)
             .with_engines(engines)
-            .with_ubfactor(study.cfg.ubfactor)
             .with_partition(&partition)
             .with_tables(&study.tables);
         if let Some(c) = caps {
@@ -304,10 +302,9 @@ fn write_run_report(
 
 /// Surfaces routing-table size statistics in the run report: measured vs
 /// paper-predicted bytes (the names sort adjacently in the counters
-/// block), the analytic n × n baseline, and — for prefilled tables, whose
-/// rows are all there to count — the row and run shape. All values are
-/// deterministic functions of the topology, so they sit above the
-/// report's timing boundary.
+/// block), the analytic n × n baseline, and the row and run shape. All
+/// values are deterministic functions of the topology, so they sit above
+/// the report's timing boundary.
 fn record_routing_stats(rec: &mut Recorder, study: &MappingStudy) {
     let tables = &study.tables;
     rec.add_counter("routing.bytes_dense_baseline", tables.dense_bytes());
@@ -320,54 +317,12 @@ fn record_routing_stats(rec: &mut Recorder, study: &MappingStudy) {
         "routing.compression_x",
         tables.dense_bytes() as f64 / tables.table_bytes().max(1) as f64,
     );
-    if tables.kind() == RoutingKind::Compressed {
-        let s = tables.run_stats();
-        rec.add_counter("routing.rows_leaf", s.leaf_rows as u64);
-        rec.add_counter("routing.rows_unique", s.unique_rows as u64);
-        rec.add_counter("routing.runs_max_per_row", s.runs_max_per_row as u64);
-        rec.add_counter("routing.runs_total", s.runs_total as u64);
-        rec.set_gauge("routing.runs_mean_per_row", s.runs_mean_per_row);
-    }
-}
-
-/// Surfaces lazy-table demand statistics after the emulation: what the run
-/// actually materialized, the lookup hit/miss split, and each engine's
-/// resident share under the final partition. A no-op for prefilled
-/// tables. Every value is a function of the topology and the flow
-/// schedule — not of the thread count or interleaving — so these counters
-/// land above the report's timing mask and stay byte-identical across
-/// `--threads`.
-fn record_lazy_run_stats(rec: &mut Recorder, study: &MappingStudy, assignment: &[u32]) {
-    let tables = &study.tables;
-    let Some(s) = tables.lazy_stats() else {
-        return;
-    };
-    rec.add_counter("routing.lazy_demand_hits", s.demand_hits);
-    rec.add_counter("routing.lazy_demand_misses", s.demand_misses);
-    rec.add_counter("routing.lazy_lookups", s.lookups);
-    rec.add_counter("routing.lazy_resident_bytes", s.resident_bytes);
-    rec.add_counter("routing.lazy_rows_leaf", s.rows_leaf as u64);
-    rec.add_counter("routing.lazy_rows_materialized", s.rows_materialized as u64);
-    rec.add_counter("routing.lazy_rows_pending", s.rows_pending as u64);
-    rec.add_counter("routing.lazy_runs_resident", s.runs_resident as u64);
-    let nengines = assignment
-        .iter()
-        .map(|&p| p as usize + 1)
-        .max()
-        .unwrap_or(1);
-    if let Some(slices) = tables.slice_stats(assignment, nengines) {
-        for sl in &slices {
-            let e = sl.residency.engine;
-            rec.add_counter(
-                &format!("routing.lazy_slice{e}_resident_bytes"),
-                sl.residency.resident_bytes,
-            );
-            rec.add_counter(
-                &format!("routing.lazy_slice{e}_rows"),
-                sl.residency.rows_materialized as u64,
-            );
-        }
-    }
+    let s = tables.run_stats();
+    rec.add_counter("routing.rows_leaf", s.leaf_rows as u64);
+    rec.add_counter("routing.rows_unique", s.unique_rows as u64);
+    rec.add_counter("routing.runs_max_per_row", s.runs_max_per_row as u64);
+    rec.add_counter("routing.runs_total", s.runs_total as u64);
+    rec.set_gauge("routing.runs_mean_per_row", s.runs_mean_per_row);
 }
 
 fn cmd_partition(a: &Args) -> Result<String, CliError> {
@@ -381,7 +336,6 @@ fn cmd_partition(a: &Args) -> Result<String, CliError> {
     let mut audit = massf_lint::lint_artifacts(
         &LintInput::network(&net)
             .with_engines(engines)
-            .with_ubfactor(cfg.ubfactor)
             .with_partition(&partition),
     );
     verdict(&mut audit, a, Some(AUDIT_FAILED))?;
@@ -562,7 +516,6 @@ fn map_audit_emulate(
             (report, None, audit, partition)
         }
     };
-    record_lazy_run_stats(&mut rec, &study, &final_partition.part);
     if let Some(path) = a.report {
         let scenario = ScenarioInfo {
             network: study.net.summary(),
@@ -1055,50 +1008,30 @@ mod tests {
     }
 
     #[test]
-    fn routing_dense_is_refused_like_any_unknown_label() {
+    fn routing_flag_is_refused_like_any_unknown_flag() {
+        // Every CLI path that builds tables audits every row, so it builds
+        // them eagerly and takes no fill policy; `--audit` has one spelling.
         let net_file = write_campus();
-        let spec = tempfile_path::write(
-            "massf_cli_dense_spec.txt",
-            "traffic { name CBR\n sessions 5\n rate_mbps 3 }",
-        );
-        let trace = tempfile_path::write("massf_cli_dense_trace.txt", "");
-        run(&args(&[
-            "record",
-            net_file.as_str(),
-            "--traffic",
-            spec.as_str(),
-            "--duration-s",
-            "2",
-            "--out",
-            trace.as_str(),
-        ]))
-        .unwrap();
+        let net = net_file.as_str();
         let cases: &[&[&str]] = &[
-            &["check", net_file.as_str()],
-            &["run", net_file.as_str(), "--duration-s", "2"],
-            &[
-                "replay",
-                net_file.as_str(),
-                trace.as_str(),
-                "--engines",
-                "3",
-            ],
+            &["run", net, "--routing", "lazy"],
+            &["run", net, "--routing", "compressed"],
+            &["check", net, "--routing", "lazy"],
+            &["check", net, "--routing", "compressed"],
+            &["check", net, "--partition"],
         ];
-        for case in cases {
-            for label in ["dense", "sparse"] {
-                let mut argv = args(case);
-                argv.extend(args(&["--routing", label]));
-                let e = run(&argv).unwrap_err();
-                assert_eq!(
-                    e.0,
-                    format!("--routing must be compressed|lazy, got {label:?}"),
-                    "{case:?}"
-                );
-            }
+        for argv in cases {
+            let (cmd, flag) = (argv[0], argv[2]);
+            let e = run(&args(argv)).unwrap_err();
+            assert_eq!(
+                e.0,
+                format!("unknown flag {flag:?} for `massf {cmd}`; try `massf help`"),
+                "{argv:?}"
+            );
         }
-        for line in usage().lines().filter(|l| l.contains("[--routing")) {
-            assert!(line.contains("[--routing compressed|lazy]"), "{line}");
-        }
+        let help = usage();
+        assert!(!help.contains("--routing"), "{help}");
+        assert!(!help.contains("--partition"), "{help}");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! required flag left out, and too few or too many operands.
 
 use super::{err, CliError};
-use massf_core::prelude::{Approach, Parallelism, RebalanceMode, RoutingKind};
+use massf_core::prelude::{Approach, Parallelism, RebalanceMode};
 
 /// One flag: how it is spelled, what it takes, and what it means.
 pub(super) struct Flag {
@@ -103,13 +103,6 @@ static THREADS: Flag = Flag {
     },
     help: "Worker threads of the mapping pipeline and of the emulation (default: all cores); results are identical at any T.",
 };
-static ROUTING: Flag = Flag {
-    name: "--routing",
-    metavar: "compressed|lazy",
-    expects: "compressed|lazy",
-    set: |a, v| put(&mut a.routing, RoutingKind::parse(v)),
-    help: "Fill routing-table rows up front (default) or on first lookup; same answers.",
-};
 static CAPACITIES: Flag = Flag {
     name: "--capacities",
     metavar: "C1,C2,...",
@@ -140,13 +133,6 @@ static AUDIT: Flag = Flag {
     expects: "",
     set: |a, _| on(&mut a.audit),
     help: "Also map a TOP partition and audit it and its routing tables (MC013..MC018).",
-};
-static PARTITION: Flag = Flag {
-    name: "--partition",
-    metavar: "",
-    expects: "",
-    set: AUDIT.set,
-    help: "Alias of --audit.",
 };
 static LIST_PASSES: Flag = Flag {
     name: "--list-passes",
@@ -241,13 +227,11 @@ pub(super) static COMMANDS: [Command; 9] = [
             &TRAFFIC,
             &DURATION_S,
             &AUDIT,
-            &PARTITION,
             &CAPACITIES,
             &NETWORK,
             &FORMAT,
             &DENY_WARNINGS,
             &THREADS,
-            &ROUTING,
             &LIST_PASSES,
         ],
         run: super::cmd_check,
@@ -296,7 +280,6 @@ pub(super) static COMMANDS: [Command; 9] = [
             &APPROACH,
             &REPLAY,
             &THREADS,
-            &ROUTING,
             &DENY_WARNINGS,
             &REPORT,
             &EPOCHS,
@@ -341,7 +324,7 @@ pub(super) static COMMANDS: [Command; 9] = [
         name: "replay",
         operands: &["<network.dml>", "<trace.txt>"],
         required: &[&ENGINES],
-        optional: &[&APPROACH, &THREADS, &ROUTING, &DENY_WARNINGS, &REPORT],
+        optional: &[&APPROACH, &THREADS, &DENY_WARNINGS, &REPORT],
         run: super::cmd_replay,
         about: "Replay a recorded trace as fast as possible (isolated network
       emulation, the paper's Figures 9/10 measurement). The trace is
@@ -429,7 +412,6 @@ pub(super) struct Args<'a> {
     pub epochs: Option<usize>,
     pub seed: Option<u64>,
     pub threads: Option<Parallelism>,
-    pub routing: Option<RoutingKind>,
     pub approach: Option<Approach>,
     pub rebalance: Option<RebalanceMode>,
     /// `--duration-s` as seconds and as the same span in µs.

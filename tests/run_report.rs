@@ -156,82 +156,6 @@ fn masked_report_is_byte_identical_across_emulation_workers() {
 }
 
 #[test]
-fn masked_report_is_byte_identical_across_routing_kind_and_threads() {
-    // `--routing compressed` spells out the default, at every thread
-    // count; the other kind, lazy, is swept in the next test.
-    let default = campus_report_json("1");
-    for threads in ["1", "2", "4"] {
-        let compressed = campus_report_json_with(threads, &["--routing", "compressed"]);
-        assert_eq!(
-            mask_json(&default),
-            mask_json(&compressed),
-            "--routing compressed is not the default at --threads {threads}"
-        );
-    }
-}
-
-#[test]
-fn masked_report_is_byte_identical_across_lazy_and_threads() {
-    // Lazy on-demand tables answer every query bit-identically, so the
-    // simulated quantities (partition, emulation, counters, gauges) must
-    // match the prefilled tables' exactly; only the self-describing
-    // `routing.*` lines (size stats for eager, demand/residency stats for
-    // lazy) may differ — and do. The lazy demand
-    // counters themselves are thread-invariant: the demanded row set is
-    // a function of the flow schedule, not of engine scheduling.
-    let strip_routing_lines = |masked: &str| -> String {
-        masked
-            .lines()
-            .filter(|l| !l.contains("\"routing."))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    let lazy = campus_report_json_with("1", &["--routing", "lazy"]);
-    let compressed = campus_report_json_with("1", &["--routing", "compressed"]);
-    assert_eq!(
-        strip_routing_lines(mask_json(&lazy)),
-        strip_routing_lines(mask_json(&compressed)),
-        "simulated quantities vary between lazy and compressed routing"
-    );
-    assert_ne!(
-        mask_json(&lazy),
-        mask_json(&compressed),
-        "routing.* stats should differ between fill policies"
-    );
-    for threads in ["2", "4"] {
-        let other = campus_report_json_with(threads, &["--routing", "lazy"]);
-        assert_eq!(
-            mask_json(&lazy),
-            mask_json(&other),
-            "lazy report varies at --threads {threads}"
-        );
-    }
-}
-
-#[test]
-fn lazy_report_carries_demand_and_slice_counters() {
-    let json = campus_report_json_with("1", &["--routing", "lazy"]);
-    for key in [
-        "\"routing.lazy_demand_hits\"",
-        "\"routing.lazy_demand_misses\"",
-        "\"routing.lazy_lookups\"",
-        "\"routing.lazy_resident_bytes\"",
-        "\"routing.lazy_rows_materialized\"",
-        "\"routing.lazy_rows_pending\"",
-        "\"routing.lazy_slice0_resident_bytes\"",
-        "\"routing.lazy_slice0_rows\"",
-    ] {
-        assert!(json.contains(key), "lazy report missing {key}");
-    }
-    // Eager runs must not grow demand lines.
-    let eager = campus_report_json_with("1", &["--routing", "compressed"]);
-    assert!(
-        !eager.contains("\"routing.lazy_"),
-        "eager report has lazy keys"
-    );
-}
-
-#[test]
 fn report_carries_routing_size_counters() {
     let json = campus_report_json("1");
     for key in [
@@ -245,6 +169,7 @@ fn report_carries_routing_size_counters() {
     ] {
         assert!(json.contains(key), "report missing {key}");
     }
+    assert!(!json.contains("\"routing.lazy_"), "lazy counters are gone");
 }
 
 const EPOCH_FLAGS: &[&str] = &["--epochs", "4", "--rebalance", "incremental"];
