@@ -1,7 +1,7 @@
 //! Post-pipeline artifact audits: thin entry points over `massf-lint`'s
 //! artifact stage (MC013–MC020).
 //!
-//! The request preflight ([`crate::scenario::BuiltScenario::lint`]) judges
+//! The request preflight ([`massf_lint::lint_scenario`]) judges
 //! what was asked for; these helpers judge what the pipeline produced — a
 //! concrete [`Partitioning`] plus the [`MappingStudy`]'s routing tables,
 //! or a recorded trace file. The CLI runs them after `partition`, `run`,

@@ -90,6 +90,9 @@ impl Workload {
     }
 }
 
+/// The partitioner seed of every scenario's mapper.
+const MAPPER_SEED: u64 = 0x5c2003;
+
 /// A full experiment description: topology, foreground workload, background
 /// traffic, and scaling knobs.
 #[derive(Debug, Clone)]
@@ -103,8 +106,6 @@ pub struct Scenario {
     /// Problem-size scale factor in (0, 1]: 1.0 is the paper's size;
     /// smaller values shrink matrix/transfer sizes for quick runs.
     pub scale: f64,
-    /// Mapper seed.
-    pub seed: u64,
     /// Mapping-pipeline worker threads (routing tables, accumulation,
     /// partitioner restarts). Results are bit-identical at every setting;
     /// `Parallelism::serial()` runs the exact single-threaded paths.
@@ -120,7 +121,6 @@ impl Scenario {
             workload,
             background: None,
             scale: 1.0,
-            seed: 0x5c2003,
             parallelism: Parallelism::available(),
         }
         .with_moderate_background()
@@ -150,12 +150,6 @@ impl Scenario {
     pub fn with_scale(mut self, scale: f64) -> Self {
         assert!(scale > 0.0 && scale <= 1.0, "scale must be in (0, 1]");
         self.scale = scale;
-        self
-    }
-
-    /// Sets the seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 
@@ -200,7 +194,7 @@ impl Scenario {
         flows.sort_by_key(|f| (f.start_us, f.src, f.dst));
 
         let cfg = MapperConfig::new(self.topology.engines())
-            .with_seed(self.seed)
+            .with_seed(MAPPER_SEED)
             .with_parallelism(self.parallelism);
         BuiltScenario {
             scenario: self.clone(),
@@ -224,27 +218,6 @@ pub struct BuiltScenario {
     pub flows: Vec<FlowSpec>,
     /// PLACE's predicted flows (foreground uniform + background averages).
     pub predicted: Vec<PredictedFlow>,
-}
-
-impl BuiltScenario {
-    /// Runs the `massf-lint` preflight over the instantiated scenario:
-    /// network, engine count, flow schedule, and PLACE predictions all
-    /// feed the request passes. Callers should refuse to emulate when
-    /// [`massf_lint::Diagnostics::has_errors`] is true.
-    pub fn lint(&self) -> massf_lint::Diagnostics {
-        let mut input = massf_lint::LintInput::network(&self.study.net);
-        input.engines = Some(self.study.cfg.engines);
-        input.flows = &self.flows;
-        input.predicted = &self.predicted;
-        massf_lint::lint_scenario(&input)
-    }
-
-    /// Runs the post-pipeline artifact audit (MC013–MC020) over a concrete
-    /// partitioning produced from this scenario; see
-    /// [`crate::audit::audit_study`].
-    pub fn audit(&self, partition: &massf_partition::Partitioning) -> massf_lint::Diagnostics {
-        crate::audit::audit_study(&self.study, partition)
-    }
 }
 
 /// Picks `n` hosts spread evenly through the host list (deterministic).
@@ -401,7 +374,11 @@ mod tests {
             let built = Scenario::new(t, Workload::Scalapack)
                 .with_scale(0.1)
                 .build();
-            let diags = built.lint();
+            let mut input = massf_lint::LintInput::network(&built.study.net);
+            input.engines = Some(built.study.cfg.engines);
+            input.flows = &built.flows;
+            input.predicted = &built.predicted;
+            let diags = massf_lint::lint_scenario(&input);
             assert_eq!(
                 diags.count(massf_lint::Severity::Error),
                 0,

@@ -512,7 +512,7 @@ mod tests {
         assert_eq!(e.counters.dropped, 0);
         // Kernel events: 5 injections + 5 router arrivals + 5 host arrivals.
         assert_eq!(e.counters.events, 15);
-        let recs = e.netflow.into_records();
+        let recs = crate::netflow::merge_collectors(std::iter::once(&e.netflow));
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].packets, 5);
         assert_eq!(recs[0].router, 1);

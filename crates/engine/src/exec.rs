@@ -91,14 +91,6 @@ impl EmulationConfig {
         self
     }
 
-    /// Sets relative engine speeds (length must equal `nengines`).
-    pub fn with_engine_speeds(mut self, speeds: Vec<f64>) -> Self {
-        assert_eq!(speeds.len(), self.nengines);
-        assert!(speeds.iter().all(|&s| s > 0.0));
-        self.engine_speeds = Some(speeds);
-        self
-    }
-
     /// The speed of engine `e`.
     fn speed(&self, e: usize) -> f64 {
         self.engine_speeds.as_ref().map(|v| v[e]).unwrap_or(1.0)

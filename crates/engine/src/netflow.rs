@@ -33,18 +33,6 @@ pub struct FlowRecord {
     pub last_us: u64,
 }
 
-impl FlowRecord {
-    /// Flow duration as observed at this router, in µs (≥ 1).
-    pub fn duration_us(&self) -> u64 {
-        (self.last_us - self.first_us).max(1)
-    }
-
-    /// Average observed bandwidth in Mbps (bits / µs).
-    pub fn average_mbps(&self) -> f64 {
-        (self.bytes * 8) as f64 / self.duration_us() as f64
-    }
-}
-
 /// A cell no packet has come through yet. Not a flow: a schedule of 2³² − 1
 /// flows does not fit in memory.
 const NO_FLOW: u32 = u32::MAX;
@@ -142,20 +130,6 @@ impl NetFlowCollector {
                 .map(|&s| self.records[s as usize].clone()),
         );
     }
-
-    /// Clones the records accumulated so far (a live dump), in
-    /// `(router, flow)` order.
-    pub fn snapshot(&self) -> Vec<FlowRecord> {
-        let mut out = Vec::with_capacity(self.records.len());
-        self.dump_into(&mut out);
-        out
-    }
-
-    /// This collector's records (the per-router "dump files"), in
-    /// `(router, flow)` order.
-    pub fn into_records(self) -> Vec<FlowRecord> {
-        self.snapshot()
-    }
 }
 
 /// One sorted dump of several engines' collectors ("parsing the dump files
@@ -194,9 +168,8 @@ pub fn coalesce_records(records: &[FlowRecord]) -> Vec<FlowRecord> {
 }
 
 /// The traffic of one epoch: the per-key delta between two *cumulative*
-/// snapshots (both sorted by `(router, flow)`, as [`NetFlowCollector::
-/// snapshot`] and [`merge_collectors`] produce; duplicate keys from
-/// migrated nodes are coalesced first).
+/// snapshots (both sorted by `(router, flow)`, as [`merge_collectors`]
+/// produces; duplicate keys from migrated nodes are coalesced first).
 ///
 /// The collector accumulates from emulation start, so an epoch's own
 /// traffic is `cur − prev` per `(router, flow)` key. Keys whose packet
@@ -242,6 +215,11 @@ mod tests {
         Packet::for_flow(flow, no, 10, 20, bytes, 0)
     }
 
+    /// One collector's records so far, in `(router, flow)` order.
+    fn dump(c: &NetFlowCollector) -> Vec<FlowRecord> {
+        merge_collectors(std::iter::once(c))
+    }
+
     /// The reference merge: every dump's records in one list, sorted by
     /// `(router, flow)`.
     fn merge_dumps(dumps: Vec<Vec<FlowRecord>>) -> Vec<FlowRecord> {
@@ -257,7 +235,7 @@ mod tests {
         c.record(5, 5, &pkt(0, 1, 1500), 300);
         c.record(5, 5, &pkt(1, 0, 500), 200);
         c.record(6, 6, &pkt(0, 2, 1500), 400);
-        let recs = c.into_records();
+        let recs = dump(&c);
         assert_eq!(recs.len(), 3);
         let r = &recs[0];
         assert_eq!((r.router, r.flow, r.packets, r.bytes), (5, 0, 2, 3000));
@@ -268,38 +246,7 @@ mod tests {
     fn disabled_collector_records_nothing() {
         let mut c = NetFlowCollector::new(false);
         c.record(5, 5, &pkt(0, 0, 1500), 100);
-        assert!(c.into_records().is_empty());
-    }
-
-    #[test]
-    fn bandwidth_and_duration() {
-        let r = FlowRecord {
-            router: 1,
-            flow: 0,
-            src: 0,
-            dst: 9,
-            packets: 10,
-            bytes: 15_000,
-            first_us: 1000,
-            last_us: 2000,
-        };
-        assert_eq!(r.duration_us(), 1000);
-        assert!((r.average_mbps() - 120.0).abs() < 1e-9); // 120000 bits / 1000 µs
-    }
-
-    #[test]
-    fn single_sighting_duration_clamped() {
-        let r = FlowRecord {
-            router: 1,
-            flow: 0,
-            src: 0,
-            dst: 9,
-            packets: 1,
-            bytes: 100,
-            first_us: 5,
-            last_us: 5,
-        };
-        assert_eq!(r.duration_us(), 1);
+        assert!(dump(&c).is_empty());
     }
 
     #[test]
@@ -307,10 +254,10 @@ mod tests {
         let mut c = NetFlowCollector::new(true);
         c.record(5, 5, &pkt(0, 0, 1500), 100);
         c.record(5, 5, &pkt(1, 0, 500), 150);
-        let prev = c.snapshot();
+        let prev = dump(&c);
         c.record(5, 5, &pkt(0, 1, 1500), 400);
         c.record(6, 6, &pkt(0, 0, 1500), 500);
-        let cur = c.snapshot();
+        let cur = dump(&c);
 
         let delta = epoch_slice(&prev, &cur);
         // (5,1) saw no new packets and is dropped; (5,0) grew by one
@@ -347,17 +294,17 @@ mod tests {
                 t * 10,
             );
             if t % 7 == 6 {
-                boundaries.push(c.snapshot());
+                boundaries.push(dump(&c));
             }
         }
-        boundaries.push(c.snapshot());
+        boundaries.push(dump(&c));
         let mut total = 0u64;
         let mut prev: Vec<FlowRecord> = Vec::new();
         for b in &boundaries {
             total += epoch_slice(&prev, b).iter().map(|r| r.packets).sum::<u64>();
             prev = b.clone();
         }
-        let cumulative: u64 = c.snapshot().iter().map(|r| r.packets).sum();
+        let cumulative: u64 = dump(&c).iter().map(|r| r.packets).sum();
         assert_eq!(total, cumulative, "deltas partition the cumulative count");
     }
 
@@ -390,7 +337,7 @@ mod tests {
         let mut c = NetFlowCollector::new(true);
         c.record(5, 5, &pkt(0, 0, 1500), 100);
         c.record(6, 6, &pkt(1, 0, 700), 200);
-        let cur = c.snapshot();
+        let cur = dump(&c);
         assert_eq!(epoch_slice(&[], &cur), cur);
         assert!(epoch_slice(&cur, &cur).is_empty(), "quiet epoch is empty");
     }
@@ -421,7 +368,7 @@ mod tests {
                     epoch += 1;
                     for (engine, model) in engines.iter().zip(&models) {
                         let want: Vec<FlowRecord> = model.values().cloned().collect();
-                        prop_assert_eq!(engine.snapshot(), want);
+                        prop_assert_eq!(dump(engine), want);
                     }
                     prop_assert_eq!(merge_collectors(engines.iter()), merged(&models));
                 }
@@ -446,9 +393,9 @@ mod tests {
                 rec.last_us = rec.last_us.max(now_us);
             }
             prop_assert_eq!(merge_collectors(engines.iter()), merged(&models));
-            for (engine, model) in engines.into_iter().zip(models) {
+            for (engine, model) in engines.iter().zip(models) {
                 let want: Vec<FlowRecord> = model.into_values().collect();
-                prop_assert_eq!(engine.into_records(), want);
+                prop_assert_eq!(dump(engine), want);
             }
         }
     }

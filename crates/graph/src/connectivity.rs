@@ -12,16 +12,6 @@ pub struct Components {
 }
 
 impl Components {
-    /// Vertices of component `c`.
-    pub fn members(&self, c: u32) -> Vec<VertexId> {
-        self.labels
-            .iter()
-            .enumerate()
-            .filter(|&(_, &l)| l == c)
-            .map(|(v, _)| v as VertexId)
-            .collect()
-    }
-
     /// Size of the largest component.
     pub fn largest(&self) -> usize {
         let mut sizes = vec![0usize; self.count];
@@ -81,7 +71,7 @@ mod tests {
         assert_eq!(c.count, 2);
         assert_eq!(c.labels[0], c.labels[1]);
         assert_ne!(c.labels[0], c.labels[2]);
-        assert_eq!(c.members(c.labels[2]), vec![2, 3]);
+        assert_eq!(c.labels[2], c.labels[3]);
         assert_eq!(c.largest(), 2);
         assert!(!is_connected(&g));
     }

@@ -115,12 +115,6 @@ impl CsrGraph {
         nbrs.binary_search(&v).ok().map(|i| self.edge_weights(u)[i])
     }
 
-    /// Returns true when `{u, v}` is an edge.
-    #[inline]
-    pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        self.neighbors(u).binary_search(&v).is_ok()
-    }
-
     /// Sum of each weight component over all vertices.
     pub fn total_vertex_weight(&self) -> Vec<Weight> {
         let mut tot = vec![0; self.ncon];
@@ -130,11 +124,6 @@ impl CsrGraph {
             }
         }
         tot
-    }
-
-    /// Sum of all undirected edge weights.
-    pub fn total_edge_weight(&self) -> Weight {
-        self.adjwgt.iter().sum::<Weight>() / 2
     }
 
     /// Replaces all vertex weights with a new flattened `[nvtxs * ncon]`
@@ -246,7 +235,7 @@ mod tests {
     fn weights_totals() {
         let g = triangle();
         assert_eq!(g.total_vertex_weight(), vec![6]);
-        assert_eq!(g.total_edge_weight(), 60);
+        assert_eq!(g.adjwgt().iter().sum::<Weight>() / 2, 60);
         assert_eq!(g.vertex_weight0(2), 3);
     }
 
@@ -254,8 +243,8 @@ mod tests {
     fn degree_and_has_edge() {
         let g = triangle();
         assert_eq!(g.degree(1), 2);
-        assert!(g.has_edge(1, 2));
-        assert!(!g.has_edge(1, 1));
+        assert!(g.edge_weight_between(1, 2).is_some());
+        assert!(g.edge_weight_between(1, 1).is_none());
     }
 
     #[test]
@@ -263,7 +252,7 @@ mod tests {
         let g = triangle();
         let h = g.map_edge_weights(|_, _, w| w * 2);
         assert_eq!(h.edge_weight_between(1, 2), Some(40));
-        assert_eq!(h.total_edge_weight(), 120);
+        assert_eq!(h.adjwgt().iter().sum::<Weight>() / 2, 120);
     }
 
     #[test]

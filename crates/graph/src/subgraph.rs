@@ -11,14 +11,6 @@ pub struct Subgraph {
     pub to_parent: Vec<VertexId>,
 }
 
-impl Subgraph {
-    /// Maps a local vertex id back to the parent graph.
-    #[inline]
-    pub fn parent_of(&self, local: VertexId) -> VertexId {
-        self.to_parent[local as usize]
-    }
-}
-
 /// Extracts the subgraph induced by `keep` (order defines local numbering;
 /// duplicates are a caller bug and panic in debug builds).
 pub fn induced_subgraph(g: &CsrGraph, keep: &[VertexId]) -> Subgraph {
@@ -88,7 +80,7 @@ mod tests {
         assert_eq!(s.graph.nvtxs(), 3);
         assert_eq!(s.graph.nedges(), 3); // 0-1, 1-2, 0-2
         assert_eq!(s.graph.edge_weight_between(0, 2), Some(50));
-        assert_eq!(s.parent_of(2), 2);
+        assert_eq!(s.to_parent[2], 2);
         assert_eq!(s.graph.vertex_weight0(1), 2);
     }
 
@@ -96,8 +88,7 @@ mod tests {
     fn renumbering_follows_keep_order() {
         let g = square();
         let s = induced_subgraph(&g, &[3, 1]);
-        assert_eq!(s.parent_of(0), 3);
-        assert_eq!(s.parent_of(1), 1);
+        assert_eq!(s.to_parent, vec![3, 1]);
         assert_eq!(s.graph.nedges(), 0); // 3 and 1 not adjacent
     }
 

@@ -3,25 +3,6 @@
 use crate::{CsrGraph, VertexId};
 use std::collections::VecDeque;
 
-/// Breadth-first order of the vertices reachable from `start`.
-pub fn bfs_order(g: &CsrGraph, start: VertexId) -> Vec<VertexId> {
-    let mut seen = vec![false; g.nvtxs()];
-    let mut order = Vec::with_capacity(g.nvtxs());
-    let mut queue = VecDeque::new();
-    seen[start as usize] = true;
-    queue.push_back(start);
-    while let Some(v) = queue.pop_front() {
-        order.push(v);
-        for &n in g.neighbors(v) {
-            if !seen[n as usize] {
-                seen[n as usize] = true;
-                queue.push_back(n);
-            }
-        }
-    }
-    order
-}
-
 /// Unweighted hop distance from `start` to every vertex
 /// (`usize::MAX` when unreachable).
 pub fn bfs_distances(g: &CsrGraph, start: VertexId) -> Vec<usize> {
@@ -76,14 +57,6 @@ mod tests {
             b.add_edge(i as VertexId, (i + 1) as VertexId, 1).unwrap();
         }
         b.build().unwrap()
-    }
-
-    #[test]
-    fn bfs_order_visits_all_reachable() {
-        let g = path(5);
-        let order = bfs_order(&g, 2);
-        assert_eq!(order.len(), 5);
-        assert_eq!(order[0], 2);
     }
 
     #[test]

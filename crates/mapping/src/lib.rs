@@ -120,22 +120,9 @@ impl MapperConfig {
         self
     }
 
-    /// Builder: toggle the memory constraint.
-    pub fn with_memory_constraint(mut self, on: bool) -> Self {
-        self.include_memory = on;
-        self
-    }
-
     /// Builder: set the partitioner seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Builder: set the pipeline thread count (`1` = the exact serial
-    /// code paths).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.parallelism = Parallelism::new(threads);
         self
     }
 

@@ -246,25 +246,25 @@ mod tests {
         let p = s.map_obs(Approach::Profile, &predicted, &flows, &mut rec);
         assert_eq!(p, s.map(Approach::Profile, &predicted, &flows));
 
-        let stages: Vec<&str> = rec.restarts().iter().map(|b| b.stage.as_str()).collect();
+        let (spans, counters, _, restarts, profile) = rec.into_parts();
+        let stages: Vec<&str> = restarts.iter().map(|b| b.stage.as_str()).collect();
         assert!(stages.contains(&"top"), "{stages:?}");
         assert!(stages.contains(&"profile/latency"), "{stages:?}");
         assert!(stages.contains(&"profile/combined"), "{stages:?}");
-        for batch in rec.restarts() {
+        for batch in &restarts {
             assert!((batch.winner as usize) < batch.outcomes.len().max(1));
         }
-        let telemetry = rec.profile().expect("PROFILE sets phase telemetry");
+        let telemetry = profile.expect("PROFILE sets phase telemetry");
         assert!(telemetry.nbuckets > 0);
         assert!(!telemetry.phases.is_empty());
         assert_eq!(
             telemetry.constraint_totals.len(),
             telemetry.constraints as usize
         );
-        assert!(rec
-            .spans()
+        assert!(spans
             .iter()
             .any(|sp| sp.name == "mapping/profile/profiling_run"));
-        assert!(rec.counters().contains_key("profile.netflow_records"));
+        assert!(counters.contains_key("profile.netflow_records"));
     }
 
     #[test]

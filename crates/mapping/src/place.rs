@@ -87,7 +87,8 @@ pub fn map_place_obs(
 mod tests {
     use super::*;
     use crate::top::map_top;
-    use crate::weights::{accumulate_predicted, predicted_traffic_graph};
+    use crate::weights::accumulate_predicted_with;
+    use crate::Parallelism;
     use massf_partition::quality::edge_cut;
     use massf_topology::campus::campus;
     use massf_topology::teragrid::teragrid;
@@ -134,7 +135,8 @@ mod tests {
         let top = map_top(&net, &cfg);
         let place = map_place(&net, &tables, &pred, &cfg);
 
-        let traffic_graph = predicted_traffic_graph(&net, &tables, &pred);
+        let traffic_graph =
+            predicted_traffic_graph_with(&net, &tables, &pred, Parallelism::serial());
         let bal_top = massf_partition::quality::worst_balance(&traffic_graph, &top.part, 5);
         let bal_place = massf_partition::quality::worst_balance(&traffic_graph, &place.part, 5);
         assert!(
@@ -144,7 +146,7 @@ mod tests {
         // And it does so without abandoning cut quality entirely: the cut
         // must stay below the all-edges total.
         let cut_place = edge_cut(&traffic_graph, &place.part);
-        assert!(cut_place < traffic_graph.total_edge_weight());
+        assert!(cut_place < traffic_graph.adjwgt().iter().sum::<i64>() / 2);
     }
 
     #[test]
@@ -154,8 +156,10 @@ mod tests {
         let hosts = net.hosts();
         let small = foreground_prediction(&net, &hosts[..4]);
         let large = foreground_prediction(&net, &hosts[..8]);
-        let (_, node_small) = accumulate_predicted(&net, &tables, &small);
-        let (_, node_large) = accumulate_predicted(&net, &tables, &large);
+        let (_, node_small) =
+            accumulate_predicted_with(&net, &tables, &small, Parallelism::serial());
+        let (_, node_large) =
+            accumulate_predicted_with(&net, &tables, &large, Parallelism::serial());
         let sum_small: f64 = node_small.iter().sum();
         let sum_large: f64 = node_large.iter().sum();
         assert!(sum_large > sum_small);

@@ -339,7 +339,10 @@ mod tests {
                 4_000_000,
             ),
         ];
-        let cfg = MapperConfig::new(3).with_memory_constraint(true);
+        let cfg = MapperConfig {
+            include_memory: true,
+            ..MapperConfig::new(3)
+        };
         let p = map_profile(&net, &tables, &records, &cfg);
         assert!(p.part_sizes().iter().all(|&s| s > 0));
     }

@@ -32,7 +32,7 @@ pub fn map_top_obs(net: &Network, cfg: &MapperConfig, rec: &mut Recorder) -> Par
 #[cfg(test)]
 mod tests {
     use super::*;
-    use massf_partition::quality::{min_cut_edge_weight, worst_balance};
+    use massf_partition::quality::worst_balance;
     use massf_topology::campus::campus;
     use massf_topology::teragrid::teragrid;
 
@@ -54,7 +54,12 @@ mod tests {
         let net = teragrid();
         let p = map_top(&net, &MapperConfig::new(5));
         let g = latency_graph(&net);
-        let min_cut = min_cut_edge_weight(&g, &p.part).expect("5 parts cut something");
+        let min_cut = (0..g.nvtxs() as u32)
+            .flat_map(|u| g.edges(u).map(move |(v, w)| (u, v, w)))
+            .filter(|&(u, v, _)| p.part[u as usize] != p.part[v as usize])
+            .map(|(_, _, w)| w)
+            .min()
+            .expect("5 parts cut something");
         // Site gateway links have latency 2000 µs -> weight 500; LAN links
         // weight 10000 or 100000. A good TOP cut stays at low weights.
         assert!(
@@ -66,7 +71,10 @@ mod tests {
     #[test]
     fn memory_constraint_accepted() {
         let net = teragrid();
-        let cfg = MapperConfig::new(5).with_memory_constraint(true);
+        let cfg = MapperConfig {
+            include_memory: true,
+            ..MapperConfig::new(5)
+        };
         let p = map_top(&net, &cfg);
         assert!(p.part_sizes().iter().all(|&s| s > 0));
     }

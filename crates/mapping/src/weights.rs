@@ -117,21 +117,11 @@ where
     (per_link, per_node)
 }
 
-/// Routes every predicted flow and accumulates per-link and per-node Mbps.
-/// Returns `(per_link, per_node)`; a flow contributes to every node on its
-/// path, endpoints included. Single-threaded reference path of
-/// [`accumulate_predicted_with`].
-pub fn accumulate_predicted(
-    net: &Network,
-    tables: &RoutingTables,
-    flows: &[PredictedFlow],
-) -> (Vec<f64>, Vec<f64>) {
-    accumulate_predicted_with(net, tables, flows, Parallelism::serial())
-}
-
-/// [`accumulate_predicted`] fanned over up to `par` threads. The blocked
+/// Routes every predicted flow and accumulates per-link and per-node Mbps,
+/// fanned over up to `par` threads. Returns `(per_link, per_node)`; a flow
+/// contributes to every node on its path, endpoints included. The blocked
 /// in-order merge keeps every `f64` sum bit-identical across thread
-/// counts.
+/// counts, so `Parallelism::serial()` is the single-threaded reference.
 pub fn accumulate_predicted_with(
     net: &Network,
     tables: &RoutingTables,
@@ -161,16 +151,8 @@ pub fn accumulate_predicted_with(
 
 /// PLACE's traffic view: edge weight ∝ predicted Mbps on the link, vertex
 /// weight ∝ predicted Mbps through the node (both quantized, with a floor
-/// of 1 so idle regions remain partitionable).
-pub fn predicted_traffic_graph(
-    net: &Network,
-    tables: &RoutingTables,
-    flows: &[PredictedFlow],
-) -> CsrGraph {
-    predicted_traffic_graph_with(net, tables, flows, Parallelism::serial())
-}
-
-/// [`predicted_traffic_graph`] with threaded accumulation.
+/// of 1 so idle regions remain partitionable), accumulated over up to
+/// `par` threads.
 pub fn predicted_traffic_graph_with(
     net: &Network,
     tables: &RoutingTables,
@@ -189,8 +171,8 @@ pub fn predicted_traffic_graph_with(
 /// One NetFlow flow reduced across every router that observed it: the
 /// packet count is the maximum seen at any single router (the flow's true
 /// count, robust to partial paths) and the activity window spans all
-/// sightings. This single aggregation pass feeds both [`flow_totals`] and
-/// [`node_time_loads`], which previously each re-scanned the records.
+/// sightings. This single aggregation pass feeds both
+/// [`accumulate_measured_with`] and [`node_time_loads`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FlowAggregate {
     /// Source host.
@@ -229,32 +211,12 @@ pub fn aggregate_flows(records: &[FlowRecord]) -> Vec<FlowAggregate> {
     v
 }
 
-/// Groups NetFlow records by flow: `(src, dst, packets)` where `packets`
-/// is the maximum seen at any single router (the flow's true packet count,
-/// robust to partial paths).
-pub fn flow_totals(records: &[FlowRecord]) -> Vec<(NodeId, NodeId, u64)> {
-    aggregate_flows(records)
-        .into_iter()
-        .map(|a| (a.src, a.dst, a.packets))
-        .collect()
-}
-
 /// Accumulates measured per-link and per-node *packet* counts from NetFlow
-/// dumps. Router loads come straight from the records; host endpoint loads
-/// and link crossings are reconstructed by routing each flow.
-/// Single-threaded reference path of [`accumulate_measured_with`].
-pub fn accumulate_measured(
-    net: &Network,
-    tables: &RoutingTables,
-    records: &[FlowRecord],
-) -> (Vec<u64>, Vec<u64>) {
-    accumulate_measured_with(net, tables, records, Parallelism::serial())
-}
-
-/// [`accumulate_measured`] fanned over up to `par` threads (the per-flow
-/// routing pass is the expensive part; the raw router-load scan stays
-/// serial). Counts are integers, but the same blocked in-order merge is
-/// used so the code path mirrors the predicted accumulator exactly.
+/// dumps, fanned over up to `par` threads. Router loads come straight from
+/// the records; host endpoint loads and link crossings are reconstructed
+/// by routing each flow (the expensive part; the raw router-load scan
+/// stays serial). Counts are integers, but the same blocked in-order merge
+/// is used so the code path mirrors the predicted accumulator exactly.
 pub fn accumulate_measured_with(
     net: &Network,
     tables: &RoutingTables,
@@ -464,7 +426,8 @@ mod tests {
                 bandwidth_mbps: 2.5,
             },
         ];
-        let (per_link, per_node) = accumulate_predicted(&net, &tables, &flows);
+        let (per_link, per_node) =
+            accumulate_predicted_with(&net, &tables, &flows, Parallelism::serial());
         for l in 0..3 {
             assert!((per_link[l] - 12.5).abs() < 1e-9, "link {l}");
         }
@@ -477,7 +440,7 @@ mod tests {
     fn predicted_graph_quantizes_with_floor() {
         let net = line();
         let tables = RoutingTables::build(&net);
-        let g = predicted_traffic_graph(&net, &tables, &[]);
+        let g = predicted_traffic_graph_with(&net, &tables, &[], Parallelism::serial());
         // No traffic: all weights floor at 1.
         assert_eq!(g.edge_weight_between(0, 1), Some(1));
         assert_eq!(g.vertex_weight0(2), 1);
@@ -501,7 +464,8 @@ mod tests {
         };
         // Flow 0 seen at both routers (10 packets each).
         let records = vec![rec(1, 0, 10), rec(2, 0, 10)];
-        let (per_link, per_node) = accumulate_measured(&net, &tables, &records);
+        let (per_link, per_node) =
+            accumulate_measured_with(&net, &tables, &records, Parallelism::serial());
         assert_eq!(per_node[1], 10);
         assert_eq!(per_node[2], 10);
         assert_eq!(per_node[0], 10, "source host endpoint load");

@@ -6,7 +6,7 @@
 //! inputs — the determinism the run report's epoch block relies on.
 
 use massf_mapping::incremental::{run_online, IncrementalConfig, RebalanceMode};
-use massf_mapping::{diffusive_sweep, MapperConfig, MappingStudy};
+use massf_mapping::{diffusive_sweep, MapperConfig, MappingStudy, Parallelism};
 use massf_metrics::load_imbalance;
 use massf_topology::campus::campus;
 use massf_topology::Network;
@@ -165,7 +165,10 @@ fn shifting_study_and_flows(threads: usize) -> (MappingStudy, Vec<massf_traffic:
         ..Default::default()
     };
     let flows = gridnpb::flows(&cfg, &gridnpb::paper_suite(&cfg), &placement);
-    let study = MappingStudy::new(net, MapperConfig::new(3).with_threads(threads));
+    let study = MappingStudy::new(
+        net,
+        MapperConfig::new(3).with_parallelism(Parallelism::new(threads)),
+    );
     (study, flows)
 }
 

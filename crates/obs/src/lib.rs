@@ -37,7 +37,6 @@
 //! let answer = rec.time("examples/compute", || 6 * 7);
 //! rec.add_counter("examples.answers", 1);
 //! assert_eq!(answer, 42);
-//! assert_eq!(rec.counters().get("examples.answers"), Some(&1));
 //!
 //! let report = RunReport::new(
 //!     "run",
@@ -144,32 +143,10 @@ impl Recorder {
         self.profile = Some(telemetry);
     }
 
-    /// The finished spans, in completion order.
-    pub fn spans(&self) -> &[Span] {
-        &self.spans
-    }
-
-    /// The named counters.
-    pub fn counters(&self) -> &BTreeMap<String, u64> {
-        &self.counters
-    }
-
-    /// The named gauges.
-    pub fn gauges(&self) -> &BTreeMap<String, f64> {
-        &self.gauges
-    }
-
-    /// The recorded restart batches, in call order.
-    pub fn restarts(&self) -> &[RestartBatch] {
-        &self.restarts
-    }
-
-    /// The PROFILE telemetry, when a PROFILE mapping ran.
-    pub fn profile(&self) -> Option<&ProfileTelemetry> {
-        self.profile.as_ref()
-    }
-
-    /// Decomposes the recorder for report assembly.
+    /// Decomposes the recorder for report assembly: the finished spans in
+    /// completion order, the named counters and gauges, the restart
+    /// batches in call order and the PROFILE telemetry, when a PROFILE
+    /// mapping ran.
     #[allow(clippy::type_complexity)]
     pub fn into_parts(
         self,
@@ -199,8 +176,9 @@ mod tests {
         let mut rec = Recorder::new();
         let v = rec.time("a/b", || 5);
         assert_eq!(v, 5);
-        assert_eq!(rec.spans().len(), 1);
-        assert_eq!(rec.spans()[0].name, "a/b");
+        let (spans, ..) = rec.into_parts();
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].name, "a/b");
     }
 
     #[test]
@@ -210,8 +188,9 @@ mod tests {
         rec.add_counter("x", 2);
         rec.add_counter("x", 3);
         rec.finish("outer", s);
-        assert_eq!(rec.counters().get("x"), Some(&5));
-        assert_eq!(rec.spans()[0].name, "outer");
+        let (spans, counters, ..) = rec.into_parts();
+        assert_eq!(counters.get("x"), Some(&5));
+        assert_eq!(spans[0].name, "outer");
     }
 
     #[test]
@@ -219,7 +198,7 @@ mod tests {
         let mut rec = Recorder::new();
         rec.set_gauge("g", 1.0);
         rec.set_gauge("g", 2.5);
-        assert_eq!(rec.gauges().get("g"), Some(&2.5));
+        assert_eq!(rec.into_parts().2.get("g"), Some(&2.5));
     }
 
     #[test]
@@ -242,9 +221,10 @@ mod tests {
             ],
         );
         rec.record_restarts("profile/latency", 0, vec![]);
-        assert_eq!(rec.restarts().len(), 2);
-        assert_eq!(rec.restarts()[0].stage, "top");
-        assert_eq!(rec.restarts()[0].winner, 1);
-        assert_eq!(rec.restarts()[1].stage, "profile/latency");
+        let (_, _, _, restarts, _) = rec.into_parts();
+        assert_eq!(restarts.len(), 2);
+        assert_eq!(restarts[0].stage, "top");
+        assert_eq!(restarts[0].winner, 1);
+        assert_eq!(restarts[1].stage, "profile/latency");
     }
 }

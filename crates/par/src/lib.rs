@@ -14,8 +14,6 @@
 //!   keep one reusable state — the shape used by routing-table
 //!   construction, where an item is one source's output slot and the
 //!   state is a Dijkstra scratch.
-//! * [`par_chunks_mut`] is the same queue over disjoint consecutive chunks
-//!   of a mutable slice.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -122,29 +120,6 @@ where
         .collect()
 }
 
-/// Splits `data` into consecutive chunks of `chunk_len` and runs
-/// `f(chunk_index, chunk)` for each on up to `par` threads.
-///
-/// Chunks are disjoint `&mut` slices, so workers never race; which
-/// worker processes which chunk cannot affect the result as long as `f`
-/// writes only through its chunk (the borrow checker enforces exactly
-/// that). With `par` serial this is a plain sequential loop.
-///
-/// # Panics
-/// Panics if `chunk_len == 0` while `data` is non-empty.
-pub fn par_chunks_mut<T, F>(par: Parallelism, data: &mut [T], chunk_len: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    if data.is_empty() {
-        return;
-    }
-    assert!(chunk_len > 0, "par_chunks_mut: chunk_len must be positive");
-    let chunks = data.chunks_mut(chunk_len).enumerate().collect();
-    par_for_each_init(par, chunks, || (), |(), (i, chunk)| f(i, chunk));
-}
-
 /// Runs `f(&mut state, item)` once per item on up to `par` threads, each
 /// worker owning one `init()` state that it reuses across every item it
 /// takes — the shape of the routing-table builds, where the state is a
@@ -230,20 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn chunks_mut_covers_all_elements() {
-        for threads in [1, 2, 5] {
-            let mut v = vec![0u32; 103];
-            par_chunks_mut(Parallelism::new(threads), &mut v, 10, |ci, chunk| {
-                for (j, x) in chunk.iter_mut().enumerate() {
-                    *x = (ci * 10 + j) as u32;
-                }
-            });
-            let want: Vec<u32> = (0..103).collect();
-            assert_eq!(v, want, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn for_each_init_visits_every_item_with_one_state_per_worker() {
         for threads in [1, 2, 5] {
             let states = AtomicUsize::new(0);
@@ -257,11 +218,5 @@ mod tests {
             assert_eq!(out, (1..=50).collect::<Vec<_>>(), "threads={threads}");
             assert_eq!(states.load(Ordering::Relaxed), threads);
         }
-    }
-
-    #[test]
-    fn chunks_mut_empty_slice_is_noop() {
-        let mut v: Vec<u8> = vec![];
-        par_chunks_mut(Parallelism::new(4), &mut v, 0, |_, _| unreachable!());
     }
 }

@@ -158,16 +158,6 @@ pub struct Partitioning {
 }
 
 impl Partitioning {
-    /// Vertices assigned to part `p`.
-    pub fn members(&self, p: u32) -> Vec<massf_graph::VertexId> {
-        self.part
-            .iter()
-            .enumerate()
-            .filter(|&(_, &q)| q == p)
-            .map(|(v, _)| v as massf_graph::VertexId)
-            .collect()
-    }
-
     /// Number of vertices in each part.
     pub fn part_sizes(&self) -> Vec<usize> {
         let mut sizes = vec![0usize; self.nparts];

@@ -1,6 +1,5 @@
 //! Partition quality metrics: edge cut, balance, and boundary statistics.
 
-use crate::Partitioning;
 use massf_graph::{CsrGraph, VertexId, Weight};
 
 /// Sum of weights of edges whose endpoints lie in different parts.
@@ -15,19 +14,6 @@ pub fn edge_cut(g: &CsrGraph, part: &[u32]) -> Weight {
         }
     }
     cut
-}
-
-/// Number (not weight) of cut edges.
-pub fn cut_edge_count(g: &CsrGraph, part: &[u32]) -> usize {
-    let mut n = 0;
-    for u in 0..g.nvtxs() as VertexId {
-        for (v, _) in g.edges(u) {
-            if u < v && part[u as usize] != part[v as usize] {
-                n += 1;
-            }
-        }
-    }
-    n
 }
 
 /// Per-part totals of each vertex-weight component: `[nparts][ncon]`.
@@ -65,48 +51,6 @@ pub fn worst_balance(g: &CsrGraph, part: &[u32], nparts: usize) -> f64 {
         .fold(1.0, f64::max)
 }
 
-/// The minimum edge weight among cut edges, or `None` when nothing is cut.
-///
-/// Under the paper's latency encoding (`w = K / latency`) the *minimum* cut
-/// weight corresponds to the *maximum*-latency link, and therefore to the
-/// conservative engine's lookahead; see `massf-mapping::weights`.
-pub fn min_cut_edge_weight(g: &CsrGraph, part: &[u32]) -> Option<Weight> {
-    let mut min: Option<Weight> = None;
-    for u in 0..g.nvtxs() as VertexId {
-        for (v, w) in g.edges(u) {
-            if u < v && part[u as usize] != part[v as usize] {
-                min = Some(min.map_or(w, |m: Weight| m.min(w)));
-            }
-        }
-    }
-    min
-}
-
-/// A bundled quality report for one partitioning.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QualityReport {
-    /// Total cut edge weight.
-    pub edge_cut: Weight,
-    /// Number of cut edges.
-    pub cut_edges: usize,
-    /// Balance per constraint (1.0 = perfect).
-    pub balance: Vec<f64>,
-    /// Vertices per part.
-    pub part_sizes: Vec<usize>,
-}
-
-/// Computes the full [`QualityReport`] for a partitioning.
-pub fn report(g: &CsrGraph, p: &Partitioning) -> QualityReport {
-    QualityReport {
-        edge_cut: edge_cut(g, &p.part),
-        cut_edges: cut_edge_count(g, &p.part),
-        balance: (0..g.ncon())
-            .map(|c| balance(g, &p.part, p.nparts, c))
-            .collect(),
-        part_sizes: p.part_sizes(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,23 +69,18 @@ mod tests {
     fn cut_of_middle_split() {
         let g = path4();
         assert_eq!(edge_cut(&g, &[0, 0, 1, 1]), 7);
-        assert_eq!(cut_edge_count(&g, &[0, 0, 1, 1]), 1);
-        assert_eq!(min_cut_edge_weight(&g, &[0, 0, 1, 1]), Some(7));
     }
 
     #[test]
     fn cut_of_alternating_split() {
         let g = path4();
         assert_eq!(edge_cut(&g, &[0, 1, 0, 1]), 21);
-        assert_eq!(cut_edge_count(&g, &[0, 1, 0, 1]), 3);
-        assert_eq!(min_cut_edge_weight(&g, &[0, 1, 0, 1]), Some(5));
     }
 
     #[test]
     fn no_cut_when_single_part() {
         let g = path4();
         assert_eq!(edge_cut(&g, &[0, 0, 0, 0]), 0);
-        assert_eq!(min_cut_edge_weight(&g, &[0, 0, 0, 0]), None);
     }
 
     #[test]
@@ -174,20 +113,6 @@ mod tests {
     }
 
     #[test]
-    fn report_bundles_everything() {
-        let g = path4();
-        let p = Partitioning {
-            part: vec![0, 0, 1, 1],
-            nparts: 2,
-        };
-        let r = report(&g, &p);
-        assert_eq!(r.edge_cut, 7);
-        assert_eq!(r.cut_edges, 1);
-        assert_eq!(r.part_sizes, vec![2, 2]);
-        assert_eq!(r.balance.len(), 1);
-    }
-
-    #[test]
     fn zero_total_weight_component_is_balanced() {
         let mut b = GraphBuilder::new(2);
         b.add_vertex(&[1, 0]);
@@ -213,13 +138,6 @@ pub fn target_balance(g: &CsrGraph, part: &[u32], fractions: &[f64], c: usize) -
         worst = worst.max(pw[p][c] as f64 / (fractions[p] * total as f64));
     }
     worst
-}
-
-/// Worst [`target_balance`] over all constraints.
-pub fn worst_target_balance(g: &CsrGraph, part: &[u32], fractions: &[f64]) -> f64 {
-    (0..g.ncon())
-        .map(|c| target_balance(g, part, fractions, c))
-        .fold(1.0, f64::max)
 }
 
 /// Connected-component count of each part's induced subgraph: `counts[p]`
@@ -518,13 +436,13 @@ mod target_tests {
     }
 
     #[test]
-    fn worst_target_balance_covers_constraints() {
+    fn target_balance_reads_the_given_constraint() {
         let mut b = GraphBuilder::new(2);
         b.add_vertex(&[10, 0]);
         b.add_vertex(&[10, 100]);
         b.add_edge(0, 1, 1).unwrap();
         let g = b.build().unwrap();
-        let w = worst_target_balance(&g, &[0, 1], &[0.5, 0.5]);
-        assert!((w - 2.0).abs() < 1e-12, "constraint 1 fully on part 1: {w}");
+        let t = target_balance(&g, &[0, 1], &[0.5, 0.5], 1);
+        assert!((t - 2.0).abs() < 1e-12, "constraint 1 fully on part 1: {t}");
     }
 }

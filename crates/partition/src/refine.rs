@@ -31,20 +31,6 @@ impl BalanceSpec {
         }
     }
 
-    /// Targets proportional to `capacities` (e.g. relative engine speeds).
-    pub fn proportional(capacities: &[f64], ubs: Vec<f64>) -> Self {
-        assert!(!capacities.is_empty());
-        assert!(
-            capacities.iter().all(|&c| c > 0.0),
-            "capacities must be positive"
-        );
-        let total: f64 = capacities.iter().sum();
-        Self {
-            ubs,
-            fractions: capacities.iter().map(|&c| c / total).collect(),
-        }
-    }
-
     /// Number of parts.
     pub fn nparts(&self) -> usize {
         self.fractions.len()

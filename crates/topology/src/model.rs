@@ -402,8 +402,8 @@ mod tests {
         let g = net.to_unit_graph();
         assert_eq!(g.nvtxs(), 4);
         assert_eq!(g.nedges(), 3);
-        assert!(g.has_edge(0, 1));
-        assert!(g.has_edge(1, 3));
+        assert!(g.edge_weight_between(0, 1).is_some());
+        assert!(g.edge_weight_between(1, 3).is_some());
     }
 
     #[test]

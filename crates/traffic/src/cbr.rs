@@ -81,6 +81,7 @@ pub fn predict(hosts: &[NodeId], cfg: &CbrConfig) -> Vec<PredictedFlow> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flow::tests::rate_mbps;
 
     fn hosts() -> Vec<NodeId> {
         (0..20).collect()
@@ -96,7 +97,7 @@ mod tests {
         let flows = generate(&hosts(), &cfg, 1_000_000);
         assert_eq!(flows.len(), 4);
         for f in &flows {
-            let avg = f.average_mbps();
+            let avg = rate_mbps(f);
             assert!((avg - 8.0).abs() / 8.0 < 0.05, "avg {avg}");
             assert_eq!(f.bytes, 1_000_000);
         }
@@ -116,7 +117,8 @@ mod tests {
         pp.sort_unstable();
         assert_eq!(fp, pp);
         for f in &flows {
-            assert!((f.average_mbps() - cfg.rate_mbps).abs() / cfg.rate_mbps < 0.05);
+            let avg = rate_mbps(f);
+            assert!((avg - cfg.rate_mbps).abs() / cfg.rate_mbps < 0.05);
         }
     }
 

@@ -58,27 +58,11 @@ impl FlowSpec {
         }
     }
 
-    /// Switches the flow to window/ACK-clocked transport (TCP-like).
-    ///
-    /// # Panics
-    /// Panics when `window == 0`.
-    pub fn with_window(mut self, window: u32) -> Self {
-        assert!(window >= 1, "window must be >= 1");
-        self.window = Some(window);
-        self
-    }
-
     /// Virtual time at which the last packet is injected, assuming
     /// open-loop pacing. For windowed flows this is a lower bound: the
     /// actual finish depends on emulated ACK round trips.
     pub fn end_us(&self) -> u64 {
         self.start_us + (self.packets - 1) * self.packet_interval_us
-    }
-
-    /// Average injected bandwidth in Mbps over the injection window.
-    pub fn average_mbps(&self) -> f64 {
-        let duration = (self.end_us() - self.start_us + self.packet_interval_us) as f64;
-        (self.bytes * 8) as f64 / duration
     }
 }
 
@@ -105,8 +89,13 @@ pub fn horizon_us(flows: &[FlowSpec]) -> u64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Average injected bandwidth of `f` in Mbps over its injection window.
+    pub(crate) fn rate_mbps(f: &FlowSpec) -> f64 {
+        (f.bytes * 8) as f64 / (f.end_us() - f.start_us + f.packet_interval_us) as f64
+    }
 
     #[test]
     fn from_bytes_packetizes_at_mtu() {
@@ -128,7 +117,7 @@ mod tests {
     #[test]
     fn average_rate_close_to_requested() {
         let f = FlowSpec::from_bytes(0, 1, 0, 150_000, 50.0);
-        let avg = f.average_mbps();
+        let avg = rate_mbps(&f);
         assert!((avg - 50.0).abs() / 50.0 < 0.05, "avg {avg} vs 50");
     }
 

@@ -11,7 +11,7 @@
 //! have arrived, computes, then bursts its outputs to its successors. The
 //! three standard graphs are built per the GridNPB 1.0 spec shapes.
 
-use crate::flow::{FlowSpec, PredictedFlow};
+use crate::flow::FlowSpec;
 use massf_topology::NodeId;
 use rand::Rng;
 use rand::SeedableRng;
@@ -203,13 +203,6 @@ pub fn flows(cfg: &GridNpbConfig, workflows: &[Workflow], placement: &[NodeId]) 
     }
     out.sort_by_key(|f| (f.start_us, f.src, f.dst));
     out
-}
-
-/// PLACE-style uniform prediction over the GridNPB hosts — deliberately the
-/// same coarse model as for ScaLapack, since "users may not have the
-/// required knowledge" (§3.2) to describe a workflow's real traffic.
-pub fn predict_uniform(placement: &[NodeId], access_mbps: &[f64]) -> Vec<PredictedFlow> {
-    crate::scalapack::predict_uniform(placement, access_mbps)
 }
 
 #[cfg(test)]

@@ -114,6 +114,7 @@ fn expo<R: Rng>(rng: &mut R, mean: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flow::tests::rate_mbps;
 
     fn hosts() -> Vec<NodeId> {
         (0..16).collect()
@@ -140,7 +141,7 @@ mod tests {
         let cfg = OnOffConfig::default();
         let flows = generate(&hosts(), &cfg, 5_000_000);
         for f in flows.iter().take(20) {
-            let r = f.average_mbps();
+            let r = rate_mbps(f);
             assert!((r / cfg.peak_mbps - 1.0).abs() < 0.2, "burst rate {r}");
         }
     }

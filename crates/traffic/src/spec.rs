@@ -12,7 +12,7 @@
 
 use crate::http::HttpConfig;
 
-/// Errors from [`parse_http`].
+/// Errors from [`parse_traffic`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpecError {
     /// The block did not have the `traffic { ... }` shape.
@@ -97,46 +97,14 @@ fn count(key: &str, value: &str) -> Result<usize, SpecError> {
     bounded(key, value, value.parse().ok(), MAX_COUNT).map(|v| v as usize)
 }
 
-/// Parses a `traffic { ... }` block into an [`HttpConfig`]. Unknown keys are
-/// rejected; absent keys keep their defaults.
+/// Parses a `traffic { ... }` block that names the HTTP generator into an
+/// [`HttpConfig`]: [`parse_traffic`] narrowed to [`TrafficKind::Http`], so
+/// a block naming another generator is [`SpecError::UnknownGenerator`].
 pub fn parse_http(text: &str) -> Result<HttpConfig, SpecError> {
-    let body = extract_body(text)?;
-    let mut cfg = HttpConfig::default();
-    let mut named = false;
-    for line in body.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let (key, value) = line
-            .split_once(char::is_whitespace)
-            .ok_or_else(|| SpecError::Malformed(format!("no value on line {line:?}")))?;
-        let value = value.trim();
-        let bad = || SpecError::BadValue {
-            key: key.into(),
-            value: value.into(),
-        };
-        match key {
-            "name" => {
-                if !value.eq_ignore_ascii_case("http") {
-                    return Err(SpecError::UnknownGenerator(value.into()));
-                }
-                named = true;
-            }
-            "request_size" => {
-                cfg.request_size_bytes = bounded(key, value, parse_size(value), MAX_REQUEST_BYTES)?
-            }
-            "think_time" => cfg.think_time_s = value.parse().map_err(|_| bad())?,
-            "client_per_server" => cfg.clients_per_server = count(key, value)?,
-            "server_number" => cfg.server_count = count(key, value)?,
-            "seed" => cfg.seed = value.parse().map_err(|_| bad())?,
-            _ => return Err(SpecError::Malformed(format!("unknown key {key:?}"))),
-        }
+    match parse_traffic(text)? {
+        TrafficKind::Http(cfg) => Ok(cfg),
+        other => Err(SpecError::UnknownGenerator(other.label().into())),
     }
-    if !named {
-        return Err(SpecError::Malformed("missing 'name' key".into()));
-    }
-    Ok(cfg)
 }
 
 fn extract_body(text: &str) -> Result<&str, SpecError> {
@@ -259,21 +227,55 @@ impl TrafficKind {
     }
 }
 
-/// Parses any supported `traffic { ... }` block, dispatching on `name`
-/// (HTTP, CBR, ONOFF — case-insensitive).
+/// Parses any supported `traffic { ... }` block, dispatching on its `name`
+/// key (HTTP, CBR, ONOFF — case-insensitive). Unknown keys are rejected;
+/// absent keys keep their defaults. `name` may repeat only with the same
+/// generator.
 pub fn parse_traffic(text: &str) -> Result<TrafficKind, SpecError> {
     let body = extract_body(text)?;
-    let name = body
-        .lines()
-        .map(str::trim)
-        .find_map(|l| l.strip_prefix("name").map(|v| v.trim().to_string()))
-        .ok_or_else(|| SpecError::Malformed("missing 'name' key".into()))?;
+    let mut name: Option<&str> = None;
+    for_each_kv(body, |key, value| {
+        match name {
+            _ if key != "name" => {}
+            Some(first) if !first.eq_ignore_ascii_case(value) => {
+                let both = format!("'name' is both {first:?} and {value:?}");
+                return Err(SpecError::Malformed(both));
+            }
+            _ => name = Some(value),
+        }
+        Ok(())
+    })?;
+    let name = name.ok_or_else(|| SpecError::Malformed("missing 'name' key".into()))?;
     match name.to_ascii_lowercase().as_str() {
-        "http" => parse_http(text).map(TrafficKind::Http),
+        "http" => parse_http_body(body).map(TrafficKind::Http),
         "cbr" => parse_cbr(body).map(TrafficKind::Cbr),
         "onoff" => parse_onoff(body).map(TrafficKind::OnOff),
-        _ => Err(SpecError::UnknownGenerator(name)),
+        _ => Err(SpecError::UnknownGenerator(name.into())),
     }
+}
+
+fn parse_http_body(body: &str) -> Result<HttpConfig, SpecError> {
+    let mut cfg = HttpConfig::default();
+    for_each_kv(body, |key, value| {
+        let bad = || SpecError::BadValue {
+            key: key.into(),
+            value: value.into(),
+        };
+        match key {
+            "name" => Ok(()),
+            "request_size" => bounded(key, value, parse_size(value), MAX_REQUEST_BYTES)
+                .map(|v| cfg.request_size_bytes = v),
+            "think_time" => value
+                .parse()
+                .map(|v| cfg.think_time_s = v)
+                .map_err(|_| bad()),
+            "client_per_server" => count(key, value).map(|v| cfg.clients_per_server = v),
+            "server_number" => count(key, value).map(|v| cfg.server_count = v),
+            "seed" => value.parse().map(|v| cfg.seed = v).map_err(|_| bad()),
+            _ => Err(SpecError::Malformed(format!("unknown key {key:?}"))),
+        }
+    })?;
+    Ok(cfg)
 }
 
 fn parse_cbr(body: &str) -> Result<crate::cbr::CbrConfig, SpecError> {
@@ -320,9 +322,9 @@ fn parse_onoff(body: &str) -> Result<crate::onoff::OnOffConfig, SpecError> {
     Ok(cfg)
 }
 
-fn for_each_kv(
-    body: &str,
-    mut f: impl FnMut(&str, &str) -> Result<(), SpecError>,
+fn for_each_kv<'a>(
+    body: &'a str,
+    mut f: impl FnMut(&'a str, &'a str) -> Result<(), SpecError>,
 ) -> Result<(), SpecError> {
     for line in body.lines() {
         let line = line.trim();
@@ -410,6 +412,28 @@ mod kind_tests {
         let at_bound = parse_traffic("traffic { name CBR\n sessions 1000000 }").unwrap();
         assert!(matches!(at_bound, TrafficKind::Cbr(c) if c.sessions == 1_000_000));
         assert_eq!(parse_size("1024MByte"), Some(1 << 30));
+    }
+
+    #[test]
+    fn name_is_an_exact_key_given_once() {
+        // `names` is not `name`: the block names no generator.
+        assert_eq!(
+            parse_traffic("traffic { names CBR }"),
+            Err(SpecError::Malformed("missing 'name' key".into()))
+        );
+        // Two different generators are refused whichever comes first.
+        for (first, second) in [("CBR", "HTTP"), ("HTTP", "CBR"), ("ONOFF", "cbr")] {
+            let block = format!("traffic {{ name {first}\n name {second} }}");
+            assert!(
+                matches!(parse_traffic(&block), Err(SpecError::Malformed(_))),
+                "{block}"
+            );
+        }
+        // The same generator twice is one generator.
+        assert!(matches!(
+            parse_traffic("traffic { name CBR\n name cbr }"),
+            Ok(TrafficKind::Cbr(_))
+        ));
     }
 
     #[test]

@@ -16,8 +16,13 @@
 # An indented `#[cfg(test)]` (a field, a statement) does not end the count.
 # Run from the repository root (or pass it as the first argument):
 #
-#   scripts/nontest-lines.sh [root]
+#   scripts/nontest-lines.sh [--lines] [root]
+#
+# `--lines` prints the counted lines themselves, one `file:line:text` each,
+# in file order, instead of the per-crate totals.
 set -eu
+mode=count
+if [ "${1:-}" = --lines ]; then mode=lines; shift; fi
 cd "${1:-.}"
 find src crates/*/src -name '*.rs' | LC_ALL=C sort | xargs awk '
     FNR == 1 { skip = 0; closing = 0 }
@@ -51,11 +56,19 @@ find src crates/*/src -name '*.rs' | LC_ALL=C sort | xargs awk '
         else if ($0 ~ /[;}][[:space:]]*$/) skip = 0
         next
     }
-    { print "line", FILENAME }
-' | awk '
+    { print "line", FILENAME ":" FNR ":" $0 }
+' | awk -v mode="$mode" '
     $1 == "mounted" { mounted[$2] = 1; next }
-    { lines[$2]++ }
+    {
+        file = $2; sub(/:.*/, "", file)
+        lines[file]++
+        if (mode == "lines") { text[++n] = substr($0, 6); of[n] = file }
+    }
     END {
+        if (mode == "lines") {
+            for (i = 1; i <= n; i++) if (!(of[i] in mounted)) print text[i]
+            exit
+        }
         for (file in lines) {
             if (file in mounted) continue
             unit = file

@@ -127,7 +127,6 @@ fn preflight(
 fn mapper_config(a: &Args, engines: usize) -> MapperConfig {
     let defaults = MapperConfig::new(engines);
     MapperConfig {
-        seed: a.seed.unwrap_or(defaults.seed),
         parallelism: a.threads.unwrap_or(defaults.parallelism),
         ..defaults
     }
@@ -1010,7 +1009,8 @@ mod tests {
     #[test]
     fn routing_flag_is_refused_like_any_unknown_flag() {
         // Every CLI path that builds tables audits every row, so it builds
-        // them eagerly and takes no fill policy; `--audit` has one spelling.
+        // them eagerly and takes no fill policy; `--audit` has one spelling;
+        // the partitioner seed is a constant.
         let net_file = write_campus();
         let net = net_file.as_str();
         let cases: &[&[&str]] = &[
@@ -1019,6 +1019,7 @@ mod tests {
             &["check", net, "--routing", "lazy"],
             &["check", net, "--routing", "compressed"],
             &["check", net, "--partition"],
+            &["partition", net, "--seed", "3"],
         ];
         for argv in cases {
             let (cmd, flag) = (argv[0], argv[2]);
@@ -1032,6 +1033,7 @@ mod tests {
         let help = usage();
         assert!(!help.contains("--routing"), "{help}");
         assert!(!help.contains("--partition"), "{help}");
+        assert!(!help.contains("--seed"), "{help}");
     }
 
     #[test]
@@ -1162,7 +1164,6 @@ mod tests {
                 &["nan", "-5", "0", "1e-9", "1e300", "inf", "soon", ""],
             ),
             ("--engines", &["abc", "-1", "1.5", "", huge]),
-            ("--seed", &["abc", "-1", "1.5", "", huge]),
             ("--epochs", &["abc", "-1", "1.5", "", "0", huge]),
             ("--threads", &["abc", "-1", "1.5", "", "0", huge]),
         ];
@@ -1185,8 +1186,8 @@ mod tests {
             }
         }
         // run, check, record take --duration-s; run, check, partition,
-        // replay --engines and --threads; partition --seed; run --epochs.
-        assert_eq!(checked, 3 * 8 + 4 * 5 + 4 * 6 + 5 + 6);
+        // replay --engines and --threads; run --epochs.
+        assert_eq!(checked, 3 * 8 + 4 * 5 + 4 * 6 + 6);
         // The range text is part of the contract.
         let e = run(&args(&["run", "--duration-s", "0"])).unwrap_err();
         assert_eq!(

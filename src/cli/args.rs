@@ -141,13 +141,6 @@ static LIST_PASSES: Flag = Flag {
     set: |a, _| on(&mut a.list_passes),
     help: "Print the stable-code catalog (MC001..MC020, SA000..SA007) instead of linting.",
 };
-static SEED: Flag = Flag {
-    name: "--seed",
-    metavar: "N",
-    expects: "a number",
-    set: |a, v| put(&mut a.seed, v.parse().ok()),
-    help: "Partitioner seed.",
-};
 static APPROACH: Flag = Flag {
     name: "--approach",
     metavar: "top|place|profile",
@@ -263,7 +256,7 @@ pub(super) static COMMANDS: [Command; 9] = [
         name: "partition",
         operands: &["<network.dml>"],
         required: &[&ENGINES],
-        optional: &[&SEED, &THREADS, &DENY_WARNINGS],
+        optional: &[&THREADS, &DENY_WARNINGS],
         run: super::cmd_partition,
         about: "Partition the network with the TOP approach; prints node -> engine.
       The produced partition is audited (MC013, MC017, MC018) and the
@@ -410,7 +403,6 @@ pub(super) struct Args<'a> {
     pub operands: Vec<&'a str>,
     pub engines: Option<usize>,
     pub epochs: Option<usize>,
-    pub seed: Option<u64>,
     pub threads: Option<Parallelism>,
     pub approach: Option<Approach>,
     pub rebalance: Option<RebalanceMode>,

@@ -103,8 +103,10 @@ fn speeds_do_not_change_emulation_results() {
         .study
         .map(Approach::Top, &built.predicted, &built.flows);
     let base_cfg = EmulationConfig::new(p.part.clone(), p.nparts);
-    let fast_cfg =
-        EmulationConfig::new(p.part.clone(), p.nparts).with_engine_speeds(vec![5.0, 1.0, 0.5]);
+    let fast_cfg = EmulationConfig {
+        engine_speeds: Some(vec![5.0, 1.0, 0.5]),
+        ..EmulationConfig::new(p.part.clone(), p.nparts)
+    };
     let a = massf_core::engine::run_sequential(
         &built.study.net,
         &built.study.tables,

@@ -30,9 +30,8 @@ fn windowed_flow(packets: u64, window: u32) -> FlowSpec {
         packets,
         bytes: packets * 1500,
         packet_interval_us: 10,
-        window: None,
+        window: Some(window),
     }
-    .with_window(window)
 }
 
 #[test]
@@ -112,9 +111,8 @@ fn parallel_matches_sequential_with_windows() {
             packets: 25,
             bytes: 37_500,
             packet_interval_us: 50,
-            window: None,
-        }
-        .with_window(5),
+            window: Some(5),
+        },
     ];
     let seq = run_sequential(&net, &tables, &flows, &cfg);
     let par = run_on_workers(&net, &tables, &flows, &cfg);
@@ -145,18 +143,15 @@ fn window_transport_reacts_to_congestion() {
     let cfg = EmulationConfig::new(vec![0; 4], 1);
     let alone = run_sequential(&net, &tables, &[windowed_flow(60, 4)], &cfg);
     let mut two = vec![windowed_flow(60, 4)];
-    two.push(
-        FlowSpec {
-            src: 0,
-            dst: 3,
-            start_us: 0,
-            packets: 60,
-            bytes: 90_000,
-            packet_interval_us: 10,
-            window: None,
-        }
-        .with_window(4),
-    );
+    two.push(FlowSpec {
+        src: 0,
+        dst: 3,
+        start_us: 0,
+        packets: 60,
+        bytes: 90_000,
+        packet_interval_us: 10,
+        window: Some(4),
+    });
     let shared = run_sequential(&net, &tables, &two, &cfg);
     assert!(
         shared.virtual_end_us > alone.virtual_end_us,
