@@ -16,6 +16,11 @@
 //! follow the event count: the row asserts [`MAX_ALLOCS_PER_KEVENT`] at
 //! full scale and [`SMOKE_ALLOC_CEILINGS`] at smoke scale.
 //!
+//! `bytes/peak-event` is memory per pending event: the calendars'
+//! `retained_bytes` at the end of a sequential run, summed over engines,
+//! over their summed peak depths; the row asserts it under
+//! [`SMOKE_BYTES_PER_PEAK_EVENT`] at smoke scale.
+//!
 //! `sorted-share` is the share of the calendar's pushes that were a
 //! binary-search insert into its sorted front (`SchedStats::sorted_inserts`
 //! over events): near 1 the calendar has degenerated into one sorted list,
@@ -33,7 +38,9 @@
 //! then requires every throughput cell filled and positive.
 
 use crate::{time_best, Ctx, Output};
-use massf_core::engine::{run_parallel, run_sequential, EmulationReport, SchedulerKind};
+use massf_core::engine::{
+    run_parallel, run_sequential, EmulationReport, SchedulerKind, SteppableEmulation,
+};
 use massf_core::prelude::*;
 use massf_core::routing::RoutingTables;
 use massf_core::traffic::onoff;
@@ -49,6 +56,13 @@ const MAX_ALLOCS_PER_KEVENT: f64 = 2.0;
 /// pinned instead — the first run's 47 / 84 / 112 / 88 plus a quarter (the
 /// leaking queue made 1 125 / 577 / 990 on the Table 1 rows).
 const SMOKE_ALLOC_CEILINGS: [u64; 4] = [60, 105, 140, 110];
+
+/// Most bytes the `--smoke` run's calendars may hold per event of their
+/// peak depth (`bytes/peak-event`): the first run's 70.4 / 67.8 / 50.6 /
+/// 69.9 with 32-byte events plus an eighth. The same rows read 111.6 /
+/// 102.3 / 79.5 / 107.3 with the 56-byte events that carried their
+/// packet's endpoints and size.
+const SMOKE_BYTES_PER_PEAK_EVENT: [f64; 4] = [80.0, 77.0, 57.0, 79.0];
 
 /// Largest sorted-insert share a calendar row may show (measured: 0.02–0.21;
 /// `benchmark/`'s `online_onoff` read 0.99 with every start in the queue).
@@ -92,7 +106,10 @@ pub fn run(ctx: &Ctx) -> Output {
 
     let cases = Topology::TABLE1.map(|t| (t, false)).into_iter();
     let cases = cases.chain([(Topology::Brite, true)]);
-    for ((topo, bursty), smoke_ceiling) in cases.zip(SMOKE_ALLOC_CEILINGS) {
+    let ceilings = SMOKE_ALLOC_CEILINGS
+        .into_iter()
+        .zip(SMOKE_BYTES_PER_PEAK_EVENT);
+    for ((topo, bursty), (smoke_ceiling, smoke_bytes)) in cases.zip(ceilings) {
         let mut built = Scenario::new(topo, Workload::Scalapack)
             .with_scale(scale)
             .build();
@@ -181,6 +198,19 @@ pub fn run(ctx: &Ctx) -> Output {
                 }
                 let peak = report.engine_queue_peak.iter().max().copied().unwrap_or(0);
                 t.set(row, "queue-peak", peak as f64);
+                // Deterministic: the same pushes grow the same buffers.
+                let tables = &built.study.tables;
+                let mut emu = SteppableEmulation::new(net, tables, &built.flows, cfg.clone());
+                emu.run_to_completion();
+                let (engines, ..) = emu.into_parts();
+                let held: usize = engines.iter().map(|e| e.queue().retained_bytes()).sum();
+                let depth: u64 = engines.iter().map(|e| e.queue().stats().peak_depth).sum();
+                let per_event = held as f64 / depth.max(1) as f64;
+                t.set(row, "bytes/peak-event", per_event);
+                assert!(
+                    !smoke || per_event <= smoke_bytes,
+                    "{row}: the calendars hold {per_event:.1} B per peak event > {smoke_bytes}"
+                );
                 t.set(row, "rounds", report.rounds as f64);
             }
         }

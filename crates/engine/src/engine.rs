@@ -2,10 +2,10 @@
 //! forwarding each packet over its route's pinned link direction.
 
 use crate::counters::EngineCounters;
-use crate::event::{Event, EventKind, Packet};
+use crate::event::{Event, Packet};
 use crate::link::{dir_index, Directions, LinkOccupancy, NO_ROUTE, UNPINNED};
 use crate::netflow::NetFlowCollector;
-use crate::sched::{EventQueue, SchedStats, SchedulerKind};
+use crate::sched::{EventQueue, SchedulerKind};
 use massf_routing::{RoutingKind, RoutingTables};
 use massf_topology::{Network, NodeId, NodeKind};
 use massf_traffic::FlowSpec;
@@ -16,7 +16,7 @@ pub struct Shared<'a> {
     pub net: &'a Network,
     /// All-pairs routing tables.
     pub tables: &'a RoutingTables,
-    /// The flow schedule (indexed by `Packet::flow`).
+    /// The flow schedule (indexed by [`Event::flow`]).
     pub flows: &'a [FlowSpec],
     /// The schedule's routes ([`Routes::of`] `flows`, built once per run).
     pub routes: &'a Routes,
@@ -62,27 +62,16 @@ impl Routes {
         2 * self.ends.len()
     }
 
-    /// The lane `pkt` is in: its `(route, direction, hop)` as one index,
-    /// hop-major. Routes never change during a run (DESIGN.md §13), so a
-    /// lane is one node of one path — it names the link the packet leaves
-    /// over (an engine's pins) and, at a router, the NetFlow records of the
-    /// flows that pass this way (the collector's cells).
+    /// The lane `pkt` is in after `hop` links: its `(route, direction,
+    /// hop)` as one index, hop-major. Routes never change during a run
+    /// (DESIGN.md §13), so a lane is one node of one path — it names the
+    /// link the packet leaves over (an engine's pins) and, at a router, the
+    /// NetFlow records of the flows that pass this way (the collector's
+    /// cells).
     #[inline]
-    fn lane(&self, pkt: &Packet) -> usize {
+    fn lane(&self, pkt: &Packet, hop: u32) -> usize {
         let slot = 2 * self.of_flow[pkt.flow as usize] as usize + (pkt.src > pkt.dst) as usize;
-        pkt.hop as usize * self.width() + slot
-    }
-}
-
-/// The event that starts flow `idx`: its first injection, at its source.
-pub fn first_injection(idx: u32, flow: &FlowSpec) -> Event {
-    Event {
-        time_us: flow.start_us,
-        node: flow.src,
-        kind: EventKind::Inject {
-            flow: idx,
-            packet_no: 0,
-        },
+        hop as usize * self.width() + slot
     }
 }
 
@@ -161,9 +150,10 @@ impl Engine {
     /// waits in the start cursor, anything else goes to the scheduler.
     pub fn adopt(&mut self, pending: impl IntoIterator<Item = Event>) {
         for ev in pending {
-            match ev.kind {
-                EventKind::Inject { packet_no: 0, .. } => self.starts.push(ev),
-                _ => self.queue.push(ev),
+            if ev.is_injection() && ev.packet_no() == 0 {
+                self.starts.push(ev);
+            } else {
+                self.queue.push(ev);
             }
         }
         self.starts.sort_unstable_by(|a, b| b.cmp(a));
@@ -184,11 +174,11 @@ impl Engine {
         }
     }
 
-    /// Scheduler counters (peak depth, rebuilds, logical reallocations,
-    /// sorted inserts). The depth is the scheduler's: flows still in the
-    /// start cursor are not in it.
-    pub fn queue_stats(&self) -> SchedStats {
-        self.queue.stats()
+    /// The scheduler: its counters and retained bytes. It holds every
+    /// pending event but the flows still in the start cursor, so its depth
+    /// does not count them.
+    pub fn queue(&self) -> &EventQueue {
+        &self.queue
     }
 
     /// Processes every event strictly below `lbts`; returns the number of
@@ -251,83 +241,66 @@ impl Engine {
 
     fn handle(&mut self, ev: Event, shared: &Shared<'_>) {
         self.counters.record_event(ev.time_us);
-        match ev.kind {
-            EventKind::Inject { flow, packet_no } => {
-                let f = &shared.flows[flow as usize];
-                // Open-loop flows chain every injection; windowed flows only
-                // chain the initial window — later packets are released by
-                // returning ACKs (pure ACK-clocking, no per-flow state).
-                let chain_limit = f.window.map(|w| w as u64).unwrap_or(f.packets);
-                let next = packet_no + 1;
-                if next < f.packets && next < chain_limit {
-                    self.queue.push(Event {
-                        time_us: ev.time_us + f.packet_interval_us,
-                        node: f.src,
-                        kind: EventKind::Inject {
-                            flow,
-                            packet_no: next,
-                        },
-                    });
-                }
-                let bytes = packet_bytes(f, packet_no);
-                let pkt = Packet::for_flow(flow, packet_no, f.src, f.dst, bytes, ev.time_us);
-                self.forward(pkt, f.src, ev.time_us, shared);
+        let pkt = ev.packet(shared.flows);
+        let f = &shared.flows[pkt.flow as usize];
+        if ev.is_injection() {
+            // Open-loop flows chain every injection; windowed flows only
+            // chain the initial window — later packets are released by
+            // returning ACKs (pure ACK-clocking, no per-flow state).
+            let chain_limit = f.window.map(|w| w as u64).unwrap_or(f.packets);
+            let next = ev.packet_no() + 1;
+            if next < f.packets && next < chain_limit {
+                let at = ev.time_us + f.packet_interval_us;
+                self.queue.push(Event::injection(at, f.src, pkt.flow, next));
             }
-            EventKind::Arrive { pkt } => {
-                if self.netflow.enabled() && shared.net.node(ev.node).kind == NodeKind::Router {
-                    let lane = shared.routes.lane(&pkt);
-                    self.netflow.record(lane, ev.node, &pkt, ev.time_us);
+            self.forward(ev, &pkt, shared);
+            return;
+        }
+        if self.netflow.enabled() && shared.net.node(ev.node).kind == NodeKind::Router {
+            let lane = shared.routes.lane(&pkt, ev.hop);
+            self.netflow.record(lane, ev.node, &pkt, ev.time_us);
+        }
+        if pkt.dst != ev.node {
+            self.forward(ev, &pkt, shared);
+        } else if ev.is_ack() {
+            // ACK back at the sender: release the next window slot.
+            if let Some(w) = f.window {
+                let released = ev.packet_no() + w as u64;
+                if released < f.packets {
+                    let release = Event::injection(ev.time_us, ev.node, pkt.flow, released);
+                    self.queue.push(release);
                 }
-                if pkt.dst != ev.node {
-                    self.forward(pkt, ev.node, ev.time_us, shared);
-                } else if pkt.ack {
-                    // ACK back at the sender: release the next window slot.
-                    let f = &shared.flows[pkt.flow as usize];
-                    if let Some(w) = f.window {
-                        let released = pkt.packet_no() + w as u64;
-                        if released < f.packets {
-                            self.queue.push(Event {
-                                time_us: ev.time_us,
-                                node: ev.node,
-                                kind: EventKind::Inject {
-                                    flow: pkt.flow,
-                                    packet_no: released,
-                                },
-                            });
-                        }
-                    }
-                } else {
-                    self.counters.record_delivery(ev.time_us - pkt.injected_us);
-                    if shared.flows[pkt.flow as usize].window.is_some() {
-                        let ack = Packet::ack_for(&pkt, ev.time_us);
-                        self.forward(ack, ev.node, ev.time_us, shared);
-                    }
-                }
+            }
+        } else {
+            self.counters.record_delivery(ev.time_us - ev.injected_us);
+            if f.window.is_some() {
+                let ack = ev.ack();
+                self.forward(ack, &ack.packet(shared.flows), shared);
             }
         }
     }
 
-    /// The link direction `pkt` leaves `node` over: the pin of its lane,
+    /// The link direction `pkt` leaves `ev.node` over: the pin of its lane,
     /// [`filled`](Self::fill_pin) the first time a packet of the route
     /// gets here.
     #[inline]
-    fn pinned_dir(&mut self, pkt: &Packet, node: NodeId, shared: &Shared<'_>) -> u32 {
-        let lane = shared.routes.lane(pkt);
+    fn pinned_dir(&mut self, ev: &Event, pkt: &Packet, shared: &Shared<'_>) -> u32 {
+        let lane = shared.routes.lane(pkt, ev.hop);
         match self.pins.get(lane) {
             Some(&dir) if dir != UNPINNED => dir,
-            _ => self.fill_pin(lane, pkt, node, shared),
+            _ => self.fill_pin(lane, ev.node, pkt.dst, shared),
         }
     }
 
-    /// Pins the direction from `node` toward `pkt.dst` at `lane`, growing
+    /// Pins the direction from `node` toward `dst` at `lane`, growing
     /// the array to the lane's row first. Its `next_link_raw` is the
     /// emulation's only routing query, and it is always for an engine-owned
     /// source: under lazy tables each engine therefore materializes only
     /// its own slice of the rows (DESIGN.md §16). [`NO_ROUTE`] is pinned
     /// too, so an unreachable route is probed once.
     #[cold]
-    fn fill_pin(&mut self, lane: usize, pkt: &Packet, node: NodeId, shared: &Shared<'_>) -> u32 {
-        let link = shared.tables.next_link_raw(node, pkt.dst);
+    fn fill_pin(&mut self, lane: usize, node: NodeId, dst: NodeId, shared: &Shared<'_>) -> u32 {
+        let link = shared.tables.next_link_raw(node, dst);
         let dir = if link == RoutingTables::NO_ROUTE {
             NO_ROUTE
         } else {
@@ -380,29 +353,27 @@ impl Engine {
         }
     }
 
-    /// Transmits `pkt` from `node` toward its destination, producing the
-    /// arrival event locally or in the outbox.
-    fn forward(&mut self, pkt: Packet, node: NodeId, now_us: u64, shared: &Shared<'_>) {
+    /// Transmits the packet `ev` (whose flow says `pkt`) from `ev.node`
+    /// toward its destination, producing the arrival event locally or in
+    /// the outbox.
+    fn forward(&mut self, ev: Event, pkt: &Packet, shared: &Shared<'_>) {
         debug_assert_eq!(
-            shared.partition[node as usize], self.id,
-            "engine {} forwarded for node {node} it does not own",
-            self.id
+            shared.partition[ev.node as usize], self.id,
+            "engine {} forwarded for node {} it does not own",
+            self.id, ev.node
         );
-        let dir = self.pinned_dir(&pkt, node, shared);
+        let dir = self.pinned_dir(&ev, pkt, shared);
         if dir == NO_ROUTE {
             // Unreachable destination (or src == dst): account and drop.
             self.counters.dropped += 1;
             return;
         }
         let d = shared.dirs.get(dir);
-        let pkt = Packet {
-            hop: pkt.hop + 1,
-            ..pkt
-        };
         let event = Event {
-            time_us: self.links.schedule(dir, d, now_us, pkt.bytes),
+            time_us: self.links.schedule(dir, d, ev.time_us, pkt.bytes),
             node: d.to,
-            kind: EventKind::Arrive { pkt },
+            hop: ev.hop + 1,
+            ..ev
         };
         let owner = shared.partition[d.to as usize];
         if owner == self.id {
@@ -496,7 +467,7 @@ mod tests {
             partition,
         };
         let mut e = Engine::new(0, 1_000_000, netflow, SchedulerKind::default());
-        e.adopt([first_injection(0, &flows[0])]);
+        e.adopt([Event::injection(flows[0].start_us, flows[0].src, 0, 0)]);
         let n = e.process_window(lbts, &shared);
         (e, n)
     }
@@ -516,6 +487,21 @@ mod tests {
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].packets, 5);
         assert_eq!(recs[0].router, 1);
+    }
+
+    #[test]
+    fn only_first_injections_wait_in_the_start_cursor() {
+        let first = Event::injection(50, 0, 0, 0);
+        let later = Event::injection(70, 0, 0, 3);
+        let arrival = Event { hop: 1, ..first };
+        let ack = Event {
+            hop: 2,
+            ..arrival.ack()
+        };
+        let mut e = Engine::new(0, 1_000_000, false, SchedulerKind::default());
+        e.adopt([later, ack, first, arrival]);
+        assert_eq!(e.starts, vec![first]);
+        assert_eq!(e.queue.len(), 3);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use crate::cost::{CostModel, WallClock};
 use crate::counters::EngineCounters;
-use crate::engine::{first_injection, Engine, RemoteEvent, Shared};
+use crate::engine::{Engine, RemoteEvent, Shared};
 use crate::event::Event;
 use crate::netflow::merge_collectors;
 use crate::report::EmulationReport;
@@ -29,6 +29,7 @@ use crate::shim::{SlotArray, SyncShim};
 use crate::stepping::SteppableEmulation;
 use massf_routing::RoutingTables;
 use massf_topology::Network;
+use massf_traffic::tracefile::MAX_PACKETS;
 use massf_traffic::FlowSpec;
 use std::borrow::BorrowMut;
 
@@ -113,6 +114,11 @@ pub fn seeded_engines(net: &Network, flows: &[FlowSpec], cfg: &EmulationConfig) 
         "partition length mismatch"
     );
     assert!(cfg.nengines >= 1);
+    // A packet id is `flow << 32 | packet_no` with bit 63 for the ACK.
+    assert!(
+        flows.len() <= 1 << 31 && flows.iter().all(|f| f.packets <= MAX_PACKETS),
+        "flow schedule past the packet id"
+    );
     assert!(
         cfg.partition.iter().all(|&p| (p as usize) < cfg.nengines),
         "partition label out of range"
@@ -122,7 +128,7 @@ pub fn seeded_engines(net: &Network, flows: &[FlowSpec], cfg: &EmulationConfig) 
             let mut engine = Engine::new(id, cfg.counter_window_us, cfg.netflow, cfg.scheduler);
             let mine = flows.iter().enumerate();
             let mine = mine.filter(|(_, f)| cfg.partition[f.src as usize] == id);
-            engine.adopt(mine.map(|(i, f)| first_injection(i as u32, f)));
+            engine.adopt(mine.map(|(i, f)| Event::injection(f.start_us, f.src, i as u32, 0)));
             engine
         })
         .collect()
@@ -357,10 +363,10 @@ pub fn finalize(
         engine_stalls: each(&|e| e.counters.stalled_rounds),
         engine_remote_sent: each(&|e| e.counters.remote_sent),
         engine_remote_recv: each(&|e| e.counters.remote_recv),
-        engine_queue_peak: each(&|e| e.queue_stats().peak_depth),
-        engine_sched_resizes: each(&|e| e.queue_stats().resizes),
-        engine_reallocs: each(&|e| e.queue_stats().reallocs + e.counters.reallocs),
-        engine_sorted_inserts: each(&|e| e.queue_stats().sorted_inserts),
+        engine_queue_peak: each(&|e| e.queue().stats().peak_depth),
+        engine_sched_resizes: each(&|e| e.queue().stats().resizes),
+        engine_reallocs: each(&|e| e.queue().stats().reallocs + e.counters.reallocs),
+        engine_sorted_inserts: each(&|e| e.queue().stats().sorted_inserts),
         delivered: total(|c| c.delivered),
         dropped: total(|c| c.dropped),
         latency_sum_us: counters().map(|c| c.latency_sum_us).sum(),

@@ -209,10 +209,16 @@ pub fn epoch_slice(prev: &[FlowRecord], cur: &[FlowRecord]) -> Vec<FlowRecord> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::ACK_BYTES;
     use proptest::prelude::*;
 
-    fn pkt(flow: u32, no: u64, bytes: u32) -> Packet {
-        Packet::for_flow(flow, no, 10, 20, bytes, 0)
+    fn pkt(flow: u32, bytes: u32) -> Packet {
+        Packet {
+            flow,
+            src: 10,
+            dst: 20,
+            bytes,
+        }
     }
 
     /// One collector's records so far, in `(router, flow)` order.
@@ -231,10 +237,10 @@ mod tests {
     #[test]
     fn aggregates_per_flow_per_router() {
         let mut c = NetFlowCollector::new(true);
-        c.record(5, 5, &pkt(0, 0, 1500), 100);
-        c.record(5, 5, &pkt(0, 1, 1500), 300);
-        c.record(5, 5, &pkt(1, 0, 500), 200);
-        c.record(6, 6, &pkt(0, 2, 1500), 400);
+        c.record(5, 5, &pkt(0, 1500), 100);
+        c.record(5, 5, &pkt(0, 1500), 300);
+        c.record(5, 5, &pkt(1, 500), 200);
+        c.record(6, 6, &pkt(0, 1500), 400);
         let recs = dump(&c);
         assert_eq!(recs.len(), 3);
         let r = &recs[0];
@@ -245,18 +251,18 @@ mod tests {
     #[test]
     fn disabled_collector_records_nothing() {
         let mut c = NetFlowCollector::new(false);
-        c.record(5, 5, &pkt(0, 0, 1500), 100);
+        c.record(5, 5, &pkt(0, 1500), 100);
         assert!(dump(&c).is_empty());
     }
 
     #[test]
     fn epoch_slice_is_the_per_key_delta() {
         let mut c = NetFlowCollector::new(true);
-        c.record(5, 5, &pkt(0, 0, 1500), 100);
-        c.record(5, 5, &pkt(1, 0, 500), 150);
+        c.record(5, 5, &pkt(0, 1500), 100);
+        c.record(5, 5, &pkt(1, 500), 150);
         let prev = dump(&c);
-        c.record(5, 5, &pkt(0, 1, 1500), 400);
-        c.record(6, 6, &pkt(0, 0, 1500), 500);
+        c.record(5, 5, &pkt(0, 1500), 400);
+        c.record(6, 6, &pkt(0, 1500), 500);
         let cur = dump(&c);
 
         let delta = epoch_slice(&prev, &cur);
@@ -290,7 +296,7 @@ mod tests {
             c.record(
                 (t % 3) as usize,
                 (t % 3) as NodeId,
-                &pkt((t % 2) as u32, t, 1000),
+                &pkt((t % 2) as u32, 1000),
                 t * 10,
             );
             if t % 7 == 6 {
@@ -335,8 +341,8 @@ mod tests {
     #[test]
     fn epoch_slice_from_empty_prev_is_identity() {
         let mut c = NetFlowCollector::new(true);
-        c.record(5, 5, &pkt(0, 0, 1500), 100);
-        c.record(6, 6, &pkt(1, 0, 700), 200);
+        c.record(5, 5, &pkt(0, 1500), 100);
+        c.record(6, 6, &pkt(1, 700), 200);
         let cur = dump(&c);
         assert_eq!(epoch_slice(&[], &cur), cur);
         assert!(epoch_slice(&cur, &cur).is_empty(), "quiet epoch is empty");
@@ -374,8 +380,12 @@ mod tests {
                 }
                 let router = (lane % 4) as NodeId;
                 let owner = (router as usize + epoch) % 2;
-                let data = Packet::for_flow(flow, 0, 10 + flow, 20 + flow, bytes, 0);
-                let pkt = if ack { Packet::ack_for(&data, 0) } else { data };
+                let (src, dst) = (10 + flow, 20 + flow);
+                let pkt = if ack {
+                    Packet { flow, src: dst, dst: src, bytes: ACK_BYTES }
+                } else {
+                    Packet { flow, src, dst, bytes }
+                };
                 engines[owner].record(lane, router, &pkt, now_us);
                 let rec = models[owner].entry((router, flow)).or_insert(FlowRecord {
                     router,

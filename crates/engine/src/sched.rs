@@ -203,7 +203,7 @@ impl CalendarQueue {
         self.stats
     }
 
-    /// Bytes of buffer capacity held, in use or not (read by tests only).
+    /// Bytes of buffer capacity held, in use or not.
     pub fn retained_bytes(&self) -> usize {
         self.events.capacity() * size_of::<Event>()
             + (self.next.capacity() + self.heads.capacity()) * size_of::<u32>()
@@ -555,28 +555,28 @@ impl EventQueue {
             EventQueue::Heap(q) => q.drain(),
         }
     }
+
+    /// Bytes of buffer capacity held, in use or not.
+    pub fn retained_bytes(&self) -> usize {
+        match self {
+            EventQueue::Calendar(q) => q.retained_bytes(),
+            EventQueue::Heap(q) => q.heap.capacity() * size_of::<Event>(),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{EventKind, Packet};
 
     fn inject(time_us: u64, flow: u32, packet_no: u64, node: u32) -> Event {
-        Event {
-            time_us,
-            node,
-            kind: EventKind::Inject { flow, packet_no },
-        }
+        Event::injection(time_us, node, flow, packet_no)
     }
 
     fn arrive(time_us: u64, flow: u32, packet_no: u64, node: u32) -> Event {
         Event {
-            time_us,
-            node,
-            kind: EventKind::Arrive {
-                pkt: Packet::for_flow(flow, packet_no, 0, node, 1500, 0),
-            },
+            hop: 1,
+            ..inject(time_us, flow, packet_no, node)
         }
     }
 

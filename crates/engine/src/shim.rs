@@ -317,18 +317,9 @@ impl SyncShim for SeqShim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventKind;
 
     fn event(time_us: u64) -> Event {
-        let kind = EventKind::Inject {
-            flow: 0,
-            packet_no: time_us,
-        };
-        Event {
-            time_us,
-            node: 0,
-            kind,
-        }
+        Event::injection(time_us, 0, 0, time_us)
     }
 
     fn drained(shim: &impl SyncShim, to: usize) -> Vec<u64> {

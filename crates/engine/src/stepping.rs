@@ -548,7 +548,10 @@ mod tests {
         assert!(!step.finished());
         // So does a time bound, with nothing else left: not "done".
         step.run_until(50_000);
-        assert!(step.engines.iter().all(|e| e.queue_stats().peak_depth <= 2));
+        assert!(step
+            .engines
+            .iter()
+            .all(|e| e.queue().stats().peak_depth <= 2));
         assert!(!step.finished(), "a flow has yet to start");
         let src = flows[1].src as usize;
         assert_eq!(late_owner(&step), Some(part[src]));

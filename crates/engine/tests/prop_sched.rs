@@ -13,7 +13,7 @@
 //! to 2³² − 1, the ACK bit — and one workload runs at the top of the time
 //! range, just below 2⁶³.
 
-use massf_engine::event::{Event, EventKind, Packet, ACK_ID_BIT};
+use massf_engine::event::{Event, ACK_ID_BIT};
 use massf_engine::sched::{CalendarQueue, HeapQueue};
 use proptest::prelude::*;
 use std::cmp::Reverse;
@@ -64,9 +64,10 @@ fn arb_op(base: u64, span: u64) -> impl Strategy<Value = Op> {
 
 /// The calendar may hold on to at most 4.5 events' worth of bytes per event
 /// of its peak depth: its buffers (the event slab and its `u32` links, the
-/// front, the bucket heads) are doubling vectors that each hold at most the
-/// peak — a slot is 15/14 of an event, a front entry 4/7 of one, and the
-/// heads cost under 8 B per event — which comes to 3.43 in the worst case.
+/// front, the bucket heads) are doubling vectors that each hold at most
+/// twice the peak — a slot is 36 B, a front entry 32 B, and the heads cost
+/// under 8 B per event — which comes to `2·36 + 2·32 + 8` = 144 B, exactly
+/// 4.5 events of 32 B, in the worst case.
 fn assert_footprint(cal: &CalendarQueue) {
     let (held, peak) = (cal.retained_bytes(), cal.stats().peak_depth);
     assert!(
@@ -129,20 +130,17 @@ fn arb_skewed_ops() -> impl Strategy<Value = Vec<Op>> {
 fn event(seq: u64, time: u64, node: u32, arrive: bool, ack: bool) -> Event {
     let id = seq.wrapping_mul(0x9e37_79b9_7f4a_7c15) & !ACK_ID_BIT;
     let (flow, packet_no) = ((id >> 32) as u32, id & 0xffff_ffff);
-    let kind = if arrive {
-        let pkt = Packet {
-            id: if ack { id | ACK_ID_BIT } else { id },
-            ack,
-            ..Packet::for_flow(flow, 0, 0, 1, 100, 0)
-        };
-        EventKind::Arrive { pkt }
-    } else {
-        EventKind::Inject { flow, packet_no }
-    };
-    Event {
-        time_us: time,
-        node,
-        kind,
+    let injection = Event::injection(time, node, flow, packet_no);
+    match (arrive, ack) {
+        (false, _) => injection,
+        (true, false) => Event {
+            hop: 1,
+            ..injection
+        },
+        (true, true) => Event {
+            hop: 1,
+            ..injection.ack()
+        },
     }
 }
 
@@ -240,9 +238,10 @@ fn sweeping_front_keeps_memory_near_the_live_set() {
         let ev = cal.pop().expect("the cluster never dies out");
         assert!(ev.time_us >= last, "popped out of order");
         last = ev.time_us;
-        match ev.kind {
-            EventKind::Arrive { .. } => push(&mut cal, last + 1 + rand(20_000), true),
-            EventKind::Inject { .. } => push(&mut cal, last + YEAR_US, false),
+        if ev.is_injection() {
+            push(&mut cal, last + YEAR_US, false);
+        } else {
+            push(&mut cal, last + 1 + rand(20_000), true);
         }
         assert_footprint(&cal);
     }

@@ -22,9 +22,7 @@
 #
 #   shortest_paths  the lockstep test in routing's `spf.rs` reads
 #                   `SpfScratch`'s hop counts and predecessors through it
-#                   to compare them with the `plain_tree` oracle;
-#   retained_bytes  `crates/engine/tests/prop_sched.rs` checks the
-#                   calendar queue's memory-footprint bound through it.
+#                   to compare them with the `plain_tree` oracle.
 #
 # Run from the repository root; it exits 1 on a name not allowed:
 #
@@ -68,7 +66,7 @@ uncalled=$(
 [ -n "$uncalled" ] && printf '%s\n' "$uncalled"
 for name in $uncalled; do
     case "$name" in
-        shortest_paths | retained_bytes) ;;
+        shortest_paths) ;;
         *) echo "pub-callers: \`$name\` has no non-test caller" >&2; status=1 ;;
     esac
 done

@@ -28,6 +28,7 @@ use massf_core::routing::RoutingTables;
 use massf_core::topology::dml;
 use massf_core::topology::NodeId;
 use massf_core::traffic::spec::{parse_traffic, TrafficKind};
+use massf_core::traffic::tracefile::MAX_PACKETS;
 use massf_core::traffic::{cbr, http, onoff};
 use massf_lint::{Diagnostics, LintInput};
 use massf_metrics::diag::{Code, Report};
@@ -181,7 +182,7 @@ fn cmd_check(a: &Args) -> Result<String, CliError> {
         .any(|d| d.code == massf_lint::Code::Mc010 && d.severity == massf_lint::Severity::Error);
     if spec_fits {
         if let Some(kind) = kind.as_ref() {
-            let (flows, predicted) = generate_traffic(&net, kind, duration_us);
+            let (flows, predicted) = generate_traffic(&net, kind, duration_us)?;
             input.flows = &flows;
             input.predicted = &predicted;
             diags = massf_lint::lint_scenario(&input);
@@ -350,13 +351,16 @@ fn cmd_partition(a: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// The flow schedule `kind` generates over `duration_us`, and its
+/// prediction. A flow with more packets than a packet id can number (a
+/// trace file is held to the same [`MAX_PACKETS`]) is refused by name.
 fn generate_traffic(
     net: &Network,
     kind: &TrafficKind,
     duration_us: u64,
-) -> (Vec<FlowSpec>, Vec<PredictedFlow>) {
+) -> Result<(Vec<FlowSpec>, Vec<PredictedFlow>), CliError> {
     let hosts = net.hosts();
-    match kind {
+    let (flows, predicted) = match kind {
         TrafficKind::Http(cfg) => (
             http::generate(&hosts, cfg, duration_us),
             http::predict(&hosts, cfg),
@@ -369,7 +373,18 @@ fn generate_traffic(
             onoff::generate(&hosts, cfg, duration_us),
             onoff::predict(&hosts, cfg),
         ),
+    };
+    if let Some((i, f)) = flows
+        .iter()
+        .enumerate()
+        .find(|(_, f)| f.packets > MAX_PACKETS)
+    {
+        let packets = f.packets;
+        return Err(err(format!(
+            "flow {i} has {packets} packets, more than the {MAX_PACKETS} a packet id can number"
+        )));
     }
+    Ok((flows, predicted))
 }
 
 /// Traffic spec used when `massf run` is invoked without `--traffic`: a
@@ -583,7 +598,7 @@ fn cmd_run(a: &Args) -> Result<String, CliError> {
     })?;
     let (flows, predicted) = rec.time("cli/traffic_gen", || {
         generate_traffic(&net, &kind, duration_us)
-    });
+    })?;
     if flows.is_empty() {
         return Err(err("the traffic spec generated no flows for this duration"));
     }
@@ -666,7 +681,7 @@ fn cmd_record(a: &Args) -> Result<String, CliError> {
     preflight(a, &net, None, Some(&kind), &[], &[])?;
     let (flows, _) = rec.time("cli/traffic_gen", || {
         generate_traffic(&net, &kind, duration_us)
-    });
+    })?;
     rec.add_counter("traffic.flows", flows.len() as u64);
     let text = massf_core::traffic::tracefile::write_with_duration(&flows, Some(duration_us));
     // Audit the exact bytes headed for disk — what `replay` and
@@ -964,6 +979,25 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(e.0.contains("unknown traffic generator"), "{e}");
+    }
+
+    #[test]
+    fn spec_flows_past_the_packet_id_are_refused() {
+        // Two 100 Gbit/s CBR sessions for 10⁶ s: more packets a flow than
+        // the 32 bits a packet id gives the packet number.
+        let net_file = write_campus();
+        let spec = "tests/fixtures/hostile/packets_past_the_id.txt";
+        let trace = tempfile_path::write("massf_cli_huge_trace.txt", "");
+        let scenario = ["--traffic", spec, "--duration-s", "1000000"];
+        for cmd in [
+            &["run"][..],
+            &["check"],
+            &["record", "--out", trace.as_str()],
+        ] {
+            let argv = [&cmd[..1], &[net_file.as_str()], &scenario, &cmd[1..]].concat();
+            let e = run(&args(&argv)).unwrap_err();
+            assert!(e.0.starts_with("flow 0 has 8333333333334 packets"), "{e}");
+        }
     }
 
     #[test]
