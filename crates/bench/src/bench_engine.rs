@@ -221,7 +221,7 @@ pub fn run(ctx: &Ctx) -> Output {
         let lookups_of = |flows: &[FlowSpec]| {
             let lazy = RoutingTables::build_lazy(net);
             let report = run_sequential(net, &lazy, flows, &base);
-            let lookups = lazy.lazy_stats().expect("lazy tables count").lookups;
+            let lookups = lazy.lookups().expect("lazy tables count");
             (lookups, report)
         };
         let (lookups, once) = lookups_of(&built.flows);

@@ -8,7 +8,7 @@
 //!    topology the row times the eager-full and lazy builds, runs the
 //!    ScaLapack-plus-background emulation over the lazy tables under the
 //!    TOP partition, and samples the per-engine residency
-//!    (`slice_stats`): only rows an engine's own traffic demanded are
+//!    (`slice_residency`): only rows an engine's own traffic demanded are
 //!    resident. The acceptance bar is a `≥ k/2×` reduction of the
 //!    largest per-engine resident footprint vs the eager-full table on
 //!    at least one k-engine scenario — and since the resident row set is
@@ -39,25 +39,23 @@ use crate::{time_best, Ctx, Output};
 use massf_core::engine::run_sequential;
 use massf_core::prelude::*;
 use massf_core::routing::spf::{SpfScratch, SPF_RUN_ALLOCS};
-use massf_core::routing::{LazyStats, RoutingTables};
+use massf_core::routing::RoutingTables;
 use massf_core::topology::brite::{self, BriteConfig};
 use massf_core::topology::NodeId;
 use massf_metrics::report::ResultTable;
 use rand::{Rng, SeedableRng};
 
 /// The largest per-engine resident footprint of `lazy` under
-/// `assignment`, in bytes, with the demand counters behind it.
-fn max_resident_bytes(
-    lazy: &RoutingTables,
-    assignment: &[u32],
-    nengines: usize,
-) -> (u64, LazyStats) {
+/// `assignment`, in bytes, and the rows materialized so far.
+fn max_resident_bytes(lazy: &RoutingTables, assignment: &[u32], nengines: usize) -> (u64, usize) {
     let slices = lazy
-        .slice_stats(assignment, nengines)
-        .expect("lazy tables have slice stats");
-    let max = slices.iter().map(|s| s.residency.resident_bytes).max();
-    let stats = lazy.lazy_stats().expect("lazy tables have lazy stats");
-    (max.expect("at least one engine"), stats)
+        .slice_residency(assignment, nengines)
+        .expect("lazy tables have slices");
+    let max = slices.iter().map(|s| s.resident_bytes).max();
+    (
+        max.expect("at least one engine"),
+        lazy.run_stats().unique_rows,
+    )
 }
 
 /// Re-derives every source's distances with ONE reused Dijkstra scratch
@@ -117,8 +115,9 @@ fn shipped_section(t: &mut ResultTable, scale: f64, reps: usize) -> bool {
         let report = run_sequential(net, &lazy, &built.flows, &cfg);
         assert!(report.delivered > 0, "{row}: emulation delivered nothing");
 
-        let (max_engine_bytes, stats) =
-            max_resident_bytes(&lazy, &partition.part, partition.nparts);
+        let (max_engine_bytes, rows) = max_resident_bytes(&lazy, &partition.part, partition.nparts);
+        // Every materialized row was one counted lookup; the rest hit.
+        let lookups = lazy.lookups().expect("lazy tables count");
         let reduction = eager.table_bytes() as f64 / max_engine_bytes.max(1) as f64;
         if reduction >= k as f64 / 2.0 {
             any_met_bar = true;
@@ -129,9 +128,9 @@ fn shipped_section(t: &mut ResultTable, scale: f64, reps: usize) -> bool {
         t.set(row, "eager-kb", eager.table_bytes() as f64 / 1024.0);
         t.set(row, "resident-kb-max", max_engine_bytes as f64 / 1024.0);
         t.set(row, "reduction-x", reduction);
-        t.set(row, "rows-mat", stats.rows_materialized as f64);
-        t.set(row, "demand-hits", stats.demand_hits as f64);
-        t.set(row, "demand-misses", stats.demand_misses as f64);
+        t.set(row, "rows-mat", rows as f64);
+        t.set(row, "demand-hits", (lookups - rows as u64) as f64);
+        t.set(row, "demand-misses", rows as f64);
         t.set(row, "build-eager-ms", eager_secs * 1e3);
         t.set(row, "build-lazy-ms", lazy_secs * 1e3);
 
@@ -184,15 +183,14 @@ fn million_section(t: &mut ResultTable, scale: f64) {
     });
     assert!(hops as usize >= pairs, "walks must traverse hops");
 
-    let (max_engine_bytes, stats) = max_resident_bytes(&lazy, &assignment, nengines);
+    let (max_engine_bytes, rows) = max_resident_bytes(&lazy, &assignment, nengines);
 
     // Demand-bounded residency: sampled paths touch a tiny fraction of
     // the network, so almost every row stays pending and the resident
     // footprint is nowhere near the (projected) precomputed matrices.
     assert!(
-        stats.rows_materialized > 0 && stats.rows_materialized < n / 10,
-        "{row}: expected sparse residency, got {}/{n} rows",
-        stats.rows_materialized
+        rows > 0 && rows < n / 10,
+        "{row}: expected sparse residency, got {rows}/{n} rows"
     );
     assert!(
         lazy.table_bytes() < lazy.dense_bytes() / 100,
@@ -225,7 +223,7 @@ fn million_section(t: &mut ResultTable, scale: f64) {
     t.set(row, "build-lazy-ms", lazy_secs * 1e3);
     t.set(row, "walk-ms", walk_secs * 1e3);
     t.set(row, "pairs-walked", pairs as f64);
-    t.set(row, "rows-mat", stats.rows_materialized as f64);
+    t.set(row, "rows-mat", rows as f64);
     t.set(row, "resident-kb-max", max_engine_bytes as f64 / 1024.0);
     t.set(row, "lazy-total-kb", lazy.table_bytes() as f64 / 1024.0);
     t.set(

@@ -569,7 +569,7 @@ mod tests {
             let flows = vec![flow(0, 2, packets)];
             let (e, _) = engine_after(&net, &tables, &flows, &partition, false, u64::MAX);
             assert_eq!(e.counters.delivered, packets);
-            tables.lazy_stats().expect("lazy tables").lookups
+            tables.lookups().expect("lazy tables")
         };
         assert_eq!(lookups_after(1), 3);
         assert_eq!(lookups_after(1_000), 3);

@@ -75,8 +75,8 @@ pub struct EmulationReport {
     /// the demanded (src, dst) pairs, so it is identical across thread
     /// counts and model-checked interleavings — cumulative lookup
     /// counters are deliberately *not* here (they would differ when the
-    /// same shared tables serve several runs) and surface through
-    /// `massf_routing::RoutingTables::slice_stats` instead.
+    /// same shared tables serve several runs) and surface, table-wide,
+    /// through `massf_routing::RoutingTables::lookups` instead.
     pub routing_slices: Option<Vec<SliceResidency>>,
     /// Modeled wall-clock accounting.
     pub wall: WallClock,

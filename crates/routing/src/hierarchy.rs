@@ -20,7 +20,7 @@
 //! well-known path stretch of policy routing); [`path_stretch`]
 //! quantifies it.
 
-use crate::interval::{renumber, IntervalTables, Row};
+use crate::interval::{renumber, Row};
 use crate::spf::{self, SpfScratch};
 use crate::tables::{link_toward, RoutingTables, NO_LINK};
 use massf_topology::{LinkId, Network, NodeId};
@@ -295,24 +295,28 @@ pub fn build_hierarchical(net: &Network) -> RoutingTables {
     let plan = plan(net);
     let n = net.node_count();
     let order = renumber(net);
-    // Every source stores a row: the leaf record's "uplink iff the parent
-    // reaches it" rule is argued for shortest paths only.
-    let interval = IntervalTables::empty(net, &order, false);
+    // Leaves store leaf records, as under the other builders: a leaf's only
+    // exit is its uplink, and it reaches what its parent reaches (the
+    // parent shares its AS, or borders the leaf's one-node AS).
+    let tables = RoutingTables::empty(net, &order);
     // One scratch row, reset per source.
     let mut hops = vec![NodeId::MAX; n];
     let mut links = vec![NO_LINK; n];
     let mut scratch = SpfScratch::new();
     for a in 0..plan.nas {
         let intra = intra_for(net, &plan, a, &mut scratch);
-        for &src in &plan.members[a] {
+        for &src in plan.members[a]
+            .iter()
+            .filter(|&&v| tables.leaf[v as usize].is_none())
+        {
             hops.fill(NodeId::MAX);
             links.fill(NO_LINK);
             fill_row(&plan, &intra, src, &mut hops, &mut links);
             let row = Row::encode(&order, src, |dst| (hops[dst as usize], links[dst as usize]));
-            interval.install(src, row);
+            tables.install(src, row);
         }
     }
-    RoutingTables { interval }
+    tables
 }
 
 /// Mean multiplicative path stretch of `hier` over `flat` across all
@@ -342,6 +346,8 @@ pub fn path_stretch(flat: &RoutingTables, hier: &RoutingTables) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use massf_topology::asys::assign_contiguous_ases;
+    use massf_topology::brite::{generate, BriteConfig, GrowthModel};
     use massf_topology::campus::campus;
     use massf_topology::teragrid::teragrid;
 
@@ -417,11 +423,51 @@ mod tests {
         );
     }
 
+    /// Campus (one AS), TeraGrid (border choices) and TeraGrid plus an
+    /// unreachable island AS with a host, `ablate_routing`'s Brite/6-AS
+    /// overlay, and small Brite networks of both growth models at
+    /// k ∈ {2, 3, 6} imposed ASes.
+    fn as_networks() -> Vec<Network> {
+        let mut island = teragrid();
+        let a = island.add_router("island-a", 99);
+        let b = island.add_router("island-b", 99);
+        let h = island.add_host("island-h", 99);
+        island.add_link(a, b, 100.0, 5);
+        island.add_link(h, a, 100.0, 5);
+        let mut nets = vec![
+            campus(),
+            teragrid(),
+            island,
+            assign_contiguous_ases(&generate(&BriteConfig::paper_brite()), 6),
+        ];
+        let models = [
+            GrowthModel::BarabasiAlbert { m: 2 },
+            GrowthModel::Waxman {
+                alpha: 0.2,
+                beta: 0.15,
+            },
+        ];
+        for (seed, model) in (1..=3).flat_map(|s| models.map(|m| (s, m))) {
+            let net = generate(&BriteConfig {
+                routers: 24,
+                hosts: 30,
+                model,
+                seed,
+                ..BriteConfig::paper_brite()
+            });
+            nets.extend([2, 3, 6].map(|k| assign_contiguous_ases(&net, k)));
+        }
+        nets
+    }
+
     #[test]
     fn installed_rows_answer_what_fill_row_wrote() {
-        // Campus is a single AS, TeraGrid has border choices to make.
-        for net in [campus(), teragrid()] {
+        // Every source, leaf records included: a leaf answers "uplink iff
+        // the parent reaches the destination", which must be exactly the
+        // row `fill_row` writes for it.
+        for net in as_networks() {
             let hier = build_hierarchical(&net);
+            assert!(hier.leaf.iter().any(Option::is_some), "no leaf to check");
             let p = plan(&net);
             let n = net.node_count();
             let mut scratch = SpfScratch::new();
@@ -448,10 +494,12 @@ mod tests {
             }
             // Loop-freedom, counted here so a loop fails in release too.
             for a in 0..n as NodeId {
-                for b in 0..n as NodeId {
+                for b in (0..n as NodeId).filter(|&b| hier.next_hop(a, b).is_some()) {
                     let (mut cur, mut walked) = (a, 0);
                     while cur != b {
-                        cur = hier.next_hop(cur, b).expect("both fixtures are connected");
+                        cur = hier
+                            .next_hop(cur, b)
+                            .expect("a reachable route never dead-ends");
                         walked += 1;
                         assert!(walked <= n, "routing loop {a} -> {b}");
                     }

@@ -1,9 +1,10 @@
-//! The interval-row routing table — the representation that breaks the
-//! paper's O(n²) routing-table wall (DESIGN.md §13, §16). One structure,
-//! two fill policies: [`IntervalTables::prefilled`] encodes every row up
-//! front (`RoutingKind::Compressed`), [`IntervalTables::on_demand`] keeps
-//! the encode inputs and fills a row on its first lookup
-//! (`RoutingKind::Lazy`).
+//! The interval rows behind [`RoutingTables`] — the representation that
+//! breaks the paper's O(n²) routing-table wall (DESIGN.md §13, §16): the
+//! row encoding, the destination renumbering and the lookups every query
+//! goes through. One structure, two fill policies:
+//! [`RoutingTables::build_with`] encodes every row up front
+//! (`RoutingKind::Compressed`), [`RoutingTables::build_lazy`] keeps the
+//! encode inputs and fills a row on its first lookup (`RoutingKind::Lazy`).
 //!
 //! Two ideas compose:
 //!
@@ -14,11 +15,11 @@
 //!    lookup is an O(log runs) binary search.
 //! 2. **Shared host rows.** A degree-1 node (the common case: a host on
 //!    its access router) routes *everything* over its single uplink, so it
-//!    stores two words instead of a row ([`IntervalTables::leaf`]). Reachability and
-//!    latency delegate to the parent's row, which is exactly what the
-//!    leaf's own Dijkstra row would have said: for a degree-1 source every
-//!    shortest path starts with the uplink, and
-//!    `dist(v, d) = uplink + dist(parent, d)`.
+//!    stores two words instead of a row (`RoutingTables::leaf`).
+//!    Reachability and latency delegate to the parent's row, which is
+//!    exactly what the leaf's own row would have said under every builder:
+//!    a degree-1 source leaves over its uplink whatever the route, reaches
+//!    what its parent reaches, and `dist(v, d) = uplink + dist(parent, d)`.
 //!
 //! No two sources share a row: a run names the link `src → hop`, which is
 //! incident to `src`, so rows of distinct sources differ as soon as either
@@ -45,8 +46,7 @@
 //! by `memory::slice_residency`.
 
 use crate::spf::{SpfScratch, NO_PREV};
-use crate::tables::{link_toward, NO_LINK};
-use massf_par::{par_for_each_init, Parallelism};
+use crate::tables::{link_toward, RoutingTables, NO_LINK};
 use massf_topology::{LinkId, Network, NodeId};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -60,13 +60,13 @@ pub(crate) const RUN_BYTES: u64 = 12;
 /// leaves the source over `(hop[i], link[i])`; `hop == NodeId::MAX`
 /// encodes an unreachable stretch. One allocation laid out
 /// `starts | hops | links`, so the binary search stays cache-dense.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct Row(Box<[u32]>);
 
 impl Row {
     /// Run-length-encodes `route(dst)` over the renumbered destination
     /// `order`. The diagonal (`dst == src`) is skipped entirely so it never
-    /// splits a run — [`IntervalTables::entry`] intercepts `src == dst`
+    /// splits a run — [`RoutingTables::entry`] intercepts `src == dst`
     /// before any run is consulted.
     pub(crate) fn encode(
         order: &[NodeId],
@@ -111,14 +111,14 @@ impl Row {
 #[derive(Debug)]
 pub(crate) struct Demand {
     /// Topology snapshot rows are encoded against.
-    net: Network,
+    pub(crate) net: Network,
     /// The renumbered destination order (run coordinate space).
-    order: Vec<NodeId>,
+    pub(crate) order: Vec<NodeId>,
     /// Per-source lookup counters (relaxed; totals are deterministic
     /// because the demand multiset — one lookup per engine, route and
     /// owned hop, plus the mapping stages' queries — is fixed by the flow
     /// schedule and the partition, not the thread interleaving).
-    lookups: Vec<AtomicU64>,
+    pub(crate) lookups: Vec<AtomicU64>,
 }
 
 impl Demand {
@@ -132,57 +132,6 @@ impl Demand {
         self.lookups[src as usize].load(Ordering::Relaxed)
     }
 }
-
-/// Clone snapshots the counter values.
-impl Clone for Demand {
-    fn clone(&self) -> Self {
-        Self {
-            net: self.net.clone(),
-            order: self.order.clone(),
-            lookups: (0..self.lookups.len() as NodeId)
-                .map(|v| AtomicU64::new(self.lookups_for(v)))
-                .collect(),
-        }
-    }
-}
-
-/// The interval-row table. All queries go through
-/// [`entry`](Self::entry) / [`climb_step`](Self::climb_step).
-#[derive(Debug, Clone)]
-pub(crate) struct IntervalTables {
-    /// `rank[node]` = position of `node` in the renumbered destination
-    /// order.
-    pub(crate) rank: Vec<u32>,
-    /// Degree-1 leaf records: `Some((parent, uplink))` means the source
-    /// stores no row and every route exits over the uplink. The builder
-    /// guarantees `parent` has degree ≥ 2, so the parent is never itself a
-    /// leaf and lookups delegate at most once.
-    pub(crate) leaf: Vec<Option<(NodeId, LinkId)>>,
-    /// Per-source row slot, filled exactly once — up front or on first
-    /// demand. Leaf sources leave theirs empty forever.
-    pub(crate) rows: Vec<OnceLock<Row>>,
-    /// Per-link latency snapshot (indexed by `LinkId`) for
-    /// latency-by-walking.
-    pub(crate) link_latency_us: Vec<u64>,
-    /// `Some` for an on-demand table; `None` once every row is installed.
-    pub(crate) demand: Option<Demand>,
-}
-
-/// Structural equality: renumbering, leaf records, the rows filled so far
-/// and the latency snapshot. The encode inputs and counters are
-/// excluded — `Network` carries f64 bandwidths that would forfeit `Eq`,
-/// and a prefilled table equals an on-demand one whose every row has been
-/// demanded.
-impl PartialEq for IntervalTables {
-    fn eq(&self, other: &Self) -> bool {
-        self.rank == other.rank
-            && self.leaf == other.leaf
-            && self.rows == other.rows
-            && self.link_latency_us == other.link_latency_us
-    }
-}
-
-impl Eq for IntervalTables {}
 
 /// Destination order that maximizes run coalescing: ASes in ascending id
 /// order; inside each AS a BFS over intra-AS links from the lowest-id
@@ -232,7 +181,12 @@ pub(crate) fn renumber(net: &Network) -> Vec<NodeId> {
 /// reusable `scratch`, first hops in one pass, then run-length encoding
 /// over `order`. Unreachable stretches encode as `(NodeId::MAX, NO_LINK)`
 /// runs.
-fn encode_spf_row(net: &Network, src: NodeId, order: &[NodeId], scratch: &mut SpfScratch) -> Row {
+pub(crate) fn encode_spf_row(
+    net: &Network,
+    src: NodeId,
+    order: &[NodeId],
+    scratch: &mut SpfScratch,
+) -> Row {
     scratch.run(net, src);
     let first = scratch.first_hops();
     let mut memo: Vec<(NodeId, LinkId)> = Vec::new();
@@ -242,24 +196,22 @@ fn encode_spf_row(net: &Network, src: NodeId, order: &[NodeId], scratch: &mut Sp
     })
 }
 
-impl IntervalTables {
+impl RoutingTables {
     /// A table over `net` with every row slot empty and no encode inputs;
     /// the caller installs each row through [`install`](Self::install).
-    /// With `share_leaves`, every [`Network::leaf_uplink`] leaf stores a
-    /// leaf record and never a row — valid whenever routes are shortest
-    /// paths. A leaf's parent is never a leaf, so a leaf delegates at most
+    /// Every [`Network::leaf_uplink`] leaf stores a leaf record and never a
+    /// row. A leaf's parent is never a leaf, so a leaf delegates at most
     /// once.
-    pub(crate) fn empty(net: &Network, order: &[NodeId], share_leaves: bool) -> Self {
+    pub(crate) fn empty(net: &Network, order: &[NodeId]) -> Self {
         let mut rank = vec![0u32; order.len()];
         for (pos, &v) in order.iter().enumerate() {
             rank[v as usize] = pos as u32;
         }
-        let leaf = (0..order.len() as NodeId)
-            .map(|v| net.leaf_uplink(v).filter(|_| share_leaves))
-            .collect();
         Self {
             rank,
-            leaf,
+            leaf: (0..order.len() as NodeId)
+                .map(|v| net.leaf_uplink(v))
+                .collect(),
             rows: order.iter().map(|_| OnceLock::new()).collect(),
             link_latency_us: net.links().iter().map(|l| l.latency_us).collect(),
             demand: None,
@@ -277,35 +229,6 @@ impl IntervalTables {
         );
         let fresh = self.rows[src as usize].set(row).is_ok();
         assert!(fresh, "row {src} installed twice");
-    }
-
-    /// Global shortest-path routing, no Dijkstra run yet: captures the
-    /// O(n + links) encode inputs and fills a row on its first lookup.
-    pub(crate) fn on_demand(net: &Network) -> Self {
-        let order = renumber(net);
-        let mut tables = Self::empty(net, &order, true);
-        tables.demand = Some(Demand {
-            net: net.clone(),
-            lookups: order.iter().map(|_| AtomicU64::new(0)).collect(),
-            order,
-        });
-        tables
-    }
-
-    /// Global shortest-path routing with every row encoded up front:
-    /// degree-1 leaves skip Dijkstra entirely, the remaining sources are
-    /// encoded on up to `par` workers (one scratch each), every one into
-    /// its own slot.
-    pub(crate) fn prefilled(net: &Network, par: Parallelism) -> Self {
-        let order = renumber(net);
-        let tables = Self::empty(net, &order, true);
-        let sources: Vec<NodeId> = (0..order.len() as NodeId)
-            .filter(|&v| tables.leaf[v as usize].is_none())
-            .collect();
-        par_for_each_init(par, sources, SpfScratch::new, |scratch, src| {
-            tables.install(src, encode_spf_row(net, src, &order, scratch));
-        });
-        tables
     }
 
     /// Counts one lookup on `src` — on-demand tables only, so a prefilled
@@ -415,21 +338,6 @@ impl IntervalTables {
         }
         true
     }
-
-    /// End-to-end latency: the link latencies of the snapshot summed over
-    /// [`walk`](Self::walk); `u64::MAX` when unreachable. Exactly the
-    /// Dijkstra distance, which is the integer sum of the links on this
-    /// same chain.
-    pub(crate) fn latency_us(&self, src: NodeId, dst: NodeId) -> u64 {
-        let mut lat = 0u64;
-        if self.walk(src, dst, |_, link| {
-            lat += self.link_latency_us[link.0 as usize]
-        }) {
-            lat
-        } else {
-            u64::MAX
-        }
-    }
 }
 
 #[cfg(test)]
@@ -438,11 +346,11 @@ mod tests {
     use massf_topology::campus::campus;
     use massf_topology::teragrid::teragrid;
 
-    fn is_filled(t: &IntervalTables, v: NodeId) -> bool {
+    fn is_filled(t: &RoutingTables, v: NodeId) -> bool {
         t.rows[v as usize].get().is_some()
     }
 
-    fn is_leaf(t: &IntervalTables, v: NodeId) -> bool {
+    fn is_leaf(t: &RoutingTables, v: NodeId) -> bool {
         t.leaf[v as usize].is_some()
     }
 
@@ -471,7 +379,7 @@ mod tests {
     #[test]
     fn hosts_are_leaves_on_campus() {
         let net = campus();
-        let t = IntervalTables::prefilled(&net, Parallelism::serial());
+        let t = RoutingTables::build(&net);
         for h in net.hosts() {
             assert!(
                 is_leaf(&t, h),
@@ -483,7 +391,7 @@ mod tests {
     #[test]
     fn runs_stay_far_below_dense_entries() {
         let net = teragrid();
-        let t = IntervalTables::prefilled(&net, Parallelism::serial());
+        let t = RoutingTables::build(&net);
         let n = net.node_count();
         let runs: usize = t.rows.iter().filter_map(OnceLock::get).map(Row::len).sum();
         assert!(runs * 10 < n * n, "{runs} runs vs {} dense entries", n * n);
@@ -497,19 +405,19 @@ mod tests {
         let a = net.add_router("island-a", 99);
         let b = net.add_router("island-b", 99);
         net.add_link(a, b, 100.0, 5);
-        let t = IntervalTables::prefilled(&net, Parallelism::serial());
+        let t = RoutingTables::build(&net);
         assert_eq!(t.entry(a, b), (b, net.link_between(a, b).unwrap()));
         assert_eq!(t.entry(b, a).0, a);
-        assert_eq!(t.latency_us(a, b), 5);
+        assert_eq!(t.latency_us(a, b), Some(5));
         assert_eq!(t.entry(a, 0).0, NodeId::MAX, "mainland unreachable");
         assert_eq!(t.entry(0, a).0, NodeId::MAX);
-        assert_eq!(t.latency_us(0, a), u64::MAX);
+        assert_eq!(t.latency_us(0, a), None);
     }
 
     #[test]
     fn nothing_fills_until_demand() {
         let net = campus();
-        let t = IntervalTables::on_demand(&net);
+        let t = RoutingTables::build_lazy(&net);
         let n = net.node_count() as NodeId;
         assert!((0..n).all(|v| !is_filled(&t, v)));
         let d = t.demand.as_ref().unwrap();
@@ -519,9 +427,9 @@ mod tests {
     #[test]
     fn demand_fills_exactly_the_queried_rows() {
         let net = teragrid();
-        let t = IntervalTables::on_demand(&net);
+        let t = RoutingTables::build_lazy(&net);
         let (src, dst) = (0, net.node_count() as NodeId - 1);
-        let eager = IntervalTables::prefilled(&net, Parallelism::serial());
+        let eager = RoutingTables::build(&net);
         assert_eq!(t.entry(src, dst), eager.entry(src, dst));
         assert_eq!(t.latency_us(src, dst), eager.latency_us(src, dst));
         assert!(is_filled(&t, src) || is_leaf(&t, src));
@@ -538,7 +446,7 @@ mod tests {
     #[test]
     fn leaf_sources_never_own_a_row() {
         let net = campus();
-        let t = IntervalTables::on_demand(&net);
+        let t = RoutingTables::build_lazy(&net);
         let h = net.hosts()[0];
         let parent = t.leaf[h as usize].expect("hosts are leaves").0;
         let _ = t.entry(h, 0);
@@ -549,7 +457,7 @@ mod tests {
     #[test]
     fn lookup_counters_track_demand() {
         let net = campus();
-        let t = IntervalTables::on_demand(&net);
+        let t = RoutingTables::build_lazy(&net);
         let d = t.demand.as_ref().unwrap();
         let h = net.hosts()[0];
         let parent = t.leaf[h as usize].expect("hosts are leaves").0;

@@ -25,5 +25,5 @@ pub mod spf;
 pub mod tables;
 pub mod traceroute;
 
-pub use memory::{LazyStats, RunStats, SliceResidency, SliceStats};
+pub use memory::{RunStats, SliceResidency};
 pub use tables::{LatenciesTo, RoutingKind, RoutingTables};

@@ -11,7 +11,7 @@
 //! table's resident bytes and row/run census, below — is reported against.
 //! No n × n matrix is allocated anywhere in the library.
 
-use crate::interval::{Demand, IntervalTables, Row, RUN_BYTES};
+use crate::interval::{Demand, Row, RUN_BYTES};
 use crate::tables::RoutingTables;
 use massf_topology::{Network, NodeId, NodeKind};
 
@@ -72,34 +72,6 @@ pub struct RunStats {
     pub runs_mean_per_row: f64,
 }
 
-/// Demand-side statistics of a lazy table: what has actually been
-/// materialized so far, and the hit/miss split of the lookups that drove
-/// it. All values are monotone over a run; the run report samples them
-/// once, after the emulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LazyStats {
-    /// Rows encoded on demand so far.
-    pub rows_materialized: usize,
-    /// Sources stored as two-word leaf records (never materialize).
-    pub rows_leaf: usize,
-    /// Non-leaf sources whose row has not been demanded yet.
-    pub rows_pending: usize,
-    /// Total runs across all materialized rows.
-    pub runs_resident: usize,
-    /// Resident bytes — [`RoutingTables::table_bytes`] at sampling time.
-    pub resident_bytes: u64,
-    /// Row lookups answered (every non-diagonal `entry`, including leaf
-    /// delegations). The mapping stages ask per query; the emulation asks
-    /// once per (engine, route, hop) and pins the answer, so after a run
-    /// this follows the schedule's routes, not its packet count.
-    pub lookups: u64,
-    /// Lookups that had to materialize a row first — exactly
-    /// `rows_materialized`, since each slot initializes once.
-    pub demand_misses: u64,
-    /// Lookups served from an already-resident (or leaf) row.
-    pub demand_hits: u64,
-}
-
 /// One engine's share of a lazy table: the structural residency facts.
 /// Deliberately excludes cumulative counters so the emulation report can
 /// carry it and stay schedule-replay-stable (the model checker re-runs
@@ -119,24 +91,9 @@ pub struct SliceResidency {
     pub resident_bytes: u64,
 }
 
-/// [`SliceResidency`] plus the demand counters — the CLI/bench-level view,
-/// kept out of the emulation report (see [`SliceResidency`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SliceStats {
-    /// The structural residency facts.
-    pub residency: SliceResidency,
-    /// Row lookups charged to this slice's sources (from the emulation:
-    /// first sightings of a route at a hop, see [`LazyStats::lookups`]).
-    pub lookups: u64,
-    /// Lookups that materialized a row (== `residency.rows_materialized`).
-    pub demand_misses: u64,
-    /// Lookups served without encoding work.
-    pub demand_hits: u64,
-}
-
 /// Fixed bytes per source: rank + leaf record + row once-cell, plus the
 /// demand state's share in an on-demand table.
-fn base_bytes_per_source(t: &IntervalTables) -> u64 {
+fn base_bytes_per_source(t: &RoutingTables) -> u64 {
     use massf_topology::LinkId;
     use std::sync::OnceLock;
     let demand = t.demand.as_ref().map_or(0, |_| Demand::BYTES_PER_SOURCE);
@@ -145,7 +102,8 @@ fn base_bytes_per_source(t: &IntervalTables) -> u64 {
     fixed as u64 + demand
 }
 
-/// What an interval table holds right now.
+/// What a table holds right now: the one census behind every size
+/// question.
 struct Census {
     leaf_rows: usize,
     filled_rows: usize,
@@ -153,7 +111,7 @@ struct Census {
     runs_max_per_row: usize,
 }
 
-fn census(t: &IntervalTables) -> Census {
+fn census(t: &RoutingTables) -> Census {
     let mut c = Census {
         leaf_rows: t.leaf.iter().flatten().count(),
         filled_rows: 0,
@@ -174,10 +132,9 @@ impl RoutingTables {
     /// far, which for lazy tables is the honest demand-driven footprint
     /// (DESIGN.md §16).
     pub fn table_bytes(&self) -> u64 {
-        let t = &self.interval;
-        base_bytes_per_source(t) * t.rows.len() as u64
-            + 8 * t.link_latency_us.len() as u64
-            + RUN_BYTES * census(t).runs_total as u64
+        base_bytes_per_source(self) * self.rows.len() as u64
+            + 8 * self.link_latency_us.len() as u64
+            + RUN_BYTES * census(self).runs_total as u64
     }
 
     /// Bytes a flat `n × n` matrix of these routes would occupy:
@@ -191,7 +148,7 @@ impl RoutingTables {
     /// Row/run statistics of the rows filled so far (every row-storing
     /// source, unless the tables are lazy).
     pub fn run_stats(&self) -> RunStats {
-        let c = census(&self.interval);
+        let c = census(self);
         RunStats {
             leaf_rows: c.leaf_rows,
             unique_rows: c.filled_rows,
@@ -205,25 +162,20 @@ impl RoutingTables {
         }
     }
 
-    /// Demand statistics; `None` unless the tables are lazy.
-    pub fn lazy_stats(&self) -> Option<LazyStats> {
-        let t = &self.interval;
-        let demand = t.demand.as_ref()?;
-        let c = census(t);
-        let lookups = (0..t.rows.len() as NodeId)
-            .map(|v| demand.lookups_for(v))
-            .sum();
-        let demand_misses = c.filled_rows as u64;
-        Some(LazyStats {
-            rows_materialized: c.filled_rows,
-            rows_leaf: c.leaf_rows,
-            rows_pending: t.rows.len() - c.filled_rows - c.leaf_rows,
-            runs_resident: c.runs_total,
-            resident_bytes: self.table_bytes(),
-            lookups,
-            demand_misses,
-            demand_hits: lookups.saturating_sub(demand_misses),
-        })
+    /// Row lookups a lazy table has answered so far (every non-diagonal
+    /// `entry`, including leaf delegations); `None` unless the tables are
+    /// lazy. The mapping stages ask per query; the emulation asks once per
+    /// (engine, route, hop) and pins the answer, so after a run this
+    /// follows the schedule's routes, not its packet count. Each row
+    /// materializes on one of them, so `lookups − run_stats().unique_rows`
+    /// were served from a resident (or leaf) row.
+    pub fn lookups(&self) -> Option<u64> {
+        let d = self.demand.as_ref()?;
+        Some(
+            (0..self.rows.len() as NodeId)
+                .map(|v| d.lookups_for(v))
+                .sum(),
+        )
     }
 
     /// Per-engine residency of a lazy table under `assignment`
@@ -237,43 +189,25 @@ impl RoutingTables {
         assignment: &[u32],
         nengines: usize,
     ) -> Option<Vec<SliceResidency>> {
-        self.slice_stats(assignment, nengines)
-            .map(|s| s.into_iter().map(|e| e.residency).collect())
-    }
-
-    /// [`slice_residency`](Self::slice_residency) plus per-slice demand
-    /// counters; `None` unless the tables are lazy.
-    pub fn slice_stats(&self, assignment: &[u32], nengines: usize) -> Option<Vec<SliceStats>> {
-        let t = &self.interval;
-        let demand = t.demand.as_ref()?;
-        debug_assert_eq!(assignment.len(), t.rows.len());
-        let base = base_bytes_per_source(t);
-        let mut out: Vec<SliceStats> = (0..nengines)
-            .map(|engine| SliceStats {
-                residency: SliceResidency {
-                    engine,
-                    sources: 0,
-                    rows_materialized: 0,
-                    resident_bytes: 0,
-                },
-                lookups: 0,
-                demand_misses: 0,
-                demand_hits: 0,
+        self.demand.as_ref()?;
+        debug_assert_eq!(assignment.len(), self.rows.len());
+        let base = base_bytes_per_source(self);
+        let mut out: Vec<SliceResidency> = (0..nengines)
+            .map(|engine| SliceResidency {
+                engine,
+                sources: 0,
+                rows_materialized: 0,
+                resident_bytes: 0,
             })
             .collect();
         for (v, &e) in assignment.iter().enumerate() {
             let s = &mut out[e as usize];
-            s.residency.sources += 1;
-            s.residency.resident_bytes += base;
-            if let Some(row) = t.rows[v].get() {
-                s.residency.rows_materialized += 1;
-                s.residency.resident_bytes += RUN_BYTES * row.len() as u64;
+            s.sources += 1;
+            s.resident_bytes += base;
+            if let Some(row) = self.rows[v].get() {
+                s.rows_materialized += 1;
+                s.resident_bytes += RUN_BYTES * row.len() as u64;
             }
-            s.lookups += demand.lookups_for(v as NodeId);
-        }
-        for s in &mut out {
-            s.demand_misses = s.residency.rows_materialized as u64;
-            s.demand_hits = s.lookups.saturating_sub(s.demand_misses);
         }
         Some(out)
     }
@@ -348,32 +282,24 @@ mod tests {
         let net = teragrid();
         let t = RoutingTables::build_lazy(&net);
         let empty = t.table_bytes();
-        let s0 = t.lazy_stats().expect("lazy tables have lazy stats");
-        assert_eq!(s0.rows_materialized, 0);
-        assert_eq!(s0.lookups, 0);
-        assert_eq!(s0.resident_bytes, empty);
+        assert_eq!(t.lookups(), Some(0));
         assert_eq!(t.run_stats().unique_rows, 0, "nothing filled yet");
 
         let dst = net.node_count() as u32 - 1;
         let _ = t.path(0, dst).expect("teragrid connected");
-        let s1 = t.lazy_stats().unwrap();
-        assert!(s1.rows_materialized > 0);
-        assert!(s1.resident_bytes > empty, "demand must grow residency");
-        assert_eq!(t.run_stats().unique_rows, s1.rows_materialized);
-        assert_eq!(s1.demand_misses, s1.rows_materialized as u64);
-        assert_eq!(s1.demand_hits, s1.lookups - s1.demand_misses);
+        let s1 = t.run_stats();
+        assert!(s1.unique_rows > 0);
+        assert!(t.table_bytes() > empty, "demand must grow residency");
+        assert!(t.lookups().unwrap() >= s1.unique_rows as u64);
         assert!(
-            s1.resident_bytes < RoutingTables::build(&net).table_bytes() + empty,
+            t.table_bytes() < RoutingTables::build(&net).table_bytes() + empty,
             "a few rows must stay far below the full eager pool plus base"
         );
-        assert_eq!(
-            s1.rows_materialized + s1.rows_leaf + s1.rows_pending,
-            net.node_count()
-        );
+        assert_eq!(RoutingTables::build(&net).lookups(), None);
     }
 
     #[test]
-    fn slice_stats_partition_the_total() {
+    fn slice_residency_partitions_the_total() {
         let net = campus();
         let t = RoutingTables::build_lazy(&net);
         // Exercise some demand from a few sources.
@@ -383,31 +309,25 @@ mod tests {
         }
         // Split nodes across 3 engines round-robin.
         let assignment: Vec<u32> = (0..net.node_count() as u32).map(|v| v % 3).collect();
-        let slices = t.slice_stats(&assignment, 3).expect("lazy slices");
-        let total = t.lazy_stats().unwrap();
+        let slices = t.slice_residency(&assignment, 3).expect("lazy slices");
         assert_eq!(slices.len(), 3);
         assert_eq!(
-            slices.iter().map(|s| s.residency.sources).sum::<usize>(),
+            slices.iter().map(|s| s.sources).sum::<usize>(),
             net.node_count()
         );
         assert_eq!(
-            slices
-                .iter()
-                .map(|s| s.residency.rows_materialized)
-                .sum::<usize>(),
-            total.rows_materialized
+            slices.iter().map(|s| s.rows_materialized).sum::<usize>(),
+            t.run_stats().unique_rows
         );
-        assert_eq!(slices.iter().map(|s| s.lookups).sum::<u64>(), total.lookups);
         // Per-slice resident bytes sum to the table total minus the
         // latency snapshot (shared, charged to no single engine).
-        let sliced: u64 = slices.iter().map(|s| s.residency.resident_bytes).sum();
+        let sliced: u64 = slices.iter().map(|s| s.resident_bytes).sum();
         assert_eq!(sliced + 8 * net.links().len() as u64, t.table_bytes());
-        assert_eq!(
-            t.slice_residency(&assignment, 3).unwrap(),
-            slices.iter().map(|s| s.residency).collect::<Vec<_>>()
-        );
         // Prefilled tables have no slices.
-        assert_eq!(RoutingTables::build(&net).slice_stats(&assignment, 3), None);
+        assert_eq!(
+            RoutingTables::build(&net).slice_residency(&assignment, 3),
+            None
+        );
     }
 
     #[test]

@@ -103,8 +103,7 @@ struct Fold {
 }
 
 impl Fold {
-    fn new(tables: &RoutingTables) -> Self {
-        let t = &tables.interval;
+    fn new(t: &RoutingTables) -> Self {
         // `folds[h]`: `h` is a leaf and every row read so far agrees.
         let mut folds: Vec<bool> = t.leaf.iter().map(Option::is_some).collect();
         let mut row = Vec::new();
@@ -574,7 +573,7 @@ mod tests {
                 .into_iter()
                 .map(|(src, dst)| ((src % n) as NodeId, (dst % n) as NodeId))
                 .collect();
-            let leaf = RoutingTables::build(&net).interval.leaf;
+            let leaf = RoutingTables::build(&net).leaf;
             let rows: Vec<NodeId> = (0..n as NodeId).filter(|&v| leaf[v as usize].is_none()).collect();
             let leaf: Vec<(NodeId, NodeId)> = (0..n as NodeId)
                 .filter_map(|h| leaf[h as usize].map(|(p, _)| (h, p)))

@@ -1,9 +1,13 @@
-//! All-pairs next-hop routing tables: the public query API over the one
-//! interval-row table (DESIGN.md §13), and the two policies that fill it.
+//! All-pairs next-hop routing tables: the one table type, its public query
+//! API and the two policies that fill it. Its interval rows and the lookups
+//! every query goes through are in `interval` (DESIGN.md §13).
 
-use crate::interval::IntervalTables;
-use massf_par::Parallelism;
+use crate::interval::{encode_spf_row, renumber, Demand, Row};
+use crate::spf::SpfScratch;
+use massf_par::{par_for_each_init, Parallelism};
 use massf_topology::{LinkId, Network, NodeId};
+use std::sync::atomic::AtomicU64;
+use std::sync::OnceLock;
 
 /// How the routing table's rows get filled. Both policies fill the same
 /// structure and answer every query bit-identically (same hops, links,
@@ -29,14 +33,44 @@ pub enum RoutingKind {
 
 /// All-pairs routing state: for every `(src, dst)` the next hop out of
 /// `src`, plus path latencies. Built once per topology ("we instantiate the
-/// emulated network and detect the actual routes used", §3.2).
-///
-/// `PartialEq`/`Eq` compare the rows filled so far; the determinism suite
-/// relies on this to assert parallel and serial builds are identical.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// emulated network and detect the actual routes used", §3.2), as one
+/// interval-encoded row per non-leaf source (DESIGN.md §13).
+#[derive(Debug)]
 pub struct RoutingTables {
-    pub(crate) interval: IntervalTables,
+    /// `rank[node]` = position of `node` in the renumbered destination
+    /// order.
+    pub(crate) rank: Vec<u32>,
+    /// Degree-1 leaf records: `Some((parent, uplink))` means the source
+    /// stores no row and every route exits over the uplink. The builder
+    /// guarantees `parent` has degree ≥ 2, so the parent is never itself a
+    /// leaf and lookups delegate at most once.
+    pub(crate) leaf: Vec<Option<(NodeId, LinkId)>>,
+    /// Per-source row slot, filled exactly once — up front or on first
+    /// demand. Leaf sources leave theirs empty forever.
+    pub(crate) rows: Vec<OnceLock<Row>>,
+    /// Per-link latency snapshot (indexed by `LinkId`) for
+    /// latency-by-walking.
+    pub(crate) link_latency_us: Vec<u64>,
+    /// `Some` for an on-demand table; `None` once every row is installed.
+    pub(crate) demand: Option<Demand>,
 }
+
+/// Structural equality: renumbering, leaf records, the rows filled so far
+/// and the latency snapshot — the determinism suite relies on it to assert
+/// parallel and serial builds are identical. The encode inputs and
+/// counters are excluded — `Network` carries f64 bandwidths that would
+/// forfeit `Eq`, and a prefilled table equals an on-demand one whose every
+/// row has been demanded.
+impl PartialEq for RoutingTables {
+    fn eq(&self, other: &Self) -> bool {
+        self.rank == other.rank
+            && self.leaf == other.leaf
+            && self.rows == other.rows
+            && self.link_latency_us == other.link_latency_us
+    }
+}
+
+impl Eq for RoutingTables {}
 
 /// Sentinel link id stored where no next hop exists.
 pub(crate) const NO_LINK: LinkId = LinkId(u32::MAX);
@@ -70,14 +104,21 @@ impl RoutingTables {
     }
 
     /// Computes the routing tables with up to `par` worker threads, one
-    /// Dijkstra source per work item. Every source's row is encoded into
+    /// Dijkstra source per work item (one scratch per worker); degree-1
+    /// leaves skip Dijkstra entirely. Every source's row is encoded into
     /// its own slot, so the output is bit-identical for every thread
     /// count. `Parallelism::serial()` runs the plain loop with no thread
     /// machinery.
     pub fn build_with(net: &Network, par: Parallelism) -> Self {
-        Self {
-            interval: IntervalTables::prefilled(net, par),
-        }
+        let order = renumber(net);
+        let tables = Self::empty(net, &order);
+        let sources: Vec<NodeId> = (0..order.len() as NodeId)
+            .filter(|&v| tables.leaf[v as usize].is_none())
+            .collect();
+        par_for_each_init(par, sources, SpfScratch::new, |scratch, src| {
+            tables.install(src, encode_spf_row(net, src, &order, scratch));
+        });
+        tables
     }
 
     /// Builds lazy on-demand tables: only the O(n + links) inputs are
@@ -87,9 +128,14 @@ impl RoutingTables {
     /// sub-linear in total row work, so there is no parallel variant —
     /// `build_kind` accepts (and ignores) the parallelism knob.
     pub fn build_lazy(net: &Network) -> Self {
-        Self {
-            interval: IntervalTables::on_demand(net),
-        }
+        let order = renumber(net);
+        let mut tables = Self::empty(net, &order);
+        tables.demand = Some(Demand {
+            net: net.clone(),
+            lookups: order.iter().map(|_| AtomicU64::new(0)).collect(),
+            order,
+        });
+        tables
     }
 
     /// Builds the tables under the fill policy `kind` selects.
@@ -102,7 +148,7 @@ impl RoutingTables {
 
     /// Which policy fills these tables.
     pub fn kind(&self) -> RoutingKind {
-        if self.interval.demand.is_some() {
+        if self.demand.is_some() {
             RoutingKind::Lazy
         } else {
             RoutingKind::Compressed
@@ -111,14 +157,14 @@ impl RoutingTables {
 
     /// Number of nodes the tables cover.
     pub fn node_count(&self) -> usize {
-        self.interval.rows.len()
+        self.rows.len()
     }
 
     /// Next hop from `src` toward `dst`, or `None` at destination /
     /// unreachable.
     #[inline]
     pub fn next_hop(&self, src: NodeId, dst: NodeId) -> Option<NodeId> {
-        let h = self.interval.entry(src, dst).0;
+        let h = self.entry(src, dst).0;
         (h != NodeId::MAX).then_some(h)
     }
 
@@ -139,7 +185,7 @@ impl RoutingTables {
     /// O(log runs) binary search over the source's row.
     #[inline]
     pub fn next_link_raw(&self, src: NodeId, dst: NodeId) -> LinkId {
-        self.interval.entry(src, dst).1
+        self.entry(src, dst).1
     }
 
     /// End-to-end latency (µs) of the routed path, `None` if unreachable:
@@ -148,8 +194,11 @@ impl RoutingTables {
     /// toward one destination use [`latencies_to`](Self::latencies_to).
     #[inline]
     pub fn latency_us(&self, src: NodeId, dst: NodeId) -> Option<u64> {
-        let l = self.interval.latency_us(src, dst);
-        (l != u64::MAX).then_some(l)
+        let mut lat = 0;
+        self.walk(src, dst, |_, link| {
+            lat += self.link_latency_us[link.0 as usize]
+        })
+        .then_some(lat)
     }
 
     /// Walks the routed path `src → dst` once, calling
@@ -171,9 +220,7 @@ impl RoutingTables {
         dst: NodeId,
         mut f: F,
     ) -> bool {
-        let reached = self
-            .interval
-            .walk(src, dst, |node, link| f(node, Some(link)));
+        let reached = self.walk(src, dst, |node, link| f(node, Some(link)));
         if reached {
             f(dst, None);
         }
@@ -211,7 +258,7 @@ impl RoutingTables {
 /// allocated after that.
 #[derive(Debug)]
 pub struct LatenciesTo<'t> {
-    tables: &'t IntervalTables,
+    tables: &'t RoutingTables,
     dst: NodeId,
     /// `val[v]` is `lat(v→dst)` where `stamp[v] == epoch`.
     val: Vec<u64>,
@@ -228,7 +275,7 @@ impl RoutingTables {
     pub fn latencies_to(&self) -> LatenciesTo<'_> {
         let n = self.node_count();
         LatenciesTo {
-            tables: &self.interval,
+            tables: self,
             dst: NodeId::MAX,
             val: vec![0; n],
             stamp: vec![0; n],
@@ -321,20 +368,19 @@ impl RoutingTables {
         leaves: bool,
         route: impl Fn(NodeId, NodeId) -> NodeId,
     ) -> Self {
-        use crate::interval::Row;
         let order: Vec<NodeId> = (0..net.node_count() as NodeId).collect();
-        let interval = IntervalTables::empty(net, &order, leaves);
-        for &src in order
-            .iter()
-            .filter(|&&v| interval.leaf[v as usize].is_none())
-        {
+        let mut tables = Self::empty(net, &order);
+        if !leaves {
+            tables.leaf.fill(None);
+        }
+        for &src in order.iter().filter(|&&v| tables.leaf[v as usize].is_none()) {
             let row = Row::encode(&order, src, |dst| match route(src, dst) {
                 NodeId::MAX => (NodeId::MAX, NO_LINK),
                 hop => (hop, net.link_between(src, hop).expect("hops are adjacent")),
             });
-            interval.install(src, row);
+            tables.install(src, row);
         }
-        Self { interval }
+        tables
     }
 }
 

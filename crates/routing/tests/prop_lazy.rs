@@ -131,18 +131,20 @@ proptest! {
         }
         let n = net.node_count();
         let assignment: Vec<u32> = (0..n).map(|v| (v * nengines / n) as u32).collect();
-        let slices = lazy.slice_stats(&assignment, nengines).expect("lazy has slices");
-        let stats = lazy.lazy_stats().expect("lazy has stats");
+        let slices = lazy.slice_residency(&assignment, nengines).expect("lazy has slices");
+        let unique_rows = lazy.run_stats().unique_rows;
 
         prop_assert_eq!(slices.len(), nengines);
-        let sources: usize = slices.iter().map(|s| s.residency.sources).sum();
+        let sources: usize = slices.iter().map(|s| s.sources).sum();
         prop_assert_eq!(sources, n);
-        let rows: usize = slices.iter().map(|s| s.residency.rows_materialized).sum();
-        prop_assert_eq!(rows, stats.rows_materialized);
-        let bytes: u64 = slices.iter().map(|s| s.residency.resident_bytes).sum();
+        let rows: usize = slices.iter().map(|s| s.rows_materialized).sum();
+        prop_assert_eq!(rows, unique_rows);
+        let bytes: u64 = slices.iter().map(|s| s.resident_bytes).sum();
         // Slices exclude only the shared link-latency snapshot.
         prop_assert_eq!(bytes + 8 * net.links().len() as u64, lazy.table_bytes());
-        let lookups: u64 = slices.iter().map(|s| s.lookups).sum();
-        prop_assert_eq!(lookups, stats.lookups);
+        // Every materialized row was filled by a counted lookup, so
+        // `lookups − unique_rows` (bench_slice's demand hits) never wraps.
+        let lookups = lazy.lookups().expect("lazy tables count");
+        prop_assert!(lookups >= unique_rows as u64, "{} lookups < {} rows", lookups, unique_rows);
     }
 }

@@ -53,6 +53,13 @@ impl std::error::Error for DmlError {}
 /// 18 million hops to overflow into it.
 pub const MAX_LINK_LATENCY_US: u64 = 1_000_000_000_000;
 
+/// Smallest per-link bandwidth [`parse`] accepts, in Mbps:
+/// 8·(2³²−1)/10¹² ≈ 0.0344. At this rate the largest packet a flow can
+/// send (`u32::MAX` bytes) serializes in [`MAX_LINK_LATENCY_US`]; on a
+/// slower link the engine's serialization time saturates and packet
+/// arrival times wrap. Every shipped link is at least 1 Mbps.
+pub const MIN_LINK_BANDWIDTH_MBPS: f64 = 8.0 * u32::MAX as f64 / MAX_LINK_LATENCY_US as f64;
+
 /// Serializes a network to the description format.
 pub fn write(net: &Network) -> String {
     let mut out = String::with_capacity(64 * net.node_count());
@@ -137,6 +144,11 @@ pub fn parse(text: &str) -> Result<Network, DmlError> {
                     // quantization, so demand a positive finite value.
                     if !bw.is_finite() || bw <= 0.0 {
                         return Err(syntax("bandwidth must be a positive finite number"));
+                    }
+                    if bw < MIN_LINK_BANDWIDTH_MBPS {
+                        return Err(syntax(
+                            "bandwidth below 0.0344 Mbps: a 4 GiB packet would take over 10^12 microseconds",
+                        ));
                     }
                     if lat == 0 {
                         return Err(syntax("latency must be positive"));
@@ -259,6 +271,26 @@ link 0 1 bw 100.5 lat 20
         }
         let at_bound = format!("{head}link 0 1 bw 100 lat {MAX_LINK_LATENCY_US}\n");
         assert_eq!(parse(&at_bound).unwrap().links().len(), 1);
+    }
+
+    #[test]
+    fn rejects_bandwidth_below_the_serialization_floor() {
+        // `bw 1e-300` used to parse; `massf run` then aborted on a wrapped
+        // arrival time and `massf ping` printed a wrapped RTT.
+        let head = "node 0 router \"r\" as 0\nnode 1 router \"s\" as 0\n";
+        let floor = MIN_LINK_BANDWIDTH_MBPS;
+        for bw in [1e-300, floor * (1.0 - 1e-9), 0.0343] {
+            let err = parse(&format!("{head}link 0 1 bw {bw} lat 10\n")).unwrap_err();
+            assert!(
+                matches!(&err, DmlError::Syntax { line: 3, message } if message.contains("bandwidth")),
+                "{bw}: {err}"
+            );
+        }
+        let at_floor = parse(&format!("{head}link 0 1 bw {floor} lat 10\n")).unwrap();
+        assert_eq!(at_floor.links()[0].bandwidth_mbps, floor);
+        // The largest packet serializes within the latency bound there.
+        let tx_us = (u32::MAX as f64 * 8.0 / floor).ceil();
+        assert!(tx_us <= MAX_LINK_LATENCY_US as f64, "{tx_us}");
     }
 
     #[test]

@@ -33,7 +33,9 @@ fn parse_all(text: &str) {
     if let Ok(net) = net {
         for l in net.links() {
             assert!((1..=dml::MAX_LINK_LATENCY_US).contains(&l.latency_us));
-            assert!(l.bandwidth_mbps.is_finite() && l.bandwidth_mbps > 0.0);
+            assert!(
+                l.bandwidth_mbps.is_finite() && l.bandwidth_mbps >= dml::MIN_LINK_BANDWIDTH_MBPS
+            );
         }
     }
 
@@ -198,6 +200,20 @@ fn link_latency_of_u64_max_is_a_line_numbered_diagnostic() {
         argv.extend_from_slice(extra);
         let e = cli::run(&args(&argv)).unwrap_err();
         assert!(e.0.contains("line 7") && e.0.contains("latency"), "{e}");
+    }
+}
+
+#[test]
+fn link_bandwidth_below_the_floor_is_a_line_numbered_diagnostic() {
+    let hostile = "tests/fixtures/hostile/bandwidth_underflow.dml";
+    parse_all(&std::fs::read_to_string(hostile).unwrap());
+    for argv in [
+        &["check", hostile][..],
+        &["run", hostile, "--engines", "2", "--duration-s", "1"][..],
+        &["ping", hostile, "h0", "h1"][..],
+    ] {
+        let e = cli::run(&args(argv)).unwrap_err();
+        assert!(e.0.contains("line 8") && e.0.contains("bandwidth"), "{e}");
     }
 }
 
