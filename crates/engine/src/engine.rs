@@ -258,7 +258,23 @@ impl Engine {
         }
         if self.netflow.enabled() && shared.net.node(ev.node).kind == NodeKind::Router {
             let lane = shared.routes.lane(&pkt, ev.hop);
-            self.netflow.record(lane, ev.node, &pkt, ev.time_us);
+            // A record carries the flow's own ends wherever its forward
+            // route crosses the router, as the first packet ever seen there
+            // does; only an ACK that opens a record walks that route, so
+            // once per key per epoch, without allocating.
+            let ends = || {
+                let mut forward = !ev.is_ack();
+                if !forward {
+                    let on = |node, _| forward |= node == ev.node;
+                    shared.tables.for_each_hop(f.src, f.dst, on);
+                }
+                if forward {
+                    (f.src, f.dst)
+                } else {
+                    (f.dst, f.src)
+                }
+            };
+            self.netflow.record(lane, ev.node, &pkt, ev.time_us, ends);
         }
         if pkt.dst != ev.node {
             self.forward(ev, &pkt, shared);

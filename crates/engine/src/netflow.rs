@@ -5,8 +5,11 @@
 //! to a local file. The dump files record the average bandwidth and
 //! duration of every flow on every router."
 //!
-//! Here each engine keeps its routers' flow tables in memory; dumps are
-//! merged into a single sorted record list at the end of the run.
+//! Here each engine keeps its routers' flow cache in memory and exports
+//! it as one `(router, flow)`-sorted dump merged across engines: at the
+//! end of the run, or at every epoch slice of a stepped one, which also
+//! flushes the cache — NetFlow's active timeout is then the epoch, and a
+//! collector never holds more than one epoch's records.
 
 use crate::event::Packet;
 use massf_topology::NodeId;
@@ -27,7 +30,7 @@ pub struct FlowRecord {
     pub packets: u64,
     /// Bytes of this flow seen at this router.
     pub bytes: u64,
-    /// First sighting (µs).
+    /// First sighting since the cache was last flushed (µs).
     pub first_us: u64,
     /// Last sighting (µs).
     pub last_us: u64,
@@ -49,7 +52,8 @@ const NO_FLOW: u32 = u32::MAX;
 /// ordered `(router, flow)` index, which is also the dump order. The cell is
 /// a shortcut into that index, not a second store: a stale one (the router
 /// migrated away and back) still points at this engine's record of
-/// `(router, flow)`, because records are never removed.
+/// `(router, flow)`, because records leave only by [`flush`](Self::flush),
+/// which resets every cell.
 #[derive(Debug, Default)]
 pub struct NetFlowCollector {
     /// The records, in first-sighting order.
@@ -79,15 +83,23 @@ impl NetFlowCollector {
     }
 
     /// Records a packet sighting at `router`, reached through `lane`. A lane
-    /// must always name the same router.
+    /// must always name the same router. `ends` gives the record's
+    /// `(src, dst)`, and is asked only when this sighting opens the record.
     #[inline]
-    pub fn record(&mut self, lane: usize, router: NodeId, pkt: &Packet, now_us: u64) {
+    pub fn record(
+        &mut self,
+        lane: usize,
+        router: NodeId,
+        pkt: &Packet,
+        now_us: u64,
+        ends: impl FnOnce() -> (NodeId, NodeId),
+    ) {
         if !self.enabled {
             return;
         }
         let slot = match self.cells.get(lane) {
             Some(&(flow, slot)) if flow == pkt.flow => slot,
-            _ => self.find_slot(lane, router, pkt, now_us),
+            _ => self.find_slot(lane, router, pkt.flow, now_us, ends),
         };
         let rec = &mut self.records[slot as usize];
         debug_assert_eq!((rec.router, rec.flow), (router, pkt.flow), "lane {lane}");
@@ -97,17 +109,25 @@ impl NetFlowCollector {
         rec.last_us = rec.last_us.max(now_us);
     }
 
-    /// The slot of `(router, pkt.flow)` through the index, opening the
-    /// record on a first sighting; `lane`'s cell then points at it.
-    fn find_slot(&mut self, lane: usize, router: NodeId, pkt: &Packet, now_us: u64) -> u32 {
+    /// The slot of `(router, flow)` through the index, opening the record
+    /// on a first sighting; `lane`'s cell then points at it.
+    fn find_slot(
+        &mut self,
+        lane: usize,
+        router: NodeId,
+        flow: u32,
+        now_us: u64,
+        ends: impl FnOnce() -> (NodeId, NodeId),
+    ) -> u32 {
         let fresh = self.records.len() as u32;
-        let slot = *self.slots.entry((router, pkt.flow)).or_insert(fresh);
+        let slot = *self.slots.entry((router, flow)).or_insert(fresh);
         if slot == fresh {
+            let (src, dst) = ends();
             self.records.push(FlowRecord {
                 router,
-                flow: pkt.flow,
-                src: pkt.src,
-                dst: pkt.dst,
+                flow,
+                src,
+                dst,
                 packets: 0,
                 bytes: 0,
                 first_us: now_us,
@@ -117,72 +137,64 @@ impl NetFlowCollector {
         if self.cells.len() <= lane {
             self.cells.resize(lane + 1, (NO_FLOW, 0));
         }
-        self.cells[lane] = (pkt.flow, slot);
+        self.cells[lane] = (flow, slot);
         slot
     }
 
-    /// Appends the records accumulated so far to `out`, in `(router, flow)`
-    /// order.
-    pub fn dump_into(&self, out: &mut Vec<FlowRecord>) {
-        out.extend(
-            self.slots
-                .values()
-                .map(|&s| self.records[s as usize].clone()),
-        );
+    /// Forgets every record: the records, the index, and every lane's cell
+    /// (which would otherwise name a slot the next epoch hands to another
+    /// key). The vectors keep their capacity.
+    pub fn flush(&mut self) {
+        self.records.clear();
+        self.slots.clear();
+        self.cells.fill((NO_FLOW, 0));
     }
 }
 
 /// One sorted dump of several engines' collectors ("parsing the dump files
 /// allows computation of the aggregated traffic on every router and link"),
 /// built in one reserved vector: each collector's key-ordered run, then a
-/// stable sort, so a key two engines hold keeps engine order.
+/// stable sort and a fold of each key's records into one. Only a key whose
+/// router migrated has more than one, one per engine that saw it; they
+/// agree on the endpoints, which are a function of the key (DESIGN.md §15).
 pub fn merge_collectors<'a>(
     collectors: impl Iterator<Item = &'a NetFlowCollector> + Clone,
 ) -> Vec<FlowRecord> {
     let mut all = Vec::with_capacity(collectors.clone().map(|c| c.records.len()).sum());
     for c in collectors {
-        c.dump_into(&mut all);
+        all.extend(c.slots.values().map(|&s| c.records[s as usize].clone()));
     }
+    fold(all)
+}
+
+/// `all` sorted by `(router, flow)`, stably, with each key's records folded
+/// into the first: packets and bytes sum, the sighting window widens.
+pub(crate) fn fold(mut all: Vec<FlowRecord>) -> Vec<FlowRecord> {
     all.sort_by_key(|r| (r.router, r.flow));
+    all.dedup_by(|later, kept| {
+        let same = (later.router, later.flow) == (kept.router, kept.flow);
+        if same {
+            kept.packets += later.packets;
+            kept.bytes += later.bytes;
+            kept.first_us = kept.first_us.min(later.first_us);
+            kept.last_us = kept.last_us.max(later.last_us);
+        }
+        same
+    });
     all
 }
 
-/// Combines duplicate `(router, flow)` keys in a sorted record list into
-/// one record each (packets/bytes sum, sighting window widens). Live node
-/// migration splits a router's observations across engines, so a merged
-/// dump taken mid-run may carry the same key twice.
-pub fn coalesce_records(records: &[FlowRecord]) -> Vec<FlowRecord> {
-    let mut out: Vec<FlowRecord> = Vec::with_capacity(records.len());
-    for r in records {
-        match out.last_mut() {
-            Some(last) if (last.router, last.flow) == (r.router, r.flow) => {
-                last.packets += r.packets;
-                last.bytes += r.bytes;
-                last.first_us = last.first_us.min(r.first_us);
-                last.last_us = last.last_us.max(r.last_us);
-            }
-            _ => out.push(r.clone()),
-        }
-    }
-    out
-}
-
-/// The traffic of one epoch: the per-key delta between two *cumulative*
-/// snapshots (both sorted by `(router, flow)`, as [`merge_collectors`]
-/// produces; duplicate keys from migrated nodes are coalesced first).
-///
-/// The collector accumulates from emulation start, so an epoch's own
-/// traffic is `cur − prev` per `(router, flow)` key. Keys whose packet
-/// count did not grow are dropped — they carried nothing this epoch. For
-/// a key already present in `prev`, the delta's `first_us` is `prev`'s
-/// `last_us` (the flow was mid-flight at the boundary); a new key keeps
-/// its own `first_us`. Both inputs are functions of virtual time only, so
-/// the slice is identical however the epoch was executed.
-pub fn epoch_slice(prev: &[FlowRecord], cur: &[FlowRecord]) -> Vec<FlowRecord> {
-    let (prev, cur) = (coalesce_records(prev), coalesce_records(cur));
+/// The epoch slice as the cumulative collectors gave it before they were
+/// flushed at every slice, kept as the oracle of the flush: the per-key
+/// delta between two cumulative dumps, both as [`merge_collectors`] folds
+/// them. A key whose packet count did not grow is dropped; a key already in
+/// `prev` starts at `prev`'s last sighting (the flow was mid-flight at the
+/// boundary), where the flush starts it at its first sighting in the epoch.
+#[cfg(test)]
+pub(crate) fn epoch_slice(prev: &[FlowRecord], cur: &[FlowRecord]) -> Vec<FlowRecord> {
     let mut out = Vec::new();
     let mut pi = 0usize;
-    for c in &cur {
+    for c in cur {
         while pi < prev.len() && (prev[pi].router, prev[pi].flow) < (c.router, c.flow) {
             pi += 1;
         }
@@ -192,7 +204,7 @@ pub fn epoch_slice(prev: &[FlowRecord], cur: &[FlowRecord]) -> Vec<FlowRecord> {
             Some(p) => (p.packets, p.bytes, p.last_us),
             None => (0, 0, c.first_us),
         };
-        debug_assert!(c.packets >= packets0, "cumulative snapshots only grow");
+        assert!(c.packets >= packets0, "cumulative dumps only grow");
         if c.packets > packets0 {
             out.push(FlowRecord {
                 first_us: first,
@@ -221,26 +233,50 @@ mod tests {
         }
     }
 
+    /// A sighting whose record, if it opens one, takes the packet's ends.
+    fn see(c: &mut NetFlowCollector, lane: usize, router: NodeId, p: &Packet, now_us: u64) {
+        c.record(lane, router, p, now_us, || (p.src, p.dst));
+    }
+
     /// One collector's records so far, in `(router, flow)` order.
     fn dump(c: &NetFlowCollector) -> Vec<FlowRecord> {
         merge_collectors(std::iter::once(c))
     }
 
+    /// An epoch slice of one collector: its dump, then a flush.
+    fn drain(c: &mut NetFlowCollector) -> Vec<FlowRecord> {
+        let out = dump(c);
+        c.flush();
+        out
+    }
+
     /// The reference merge: every dump's records in one list, sorted by
-    /// `(router, flow)`.
+    /// `(router, flow)`, each key's records folded into one.
     fn merge_dumps(dumps: Vec<Vec<FlowRecord>>) -> Vec<FlowRecord> {
         let mut all: Vec<FlowRecord> = dumps.into_iter().flatten().collect();
         all.sort_by_key(|r| (r.router, r.flow));
-        all
+        let mut out: Vec<FlowRecord> = Vec::new();
+        for r in all {
+            match out.last_mut() {
+                Some(last) if (last.router, last.flow) == (r.router, r.flow) => {
+                    last.packets += r.packets;
+                    last.bytes += r.bytes;
+                    last.first_us = last.first_us.min(r.first_us);
+                    last.last_us = last.last_us.max(r.last_us);
+                }
+                _ => out.push(r),
+            }
+        }
+        out
     }
 
     #[test]
     fn aggregates_per_flow_per_router() {
         let mut c = NetFlowCollector::new(true);
-        c.record(5, 5, &pkt(0, 1500), 100);
-        c.record(5, 5, &pkt(0, 1500), 300);
-        c.record(5, 5, &pkt(1, 500), 200);
-        c.record(6, 6, &pkt(0, 1500), 400);
+        see(&mut c, 5, 5, &pkt(0, 1500), 100);
+        see(&mut c, 5, 5, &pkt(0, 1500), 300);
+        see(&mut c, 5, 5, &pkt(1, 500), 200);
+        see(&mut c, 6, 6, &pkt(0, 1500), 400);
         let recs = dump(&c);
         assert_eq!(recs.len(), 3);
         let r = &recs[0];
@@ -251,101 +287,96 @@ mod tests {
     #[test]
     fn disabled_collector_records_nothing() {
         let mut c = NetFlowCollector::new(false);
-        c.record(5, 5, &pkt(0, 1500), 100);
+        see(&mut c, 5, 5, &pkt(0, 1500), 100);
         assert!(dump(&c).is_empty());
     }
 
     #[test]
-    fn epoch_slice_is_the_per_key_delta() {
+    fn the_ends_are_asked_once_per_record() {
         let mut c = NetFlowCollector::new(true);
-        c.record(5, 5, &pkt(0, 1500), 100);
-        c.record(5, 5, &pkt(1, 500), 150);
-        let prev = dump(&c);
-        c.record(5, 5, &pkt(0, 1500), 400);
-        c.record(6, 6, &pkt(0, 1500), 500);
-        let cur = dump(&c);
+        let mut asked = 0;
+        for (lane, now_us) in [(5, 100), (5, 200), (9, 300)] {
+            c.record(lane, 5, &pkt(0, 1500), now_us, || {
+                asked += 1;
+                (20, 10)
+            });
+        }
+        assert_eq!(asked, 1, "the second lane finds the record in the index");
+        assert_eq!((dump(&c)[0].src, dump(&c)[0].dst), (20, 10));
+        c.flush();
+        c.record(5, 5, &pkt(0, 1500), 400, || {
+            asked += 1;
+            (10, 20)
+        });
+        assert_eq!(asked, 2, "a flush opens every record anew");
+    }
 
-        let delta = epoch_slice(&prev, &cur);
-        // (5,1) saw no new packets and is dropped; (5,0) grew by one
-        // packet; (6,0) is entirely new.
-        assert_eq!(delta.len(), 2);
-        assert_eq!(
-            (
-                delta[0].router,
-                delta[0].flow,
-                delta[0].packets,
-                delta[0].bytes
-            ),
-            (5, 0, 1, 1500)
-        );
-        // Continuing key: the epoch starts where the previous snapshot
-        // last saw the flow.
-        assert_eq!((delta[0].first_us, delta[0].last_us), (100, 400));
-        // New key keeps its own first sighting.
-        assert_eq!(
-            (delta[1].router, delta[1].packets, delta[1].first_us),
-            (6, 1, 500)
-        );
+    /// Every sighting goes to both collectors; the first is drained at
+    /// every slice, the second never.
+    fn see_both(cs: &mut [NetFlowCollector; 2], lane: usize, p: Packet, now_us: u64) {
+        for c in cs {
+            see(c, lane, lane as NodeId, &p, now_us);
+        }
     }
 
     #[test]
-    fn epoch_slices_sum_back_to_the_cumulative_dump() {
-        let mut c = NetFlowCollector::new(true);
-        let mut boundaries = Vec::new();
+    fn a_drain_holds_the_epoch_since_the_last_one() {
+        let mut cs = [NetFlowCollector::new(true), NetFlowCollector::new(true)];
+        see_both(&mut cs, 5, pkt(0, 1500), 100);
+        see_both(&mut cs, 5, pkt(1, 500), 150);
+        let (first, prev) = (drain(&mut cs[0]), dump(&cs[1]));
+        assert_eq!(first, prev, "the first drain is everything so far");
+        see_both(&mut cs, 5, pkt(0, 1500), 400);
+        see_both(&mut cs, 6, pkt(0, 1500), 500);
+        let delta = drain(&mut cs[0]);
+        // (5,1) saw no new packets and is absent; (5,0) grew by one packet
+        // and starts at its first sighting this epoch; (6,0) is new.
+        let seen: Vec<_> = delta
+            .iter()
+            .map(|r| (r.router, r.flow, r.packets, r.bytes, r.first_us, r.last_us))
+            .collect();
+        assert_eq!(seen, [(5, 0, 1, 1500, 400, 400), (6, 0, 1, 1500, 500, 500)]);
+        // The oracle agrees but for the continuing key's start, which it
+        // puts at the previous epoch's last sighting.
+        let oracle = epoch_slice(&prev, &dump(&cs[1]));
+        assert_eq!(oracle[0].first_us, 100);
+        assert_eq!(oracle[1..], delta[1..]);
+        let start = delta[0].first_us;
+        assert_eq!(
+            FlowRecord {
+                first_us: start,
+                ..oracle[0].clone()
+            },
+            delta[0]
+        );
+        assert!(drain(&mut cs[0]).is_empty(), "a quiet epoch is empty");
+    }
+
+    #[test]
+    fn drains_fold_back_to_the_cumulative_dump() {
+        let mut cs = [NetFlowCollector::new(true), NetFlowCollector::new(true)];
+        let mut slices = Vec::new();
         for t in 0..30u64 {
-            c.record(
-                (t % 3) as usize,
-                (t % 3) as NodeId,
-                &pkt((t % 2) as u32, 1000),
-                t * 10,
-            );
+            see_both(&mut cs, (t % 3) as usize, pkt((t % 2) as u32, 1000), t * 10);
             if t % 7 == 6 {
-                boundaries.push(dump(&c));
+                slices.push(drain(&mut cs[0]));
             }
         }
-        boundaries.push(dump(&c));
-        let mut total = 0u64;
-        let mut prev: Vec<FlowRecord> = Vec::new();
-        for b in &boundaries {
-            total += epoch_slice(&prev, b).iter().map(|r| r.packets).sum::<u64>();
-            prev = b.clone();
+        slices.push(drain(&mut cs[0]));
+        assert_eq!(merge_dumps(slices), dump(&cs[1]));
+    }
+
+    #[test]
+    fn the_merge_folds_a_key_split_across_engines() {
+        // One router's flow observed on two engines (it migrated).
+        let mut engines = [NetFlowCollector::new(true), NetFlowCollector::new(true)];
+        for (engine, now_us) in [(0, 100), (0, 400), (1, 500), (0, 200), (1, 900)] {
+            see(&mut engines[engine], 4, 4, &pkt(2, 1000), now_us);
         }
-        let cumulative: u64 = dump(&c).iter().map(|r| r.packets).sum();
-        assert_eq!(total, cumulative, "deltas partition the cumulative count");
-    }
-
-    #[test]
-    fn coalesce_merges_split_observations() {
-        // One router's flow observed on two engines (post-migration dump).
-        let rec = |packets, first, last| FlowRecord {
-            router: 4,
-            flow: 2,
-            src: 0,
-            dst: 9,
-            packets,
-            bytes: packets * 1000,
-            first_us: first,
-            last_us: last,
-        };
-        let merged = merge_dumps(vec![vec![rec(3, 100, 400)], vec![rec(2, 500, 900)]]);
-        let co = coalesce_records(&merged);
-        assert_eq!(co.len(), 1);
-        assert_eq!((co[0].packets, co[0].bytes), (5, 5000));
-        assert_eq!((co[0].first_us, co[0].last_us), (100, 900));
-        // epoch_slice over split snapshots sees the combined count.
-        let delta = epoch_slice(&[rec(3, 100, 400)], &merged);
-        assert_eq!(delta.len(), 1);
-        assert_eq!(delta[0].packets, 2);
-    }
-
-    #[test]
-    fn epoch_slice_from_empty_prev_is_identity() {
-        let mut c = NetFlowCollector::new(true);
-        c.record(5, 5, &pkt(0, 1500), 100);
-        c.record(6, 6, &pkt(1, 700), 200);
-        let cur = dump(&c);
-        assert_eq!(epoch_slice(&[], &cur), cur);
-        assert!(epoch_slice(&cur, &cur).is_empty(), "quiet epoch is empty");
+        let merged = merge_collectors(engines.iter());
+        assert_eq!(merged.len(), 1);
+        assert_eq!((merged[0].packets, merged[0].bytes), (5, 5000));
+        assert_eq!((merged[0].first_us, merged[0].last_us), (100, 900));
     }
 
     proptest! {
@@ -353,9 +384,11 @@ mod tests {
         /// `l + 8` all cross router `l % 4`, so one flow's data and ACKs
         /// reach a router through different lanes and several flows share a
         /// lane; the routers change hands between two engines as the run
-        /// goes, so a lane's cell goes stale and is used again. Live dumps
-        /// at every hand-over and the final dumps are equal element for
-        /// element, each engine's and the merged one.
+        /// goes, so a lane's cell goes stale and is used again, and some
+        /// hand-overs flush both collectors, so a cell's slot names a
+        /// record of an earlier epoch. Dumps at every hand-over and the
+        /// final dumps are equal element for element, each engine's and the
+        /// merged one.
         #[test]
         fn collector_matches_an_ordered_map(
             sightings in prop::collection::vec(
@@ -370,13 +403,17 @@ mod tests {
             };
             let mut epoch = 0;
             for (lane, flow, ack, bytes, now_us, remap) in sightings {
-                if remap == 0 {
+                if remap <= 1 {
                     epoch += 1;
                     for (engine, model) in engines.iter().zip(&models) {
                         let want: Vec<FlowRecord> = model.values().cloned().collect();
                         prop_assert_eq!(dump(engine), want);
                     }
                     prop_assert_eq!(merge_collectors(engines.iter()), merged(&models));
+                    if remap == 1 {
+                        engines.iter_mut().for_each(NetFlowCollector::flush);
+                        models.iter_mut().for_each(BTreeMap::clear);
+                    }
                 }
                 let router = (lane % 4) as NodeId;
                 let owner = (router as usize + epoch) % 2;
@@ -386,7 +423,7 @@ mod tests {
                 } else {
                     Packet { flow, src, dst, bytes }
                 };
-                engines[owner].record(lane, router, &pkt, now_us);
+                see(&mut engines[owner], lane, router, &pkt, now_us);
                 let rec = models[owner].entry((router, flow)).or_insert(FlowRecord {
                     router,
                     flow,

@@ -67,7 +67,8 @@ pub struct EmulationReport {
     /// Remote receives per engine per virtual-time bucket (aligned with
     /// `window_series`).
     pub recv_series: Vec<Vec<u64>>,
-    /// Merged NetFlow records (empty unless profiling was enabled).
+    /// Merged NetFlow records since the last epoch slice — the whole run
+    /// when nothing sliced (empty unless profiling was enabled).
     pub netflow: Vec<FlowRecord>,
     /// Per-engine lazy routing-row residency under the run's partition;
     /// `None` unless the run used lazy tables. Structural facts only

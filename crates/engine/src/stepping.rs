@@ -15,7 +15,7 @@
 //! previous slice's windows were dense ([`DENSE_EVENTS_PER_ROUND`]) — on
 //! the worker threads over `PoolShim`; which of the two ran a slice
 //! changes nothing that is counted. Between steps the caller
-//! may inspect live NetFlow dumps and install a new node→engine
+//! may take NetFlow epoch slices and install a new node→engine
 //! assignment; pending events and link-occupancy state migrate with their
 //! nodes, and a fixed wall-clock charge ([`MIGRATION`]) models the
 //! checkpoint/transfer cost of moving virtual nodes between physical
@@ -97,8 +97,6 @@ pub struct SteppableEmulation<'a> {
     dense_from: u64,
     lookahead: u64,
     state: ProtocolState,
-    /// Cumulative NetFlow state at the last epoch-slice call.
-    epoch_mark: Vec<FlowRecord>,
     /// Total virtual nodes migrated across all remaps.
     pub migrated_nodes: usize,
     /// Number of remap operations performed.
@@ -130,7 +128,6 @@ impl<'a> SteppableEmulation<'a> {
             tables,
             flows,
             cfg,
-            epoch_mark: Vec::new(),
             migrated_nodes: 0,
             remaps: 0,
         };
@@ -247,23 +244,19 @@ impl<'a> SteppableEmulation<'a> {
         self.run_until(u64::MAX);
     }
 
-    /// Live merged NetFlow dump (empty unless profiling is enabled).
-    pub fn netflow_snapshot(&self) -> Vec<FlowRecord> {
-        merge_collectors(self.engines.iter().map(|e| &e.netflow))
-    }
-
     /// The engine-side epoch feed: NetFlow records for the traffic seen
     /// *since the previous call* (the first call covers everything so
-    /// far). The collectors accumulate cumulatively, so this takes a live
-    /// dump and returns its [`crate::netflow::epoch_slice`] against the
-    /// previous call's dump. The records are a function of virtual time
-    /// only — the same epoch boundary always yields the same slice, no
-    /// matter how execution was scheduled.
+    /// far). Every engine's collector is exported and flushed, so NetFlow's
+    /// active timeout is the epoch: what the collectors hold never outgrows
+    /// one epoch, and [`finish`](Self::finish)'s dump holds what the last
+    /// slice left. A key the epoch continues starts at its first sighting
+    /// in the epoch. The records are a function of virtual time only —
+    /// the same epoch boundary always yields the same slice, no matter how
+    /// execution was scheduled.
     pub fn netflow_epoch_slice(&mut self) -> Vec<FlowRecord> {
-        let cur = self.netflow_snapshot();
-        let delta = crate::netflow::epoch_slice(&self.epoch_mark, &cur);
-        self.epoch_mark = cur;
-        delta
+        let slice = merge_collectors(self.engines.iter().map(|e| &e.netflow));
+        self.engines.iter_mut().for_each(|e| e.netflow.flush());
+        slice
     }
 
     /// Installs a new node→engine assignment between two `run_until`
@@ -356,8 +349,13 @@ impl<'a> SteppableEmulation<'a> {
 mod tests {
     use super::*;
     use crate::exec::run_sequential;
-    use massf_topology::Network;
+    use crate::netflow::{epoch_slice, fold};
+    use massf_topology::brite::{generate, BriteConfig, GrowthModel};
+    use massf_topology::{Network, NodeId};
     use massf_traffic::FlowSpec;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     fn net_and_flows() -> (Network, Vec<FlowSpec>) {
         let mut net = Network::new();
@@ -697,39 +695,149 @@ mod tests {
         let tables = RoutingTables::build(&net);
         let part = partition_by_router(&net);
         let cfg = EmulationConfig::new(part, 2).with_netflow();
+        let batch = run_sequential(&net, &tables, &flows, &cfg).netflow;
         let mut step = SteppableEmulation::new(&net, &tables, &flows, cfg);
-        let mut sliced = 0u64;
+        let mut sliced = Vec::new();
         let mut t = 2_000;
         while !step.finished() {
             step.run_until(t);
-            sliced += step
-                .netflow_epoch_slice()
-                .iter()
-                .map(|r| r.packets)
-                .sum::<u64>();
+            sliced.extend(step.netflow_epoch_slice());
             t += 2_000;
         }
-        let cumulative: u64 = step.netflow_snapshot().iter().map(|r| r.packets).sum();
-        assert!(cumulative > 0);
-        assert_eq!(sliced, cumulative, "epoch slices must partition the dump");
         assert!(
             step.netflow_epoch_slice().is_empty(),
             "nothing ran since the last slice"
         );
+        assert!(
+            step.finish().netflow.is_empty(),
+            "the last slice took it all"
+        );
+        assert!(sliced.len() > batch.len(), "keys continue across slices");
+        assert_eq!(fold(sliced), batch, "epoch slices must partition the dump");
     }
 
     #[test]
-    fn netflow_snapshot_grows_monotonically() {
+    fn a_migrated_router_has_one_record_per_flow() {
+        // A router observed on both engines: before the swap on one, after
+        // it on the other. The dump folds the two into one record.
         let (net, flows) = net_and_flows();
         let tables = RoutingTables::build(&net);
         let part = partition_by_router(&net);
-        let cfg = EmulationConfig::new(part, 2).with_netflow();
+        let cfg = EmulationConfig::new(part.clone(), 2).with_netflow();
+        let batch = run_sequential(&net, &tables, &flows, &cfg);
         let mut step = SteppableEmulation::new(&net, &tables, &flows, cfg);
-        step.run_until(2_000);
-        let early: u64 = step.netflow_snapshot().iter().map(|r| r.packets).sum();
+        step.run_until(3_000);
+        step.repartition(part.iter().map(|&p| 1 - p).collect());
         step.run_to_completion();
-        let late: u64 = step.netflow_snapshot().iter().map(|r| r.packets).sum();
-        assert!(late > early, "snapshot should grow: {early} -> {late}");
-        assert!(early > 0);
+        assert_eq!(step.finish().netflow, batch.netflow);
+    }
+
+    fn brite_net(seed: u64) -> Network {
+        generate(&BriteConfig {
+            routers: 10,
+            hosts: 8,
+            model: GrowthModel::BarabasiAlbert { m: 2 },
+            seed,
+            ..BriteConfig::paper_brite()
+        })
+    }
+
+    /// Windowed and open-loop flows between random hosts, all starting in
+    /// the first 200 ms.
+    fn brite_flows(net: &Network, seed: u64) -> Vec<FlowSpec> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let hosts = net.hosts();
+        (0..12)
+            .filter_map(|_| {
+                let src = hosts[rng.gen_range(0..hosts.len())];
+                let dst = hosts[rng.gen_range(0..hosts.len())];
+                (src != dst).then(|| FlowSpec {
+                    src,
+                    dst,
+                    start_us: rng.gen_range(0..200_000),
+                    packets: rng.gen_range(1..30),
+                    bytes: rng.gen_range(200..45_000),
+                    packet_interval_us: rng.gen_range(1..3_000),
+                    window: rng.gen_bool(0.6).then(|| rng.gen_range(1..6)),
+                })
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Epoch slices against the cumulative dumps they replaced: a twin
+        /// emulation whose collectors are never flushed, diffed at every
+        /// boundary by the old `epoch_slice`. Both remap at the same
+        /// boundary and run on the same deal. Each slice is the oracle's
+        /// but for a continuing key's start, which moves from the previous
+        /// epoch's last sighting to this epoch's first; the slices and the
+        /// final dump fold back to the batch run's dump. A record carries
+        /// the flow's ends exactly where its data packets pass, which the
+        /// open-loop run of the same schedule shows.
+        #[test]
+        fn epoch_slices_match_the_cumulative_oracle(
+            net_seed in any::<u64>(),
+            flow_seed in any::<u64>(),
+            steps in prop::collection::vec(500u64..60_000, 1..8),
+            remap_at in 0usize..8,
+            parts in prop::collection::vec((0u32..2, 0u32..2), 18..19),
+            workers in 1usize..3,
+        ) {
+            let net = brite_net(net_seed);
+            let tables = RoutingTables::build(&net);
+            let flows = brite_flows(&net, flow_seed);
+            prop_assume!(!flows.is_empty());
+            let (mut before, mut after): (Vec<u32>, Vec<u32>) = parts.into_iter().unzip();
+            // Each engine owns something before and after.
+            (before[0], before[1], after[0], after[1]) = (0, 1, 1, 0);
+            let cfg = EmulationConfig::new(before, 2).with_netflow();
+            let batch = run_sequential(&net, &tables, &flows, &cfg).netflow;
+            let emulation = || {
+                let mut emu = SteppableEmulation::new(&net, &tables, &flows, cfg.clone());
+                emu.set_workers((0..2).map(|e| e % workers).collect(), 0);
+                emu
+            };
+            let (mut sliced, mut cumulative) = (emulation(), emulation());
+            let remap_at = remap_at % steps.len();
+            let (mut t, mut prev, mut all) = (0, Vec::new(), Vec::new());
+            for (i, step) in steps.iter().enumerate() {
+                if i == remap_at {
+                    sliced.repartition(after.clone());
+                    cumulative.repartition(after.clone());
+                }
+                t += step;
+                sliced.run_until(t);
+                cumulative.run_until(t);
+                let slice = sliced.netflow_epoch_slice();
+                let cur = merge_collectors(cumulative.engines.iter().map(|e| &e.netflow));
+                let oracle = epoch_slice(&prev, &cur);
+                prop_assert_eq!(slice.len(), oracle.len());
+                for (s, o) in slice.iter().zip(&oracle) {
+                    prop_assert!(o.first_us <= s.first_us && s.first_us <= s.last_us);
+                    prop_assert_eq!(&FlowRecord { first_us: o.first_us, ..s.clone() }, o);
+                }
+                all.extend(slice);
+                prev = cur;
+            }
+            sliced.run_to_completion();
+            all.extend(sliced.finish().netflow);
+            prop_assert_eq!(fold(all), batch.clone());
+
+            let open: Vec<FlowSpec> =
+                flows.iter().map(|f| FlowSpec { window: None, ..*f }).collect();
+            let data_keys: Vec<(NodeId, u32)> = run_sequential(&net, &tables, &open, &cfg)
+                .netflow
+                .iter()
+                .map(|r| (r.router, r.flow))
+                .collect();
+            for r in &batch {
+                let f = &flows[r.flow as usize];
+                let data_way = data_keys.binary_search(&(r.router, r.flow)).is_ok();
+                let ends = if data_way { (f.src, f.dst) } else { (f.dst, f.src) };
+                prop_assert_eq!((r.src, r.dst), ends, "router {} flow {}", r.router, r.flow);
+            }
+        }
     }
 }

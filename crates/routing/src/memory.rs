@@ -165,10 +165,10 @@ impl RoutingTables {
     /// Row lookups a lazy table has answered so far (every non-diagonal
     /// `entry`, including leaf delegations); `None` unless the tables are
     /// lazy. The mapping stages ask per query; the emulation asks once per
-    /// (engine, route, hop) and pins the answer, so after a run this
-    /// follows the schedule's routes, not its packet count. Each row
-    /// materializes on one of them, so `lookups − run_stats().unique_rows`
-    /// were served from a resident (or leaf) row.
+    /// (engine, route, hop) and pins the answer, and NetFlow walks a route
+    /// per record an ACK opens: lookups follow routes and records, never
+    /// packets. Each row materializes on one of them, so `lookups −
+    /// run_stats().unique_rows` were served from a resident (or leaf) row.
     pub fn lookups(&self) -> Option<u64> {
         let d = self.demand.as_ref()?;
         Some(
