@@ -84,7 +84,10 @@ impl StopState {
             engines.iter().for_each(|e| e.assert_pins_hold(&shared));
         }
         let pending = engines.iter_mut().map(Engine::drain_events).collect();
-        let links = engines.iter_mut().map(Engine::drain_link_state).collect();
+        let links = engines
+            .iter_mut()
+            .map(|e| e.take_link_state(|_| true))
+            .collect();
         StopState {
             report: finalize(engines, cfg, &scenario.tables, protocol.clone()),
             pending,

@@ -213,20 +213,27 @@ impl Engine {
     }
 
     /// Drains every pending event in ascending order, the first injections
-    /// of unstarted flows included (used when nodes migrate between
-    /// engines: events follow their node, flows their source).
+    /// of unstarted flows included.
     pub fn drain_events(&mut self) -> Vec<Event> {
-        let mut all = self.queue.drain();
-        all.append(&mut self.starts);
+        let mut all = self.take_events(|_| true);
         all.sort_unstable();
         all
     }
 
-    /// Drains the per-direction link occupancy, `(direction, busy until)`
-    /// (migrated with the sending node so FIFO serialization order survives
-    /// remapping).
-    pub fn drain_link_state(&mut self) -> Vec<(u32, u64)> {
-        self.links.drain_all()
+    /// Takes the pending events at the nodes `at` selects, the first
+    /// injections of their unstarted flows included (in no particular
+    /// order): what follows those nodes when they migrate to another engine.
+    pub fn take_events(&mut self, mut at: impl FnMut(NodeId) -> bool) -> Vec<Event> {
+        let mut taken = self.queue.take_if(|ev| at(ev.node));
+        taken.extend(self.starts.extract_if(.., |ev| at(ev.node)));
+        taken
+    }
+
+    /// Takes the link occupancy of the directions `dir` selects,
+    /// `(direction, busy until)` (migrated with the sending node so FIFO
+    /// serialization order survives remapping).
+    pub fn take_link_state(&mut self, dir: impl FnMut(u32) -> bool) -> Vec<(u32, u64)> {
+        self.links.take_if(dir)
     }
 
     /// Installs a link-occupancy entry.

@@ -109,13 +109,13 @@ impl LinkOccupancy {
         *slot + d.latency_us
     }
 
-    /// Removes and returns every used direction's busy-until time, in
-    /// direction order (node migration hands the sending side's state to
-    /// the node's new engine).
-    pub fn drain_all(&mut self) -> Vec<(u32, u64)> {
+    /// Removes and returns the busy-until time of every used direction
+    /// `pred` selects, in direction order (node migration hands the sending
+    /// side's state to the node's new engine).
+    pub fn take_if(&mut self, mut pred: impl FnMut(u32) -> bool) -> Vec<(u32, u64)> {
         let slots = self.next_free_us.iter_mut().zip(0..);
         slots
-            .filter(|(busy, _)| **busy > 0)
+            .filter(|(busy, dir)| **busy > 0 && pred(*dir))
             .map(|(busy, dir)| (dir, std::mem::take(busy)))
             .collect()
     }
@@ -227,8 +227,9 @@ mod tests {
         send(&mut occ, 3, false, 7, 1500);
         occ.insert(dir_index(LinkId(1), true), 40);
         occ.insert(dir_index(LinkId(1), true), 30);
-        assert_eq!(occ.drain_all(), vec![(3, 40), (6, 1007), (7, 1000)]);
-        assert!(occ.drain_all().is_empty());
+        assert_eq!(occ.take_if(|dir| dir != 3), vec![(6, 1007), (7, 1000)]);
+        assert_eq!(occ.take_if(|_| true), vec![(3, 40)]);
+        assert!(occ.take_if(|_| true).is_empty());
         let t = send(&mut occ, 3, true, 0, 1500);
         assert_eq!(t, 1000 + 100, "a drained direction is idle again");
     }

@@ -153,8 +153,8 @@ impl NetFlowCollector {
 
 /// One sorted dump of several engines' collectors ("parsing the dump files
 /// allows computation of the aggregated traffic on every router and link"),
-/// built in one reserved vector: each collector's key-ordered run, then a
-/// stable sort and a fold of each key's records into one. Only a key whose
+/// built in one reserved vector: each collector's key-ordered run, then an
+/// in-place sort and a fold of each key's records into one. Only a key whose
 /// router migrated has more than one, one per engine that saw it; they
 /// agree on the endpoints, which are a function of the key (DESIGN.md §15).
 pub fn merge_collectors<'a>(
@@ -167,10 +167,11 @@ pub fn merge_collectors<'a>(
     fold(all)
 }
 
-/// `all` sorted by `(router, flow)`, stably, with each key's records folded
-/// into the first: packets and bytes sum, the sighting window widens.
+/// `all` sorted by `(router, flow)` with each key's records folded into
+/// one: packets and bytes sum, the sighting window widens. The fold is
+/// commutative, so an in-place (unstable) sort does: no scratch buffer.
 pub(crate) fn fold(mut all: Vec<FlowRecord>) -> Vec<FlowRecord> {
-    all.sort_by_key(|r| (r.router, r.flow));
+    all.sort_unstable_by_key(|r| (r.router, r.flow));
     all.dedup_by(|later, kept| {
         let same = (later.router, later.flow) == (kept.router, kept.flow);
         if same {

@@ -355,21 +355,28 @@ impl CalendarQueue {
         (chain, lo, hi)
     }
 
-    /// Removes every pending event (ascending order). Used when nodes
-    /// migrate between engines.
-    pub fn drain(&mut self) -> Vec<Event> {
-        let mut out = Vec::with_capacity(self.len);
+    /// Removes the pending events `pred` selects (in no particular order)
+    /// and re-spans the calendar over the rest (a resize; the slots stay
+    /// where they are). Used when nodes migrate between engines.
+    pub fn take_if(&mut self, mut pred: impl FnMut(&Event) -> bool) -> Vec<Event> {
         let (mut at, ..) = self.chain_all();
-        while at != NIL {
-            out.push(self.events[at as usize]);
-            at = self.next[at as usize];
-        }
-        out.sort_unstable();
-        self.events.clear();
-        self.next.clear();
-        self.free = NIL;
         self.heads.fill(NIL);
-        self.len = 0;
+        let mut out = Vec::new();
+        while at != NIL {
+            let (ev, following) = (self.events[at as usize], self.next[at as usize]);
+            let list = if pred(&ev) {
+                out.push(ev);
+                &mut self.free
+            } else {
+                &mut self.far
+            };
+            self.next[at as usize] = std::mem::replace(list, at);
+            at = following;
+        }
+        self.len -= out.len();
+        if self.len > 0 {
+            self.rebuild(); // folds the rest, all in `far`, back into buckets
+        }
         out
     }
 
@@ -463,10 +470,14 @@ impl HeapQueue {
         self.pop()
     }
 
-    /// Removes every pending event (ascending order).
-    pub fn drain(&mut self) -> Vec<Event> {
-        let mut out: Vec<Event> = self.heap.drain().map(|Reverse(e)| e).collect();
-        out.sort_unstable();
+    /// Removes the pending events `pred` selects (in no particular order).
+    pub fn take_if(&mut self, mut pred: impl FnMut(&Event) -> bool) -> Vec<Event> {
+        let mut all = std::mem::take(&mut self.heap).into_vec();
+        let out = all
+            .extract_if(.., |Reverse(e)| pred(e))
+            .map(|Reverse(e)| e)
+            .collect();
+        self.heap = all.into();
         out
     }
 }
@@ -548,11 +559,11 @@ impl EventQueue {
         }
     }
 
-    /// Removes every pending event in ascending order.
-    pub fn drain(&mut self) -> Vec<Event> {
+    /// Removes the pending events `pred` selects (in no particular order).
+    pub fn take_if(&mut self, pred: impl FnMut(&Event) -> bool) -> Vec<Event> {
         match self {
-            EventQueue::Calendar(q) => q.drain(),
-            EventQueue::Heap(q) => q.drain(),
+            EventQueue::Calendar(q) => q.take_if(pred),
+            EventQueue::Heap(q) => q.take_if(pred),
         }
     }
 
@@ -706,7 +717,7 @@ mod tests {
     }
 
     #[test]
-    fn drain_is_sorted_and_resets() {
+    fn take_if_splits_the_queue_and_empties_it() {
         let mut rng = XorShift(42);
         let mut q = CalendarQueue::new();
         let mut events = Vec::new();
@@ -716,10 +727,21 @@ mod tests {
             events.push(ev);
         }
         events.sort_unstable();
-        assert_eq!(q.drain(), events);
+        q.pop(); // the front is mid-bucket
+        let picked = |e: &Event| e.time_us.is_multiple_of(3);
+        let (want, rest): (Vec<Event>, Vec<Event>) = events[1..].iter().partition(|e| picked(e));
+        let mut taken = q.take_if(picked);
+        taken.sort_unstable();
+        assert_eq!(taken, want);
+        assert_eq!(q.len(), rest.len());
+        assert_eq!(q.next_time(), rest.first().map(|e| e.time_us));
+        assert_eq!(q.pop(), rest.first().copied());
+        let mut left = q.take_if(|_| true);
+        left.sort_unstable();
+        assert_eq!(left, rest[1..]);
         assert!(q.is_empty());
         assert_eq!(q.next_time(), None);
-        // The queue remains usable after a drain.
+        // The queue remains usable after everything was taken.
         q.push(inject(3, 0, 0, 0));
         assert_eq!(q.pop().map(|e| e.time_us), Some(3));
     }
@@ -753,7 +775,7 @@ mod tests {
             assert_eq!(q.next_time(), Some(4));
             assert_eq!(q.pop_below(4), None);
             assert_eq!(q.pop_below(10).map(|e| e.time_us), Some(4));
-            assert_eq!(q.drain().len(), 1);
+            assert_eq!(q.take_if(|_| true).len(), 1);
             assert_eq!(q.stats().peak_depth, 2);
         }
     }

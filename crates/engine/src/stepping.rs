@@ -260,48 +260,46 @@ impl<'a> SteppableEmulation<'a> {
     }
 
     /// Installs a new node→engine assignment between two `run_until`
-    /// calls: stop, migrate pending events and link state with their
-    /// nodes (a flow that has not started is a pending event at its
-    /// source), recompute the lookahead, charge [`MIGRATION`] to the wall
-    /// clock, resume. Returns the number of nodes that changed engines.
+    /// calls: stop, migrate the moved nodes' pending events and outgoing
+    /// link state (a flow that has not started is a pending event at its
+    /// source) from the engines that owned them to the engines that now do,
+    /// recompute the lookahead, charge [`MIGRATION`] to the wall clock,
+    /// resume. An engine that neither lost nor gained a node is not
+    /// touched. Returns the number of nodes that changed engines.
     pub fn repartition(&mut self, new_partition: Vec<u32>) -> usize {
         assert_eq!(new_partition.len(), self.net.node_count());
         assert!(new_partition
             .iter()
             .all(|&p| (p as usize) < self.cfg.nengines));
-        let moved = self
-            .cfg
-            .partition
-            .iter()
-            .zip(&new_partition)
-            .filter(|(a, b)| a != b)
-            .count();
+        let old = std::mem::replace(&mut self.cfg.partition, new_partition);
+        let new = &self.cfg.partition;
+        let leaving: Vec<bool> = old.iter().zip(new).map(|(a, b)| a != b).collect();
+        let moved = leaving.iter().filter(|&&l| l).count();
+        let owns =
+            |part: &[u32], e: &Engine| (0..part.len()).any(|v| leaving[v] && part[v] == e.id);
+        // The sender of a direction is where the opposite direction leads.
+        let sender = |dir: u32| self.dirs.get(dir ^ 1).to as usize;
 
-        // Collect everything, then redistribute under the new assignment.
-        let mut events = Vec::new();
-        let mut link_state = Vec::new();
-        for e in self.engines.iter_mut() {
-            events.append(&mut e.drain_events());
-            link_state.append(&mut e.drain_link_state());
+        let (mut events, mut link_state) = (Vec::new(), Vec::new());
+        for e in self.engines.iter_mut().filter(|e| owns(&old, e)) {
+            events.append(&mut e.take_events(|node| leaving[node as usize]));
+            link_state.append(&mut e.take_link_state(|dir| leaving[sender(dir)]));
         }
-        self.cfg.partition = new_partition;
-        self.lookahead = lookahead_us(self.net, &self.cfg.partition);
-        let partition = &self.cfg.partition;
-        for e in self.engines.iter_mut() {
+        // Ascending: an empty calendar anchors at the first event it takes.
+        events.sort_unstable();
+        for e in self.engines.iter_mut().filter(|e| owns(new, e)) {
             let id = e.id;
             e.adopt(
                 events
                     .iter()
-                    .filter(|ev| partition[ev.node as usize] == id)
+                    .filter(|ev| new[ev.node as usize] == id)
                     .copied(),
             );
         }
         for (dir, busy) in link_state {
-            // The sender is where the opposite direction leads.
-            let sender = self.dirs.get(dir ^ 1).to;
-            let owner = self.cfg.partition[sender as usize] as usize;
-            self.engines[owner].insert_link_state(dir, busy);
+            self.engines[new[sender(dir)] as usize].insert_link_state(dir, busy);
         }
+        self.lookahead = lookahead_us(self.net, new);
 
         // The remap stalls every engine for no virtual-time progress.
         self.state
@@ -350,6 +348,7 @@ mod tests {
     use super::*;
     use crate::exec::run_sequential;
     use crate::netflow::{epoch_slice, fold};
+    use crate::sched::SchedulerKind;
     use massf_topology::brite::{generate, BriteConfig, GrowthModel};
     use massf_topology::{Network, NodeId};
     use massf_traffic::FlowSpec;
@@ -623,6 +622,73 @@ mod tests {
             step_total_is_stable(&net, &tables, &flows),
             report.total_events()
         );
+    }
+
+    #[test]
+    fn a_remap_leaves_an_uninvolved_engine_alone() {
+        let (net, flows) = net_and_flows();
+        let tables = RoutingTables::build(&net);
+        // r0, h0, h1 on engine 0; r1, h3, h4 on 1; h2 and h5 on 2.
+        let part = vec![0, 1, 0, 0, 2, 1, 1, 2];
+        for kind in [SchedulerKind::Calendar, SchedulerKind::Heap] {
+            let cfg = EmulationConfig::new(part.clone(), 3).with_scheduler(kind);
+            let mut step = SteppableEmulation::new(&net, &tables, &flows, cfg);
+            step.run_until(3_000);
+            let queue = |step: &SteppableEmulation| {
+                let q = step.engines[2].queue();
+                (q.stats(), q.len(), q.next_time())
+            };
+            let before = queue(&step);
+            assert!(before.1 > 0, "h5's flow is mid-flight on engine 2");
+            let mut remap = part.clone();
+            remap[3] = 1; // h1, the destination of h5's flow, joins r1
+            assert_eq!(step.repartition(remap), 1);
+            assert_eq!(queue(&step), before, "engine 2 neither lost nor gained");
+            step.run_to_completion();
+            let report = step.finish();
+            let injected: u64 = flows.iter().map(|f| f.packets).sum();
+            assert_eq!(report.delivered, injected, "{kind:?}");
+            assert_eq!(
+                step_total_is_stable(&net, &tables, &flows),
+                report.total_events()
+            );
+        }
+    }
+
+    #[test]
+    fn link_occupancy_follows_its_sender() {
+        // h0 — r0 ═ r1 — h1, ═ a 1 Mbps link: a packet every 5 ms, each
+        // 12 ms on ═, so they queue at r0, and those that reach r0 after
+        // the remap must still wait behind those sent before it.
+        let mut net = Network::new();
+        let [r0, r1] = ["r0", "r1"].map(|r| net.add_router(r, 0));
+        let [h0, h1] = ["h0", "h1"].map(|h| net.add_host(h, 0));
+        net.add_link(r0, r1, 1.0, 500);
+        net.add_link(h0, r0, 100.0, 100);
+        net.add_link(r1, h1, 100.0, 100);
+        let flows = vec![FlowSpec {
+            src: h0,
+            dst: h1,
+            start_us: 0,
+            packets: 20,
+            bytes: 30_000,
+            packet_interval_us: 5_000,
+            window: None,
+        }];
+        let tables = RoutingTables::build(&net);
+        let part = vec![0, 1, 0, 1];
+        let cfg = EmulationConfig::new(part.clone(), 2);
+        let batch = run_sequential(&net, &tables, &flows, &cfg);
+        let mut step = SteppableEmulation::new(&net, &tables, &flows, cfg);
+        step.run_until(30_000); // r0 → r1 is busy until ~84 ms
+        let mut remap = part;
+        remap[r0 as usize] = 1;
+        assert_eq!(step.repartition(remap), 1);
+        step.run_to_completion();
+        let report = step.finish();
+        assert_eq!(report.delivered, 20);
+        assert_eq!(report.latency_sum_us, batch.latency_sum_us);
+        assert_eq!(report.virtual_end_us, batch.virtual_end_us);
     }
 
     /// Total kernel events of the never-remapped run (migration must not

@@ -37,13 +37,16 @@ enum Op {
     PopBelow { bound: u64 },
     /// Take every pending event out, as a migration does, and carry on.
     Drain,
+    /// Take out the events at `node`, as migrating that one node does.
+    Take { node: u32 },
 }
 
-/// Ops weighted 16:8:4:1 push : pop : windowed drain : full drain at times
+/// Ops weighted 16:8:4:1:2 push : pop : windowed drain : full drain : one
+/// node's events taken at times
 /// `base..base + span` (the vendored proptest has no `prop_oneof!`, so a
 /// selector drives the choice).
 fn arb_op(base: u64, span: u64) -> impl Strategy<Value = Op> {
-    let fields = (0u8..29, 0..span, 0u32..8, prop::bool::ANY, prop::bool::ANY);
+    let fields = (0u8..31, 0..span, 0u32..8, prop::bool::ANY, prop::bool::ANY);
     fields.prop_map(move |(sel, time, node, arrive, ack)| {
         let time = base + time;
         match sel {
@@ -57,7 +60,8 @@ fn arb_op(base: u64, span: u64) -> impl Strategy<Value = Op> {
             24..=27 => Op::PopBelow {
                 bound: time.saturating_add(10),
             },
-            _ => Op::Drain,
+            28 => Op::Drain,
+            _ => Op::Take { node },
         }
     })
 }
@@ -84,7 +88,7 @@ const SPACING_US: u64 = 8;
 /// 10⁶ × [`SPACING_US`], under a stream pushed up to a few buckets ahead of a
 /// frontier that `PopBelow` moves one spacing at a time. A `Drain` takes the
 /// backlog out as a migration does, and the part of it still ahead of the
-/// frontier comes back.
+/// frontier comes back; a `Take` takes out one node's events.
 fn arb_skewed_ops() -> impl Strategy<Value = Vec<Op>> {
     let far = prop::collection::vec((0..SPACING_US * 1_000_000, 0u32..8), 200..400);
     let step = (0u8..32, 0..64 * SPACING_US, 0u32..8, prop::bool::ANY);
@@ -109,7 +113,8 @@ fn arb_skewed_ops() -> impl Strategy<Value = Vec<Op>> {
             });
             match sel {
                 0..=19 => ops.push(Op::PopBelow { bound: frontier }),
-                20..=29 => ops.push(Op::Pop),
+                20..=28 => ops.push(Op::Pop),
+                29 => ops.push(Op::Take { node }),
                 _ => {
                     ops.push(Op::Drain);
                     ops.extend(backlog(frontier));
@@ -142,6 +147,18 @@ fn event(seq: u64, time: u64, node: u32, arrive: bool, ack: bool) -> Event {
             ..injection.ack()
         },
     }
+}
+
+/// Removes the events `pred` selects from the reference heap, ascending.
+fn take_from(
+    reference: &mut BinaryHeap<Reverse<Event>>,
+    pred: impl Fn(&Event) -> bool,
+) -> Vec<Event> {
+    let (mut taken, kept): (Vec<Event>, Vec<Event>) =
+        reference.drain().map(|Reverse(e)| e).partition(|e| pred(e));
+    reference.extend(kept.into_iter().map(Reverse));
+    taken.sort_unstable();
+    taken
 }
 
 /// Applies `ops` to the calendar queue and the reference heap in lockstep,
@@ -179,9 +196,14 @@ fn check_against_reference(ops: &[Op]) {
                 }
             },
             Op::Drain => {
-                let mut want: Vec<Event> = reference.drain().map(|Reverse(e)| e).collect();
-                want.sort_unstable();
-                assert_eq!(cal.drain(), want);
+                let mut got = cal.take_if(|_| true);
+                got.sort_unstable();
+                assert_eq!(got, take_from(&mut reference, |_| true));
+            }
+            Op::Take { node } => {
+                let mut got = cal.take_if(|e| e.node == node);
+                got.sort_unstable();
+                assert_eq!(got, take_from(&mut reference, |e| e.node == node));
             }
         }
         assert_footprint(&cal);
@@ -198,7 +220,9 @@ fn check_against_reference(ops: &[Op]) {
         .map(|Reverse(e)| e)
         .collect();
     rest.reverse();
-    assert_eq!(cal.drain(), rest);
+    let mut got = cal.take_if(|_| true);
+    got.sort_unstable();
+    assert_eq!(got, rest);
     assert!(cal.is_empty());
 }
 
@@ -309,9 +333,14 @@ proptest! {
                     }
                 }
                 Op::Drain => {
-                    let mut want: Vec<Event> = reference.drain().map(|Reverse(e)| e).collect();
-                    want.sort_unstable();
-                    prop_assert_eq!(hq.drain(), want);
+                    let mut got = hq.take_if(|_| true);
+                    got.sort_unstable();
+                    prop_assert_eq!(got, take_from(&mut reference, |_| true));
+                }
+                Op::Take { node } => {
+                    let mut got = hq.take_if(|e| e.node == node);
+                    got.sort_unstable();
+                    prop_assert_eq!(got, take_from(&mut reference, |e| e.node == node));
                 }
             }
             prop_assert_eq!(hq.len(), reference.len());

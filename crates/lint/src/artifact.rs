@@ -8,8 +8,8 @@
 //! The passes read the artifact parts of a [`LintInput`] and run through
 //! [`crate::lint_artifacts`]. MC019/MC020 are the load-drift passes
 //! (PLACE-predicted vs. NetFlow-measured per-engine load, and measured
-//! load across epochs) that trigger the incremental rebalancer
-//! (DESIGN.md §15). A trace file is no part of a `LintInput`:
+//! load across epochs) that grade what the incremental rebalancer
+//! answered (DESIGN.md §15). A trace file is no part of a `LintInput`:
 //! [`lint_trace`] runs MC016 over a parse result, for callers with no
 //! network in hand too.
 //!
@@ -434,8 +434,8 @@ pub(crate) fn cross_as_lookahead(input: &LintInput<'_>, diags: &mut Diagnostics)
 pub const DRIFT_WARN: f64 = 0.25;
 
 /// Drift above this is a note — visible movement, not yet pathological.
-/// Matches the incremental rebalancer's quiet-epoch threshold scale
-/// (DESIGN.md §15).
+/// The rebalancer does not read it: a boundary moves nodes when a move
+/// pays, whatever the drift (DESIGN.md §15).
 pub const DRIFT_NOTE: f64 = 0.10;
 
 fn drift_severity(drift: f64) -> Option<Severity> {
@@ -503,7 +503,7 @@ pub(crate) fn predicted_load_drift(input: &LintInput<'_>, diags: &mut Diagnostic
 /// MC020 — measured per-engine load drift across epochs. Consecutive
 /// epochs whose load shares move sharply mean no static partition fits
 /// the whole run — the §6 regime where "dynamic remapping … is the only
-/// solution", and the trigger condition of the incremental rebalancer.
+/// solution", and what `--rebalance incremental` is for.
 pub(crate) fn measured_load_drift(input: &LintInput<'_>, diags: &mut Diagnostics) {
     let Some(epochs) = input.epoch_engine_loads else {
         return;

@@ -300,9 +300,8 @@ block! { Block;
         pub drift_predicted: f64,
         /// A repartition was applied at this epoch's boundary.
         pub applied: bool,
-        /// The boundary evaluated a rebalance and declined (quiet drift or
-        /// no positive-gain move). The final epoch has no boundary: both
-        /// flags stay false.
+        /// The boundary evaluated a rebalance and declined: no move paid.
+        /// The final epoch has no boundary: both flags stay false.
         pub skipped: bool,
         /// Nodes migrated at the boundary (0 when nothing was applied).
         pub moves: u64,

@@ -493,10 +493,14 @@ fn map_audit_emulate(
                 .iter()
                 .map(|e| e.engine_loads.clone())
                 .collect();
+            // The partition actually in force at the end of the run (after
+            // any boundary migrations): the one audited and reported.
+            let last = outcome.epoch_partitions.into_iter().last();
+            let last = last.unwrap_or(partition);
             let mut audit = rec.time("cli/audit", || {
                 massf_core::audit::audit_study_online(
                     &study,
-                    &partition,
+                    &last,
                     &outcome.predicted_engine_loads,
                     &epoch_loads,
                 )
@@ -508,10 +512,7 @@ fn map_audit_emulate(
                 remaps_applied: outcome.remaps_applied as u64,
                 epochs: outcome.epoch_stats,
             };
-            // The partition actually in force at the end of the run (after
-            // any boundary migrations).
-            let last = outcome.epoch_partitions.into_iter().last();
-            (outcome.report, Some(info), audit, last.unwrap_or(partition))
+            (outcome.report, Some(info), audit, last)
         }
         Emulate::Live | Emulate::Replay => {
             // The mapped partition plus the study's routing tables must

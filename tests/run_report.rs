@@ -8,11 +8,18 @@
 //! below that boundary by construction, so the masked prefix must match
 //! byte for byte across runs *and* across `--threads` settings.
 
+use massf_core::audit::audit_study;
+use massf_core::mapping::incremental::{run_online, IncrementalConfig, RebalanceMode};
+use massf_core::mapping::{MapperConfig, MappingStudy};
 use massf_core::metrics::load_imbalance;
 use massf_core::obs::json::fmt_f64;
-use massf_core::obs::report::RunReport;
+use massf_core::obs::report::{LintFinding, LintSummary, RunReport};
+use massf_core::topology::dml;
+use massf_core::traffic::onoff;
+use massf_core::traffic::spec::{self, TrafficKind};
 use massf_repro::cli;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn args(list: &[&str]) -> Vec<String> {
     list.iter().map(|s| s.to_string()).collect()
@@ -26,13 +33,7 @@ fn campus_report_json_with(threads: &str, extra: &[&str]) -> String {
 
 /// The same over the traffic spec at `traffic`.
 fn campus_report_json_on(traffic: &str, threads: &str, extra: &[&str]) -> String {
-    let path = std::env::temp_dir().join(format!(
-        "massf_run_report_{}_t{threads}_{}.json",
-        std::process::id(),
-        extra.join("_").replace("--", "")
-    ));
-    let path_str = path.to_str().unwrap();
-    let mut all = vec![
+    let mut run = vec![
         "run",
         "examples/scenarios/campus.dml",
         "--engines",
@@ -41,13 +42,23 @@ fn campus_report_json_on(traffic: &str, threads: &str, extra: &[&str]) -> String
         traffic,
         "--duration-s",
         "2",
-        "--threads",
-        threads,
-        "--report",
-        path_str,
     ];
-    all.extend_from_slice(extra);
-    cli::run(&args(&all)).expect("campus run must succeed");
+    run.extend_from_slice(extra);
+    report_json(&run, threads)
+}
+
+/// Runs `massf <run> --threads <threads> --report <file>` and returns the
+/// JSON text.
+fn report_json(run: &[&str], threads: &str) -> String {
+    static RUNS: AtomicUsize = AtomicUsize::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "massf_run_report_{}_{}.json",
+        std::process::id(),
+        RUNS.fetch_add(1, Ordering::Relaxed)
+    ));
+    let mut all = run.to_vec();
+    all.extend(["--threads", threads, "--report", path.to_str().unwrap()]);
+    cli::run(&args(&all)).expect("the run must succeed");
     let json = std::fs::read_to_string(&path).expect("report written");
     let _ = std::fs::remove_file(&path);
     json
@@ -212,6 +223,77 @@ fn epoch_report_is_byte_identical_across_threads() {
             "epoch block varies at --threads {threads}"
         );
     }
+}
+
+/// An online BRITE run whose boundaries move nodes: Campus's lookahead
+/// never moves, BRITE's does.
+const BRITE_ONLINE: &[&str] = &[
+    "run",
+    "examples/scenarios/brite.dml",
+    "--traffic",
+    "examples/scenarios/onoff.txt",
+    "--engines",
+    "8",
+    "--epochs",
+    "6",
+    "--rebalance",
+    "incremental",
+    "--duration-s",
+    "20",
+];
+
+#[test]
+fn brite_online_report_is_byte_identical_across_threads() {
+    let base = report_json(BRITE_ONLINE, "1");
+    let rebalance = RunReport::from_json(&base).unwrap().rebalance.unwrap();
+    assert!(rebalance.remaps_applied > 0, "the run must remap");
+    for threads in ["2", "4"] {
+        assert_eq!(
+            mask_json(&base),
+            mask_json(&report_json(BRITE_ONLINE, threads)),
+            "the online run varies at --threads {threads}"
+        );
+    }
+}
+
+#[test]
+fn an_online_run_audits_the_partition_it_reports() {
+    let report = RunReport::from_json(&report_json(BRITE_ONLINE, "1")).unwrap();
+    let rebalance = report.rebalance.expect("an online run");
+    assert!(rebalance.remaps_applied > 0, "the run must remap");
+    let mc013 = |findings: Vec<LintFinding>| -> Vec<LintFinding> {
+        findings.into_iter().filter(|f| f.code == "MC013").collect()
+    };
+    let reported = mc013(report.lint.expect("a lint block").findings);
+
+    // The same run through the library, audited on each end's partition.
+    let read = |path| std::fs::read_to_string(path).unwrap();
+    let net = dml::parse(&read("examples/scenarios/brite.dml")).unwrap();
+    let TrafficKind::OnOff(cfg) =
+        spec::parse_traffic(&read("examples/scenarios/onoff.txt")).unwrap()
+    else {
+        panic!("onoff.txt is an ONOFF spec");
+    };
+    let flows = onoff::generate(&net.hosts(), &cfg, 20_000_000);
+    let study = MappingStudy::new(net, MapperConfig::new(8));
+    let cfg = IncrementalConfig { epochs: 6 };
+    let out = run_online(&study, &flows, &[], &cfg, RebalanceMode::Incremental);
+    assert_eq!(out.migrated_nodes as u64, rebalance.migrated_nodes);
+    let audited = |p| mc013(LintSummary::from(&audit_study(&study, p)).findings);
+    let (first, last) = (
+        &out.epoch_partitions[0],
+        out.epoch_partitions.last().unwrap(),
+    );
+    assert_eq!(
+        reported,
+        audited(last),
+        "the report audits the final partition"
+    );
+    assert_ne!(
+        audited(first),
+        audited(last),
+        "the two ends must tell apart"
+    );
 }
 
 #[test]
