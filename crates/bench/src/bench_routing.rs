@@ -10,7 +10,8 @@
 //! lookup throughput (`next_link_raw` over all
 //! pairs — the forwarding hot-loop query), and the audit's two routing
 //! probes (MC014 asymmetry + MC015 ECMP, `massf_routing::probes`) beside
-//! the pairwise reference they replaced, **asserting equal output**.
+//! the pairwise reference they replaced, **asserting equal output** and
+//! that the intact tables certify (no asymmetry compare runs).
 //!
 //! All size and shape cells are deterministic functions of the topology,
 //! so the `ratio ≥ 10×` acceptance check is flake-free by construction;
@@ -55,13 +56,12 @@ fn lookup_throughput(tables: &RoutingTables, reps: usize) -> f64 {
 }
 
 /// Both audit probes over `tables`, timed, and the pairwise oracle timed
-/// once; panics unless they return the same witnesses and totals.
-/// Returns `(probes_ms, naive_ms)`.
+/// once; panics unless the tables certify and both return the same
+/// witnesses and totals. Returns `(probes_ms, naive_ms)`.
 fn audit_probes(net: &Network, tables: &RoutingTables, reps: usize, row: &str) -> (f64, f64) {
-    let (secs, got) = time_best(reps, || {
-        let found = probes::sweep(net, tables, AUDIT_CAP);
-        (found.asymmetric, found.ecmp)
-    });
+    let (secs, found) = time_best(reps, || probes::sweep(net, tables, AUDIT_CAP));
+    assert!(found.certified, "{row}: intact tables fail the certificate");
+    let got = (found.asymmetric, found.ecmp);
     let (naive_secs, want) = time_best(1, || {
         (
             naive::asymmetric_latencies(tables, AUDIT_CAP),

@@ -32,9 +32,9 @@
 //! Latencies are not stored per pair: a query walks the next-hop chain and
 //! sums per-link latencies from a snapshot, which reproduces the Dijkstra
 //! distance exactly (it *is* the sum of the links on that chain).
-//! A caller that wants every latency toward one destination reads the
-//! column through [`LatenciesTo`](crate::tables::LatenciesTo) instead,
-//! which pays each shared chain tail once.
+//! The audit's probes, which want every latency toward every core node,
+//! read each row once per rank range of destinations instead
+//! (`RoutingTables::row_entries`) and climb the columns from there.
 //!
 //! **Slicing.** A partitioned emulation only queries `entry(src, ·)` for
 //! sources the querying engine owns (once per route reaching them), so an
@@ -254,9 +254,11 @@ impl RoutingTables {
         })
     }
 
-    /// The run of `src`'s row covering `dst`.
+    /// The run of the non-leaf `src`'s row covering `dst`, counted as one
+    /// lookup.
     #[inline]
     fn run_entry(&self, src: NodeId, dst: NodeId) -> (NodeId, LinkId) {
+        self.count(src);
         self.row(src).lookup(self.rank[dst as usize])
     }
 
@@ -276,6 +278,32 @@ impl RoutingTables {
         }
     }
 
+    /// Non-leaf `src`'s entries toward the ascending `ranks`, passed to
+    /// `f` with their index: one binary search, then a walk over the
+    /// runs. Counted and filled as one [`entry`](Self::entry) lookup;
+    /// `src`'s own rank gets a neighbouring run's answer.
+    pub(crate) fn row_entries(
+        &self,
+        src: NodeId,
+        ranks: &[u32],
+        mut f: impl FnMut(usize, (NodeId, LinkId)),
+    ) {
+        self.count(src);
+        let row = self.row(src);
+        let (starts, rest) = row.0.split_at(row.len());
+        let (hops, links) = rest.split_at(row.len());
+        let Some(&first) = ranks.first().filter(|_| !starts.is_empty()) else {
+            return; // a one-node network's row holds nothing but the diagonal
+        };
+        let mut i = starts.partition_point(|&s| s <= first).saturating_sub(1);
+        for (at, &r) in ranks.iter().enumerate() {
+            while starts.get(i + 1).is_some_and(|&s| s <= r) {
+                i += 1;
+            }
+            f(at, (hops[i], LinkId(links[i])));
+        }
+    }
+
     /// `(next_hop, next_link)` from `src` toward `dst`;
     /// `(NodeId::MAX, NO_LINK)` when `src == dst` or unreachable.
     #[inline]
@@ -283,32 +311,19 @@ impl RoutingTables {
         if src == dst {
             return (NodeId::MAX, NO_LINK);
         }
+        let Some(uplink) = self.leaf[src as usize] else {
+            return self.run_entry(src, dst);
+        };
         self.count(src);
-        match self.leaf[src as usize] {
-            // Reachable from a leaf iff the parent is the destination or
-            // the parent (never a leaf) reaches it. Asking counts a lookup
-            // on — and may fill — the parent's row; that demand is part of
-            // routing for this leaf.
-            Some((parent, _)) if parent != dst && self.climb_step(parent, dst).0 == NodeId::MAX => {
-                (NodeId::MAX, NO_LINK)
-            }
-            Some(uplink) => uplink,
-            None => self.run_entry(src, dst),
+        // Reachable from a leaf iff the parent is the destination or the
+        // parent (never a leaf) reaches it. Asking counts a lookup on — and
+        // may fill — the parent's row; that demand is part of routing for
+        // this leaf.
+        let parent = uplink.0;
+        if parent != dst && self.run_entry(parent, dst).0 == NodeId::MAX {
+            return (NodeId::MAX, NO_LINK);
         }
-    }
-
-    /// One step of a climb toward `dst` (`src != dst`): [`entry`](Self::entry)
-    /// without the leaf's reachability probe. A leaf answers its uplink
-    /// unconditionally and with no binary search; whether `dst` is
-    /// reachable is then the parent's answer, which a climb asks next
-    /// anyway (`lat(leaf→dst) = uplink + lat(parent→dst)`).
-    #[inline]
-    pub(crate) fn climb_step(&self, src: NodeId, dst: NodeId) -> (NodeId, LinkId) {
-        self.count(src);
-        match self.leaf[src as usize] {
-            Some(uplink) => uplink,
-            None => self.run_entry(src, dst),
-        }
+        uplink
     }
 
     /// The one chain walk: calls `f(node, link)` for every node of the

@@ -26,4 +26,4 @@ pub mod tables;
 pub mod traceroute;
 
 pub use memory::{RunStats, SliceResidency};
-pub use tables::{LatenciesTo, RoutingKind, RoutingTables};
+pub use tables::{RoutingKind, RoutingTables};

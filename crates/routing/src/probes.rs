@@ -30,26 +30,39 @@
 //! same first-`cap` selection, so totals and witness lists are those of a
 //! sweep over every pair.
 //!
-//! The columns come through [`LatenciesTo`](crate::LatenciesTo) — one
-//! memoized lookup per node per destination — each is read once and
-//! feeds both probes, and the sweep holds at most 1 MiB of scratch
-//! (`SCRATCH_BYTES`): never an n × n matrix.
+//! The swept nodes are taken in rank order, so a tile of destinations is
+//! one rank range: each row is read once per tile (one binary search,
+//! then a walk over its runs) into at most 1 MiB of scratch
+//! (`SCRATCH_BYTES`), and the columns `lat(·→d)` are climbed from there.
+//! While one is resident, the MC015 neighbour loop also checks Bellman's
+//! inequality `lat(x→d) ≤ w(x,v) + lat(v→d)` at every swept `x`, for
+//! every neighbour `v` but a folded leaf (which only leads back to `x`).
+//! Links have strictly positive latency (`Network::add_link`), so a
+//! shortest path's inner nodes have degree ≥ 2 and are swept: if no
+//! column breaks the inequality, induction back from `d` along a shortest
+//! path gives `lat(x→d) ≤ dist(x, d)`, every route is a shortest path,
+//! and `dist` is symmetric. The tables are then
+//! [certified](Findings::certified), with no asymmetric pair; only tables
+//! that are not get the exact compare of resident columns against their
+//! transposes.
 //!
 //! Both probes collect at most a caller-given number of witnesses and
 //! return the exact total alongside, so lint reports stay bounded while
 //! the summary stays truthful.
 
+use crate::tables::NO_LINK;
 use crate::RoutingTables;
-use massf_topology::{Network, NodeId};
+use massf_topology::{LinkId, Network, NodeId};
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 #[cfg(test)]
 mod naive;
 
-/// Most the sweep may hold at once: its tile of resident columns plus
-/// the climb's own arrays. A column holds one latency per swept node;
-/// the budget binds before the `MIN_TILES` share does from about
-/// n = 2 020 nodes up.
+/// Most the sweep may hold at once: a tile of 8-byte row entries (for
+/// tables that fail the certificate, half a tile beside half a tile of
+/// resident latencies) plus its per-node arrays. The budget binds before
+/// the `MIN_TILES` share does from about n = 2 000 nodes up.
 const SCRATCH_BYTES: usize = 1 << 20;
 
 /// A tile holds no more bytes than 1/32 of the n columns of n nodes
@@ -58,6 +71,9 @@ const SCRATCH_BYTES: usize = 1 << 20;
 /// (a budget-sized tile at n = 564 measured +0.4 MiB on a 5.2 MiB peak;
 /// 1/32 of the columns, 80 KiB, measures +0).
 const MIN_TILES: usize = 32;
+
+/// The slot of a folded leaf, and the hop of a route that ends.
+const NONE: u32 = u32::MAX;
 
 /// The first `cap` witnesses in ascending key order, from sweeps that
 /// meet them out of order (a max-heap of the `cap` smallest keys so far).
@@ -94,8 +110,10 @@ impl<T: Ord> FirstK<T> {
 /// The swept nodes and the leaves folded onto each (see the module doc).
 struct Fold {
     /// Every node without a leaf record, and every leaf that failed the
-    /// check, ascending.
+    /// check, in destination rank order; a node's index here is its slot.
     swept: Vec<NodeId>,
+    /// `slot[v]`: `v`'s index in `swept`, `NONE` for a folded leaf.
+    slot: Vec<u32>,
     /// `group[i]` is `swept[i]` at shift 0, then each leaf folded onto it
     /// with its uplink latency: every member's latencies are `swept[i]`'s
     /// shifted by its own uplink.
@@ -120,16 +138,113 @@ impl Fold {
                 }
             }
         }
-        let swept: Vec<NodeId> = (0..folds.len() as NodeId)
+        let mut swept: Vec<NodeId> = (0..folds.len() as NodeId)
             .filter(|&v| !folds[v as usize])
             .collect();
+        swept.sort_unstable_by_key(|&v| t.rank[v as usize]);
+        let mut slot = vec![NONE; folds.len()];
+        for (j, &v) in swept.iter().enumerate() {
+            slot[v as usize] = j as u32;
+        }
         let mut group: Vec<_> = swept.iter().map(|&v| vec![(v, 0)]).collect();
         for (h, leaf) in t.leaf.iter().enumerate().filter(|&(h, _)| folds[h]) {
             let (p, uplink) = leaf.expect("only leaves fold");
-            let i = swept.binary_search(&p).expect("a leaf's parent is swept");
-            group[i].push((h as NodeId, t.link_latency_us[uplink.0 as usize]));
+            let u = t.link_latency_us[uplink.0 as usize];
+            group[slot[p as usize] as usize].push((h as NodeId, u));
         }
-        Self { swept, group }
+        Self { swept, slot, group }
+    }
+}
+
+/// The latency columns toward the swept nodes, a tile of destination
+/// slots at a time. Sources are the swept nodes only.
+struct Columns<'t> {
+    tables: &'t RoutingTables,
+    fold: &'t Fold,
+    /// `ranks[j]`: the destination rank of `fold.swept[j]`, ascending.
+    ranks: Vec<u32>,
+    /// `step[k][j]`: the hop (a slot, `NONE` where the route ends) and
+    /// link out of slot `j` toward the tile's `k`-th destination. One
+    /// allocation per column, small enough to reuse memory the routing
+    /// build has returned, where one 1 MiB block is fresh pages on top of
+    /// the run's peak RSS (measured: +1.0 MiB on 11.6).
+    step: Vec<Vec<(u32, LinkId)>>,
+    /// `val[j]` is `lat(swept[j] → d)` once `done[j]`.
+    val: Vec<u64>,
+    done: Vec<bool>,
+    /// The unresolved part of the chain being climbed: `(slot, latency of
+    /// the link it leaves over)`.
+    stack: Vec<(u32, u64)>,
+}
+
+impl<'t> Columns<'t> {
+    fn new(tables: &'t RoutingTables, fold: &'t Fold, width: usize) -> Self {
+        let s = fold.swept.len();
+        Self {
+            tables,
+            fold,
+            ranks: fold
+                .swept
+                .iter()
+                .map(|&v| tables.rank[v as usize])
+                .collect(),
+            step: (0..width).map(|_| vec![(NONE, NO_LINK); s]).collect(),
+            val: vec![0; s],
+            done: vec![false; s],
+            stack: Vec::new(),
+        }
+    }
+
+    /// Reads every swept row's entries toward the slots of `tile` (at
+    /// most `step.len()` of them) in one pass over its runs. A swept leaf
+    /// has no row: every route leaves over its uplink to its parent.
+    fn load(&mut self, tile: Range<usize>) {
+        let (fold, ranks) = (self.fold, &self.ranks[tile]);
+        for (j, &x) in fold.swept.iter().enumerate() {
+            match self.tables.leaf[x as usize] {
+                Some((p, uplink)) => {
+                    for column in &mut self.step[..ranks.len()] {
+                        column[j] = (fold.slot[p as usize], uplink);
+                    }
+                }
+                // A hop of `NodeId::MAX` is past the end of `slot`.
+                None => self.tables.row_entries(x, ranks, |k, (hop, link)| {
+                    let hop = fold.slot.get(hop as usize).copied().unwrap_or(NONE);
+                    self.step[k][j] = (hop, link);
+                }),
+            }
+        }
+    }
+
+    /// Fills `val` with the column toward slot `d`, the loaded tile's
+    /// `k`-th, `u64::MAX` where unreachable: each source's chain is
+    /// climbed until it meets a resolved node (`d` at the latest), then
+    /// unwound, so every shared tail is paid once.
+    fn climb(&mut self, k: usize, d: usize) {
+        let step = &self.step[k];
+        self.done.fill(false);
+        (self.val[d], self.done[d]) = (0, true);
+        for j in 0..self.val.len() {
+            let mut cur = j;
+            let mut lat = loop {
+                if self.done[cur] {
+                    break self.val[cur];
+                }
+                let (hop, link) = step[cur];
+                if hop == NONE {
+                    (self.val[cur], self.done[cur]) = (u64::MAX, true);
+                    break u64::MAX;
+                }
+                let via = self.tables.link_latency_us[link.0 as usize];
+                self.stack.push((cur as u32, via));
+                debug_assert!(self.stack.len() <= self.val.len(), "routing loop detected");
+                cur = hop as usize;
+            };
+            while let Some((node, via)) = self.stack.pop() {
+                lat = lat.saturating_add(via);
+                (self.val[node as usize], self.done[node as usize]) = (lat, true);
+            }
+        }
     }
 }
 
@@ -172,27 +287,27 @@ pub struct Findings {
     /// neighbour `v` of `src` is optimal toward `dst` when
     /// `link(src,v) + dist(v,dst) == dist(src,dst)`.
     pub ecmp: (Vec<EcmpSite>, usize),
+    /// Every route is a shortest path, so none is asymmetric, proved
+    /// without a compare (see the module doc). Shortest-path tables
+    /// always certify; hierarchical ones may not.
+    pub certified: bool,
 }
 
 /// Runs both probes in one sweep of the swept set's latency columns.
 pub fn sweep(net: &Network, tables: &RoutingTables, cap: usize) -> Findings {
     let fold = Fold::new(tables);
     let (n, s) = (tables.node_count(), fold.swept.len().max(1));
-    // 12 bytes per node are the climb's value and stamp arrays.
+    // 21 bytes per node are the sweep's own arrays: the slot map, then
+    // each swept node's rank, latency and flag.
     let bytes = SCRATCH_BYTES
-        .saturating_sub(12 * n)
+        .saturating_sub(21 * n)
         .min(8 * n * n.div_ceil(MIN_TILES));
     sweep_tiled(net, tables, &fold, cap, (bytes / (8 * s)).clamp(1, s))
 }
 
-/// The swept nodes are taken `width` at a time. Each one's whole column
-/// is read once: MC015 runs over it there and then, and its swept
-/// entries (`lat(q→p)` for every swept `q`) stay resident for MC014,
-/// which then climbs toward each `q` from the tile's nodes only — their
-/// chains merge on the way to `q`, and the memo pays each shared tail
-/// once. An asymmetric `(p, q)` stands for every pair of their groups,
-/// each shifted by both members' uplinks; pairs inside one group are
-/// symmetric (`u + u'` both ways).
+/// The sweep over tiles of `width` destination slots: MC015 and the
+/// certificate run over each column as it is climbed, and only tables
+/// that fail the certificate go on to the exact compare.
 fn sweep_tiled(
     net: &Network,
     tables: &RoutingTables,
@@ -201,145 +316,141 @@ fn sweep_tiled(
     width: usize,
 ) -> Findings {
     debug_assert_eq!(tables.node_count(), net.node_count());
-    let (swept, s) = (&fold.swept, fold.swept.len());
-    let (mut asym, mut asym_total) = (FirstK::new(cap), 0usize);
+    let s = fold.swept.len();
+    let mut cols = Columns::new(tables, fold, width);
     let mut ecmp = Ecmp {
         net,
-        // Degree-1 sources are skipped: one neighbour never gives two hops.
-        sources: swept
-            .iter()
-            .copied()
-            .filter(|&v| net.degree(v) >= 2)
-            .collect(),
         hops: Vec::new(),
         first: FirstK::new(cap),
         total: 0,
+        certified: true,
     };
-    let mut col = tables.latencies_to();
-    // `tile[k][j]` is `lat(swept[j] → swept[i0 + k])`. One allocation per
-    // column: each is small enough to be served from memory the routing
-    // build has already returned, where a single 1 MiB block is fresh
-    // pages on top of the run's peak RSS (measured: +1.0 MiB on 11.6).
-    let mut tile: Vec<Vec<u64>> = (0..width).map(|_| vec![0u64; s]).collect();
-    for i0 in (0..s).step_by(width) {
-        let i1 = (i0 + width).min(s);
-        for (i, column) in (i0..i1).zip(&mut tile) {
-            col.retarget(swept[i]);
-            let lat = col.all();
-            ecmp.toward(&fold.group[i], lat);
-            for (back, &q) in column.iter_mut().zip(swept) {
-                *back = lat[q as usize];
-            }
+    for t0 in (0..s).step_by(width) {
+        let tile = t0..(t0 + width).min(s);
+        cols.load(tile.clone());
+        for d in tile {
+            cols.climb(d - t0, d);
+            ecmp.toward(&cols, d);
         }
-        // Pairs are unordered: only `q` above the tile's first node is
-        // ever compared, and a `q` inside the tile has its column there.
-        for j in i0 + 1..s {
-            if j >= i1 {
-                col.retarget(swept[j]);
+    }
+    let (mut asym, mut asym_total) = (FirstK::new(cap), 0);
+    if !ecmp.certified {
+        asym_total = asymmetry(&mut cols, &mut asym);
+    }
+    let pairs = asym
+        .into_sorted()
+        .map(|((a, b), (ab_us, ba_us))| AsymmetricPair { a, b, ab_us, ba_us });
+    let sites = ecmp
+        .first
+        .into_sorted()
+        .map(|((src, dst), next_hops)| EcmpSite {
+            src,
+            dst,
+            next_hops,
+        });
+    Findings {
+        asymmetric: (pairs.collect(), asym_total),
+        ecmp: (sites.collect(), ecmp.total),
+        certified: ecmp.certified,
+    }
+}
+
+/// MC014's exact compare, for tables that fail the certificate; returns
+/// the total. Tiles are half the reader's width, so a resident tile and
+/// the reader share its budget. Each swept pair is met once, `p` in the
+/// resident tile and `q` at or after it: `lat(p→q)` from `q`'s column,
+/// `lat(q→p)` from `p`'s. An asymmetric `(p, q)` stands for every pair
+/// of their groups, each shifted by both members' uplinks; pairs inside
+/// one group are symmetric (`u + u'` both ways).
+fn asymmetry(cols: &mut Columns, first: &mut FirstK<(u64, u64)>) -> usize {
+    let (fold, s) = (cols.fold, cols.val.len());
+    let width = cols.step.len().div_ceil(2);
+    cols.step.truncate(width);
+    let mut tile: Vec<Vec<u64>> = (0..width).map(|_| vec![0; s]).collect();
+    let mut total = 0;
+    for a0 in (0..s).step_by(width) {
+        let a1 = (a0 + width).min(s);
+        cols.load(a0..a1);
+        for (p, resident) in (a0..a1).zip(&mut tile) {
+            cols.climb(p - a0, p);
+            resident.copy_from_slice(&cols.val);
+        }
+        for b0 in (a0..s).step_by(width) {
+            if b0 > a0 {
+                cols.load(b0..(b0 + width).min(s));
             }
-            for (i, back) in (i0..).zip(&tile[..i1.min(j) - i0]) {
-                let pq = if j < i1 {
-                    tile[j - i0][i]
-                } else {
-                    col.from(swept[i])
-                };
-                let qp = back[j];
-                if pq == qp {
-                    continue;
-                }
-                for &(a, ua) in &fold.group[i] {
-                    for &(b, ub) in &fold.group[j] {
-                        let (ab, ba) = (pq.saturating_add(ua + ub), qp.saturating_add(ua + ub));
-                        asym_total += 1;
-                        if a < b {
-                            asym.offer((a, b), || (ab, ba));
-                        } else {
-                            asym.offer((b, a), || (ba, ab));
+            for q in b0..(b0 + width).min(s) {
+                cols.climb(q - b0, q);
+                for (p, back) in (a0..a1.min(q)).zip(&tile) {
+                    let (pq, qp) = (cols.val[p], back[q]);
+                    if pq == qp {
+                        continue;
+                    }
+                    for &(a, ua) in &fold.group[p] {
+                        for &(b, ub) in &fold.group[q] {
+                            let (ab, ba) = (pq.saturating_add(ua + ub), qp.saturating_add(ua + ub));
+                            total += 1;
+                            if a < b {
+                                first.offer((a, b), || (ab, ba));
+                            } else {
+                                first.offer((b, a), || (ba, ab));
+                            }
                         }
                     }
                 }
             }
         }
     }
-    let pairs = asym.into_sorted();
-    let sites = ecmp.first.into_sorted();
-    Findings {
-        asymmetric: (
-            pairs
-                .map(|((a, b), (ab_us, ba_us))| AsymmetricPair { a, b, ab_us, ba_us })
-                .collect(),
-            asym_total,
-        ),
-        ecmp: (
-            sites
-                .map(|((src, dst), next_hops)| EcmpSite {
-                    src,
-                    dst,
-                    next_hops,
-                })
-                .collect(),
-            ecmp.total,
-        ),
-    }
+    total
 }
 
-/// The MC015 half of the sweep.
+/// MC015 and the certificate, over one column at a time.
 struct Ecmp<'n> {
     net: &'n Network,
-    /// The swept nodes of degree ≥ 2.
-    sources: Vec<NodeId>,
     hops: Vec<NodeId>,
     first: FirstK<Vec<NodeId>>,
     total: usize,
+    /// No column so far breaks Bellman's inequality.
+    certified: bool,
 }
 
 impl Ecmp<'_> {
-    /// Every site toward the swept `group[0]` and the leaves folded onto
-    /// it, from its whole column `lat`. A site `(x, p)` stands for
-    /// `(x, h)` with the same hops for every leaf `h` folded onto `p`
-    /// (both sides of the test shift by `h`'s uplink); `(p, h)` itself is
-    /// tested over `p`'s neighbours, whose `rest` is the column's shifted
-    /// the same way.
-    fn toward(&mut self, group: &[(NodeId, u64)], lat: &[u64]) {
-        let dst = group[0].0;
-        for i in 0..self.sources.len() {
-            let src = self.sources[i];
-            let dist = lat[src as usize];
-            if src != dst && dist != u64::MAX && self.optimal(src, dist, |v| lat[v as usize]) {
-                for &(d, _) in group {
+    /// Runs over the column `cols.val` toward slot `d`. At every swept
+    /// source, each neighbour but a folded leaf is held to Bellman's
+    /// inequality and is an optimal first hop where it holds with
+    /// equality. A site `(x, d)` stands for `(x, h)` with the same hops
+    /// for every leaf `h` folded onto `d` (both sides of the test shift by
+    /// `h`'s uplink). `(d, h)` itself never is one: any hop but `h` pays a
+    /// positive link, then `h`'s uplink on top.
+    fn toward(&mut self, cols: &Columns, d: usize) {
+        let (lat, w, fold) = (&cols.val, &cols.tables.link_latency_us, cols.fold);
+        // `None` for a folded leaf, whose slot `NONE` is past the end of `lat`.
+        let through = |&(v, l): &(NodeId, LinkId)| {
+            Some(w[l.0 as usize].saturating_add(*lat.get(fold.slot[v as usize] as usize)?))
+        };
+        for (x, &src) in fold.swept.iter().enumerate() {
+            let dist = lat[x];
+            let (mut fits, mut ties) = (true, 0);
+            for t in self.net.neighbors(src).iter().filter_map(through) {
+                fits &= dist <= t;
+                ties += usize::from(t == dist);
+            }
+            self.certified &= fits;
+            if ties >= 2 && x != d && dist != u64::MAX {
+                self.hops.clear();
+                let optimal = self
+                    .net
+                    .neighbors(src)
+                    .iter()
+                    .filter(|e| through(e) == Some(dist));
+                self.hops.extend(optimal.map(|e| e.0));
+                self.hops.sort_unstable();
+                for &(h, _) in &fold.group[d] {
                     self.total += 1;
-                    self.first.offer((src, d), || self.hops.clone());
+                    self.first.offer((src, h), || self.hops.clone());
                 }
             }
         }
-        for &(h, u) in &group[1..] {
-            let rest = |v| {
-                if v == h {
-                    0
-                } else {
-                    lat[v as usize].saturating_add(u)
-                }
-            };
-            if self.optimal(dst, u, rest) {
-                self.total += 1;
-                self.first.offer((dst, h), || self.hops.clone());
-            }
-        }
-    }
-
-    /// Fills `hops` with the neighbours `v` of `src` on a route of latency
-    /// `dist`, `rest(v)` being the latency on from `v`, ascending; true
-    /// when there are several.
-    fn optimal(&mut self, src: NodeId, dist: u64, rest: impl Fn(NodeId) -> u64) -> bool {
-        self.hops.clear();
-        for &(v, l) in self.net.neighbors(src) {
-            let rest = rest(v);
-            if rest != u64::MAX && self.net.link(l).latency_us.saturating_add(rest) == dist {
-                self.hops.push(v);
-            }
-        }
-        self.hops.sort_unstable();
-        self.hops.len() >= 2
     }
 }
 
@@ -354,7 +465,9 @@ mod tests {
     //! is nothing to damage and no test for it.
 
     use super::*;
+    use massf_topology::asys::assign_contiguous_ases;
     use massf_topology::brite::{generate, BriteConfig, GrowthModel};
+    use massf_topology::teragrid::teragrid;
     use massf_topology::Network;
     use proptest::prelude::*;
 
@@ -368,6 +481,20 @@ mod tests {
         net.add_link(r[2], r[3], 1000.0, 100);
         net.add_link(r[3], r[0], 1000.0, 100);
         net
+    }
+
+    /// A small Barabási–Albert BRITE network. A plane this small when
+    /// `tied` puts every link on the 100 µs floor: hop-count routing,
+    /// equal-cost routes everywhere.
+    fn brite(routers: usize, hosts: usize, seed: u64, tied: bool) -> Network {
+        generate(&BriteConfig {
+            routers,
+            hosts,
+            model: GrowthModel::BarabasiAlbert { m: 2 },
+            plane: if tied { 5.0 } else { 1000.0 },
+            seed,
+            ..BriteConfig::paper_brite()
+        })
     }
 
     /// `net`'s shortest-path routes with `patch(src, dst)` overriding the
@@ -388,19 +515,27 @@ mod tests {
         [RoutingTables::build(net), RoutingTables::build_lazy(net)]
     }
 
-    /// The pairwise oracle's findings, in the sweep's shape.
-    fn oracle(net: &Network, tables: &RoutingTables, cap: usize) -> Findings {
-        Findings {
-            asymmetric: naive::asymmetric_latencies(tables, cap),
-            ecmp: naive::ecmp_sites(net, tables, cap),
-        }
+    type Probes = ((Vec<AsymmetricPair>, usize), (Vec<EcmpSite>, usize));
+
+    /// The pairwise oracle's findings, beside the sweep's.
+    fn oracle(net: &Network, tables: &RoutingTables, cap: usize) -> Probes {
+        (
+            naive::asymmetric_latencies(tables, cap),
+            naive::ecmp_sites(net, tables, cap),
+        )
+    }
+
+    fn probes(found: Findings) -> Probes {
+        (found.asymmetric, found.ecmp)
     }
 
     #[test]
     fn intact_tables_are_symmetric_under_both_fill_policies() {
         let net = square();
         for tables in both(&net) {
-            let (pairs, total) = sweep(&net, &tables, 8).asymmetric;
+            let found = sweep(&net, &tables, 8);
+            assert!(found.certified);
+            let (pairs, total) = found.asymmetric;
             assert!(pairs.is_empty(), "{pairs:?}");
             assert_eq!(total, 0);
         }
@@ -417,7 +552,9 @@ mod tests {
         });
         assert_eq!(tables.latency_us(0, 1), Some(300));
         assert_eq!(tables.latency_us(1, 0), Some(100));
-        let (pairs, total) = sweep(&net, &tables, 8).asymmetric;
+        let found = sweep(&net, &tables, 8);
+        assert!(!found.certified);
+        let (pairs, total) = found.asymmetric;
         assert_eq!(total, 1);
         assert_eq!(
             pairs,
@@ -428,6 +565,54 @@ mod tests {
                 ba_us: 100
             }]
         );
+    }
+
+    #[test]
+    fn a_symmetric_detour_fails_the_certificate_but_is_not_asymmetric() {
+        // 0→1 and 1→0 both go the long way round (300 µs each way): the
+        // routes agree, but neither is a shortest path, so only the exact
+        // compare can clear them.
+        let net = square();
+        let tables = patched(&net, false, |src, dst| match (src, dst) {
+            (0, 1) => Some(3),
+            (3, 1) | (1, 0) => Some(2),
+            (2, 0) => Some(3),
+            _ => None,
+        });
+        assert_eq!(tables.latency_us(0, 1), Some(300));
+        assert_eq!(tables.latency_us(1, 0), Some(300));
+        let found = sweep(&net, &tables, 32);
+        assert!(!found.certified);
+        assert_eq!(found.asymmetric, (vec![], 0));
+        assert_eq!(probes(found), oracle(&net, &tables, 32));
+    }
+
+    #[test]
+    fn a_dead_end_at_a_degree_one_node_with_its_own_row_is_reported() {
+        // Host h hangs off r0; without leaf records it keeps its own row,
+        // which has no route to r2. Its one neighbour reaches r2, so the
+        // inequality breaks at a source MC015 never counts a site at.
+        let mut net = square();
+        let h = net.add_host("h", 0);
+        net.add_link(0, h, 1000.0, 10);
+        let tables = patched(&net, false, |src, dst| {
+            (src, dst).eq(&(h, 2)).then_some(NodeId::MAX)
+        });
+        let found = sweep(&net, &tables, 8);
+        assert!(!found.certified);
+        assert_eq!(
+            found.asymmetric,
+            (
+                vec![AsymmetricPair {
+                    a: 2,
+                    b: h,
+                    ab_us: 210,
+                    ba_us: u64::MAX
+                }],
+                1
+            )
+        );
+        assert_eq!(probes(found), oracle(&net, &tables, 8));
     }
 
     #[test]
@@ -488,9 +673,9 @@ mod tests {
         net.add_link(r[0], r[2], 1000.0, 100);
         net.add_link(r[2], r[1], 1000.0, 100);
         let tables = RoutingTables::build(&net);
-        let got = sweep(&net, &tables, 8);
+        let got = probes(sweep(&net, &tables, 8));
         assert_eq!(got, oracle(&net, &tables, 8));
-        assert_eq!(got.ecmp.0[0].next_hops, vec![1, 2]);
+        assert_eq!(got.1 .0[0].next_hops, vec![1, 2]);
     }
 
     #[test]
@@ -525,22 +710,33 @@ mod tests {
         let fold = Fold::new(&tables);
         assert_eq!(fold.swept, [1, h]);
         assert_eq!(fold.group[0], [(1, 0), (0, 100), (2, 100)]);
-        let got = sweep(&net, &tables, 8);
+        let got = probes(sweep(&net, &tables, 8));
         assert_eq!(got, oracle(&net, &tables, 8));
-        let back: Vec<_> = got
-            .asymmetric
-            .0
-            .iter()
-            .map(|p| (p.a, p.ab_us, p.ba_us))
-            .collect();
+        let back: Vec<_> = got.0 .0.iter().map(|p| (p.a, p.ab_us, p.ba_us)).collect();
         assert_eq!(
             back,
             [(0, u64::MAX, 110), (1, u64::MAX, 10), (2, u64::MAX, 110)]
         );
     }
 
+    #[test]
+    fn hierarchical_routes_get_the_oracles_findings_certified_or_not() {
+        // Hot-potato inter-AS routes can be longer than shortest paths:
+        // TeraGrid's are not, so its tables certify; a six-AS BRITE
+        // network's are, so its tables fail the certificate and the exact
+        // compare finds the asymmetry.
+        let six = assign_contiguous_ases(&brite(24, 30, 3, false), 6);
+        for (net, certified) in [(teragrid(), true), (six, false)] {
+            let tables = crate::hierarchy::build_hierarchical(&net);
+            let found = sweep(&net, &tables, 8);
+            assert_eq!(found.certified, certified);
+            assert_eq!(found.asymmetric.1 > 0, !certified);
+            assert_eq!(probes(found), oracle(&net, &tables, 8));
+        }
+    }
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
+        #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// 1–8 entries of an honest table set to "no route" (loop-free by
         /// construction: removing a hop cannot close a cycle) dead-end
@@ -558,16 +754,7 @@ mod tests {
             leaves in prop::bool::ANY,
             width in 1usize..9,
         ) {
-            let net = generate(&BriteConfig {
-                routers,
-                hosts,
-                model: GrowthModel::BarabasiAlbert { m: 2 },
-                // A plane this small puts every link on the 100 µs floor:
-                // hop-count routing, equal-cost routes everywhere.
-                plane: if tied { 5.0 } else { 1000.0 },
-                seed,
-                ..BriteConfig::paper_brite()
-            });
+            let net = brite(routers, hosts, seed, tied);
             let n = net.node_count();
             let mut cut: Vec<(NodeId, NodeId)> = cells
                 .into_iter()
@@ -591,10 +778,62 @@ mod tests {
             let fold = Fold::new(&tables);
             let width = width.min(fold.swept.len());
             let totals = oracle(&net, &tables, 0);
-            for cap in [0, 1, 3, totals.asymmetric.1 + 5, totals.ecmp.1 + 5] {
+            for cap in [0, 1, 3, totals.0 .1 + 5, totals.1 .1 + 5] {
                 let want = oracle(&net, &tables, cap);
-                prop_assert_eq!(&sweep(&net, &tables, cap), &want);
-                prop_assert_eq!(&sweep_tiled(&net, &tables, &fold, cap, width), &want);
+                prop_assert_eq!(&probes(sweep(&net, &tables, cap)), &want);
+                prop_assert_eq!(&probes(sweep_tiled(&net, &tables, &fold, cap, width)), &want);
+            }
+        }
+
+        /// Shortest-path routes always certify, so the exact compare never
+        /// runs: eager and lazy tables, tied and untied planes, and the
+        /// same routes hand-installed with and without leaf records.
+        #[test]
+        fn shortest_path_tables_always_certify(
+            (routers, hosts, seed, tied) in (4usize..14, 0usize..10, any::<u64>(), prop::bool::ANY),
+        ) {
+            let net = brite(routers, hosts, seed, tied);
+            let [eager, lazy] = both(&net);
+            let installed = [true, false].map(|leaves| patched(&net, leaves, |_, _| None));
+            for tables in [eager, lazy].iter().chain(&installed) {
+                let found = sweep(&net, tables, 8);
+                prop_assert!(found.certified);
+                prop_assert_eq!(probes(found), oracle(&net, tables, 8));
+            }
+        }
+
+        /// The column reader's every column equals `latency_us` (unreachable
+        /// as `u64::MAX`) from every swept source, at every tile width —
+        /// those that divide the swept count and those that leave a ragged
+        /// last tile — on networks with a node nothing reaches and a
+        /// two-node island, over eager and lazy tables.
+        #[test]
+        fn column_reader_equals_latency_us_at_every_tile_width(
+            (routers, hosts, seed, tied) in (4usize..14, 0usize..10, any::<u64>(), prop::bool::ANY),
+        ) {
+            let mut net = brite(routers, hosts, seed, tied);
+            net.add_host("isolated", 0);
+            let a = net.add_router("island-a", 99);
+            let b = net.add_router("island-b", 99);
+            net.add_link(a, b, 100.0, 5);
+            for tables in both(&net) {
+                let fold = Fold::new(&tables);
+                let s = fold.swept.len();
+                for width in 1..=s {
+                    let mut cols = Columns::new(&tables, &fold, width);
+                    for t0 in (0..s).step_by(width) {
+                        let tile = t0..(t0 + width).min(s);
+                        cols.load(tile.clone());
+                        for d in tile {
+                            cols.climb(d - t0, d);
+                            let dst = fold.swept[d];
+                            for (j, &src) in fold.swept.iter().enumerate() {
+                                let want = tables.latency_us(src, dst).unwrap_or(u64::MAX);
+                                prop_assert_eq!(cols.val[j], want, "{:?} width {} {}->{}", tables.kind(), width, src, dst);
+                            }
+                        }
+                    }
+                }
             }
         }
     }

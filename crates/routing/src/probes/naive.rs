@@ -1,6 +1,6 @@
 //! The pairwise reference the probes are checked against: one
 //! `latency_us` chain walk per ordered pair, and again per neighbour —
-//! what the probes were before they read memoized columns.
+//! what the probes were before they read latency columns.
 //!
 //! Never part of the library. `probes.rs` mounts it under `#[cfg(test)]`;
 //! `tests/prop_probes.rs` and `massf-bench`'s `bench_routing` row mount

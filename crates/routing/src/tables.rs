@@ -190,8 +190,7 @@ impl RoutingTables {
 
     /// End-to-end latency (µs) of the routed path, `None` if unreachable:
     /// a walk of the next-hop chain summing per-link latencies, which is
-    /// the Dijkstra distance (the same integer sum). For many sources
-    /// toward one destination use [`latencies_to`](Self::latencies_to).
+    /// the Dijkstra distance (the same integer sum).
     #[inline]
     pub fn latency_us(&self, src: NodeId, dst: NodeId) -> Option<u64> {
         let mut lat = 0;
@@ -240,112 +239,6 @@ impl RoutingTables {
         let mut links = Vec::new();
         self.for_each_hop(src, dst, |_, link| links.extend(link))
             .then_some(links)
-    }
-}
-
-/// A memoized climb toward one destination: every source's latency to
-/// `dst`, each resolved at most once per [`retarget`](Self::retarget).
-///
-/// All routes toward one destination share their tails, so
-/// `lat(s→dst) = link(s, hop) + lat(hop→dst)` is computed once per node
-/// and remembered in epoch-stamped arrays: a full column costs n single
-/// lookups instead of n chain walks, a leaf source costs no binary search
-/// at all (its value is its parent's plus the uplink), and retargeting is
-/// O(1).
-///
-/// Answers equal [`RoutingTables::latency_us`] with `None` folded to
-/// `u64::MAX`. Created by [`RoutingTables::latencies_to`]; nothing is
-/// allocated after that.
-#[derive(Debug)]
-pub struct LatenciesTo<'t> {
-    tables: &'t RoutingTables,
-    dst: NodeId,
-    /// `val[v]` is `lat(v→dst)` where `stamp[v] == epoch`.
-    val: Vec<u64>,
-    stamp: Vec<u32>,
-    epoch: u32,
-    /// The unresolved part of the chain being climbed: `(node, latency of
-    /// the link it leaves over)`.
-    stack: Vec<(NodeId, u64)>,
-}
-
-impl RoutingTables {
-    /// A reusable latency-column reader over these tables; call
-    /// [`retarget`](LatenciesTo::retarget) before the first query.
-    pub fn latencies_to(&self) -> LatenciesTo<'_> {
-        let n = self.node_count();
-        LatenciesTo {
-            tables: self,
-            dst: NodeId::MAX,
-            val: vec![0; n],
-            stamp: vec![0; n],
-            epoch: 1,
-            stack: Vec::new(),
-        }
-    }
-}
-
-impl LatenciesTo<'_> {
-    /// Points the reader at `dst`, forgetting the previous column in O(1).
-    pub fn retarget(&mut self, dst: NodeId) {
-        assert!((dst as usize) < self.val.len(), "destination out of range");
-        self.dst = dst;
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // Stamps from 2³² retargets ago would read as current.
-            self.stamp.fill(0);
-            self.epoch = 1;
-        }
-        self.val[dst as usize] = 0;
-        self.stamp[dst as usize] = self.epoch;
-    }
-
-    /// Latency `src → dst` in microseconds; `u64::MAX` when unreachable.
-    /// Walks `src`'s next-hop chain until it meets a node already resolved
-    /// this epoch (`dst` itself at the latest), then unwinds, resolving
-    /// every node it passed.
-    ///
-    /// # Panics
-    /// Panics if no destination was set, or `src` is out of range.
-    #[inline]
-    pub fn from(&mut self, src: NodeId) -> u64 {
-        assert!(self.dst != NodeId::MAX, "LatenciesTo::retarget first");
-        let mut cur = src;
-        let mut lat = loop {
-            if self.stamp[cur as usize] == self.epoch {
-                break self.val[cur as usize];
-            }
-            let (hop, link) = self.tables.climb_step(cur, self.dst);
-            if hop == NodeId::MAX {
-                self.val[cur as usize] = u64::MAX;
-                self.stamp[cur as usize] = self.epoch;
-                break u64::MAX;
-            }
-            let via = self.tables.link_latency_us[link.0 as usize];
-            self.stack.push((cur, via));
-            debug_assert!(self.stack.len() <= self.val.len(), "routing loop detected");
-            cur = hop;
-        };
-        while let Some((node, via)) = self.stack.pop() {
-            if lat != u64::MAX {
-                lat += via;
-            }
-            self.val[node as usize] = lat;
-            self.stamp[node as usize] = self.epoch;
-        }
-        lat
-    }
-
-    /// Resolves every source and returns the whole column, indexed by
-    /// node id.
-    ///
-    /// # Panics
-    /// Panics if no destination was set.
-    pub fn all(&mut self) -> &[u64] {
-        for src in 0..self.val.len() as NodeId {
-            self.from(src);
-        }
-        &self.val
     }
 }
 
