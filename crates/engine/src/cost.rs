@@ -19,8 +19,8 @@
 //! Every term is deterministic, so "emulation time" figures are exactly
 //! reproducible on any machine.
 
-/// Cost coefficients. Defaults are loosely calibrated to the paper's
-/// Pentium-II-era cluster (microseconds per unit).
+/// Cost coefficients (µs per unit). The defaults are hand-set figures for
+/// the paper's Pentium-II-era cluster, not fitted to any measurement.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Cost of one kernel event on an engine, in µs.
@@ -39,7 +39,7 @@ pub struct CostModel {
 }
 
 impl Default for CostModel {
-    /// Calibrated to the paper's dual-550 MHz Pentium-II engines: ~30 k
+    /// Hand-set for the paper's dual-550 MHz Pentium-II engines: ~30 k
     /// kernel events/s per node (35 µs/event), ~25 µs of sender-side cost
     /// per cross-engine event on switched 100 Mbps Ethernet, and ~50 µs of
     /// per-window synchronization (MaSSF's conservative channels are

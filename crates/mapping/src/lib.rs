@@ -76,8 +76,6 @@ pub struct MapperConfig {
     /// Add the routing-table memory model as an extra balance constraint
     /// (§2.2.2 / §5 memory-weight "magic number" discussion).
     pub include_memory: bool,
-    /// PROFILE: maximum phase segments fed as constraints.
-    pub max_segments: usize,
     /// Relative capacity (CPU speed) per engine. `None` = homogeneous
     /// cluster, the paper's assumption (§5). When set, the partitioner
     /// targets weight shares proportional to capacity and the cost model
@@ -99,14 +97,13 @@ pub struct MapperConfig {
 }
 
 impl MapperConfig {
-    /// Defaults for `engines` engines (p = 0.6, 3 segments).
+    /// Defaults for `engines` engines (p = 0.6).
     pub fn new(engines: usize) -> Self {
         Self {
             engines,
             latency_priority: 0.6,
             seed: 0x6a55e,
             include_memory: false,
-            max_segments: 3,
             engine_capacities: None,
             parallelism: Parallelism::available(),
             routing: RoutingKind::default(),

@@ -26,6 +26,9 @@ use massf_topology::Network;
 /// Smoothing window (buckets) for the dominating-node curve.
 const SMOOTH_BUCKETS: usize = 3;
 
+/// Most phase segments the profile feeds the partitioner as constraints.
+const MAX_SEGMENTS: usize = 3;
+
 /// Number of time buckets the profile is digested into before clustering.
 pub const PROFILE_BUCKETS: u64 = 24;
 
@@ -70,7 +73,7 @@ pub fn map_profile_obs(
 
     let span = rec.start();
     let loads = node_time_loads(net, records, bucket_us);
-    let segments = cluster_segments(&loads, MIN_BUCKET_EVENTS, SMOOTH_BUCKETS, cfg.max_segments);
+    let segments = cluster_segments(&loads, MIN_BUCKET_EVENTS, SMOOTH_BUCKETS, MAX_SEGMENTS);
     rec.finish("mapping/profile/segments", span);
     let span = rec.start();
     // Constraint 0 is always the *total* measured load — the quantity the

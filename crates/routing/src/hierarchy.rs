@@ -20,7 +20,7 @@
 //! well-known path stretch of policy routing); [`path_stretch`]
 //! quantifies it.
 
-use crate::interval::{renumber, Row};
+use crate::interval::renumber;
 use crate::spf::{self, SpfScratch};
 use crate::tables::{link_toward, RoutingTables, NO_LINK};
 use massf_topology::{LinkId, Network, NodeId};
@@ -312,7 +312,7 @@ pub fn build_hierarchical(net: &Network) -> RoutingTables {
             hops.fill(NodeId::MAX);
             links.fill(NO_LINK);
             fill_row(&plan, &intra, src, &mut hops, &mut links);
-            let row = Row::encode(&order, src, |dst| (hops[dst as usize], links[dst as usize]));
+            let row = tables.encode(&order, src, |dst| (hops[dst as usize], links[dst as usize]));
             tables.install(src, row);
         }
     }
@@ -424,16 +424,18 @@ mod tests {
     }
 
     /// Campus (one AS), TeraGrid (border choices) and TeraGrid plus an
-    /// unreachable island AS with a host, `ablate_routing`'s Brite/6-AS
-    /// overlay, and small Brite networks of both growth models at
-    /// k ∈ {2, 3, 6} imposed ASes.
+    /// unreachable island AS with a host and a host alone in its own AS on
+    /// a backbone hub, `ablate_routing`'s Brite/6-AS overlay, and small
+    /// Brite networks of both growth models at k ∈ {2, 3, 6} imposed ASes.
     fn as_networks() -> Vec<Network> {
         let mut island = teragrid();
         let a = island.add_router("island-a", 99);
         let b = island.add_router("island-b", 99);
         let h = island.add_host("island-h", 99);
+        let own = island.add_host("own-as-h", 77);
         island.add_link(a, b, 100.0, 5);
         island.add_link(h, a, 100.0, 5);
+        island.add_link(own, 0, 100.0, 5);
         let mut nets = vec![
             campus(),
             teragrid(),
@@ -458,6 +460,45 @@ mod tests {
             nets.extend([2, 3, 6].map(|k| assign_contiguous_ases(&net, k)));
         }
         nets
+    }
+
+    #[test]
+    fn fill_row_routes_every_leaf_as_its_parent_from_every_other_source() {
+        // Rows have no column for a leaf: `entry(x, h)` is the uplink from
+        // the parent and the parent's entry from anywhere else. `fill_row`
+        // must already write exactly that, or dropping the column would
+        // move a hierarchical route. One host sits alone in its own AS, so
+        // its route crosses a border rather than its parent's AS.
+        let mut alone = 0;
+        for net in as_networks() {
+            let p = plan(&net);
+            let n = net.node_count();
+            let leaves: Vec<_> = (0..n as NodeId)
+                .filter_map(|h| Some((h, net.leaf_uplink(h)?)))
+                .collect();
+            alone += leaves
+                .iter()
+                .filter(|l| p.members.contains(&vec![l.0]))
+                .count();
+            let mut scratch = SpfScratch::new();
+            for a in 0..p.nas {
+                let intra = intra_for(&net, &p, a, &mut scratch);
+                for &src in &p.members[a] {
+                    let mut hops = vec![NodeId::MAX; n];
+                    let mut links = vec![NO_LINK; n];
+                    fill_row(&p, &intra, src, &mut hops, &mut links);
+                    for &(h, (parent, uplink)) in leaves.iter().filter(|l| l.0 != src) {
+                        let want = if parent == src {
+                            (h, uplink)
+                        } else {
+                            (hops[parent as usize], links[parent as usize])
+                        };
+                        assert_eq!((hops[h as usize], links[h as usize]), want, "{src}->{h}");
+                    }
+                }
+            }
+        }
+        assert!(alone > 0, "no leaf alone in its AS");
     }
 
     #[test]

@@ -13,13 +13,17 @@
 //!    ([`renumber`]: AS-grouped BFS order). A source's row then collapses
 //!    to a handful of `(start_rank, next_hop, next_link)` runs ([`Row`]);
 //!    lookup is an O(log runs) binary search.
-//! 2. **Shared host rows.** A degree-1 node (the common case: a host on
-//!    its access router) routes *everything* over its single uplink, so it
-//!    stores two words instead of a row (`RoutingTables::leaf`).
-//!    Reachability and latency delegate to the parent's row, which is
-//!    exactly what the leaf's own row would have said under every builder:
-//!    a degree-1 source leaves over its uplink whatever the route, reaches
-//!    what its parent reaches, and `dist(v, d) = uplink + dist(parent, d)`.
+//! 2. **Rows over the router core.** A degree-1 node (the common case: a
+//!    host on its access router) is a leaf (`RoutingTables::leaf`), as the
+//!    paper's hosts keep only a default route (§2.2.2). As a source it
+//!    stores two words instead of a row: it routes *everything* over its
+//!    uplink and reaches what its parent reaches. As a destination it has
+//!    no column: it shares its parent's rank, the parent reaches it over
+//!    the uplink and every other source the way it reaches the parent.
+//!    Both are what a full row and column would have said under every
+//!    builder, since every route to or from a leaf passes its parent, and
+//!    `dist(h, d) = uplink + dist(parent, d)`. Rows therefore cover the
+//!    core alone, O(routers²) as the paper sizes them.
 //!
 //! No two sources share a row: a run names the link `src → hop`, which is
 //! incident to `src`, so rows of distinct sources differ as soon as either
@@ -64,31 +68,6 @@ pub(crate) const RUN_BYTES: u64 = 12;
 pub(crate) struct Row(Box<[u32]>);
 
 impl Row {
-    /// Run-length-encodes `route(dst)` over the renumbered destination
-    /// `order`. The diagonal (`dst == src`) is skipped entirely so it never
-    /// splits a run — [`RoutingTables::entry`] intercepts `src == dst`
-    /// before any run is consulted.
-    pub(crate) fn encode(
-        order: &[NodeId],
-        src: NodeId,
-        mut route: impl FnMut(NodeId) -> (NodeId, LinkId),
-    ) -> Self {
-        let mut runs: Vec<(u32, NodeId, LinkId)> = Vec::new();
-        for (pos, &dst) in order.iter().enumerate() {
-            if dst == src {
-                continue;
-            }
-            let (hop, link) = route(dst);
-            if runs.last().is_none_or(|r| (r.1, r.2) != (hop, link)) {
-                runs.push((pos as u32, hop, link));
-            }
-        }
-        let starts = runs.iter().map(|r| r.0);
-        let hops = runs.iter().map(|r| r.1);
-        let links = runs.iter().map(|r| r.2 .0);
-        Row(starts.chain(hops).chain(links).collect())
-    }
-
     /// Number of runs.
     pub(crate) fn len(&self) -> usize {
         self.0.len() / 3
@@ -99,8 +78,9 @@ impl Row {
     fn lookup(&self, r: u32) -> (NodeId, LinkId) {
         let k = self.len();
         // Last run starting at or before rank r. The row covers every
-        // non-diagonal rank, and callers guard the diagonal, so the
-        // search never lands before the first run.
+        // core rank but the source's own, and callers answer that rank
+        // (the diagonal, the source's leaves) before asking, so the search
+        // never lands before the first run.
         let i = self.0[..k].partition_point(|&s| s <= r) - 1;
         (self.0[k + i], LinkId(self.0[2 * k + i]))
     }
@@ -112,7 +92,7 @@ impl Row {
 pub(crate) struct Demand {
     /// Topology snapshot rows are encoded against.
     pub(crate) net: Network,
-    /// The renumbered destination order (run coordinate space).
+    /// The renumbered node order; its core is the rows' column order.
     pub(crate) order: Vec<NodeId>,
     /// Per-source lookup counters (relaxed; totals are deterministic
     /// because the demand multiset — one lookup per engine, route and
@@ -177,45 +157,82 @@ pub(crate) fn renumber(net: &Network) -> Vec<NodeId> {
     order
 }
 
-/// Encodes the full-SPF row for `src`: one Dijkstra run into the caller's
-/// reusable `scratch`, first hops in one pass, then run-length encoding
-/// over `order`. Unreachable stretches encode as `(NodeId::MAX, NO_LINK)`
-/// runs.
-pub(crate) fn encode_spf_row(
-    net: &Network,
-    src: NodeId,
-    order: &[NodeId],
-    scratch: &mut SpfScratch,
-) -> Row {
-    scratch.run(net, src);
-    let first = scratch.first_hops();
-    let mut memo: Vec<(NodeId, LinkId)> = Vec::new();
-    Row::encode(order, src, |dst| match first[dst as usize] {
-        NO_PREV => (NodeId::MAX, NO_LINK),
-        hop => (hop, link_toward(net, src, hop, &mut memo)),
-    })
-}
-
 impl RoutingTables {
     /// A table over `net` with every row slot empty and no encode inputs;
     /// the caller installs each row through [`install`](Self::install).
     /// Every [`Network::leaf_uplink`] leaf stores a leaf record and never a
     /// row. A leaf's parent is never a leaf, so a leaf delegates at most
-    /// once.
+    /// once. The core (every other node) is ranked in `order`; a leaf
+    /// takes its parent's rank, so no row has a column of its own for it.
     pub(crate) fn empty(net: &Network, order: &[NodeId]) -> Self {
+        let leaf: Vec<_> = (0..order.len() as NodeId)
+            .map(|v| net.leaf_uplink(v))
+            .collect();
         let mut rank = vec![0u32; order.len()];
-        for (pos, &v) in order.iter().enumerate() {
+        let core = order.iter().filter(|&&v| leaf[v as usize].is_none());
+        for (pos, &v) in core.enumerate() {
             rank[v as usize] = pos as u32;
+        }
+        for (h, &up) in leaf.iter().enumerate() {
+            if let Some((p, _)) = up {
+                rank[h] = rank[p as usize];
+            }
         }
         Self {
             rank,
-            leaf: (0..order.len() as NodeId)
-                .map(|v| net.leaf_uplink(v))
-                .collect(),
+            leaf,
             rows: order.iter().map(|_| OnceLock::new()).collect(),
             link_latency_us: net.links().iter().map(|l| l.latency_us).collect(),
             demand: None,
         }
+    }
+
+    /// Run-length-encodes `src`'s row: `route(dst)` for every core `dst`
+    /// but `src` in `order`, each run starting at its first destination's
+    /// rank. Neither the diagonal nor a leaf (which ranks with its parent)
+    /// has a column, so neither splits a run: [`entry`](Self::entry)
+    /// answers the diagonal and `run_entry` a leaf of `src` before any run
+    /// is consulted.
+    pub(crate) fn encode(
+        &self,
+        order: &[NodeId],
+        src: NodeId,
+        mut route: impl FnMut(NodeId) -> (NodeId, LinkId),
+    ) -> Row {
+        let mut runs: Vec<(u32, NodeId, LinkId)> = Vec::new();
+        for &dst in order
+            .iter()
+            .filter(|&&d| d != src && self.leaf[d as usize].is_none())
+        {
+            let (hop, link) = route(dst);
+            if runs.last().is_none_or(|r| (r.1, r.2) != (hop, link)) {
+                runs.push((self.rank[dst as usize], hop, link));
+            }
+        }
+        let starts = runs.iter().map(|r| r.0);
+        let hops = runs.iter().map(|r| r.1);
+        let links = runs.iter().map(|r| r.2 .0);
+        Row(starts.chain(hops).chain(links).collect())
+    }
+
+    /// Encodes the full-SPF row for `src`: one Dijkstra run into the
+    /// caller's reusable `scratch`, first hops in one pass, then
+    /// [`encode`](Self::encode) over `order`. Unreachable stretches encode
+    /// as `(NodeId::MAX, NO_LINK)` runs.
+    pub(crate) fn encode_spf_row(
+        &self,
+        net: &Network,
+        src: NodeId,
+        order: &[NodeId],
+        scratch: &mut SpfScratch,
+    ) -> Row {
+        scratch.run(net, src);
+        let first = scratch.first_hops();
+        let mut memo: Vec<(NodeId, LinkId)> = Vec::new();
+        self.encode(order, src, |dst| match first[dst as usize] {
+            NO_PREV => (NodeId::MAX, NO_LINK),
+            hop => (hop, link_toward(net, src, hop, &mut memo)),
+        })
     }
 
     /// Installs `src`'s row.
@@ -250,31 +267,21 @@ impl RoutingTables {
                 .demand
                 .as_ref()
                 .expect("a table without encode inputs has every row installed");
-            encode_spf_row(&d.net, src, &d.order, &mut SpfScratch::new())
+            self.encode_spf_row(&d.net, src, &d.order, &mut SpfScratch::new())
         })
     }
 
-    /// The run of the non-leaf `src`'s row covering `dst`, counted as one
-    /// lookup.
+    /// The non-leaf `src`'s entry toward `dst`, counted as one lookup
+    /// (which fills the row if it is the first). A leaf of `src` is
+    /// reached over its uplink; any other leaf the way its parent is,
+    /// whose rank it shares.
     #[inline]
     fn run_entry(&self, src: NodeId, dst: NodeId) -> (NodeId, LinkId) {
         self.count(src);
-        self.row(src).lookup(self.rank[dst as usize])
-    }
-
-    /// The whole row of the non-leaf `src` into `out`, indexed by
-    /// destination rank: one in-order pass over its runs, no search.
-    /// Counted and filled as one [`entry`](Self::entry) lookup. `src`'s
-    /// own rank holds a neighbouring run's answer, not the diagonal's.
-    pub(crate) fn decode_row(&self, src: NodeId, out: &mut Vec<(NodeId, LinkId)>) {
-        self.count(src);
         let row = self.row(src);
-        let (starts, rest) = row.0.split_at(row.len());
-        let (hops, links) = rest.split_at(row.len());
-        out.clear();
-        for (i, (&hop, &link)) in hops.iter().zip(links).enumerate() {
-            let end = starts.get(i + 1).map_or(self.rank.len(), |&s| s as usize);
-            out.resize(end, (hop, LinkId(link)));
+        match self.leaf[dst as usize] {
+            Some((p, uplink)) if p == src => (dst, uplink),
+            _ => row.lookup(self.rank[dst as usize]),
         }
     }
 

@@ -8,8 +8,9 @@
 //!
 //! Routes are latency-weighted shortest paths (ties broken by hop count,
 //! then node id), computed by per-source Dijkstra and stored once, as
-//! interval-compressed rows with shared host rows, which break the O(n²)
-//! wall (DESIGN.md §13). [`RoutingKind`] only picks when the rows are
+//! interval-compressed rows over the router core (a degree-1 host keeps
+//! only its uplink and ranks with its parent), which break the O(n²) wall
+//! (DESIGN.md §13). [`RoutingKind`] only picks when the rows are
 //! filled — all up front, or each on its first lookup. The paper's n × n
 //! table survives as an analytic model in [`memory`] and as a test-only
 //! oracle (`src/tables/oracle.rs`), never as a shipped data structure.

@@ -18,17 +18,15 @@
 //!
 //! The sweep covers the router core, not every node. A leaf (a degree-1
 //! node with the tables' leaf record, hanging off parent `p` over an
-//! uplink of latency `u`) is *folded* onto `p` when the tables prove
-//! `lat(x→h) = lat(x→p) + u` for every `x`: every non-leaf row sends `h`
-//! the same `(hop, link)` as `p`, and `p`'s row sends `h` over the uplink
-//! — one in-order pass over each row's runs (`Fold::new`).
-//! `lat(h→x) = u + lat(p→x)` holds by construction (a leaf row delegates
-//! to its parent's). A leaf that fails the check is swept like any core
-//! node, so a damaged table is reported pair by pair, exactly; tables
-//! without leaf records sweep every node. Each swept result then stands
-//! for the folded pairs it implies, and every witness goes through the
-//! same first-`cap` selection, so totals and witness lists are those of a
-//! sweep over every pair.
+//! uplink of latency `u`) is *folded* onto `p`: no row has a column for
+//! it, every source but `p` reaches it the way it reaches `p`, `p` over
+//! the uplink, and the leaf itself leaves over the uplink whatever the
+//! destination. So `lat(x→h) = lat(x→p) + u` and `lat(h→x) = u + lat(p→x)`
+//! hold by construction (`Fold::new` reads the leaf records alone);
+//! tables without leaf records sweep every node. Each swept result then
+//! stands for the folded pairs it implies, and every witness goes through
+//! the same first-`cap` selection, so totals and witness lists are those
+//! of a sweep over every pair.
 //!
 //! The swept nodes are taken in rank order, so a tile of destinations is
 //! one rank range: each row is read once per tile (one binary search,
@@ -109,8 +107,8 @@ impl<T: Ord> FirstK<T> {
 
 /// The swept nodes and the leaves folded onto each (see the module doc).
 struct Fold {
-    /// Every node without a leaf record, and every leaf that failed the
-    /// check, in destination rank order; a node's index here is its slot.
+    /// Every node without a leaf record, in destination rank order; a
+    /// node's index here is its slot.
     swept: Vec<NodeId>,
     /// `slot[v]`: `v`'s index in `swept`, `NONE` for a folded leaf.
     slot: Vec<u32>,
@@ -122,35 +120,20 @@ struct Fold {
 
 impl Fold {
     fn new(t: &RoutingTables) -> Self {
-        // `folds[h]`: `h` is a leaf and every row read so far agrees.
-        let mut folds: Vec<bool> = t.leaf.iter().map(Option::is_some).collect();
-        let mut row = Vec::new();
-        for x in (0..t.leaf.len() as NodeId).filter(|&x| t.leaf[x as usize].is_none()) {
-            t.decode_row(x, &mut row);
-            for (h, leaf) in t.leaf.iter().enumerate() {
-                if let &Some((p, uplink)) = leaf {
-                    let want = if p == x {
-                        (h as NodeId, uplink)
-                    } else {
-                        row[t.rank[p as usize] as usize]
-                    };
-                    folds[h] &= row[t.rank[h] as usize] == want;
-                }
-            }
-        }
-        let mut swept: Vec<NodeId> = (0..folds.len() as NodeId)
-            .filter(|&v| !folds[v as usize])
+        let mut swept: Vec<NodeId> = (0..t.leaf.len() as NodeId)
+            .filter(|&v| t.leaf[v as usize].is_none())
             .collect();
         swept.sort_unstable_by_key(|&v| t.rank[v as usize]);
-        let mut slot = vec![NONE; folds.len()];
+        let mut slot = vec![NONE; t.leaf.len()];
         for (j, &v) in swept.iter().enumerate() {
             slot[v as usize] = j as u32;
         }
         let mut group: Vec<_> = swept.iter().map(|&v| vec![(v, 0)]).collect();
-        for (h, leaf) in t.leaf.iter().enumerate().filter(|&(h, _)| folds[h]) {
-            let (p, uplink) = leaf.expect("only leaves fold");
-            let u = t.link_latency_us[uplink.0 as usize];
-            group[slot[p as usize] as usize].push((h as NodeId, u));
+        for (h, &leaf) in t.leaf.iter().enumerate() {
+            if let Some((p, uplink)) = leaf {
+                let u = t.link_latency_us[uplink.0 as usize];
+                group[slot[p as usize] as usize].push((h as NodeId, u));
+            }
         }
         Self { swept, slot, group }
     }
@@ -196,23 +179,15 @@ impl<'t> Columns<'t> {
     }
 
     /// Reads every swept row's entries toward the slots of `tile` (at
-    /// most `step.len()` of them) in one pass over its runs. A swept leaf
-    /// has no row: every route leaves over its uplink to its parent.
+    /// most `step.len()` of them) in one pass over its runs.
     fn load(&mut self, tile: Range<usize>) {
         let (fold, ranks) = (self.fold, &self.ranks[tile]);
         for (j, &x) in fold.swept.iter().enumerate() {
-            match self.tables.leaf[x as usize] {
-                Some((p, uplink)) => {
-                    for column in &mut self.step[..ranks.len()] {
-                        column[j] = (fold.slot[p as usize], uplink);
-                    }
-                }
-                // A hop of `NodeId::MAX` is past the end of `slot`.
-                None => self.tables.row_entries(x, ranks, |k, (hop, link)| {
-                    let hop = fold.slot.get(hop as usize).copied().unwrap_or(NONE);
-                    self.step[k][j] = (hop, link);
-                }),
-            }
+            // A hop of `NodeId::MAX` is past the end of `slot`.
+            self.tables.row_entries(x, ranks, |k, (hop, link)| {
+                let hop = fold.slot.get(hop as usize).copied().unwrap_or(NONE);
+                self.step[k][j] = (hop, link);
+            });
         }
     }
 
@@ -694,32 +669,6 @@ mod tests {
     }
 
     #[test]
-    fn a_damaged_uplink_entry_unfolds_its_leaf() {
-        // r0-r1-r2 with host h on r1: r0, r2 and h are all leaves of r1.
-        // r1 losing its route to h fails h's check, so h is swept, and
-        // the one swept asymmetry (r1, h) stands for r0's and r2's too.
-        let mut net = Network::new();
-        let r: Vec<_> = (0..3).map(|i| net.add_router(format!("r{i}"), 0)).collect();
-        let h = net.add_host("h", 0);
-        net.add_link(r[0], r[1], 1000.0, 100);
-        net.add_link(r[1], r[2], 1000.0, 100);
-        net.add_link(r[1], h, 1000.0, 10);
-        let tables = patched(&net, true, |src, dst| {
-            (src, dst).eq(&(1, h)).then_some(NodeId::MAX)
-        });
-        let fold = Fold::new(&tables);
-        assert_eq!(fold.swept, [1, h]);
-        assert_eq!(fold.group[0], [(1, 0), (0, 100), (2, 100)]);
-        let got = probes(sweep(&net, &tables, 8));
-        assert_eq!(got, oracle(&net, &tables, 8));
-        let back: Vec<_> = got.0 .0.iter().map(|p| (p.a, p.ab_us, p.ba_us)).collect();
-        assert_eq!(
-            back,
-            [(0, u64::MAX, 110), (1, u64::MAX, 10), (2, u64::MAX, 110)]
-        );
-    }
-
-    #[test]
     fn hierarchical_routes_get_the_oracles_findings_certified_or_not() {
         // Hot-potato inter-AS routes can be longer than shortest paths:
         // TeraGrid's are not, so its tables certify; a six-AS BRITE
@@ -740,40 +689,25 @@ mod tests {
 
         /// 1–8 entries of an honest table set to "no route" (loop-free by
         /// construction: removing a hop cannot close a cycle) dead-end
-        /// every route through them, one direction only; up to three more
-        /// are aimed at the fold — in a non-leaf row `x`, the entry toward
-        /// a leaf `h`, toward its parent `p`, both, or `p`'s uplink entry
-        /// toward `h`. With and without leaf records, both probes report
-        /// the damage exactly as the pairwise oracle does, at every cap
-        /// and at tile widths that do and do not divide the swept count.
+        /// every route through them, one direction only. With leaf
+        /// records an entry toward a leaf is not stored, so cutting one is
+        /// a no-op, and cutting its parent's cuts it too. With and without
+        /// leaf records, both probes report the damage exactly as the
+        /// pairwise oracle does, at every cap and at tile widths that do
+        /// and do not divide the swept count.
         #[test]
         fn dead_ended_entries_match_the_oracle(
             (routers, hosts, seed, tied) in (4usize..14, 0usize..10, any::<u64>(), prop::bool::ANY),
             cells in prop::collection::vec((any::<usize>(), any::<usize>()), 1..9),
-            aimed in prop::collection::vec((any::<usize>(), any::<usize>(), 0u8..4), 0..4),
             leaves in prop::bool::ANY,
             width in 1usize..9,
         ) {
             let net = brite(routers, hosts, seed, tied);
             let n = net.node_count();
-            let mut cut: Vec<(NodeId, NodeId)> = cells
+            let cut: Vec<(NodeId, NodeId)> = cells
                 .into_iter()
                 .map(|(src, dst)| ((src % n) as NodeId, (dst % n) as NodeId))
                 .collect();
-            let leaf = RoutingTables::build(&net).leaf;
-            let rows: Vec<NodeId> = (0..n as NodeId).filter(|&v| leaf[v as usize].is_none()).collect();
-            let leaf: Vec<(NodeId, NodeId)> = (0..n as NodeId)
-                .filter_map(|h| leaf[h as usize].map(|(p, _)| (h, p)))
-                .collect();
-            for (l, x, what) in aimed.into_iter().filter(|_| !leaf.is_empty()) {
-                let ((h, p), x) = (leaf[l % leaf.len()], rows[x % rows.len()]);
-                match what {
-                    0 => cut.push((x, h)),
-                    1 => cut.push((x, p)),
-                    2 => cut.extend([(x, h), (x, p)]),
-                    _ => cut.push((p, h)),
-                }
-            }
             let tables = patched(&net, leaves, |src, dst| cut.contains(&(src, dst)).then_some(NodeId::MAX));
             let fold = Fold::new(&tables);
             let width = width.min(fold.swept.len());

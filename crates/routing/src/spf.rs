@@ -33,7 +33,7 @@ pub const SPF_RUN_ALLOCS: u64 = 7;
 /// by one worker, reused across every source that worker encodes, and
 /// resized (cheaply, after the first run) when the network changes — the
 /// hierarchical builder reuses one scratch across every per-AS
-/// subnetwork. Results are bit-identical to [`shortest_paths`]: the only
+/// subnetwork. Results are bit-identical to a fresh scratch's: the only
 /// difference is where the buffers live.
 #[derive(Debug, Default)]
 pub struct SpfScratch {
@@ -143,8 +143,10 @@ impl SpfScratch {
 }
 
 /// Runs Dijkstra from `source` with latency cost, deterministic
-/// tie-breaking by `(latency, hops, node id)`.
-pub fn shortest_paths(net: &Network, source: NodeId) -> SpfTree {
+/// tie-breaking by `(latency, hops, node id)`, into a tree of its own: the
+/// lockstep test reads the hop counts and predecessors through it.
+#[cfg(test)]
+fn shortest_paths(net: &Network, source: NodeId) -> SpfTree {
     let mut scratch = SpfScratch::new();
     scratch.run(net, source);
     SpfTree {

@@ -2,7 +2,7 @@
 //! API and the two policies that fill it. Its interval rows and the lookups
 //! every query goes through are in `interval` (DESIGN.md §13).
 
-use crate::interval::{encode_spf_row, renumber, Demand, Row};
+use crate::interval::{renumber, Demand, Row};
 use crate::spf::SpfScratch;
 use massf_par::{par_for_each_init, Parallelism};
 use massf_topology::{LinkId, Network, NodeId};
@@ -16,8 +16,8 @@ use std::sync::OnceLock;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RoutingKind {
     /// Run-length/interval-encoded rows over a coalescing-friendly
-    /// destination renumbering, with degree-1 hosts sharing their access
-    /// router's uplink instead of materializing a row, every row encoded
+    /// destination renumbering, with degree-1 hosts keeping their access
+    /// router's uplink instead of a row and a column, every row encoded
     /// up front. The default: it is what makes large topologies affordable
     /// (the paper's O(n²) wall).
     #[default]
@@ -37,11 +37,13 @@ pub enum RoutingKind {
 /// interval-encoded row per non-leaf source (DESIGN.md §13).
 #[derive(Debug)]
 pub struct RoutingTables {
-    /// `rank[node]` = position of `node` in the renumbered destination
-    /// order.
+    /// `rank[node]` = position of `node` among the core (the nodes without
+    /// a leaf record) in the renumbered destination order; a leaf's is its
+    /// parent's.
     pub(crate) rank: Vec<u32>,
-    /// Degree-1 leaf records: `Some((parent, uplink))` means the source
-    /// stores no row and every route exits over the uplink. The builder
+    /// Degree-1 leaf records: `Some((parent, uplink))` means the node
+    /// stores no row, every route exits over the uplink, and no row has a
+    /// column for it (it is reached the way its parent is). The builder
     /// guarantees `parent` has degree ≥ 2, so the parent is never itself a
     /// leaf and lookups delegate at most once.
     pub(crate) leaf: Vec<Option<(NodeId, LinkId)>>,
@@ -116,7 +118,7 @@ impl RoutingTables {
             .filter(|&v| tables.leaf[v as usize].is_none())
             .collect();
         par_for_each_init(par, sources, SpfScratch::new, |scratch, src| {
-            tables.install(src, encode_spf_row(net, src, &order, scratch));
+            tables.install(src, tables.encode_spf_row(net, src, &order, scratch));
         });
         tables
     }
@@ -253,9 +255,9 @@ impl RoutingTables {
     /// A table whose rows are hand-installed from `route(src, dst)` — no
     /// builder in the way. `NodeId::MAX` is "no route"; the link is the
     /// one joining `src` to the hop. For tests that need rows no builder
-    /// would produce. Without `leaves` every node gets a row; with it,
-    /// degree-1 nodes keep the builders' leaf records (and `route` is
-    /// never asked for their rows).
+    /// would produce. Without `leaves` every node gets a row and a column;
+    /// with it, degree-1 nodes keep the builders' leaf records (and `route`
+    /// is never asked for their rows or their columns).
     pub(crate) fn hand_installed(
         net: &Network,
         leaves: bool,
@@ -265,9 +267,10 @@ impl RoutingTables {
         let mut tables = Self::empty(net, &order);
         if !leaves {
             tables.leaf.fill(None);
+            tables.rank = order.clone();
         }
         for &src in order.iter().filter(|&&v| tables.leaf[v as usize].is_none()) {
-            let row = Row::encode(&order, src, |dst| match route(src, dst) {
+            let row = tables.encode(&order, src, |dst| match route(src, dst) {
                 NodeId::MAX => (NodeId::MAX, NO_LINK),
                 hop => (hop, net.link_between(src, hop).expect("hops are adjacent")),
             });

@@ -16,15 +16,10 @@
 # ratchet, not a proof. Name collisions are not caught: two uncalled
 # `members` methods once hid each other, and a called `average_mbps` hid
 # two uncalled ones. Nor are self-mentions (a recursive call, a string
-# holding the name). A name it prints either goes or, when a test
-# needs it and no non-test caller can, joins the allowlist with its
-# reason:
+# holding the name). A name it prints either goes or, when only a test
+# needs it, moves behind `#[cfg(test)]`.
 #
-#   shortest_paths  the lockstep test in routing's `spf.rs` reads
-#                   `SpfScratch`'s hop counts and predecessors through it
-#                   to compare them with the `plain_tree` oracle.
-#
-# Run from the repository root; it exits 1 on a name not allowed:
+# Run from the repository root; it exits 1 on any name it prints:
 #
 #   scripts/pub-callers.sh
 set -eu
@@ -63,11 +58,7 @@ uncalled=$(
         }
         END { for (name in defined) if (count[name] == 1) print name }' | LC_ALL=C sort
 )
-[ -n "$uncalled" ] && printf '%s\n' "$uncalled"
 for name in $uncalled; do
-    case "$name" in
-        shortest_paths) ;;
-        *) echo "pub-callers: \`$name\` has no non-test caller" >&2; status=1 ;;
-    esac
+    echo "pub-callers: \`$name\` has no non-test caller" >&2
 done
-exit "${status:-0}"
+[ -z "$uncalled" ]

@@ -300,31 +300,6 @@ fn write_run_report(
     std::fs::write(path, run_report.to_json()).map_err(|e| err(format!("cannot write {path}: {e}")))
 }
 
-/// Surfaces routing-table size statistics in the run report: measured vs
-/// paper-predicted bytes (the names sort adjacently in the counters
-/// block), the analytic n × n baseline, and the row and run shape. All
-/// values are deterministic functions of the topology, so they sit above
-/// the report's timing boundary.
-fn record_routing_stats(rec: &mut Recorder, study: &MappingStudy) {
-    let tables = &study.tables;
-    rec.add_counter("routing.bytes_dense_baseline", tables.dense_bytes());
-    rec.add_counter("routing.bytes_measured", tables.table_bytes());
-    rec.add_counter(
-        "routing.bytes_predicted",
-        massf_core::routing::memory::predicted_table_bytes(&study.net),
-    );
-    rec.set_gauge(
-        "routing.compression_x",
-        tables.dense_bytes() as f64 / tables.table_bytes().max(1) as f64,
-    );
-    let s = tables.run_stats();
-    rec.add_counter("routing.rows_leaf", s.leaf_rows as u64);
-    rec.add_counter("routing.rows_unique", s.unique_rows as u64);
-    rec.add_counter("routing.runs_max_per_row", s.runs_max_per_row as u64);
-    rec.add_counter("routing.runs_total", s.runs_total as u64);
-    rec.set_gauge("routing.runs_mean_per_row", s.runs_mean_per_row);
-}
-
 fn cmd_partition(a: &Args) -> Result<String, CliError> {
     let engines = a.engines.expect("the table requires --engines");
     let net = load_network(a.operands[0])?;
@@ -478,7 +453,6 @@ fn map_audit_emulate(
     let cfg = mapper_config(a, job.engines);
     let threads = cfg.parallelism.get();
     let study = rec.time("mapping/routing_tables", || MappingStudy::new(job.net, cfg));
-    record_routing_stats(&mut rec, &study);
     let partition = study.map_obs(job.approach, job.predicted, job.flows, &mut rec);
     let (report, rebalance, audit, final_partition) = match job.emulate {
         Emulate::Online { epochs, mode } => {
@@ -532,15 +506,33 @@ fn map_audit_emulate(
         }
     };
     if let Some(path) = a.report {
+        // Routing-table size: measured vs paper-predicted bytes (the names
+        // sort adjacently in the counters block), the analytic n × n
+        // baseline, and the row and run shape. All are functions of the
+        // topology, so they sit above the report's timing boundary.
+        let (net, tables) = (&study.net, &study.tables);
+        let (dense, measured) = (tables.dense_bytes(), tables.table_bytes());
+        rec.add_counter("routing.bytes_dense_baseline", dense);
+        rec.add_counter("routing.bytes_measured", measured);
+        let predicted = massf_core::routing::memory::predicted_table_bytes(net);
+        rec.add_counter("routing.bytes_predicted", predicted);
+        let ratio = dense as f64 / measured.max(1) as f64;
+        rec.set_gauge("routing.compression_x", ratio);
+        let s = tables.run_stats();
+        rec.add_counter("routing.rows_leaf", s.leaf_rows as u64);
+        rec.add_counter("routing.rows_unique", s.unique_rows as u64);
+        rec.add_counter("routing.runs_max_per_row", s.runs_max_per_row as u64);
+        rec.add_counter("routing.runs_total", s.runs_total as u64);
+        rec.set_gauge("routing.runs_mean_per_row", s.runs_mean_per_row);
         let scenario = ScenarioInfo {
-            network: study.net.summary(),
+            network: net.summary(),
             engines: job.engines as u64,
             approach: job.approach.label().to_string(),
             flows: job.flows.len() as u64,
             duration_s: job.duration_s,
         };
         write_run_report(path, job.command, scenario, rec, threads, &audit, |r| {
-            r.partition = Some(partition_info(&study.net, &final_partition));
+            r.partition = Some(partition_info(net, &final_partition));
             r.emulation = Some(emulation_info(&report));
             r.rebalance = rebalance.clone();
         })?;
