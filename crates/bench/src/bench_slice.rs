@@ -15,10 +15,7 @@
 //!    a deterministic function of the flow schedule, the check is
 //!    flake-free. Afterwards both tables are held to `bench_routing`'s
 //!    n × n Dijkstra oracle on every `(src, dst)` pair (hop, link,
-//!    latency, visit list — so eager and lazy are bit-identical), and an
-//!    independent single-scratch Dijkstra sweep re-verifies latencies
-//!    while measuring the allocations the reused [`SpfScratch`] saves —
-//!    the same mechanism the eager build path now uses per worker.
+//!    latency, visit list — so eager and lazy are bit-identical).
 //!
 //! 2. **Synthetic million-host** ([`BriteConfig::million_host`]):
 //!    Barabási–Albert growth toward 20 000 routers / 1 000 000 hosts at
@@ -27,18 +24,18 @@
 //!    walking sampled host-pair paths (`for_each_hop`, the engines'
 //!    forwarding query) across an 8-way block partition, and the
 //!    bounded per-engine residency is reported against the projected
-//!    dense footprint. Sampled sources are re-checked against a fresh
-//!    Dijkstra run.
+//!    dense footprint. Sampled sources are re-checked against the
+//!    oracle's own full-network Dijkstra (`plain_tree`), which shares no
+//!    code with the tables' SPF over the router core.
 //!
 //! Scale 1.0 is the full million-host run; `--smoke` is quarter scale,
 //! which still instantiates ≈250k hosts — the ≥100k-host lazy-sliced
 //! smoke.
 
-use crate::bench_routing::oracle::Oracle;
+use crate::bench_routing::oracle::{plain_tree, Oracle};
 use crate::{time_best, Ctx, Output};
 use massf_core::engine::run_sequential;
 use massf_core::prelude::*;
-use massf_core::routing::spf::{SpfScratch, SPF_RUN_ALLOCS};
 use massf_core::routing::RoutingTables;
 use massf_core::topology::brite::{self, BriteConfig};
 use massf_core::topology::NodeId;
@@ -56,31 +53,6 @@ fn max_resident_bytes(lazy: &RoutingTables, assignment: &[u32], nengines: usize)
         max.expect("at least one engine"),
         lazy.run_stats().unique_rows,
     )
-}
-
-/// Re-derives every source's distances with ONE reused Dijkstra scratch
-/// and checks them against the (now fully materialized) lazy tables.
-/// Returns the allocations the reuse saved over fresh-scratch-per-source.
-fn scratch_verify_all(net: &Network, lazy: &RoutingTables, row: &str) -> u64 {
-    let n = net.node_count() as NodeId;
-    let mut scratch = SpfScratch::new();
-    for src in 0..n {
-        scratch.run(net, src);
-        for dst in 0..n {
-            if src == dst {
-                continue;
-            }
-            let d = scratch.dist_us()[dst as usize];
-            let got = lazy.latency_us(src, dst);
-            assert_eq!(
-                got,
-                (d != u64::MAX).then_some(d),
-                "{row}: scratch oracle diverges at {src}->{dst}"
-            );
-        }
-    }
-    assert_eq!(scratch.runs(), n as u64);
-    scratch.allocs_saved()
 }
 
 /// The shipped-scenario section; returns the best per-engine reduction
@@ -134,15 +106,12 @@ fn shipped_section(t: &mut ResultTable, scale: f64, reps: usize) -> bool {
         t.set(row, "build-eager-ms", eager_secs * 1e3);
         t.set(row, "build-lazy-ms", lazy_secs * 1e3);
 
-        // Correctness: all pairs bit-identical (this sweep materializes
-        // the remaining rows — residency was sampled above, first), then
-        // the independent one-scratch Dijkstra oracle.
+        // Correctness: all pairs bit-identical to the n × n oracle (this
+        // sweep materializes the remaining rows — residency was sampled
+        // above, first).
         let oracle = Oracle::build(net);
         oracle.assert_answers(&eager, row);
         oracle.assert_answers(&lazy, row);
-        let saved = scratch_verify_all(net, &lazy, row);
-        assert_eq!(saved, (net.node_count() as u64 - 1) * SPF_RUN_ALLOCS);
-        t.set(row, "spf-allocs-saved", saved as f64);
     }
     any_met_bar
 }
@@ -197,14 +166,14 @@ fn million_section(t: &mut ResultTable, scale: f64) {
         "{row}: lazy residency should be <1% of the dense projection"
     );
 
-    // Spot-check sampled sources against a fresh Dijkstra oracle.
-    let mut scratch = SpfScratch::new();
+    // Spot-check sampled sources against the oracle's full-network
+    // Dijkstra.
     for _ in 0..3 {
         let src = host_ids[rng.gen_range(0..host_ids.len())];
-        scratch.run(&net, src);
+        let tree = plain_tree(&net, src);
         for _ in 0..64 {
             let dst = host_ids[rng.gen_range(0..host_ids.len())] as usize;
-            let d = scratch.dist_us()[dst];
+            let d = tree.dist_us[dst];
             if src as usize == dst {
                 continue;
             }

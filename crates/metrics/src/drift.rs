@@ -6,8 +6,8 @@
 //! * **predicted vs. measured** — PLACE's predicted per-engine load
 //!   against what NetFlow actually measured (the MC019 lint pass);
 //! * **epoch vs. epoch** — this epoch's measured per-engine load against
-//!   the previous epoch's (the MC020 lint pass and the incremental
-//!   rebalancer's skip trigger).
+//!   the previous epoch's (the MC020 lint pass; the rebalancer records
+//!   both as diagnosis and sweeps every boundary, DESIGN.md §15).
 //!
 //! Both reduce to the same scale-free question: *did the shape of the
 //! load distribution change?* Absolute magnitudes differ wildly between

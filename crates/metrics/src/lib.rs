@@ -8,8 +8,8 @@
 //! * [`imbalance`] — the paper's load-imbalance metric: the normalized
 //!   standard deviation of per-engine kernel event rates;
 //! * [`drift`] — total-variation distance between per-engine load
-//!   distributions (the MC019/MC020 drift metric and the incremental
-//!   rebalancer's skip trigger);
+//!   distributions (the MC019/MC020 drift metric, which the online
+//!   rebalancer records as diagnosis);
 //! * [`timeseries`] — fine-grained per-interval imbalance series
 //!   (Figures 2 and 8);
 //! * [`report`] — table/figure text rendering and JSON export for the

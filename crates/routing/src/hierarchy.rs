@@ -6,31 +6,36 @@
 //! autonomous system, and BGP-style gateway routes between systems. This
 //! module builds routing tables with exactly that structure:
 //!
-//! * **intra-AS**: latency-shortest paths restricted to the AS's own nodes;
+//! * **intra-AS**: latency-shortest paths restricted to the AS's own core
+//!   nodes;
 //! * **inter-AS**: shortest paths on the AS-level graph (one vertex per AS,
 //!   edges = inter-AS links weighted by latency); a node routes toward its
 //!   AS's egress gateway for the destination AS, crosses the inter-AS link,
 //!   and the next AS takes over — classic hot-potato forwarding.
 //!
-//! Rows are produced AS at a time from per-AS state that is only
-//! `O(Σ mᵢ²)` (`mᵢ` = AS size) and stream straight into the interval
-//! table's row slots, so peak memory is one AS's state plus the encoded
-//! output. Every consumer (engine, traceroute, mappers) works unchanged.
+//! Like the other builders it works on the router core alone (the nodes
+//! without a leaf record, `spf::Core`): a leaf's only link leads to its
+//! parent, so no route between core nodes passes one, and the tables
+//! route a leaf through its parent, whichever AS it is labelled with.
+//! Each source runs one Dijkstra over its AS's core members and picks one
+//! border per destination AS; its row goes straight into the interval
+//! table's slot, so the builder holds no all-pairs state at all.
+//! Every consumer (engine, traceroute, mappers) works unchanged.
 //! Hierarchical paths can be *longer* than global SPF paths (the
 //! well-known path stretch of policy routing); [`path_stretch`]
 //! quantifies it.
 
-use crate::interval::renumber;
-use crate::spf::{self, SpfScratch};
-use crate::tables::{link_toward, RoutingTables, NO_LINK};
+use crate::interval::{renumber, Row};
+use crate::spf::{Core, SpfScratch};
+use crate::tables::{RoutingTables, NO_LINK};
 use massf_topology::{LinkId, Network, NodeId};
 use std::collections::BTreeMap;
 
-/// An inter-AS adjacency: the chosen border link between two ASes.
+/// An inter-AS adjacency: one border link between two ASes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Border {
-    /// Node inside the source AS.
-    egress: NodeId,
+    /// Rank of the node inside the source AS.
+    egress: u32,
     /// Node inside the neighbouring AS.
     ingress: NodeId,
     /// The border link.
@@ -39,59 +44,45 @@ struct Border {
     latency_us: u64,
 }
 
-/// The AS-level structure: AS membership, every
-/// border link per AS pair, and AS-graph shortest-path next hops.
+/// The AS-level structure of the core: AS membership, every border link
+/// per AS pair, and AS-graph shortest-path next hops.
 struct HierPlan {
-    /// Number of distinct ASes.
-    nas: usize,
-    /// Dense AS index per node.
+    /// Dense AS index per core rank.
     as_of: Vec<usize>,
     /// Original AS ids, for diagnostics.
     as_ids: Vec<u32>,
-    /// Node ids per AS index, ascending.
-    members: Vec<Vec<NodeId>>,
     /// Border links per directed AS pair, sorted by `(latency, link id)`.
     borders: BTreeMap<(usize, usize), Vec<Border>>,
     /// `as_hop[a][b]` = next AS from `a` toward `b` on the AS graph.
     as_hop: Vec<Vec<Option<usize>>>,
 }
 
-fn plan(net: &Network) -> HierPlan {
-    let n = net.node_count();
-
-    // Dense AS indexing.
-    let as_ids: Vec<u32> = {
-        let mut ids: Vec<u32> = net.nodes().iter().map(|nd| nd.as_id).collect::<Vec<_>>();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    };
+fn plan(net: &Network, core: &Core, latency_us: &[u64]) -> HierPlan {
+    // Dense AS indexing over the core.
+    let as_id = |r: usize| net.node(core.nodes[r]).as_id;
+    let mut as_ids: Vec<u32> = (0..core.nodes.len()).map(as_id).collect();
+    as_ids.sort_unstable();
+    as_ids.dedup();
     let as_index: BTreeMap<u32, usize> = as_ids.iter().enumerate().map(|(i, &a)| (a, i)).collect();
     let nas = as_ids.len();
-    let as_of: Vec<usize> = net.nodes().iter().map(|nd| as_index[&nd.as_id]).collect();
-
-    let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); nas];
-    for v in 0..n {
-        members[as_of[v]].push(v as NodeId);
-    }
+    let as_of: Vec<usize> = (0..core.nodes.len()).map(|r| as_index[&as_id(r)]).collect();
 
     // *All* border links between AS pairs (real hot-potato picks the
     // nearest of several egress points), plus the cheapest per pair for the
-    // AS-level shortest paths.
+    // AS-level shortest paths. Each core link is listed at both ends, so
+    // this sees it once per direction.
     let mut borders: BTreeMap<(usize, usize), Vec<Border>> = BTreeMap::new();
-    for (li, l) in net.links().iter().enumerate() {
-        let (aa, ab) = (as_of[l.a as usize], as_of[l.b as usize]);
-        if aa == ab {
-            continue;
-        }
-        for (from, egress, ingress) in [(aa, l.a, l.b), (ab, l.b, l.a)] {
-            let to = if from == aa { ab } else { aa };
-            borders.entry((from, to)).or_default().push(Border {
-                egress,
-                ingress,
-                link: LinkId(li as u32),
-                latency_us: l.latency_us,
-            });
+    for r in 0..core.nodes.len() as u32 {
+        for &(q, link) in core.adj(r) {
+            let (from, to) = (as_of[r as usize], as_of[q as usize]);
+            if from != to {
+                borders.entry((from, to)).or_default().push(Border {
+                    egress: r,
+                    ingress: core.nodes[q as usize],
+                    link,
+                    latency_us: latency_us[link.0 as usize],
+                });
+            }
         }
     }
     for v in borders.values_mut() {
@@ -128,195 +119,83 @@ fn plan(net: &Network) -> HierPlan {
     }
 
     HierPlan {
-        nas,
         as_of,
         as_ids,
-        members,
         borders,
         as_hop,
     }
 }
 
-/// Intra-AS routing state for one AS, in member-local coordinates:
-/// `m × m` first hops, first links, and shortest-path distances. This is
-/// the only all-pairs state the hierarchical builder ever holds, and it is
-/// per-AS — the paper's `O(n²)`-per-AS bound, not global `O(n²)`.
-struct IntraAs {
-    /// Global node ids of the AS members, ascending.
-    members: Vec<NodeId>,
-    /// Member-local index per global node (`u32::MAX` for non-members).
-    local_of: Vec<u32>,
-    /// `first_hop[si * m + di]`: global id of the first hop from member
-    /// `si` toward member `di`; `NodeId::MAX` on the diagonal.
-    first_hop: Vec<NodeId>,
-    /// Link to that first hop.
-    first_link: Vec<LinkId>,
-    /// Intra-AS shortest-path latency between members.
-    dist: Vec<u64>,
-}
-
-/// Builds the intra-AS state for AS index `a` by running SPF over the
-/// induced member subnetwork.
-///
-/// # Panics
-/// Panics if the AS is internally disconnected (every AS must be routable
-/// on its own, as in real networks).
-fn intra_for(net: &Network, plan: &HierPlan, a: usize, scratch: &mut SpfScratch) -> IntraAs {
-    let mem = plan.members[a].clone();
-    let m = mem.len();
-    let mut local_of = vec![u32::MAX; net.node_count()];
-    for (i, &v) in mem.iter().enumerate() {
-        local_of[v as usize] = i as u32;
-    }
-
-    // Induced sub-network over the members; links resolve back through the
-    // full network when first hops are materialized.
-    let mut sub = Network::new();
-    for &v in &mem {
-        match net.node(v).kind {
-            massf_topology::NodeKind::Router => sub.add_router(net.node(v).name.clone(), 0),
-            massf_topology::NodeKind::Host => sub.add_host(net.node(v).name.clone(), 0),
-        };
-    }
-    for l in net.links() {
-        if local_of[l.a as usize] != u32::MAX && local_of[l.b as usize] != u32::MAX {
-            sub.add_link(
-                local_of[l.a as usize] as NodeId,
-                local_of[l.b as usize] as NodeId,
-                l.bandwidth_mbps,
-                l.latency_us,
-            );
-        }
-    }
-    assert!(
-        sub.is_connected(),
-        "AS {} is internally disconnected — hierarchical routing impossible",
-        plan.as_ids[a]
-    );
-
-    let mut first_hop = vec![NodeId::MAX; m * m];
-    let mut first_link = vec![NO_LINK; m * m];
-    let mut dist = vec![u64::MAX; m * m];
-    for (si, &sv) in mem.iter().enumerate() {
-        // One caller-owned scratch across every member of every AS —
-        // distances are copied out before `first_hops` reborrows it.
-        scratch.run(&sub, si as NodeId);
-        dist[si * m..(si + 1) * m].copy_from_slice(scratch.dist_us());
-        let first = scratch.first_hops();
-        let mut memo: Vec<(NodeId, LinkId)> = Vec::new();
-        for di in 0..m {
-            let hop_local = first[di];
-            if hop_local == spf::NO_PREV {
-                continue; // the diagonal: the AS is connected
-            }
-            let hop = mem[hop_local as usize];
-            first_hop[si * m + di] = hop;
-            first_link[si * m + di] = link_toward(net, sv, hop, &mut memo);
-        }
-    }
-
-    IntraAs {
-        members: mem,
-        local_of,
-        first_hop,
-        first_link,
-        dist,
-    }
-}
-
-/// Fills the full next-hop/next-link row for `src` into `n`-length scratch
-/// slices (which the caller pre-reset to `NodeId::MAX` / [`NO_LINK`]):
-/// intra-AS destinations from the member SPF state, inter-AS destinations
-/// via one hot-potato border choice per destination AS.
-///
-/// Loop-free: the intra-AS distance to the nearest egress strictly
-/// decreases hop by hop, whichever egress each router individually
-/// prefers.
-fn fill_row(
-    plan: &HierPlan,
-    intra: &IntraAs,
-    src: NodeId,
-    hops: &mut [NodeId],
-    links: &mut [LinkId],
-) {
-    let sa = plan.as_of[src as usize];
-    let m = intra.members.len();
-    let si = intra.local_of[src as usize] as usize;
-
-    for di in 0..m {
-        if di == si {
-            continue;
-        }
-        let dv = intra.members[di] as usize;
-        hops[dv] = intra.first_hop[si * m + di];
-        links[dv] = intra.first_link[si * m + di];
-    }
-
-    for ta in 0..plan.nas {
-        if ta == sa {
-            continue;
-        }
-        let Some(next_as) = plan.as_hop[sa][ta] else {
-            continue; // unreachable AS: row entries stay sentinel
-        };
-        let candidates = &plan.borders[&(sa, next_as)];
-        let border = candidates
-            .iter()
-            .min_by_key(|b| {
-                let d = if b.egress == src {
-                    0
-                } else {
-                    intra.dist[si * m + intra.local_of[b.egress as usize] as usize]
-                };
-                (d, b.latency_us, b.link.0)
-            })
-            .expect("at least one border to the next AS");
-        let (hop, link) = if src == border.egress {
-            (border.ingress, border.link)
-        } else {
-            // Follow the intra-AS route toward the egress gateway.
-            let ei = intra.local_of[border.egress as usize] as usize;
-            (intra.first_hop[si * m + ei], intra.first_link[si * m + ei])
-        };
-        for &dv in &plan.members[ta] {
-            hops[dv as usize] = hop;
-            links[dv as usize] = link;
+impl HierPlan {
+    /// The hot-potato exit of rank `src` toward every AS, from `scratch`'s
+    /// run over `src`'s AS: per destination AS the border to the next AS
+    /// whose egress is nearest `src` (then the cheapest, then the lowest
+    /// link id), left over that border when `src` is its egress and
+    /// toward the egress otherwise. Unreachable ASes get
+    /// `(NodeId::MAX, NO_LINK)`; `src`'s own AS is never asked.
+    ///
+    /// Loop-free: the intra-AS distance to the nearest egress strictly
+    /// decreases hop by hop, whichever egress each router individually
+    /// prefers.
+    fn exits(&self, src: u32, scratch: &SpfScratch, via: &mut [(NodeId, LinkId)]) {
+        let sa = self.as_of[src as usize];
+        for (ta, exit) in via.iter_mut().enumerate() {
+            *exit = (NodeId::MAX, NO_LINK);
+            let Some(next_as) = self.as_hop[sa][ta] else {
+                continue; // unreachable, or `src`'s own AS
+            };
+            let border = self.borders[&(sa, next_as)]
+                .iter()
+                .min_by_key(|b| (scratch.dist_us()[b.egress as usize], b.latency_us, b.link.0))
+                .expect("at least one border to the next AS");
+            *exit = if src == border.egress {
+                (border.ingress, border.link)
+            } else {
+                scratch.first_hops()[border.egress as usize]
+            };
         }
     }
 }
 
 /// Builds two-level routing tables for `net`, every row encoded up front
-/// (hierarchical rows already stream AS at a time with per-AS peak memory,
-/// so there is nothing to defer to demand — DESIGN.md §16).
+/// (each row needs only its own source's Dijkstra, so there is nothing to
+/// defer to demand — DESIGN.md §16).
 ///
 /// # Panics
-/// Panics if some AS is internally disconnected.
+/// Panics if the core of some AS is internally disconnected.
 pub fn build_hierarchical(net: &Network) -> RoutingTables {
-    let plan = plan(net);
-    let n = net.node_count();
-    let order = renumber(net);
-    // Leaves store leaf records, as under the other builders: a leaf's only
-    // exit is its uplink, and it reaches what its parent reaches (the
-    // parent shares its AS, or borders the leaf's one-node AS).
-    let tables = RoutingTables::empty(net, &order);
-    // One scratch row, reset per source.
-    let mut hops = vec![NodeId::MAX; n];
-    let mut links = vec![NO_LINK; n];
-    let mut scratch = SpfScratch::new();
-    for a in 0..plan.nas {
-        let intra = intra_for(net, &plan, a, &mut scratch);
-        for &src in plan.members[a]
-            .iter()
-            .filter(|&&v| tables.leaf[v as usize].is_none())
-        {
-            hops.fill(NodeId::MAX);
-            links.fill(NO_LINK);
-            fill_row(&plan, &intra, src, &mut hops, &mut links);
-            let row = tables.encode(&order, src, |dst| (hops[dst as usize], links[dst as usize]));
-            tables.install(src, row);
-        }
-    }
+    let tables = RoutingTables::empty(net, &renumber(net));
+    install_rows(net, &tables);
     tables
+}
+
+/// Installs the hot-potato row of every core node of `tables`.
+fn install_rows(net: &Network, tables: &RoutingTables) {
+    let core = Core::new(net, tables);
+    let plan = plan(net, &core, &tables.link_latency_us);
+    let mut scratch = SpfScratch::new();
+    let mut via = vec![(NodeId::MAX, NO_LINK); plan.as_ids.len()];
+    for src in 0..core.nodes.len() as u32 {
+        let sa = plan.as_of[src as usize];
+        let in_as = |r: u32| plan.as_of[r as usize] == sa;
+        scratch.run(&core, &tables.link_latency_us, src, in_as);
+        plan.exits(src, &scratch, &mut via);
+        let first = scratch.first_hops();
+        let row = Row::encode(src, core.nodes.len(), |r| {
+            let ta = plan.as_of[r];
+            if ta != sa {
+                return via[ta];
+            }
+            assert_ne!(
+                first[r].0,
+                NodeId::MAX,
+                "AS {} is internally disconnected — hierarchical routing impossible",
+                plan.as_ids[sa]
+            );
+            first[r]
+        });
+        tables.install(core.nodes[src as usize], row);
+    }
 }
 
 /// Mean multiplicative path stretch of `hier` over `flat` across all
@@ -462,90 +341,94 @@ mod tests {
         nets
     }
 
-    #[test]
-    fn fill_row_routes_every_leaf_as_its_parent_from_every_other_source() {
-        // Rows have no column for a leaf: `entry(x, h)` is the uplink from
-        // the parent and the parent's entry from anywhere else. `fill_row`
-        // must already write exactly that, or dropping the column would
-        // move a hierarchical route. One host sits alone in its own AS, so
-        // its route crosses a border rather than its parent's AS.
-        let mut alone = 0;
-        for net in as_networks() {
-            let p = plan(&net);
-            let n = net.node_count();
-            let leaves: Vec<_> = (0..n as NodeId)
-                .filter_map(|h| Some((h, net.leaf_uplink(h)?)))
-                .collect();
-            alone += leaves
-                .iter()
-                .filter(|l| p.members.contains(&vec![l.0]))
-                .count();
-            let mut scratch = SpfScratch::new();
-            for a in 0..p.nas {
-                let intra = intra_for(&net, &p, a, &mut scratch);
-                for &src in &p.members[a] {
-                    let mut hops = vec![NodeId::MAX; n];
-                    let mut links = vec![NO_LINK; n];
-                    fill_row(&p, &intra, src, &mut hops, &mut links);
-                    for &(h, (parent, uplink)) in leaves.iter().filter(|l| l.0 != src) {
-                        let want = if parent == src {
-                            (h, uplink)
-                        } else {
-                            (hops[parent as usize], links[parent as usize])
-                        };
-                        assert_eq!((hops[h as usize], links[h as usize]), want, "{src}->{h}");
-                    }
+    /// Every ordered pair is answered alike by `a` and `b`.
+    fn assert_same_routes(a: &RoutingTables, b: &RoutingTables, nodes: &[NodeId], what: &str) {
+        for &src in nodes {
+            for &dst in nodes {
+                let got = (a.next_hop(src, dst), a.next_link_raw(src, dst));
+                let want = (b.next_hop(src, dst), b.next_link_raw(src, dst));
+                assert_eq!(got, want, "{what}: {src}->{dst}");
+            }
+        }
+    }
+
+    /// Walks every reachable pair, so a loop fails in release too.
+    fn assert_loop_free(hier: &RoutingTables) {
+        let n = hier.node_count() as NodeId;
+        for a in 0..n {
+            for b in (0..n).filter(|&b| hier.next_hop(a, b).is_some()) {
+                let (mut cur, mut walked) = (a, 0);
+                while cur != b {
+                    cur = hier
+                        .next_hop(cur, b)
+                        .expect("a reachable route never dead-ends");
+                    walked += 1;
+                    assert!(walked <= n, "routing loop {a} -> {b}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn core_rows_route_as_hot_potato_over_every_node_does() {
+        // The same hot-potato rule with every node a core node (a row and
+        // a column each, leaves as members of their ASes and their links
+        // as borders) must answer every query as the core rows and leaf
+        // records do: no route between core nodes passes a leaf, and a
+        // leaf is reached, and leaves, the way its parent does — one host
+        // sits alone in its own AS, so its route crosses a border.
+        let mut alone = 0;
+        for net in as_networks() {
+            let hier = build_hierarchical(&net);
+            assert!(hier.leaf.iter().any(Option::is_some), "no leaf to check");
+            alone += (0..net.node_count() as NodeId)
+                .filter_map(|h| Some((h, net.leaf_uplink(h)?.0)))
+                .filter(|&(h, p)| net.node(h).as_id != net.node(p).as_id)
+                .count();
+            let every = RoutingTables::without_leaves(&net);
+            install_rows(&net, &every);
+            let nodes: Vec<NodeId> = (0..net.node_count() as NodeId).collect();
+            assert_same_routes(&hier, &every, &nodes, "core vs every node");
+            assert_loop_free(&hier);
         }
         assert!(alone > 0, "no leaf alone in its AS");
     }
 
     #[test]
-    fn installed_rows_answer_what_fill_row_wrote() {
-        // Every source, leaf records included: a leaf answers "uplink iff
-        // the parent reaches the destination", which must be exactly the
-        // row `fill_row` writes for it.
-        for net in as_networks() {
-            let hier = build_hierarchical(&net);
-            assert!(hier.leaf.iter().any(Option::is_some), "no leaf to check");
-            let p = plan(&net);
-            let n = net.node_count();
-            let mut scratch = SpfScratch::new();
-            for a in 0..p.nas {
-                let intra = intra_for(&net, &p, a, &mut scratch);
-                for &src in &p.members[a] {
-                    let mut hops = vec![NodeId::MAX; n];
-                    let mut links = vec![NO_LINK; n];
-                    fill_row(&p, &intra, src, &mut hops, &mut links);
-                    for dst in 0..n as NodeId {
-                        let hop = hops[dst as usize];
-                        assert_eq!(
-                            hier.next_hop(src, dst),
-                            (hop != NodeId::MAX).then_some(hop),
-                            "hop {src}->{dst}"
-                        );
-                        assert_eq!(
-                            hier.next_link_raw(src, dst),
-                            links[dst as usize],
-                            "link {src}->{dst}"
-                        );
-                    }
-                }
-            }
-            // Loop-freedom, counted here so a loop fails in release too.
-            for a in 0..n as NodeId {
-                for b in (0..n as NodeId).filter(|&b| hier.next_hop(a, b).is_some()) {
-                    let (mut cur, mut walked) = (a, 0);
-                    while cur != b {
-                        cur = hier
-                            .next_hop(cur, b)
-                            .expect("a reachable route never dead-ends");
-                        walked += 1;
-                        assert!(walked <= n, "routing loop {a} -> {b}");
-                    }
-                }
-            }
+    fn a_leaf_homed_in_a_foreign_as_routes_through_its_parent() {
+        // AS 55 holds two routers and a host whose only link goes to a
+        // backbone hub of another AS: the AS is connected only through
+        // its core, and the host is reached, and leaves, through the hub.
+        let mut net = teragrid();
+        let r1 = net.add_router("as55-r1", 55);
+        let r2 = net.add_router("as55-r2", 55);
+        net.add_link(r1, r2, 100.0, 5);
+        net.add_link(r1, 0, 100.0, 5);
+        let without = net.clone();
+        let h = net.add_host("as55-h", 55);
+        let uplink = net.add_link(h, 0, 100.0, 5);
+        assert_eq!(net.leaf_uplink(h), Some((0, uplink)));
+
+        let hier = build_hierarchical(&net);
+        let others: Vec<NodeId> = (0..h).collect();
+        assert_same_routes(
+            &hier,
+            &build_hierarchical(&without),
+            &others,
+            "the host moves nothing",
+        );
+        for x in others {
+            assert_eq!(hier.next_link_raw(h, x), uplink, "{h}->{x}");
+            let toward = match x {
+                0 => (Some(h), uplink),
+                _ => (hier.next_hop(x, 0), hier.next_link_raw(x, 0)),
+            };
+            assert_eq!(
+                (hier.next_hop(x, h), hier.next_link_raw(x, h)),
+                toward,
+                "{x}->{h}"
+            );
         }
+        assert_loop_free(&hier);
     }
 }

@@ -23,12 +23,14 @@
 //!    Both are what a full row and column would have said under every
 //!    builder, since every route to or from a leaf passes its parent, and
 //!    `dist(h, d) = uplink + dist(parent, d)`. Rows therefore cover the
-//!    core alone, O(routers²) as the paper sizes them.
+//!    core alone, O(routers²) as the paper sizes them, and are computed
+//!    from it alone: every builder runs its Dijkstra over `spf::Core`,
+//!    the core in rank order, and [`Row::encode`] walks ranks `0..c`.
 //!
 //! No two sources share a row: a run names the link `src → hop`, which is
 //! incident to `src`, so rows of distinct sources differ as soon as either
 //! reaches anything. Each row is therefore a pure function of
-//! `(net, src, order)` held in its own once-cell, and the structure a
+//! `(net, src)` held in its own once-cell, and the structure a
 //! lookup observes is the same whichever policy filled it, in whatever
 //! order, on however many threads; a race's loser is discarded, never
 //! observed.
@@ -49,8 +51,8 @@
 //! demand set regardless of schedule) and is accounted to the row's owner
 //! by `memory::slice_residency`.
 
-use crate::spf::{SpfScratch, NO_PREV};
-use crate::tables::{link_toward, RoutingTables, NO_LINK};
+use crate::spf::{Core, SpfScratch};
+use crate::tables::{RoutingTables, NO_LINK};
 use massf_topology::{LinkId, Network, NodeId};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -68,6 +70,30 @@ pub(crate) const RUN_BYTES: u64 = 12;
 pub(crate) struct Row(Box<[u32]>);
 
 impl Row {
+    /// Run-length-encodes a row over the core ranks `0..c`: `route(r)` for
+    /// every rank but the source's own, `skip`, each run starting at its
+    /// first rank. Neither the diagonal nor a leaf (which ranks with its
+    /// parent) has a column, so neither splits a run:
+    /// [`entry`](RoutingTables::entry) answers the diagonal and `run_entry`
+    /// a leaf of the source before any run is consulted.
+    pub(crate) fn encode(
+        skip: u32,
+        c: usize,
+        mut route: impl FnMut(usize) -> (NodeId, LinkId),
+    ) -> Row {
+        let mut runs: Vec<(u32, NodeId, LinkId)> = Vec::new();
+        for r in (0..c).filter(|&r| r != skip as usize) {
+            let (hop, link) = route(r);
+            if runs.last().is_none_or(|run| (run.1, run.2) != (hop, link)) {
+                runs.push((r as u32, hop, link));
+            }
+        }
+        let starts = runs.iter().map(|r| r.0);
+        let hops = runs.iter().map(|r| r.1);
+        let links = runs.iter().map(|r| r.2 .0);
+        Row(starts.chain(hops).chain(links).collect())
+    }
+
     /// Number of runs.
     pub(crate) fn len(&self) -> usize {
         self.0.len() / 3
@@ -90,10 +116,8 @@ impl Row {
 /// telemetry. A prefilled table carries none of it.
 #[derive(Debug)]
 pub(crate) struct Demand {
-    /// Topology snapshot rows are encoded against.
-    pub(crate) net: Network,
-    /// The renumbered node order; its core is the rows' column order.
-    pub(crate) order: Vec<NodeId>,
+    /// The router core rows are encoded against, in rank order.
+    pub(crate) core: Core,
     /// Per-source lookup counters (relaxed; totals are deterministic
     /// because the demand multiset — one lookup per engine, route and
     /// owned hop, plus the mapping stages' queries — is fixed by the flow
@@ -102,10 +126,10 @@ pub(crate) struct Demand {
 }
 
 impl Demand {
-    /// Fixed bytes per source: order entry + lookup counter. The topology
-    /// snapshot is excluded from routing-byte accounting throughout — it
-    /// is emulation state every build reads, not routing structure.
-    pub(crate) const BYTES_PER_SOURCE: u64 = 4 + 8;
+    /// Fixed bytes per source: the lookup counter. The core graph is
+    /// excluded from routing-byte accounting: it is the network's core
+    /// links re-indexed by rank, read to encode rows, not routing state.
+    pub(crate) const BYTES_PER_SOURCE: u64 = 8;
 
     /// Lookups charged to `src` so far.
     pub(crate) fn lookups_for(&self, src: NodeId) -> u64 {
@@ -187,52 +211,14 @@ impl RoutingTables {
         }
     }
 
-    /// Run-length-encodes `src`'s row: `route(dst)` for every core `dst`
-    /// but `src` in `order`, each run starting at its first destination's
-    /// rank. Neither the diagonal nor a leaf (which ranks with its parent)
-    /// has a column, so neither splits a run: [`entry`](Self::entry)
-    /// answers the diagonal and `run_entry` a leaf of `src` before any run
-    /// is consulted.
-    pub(crate) fn encode(
-        &self,
-        order: &[NodeId],
-        src: NodeId,
-        mut route: impl FnMut(NodeId) -> (NodeId, LinkId),
-    ) -> Row {
-        let mut runs: Vec<(u32, NodeId, LinkId)> = Vec::new();
-        for &dst in order
-            .iter()
-            .filter(|&&d| d != src && self.leaf[d as usize].is_none())
-        {
-            let (hop, link) = route(dst);
-            if runs.last().is_none_or(|r| (r.1, r.2) != (hop, link)) {
-                runs.push((self.rank[dst as usize], hop, link));
-            }
-        }
-        let starts = runs.iter().map(|r| r.0);
-        let hops = runs.iter().map(|r| r.1);
-        let links = runs.iter().map(|r| r.2 .0);
-        Row(starts.chain(hops).chain(links).collect())
-    }
-
-    /// Encodes the full-SPF row for `src`: one Dijkstra run into the
-    /// caller's reusable `scratch`, first hops in one pass, then
-    /// [`encode`](Self::encode) over `order`. Unreachable stretches encode
-    /// as `(NodeId::MAX, NO_LINK)` runs.
-    pub(crate) fn encode_spf_row(
-        &self,
-        net: &Network,
-        src: NodeId,
-        order: &[NodeId],
-        scratch: &mut SpfScratch,
-    ) -> Row {
-        scratch.run(net, src);
+    /// Encodes the full-SPF row of the core node of rank `r`: one
+    /// Dijkstra run over `core` into the caller's reusable `scratch`, then
+    /// [`Row::encode`] over its first hops. Unreachable stretches encode as
+    /// `(NodeId::MAX, NO_LINK)` runs.
+    pub(crate) fn encode_spf_row(&self, core: &Core, r: u32, scratch: &mut SpfScratch) -> Row {
+        scratch.run(core, &self.link_latency_us, r, |_| true);
         let first = scratch.first_hops();
-        let mut memo: Vec<(NodeId, LinkId)> = Vec::new();
-        self.encode(order, src, |dst| match first[dst as usize] {
-            NO_PREV => (NodeId::MAX, NO_LINK),
-            hop => (hop, link_toward(net, src, hop, &mut memo)),
-        })
+        Row::encode(r, first.len(), |q| first[q])
     }
 
     /// Installs `src`'s row.
@@ -267,7 +253,7 @@ impl RoutingTables {
                 .demand
                 .as_ref()
                 .expect("a table without encode inputs has every row installed");
-            self.encode_spf_row(&d.net, src, &d.order, &mut SpfScratch::new())
+            self.encode_spf_row(&d.core, self.rank[src as usize], &mut SpfScratch::new())
         })
     }
 

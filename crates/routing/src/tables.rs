@@ -3,7 +3,7 @@
 //! every query goes through are in `interval` (DESIGN.md §13).
 
 use crate::interval::{renumber, Demand, Row};
-use crate::spf::SpfScratch;
+use crate::spf::{Core, SpfScratch};
 use massf_par::{par_for_each_init, Parallelism};
 use massf_topology::{LinkId, Network, NodeId};
 use std::sync::atomic::AtomicU64;
@@ -24,7 +24,7 @@ pub enum RoutingKind {
     Compressed,
     /// The same rows materialized on demand: the build keeps only the
     /// O(n + links) inputs (renumbering, leaf records, link-latency
-    /// snapshot, topology snapshot) and encodes a source's row on its
+    /// snapshot, the core graph) and encodes a source's row on its
     /// first lookup. With a partitioned emulation each engine only ever
     /// queries its own sources, so resident bytes follow the engine's
     /// slice of the network, not all n rows (DESIGN.md §16).
@@ -60,9 +60,8 @@ pub struct RoutingTables {
 /// Structural equality: renumbering, leaf records, the rows filled so far
 /// and the latency snapshot — the determinism suite relies on it to assert
 /// parallel and serial builds are identical. The encode inputs and
-/// counters are excluded — `Network` carries f64 bandwidths that would
-/// forfeit `Eq`, and a prefilled table equals an on-demand one whose every
-/// row has been demanded.
+/// counters are excluded, so a prefilled table equals an on-demand one
+/// whose every row has been demanded.
 impl PartialEq for RoutingTables {
     fn eq(&self, other: &Self) -> bool {
         self.rank == other.rank
@@ -77,26 +76,6 @@ impl Eq for RoutingTables {}
 /// Sentinel link id stored where no next hop exists.
 pub(crate) const NO_LINK: LinkId = LinkId(u32::MAX);
 
-/// Resolves the link `src → hop`, memoizing per distinct hop: one row's
-/// first hops are all neighbours of `src`, so the memo stays a handful of
-/// entries and the `link_between` scan runs once per neighbour instead of
-/// once per destination.
-pub(crate) fn link_toward(
-    net: &Network,
-    src: NodeId,
-    hop: NodeId,
-    memo: &mut Vec<(NodeId, LinkId)>,
-) -> LinkId {
-    if let Some(&(_, l)) = memo.iter().find(|(h, _)| *h == hop) {
-        return l;
-    }
-    let l = net
-        .link_between(src, hop)
-        .expect("next hop must be adjacent");
-    memo.push((hop, l));
-    l
-}
-
 impl RoutingTables {
     /// Computes the routing tables for the whole network (one Dijkstra
     /// run per row-storing source) on a single thread. Equivalent to
@@ -106,36 +85,34 @@ impl RoutingTables {
     }
 
     /// Computes the routing tables with up to `par` worker threads, one
-    /// Dijkstra source per work item (one scratch per worker); degree-1
-    /// leaves skip Dijkstra entirely. Every source's row is encoded into
-    /// its own slot, so the output is bit-identical for every thread
-    /// count. `Parallelism::serial()` runs the plain loop with no thread
+    /// Dijkstra over the router core per work item (one scratch per
+    /// worker); leaves skip Dijkstra entirely. Every source's row is
+    /// encoded into its own slot, so the output is bit-identical for every
+    /// thread count. `Parallelism::serial()` runs the plain loop with no thread
     /// machinery.
     pub fn build_with(net: &Network, par: Parallelism) -> Self {
-        let order = renumber(net);
-        let tables = Self::empty(net, &order);
-        let sources: Vec<NodeId> = (0..order.len() as NodeId)
-            .filter(|&v| tables.leaf[v as usize].is_none())
-            .collect();
-        par_for_each_init(par, sources, SpfScratch::new, |scratch, src| {
-            tables.install(src, tables.encode_spf_row(net, src, &order, scratch));
+        let tables = Self::empty(net, &renumber(net));
+        let core = Core::new(net, &tables);
+        let ranks = (0..core.nodes.len() as u32).collect();
+        par_for_each_init(par, ranks, SpfScratch::new, |scratch, r| {
+            let row = tables.encode_spf_row(&core, r, scratch);
+            tables.install(core.nodes[r as usize], row);
         });
         tables
     }
 
     /// Builds lazy on-demand tables: only the O(n + links) inputs are
-    /// computed here (renumbering, leaf records, latency snapshot); rows
-    /// materialize on first lookup, bit-identical to the eager encoding
-    /// regardless of lookup order or thread count. The build is already
-    /// sub-linear in total row work, so there is no parallel variant —
-    /// `build_kind` accepts (and ignores) the parallelism knob.
+    /// computed here (renumbering, leaf records, latency snapshot, the
+    /// core graph); rows materialize on first lookup, bit-identical to the
+    /// eager encoding regardless of lookup order or thread count. The
+    /// build is already sub-linear in total row work, so there is no
+    /// parallel variant — `build_kind` accepts (and ignores) the
+    /// parallelism knob.
     pub fn build_lazy(net: &Network) -> Self {
-        let order = renumber(net);
-        let mut tables = Self::empty(net, &order);
+        let mut tables = Self::empty(net, &renumber(net));
         tables.demand = Some(Demand {
-            net: net.clone(),
-            lookups: order.iter().map(|_| AtomicU64::new(0)).collect(),
-            order,
+            core: Core::new(net, &tables),
+            lookups: tables.rows.iter().map(|_| AtomicU64::new(0)).collect(),
         });
         tables
     }
@@ -252,6 +229,16 @@ pub(crate) mod oracle;
 
 #[cfg(test)]
 impl RoutingTables {
+    /// An empty table over `net` in node-id order with no leaf records:
+    /// every node gets a row slot and a column.
+    pub(crate) fn without_leaves(net: &Network) -> Self {
+        let order: Vec<NodeId> = (0..net.node_count() as NodeId).collect();
+        let mut tables = Self::empty(net, &order);
+        tables.leaf.fill(None);
+        tables.rank = order;
+        tables
+    }
+
     /// A table whose rows are hand-installed from `route(src, dst)` — no
     /// builder in the way. `NodeId::MAX` is "no route"; the link is the
     /// one joining `src` to the hop. For tests that need rows no builder
@@ -263,16 +250,20 @@ impl RoutingTables {
         leaves: bool,
         route: impl Fn(NodeId, NodeId) -> NodeId,
     ) -> Self {
-        let order: Vec<NodeId> = (0..net.node_count() as NodeId).collect();
-        let mut tables = Self::empty(net, &order);
-        if !leaves {
-            tables.leaf.fill(None);
-            tables.rank = order.clone();
-        }
-        for &src in order.iter().filter(|&&v| tables.leaf[v as usize].is_none()) {
-            let row = tables.encode(&order, src, |dst| match route(src, dst) {
-                NodeId::MAX => (NodeId::MAX, NO_LINK),
-                hop => (hop, net.link_between(src, hop).expect("hops are adjacent")),
+        let tables = if leaves {
+            Self::empty(net, &(0..net.node_count() as NodeId).collect::<Vec<_>>())
+        } else {
+            Self::without_leaves(net)
+        };
+        let core: Vec<NodeId> = (0..net.node_count() as NodeId)
+            .filter(|&v| tables.leaf[v as usize].is_none())
+            .collect();
+        for &src in &core {
+            let row = Row::encode(tables.rank[src as usize], core.len(), |r| {
+                match route(src, core[r]) {
+                    NodeId::MAX => (NodeId::MAX, NO_LINK),
+                    hop => (hop, net.link_between(src, hop).expect("hops are adjacent")),
+                }
             });
             tables.install(src, row);
         }

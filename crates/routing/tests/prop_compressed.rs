@@ -21,10 +21,7 @@ use proptest::prelude::*;
 mod oracle;
 use oracle::Oracle;
 
-/// Arbitrary small BRITE-like network, plus the shapes in which Dijkstra
-/// settles a degree-1 node without queueing it: a host on a degree-2
-/// router, a router whose only links are two hosts, a two-node island and
-/// an isolated node. (Every node is a source, degree-1 ones included.)
+/// Arbitrary small BRITE-like network plus [`add_leafy_shapes`].
 fn arb_network() -> impl Strategy<Value = Network> {
     (5usize..20, 0usize..12, any::<u64>(), prop::bool::ANY).prop_map(
         |(routers, hosts, seed, waxman)| {
@@ -43,22 +40,39 @@ fn arb_network() -> impl Strategy<Value = Network> {
                 seed,
                 ..BriteConfig::paper_brite()
             });
-            let stub = net.add_router("stub", 0);
-            let host = net.add_host("stub-host", 0);
-            net.add_link(0, stub, 1000.0, 120);
-            net.add_link(stub, host, 100.0, 10);
-            let hub = net.add_router("hub", 98);
-            for i in 0..2 {
-                let x = net.add_host(format!("hub-host{i}"), 98);
-                net.add_link(hub, x, 100.0, 10);
-            }
-            let a = net.add_router("island-a", 99);
-            let b = net.add_router("island-b", 99);
-            net.add_link(a, b, 100.0, 5);
-            net.add_host("isolated", 0);
+            add_leafy_shapes(&mut net);
             net
         },
     )
+}
+
+/// Adds the leafy shapes to `net` (whose node 0 is a router): a host on a
+/// degree-2 router, a router whose only neighbours are hosts, a host-only
+/// pair, a two-router island, an isolated node, a host alone in its own
+/// AS, and a router joined to node 0 by two parallel links of unequal
+/// latency. (Every node is a source, degree-1 ones included.)
+fn add_leafy_shapes(net: &mut Network) {
+    let stub = net.add_router("stub", 0);
+    let host = net.add_host("stub-host", 0);
+    net.add_link(0, stub, 1000.0, 120);
+    net.add_link(stub, host, 100.0, 10);
+    let hub = net.add_router("hub", 98);
+    for i in 0..2 {
+        let x = net.add_host(format!("hub-host{i}"), 98);
+        net.add_link(hub, x, 100.0, 10);
+    }
+    let (p, q) = (net.add_host("pair-p", 97), net.add_host("pair-q", 97));
+    net.add_link(p, q, 100.0, 6);
+    let a = net.add_router("island-a", 99);
+    let b = net.add_router("island-b", 99);
+    net.add_link(a, b, 100.0, 5);
+    net.add_host("isolated", 0);
+    let own = net.add_host("own-as", 96);
+    net.add_link(own, 0, 100.0, 15);
+    let twin = net.add_router("twin", 0);
+    net.add_link(0, twin, 1000.0, 20);
+    net.add_link(0, twin, 1000.0, 70);
+    net.add_link(twin, stub, 1000.0, 30);
 }
 
 /// A router line with a few hosts hanging off each router — the

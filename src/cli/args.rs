@@ -173,7 +173,7 @@ static REBALANCE: Flag = Flag {
     metavar: "off|incremental",
     expects: "off|incremental",
     set: |a, v| put(&mut a.rebalance, RebalanceMode::parse(v)),
-    help: "What a boundary with loud drift does (default off); alone implies 4 epochs.",
+    help: "What every epoch boundary does (default off); alone implies 4 epochs.",
 };
 static REPLAY: Flag = Flag {
     name: "--replay",
@@ -288,12 +288,12 @@ pub(super) static COMMANDS: [Command; 9] = [
       --epochs E splits the emulation into E epochs (at most one per µs
       of the run); each boundary turns the epoch's NetFlow slice into
       measured per-engine loads and drift values (surfaced in the
-      report's `rebalance` block and audited as MC019/MC020). --rebalance
-      picks what a boundary does when the drift is loud enough:
-      `incremental` migrates boundary nodes locally, `off` (default)
-      only measures. The first epoch is mapped traffic-blind with TOP
-      (nothing has been measured yet), so --approach must be top or
-      omitted; --replay is incompatible.",
+      report's `rebalance` block and audited as MC019/MC020; drift
+      diagnoses, it decides nothing). --rebalance picks what every
+      boundary does: `incremental` migrates boundary nodes locally where
+      a move pays, `off` (default) only measures. The first epoch is
+      mapped traffic-blind with TOP (nothing has been measured yet), so
+      --approach must be top or omitted; --replay is incompatible.",
     },
     Command {
         name: "ping",
