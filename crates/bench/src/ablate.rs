@@ -23,7 +23,6 @@ fn scalapack_flows(ctx: &Ctx, placement: &[NodeId], window: Option<u32>) -> Vec<
     let cfg = ScalapackConfig {
         matrix_n: ((3000.0 * ctx.scale) as usize).max(200),
         transport_window: window,
-        ..Default::default()
     };
     scalapack::flows(&cfg, placement)
 }

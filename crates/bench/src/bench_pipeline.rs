@@ -1,7 +1,8 @@
 //! Mapping-pipeline thread scaling: times the three parallelized stages
 //! (routing-table build, predicted-traffic accumulation, partitioner
-//! restart search) plus the end-to-end PROFILE mapping at 1/2/4 worker
-//! threads, and checks the results are identical at every count: the
+//! restart search) plus the end-to-end PROFILE mapping of a built scenario
+//! (its routing tables and the mapping) at 1/2/4 worker threads, and
+//! checks the results are identical at every count: the
 //! `BENCH_pipeline` table. Neither the scale nor the tables' size enter —
 //! the stages run at fixed sizes.
 //!
@@ -30,6 +31,10 @@ pub fn run(ctx: &Ctx) -> Output {
     let pred = foreground_prediction(&net, &hosts);
     let graph = latency_graph(&net);
 
+    let built = Scenario::new(Topology::TeraGrid, Workload::Scalapack)
+        .with_scale(0.12)
+        .build();
+
     let mut reference: Vec<Option<RoutingTables>> = vec![None];
     for &threads in &THREADS {
         let col = threads.to_string();
@@ -52,13 +57,12 @@ pub fn run(ctx: &Ctx) -> Output {
         t.set("partition-restarts", &col, secs);
 
         let (secs, _) = time_best(reps, || {
-            let built = Scenario::new(Topology::TeraGrid, Workload::Scalapack)
-                .with_scale(0.12)
-                .with_threads(threads)
-                .build();
-            built
-                .study
-                .map(Approach::Profile, &built.predicted, &built.flows)
+            let cfg = built.study.cfg.clone().with_parallelism(par);
+            MappingStudy::new(built.study.net.clone(), cfg).map(
+                Approach::Profile,
+                &built.predicted,
+                &built.flows,
+            )
         });
         t.set("profile-end-to-end", &col, secs);
     }

@@ -241,6 +241,28 @@ impl Scenario {
         Self::three_chain_dealt("three_chain_paired", vec![0, 0, 1])
     }
 
+    /// [`three_chain`](Self::three_chain) with a two-packet reply, stopped
+    /// at 900 µs with `r0`, one of engine 0's two nodes, moved to engine 1
+    /// before it resumes. At the stop engine 0 holds the first reply
+    /// packet arriving at `h0` and the second arriving at `r0`, so its
+    /// queue gives up a strict subset of its events and keeps the rest;
+    /// engine 2 keeps its nodes and its event.
+    pub fn three_chain_migrate() -> Scenario {
+        let mut s = Self::three_chain_dealt("three_chain_migrate", vec![0, 1, 1]);
+        s.flows[1] = FlowSpec {
+            packets: 2,
+            bytes: 3_000,
+            packet_interval_us: 100,
+            ..s.flows[1]
+        };
+        s.stop = Some(Stop {
+            at_us: 900,
+            at_round: u64::MAX,
+            partition: Some(vec![0, 1, 1, 2, 2]),
+        });
+        s
+    }
+
     fn three_chain_dealt(name: &'static str, deal: Vec<usize>) -> Scenario {
         let mut net = Network::new();
         let h0 = net.add_host("h0", 0);
@@ -293,6 +315,7 @@ impl Scenario {
             Scenario::two_cross_migrate(),
             Scenario::three_chain_paired(),
             Scenario::two_cross_budget(),
+            Scenario::three_chain_migrate(),
         ]
     }
 
@@ -405,6 +428,27 @@ mod tests {
     /// The same network and flows run in one piece.
     fn unstopped(s: Scenario) -> Scenario {
         Scenario { stop: None, ..s }
+    }
+
+    #[test]
+    fn a_partial_migration_splits_one_engine_and_leaves_another_alone() {
+        let s = Scenario::three_chain_migrate();
+        let stop = s.stop_state(0);
+        let nodes = |q: &[Event]| q.iter().map(|e| e.node).collect::<Vec<_>>();
+        // Engine 0 holds events at r0 (node 1, moving) and h0 (node 0,
+        // staying): its queue gives up a strict subset of them.
+        let at_zero = nodes(&stop.pending[0]);
+        assert!(at_zero.contains(&0) && at_zero.contains(&1), "{stop:?}");
+        assert!(!stop.pending[2].is_empty(), "{stop:?}");
+        let emu = s.stepped_to(1);
+        assert_eq!(emu.migrated_nodes, 1);
+        let (mut engines, ..) = emu.into_parts();
+        let after: Vec<Vec<Event>> = engines.iter_mut().map(Engine::drain_events).collect();
+        assert!(nodes(&after[0]).iter().all(|&v| v == 0), "{after:?}");
+        assert!(nodes(&after[1]).contains(&1), "{after:?}");
+        assert_eq!(after[2], stop.pending[2], "engine 2 is untouched");
+        // Migration changes where events run, never what is emulated.
+        assert_eq!(s.reference().delivered, unstopped(s).reference().delivered);
     }
 
     #[test]

@@ -83,8 +83,13 @@ fn schedule_counts_are_pinned() {
 
     // The pooled executor's two shapes: one participant owning two
     // engines, and a run cut by the round budget and resumed (two
-    // segments, like the migration).
-    for s in [Scenario::three_chain_paired(), Scenario::two_cross_budget()] {
+    // segments, like the migration); then a partial migration, where one
+    // engine gives up some of its nodes and another none.
+    for s in [
+        Scenario::three_chain_paired(),
+        Scenario::two_cross_budget(),
+        Scenario::three_chain_migrate(),
+    ] {
         let r = explore(&s, ExploreOpts::default());
         assert!(r.violation.is_none(), "{}: {:?}", s.name, r.violation);
         assert!(r.stats.exhaustive, "{} must be fully explorable", s.name);

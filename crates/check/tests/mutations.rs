@@ -138,3 +138,22 @@ fn clean_protocol_replays_clean() {
     let s = Scenario::two_cross();
     assert_eq!(replay(&s, 0, &[], None), RunOutcome::Complete);
 }
+
+#[test]
+fn faults_are_caught_in_the_partial_migration_scenario() {
+    // A missed barrier on the engine that later loses r0, and a reply
+    // withheld on its way to that engine. Both are caught in the first
+    // segment, before the stop: each segment counts its fault afresh.
+    let s = Scenario::three_chain_migrate();
+    for fault in [
+        Fault::SkipBarrier { thread: 0, nth: 1 },
+        Fault::DelayDelivery {
+            from: 1,
+            to: 0,
+            nth: 1,
+        },
+    ] {
+        let kind = find_and_replay_in(&s, fault);
+        assert_ne!(kind, ViolationKind::Divergence, "{fault:?}");
+    }
+}

@@ -1,11 +1,11 @@
 //! Experiment scenarios: the paper's topology × workload grid (§4.1).
 
-use massf_mapping::{MapperConfig, MappingStudy, Parallelism};
+use massf_mapping::{MapperConfig, MappingStudy};
 use massf_topology::brite::{BriteConfig, BRITE_ENGINES, SCALEUP_ENGINES};
 use massf_topology::campus::{campus, CAMPUS_ENGINES};
 use massf_topology::teragrid::{teragrid, TERAGRID_ENGINES};
 use massf_topology::{Network, NodeId};
-use massf_traffic::gridnpb::{self, GridNpbConfig};
+use massf_traffic::gridnpb;
 use massf_traffic::http::{self, HttpConfig};
 use massf_traffic::scalapack::{self, ScalapackConfig};
 use massf_traffic::{FlowSpec, PredictedFlow};
@@ -84,7 +84,7 @@ impl Workload {
     /// Number of hosts the application occupies.
     pub fn placement_size(&self) -> usize {
         match self {
-            Workload::Scalapack => ScalapackConfig::default().processes(),
+            Workload::Scalapack => scalapack::PROCESSES,
             Workload::GridNpb => gridnpb::SUITE_SLOTS,
         }
     }
@@ -106,10 +106,6 @@ pub struct Scenario {
     /// Problem-size scale factor in (0, 1]: 1.0 is the paper's size;
     /// smaller values shrink matrix/transfer sizes for quick runs.
     pub scale: f64,
-    /// Mapping-pipeline worker threads (routing tables, accumulation,
-    /// partitioner restarts). Results are bit-identical at every setting;
-    /// `Parallelism::serial()` runs the exact single-threaded paths.
-    pub parallelism: Parallelism,
 }
 
 impl Scenario {
@@ -121,7 +117,6 @@ impl Scenario {
             workload,
             background: None,
             scale: 1.0,
-            parallelism: Parallelism::available(),
         }
         .with_moderate_background()
     }
@@ -153,12 +148,6 @@ impl Scenario {
         self
     }
 
-    /// Sets the mapping-pipeline thread count (`1` = exact serial paths).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.parallelism = Parallelism::new(threads);
-        self
-    }
-
     /// Instantiates the network, routing, placement, flow schedule, and
     /// PLACE predictions.
     pub fn build(&self) -> BuiltScenario {
@@ -176,11 +165,8 @@ impl Scenario {
                 scalapack::flows(&cfg, &placement)
             }
             Workload::GridNpb => {
-                let cfg = GridNpbConfig {
-                    base_bytes: ((1_200_000.0 * self.scale) as u64).max(30_000),
-                    ..Default::default()
-                };
-                gridnpb::flows(&cfg, &gridnpb::paper_suite(&cfg), &placement)
+                let base_bytes = ((1_200_000.0 * self.scale) as u64).max(30_000);
+                gridnpb::flows(&gridnpb::paper_suite(base_bytes), &placement)
             }
         };
         let mut predicted = massf_mapping::place::foreground_prediction(&net, &placement);
@@ -193,9 +179,7 @@ impl Scenario {
         }
         flows.sort_by_key(|f| (f.start_us, f.src, f.dst));
 
-        let cfg = MapperConfig::new(self.topology.engines())
-            .with_seed(MAPPER_SEED)
-            .with_parallelism(self.parallelism);
+        let cfg = MapperConfig::new(self.topology.engines()).with_seed(MAPPER_SEED);
         BuiltScenario {
             scenario: self.clone(),
             study: MappingStudy::new(net, cfg),

@@ -804,7 +804,6 @@ mod tests {
             hosts: 8,
             model: GrowthModel::BarabasiAlbert { m: 2 },
             seed,
-            ..BriteConfig::paper_brite()
         })
     }
 

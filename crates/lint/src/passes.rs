@@ -493,17 +493,6 @@ pub(crate) fn spec_topology_fit(input: &LintInput<'_>, diags: &mut Diagnostics) 
                     ),
                 );
             }
-            if !(cfg.response_rate_mbps.is_finite() && cfg.response_rate_mbps > 0.0) {
-                diags.push(
-                    Code::Mc010,
-                    Severity::Error,
-                    loc.clone(),
-                    format!(
-                        "response rate must be finite and positive, got {} Mbps",
-                        cfg.response_rate_mbps
-                    ),
-                );
-            }
             if cfg.request_size_bytes == 0 {
                 diags.push(
                     Code::Mc010,

@@ -63,7 +63,6 @@ proptest! {
             hosts,
             model,
             seed,
-            ..BriteConfig::paper_brite()
         });
         let g = weights::latency_graph(&net);
         let p = partition_kway(&g, &PartitionConfig::new(engines));

@@ -82,7 +82,6 @@ proptest! {
             hosts,
             model,
             seed,
-            ..BriteConfig::paper_brite()
         });
         let diags = lint_scenario(&LintInput::network(&net));
         prop_assert_eq!(

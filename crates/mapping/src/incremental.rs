@@ -67,14 +67,13 @@
 //! use massf_mapping::incremental::{run_online, IncrementalConfig, RebalanceMode};
 //! use massf_mapping::{MapperConfig, MappingStudy};
 //! use massf_topology::campus::campus;
-//! use massf_traffic::gridnpb::{self, GridNpbConfig};
+//! use massf_traffic::gridnpb;
 //!
 //! // GridNPB's staged DAGs shift load between host groups over time.
 //! let study = MappingStudy::new(campus(), MapperConfig::new(3));
 //! let hosts = study.net.hosts();
 //! let placement: Vec<_> = hosts.iter().step_by(4).take(9).copied().collect();
-//! let cfg = GridNpbConfig { base_bytes: 200_000, ..Default::default() };
-//! let flows = gridnpb::flows(&cfg, &gridnpb::paper_suite(&cfg), &placement);
+//! let flows = gridnpb::flows(&gridnpb::paper_suite(200_000), &placement);
 //!
 //! let online = IncrementalConfig::default();
 //! let out = run_online(&study, &flows, &[], &online, RebalanceMode::Incremental);
@@ -450,7 +449,7 @@ mod tests {
     use super::*;
     use crate::MapperConfig;
     use massf_topology::campus::campus;
-    use massf_traffic::gridnpb::{self, GridNpbConfig};
+    use massf_traffic::gridnpb;
 
     fn study() -> MappingStudy {
         MappingStudy::new(campus(), MapperConfig::new(3))
@@ -460,11 +459,7 @@ mod tests {
         // GridNPB's staged DAGs shift load between host groups over time.
         let hosts = study.net.hosts();
         let placement: Vec<_> = hosts.iter().step_by(4).take(9).copied().collect();
-        let cfg = GridNpbConfig {
-            base_bytes: 400_000,
-            ..Default::default()
-        };
-        gridnpb::flows(&cfg, &gridnpb::paper_suite(&cfg), &placement)
+        gridnpb::flows(&gridnpb::paper_suite(400_000), &placement)
     }
 
     fn incremental(

@@ -13,7 +13,7 @@ use massf_mapping::{diffusive_sweep, MapperConfig, MappingStudy, Parallelism};
 use massf_metrics::load_imbalance;
 use massf_topology::campus::campus;
 use massf_topology::Network;
-use massf_traffic::gridnpb::{self, GridNpbConfig};
+use massf_traffic::gridnpb;
 use proptest::prelude::*;
 
 /// The per-window synchronization cost `run_online` prices the lookahead
@@ -225,11 +225,7 @@ fn shifting_study_and_flows(threads: usize) -> (MappingStudy, Vec<massf_traffic:
     let net = campus();
     let hosts = net.hosts();
     let placement: Vec<_> = hosts.iter().copied().step_by(4).take(9).collect();
-    let cfg = GridNpbConfig {
-        base_bytes: 400_000,
-        ..Default::default()
-    };
-    let flows = gridnpb::flows(&cfg, &gridnpb::paper_suite(&cfg), &placement);
+    let flows = gridnpb::flows(&gridnpb::paper_suite(400_000), &placement);
     let study = MappingStudy::new(
         net,
         MapperConfig::new(3).with_parallelism(Parallelism::new(threads)),

@@ -334,7 +334,6 @@ mod tests {
                 hosts: 30,
                 model,
                 seed,
-                ..BriteConfig::paper_brite()
             });
             nets.extend([2, 3, 6].map(|k| assign_contiguous_ases(&net, k)));
         }

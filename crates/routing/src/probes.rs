@@ -443,7 +443,7 @@ mod tests {
     use massf_topology::asys::assign_contiguous_ases;
     use massf_topology::brite::{generate, BriteConfig, GrowthModel};
     use massf_topology::teragrid::teragrid;
-    use massf_topology::Network;
+    use massf_topology::{Network, NodeKind};
     use proptest::prelude::*;
 
     /// Square r0-r1-r2-r3-r0 with equal link latencies: two equal-cost
@@ -458,18 +458,36 @@ mod tests {
         net
     }
 
-    /// A small Barabási–Albert BRITE network. A plane this small when
-    /// `tied` puts every link on the 100 µs floor: hop-count routing,
-    /// equal-cost routes everywhere.
+    /// A small Barabási–Albert BRITE network; `tied` puts every link on
+    /// the 100 µs floor.
     fn brite(routers: usize, hosts: usize, seed: u64, tied: bool) -> Network {
-        generate(&BriteConfig {
+        let net = generate(&BriteConfig {
             routers,
             hosts,
             model: GrowthModel::BarabasiAlbert { m: 2 },
-            plane: if tied { 5.0 } else { 1000.0 },
             seed,
-            ..BriteConfig::paper_brite()
-        })
+        });
+        if tied {
+            on_the_floor(&net)
+        } else {
+            net
+        }
+    }
+
+    /// `net` with every link re-added at the BRITE generator's 100 µs latency
+    /// floor: hop-count routing, with equal-cost routes everywhere.
+    fn on_the_floor(net: &Network) -> Network {
+        let mut floor = Network::new();
+        for n in net.nodes() {
+            match n.kind {
+                NodeKind::Router => floor.add_router(n.name.clone(), n.as_id),
+                NodeKind::Host => floor.add_host(n.name.clone(), n.as_id),
+            };
+        }
+        for l in net.links() {
+            floor.add_link(l.a, l.b, l.bandwidth_mbps, 100);
+        }
+        floor
     }
 
     /// `net`'s shortest-path routes with `patch(src, dst)` overriding the

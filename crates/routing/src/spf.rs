@@ -33,9 +33,10 @@ pub const NO_PREV: NodeId = NodeId::MAX;
 
 /// The router core in rank order: `nodes[r]` is the core node of rank
 /// `r`, and `adj[start[r]..start[r + 1]]` holds its `(neighbour rank,
-/// link)` entries toward other core nodes, in `Network::neighbors` order —
-/// so the first entry naming a neighbour is the link `link_between` names,
-/// parallel links included.
+/// link)` entries toward other core nodes, in `Network::neighbors` order.
+/// Of parallel links only the one `link_between` names is kept, so a
+/// route's distance, its stored link and every later lookup count the
+/// same link.
 #[derive(Debug)]
 pub(crate) struct Core {
     pub(crate) nodes: Vec<NodeId>,
@@ -53,7 +54,7 @@ impl Core {
         }
         let core_links = |v: NodeId| {
             let links = net.neighbors(v).iter();
-            links.filter(move |(u, _)| in_core(*u as usize))
+            links.filter(move |&&(u, l)| in_core(u as usize) && net.link_between(v, u) == Some(l))
         };
         let mut start = Vec::with_capacity(nodes.len() + 1);
         let mut adj = Vec::with_capacity(nodes.iter().map(|&v| core_links(v).count()).sum());
@@ -153,12 +154,12 @@ impl SpfScratch {
             }
         }
 
-        // The source's children leave over the first link joining them.
+        // The source's children leave over the one link the core keeps.
         let unset = (NodeId::MAX, NO_LINK);
         self.first.clear();
         self.first.resize(c, unset);
         for &(u, l) in core.adj(source) {
-            if self.prev[u as usize] == source && self.first[u as usize] == unset {
+            if self.prev[u as usize] == source {
                 self.first[u as usize] = (core.nodes[u as usize], l);
             }
         }

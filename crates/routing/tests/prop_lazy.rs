@@ -36,7 +36,6 @@ fn arb_network() -> impl Strategy<Value = Network> {
                 hosts,
                 model,
                 seed,
-                ..BriteConfig::paper_brite()
             });
             add_leafy_shapes(&mut net);
             net
@@ -47,8 +46,9 @@ fn arb_network() -> impl Strategy<Value = Network> {
 /// Adds the leafy shapes to `net` (whose node 0 is a router): a host on a
 /// degree-2 router, a router whose only neighbours are hosts, a host-only
 /// pair, a two-router island, an isolated node, a host alone in its own
-/// AS, and a router joined to node 0 by two parallel links of unequal
-/// latency. (Every node is a source, degree-1 ones included.)
+/// AS, and two routers each joined to node 0 by two parallel links of
+/// unequal latency, one listing the faster link first and one the slower.
+/// (Every node is a source, degree-1 ones included.)
 fn add_leafy_shapes(net: &mut Network) {
     let stub = net.add_router("stub", 0);
     let host = net.add_host("stub-host", 0);
@@ -71,6 +71,10 @@ fn add_leafy_shapes(net: &mut Network) {
     net.add_link(0, twin, 1000.0, 20);
     net.add_link(0, twin, 1000.0, 70);
     net.add_link(twin, stub, 1000.0, 30);
+    let slow_first = net.add_router("slow-first", 0);
+    net.add_link(0, slow_first, 1000.0, 70);
+    net.add_link(0, slow_first, 1000.0, 20);
+    net.add_link(slow_first, stub, 1000.0, 30);
 }
 
 /// All (src, dst) pairs of `net`, permuted by a seeded Fisher–Yates so

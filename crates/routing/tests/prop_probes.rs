@@ -9,7 +9,7 @@
 use massf_routing::probes::{self, AsymmetricPair, EcmpSite};
 use massf_routing::RoutingTables;
 use massf_topology::brite::{generate, BriteConfig, GrowthModel};
-use massf_topology::{Network, NodeId};
+use massf_topology::{Network, NodeId, NodeKind};
 use proptest::prelude::*;
 
 /// The pairwise oracle the crate keeps for its own tests, mounted from
@@ -17,8 +17,7 @@ use proptest::prelude::*;
 #[path = "../src/probes/naive.rs"]
 mod naive;
 
-/// `tied` shrinks the plane until every link sits on the generator's
-/// 100 µs floor: hop-count routing, with equal-cost routes everywhere
+/// `tied` puts every link on the generator's 100 µs floor
 /// (distance-derived latencies almost never tie).
 fn brite(routers: usize, hosts: usize, seed: u64, waxman: bool, tied: bool) -> Network {
     let model = if waxman {
@@ -29,14 +28,33 @@ fn brite(routers: usize, hosts: usize, seed: u64, waxman: bool, tied: bool) -> N
     } else {
         GrowthModel::BarabasiAlbert { m: 2 }
     };
-    generate(&BriteConfig {
+    let net = generate(&BriteConfig {
         routers,
         hosts,
         model,
-        plane: if tied { 5.0 } else { 1000.0 },
         seed,
-        ..BriteConfig::paper_brite()
-    })
+    });
+    if tied {
+        on_the_floor(&net)
+    } else {
+        net
+    }
+}
+
+/// `net` with every link re-added at the BRITE generator's 100 µs latency
+/// floor: hop-count routing, with equal-cost routes everywhere.
+fn on_the_floor(net: &Network) -> Network {
+    let mut floor = Network::new();
+    for n in net.nodes() {
+        match n.kind {
+            NodeKind::Router => floor.add_router(n.name.clone(), n.as_id),
+            NodeKind::Host => floor.add_host(n.name.clone(), n.as_id),
+        };
+    }
+    for l in net.links() {
+        floor.add_link(l.a, l.b, l.bandwidth_mbps, 100);
+    }
+    floor
 }
 
 /// A small BRITE network plus the two shapes routing special-cases: a

@@ -24,7 +24,6 @@ fn arb_network() -> impl Strategy<Value = Network> {
                 hosts,
                 model,
                 seed,
-                ..BriteConfig::paper_brite()
             })
         },
     )

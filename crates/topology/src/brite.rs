@@ -13,8 +13,12 @@
 //!   probability `alpha * exp(-d / (beta * L))`, then patched to
 //!   connectivity with a minimum-spanning chain.
 //!
-//! Link latency is derived from Euclidean distance on the plane; bandwidth
-//! is drawn uniformly from a configurable range (BRITE's `BWUniform`).
+//! Routers sit on a [`PLANE`]-wide square, all in AS [`AS_ID`] (the
+//! scale-up uses a single AS because "the current BRITE tool cannot create
+//! networks using BGP routers"). Link latency is derived from Euclidean
+//! distance on the plane; router–router bandwidth is drawn uniformly from
+//! [`BW_CORE`] (BRITE's `BWUniform`), and every host gets a [`BW_ACCESS`]
+//! access link.
 
 use crate::model::{Network, NodeId};
 use rand::Rng;
@@ -38,6 +42,17 @@ pub enum GrowthModel {
     },
 }
 
+/// Side length of the placement plane (abstract units; 1 unit of distance
+/// = 10 µs of propagation latency).
+pub const PLANE: f64 = 1000.0;
+/// Router–router bandwidth range in Mbps, drawn uniformly: OC-3 .. OC-48,
+/// BRITE-ish defaults.
+pub const BW_CORE: (f64, f64) = (155.0, 2488.0);
+/// Host access-link bandwidth in Mbps.
+pub const BW_ACCESS: f64 = 100.0;
+/// AS id of every node.
+pub const AS_ID: u32 = 0;
+
 /// Parameters of the generator (a subset of BRITE's flat router model).
 #[derive(Debug, Clone)]
 pub struct BriteConfig {
@@ -47,16 +62,6 @@ pub struct BriteConfig {
     pub hosts: usize,
     /// Growth model.
     pub model: GrowthModel,
-    /// Side length of the placement plane (abstract units; 1 unit of
-    /// distance = 10 µs of propagation latency).
-    pub plane: f64,
-    /// Router-router bandwidth range in Mbps (uniform).
-    pub bw_core: (f64, f64),
-    /// Host access-link bandwidth in Mbps.
-    pub bw_access: f64,
-    /// AS id assigned to every node (the scale-up uses a single AS because
-    /// "the current BRITE tool cannot create networks using BGP routers").
-    pub as_id: u32,
     /// RNG seed.
     pub seed: u64,
 }
@@ -68,10 +73,6 @@ impl BriteConfig {
             routers: 160,
             hosts: 132,
             model: GrowthModel::BarabasiAlbert { m: 2 },
-            plane: 1000.0,
-            bw_core: (155.0, 2488.0), // OC-3 .. OC-48, BRITE-ish defaults
-            bw_access: 100.0,
-            as_id: 0,
             seed: 0xb417e,
         }
     }
@@ -117,10 +118,10 @@ pub fn generate(cfg: &BriteConfig) -> Network {
 
     // Scatter routers on the plane.
     let pos: Vec<(f64, f64)> = (0..cfg.routers)
-        .map(|_| (rng.gen_range(0.0..cfg.plane), rng.gen_range(0.0..cfg.plane)))
+        .map(|_| (rng.gen_range(0.0..PLANE), rng.gen_range(0.0..PLANE)))
         .collect();
     for i in 0..cfg.routers {
-        net.add_router(format!("br{i}"), cfg.as_id);
+        net.add_router(format!("br{i}"), AS_ID);
     }
 
     let latency = |a: usize, b: usize| -> u64 {
@@ -131,7 +132,7 @@ pub fn generate(cfg: &BriteConfig) -> Network {
         ((d * 10.0).round() as u64).max(100)
     };
     let core_bw = {
-        let (lo, hi) = cfg.bw_core;
+        let (lo, hi) = BW_CORE;
         move |rng: &mut ChaCha8Rng| rng.gen_range(lo..=hi)
     };
 
@@ -172,7 +173,7 @@ pub fn generate(cfg: &BriteConfig) -> Network {
             }
         }
         GrowthModel::Waxman { alpha, beta } => {
-            let scale = cfg.plane * std::f64::consts::SQRT_2;
+            let scale = PLANE * std::f64::consts::SQRT_2;
             for i in 0..cfg.routers {
                 for j in i + 1..cfg.routers {
                     let (dx, dy) = (pos[i].0 - pos[j].0, pos[i].1 - pos[j].1);
@@ -232,8 +233,8 @@ pub fn generate(cfg: &BriteConfig) -> Network {
             .map(|_| router_ids[rng.gen_range(0..router_ids.len())])
             .min_by_key(|&r| net.degree(r))
             .expect("at least one candidate");
-        let host = net.add_host(format!("bh{h}"), cfg.as_id);
-        net.add_link(host, pick, cfg.bw_access, 100);
+        let host = net.add_host(format!("bh{h}"), AS_ID);
+        net.add_link(host, pick, BW_ACCESS, 100);
     }
 
     debug_assert!(net.is_connected());

@@ -225,12 +225,15 @@ impl Network {
             .sum()
     }
 
-    /// The link joining `a` and `b`, if any.
+    /// The link joining `a` and `b`, if any: of parallel links, the one
+    /// with the least latency, ties to the lowest id — the one a route
+    /// between the two takes.
     pub fn link_between(&self, a: NodeId, b: NodeId) -> Option<LinkId> {
         self.adjacency[a as usize]
             .iter()
-            .find(|&&(nb, _)| nb == b)
+            .filter(|&&(nb, _)| nb == b)
             .map(|&(_, l)| l)
+            .min_by_key(|&l| (self.link(l).latency_us, l))
     }
 
     /// Number of routers in each AS, keyed by dense AS id.
@@ -249,23 +252,7 @@ impl Network {
 
     /// True when every node can reach every other node.
     pub fn is_connected(&self) -> bool {
-        if self.nodes.is_empty() {
-            return true;
-        }
-        let mut seen = vec![false; self.nodes.len()];
-        let mut stack = vec![0 as NodeId];
-        seen[0] = true;
-        let mut count = 0usize;
-        while let Some(v) = stack.pop() {
-            count += 1;
-            for &(u, _) in self.neighbors(v) {
-                if !seen[u as usize] {
-                    seen[u as usize] = true;
-                    stack.push(u);
-                }
-            }
-        }
-        count == self.nodes.len()
+        massf_graph::connectivity::is_connected(&self.to_unit_graph())
     }
 
     /// Converts the topology into a unit-weight CSR graph whose vertex ids
@@ -334,6 +321,17 @@ mod tests {
     }
 
     #[test]
+    fn parallel_links_resolve_to_the_fastest_then_the_lowest_id() {
+        let mut net = tiny();
+        let slow = net.link_between(0, 1).unwrap(); // 500 µs
+        let fast = net.add_link(1, 0, 1000.0, 200);
+        let twin = net.add_link(0, 1, 1000.0, 200);
+        assert!(slow < fast && fast < twin);
+        assert_eq!(net.link_between(0, 1), Some(fast));
+        assert_eq!(net.link_between(1, 0), Some(fast));
+    }
+
+    #[test]
     #[should_panic(expected = "not an endpoint")]
     fn opposite_panics_for_nonmember() {
         let net = tiny();
@@ -390,6 +388,7 @@ mod tests {
 
     #[test]
     fn connectivity() {
+        assert!(Network::new().is_connected());
         let mut net = tiny();
         assert!(net.is_connected());
         net.add_host("lonely", 0);

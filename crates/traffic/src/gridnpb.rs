@@ -8,8 +8,11 @@
 //! exactly why PLACE's uniform prediction is poor and PROFILE wins (§4.2.1).
 //!
 //! The model schedules each DAG statically: a task starts when all inputs
-//! have arrived, computes, then bursts its outputs to its successors. The
-//! three standard graphs are built per the GridNPB 1.0 spec shapes.
+//! have arrived, computes, then bursts its outputs to its successors at
+//! [`RATE_MBPS`]. The three standard graphs are built per the GridNPB 1.0
+//! spec shapes; a caller picks only the base transfer unit, while task
+//! costs scale [`BASE_COMPUTE_US`] and the per-task irregularity factors
+//! are drawn from [`SEED`].
 
 use crate::flow::FlowSpec;
 use massf_topology::NodeId;
@@ -39,35 +42,18 @@ pub struct Workflow {
     pub tasks: Vec<Task>,
 }
 
-/// Parameters of the GridNPB traffic model.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GridNpbConfig {
-    /// Base transfer unit in bytes (class-S solution array, ~1 MB scaled).
-    pub base_bytes: u64,
-    /// Base compute time per task in µs.
-    pub base_compute_us: u64,
-    /// Flow transfer rate in Mbps.
-    pub rate_mbps: f64,
-    /// Seed for the per-task irregularity factors.
-    pub seed: u64,
-}
-
-impl Default for GridNpbConfig {
-    fn default() -> Self {
-        Self {
-            base_bytes: 1_200_000,
-            base_compute_us: 700_000,
-            rate_mbps: 150.0,
-            seed: 0x9fb,
-        }
-    }
-}
+/// Base compute time per task in µs.
+pub const BASE_COMPUTE_US: u64 = 700_000;
+/// Flow transfer rate in Mbps.
+pub const RATE_MBPS: f64 = 150.0;
+/// Seed of the per-task irregularity factors.
+pub const SEED: u64 = 0x9fb;
 
 /// Helical Chain: nine tasks (BT→SP→LU repeated 3×) in one chain, each
-/// forwarding its full solution to the next.
-pub fn helical_chain(cfg: &GridNpbConfig) -> Workflow {
+/// forwarding about `base_bytes` of solution to the next.
+pub fn helical_chain(base_bytes: u64) -> Workflow {
     let kernels = ["BT", "SP", "LU"];
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ 0x1);
+    let mut rng = ChaCha8Rng::seed_from_u64(SEED ^ 0x1);
     let mut tasks = Vec::with_capacity(9);
     for i in 0..9 {
         let kernel = kernels[i % 3];
@@ -79,14 +65,14 @@ pub fn helical_chain(cfg: &GridNpbConfig) -> Workflow {
         };
         let jitter = 0.8 + 0.4 * rng.gen::<f64>();
         let outputs = if i + 1 < 9 {
-            vec![(i + 1, (cfg.base_bytes as f64 * jitter) as u64)]
+            vec![(i + 1, (base_bytes as f64 * jitter) as u64)]
         } else {
             vec![]
         };
         tasks.push(Task {
             name: format!("{kernel}.{i}"),
             host_slot: i,
-            compute_us: (cfg.base_compute_us as f64 * cost_factor) as u64,
+            compute_us: (BASE_COMPUTE_US as f64 * cost_factor) as u64,
             outputs,
         });
     }
@@ -95,12 +81,12 @@ pub fn helical_chain(cfg: &GridNpbConfig) -> Workflow {
 
 /// Visualization Pipeline: three stages of BT→MG→FT; each BT also feeds the
 /// next stage's BT (pipelined flow of visualization frames).
-pub fn visualization_pipeline(cfg: &GridNpbConfig) -> Workflow {
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ 0x2);
+pub fn visualization_pipeline(base_bytes: u64) -> Workflow {
+    let mut rng = ChaCha8Rng::seed_from_u64(SEED ^ 0x2);
     let mut tasks: Vec<Task> = Vec::with_capacity(9);
     // Task index layout: stage s has BT=3s, MG=3s+1, FT=3s+2.
     for s in 0..3usize {
-        let frame = (cfg.base_bytes as f64 * (1.5 + rng.gen::<f64>())) as u64;
+        let frame = (base_bytes as f64 * (1.5 + rng.gen::<f64>())) as u64;
         let mut bt_out = vec![(3 * s + 1, frame)];
         if s + 1 < 3 {
             bt_out.push((3 * (s + 1), frame / 2));
@@ -108,19 +94,19 @@ pub fn visualization_pipeline(cfg: &GridNpbConfig) -> Workflow {
         tasks.push(Task {
             name: format!("BT.{s}"),
             host_slot: 3 * s,
-            compute_us: cfg.base_compute_us,
+            compute_us: BASE_COMPUTE_US,
             outputs: bt_out,
         });
         tasks.push(Task {
             name: format!("MG.{s}"),
             host_slot: 3 * s + 1,
-            compute_us: cfg.base_compute_us / 3, // MG is cheap at class S
+            compute_us: BASE_COMPUTE_US / 3, // MG is cheap at class S
             outputs: vec![(3 * s + 2, frame / 4)],
         });
         tasks.push(Task {
             name: format!("FT.{s}"),
             host_slot: 3 * s + 2,
-            compute_us: cfg.base_compute_us / 2,
+            compute_us: BASE_COMPUTE_US / 2,
             outputs: vec![],
         });
     }
@@ -130,8 +116,8 @@ pub fn visualization_pipeline(cfg: &GridNpbConfig) -> Workflow {
 /// Mixed Bag: three layers of three tasks with all-to-all edges between
 /// consecutive layers and strongly uneven volumes (the "bag" mixes problem
 /// sizes) — the most irregular of the three graphs.
-pub fn mixed_bag(cfg: &GridNpbConfig) -> Workflow {
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ 0x3);
+pub fn mixed_bag(base_bytes: u64) -> Workflow {
+    let mut rng = ChaCha8Rng::seed_from_u64(SEED ^ 0x3);
     let mut tasks: Vec<Task> = Vec::with_capacity(9);
     for layer in 0..3usize {
         for j in 0..3usize {
@@ -141,7 +127,7 @@ pub fn mixed_bag(cfg: &GridNpbConfig) -> Workflow {
                 (0..3)
                     .map(|k| {
                         let skew = 0.25 + 2.0 * rng.gen::<f64>().powi(2) * 3.5;
-                        (3 * (layer + 1) + k, (cfg.base_bytes as f64 * skew) as u64)
+                        (3 * (layer + 1) + k, (base_bytes as f64 * skew) as u64)
                     })
                     .collect()
             } else {
@@ -151,7 +137,7 @@ pub fn mixed_bag(cfg: &GridNpbConfig) -> Workflow {
             tasks.push(Task {
                 name: format!("MB{layer}{j}"),
                 host_slot: idx,
-                compute_us: (cfg.base_compute_us as f64 * cost) as u64,
+                compute_us: (BASE_COMPUTE_US as f64 * cost) as u64,
                 outputs,
             });
         }
@@ -159,12 +145,14 @@ pub fn mixed_bag(cfg: &GridNpbConfig) -> Workflow {
     Workflow { name: "MB", tasks }
 }
 
-/// The paper's combined workload: HC + VP + MB run concurrently.
-pub fn paper_suite(cfg: &GridNpbConfig) -> Vec<Workflow> {
+/// The paper's combined workload: HC + VP + MB run concurrently, with
+/// `base_bytes` the base transfer unit (class-S solution array, ~1 MB
+/// scaled).
+pub fn paper_suite(base_bytes: u64) -> Vec<Workflow> {
     vec![
-        helical_chain(cfg),
-        visualization_pipeline(cfg),
-        mixed_bag(cfg),
+        helical_chain(base_bytes),
+        visualization_pipeline(base_bytes),
+        mixed_bag(base_bytes),
     ]
 }
 
@@ -176,7 +164,7 @@ pub const SUITE_SLOTS: usize = 9;
 /// flow schedule. Task `t` of each workflow runs on
 /// `placement[t.host_slot % placement.len()]`; a task starts when all its
 /// inputs have arrived; its outputs burst simultaneously at finish time.
-pub fn flows(cfg: &GridNpbConfig, workflows: &[Workflow], placement: &[NodeId]) -> Vec<FlowSpec> {
+pub fn flows(workflows: &[Workflow], placement: &[NodeId]) -> Vec<FlowSpec> {
     assert!(!placement.is_empty());
     let mut out = Vec::new();
     for wf in workflows {
@@ -195,7 +183,7 @@ pub fn flows(cfg: &GridNpbConfig, workflows: &[Workflow], placement: &[NodeId]) 
                     ready[succ] = ready[succ].max(finish);
                     continue;
                 }
-                let f = FlowSpec::from_bytes(src, dst, finish, bytes.max(1), cfg.rate_mbps);
+                let f = FlowSpec::from_bytes(src, dst, finish, bytes.max(1), RATE_MBPS);
                 ready[succ] = ready[succ].max(f.end_us() + 1);
                 out.push(f);
             }
@@ -210,13 +198,16 @@ mod tests {
     use super::*;
     use std::collections::HashMap;
 
+    /// The paper-size base transfer unit.
+    const BASE: u64 = 1_200_000;
+
     fn placement() -> Vec<NodeId> {
         (200..209).collect()
     }
 
     #[test]
     fn suite_has_three_nine_task_graphs() {
-        let wfs = paper_suite(&GridNpbConfig::default());
+        let wfs = paper_suite(BASE);
         assert_eq!(wfs.len(), 3);
         for wf in &wfs {
             assert_eq!(wf.tasks.len(), 9, "{} should have 9 tasks", wf.name);
@@ -229,7 +220,7 @@ mod tests {
 
     #[test]
     fn hc_is_a_chain() {
-        let wf = helical_chain(&GridNpbConfig::default());
+        let wf = helical_chain(BASE);
         for (i, t) in wf.tasks.iter().enumerate() {
             if i < 8 {
                 assert_eq!(t.outputs.len(), 1);
@@ -242,7 +233,7 @@ mod tests {
 
     #[test]
     fn mb_fans_out_between_layers() {
-        let wf = mixed_bag(&GridNpbConfig::default());
+        let wf = mixed_bag(BASE);
         assert_eq!(wf.tasks[0].outputs.len(), 3);
         assert_eq!(wf.tasks[8].outputs.len(), 0);
         // Volume skew across MB edges is large (irregularity).
@@ -258,9 +249,8 @@ mod tests {
 
     #[test]
     fn schedule_respects_dependencies() {
-        let cfg = GridNpbConfig::default();
-        let wf = helical_chain(&cfg);
-        let fl = flows(&cfg, &[wf], &placement());
+        let wf = helical_chain(BASE);
+        let fl = flows(&[wf], &placement());
         // Chain: flows must be strictly time-ordered with compute gaps.
         for w in fl.windows(2) {
             assert!(
@@ -273,8 +263,7 @@ mod tests {
 
     #[test]
     fn suite_traffic_is_irregular_across_hosts() {
-        let cfg = GridNpbConfig::default();
-        let fl = flows(&cfg, &paper_suite(&cfg), &placement());
+        let fl = flows(&paper_suite(BASE), &placement());
         let mut by_src: HashMap<NodeId, u64> = HashMap::new();
         for f in &fl {
             *by_src.entry(f.src).or_insert(0) += f.bytes;
@@ -289,8 +278,7 @@ mod tests {
     fn bursts_cluster_in_time() {
         // The suite should produce distinct burst epochs, not a smooth
         // stream: measure the fraction of time covered by transfers.
-        let cfg = GridNpbConfig::default();
-        let fl = flows(&cfg, &paper_suite(&cfg), &placement());
+        let fl = flows(&paper_suite(BASE), &placement());
         let horizon = fl.iter().map(|f| f.end_us()).max().unwrap();
         let busy: u64 = fl.iter().map(|f| f.end_us() - f.start_us + 1).sum();
         // Allowing overlap, bursts cover well under the full horizon.
@@ -298,26 +286,24 @@ mod tests {
             (busy as f64) < 0.9 * horizon as f64 * fl.len() as f64,
             "no burst structure"
         );
-        assert!(horizon > cfg.base_compute_us, "schedule too short");
+        assert!(horizon > BASE_COMPUTE_US, "schedule too short");
     }
 
     #[test]
     fn same_host_edges_emit_no_flow() {
-        let cfg = GridNpbConfig::default();
-        let wf = helical_chain(&cfg);
+        let wf = helical_chain(BASE);
         // Two hosts: adjacent chain tasks alternate, so all 8 edges cross.
-        let fl2 = flows(&cfg, std::slice::from_ref(&wf), &[1, 2]);
+        let fl2 = flows(std::slice::from_ref(&wf), &[1, 2]);
         assert_eq!(fl2.len(), 8);
         // One host: everything is local.
-        let fl1 = flows(&cfg, &[wf], &[7]);
+        let fl1 = flows(&[wf], &[7]);
         assert!(fl1.is_empty());
     }
 
     #[test]
     fn deterministic() {
-        let cfg = GridNpbConfig::default();
-        let a = flows(&cfg, &paper_suite(&cfg), &placement());
-        let b = flows(&cfg, &paper_suite(&cfg), &placement());
+        let a = flows(&paper_suite(BASE), &placement());
+        let b = flows(&paper_suite(BASE), &placement());
         assert_eq!(a, b);
     }
 }

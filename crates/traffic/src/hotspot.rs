@@ -8,6 +8,11 @@
 //! building, one grid site). Any single static partition must either split
 //! every group across engines (large cut, small lookahead) or tolerate a
 //! per-phase hotspot on one engine; a dynamic mapper can follow the drift.
+//!
+//! A caller picks the groups and the phase schedule. Every hot transfer
+//! carries [`BYTES_PER_FLOW`] at [`RATE_MBPS`]; a trickle of
+//! [`TRICKLE_RATIO`] as many tenth-size transfers between hosts of all
+//! groups keeps the quiet groups warm; draws come from [`SEED`].
 
 use crate::flow::FlowSpec;
 use massf_topology::NodeId;
@@ -27,16 +32,17 @@ pub struct HotspotConfig {
     pub phases: usize,
     /// Concurrent transfers inside the hot group per phase.
     pub flows_per_phase: usize,
-    /// Bytes per transfer.
-    pub bytes_per_flow: u64,
-    /// Transfer rate in Mbps.
-    pub rate_mbps: f64,
-    /// Background trickle between random hosts of *all* groups, as a
-    /// fraction of `flows_per_phase` (keeps the quiet groups warm).
-    pub trickle_ratio: f64,
-    /// RNG seed.
-    pub seed: u64,
 }
+
+/// Bytes per hot transfer; a trickle transfer carries a tenth of it.
+pub const BYTES_PER_FLOW: u64 = 600_000;
+/// Transfer rate of every flow in Mbps.
+pub const RATE_MBPS: f64 = 80.0;
+/// Background trickle between random hosts of *all* groups, as a fraction
+/// of `flows_per_phase`.
+pub const TRICKLE_RATIO: f64 = 0.15;
+/// RNG seed.
+pub const SEED: u64 = 0x407;
 
 impl HotspotConfig {
     /// A default drift over the given groups: 6 phases of 2 s each.
@@ -46,10 +52,6 @@ impl HotspotConfig {
             phase_len_us: 2_000_000,
             phases: 6,
             flows_per_phase: 24,
-            bytes_per_flow: 600_000,
-            rate_mbps: 80.0,
-            trickle_ratio: 0.15,
-            seed: 0x407,
         }
     }
 }
@@ -61,7 +63,7 @@ pub fn generate(cfg: &HotspotConfig) -> Vec<FlowSpec> {
         cfg.groups.iter().all(|g| g.len() >= 2),
         "groups need >= 2 hosts"
     );
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
+    let mut rng = ChaCha8Rng::seed_from_u64(SEED);
     let mut out = Vec::new();
     let all_hosts: Vec<NodeId> = cfg.groups.iter().flatten().copied().collect();
 
@@ -75,11 +77,11 @@ pub fn generate(cfg: &HotspotConfig) -> Vec<FlowSpec> {
                 src,
                 dst,
                 start + offset,
-                cfg.bytes_per_flow,
-                cfg.rate_mbps,
+                BYTES_PER_FLOW,
+                RATE_MBPS,
             ));
         }
-        let trickle = (cfg.flows_per_phase as f64 * cfg.trickle_ratio) as usize;
+        let trickle = (cfg.flows_per_phase as f64 * TRICKLE_RATIO) as usize;
         for _ in 0..trickle {
             let (src, dst) = distinct_pair(&all_hosts, &mut rng);
             let offset = rng.gen_range(0..cfg.phase_len_us);
@@ -87,8 +89,8 @@ pub fn generate(cfg: &HotspotConfig) -> Vec<FlowSpec> {
                 src,
                 dst,
                 start + offset,
-                cfg.bytes_per_flow / 10,
-                cfg.rate_mbps,
+                BYTES_PER_FLOW / 10,
+                RATE_MBPS,
             ));
         }
     }
@@ -115,21 +117,32 @@ mod tests {
         vec![vec![0, 1, 2], vec![10, 11, 12], vec![20, 21, 22]]
     }
 
+    /// The hot flows of `cfg`'s schedule; trickle flows carry a tenth of
+    /// [`BYTES_PER_FLOW`].
+    fn hot_flows(cfg: &HotspotConfig) -> Vec<FlowSpec> {
+        let flows = generate(cfg);
+        assert!(flows
+            .iter()
+            .all(|f| f.bytes == BYTES_PER_FLOW || f.bytes == BYTES_PER_FLOW / 10));
+        flows
+            .into_iter()
+            .filter(|f| f.bytes == BYTES_PER_FLOW)
+            .collect()
+    }
+
     #[test]
     fn phases_concentrate_in_their_group() {
-        let cfg = HotspotConfig {
-            trickle_ratio: 0.0,
-            ..HotspotConfig::drift_over(groups())
-        };
-        let flows = generate(&cfg);
-        for f in &flows {
+        let cfg = HotspotConfig::drift_over(groups());
+        let hot = hot_flows(&cfg);
+        assert_eq!(hot.len(), cfg.phases * cfg.flows_per_phase);
+        for f in &hot {
             let phase = (f.start_us / cfg.phase_len_us) as usize;
-            let hot: HashSet<NodeId> = cfg.groups[phase % cfg.groups.len()]
+            let group: HashSet<NodeId> = cfg.groups[phase % cfg.groups.len()]
                 .iter()
                 .copied()
                 .collect();
             assert!(
-                hot.contains(&f.src) && hot.contains(&f.dst),
+                group.contains(&f.src) && group.contains(&f.dst),
                 "flow {f:?} escaped its phase group"
             );
         }
@@ -137,14 +150,10 @@ mod tests {
 
     #[test]
     fn drift_cycles_through_groups() {
-        let cfg = HotspotConfig {
-            trickle_ratio: 0.0,
-            ..HotspotConfig::drift_over(groups())
-        };
-        let flows = generate(&cfg);
+        let cfg = HotspotConfig::drift_over(groups());
         // Phase 3 wraps back to group 0.
-        let phase3: Vec<_> = flows
-            .iter()
+        let phase3: Vec<_> = hot_flows(&cfg)
+            .into_iter()
             .filter(|f| (f.start_us / cfg.phase_len_us) == 3)
             .collect();
         assert!(!phase3.is_empty());
@@ -153,21 +162,17 @@ mod tests {
 
     #[test]
     fn trickle_reaches_other_groups() {
-        let cfg = HotspotConfig {
-            trickle_ratio: 0.5,
-            ..HotspotConfig::drift_over(groups())
-        };
-        let flows = generate(&cfg);
-        let phase0_srcs: HashSet<NodeId> = flows
-            .iter()
-            .filter(|f| f.start_us < cfg.phase_len_us)
-            .map(|f| f.src)
+        let cfg = HotspotConfig::drift_over(groups());
+        let trickle: Vec<_> = generate(&cfg)
+            .into_iter()
+            .filter(|f| f.bytes == BYTES_PER_FLOW / 10)
             .collect();
-        let outside = phase0_srcs.iter().any(|s| !cfg.groups[0].contains(s));
-        assert!(
-            outside,
-            "trickle should involve non-hot hosts: {phase0_srcs:?}"
-        );
+        assert!(!trickle.is_empty());
+        let outside = trickle.iter().any(|f| {
+            let phase = (f.start_us / cfg.phase_len_us) as usize;
+            !cfg.groups[phase % cfg.groups.len()].contains(&f.src)
+        });
+        assert!(outside, "trickle should involve non-hot hosts: {trickle:?}");
     }
 
     #[test]
@@ -175,7 +180,7 @@ mod tests {
         let cfg = HotspotConfig::drift_over(groups());
         let flows = generate(&cfg);
         let expected = cfg.phases
-            * (cfg.flows_per_phase + (cfg.flows_per_phase as f64 * cfg.trickle_ratio) as usize);
+            * (cfg.flows_per_phase + (cfg.flows_per_phase as f64 * TRICKLE_RATIO) as usize);
         assert_eq!(flows.len(), expected);
         assert_eq!(flows, generate(&cfg));
     }

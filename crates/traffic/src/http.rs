@@ -16,8 +16,9 @@
 //! virtual network." Each client loops: send a small GET (1 packet), wait
 //! for the response (`request_size` bytes, heavy-tailed around the mean in
 //! Barford–Crovella style), think for `think_time` seconds (exponential),
-//! repeat. The PLACE predictor summarizes each client–server pair by its
-//! average bandwidth — exactly the "gross characterization" of §3.2.
+//! repeat. Responses are paced at [`RESPONSE_RATE_MBPS`]. The PLACE
+//! predictor summarizes each client–server pair by its average bandwidth —
+//! exactly the "gross characterization" of §3.2.
 
 use crate::flow::{FlowSpec, PredictedFlow};
 use massf_topology::NodeId;
@@ -25,6 +26,9 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+
+/// Response transfer rate in Mbps (server access-link class).
+pub const RESPONSE_RATE_MBPS: f64 = 100.0;
 
 /// Parameters of the HTTP background generator.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,8 +41,6 @@ pub struct HttpConfig {
     pub clients_per_server: usize,
     /// Number of servers (the paper uses 107).
     pub server_count: usize,
-    /// Response transfer rate in Mbps (server access-link class).
-    pub response_rate_mbps: f64,
     /// RNG seed.
     pub seed: u64,
 }
@@ -50,7 +52,6 @@ impl Default for HttpConfig {
             think_time_s: 12.0,
             clients_per_server: 10,
             server_count: 107,
-            response_rate_mbps: 100.0,
             seed: 0x477b,
         }
     }
@@ -138,7 +139,7 @@ pub fn generate(hosts: &[NodeId], cfg: &HttpConfig, duration_us: u64) -> Vec<Flo
             // Response: bounded-Pareto bytes around the configured mean.
             let size = bounded_pareto(&mut rng, cfg.request_size_bytes);
             let resp =
-                FlowSpec::from_bytes(s.server, s.client, t + 1_000, size, cfg.response_rate_mbps);
+                FlowSpec::from_bytes(s.server, s.client, t + 1_000, size, RESPONSE_RATE_MBPS);
             let resp_end = resp.end_us();
             flows.push(resp);
             // Exponential think time with the configured mean.
@@ -157,7 +158,7 @@ pub fn generate(hosts: &[NodeId], cfg: &HttpConfig, duration_us: u64) -> Vec<Flo
 /// average traffic bandwidth between two endpoints").
 pub fn predict(hosts: &[NodeId], cfg: &HttpConfig) -> Vec<PredictedFlow> {
     let sessions = assign_sessions(hosts, cfg);
-    let transfer_s = (cfg.request_size_bytes * 8) as f64 / (cfg.response_rate_mbps * 1e6);
+    let transfer_s = (cfg.request_size_bytes * 8) as f64 / (RESPONSE_RATE_MBPS * 1e6);
     let cycle_s = cfg.think_time_s + transfer_s;
     let avg_mbps = (cfg.request_size_bytes * 8) as f64 / 1e6 / cycle_s;
     sessions

@@ -8,33 +8,38 @@
 //! shrinks. That regularity is why the PLACE prediction is accurate for
 //! ScaLapack (§4.2.1).
 //!
-//! The model: a `pr × pc` process grid (default 2×5 = 10 processes), `nb`
-//! column blocks; at iteration `k` the pivot-column processes broadcast the
-//! panel along their rows and the pivot-row processes broadcast the U block
-//! along their columns; a compute gap proportional to the trailing-matrix
-//! area separates iterations.
+//! The model: a [`GRID_ROWS`] × [`GRID_COLS`] process grid (2×5 =
+//! [`PROCESSES`] processes), one iteration per [`BLOCK`]-column panel; at
+//! iteration `k` the pivot-column processes broadcast the panel along
+//! their rows and the pivot-row processes broadcast the U block along
+//! their columns, every flow paced at [`RATE_MBPS`] and every element
+//! [`ELEMENT_BYTES`] wide; a compute gap of [`BASE_COMPUTE_US`] scaled by
+//! the trailing-matrix area separates iterations.
 
 use crate::flow::{FlowSpec, PredictedFlow};
 use massf_topology::NodeId;
+
+/// Block size: columns per panel iteration.
+pub const BLOCK: usize = 200;
+/// Process-grid rows.
+pub const GRID_ROWS: usize = 2;
+/// Process-grid columns.
+pub const GRID_COLS: usize = 5;
+/// Number of processes, one host each (the paper's 10 nodes).
+pub const PROCESSES: usize = GRID_ROWS * GRID_COLS;
+/// Bytes per matrix element (f64).
+pub const ELEMENT_BYTES: u64 = 8;
+/// Transfer rate of each flow in Mbps (MPICH-G over the access links).
+pub const RATE_MBPS: f64 = 200.0;
+/// Compute time of the *first* trailing update, in µs; later iterations
+/// scale by the shrinking trailing-matrix area.
+pub const BASE_COMPUTE_US: u64 = 450_000;
 
 /// Parameters of the ScaLapack traffic model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScalapackConfig {
     /// Matrix dimension (paper: 3000).
     pub matrix_n: usize,
-    /// Block size (columns per iteration).
-    pub block: usize,
-    /// Process-grid rows.
-    pub grid_rows: usize,
-    /// Process-grid columns.
-    pub grid_cols: usize,
-    /// Bytes per matrix element (f64).
-    pub element_bytes: u64,
-    /// Transfer rate of each flow in Mbps (MPICH-G over the access links).
-    pub rate_mbps: f64,
-    /// Compute time for the *first* trailing update, in µs; later
-    /// iterations scale by the shrinking trailing-matrix area.
-    pub base_compute_us: u64,
     /// Optional TCP-like transport window (MPICH-G runs over TCP); `None`
     /// keeps the open-loop paced model.
     pub transport_window: Option<u32>,
@@ -44,52 +49,36 @@ impl Default for ScalapackConfig {
     fn default() -> Self {
         Self {
             matrix_n: 3000,
-            block: 200,
-            grid_rows: 2,
-            grid_cols: 5,
-            element_bytes: 8,
-            rate_mbps: 200.0,
-            base_compute_us: 450_000,
             transport_window: None,
         }
     }
 }
 
 impl ScalapackConfig {
-    /// Number of processes (`grid_rows * grid_cols`).
-    pub fn processes(&self) -> usize {
-        self.grid_rows * self.grid_cols
-    }
-
     /// Number of panel iterations.
     pub fn iterations(&self) -> usize {
-        self.matrix_n.div_ceil(self.block)
+        self.matrix_n.div_ceil(BLOCK)
     }
 }
 
 /// Generates the flow schedule for the solve, with processes placed on
-/// `placement` (one host per process, `placement.len() ==
-/// cfg.processes()`).
+/// `placement` (one host per process, `placement.len() == PROCESSES`).
 pub fn flows(cfg: &ScalapackConfig, placement: &[NodeId]) -> Vec<FlowSpec> {
-    assert_eq!(
-        placement.len(),
-        cfg.processes(),
-        "one host per process required"
-    );
-    let (pr, pc) = (cfg.grid_rows, cfg.grid_cols);
+    assert_eq!(placement.len(), PROCESSES, "one host per process required");
+    let (pr, pc) = (GRID_ROWS, GRID_COLS);
     let proc_at = |r: usize, c: usize| placement[r * pc + c];
     let mut out = Vec::new();
     let mut t = 0u64;
 
     let niter = cfg.iterations();
     for k in 0..niter {
-        let remaining = cfg.matrix_n - k * cfg.block.min(cfg.matrix_n / niter.max(1));
-        let remaining = remaining.max(cfg.block);
+        let remaining = cfg.matrix_n - k * BLOCK.min(cfg.matrix_n / niter.max(1));
+        let remaining = remaining.max(BLOCK);
         // Panel: `remaining × block` elements held by the pivot column,
         // split across its `pr` row-members; each broadcasts its slice to
         // the other `pc - 1` processes in its row.
         let pivot_col = k % pc;
-        let panel_bytes = (remaining * cfg.block) as u64 * cfg.element_bytes;
+        let panel_bytes = (remaining * BLOCK) as u64 * ELEMENT_BYTES;
         let slice = panel_bytes / pr as u64;
         for r in 0..pr {
             let src = proc_at(r, pivot_col);
@@ -102,7 +91,7 @@ pub fn flows(cfg: &ScalapackConfig, placement: &[NodeId]) -> Vec<FlowSpec> {
                     proc_at(r, c),
                     t,
                     slice.max(1),
-                    cfg.rate_mbps,
+                    RATE_MBPS,
                 ));
             }
         }
@@ -121,13 +110,13 @@ pub fn flows(cfg: &ScalapackConfig, placement: &[NodeId]) -> Vec<FlowSpec> {
                     proc_at(r, c),
                     bcast_t,
                     u_slice.max(1),
-                    cfg.rate_mbps,
+                    RATE_MBPS,
                 ));
             }
         }
         // Trailing update compute gap, shrinking quadratically.
         let frac = remaining as f64 / cfg.matrix_n as f64;
-        let compute = (cfg.base_compute_us as f64 * frac * frac) as u64;
+        let compute = (BASE_COMPUTE_US as f64 * frac * frac) as u64;
         // Next iteration starts after transfers (approximate by the longest
         // slice serialization) plus compute.
         let longest = out
@@ -184,7 +173,7 @@ mod tests {
     #[test]
     fn default_is_paper_shape() {
         let cfg = ScalapackConfig::default();
-        assert_eq!(cfg.processes(), 10, "paper uses 10 nodes");
+        assert_eq!(PROCESSES, 10, "paper uses 10 nodes");
         assert_eq!(cfg.matrix_n, 3000, "paper solves 3000x3000");
         assert_eq!(cfg.iterations(), 15);
     }

@@ -1434,4 +1434,25 @@ mod tests {
         assert!(out.contains("rtt"), "{out}");
         assert!(run(&args(&["ping", f.as_str(), "host0", "nowhere"])).is_err());
     }
+
+    #[test]
+    fn ping_takes_the_faster_of_two_parallel_links_in_either_listing_order() {
+        // Two routers joined by the given links, one host on each.
+        let ping = |latencies: &[u64]| {
+            let mut net = Network::new();
+            let (r0, r1) = (net.add_router("r0", 0), net.add_router("r1", 0));
+            let (h0, h1) = (net.add_host("h0", 0), net.add_host("h1", 0));
+            net.add_link(h0, r0, 100.0, 10);
+            net.add_link(r1, h1, 100.0, 10);
+            for &l in latencies {
+                net.add_link(r0, r1, 100.0, l);
+            }
+            let f = tempfile_path::write("massf_cli_parallel.dml", &dml::write(&net));
+            run(&args(&["ping", f.as_str(), "h0", "h1"])).unwrap()
+        };
+        let fast = ping(&[20]);
+        assert_ne!(fast, ping(&[70]));
+        assert_eq!(ping(&[70, 20]), fast);
+        assert_eq!(ping(&[20, 70]), fast);
+    }
 }

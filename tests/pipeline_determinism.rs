@@ -126,21 +126,22 @@ fn partition_kway_identical_across_thread_counts() {
 
 #[test]
 fn full_pipeline_identical_across_thread_counts() {
-    for approach in Approach::ALL {
-        let serial = Scenario::new(Topology::Campus, Workload::Scalapack)
-            .with_scale(0.08)
-            .without_background()
-            .with_threads(1)
-            .build();
-        let threaded = Scenario::new(Topology::Campus, Workload::Scalapack)
-            .with_scale(0.08)
-            .without_background()
-            .with_threads(4)
-            .build();
-        let p1 = serial.study.map(approach, &serial.predicted, &serial.flows);
-        let p4 = threaded
+    let built = Scenario::new(Topology::Campus, Workload::Scalapack)
+        .with_scale(0.08)
+        .without_background()
+        .build();
+    let study = |threads: usize| {
+        let cfg = built
             .study
-            .map(approach, &threaded.predicted, &threaded.flows);
+            .cfg
+            .clone()
+            .with_parallelism(Parallelism::new(threads));
+        MappingStudy::new(built.study.net.clone(), cfg)
+    };
+    let (serial, threaded) = (study(1), study(4));
+    for approach in Approach::ALL {
+        let p1 = serial.map(approach, &built.predicted, &built.flows);
+        let p4 = threaded.map(approach, &built.predicted, &built.flows);
         assert_eq!(p1, p4, "{approach:?} partition depends on thread count");
     }
 }

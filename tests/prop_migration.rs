@@ -17,7 +17,6 @@ fn small_net(seed: u64) -> Network {
         hosts: 8,
         model: GrowthModel::BarabasiAlbert { m: 2 },
         seed,
-        ..BriteConfig::paper_brite()
     })
 }
 

@@ -13,7 +13,6 @@ use massf_core::prelude::*;
 fn campus_scalapack(netflow: bool) -> (BuiltScenario, EmulationConfig) {
     let built = Scenario::new(Topology::Campus, Workload::Scalapack)
         .with_scale(0.12)
-        .with_threads(1)
         .build();
     let partition = built
         .study
