@@ -89,7 +89,7 @@ impl StopState {
             .map(|e| e.take_link_state(|_| true))
             .collect();
         StopState {
-            report: finalize(engines, cfg, &scenario.tables, protocol.clone()),
+            report: finalize(engines, cfg, protocol.clone()),
             pending,
             links,
             protocol,

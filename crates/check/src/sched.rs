@@ -59,8 +59,9 @@ pub enum Fault {
         nth: u64,
     },
     /// The `nth` (1-based) event consumed from channel `from → to` is
-    /// withheld and delivered at the receiver's *next* drain — a message
-    /// that misses its synchronization window.
+    /// withheld until the receiver's first drain whose window floor has
+    /// passed the event's time, or to the end of the run (a lost event) —
+    /// a message that misses its synchronization window.
     DelayDelivery {
         /// Sending engine.
         from: usize,
@@ -630,7 +631,9 @@ pub fn run_schedule(
                     }
                     Op::Recv { to } => {
                         let mut staged: Vec<Event> = Vec::new();
-                        if delayed.as_ref().is_some_and(|d| d.0 == to) {
+                        // The withheld event comes back only once the window
+                        // floor has passed its time: it missed its window.
+                        if delayed.is_some_and(|(r, e)| r == to && e.time_us < lbts_floor) {
                             staged.push(delayed.take().expect("checked above").1);
                         }
                         for from in 0..n {

@@ -71,6 +71,27 @@ fn late_remote_delivery_is_caught() {
 }
 
 #[test]
+fn late_remote_delivery_is_caught_behind_a_long_lookahead() {
+    // three_chain's 200 µs lookahead absorbs a delivery late by one drain:
+    // the event counts as missed only once the window floor has passed it.
+    let kind = find_and_replay_in(
+        &Scenario::three_chain(),
+        Fault::DelayDelivery {
+            from: 0,
+            to: 1,
+            nth: 1,
+        },
+    );
+    assert!(
+        matches!(
+            kind,
+            ViolationKind::ClosedWindowDelivery | ViolationKind::LostEvents
+        ),
+        "unexpected symptom {kind:?}"
+    );
+}
+
+#[test]
 fn delivery_withheld_across_a_stop_is_caught() {
     // The first segment of the migrating scenario ends with the delayed
     // event still withheld: the stop state (or the lost-event check) must

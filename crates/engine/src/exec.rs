@@ -329,12 +329,9 @@ pub fn run_parallel(
 
 /// Merges per-engine state into the final report. Used by the executor
 /// and the `massf-check` model checker, so all paths report identically.
-/// `tables` is sampled for the lazy per-engine residency block (`None`
-/// for the eager representations).
 pub fn finalize(
     engines: Vec<Engine>,
     cfg: &EmulationConfig,
-    tables: &RoutingTables,
     state: ProtocolState,
 ) -> EmulationReport {
     fn rows(c: &EngineCounters) -> [&[u64]; 3] {
@@ -378,7 +375,6 @@ pub fn finalize(
         stall_series: series(1),
         recv_series: series(2),
         netflow: merge_collectors(engines.iter().map(|e| &e.netflow)),
-        routing_slices: tables.slice_residency(&cfg.partition, cfg.nengines),
         wall: state.wall,
     }
 }
@@ -489,10 +485,9 @@ mod tests {
         let tables = RoutingTables::build_lazy(&net);
         let cfg = EmulationConfig::new(vec![0, 0, 0, 1, 1], 2);
         let seq = run_sequential(&net, &tables, &flows_star(), &cfg);
-        let slices = seq
-            .routing_slices
-            .as_ref()
-            .expect("lazy run reports slices");
+        let slices = tables
+            .slice_residency(&cfg.partition, 2)
+            .expect("lazy tables have slices");
         assert_eq!(slices.len(), 2);
         assert_eq!(slices.iter().map(|s| s.sources).sum::<usize>(), 5);
         assert!(
@@ -500,13 +495,11 @@ mod tests {
             "forwarding must have materialized at least the router's row"
         );
         // A second run over the same shared tables demands the same rows:
-        // the materialized set is idempotent, so the whole report — slice
-        // block included — stays equal across executors.
+        // the materialized set is idempotent, so the slices and the whole
+        // report stay equal across executors.
         let par = run_on_workers(&net, &tables, &flows_star(), &cfg);
         assert_eq!(seq, par);
-        // Eager runs carry no slice block.
-        let eager = run_sequential(&net, &RoutingTables::build(&net), &flows_star(), &cfg);
-        assert_eq!(eager.routing_slices, None);
+        assert_eq!(tables.slice_residency(&cfg.partition, 2), Some(slices));
     }
 
     #[test]

@@ -9,7 +9,6 @@
 
 use crate::cost::WallClock;
 use crate::netflow::FlowRecord;
-use massf_routing::SliceResidency;
 
 /// Everything a mapping study needs from one emulation run.
 ///
@@ -70,15 +69,6 @@ pub struct EmulationReport {
     /// Merged NetFlow records since the last epoch slice — the whole run
     /// when nothing sliced (empty unless profiling was enabled).
     pub netflow: Vec<FlowRecord>,
-    /// Per-engine lazy routing-row residency under the run's partition;
-    /// `None` unless the run used lazy tables. Structural facts only
-    /// (materialized set, resident bytes): the set is a pure function of
-    /// the demanded (src, dst) pairs, so it is identical across thread
-    /// counts and model-checked interleavings — cumulative lookup
-    /// counters are deliberately *not* here (they would differ when the
-    /// same shared tables serve several runs) and surface, table-wide,
-    /// through `massf_routing::RoutingTables::lookups` instead.
-    pub routing_slices: Option<Vec<SliceResidency>>,
     /// Modeled wall-clock accounting.
     pub wall: WallClock,
 }
@@ -150,7 +140,6 @@ mod tests {
             stall_series: vec![vec![0, 0], vec![1, 1]],
             recv_series: vec![vec![1, 0], vec![0, 1]],
             netflow: vec![],
-            routing_slices: None,
             wall: WallClock {
                 total_us: 2_000_000.0,
                 busy_us: 100.0,

@@ -126,28 +126,6 @@ impl CsrGraph {
         tot
     }
 
-    /// Replaces all vertex weights with a new flattened `[nvtxs * ncon]`
-    /// array (possibly changing `ncon`). Used when re-weighting an existing
-    /// topology graph for a different mapping approach.
-    pub fn with_vertex_weights(&self, ncon: usize, vwgt: Vec<Weight>) -> Result<Self, GraphError> {
-        if vwgt.len() != self.nvtxs() * ncon {
-            return Err(GraphError::BadConstraintArity {
-                expected: self.nvtxs() * ncon.max(1),
-                got: vwgt.len(),
-            });
-        }
-        if vwgt.iter().any(|&w| w < 0) {
-            return Err(GraphError::NegativeWeight);
-        }
-        Ok(Self {
-            ncon,
-            xadj: self.xadj.clone(),
-            adjncy: self.adjncy.clone(),
-            adjwgt: self.adjwgt.clone(),
-            vwgt,
-        })
-    }
-
     /// Replaces all edge weights. `new_weights(u, v, old)` is called once per
     /// directed arc; it must be symmetric in `(u, v)` for the result to
     /// remain a valid undirected graph (checked in debug builds).
@@ -253,30 +231,6 @@ mod tests {
         let h = g.map_edge_weights(|_, _, w| w * 2);
         assert_eq!(h.edge_weight_between(1, 2), Some(40));
         assert_eq!(h.adjwgt().iter().sum::<Weight>() / 2, 120);
-    }
-
-    #[test]
-    fn with_vertex_weights_changes_ncon() {
-        let g = triangle();
-        let h = g.with_vertex_weights(2, vec![1, 10, 2, 20, 3, 30]).unwrap();
-        assert_eq!(h.ncon(), 2);
-        assert_eq!(h.vertex_weight(1), &[2, 20]);
-        assert_eq!(h.total_vertex_weight(), vec![6, 60]);
-    }
-
-    #[test]
-    fn with_vertex_weights_rejects_bad_arity() {
-        let g = triangle();
-        assert!(g.with_vertex_weights(2, vec![1, 2, 3]).is_err());
-    }
-
-    #[test]
-    fn with_vertex_weights_rejects_negative() {
-        let g = triangle();
-        assert!(matches!(
-            g.with_vertex_weights(1, vec![1, -2, 3]),
-            Err(GraphError::NegativeWeight)
-        ));
     }
 
     #[test]

@@ -49,13 +49,6 @@ pub enum GraphError {
     },
     /// A self-loop was supplied; the partitioning model forbids them.
     SelfLoop(VertexId),
-    /// A vertex weight vector had the wrong number of components.
-    BadConstraintArity {
-        /// Expected number of weight components (ncon).
-        expected: usize,
-        /// Provided number of components.
-        got: usize,
-    },
     /// A negative weight was supplied.
     NegativeWeight,
     /// CSR structure is internally inconsistent (validation failure).
@@ -69,9 +62,6 @@ impl std::fmt::Display for GraphError {
                 write!(f, "vertex {vertex} out of range (nvtxs = {nvtxs})")
             }
             GraphError::SelfLoop(v) => write!(f, "self-loop on vertex {v}"),
-            GraphError::BadConstraintArity { expected, got } => {
-                write!(f, "expected {expected} weight components, got {got}")
-            }
             GraphError::NegativeWeight => write!(f, "negative weight"),
             GraphError::Corrupt(msg) => write!(f, "corrupt graph: {msg}"),
         }

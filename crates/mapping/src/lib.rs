@@ -18,8 +18,13 @@
 //!   clustering splits the run into load phases, each a constraint column
 //!   of a multi-constraint partition.
 //!
-//! [`weights`] builds the weighted graphs all three share; [`segments`]
-//! implements the phase clustering; [`pipeline`] wires the full
+//! Each approach only computes weights: its vertex-weight columns and,
+//! for PLACE and PROFILE, per-link traffic weights. All three then end in
+//! one partition step in [`weights`], which appends the memory column
+//! when [`MapperConfig::include_memory`] is set, builds the latency view
+//! (and the traffic view beside it) and partitions them, alone for TOP,
+//! by the §2.3 combination for PLACE and PROFILE. [`segments`] implements
+//! the phase clustering; [`pipeline`] wires the full
 //! profile-then-repartition loop.
 
 //! ```

@@ -185,13 +185,56 @@ mod tests {
     }
 
     #[test]
-    fn all_approaches_yield_valid_partitions() {
-        let s = study();
-        let (flows, predicted) = workload(&s);
-        for a in Approach::ALL {
-            let p = s.map(a, &predicted, &flows);
-            assert_eq!(p.nparts, 3, "{}", a.label());
-            assert!(p.part_sizes().iter().all(|&x| x > 0), "{}", a.label());
+    fn every_approach_ends_in_its_partition_step() {
+        let (flows, predicted) = workload(&study());
+        let top = &["top"][..];
+        let place = &["place/latency", "place/bandwidth", "place/combined"][..];
+        let profile = &[
+            "top",
+            "profile/latency",
+            "profile/bandwidth",
+            "profile/combined",
+        ][..];
+        for include_memory in [false, true] {
+            let cfg = MapperConfig {
+                include_memory,
+                ..MapperConfig::new(3)
+            };
+            let s = MappingStudy::new(campus(), cfg);
+            for (approach, stages) in [
+                (Approach::Top, top),
+                (Approach::Place, place),
+                (Approach::Profile, profile),
+            ] {
+                let label = format!("{} include_memory={include_memory}", approach.label());
+                let mut rec = Recorder::new();
+                let p = s.map_obs(approach, &predicted, &flows, &mut rec);
+                assert_eq!(p.nparts, 3, "{label}");
+                assert!(p.part_sizes().iter().all(|&x| x > 0), "{label}");
+                let (_, _, _, restarts, telemetry) = rec.into_parts();
+                let recorded: Vec<&str> = restarts.iter().map(|b| b.stage.as_str()).collect();
+                assert_eq!(recorded, stages, "{label}");
+                assert_eq!(
+                    telemetry.is_some(),
+                    approach == Approach::Profile,
+                    "{label}"
+                );
+                let Some(t) = telemetry else { continue };
+                // Total load, one column per phase when there are several,
+                // and the memory column last when it is on.
+                let phases = if t.phases.len() > 1 {
+                    t.phases.len()
+                } else {
+                    0
+                };
+                let memory = usize::from(include_memory);
+                assert_eq!(t.constraints as usize, 1 + phases + memory, "{label}");
+                assert_eq!(t.constraint_totals.len(), t.constraints as usize, "{label}");
+                if include_memory {
+                    let mem: i64 = massf_routing::memory::memory_weights(&s.net).iter().sum();
+                    assert_eq!(t.constraint_totals.last(), Some(&mem), "{label}");
+                }
+            }
         }
     }
 

@@ -14,12 +14,9 @@
 //! node; the §2.3 multi-objective combination then balances the latency
 //! objective against cut-traffic minimization.
 
-use crate::weights::{
-    append_memory_constraint, latency_graph, predicted_traffic_graph_with, with_vertex_weights,
-};
+use crate::weights::{accumulate_predicted_with, partition_views, quantize};
 use crate::MapperConfig;
 use massf_obs::Recorder;
-use massf_partition::multiobjective::combine_and_partition;
 use massf_partition::Partitioning;
 use massf_routing::RoutingTables;
 use massf_topology::{Network, NodeId};
@@ -51,7 +48,7 @@ pub fn map_place(
 
 /// [`map_place`] with observability: records a `mapping/place/weights` span
 /// and the `place/{latency,bandwidth,combined}` restart batches on `rec`.
-pub fn map_place_obs(
+pub(crate) fn map_place_obs(
     net: &Network,
     tables: &RoutingTables,
     predicted: &[PredictedFlow],
@@ -59,35 +56,20 @@ pub fn map_place_obs(
     rec: &mut Recorder,
 ) -> Partitioning {
     let span = rec.start();
-    let traffic = predicted_traffic_graph_with(net, tables, predicted, cfg.parallelism);
-    // Both objective views must balance the same quantity: the predicted
-    // per-node traffic (the computation constraint of §2.2.2), optionally
-    // plus memory.
-    let (ncon, vwgt) = if cfg.include_memory {
-        append_memory_constraint(net, 1, traffic.vwgt())
-    } else {
-        (1, traffic.vwgt().to_vec())
-    };
-    let latency = with_vertex_weights(&latency_graph(net), ncon, vwgt.clone());
-    let traffic = with_vertex_weights(&traffic, ncon, vwgt);
-    rec.finish("mapping/place/weights", span);
-
-    combine_and_partition(
-        &latency,
-        &traffic,
-        cfg.latency_priority,
-        &cfg.partition_config(),
-        "place",
-        rec,
-    )
-    .partitioning
+    let (per_link, per_node) = accumulate_predicted_with(net, tables, predicted, cfg.parallelism);
+    // Both objective views balance the same quantity: the predicted
+    // per-node traffic (the computation constraint of §2.2.2).
+    let columns = (1, per_node.into_iter().map(quantize).collect());
+    let traffic = per_link.into_iter().map(quantize).collect();
+    let span = ("mapping/place/weights", span);
+    partition_views(net, cfg, columns, Some(traffic), None, "place", span, rec)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::top::map_top;
-    use crate::weights::accumulate_predicted_with;
+    use crate::weights::build_graph;
     use crate::Parallelism;
     use massf_partition::quality::edge_cut;
     use massf_topology::campus::campus;
@@ -135,8 +117,10 @@ mod tests {
         let top = map_top(&net, &cfg);
         let place = map_place(&net, &tables, &pred, &cfg);
 
-        let traffic_graph =
-            predicted_traffic_graph_with(&net, &tables, &pred, Parallelism::serial());
+        let (per_link, per_node) =
+            accumulate_predicted_with(&net, &tables, &pred, Parallelism::serial());
+        let rows = per_node.iter().map(|&m| [quantize(m)]);
+        let traffic_graph = build_graph(&net, 1, rows, |i| quantize(per_link[i]));
         let bal_top = massf_partition::quality::worst_balance(&traffic_graph, &top.part, 5);
         let bal_place = massf_partition::quality::worst_balance(&traffic_graph, &place.part, 5);
         assert!(

@@ -11,14 +11,10 @@
 
 use crate::segments::{cluster_segments, segment_vertex_weights};
 use crate::top::map_top_obs;
-use crate::weights::{
-    append_memory_constraint, latency_graph, measured_traffic_graph_with, node_time_loads,
-    with_vertex_weights,
-};
-use crate::{MapperConfig, UBFACTOR};
+use crate::weights::{accumulate_measured_with, node_time_loads, packets, partition_views};
+use crate::MapperConfig;
 use massf_engine::netflow::FlowRecord;
 use massf_obs::{PhaseInfo, ProfileTelemetry, Recorder};
-use massf_partition::multiobjective::combine_and_partition;
 use massf_partition::Partitioning;
 use massf_routing::RoutingTables;
 use massf_topology::Network;
@@ -54,7 +50,7 @@ pub fn map_profile(
 /// phase-detection telemetry ([`ProfileTelemetry`]: bucket layout, phase
 /// boundaries with their dominating nodes, and the per-constraint column
 /// totals handed to the partitioner) on `rec`.
-pub fn map_profile_obs(
+pub(crate) fn map_profile_obs(
     net: &Network,
     tables: &RoutingTables,
     records: &[FlowRecord],
@@ -80,7 +76,7 @@ pub fn map_profile_obs(
     // paper's imbalance metric scores. Each detected phase adds a column so
     // stage-local imbalance is bounded too (§3.3); with a single phase the
     // segment column would duplicate the total, so it is dropped.
-    let (mut ncon, mut vwgt) = {
+    let columns = {
         let nvtxs = net.node_count();
         let totals: Vec<i64> = loads
             .iter()
@@ -99,51 +95,33 @@ pub fn map_profile_obs(
             (ncon, w)
         }
     };
-    if cfg.include_memory {
-        let appended = append_memory_constraint(net, ncon, &vwgt);
-        ncon = appended.0;
-        vwgt = appended.1;
-    }
-    rec.set_profile(profile_telemetry(bucket_us, &loads, &segments, ncon, &vwgt));
+    let phases = profile_telemetry(bucket_us, &loads, &segments);
     rec.finish("mapping/profile/constraints", span);
 
     let span = rec.start();
-    let traffic = measured_traffic_graph_with(net, tables, records, cfg.parallelism);
-    let latency = with_vertex_weights(&latency_graph(net), ncon, vwgt.clone());
-    let traffic = with_vertex_weights(&traffic, ncon, vwgt);
-    rec.finish("mapping/profile/traffic_graph", span);
-
-    // Keep the total-load constraint tight but give the phase (and memory)
-    // columns extra slack: phases are noisy estimates, and over-constraining
-    // them forces low-latency cuts that hurt more than phase skew does.
-    let mut pcfg = cfg.partition_config();
-    let mut ubs = vec![UBFACTOR; ncon];
-    for ub in ubs.iter_mut().skip(1) {
-        *ub = UBFACTOR + 0.35;
-    }
-    pcfg.ub_vec = Some(ubs);
-
-    combine_and_partition(
-        &latency,
-        &traffic,
-        cfg.latency_priority,
-        &pcfg,
+    let (per_link, _) = accumulate_measured_with(net, tables, records, cfg.parallelism);
+    let traffic = per_link.into_iter().map(packets).collect();
+    let span = ("mapping/profile/traffic_graph", span);
+    partition_views(
+        net,
+        cfg,
+        columns,
+        Some(traffic),
+        Some(phases),
         "profile",
+        span,
         rec,
     )
-    .partitioning
 }
 
-/// Digests the load curves and constraint columns into the telemetry the
-/// run report carries: per-phase dominating nodes (argmax of raw load over
-/// the phase's buckets; `None` for all-idle phases) and the column sums of
-/// the vertex-weight matrix handed to the partitioner.
+/// Digests the load curves into the telemetry the run report carries:
+/// per-phase dominating nodes (argmax of raw load over the phase's
+/// buckets; `None` for all-idle phases). The partition step fills in the
+/// column count and totals of the vertex weights it partitions with.
 fn profile_telemetry(
     bucket_us: u64,
     loads: &[Vec<u64>],
     segments: &[(usize, usize)],
-    ncon: usize,
-    vwgt: &[i64],
 ) -> ProfileTelemetry {
     let nbuckets = loads.first().map(Vec::len).unwrap_or(0);
     let phases = segments
@@ -168,15 +146,11 @@ fn profile_telemetry(
             }
         })
         .collect();
-    let mut constraint_totals = vec![0i64; ncon];
-    for (i, &w) in vwgt.iter().enumerate() {
-        constraint_totals[i % ncon] += w;
-    }
     ProfileTelemetry {
         bucket_us,
         nbuckets: nbuckets as u64,
-        constraints: ncon as u64,
-        constraint_totals,
+        constraints: 0,
+        constraint_totals: Vec::new(),
         phases,
     }
 }

@@ -5,10 +5,10 @@
 //! simulation engine nodes. … This basic approach is simple and fast,
 //! therefore, it forms a performance baseline for our experiments."
 
-use crate::weights::{append_memory_constraint, latency_graph, with_vertex_weights};
+use crate::weights::{bandwidth_weight, partition_views};
 use crate::MapperConfig;
 use massf_obs::Recorder;
-use massf_partition::{partition_kway_obs, Partitioning};
+use massf_partition::Partitioning;
 use massf_topology::Network;
 
 /// Maps the network using topology information only.
@@ -18,20 +18,18 @@ pub fn map_top(net: &Network, cfg: &MapperConfig) -> Partitioning {
 
 /// [`map_top`] with observability: records a `mapping/top/weights` span and
 /// the partitioner's `top` restart batch on `rec`.
-pub fn map_top_obs(net: &Network, cfg: &MapperConfig, rec: &mut Recorder) -> Partitioning {
+pub(crate) fn map_top_obs(net: &Network, cfg: &MapperConfig, rec: &mut Recorder) -> Partitioning {
     let span = rec.start();
-    let mut g = latency_graph(net);
-    if cfg.include_memory {
-        let (ncon, w) = append_memory_constraint(net, 1, g.vwgt());
-        g = with_vertex_weights(&g, ncon, w);
-    }
-    rec.finish("mapping/top/weights", span);
-    partition_kway_obs(&g, &cfg.partition_config(), "top", rec)
+    let nodes = net.nodes().iter();
+    let columns = (1, nodes.map(|n| bandwidth_weight(net, n.id)).collect());
+    let span = ("mapping/top/weights", span);
+    partition_views(net, cfg, columns, None, None, "top", span, rec)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::weights::latency_graph;
     use massf_partition::quality::worst_balance;
     use massf_topology::campus::campus;
     use massf_topology::teragrid::teragrid;

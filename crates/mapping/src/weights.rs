@@ -1,8 +1,9 @@
-//! Construction of the partitioner's weighted input graphs (§2.2).
+//! The partitioner's weighted input graphs (§2.2) and the one partition
+//! step all three approaches end in (§2.3).
 //!
-//! All graphs produced here share one structure — vertex `i` is network
-//! node `i`, one edge per link — so the §2.3 multi-objective combination
-//! can mix their edge weights. They differ only in weights:
+//! Every graph built here has one structure — vertex `i` is network node
+//! `i`, one edge per link — so the §2.3 multi-objective combination can
+//! mix their edge weights. They differ only in weights:
 //!
 //! * **latency view** — edge weight `K / latency`: the partitioner
 //!   minimizes cut weight, so cheap-to-cut edges are the high-latency ones,
@@ -13,10 +14,18 @@
 //!   NetFlow records, in packets ("we use the number of packets in a flow,
 //!   since the real load in the emulator depends on the number of packets
 //!   it processes", §3.3).
+//!
+//! An approach computes only its vertex-weight columns (and, for PLACE and
+//! PROFILE, per-link traffic weights) and hands them to `partition_views`,
+//! which appends the memory column, builds the views and partitions them.
 
+use crate::{MapperConfig, UBFACTOR};
 use massf_engine::netflow::FlowRecord;
 use massf_graph::{CsrGraph, GraphBuilder, Weight};
+use massf_obs::{ProfileTelemetry, Recorder, SpanStart};
 use massf_par::{par_indexed_map, Parallelism};
+use massf_partition::multiobjective::combine_and_partition;
+use massf_partition::{partition_kway_obs, Partitioning};
 use massf_routing::RoutingTables;
 use massf_topology::{Network, NodeId, NodeKind};
 use massf_traffic::{FlowSpec, PredictedFlow};
@@ -37,19 +46,19 @@ pub const LATENCY_SCALE: f64 = 1_000_000.0;
 /// Fixed-point multiplier when quantizing Mbps to integer edge weights.
 pub const MBPS_SCALE: f64 = 16.0;
 
-/// Builds the shared graph skeleton with the supplied weight functions.
-fn build_graph(
+/// Builds the shared graph skeleton: vertex `v` weighs row `v` of `rows`
+/// (`ncon` columns each), link `i` weighs `edge_weight(i)`.
+pub(crate) fn build_graph<R: AsRef<[Weight]>>(
     net: &Network,
     ncon: usize,
-    vertex_weight: impl Fn(NodeId) -> Vec<Weight>,
+    rows: impl Iterator<Item = R>,
     edge_weight: impl Fn(usize) -> Weight,
 ) -> CsrGraph {
     let mut b = GraphBuilder::with_capacity(ncon, net.node_count(), net.link_count());
-    for n in net.nodes() {
-        let w = vertex_weight(n.id);
-        assert_eq!(w.len(), ncon);
-        b.add_vertex(&w);
+    for row in rows {
+        b.add_vertex(row.as_ref());
     }
+    assert_eq!(b.nvtxs(), net.node_count());
     for (i, l) in net.links().iter().enumerate() {
         b.add_edge(l.a, l.b, edge_weight(i))
             .expect("network links are valid edges");
@@ -66,12 +75,13 @@ pub fn latency_weight(latency_us: u64) -> Weight {
 /// TOP's input graph: vertex weight = total incident bandwidth (Mbps,
 /// rounded, ≥ 1); edge weight = the latency objective (§3.1).
 pub fn latency_graph(net: &Network) -> CsrGraph {
-    build_graph(
-        net,
-        1,
-        |n| vec![(net.total_bandwidth(n).round() as Weight).max(1)],
-        |i| latency_weight(net.links()[i].latency_us),
-    )
+    let rows = net.nodes().iter().map(|n| [bandwidth_weight(net, n.id)]);
+    build_graph(net, 1, rows, |i| latency_weight(net.links()[i].latency_us))
+}
+
+/// TOP's vertex weight: total incident bandwidth (Mbps, rounded, ≥ 1).
+pub(crate) fn bandwidth_weight(net: &Network, node: NodeId) -> Weight {
+    (net.total_bandwidth(node).round() as Weight).max(1)
 }
 
 /// Fans `items` over threads in fixed [`FLOW_BLOCK`]-sized blocks; each
@@ -146,25 +156,6 @@ pub fn accumulate_predicted_with(
         },
         |a, b| *a += *b,
         |a, b| *a += *b,
-    )
-}
-
-/// PLACE's traffic view: edge weight ∝ predicted Mbps on the link, vertex
-/// weight ∝ predicted Mbps through the node (both quantized, with a floor
-/// of 1 so idle regions remain partitionable), accumulated over up to
-/// `par` threads.
-pub fn predicted_traffic_graph_with(
-    net: &Network,
-    tables: &RoutingTables,
-    flows: &[PredictedFlow],
-    par: Parallelism,
-) -> CsrGraph {
-    let (per_link, per_node) = accumulate_predicted_with(net, tables, flows, par);
-    build_graph(
-        net,
-        1,
-        |n| vec![quantize(per_node[n as usize])],
-        |i| quantize(per_link[i]),
     )
 }
 
@@ -256,23 +247,10 @@ pub fn measured_traffic_graph(
     tables: &RoutingTables,
     records: &[FlowRecord],
 ) -> CsrGraph {
-    measured_traffic_graph_with(net, tables, records, Parallelism::serial())
-}
-
-/// [`measured_traffic_graph`] with threaded accumulation.
-pub fn measured_traffic_graph_with(
-    net: &Network,
-    tables: &RoutingTables,
-    records: &[FlowRecord],
-    par: Parallelism,
-) -> CsrGraph {
-    let (per_link, per_node) = accumulate_measured_with(net, tables, records, par);
-    build_graph(
-        net,
-        1,
-        |n| vec![(per_node[n as usize] as Weight).max(1)],
-        |i| (per_link[i] as Weight).max(1),
-    )
+    let (per_link, per_node) =
+        accumulate_measured_with(net, tables, records, Parallelism::serial());
+    let rows = per_node.iter().map(|&p| [packets(p)]);
+    build_graph(net, 1, rows, |i| packets(per_link[i]))
 }
 
 /// Per-node load over virtual-time buckets, `[node][bucket]`, spreading
@@ -344,21 +322,9 @@ pub fn flow_node_loads(net: &Network, flows: &[FlowSpec], bucket_us: u64) -> Vec
     loads
 }
 
-/// Overlays new vertex weights (possibly multi-constraint) onto a weighted
-/// view, keeping its edge weights.
-pub fn with_vertex_weights(graph: &CsrGraph, ncon: usize, vwgt: Vec<Weight>) -> CsrGraph {
-    graph
-        .with_vertex_weights(ncon, vwgt)
-        .expect("weight overlay arity matches")
-}
-
 /// Appends the memory-model weights (§5, `m = 10 + x²`) as an extra
 /// constraint column to a flattened weight matrix.
-pub fn append_memory_constraint(
-    net: &Network,
-    ncon: usize,
-    vwgt: &[Weight],
-) -> (usize, Vec<Weight>) {
+fn append_memory_constraint(net: &Network, ncon: usize, vwgt: &[Weight]) -> (usize, Vec<Weight>) {
     let mem = massf_routing::memory::memory_weights(net);
     let n = net.node_count();
     assert_eq!(vwgt.len(), n * ncon);
@@ -370,8 +336,73 @@ pub fn append_memory_constraint(
     (ncon + 1, out)
 }
 
-fn quantize(mbps: f64) -> Weight {
+/// The partition step every approach ends in (§2.3). `vwgt` holds the
+/// approach's `ncon` vertex-weight columns, row-major; the memory column
+/// (§5) is appended when `cfg.include_memory` is set. Without `traffic`
+/// the latency view is partitioned alone, as restart batch `stage` (TOP).
+/// With per-link `traffic` weights, a traffic view carrying the same
+/// vertex weights is built beside it and [`combine_and_partition`] weighs
+/// latency against cut traffic (`{stage}/{latency,bandwidth,combined}`).
+/// `phases` is PROFILE's telemetry: it is recorded with the final column
+/// count and totals, and the columns past the first (phases, memory) get
+/// extra slack. The caller's open span closes once the views are built.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn partition_views(
+    net: &Network,
+    cfg: &MapperConfig,
+    (ncon, vwgt): (usize, Vec<Weight>),
+    traffic: Option<Vec<Weight>>,
+    phases: Option<ProfileTelemetry>,
+    stage: &str,
+    (span_name, span): (&str, SpanStart),
+    rec: &mut Recorder,
+) -> Partitioning {
+    let (ncon, vwgt) = if cfg.include_memory {
+        append_memory_constraint(net, ncon, &vwgt)
+    } else {
+        (ncon, vwgt)
+    };
+    let mut pcfg = cfg.partition_config();
+    if let Some(mut telemetry) = phases {
+        // Keep the total-load constraint tight but give the phase (and
+        // memory) columns extra slack: phases are noisy estimates, and
+        // over-constraining them forces low-latency cuts that hurt more
+        // than phase skew does.
+        let mut ubs = vec![UBFACTOR + 0.35; ncon];
+        ubs[0] = UBFACTOR;
+        pcfg.ub_vec = Some(ubs);
+        let mut totals = vec![0; ncon];
+        for (i, &w) in vwgt.iter().enumerate() {
+            totals[i % ncon] += w;
+        }
+        telemetry.constraints = ncon as u64;
+        telemetry.constraint_totals = totals;
+        rec.set_profile(telemetry);
+    }
+    let rows = || vwgt.chunks_exact(ncon);
+    let latency = build_graph(net, ncon, rows(), |i| {
+        latency_weight(net.links()[i].latency_us)
+    });
+    let traffic = traffic.map(|t| build_graph(net, ncon, rows(), |i| t[i]));
+    drop(vwgt);
+    rec.finish(span_name, span);
+    match traffic {
+        None => partition_kway_obs(&latency, &pcfg, stage, rec),
+        Some(traffic) => {
+            combine_and_partition(&latency, &traffic, cfg.latency_priority, &pcfg, stage, rec)
+        }
+    }
+}
+
+/// A predicted rate as an integer weight (fixed point, floor 1, so idle
+/// regions remain partitionable).
+pub(crate) fn quantize(mbps: f64) -> Weight {
     ((mbps * MBPS_SCALE).round() as Weight).max(1)
+}
+
+/// A measured packet count as an integer weight (floor 1).
+pub(crate) fn packets(count: u64) -> Weight {
+    (count as Weight).max(1)
 }
 
 #[cfg(test)]
@@ -440,7 +471,10 @@ mod tests {
     fn predicted_graph_quantizes_with_floor() {
         let net = line();
         let tables = RoutingTables::build(&net);
-        let g = predicted_traffic_graph_with(&net, &tables, &[], Parallelism::serial());
+        let (per_link, per_node) =
+            accumulate_predicted_with(&net, &tables, &[], Parallelism::serial());
+        let rows = per_node.iter().map(|&m| [quantize(m)]);
+        let g = build_graph(&net, 1, rows, |i| quantize(per_link[i]));
         // No traffic: all weights floor at 1.
         assert_eq!(g.edge_weight_between(0, 1), Some(1));
         assert_eq!(g.vertex_weight0(2), 1);

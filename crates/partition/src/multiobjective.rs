@@ -22,20 +22,6 @@ use massf_obs::Recorder;
 /// back to the integer weights the partitioner consumes.
 const COMBINE_SCALE: f64 = 10_000.0;
 
-/// Outcome of the multi-objective pipeline, including the intermediate
-/// single-objective cuts for inspection and testing.
-#[derive(Debug, Clone)]
-pub struct MultiObjectiveResult {
-    /// The final partitioning on the combined weights.
-    pub partitioning: Partitioning,
-    /// Cut achieved by the latency-only partition (`C_latency`).
-    pub latency_cut: Weight,
-    /// Cut achieved by the traffic-only partition (`C_bandwidth`).
-    pub bandwidth_cut: Weight,
-    /// The graph with combined edge weights (useful for quality reports).
-    pub combined_graph: CsrGraph,
-}
-
 /// Builds the combined-weight graph from two aligned weight views.
 ///
 /// `g_latency` and `g_bandwidth` must be the same graph structure (same
@@ -82,25 +68,14 @@ pub fn combine_and_partition(
     cfg: &PartitionConfig,
     stage_prefix: &str,
     rec: &mut Recorder,
-) -> MultiObjectiveResult {
+) -> Partitioning {
     let part_lat = partition_kway_obs(g_latency, cfg, &format!("{stage_prefix}/latency"), rec);
     let part_bw = partition_kway_obs(g_bandwidth, cfg, &format!("{stage_prefix}/bandwidth"), rec);
     let c_lat = edge_cut(g_latency, &part_lat.part);
     let c_bw = edge_cut(g_bandwidth, &part_bw.part);
 
-    let combined_graph = combine_edge_weights(g_latency, g_bandwidth, c_lat, c_bw, p);
-    let partitioning = partition_kway_obs(
-        &combined_graph,
-        cfg,
-        &format!("{stage_prefix}/combined"),
-        rec,
-    );
-    MultiObjectiveResult {
-        partitioning,
-        latency_cut: c_lat,
-        bandwidth_cut: c_bw,
-        combined_graph,
-    }
+    let combined = combine_edge_weights(g_latency, g_bandwidth, c_lat, c_bw, p);
+    partition_kway_obs(&combined, cfg, &format!("{stage_prefix}/combined"), rec)
 }
 
 #[cfg(test)]
@@ -133,7 +108,7 @@ mod tests {
         let r = combine_and_partition(&lat, &bw, 1.0, &cfg, "combine", &mut Recorder::new());
         // Cutting 3-4 and 7-0 yields latency cut 2; any other balanced
         // 2-way ring cut costs >= 10 in latency weight.
-        assert_eq!(edge_cut(&lat, &r.partitioning.part), 2);
+        assert_eq!(edge_cut(&lat, &r.part), 2);
     }
 
     #[test]
@@ -141,16 +116,7 @@ mod tests {
         let (lat, bw) = ring_views();
         let cfg = PartitionConfig::new(2);
         let r = combine_and_partition(&lat, &bw, 0.0, &cfg, "combine", &mut Recorder::new());
-        assert_eq!(edge_cut(&bw, &r.partitioning.part), 2);
-    }
-
-    #[test]
-    fn intermediate_cuts_reported() {
-        let (lat, bw) = ring_views();
-        let cfg = PartitionConfig::new(2);
-        let r = combine_and_partition(&lat, &bw, 0.6, &cfg, "combine", &mut Recorder::new());
-        assert_eq!(r.latency_cut, 2);
-        assert_eq!(r.bandwidth_cut, 2);
+        assert_eq!(edge_cut(&bw, &r.part), 2);
     }
 
     #[test]

@@ -12,10 +12,11 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Dijkstra from `source` in its textbook form: every node it reaches is
-/// queued and settled, where `SpfScratch::run` settles degree-1 nodes
-/// without queueing them. Same `(latency, hops, node id)` tie-break, so
-/// the two must agree on every dist, hop count and predecessor — and
-/// "tables ≡ oracle" compares two independent Dijkstras.
+/// queued and settled, leaves included, where `SpfScratch::run` runs on
+/// the router core alone and a leaf takes its parent's route. Same
+/// `(latency, hops, node id)` tie-break, so the two must agree on every
+/// dist, hop count and predecessor — and "tables ≡ oracle" compares two
+/// independent Dijkstras.
 pub fn plain_tree(net: &Network, source: NodeId) -> SpfTree {
     let n = net.node_count();
     let mut t = SpfTree {

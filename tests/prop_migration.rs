@@ -146,11 +146,7 @@ proptest! {
             emu.run_until(rng.gen_range(1..horizon));
             emu.repartition(random_partition_vec(n, k, &mut rng));
             emu.run_to_completion();
-            // The residency block exists only under lazy tables.
-            EmulationReport {
-                routing_slices: None,
-                ..emu.finish()
-            }
+            emu.finish()
         };
         let par = Parallelism::serial();
         let compressed = RoutingTables::build_kind(&net, RoutingKind::Compressed, par);
