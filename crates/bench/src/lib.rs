@@ -76,6 +76,10 @@ pub struct Output {
     /// Columns that must be filled and positive in every row of every
     /// table (the self-check of the wall-clock rows).
     pub positive: &'static [&'static str],
+    /// The paper's shape: per table id, columns whose cells must fall
+    /// strictly from left to right in every row of that table (checked on
+    /// full-scale runs only).
+    pub falling: &'static [(&'static str, &'static [&'static str])],
     /// Text printed after the tables: what the paper reports, the shape
     /// to look for, or the whole of a figure that is not a table.
     pub notes: String,
@@ -87,6 +91,7 @@ impl Output {
         Self {
             tables,
             positive: &[],
+            falling: &[],
             notes: notes.into(),
         }
     }

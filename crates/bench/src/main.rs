@@ -36,6 +36,20 @@ fn main() {
                         table.id
                     );
                 }
+                // The paper's shape is the full-scale grid's: smoke inputs
+                // are too small to order the approaches.
+                let shaped = out
+                    .falling
+                    .iter()
+                    .filter(|(id, _)| !ctx.smoke && *id == table.id);
+                for (_, cols) in shaped {
+                    let cells: Vec<_> = cols.iter().map(|col| table.get(row, col)).collect();
+                    assert!(
+                        cells.windows(2).all(|pair| pair[0] > pair[1]),
+                        "{}: {row} reads {cells:?} over {cols:?}, not strictly falling",
+                        table.id
+                    );
+                }
             }
             if ctx.smoke {
                 println!("(smoke: {}.json checked, not written)\n", table.id);

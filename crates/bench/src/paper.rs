@@ -180,7 +180,7 @@ pub fn scalapack_grid(ctx: &Ctx) -> Output {
 
 /// Figures 5, 7 and 10 — GridNPB.
 pub fn gridnpb_grid(ctx: &Ctx) -> Output {
-    grid(
+    let out = grid(
         ctx,
         Workload::GridNpb,
         [
@@ -202,7 +202,11 @@ pub fn gridnpb_grid(ctx: &Ctx) -> Output {
          emulation buys little overall runtime.\n\
          Figure 10: ~30% network-emulation-time reduction even though\n\
          whole-application time (Figure 7) barely moves.",
-    )
+    );
+    Output {
+        falling: &[("fig5", &["PLACE", "PROFILE"])],
+        ..out
+    }
 }
 
 /// Figure 8 — fine-grained load imbalance of GridNPB on Campus: the
@@ -284,9 +288,12 @@ pub fn table2(ctx: &Ctx) -> Output {
         t.set("Load Imbalance (Std. Deviation)", col, r.load_imbalance);
         t.set("Execution Time (second)", col, r.emulation_time_s);
     }
-    Output::new(
-        vec![(t, 3)],
-        "paper: imbalance 1.019 / 0.722 / 0.688; time 559.3 / 484.6 / 460.5 s\n\
-         shape to match: TOP > PLACE > PROFILE on both rows.",
-    )
+    Output {
+        falling: &[("table2", &["TOP", "PLACE", "PROFILE"])],
+        ..Output::new(
+            vec![(t, 3)],
+            "paper: imbalance 1.019 / 0.722 / 0.688; time 559.3 / 484.6 / 460.5 s\n\
+             shape to match: TOP > PLACE > PROFILE on both rows.",
+        )
+    }
 }

@@ -44,7 +44,8 @@
 //!
 //! The delta-partition is handed to the existing [`SteppableEmulation::
 //! repartition`] migration path; no METIS-style restart ever runs
-//! mid-emulation.
+//! mid-emulation. The same sweep, at λ = 0 and never below the
+//! partitioner's lookahead, ends every static partition ([`crate::weights`]).
 //!
 //! ## Drift (MC019 / MC020)
 //!
@@ -169,7 +170,10 @@ pub const LAMBDA: f64 = 0.5;
 /// nodes (ascending node id), each with the leaves on its engine, evaluate
 /// moving to each neighboring engine (ascending engine id), and the best
 /// gain (the module docs' formula, `sync_cost_us` as `c_sync`) is applied
-/// immediately when strictly positive. Every applied move lowers
+/// immediately when strictly positive. The imbalance is that of each
+/// engine's load divided by its entry of `capacities` (one per engine;
+/// equal entries score the raw loads), and a move that would leave the
+/// lookahead below `floor_us` is never taken. Every applied move lowers
 /// `Φ = imbalance + sync_cost_us / lookahead` by more than its charge, so
 /// passes repeat until one applies nothing, and one does. A leaf beside
 /// its parent only moves with it, and a source engine is never emptied.
@@ -180,15 +184,24 @@ pub const LAMBDA: f64 = 0.5;
 pub fn diffusive_sweep(
     net: &Network,
     partition: &mut [u32],
-    nengines: usize,
+    capacities: &[f64],
     node_loads: &[u64],
     lambda_cost: f64,
     sync_cost_us: f64,
+    floor_us: u64,
 ) -> Vec<(NodeId, u32, u32)> {
     let n = net.node_count();
+    let nengines = capacities.len();
     assert_eq!(partition.len(), n, "partition length mismatch");
     assert_eq!(node_loads.len(), n, "load length mismatch");
     assert!(lambda_cost >= 0.0 && sync_cost_us >= 0.0);
+    // `load_imbalance`'s std/mean, of load per unit of capacity.
+    let imbalance = |loads: &[u64]| {
+        let x = |e: usize| loads[e] as f64 / capacities[e];
+        let mean = (0..nengines).map(x).sum::<f64>() / nengines as f64;
+        let var = (0..nengines).map(|e| (x(e) - mean).powi(2)).sum::<f64>();
+        (var / nengines as f64).sqrt() / mean.max(f64::MIN_POSITIVE)
+    };
     let mut engine_loads = vec![0u64; nengines];
     let mut engine_sizes = vec![0usize; nengines];
     for v in 0..n {
@@ -253,23 +266,23 @@ pub fn diffusive_sweep(
             candidates.sort_unstable();
             candidates.dedup();
             let load: u64 = group.iter().map(|&u| node_loads[u as usize]).sum();
-            let cur = load_imbalance(&engine_loads);
+            let cur = imbalance(&engine_loads);
             let sync_now = 1.0 / lookahead(&cut) as f64;
             let mut best: Option<(f64, u32)> = None;
             for &to in &candidates {
                 engine_loads[from as usize] -= load;
                 engine_loads[to as usize] += load;
-                let moved = load_imbalance(&engine_loads);
+                let moved = imbalance(&engine_loads);
                 engine_loads[to as usize] -= load;
                 engine_loads[from as usize] += load;
                 flip(&mut cut, &outer, from, to, 1);
-                let sync_then = 1.0 / lookahead(&cut) as f64;
+                let then = lookahead(&cut);
                 flip(&mut cut, &outer, from, to, -1);
-                let gain = (cur - moved) + sync_cost_us * (sync_now - sync_then)
+                let gain = (cur - moved) + sync_cost_us * (sync_now - 1.0 / then as f64)
                     - lambda_cost * size as f64;
                 // Strict `>` twice: only positive gains move, and a tie
                 // keeps the earlier (lowest-id) target engine.
-                if gain > 0.0 && best.is_none_or(|(b, _)| gain > b) {
+                if then >= floor_us && gain > 0.0 && best.is_none_or(|(b, _)| gain > b) {
                     best = Some((gain, to));
                 }
             }
@@ -339,6 +352,7 @@ pub fn run_online(
     let mut emu = SteppableEmulation::new(&study.net, &study.tables, flows, emu_cfg);
 
     let lambda_cost = LAMBDA * (MIGRATION.per_node_us / epoch_len as f64);
+    let capacities = study.cfg.capacities();
     let mut epoch_partitions = vec![initial.clone()];
     let mut current = initial;
     let mut epoch_stats: Vec<EpochRow> = Vec::new();
@@ -373,14 +387,7 @@ pub fn run_online(
             // Epoch 1 has no history: drift vs. the balanced target
             // shares (capacity-proportional; uniform by default), i.e.
             // "how far from balanced did the first epoch land".
-            None => {
-                let target: Vec<f64> = study
-                    .cfg
-                    .engine_capacities
-                    .clone()
-                    .unwrap_or_else(|| vec![1.0; current.nparts]);
-                load_drift(&target, &measured_f)
-            }
+            None => load_drift(&capacities, &measured_f),
         };
         let drift_predicted = load_drift(&per_engine(&current), &measured_f);
 
@@ -404,9 +411,10 @@ pub fn run_online(
         let boundary = epoch < cfg.epochs as u64 && !emu.finished();
         if boundary && mode == RebalanceMode::Incremental {
             let mut part = current.part.clone();
-            let k = current.nparts;
-            // A quiet epoch is one where no move pays.
-            if diffusive_sweep(&study.net, &mut part, k, &per_node, lambda_cost, sync).is_empty() {
+            // A quiet epoch is one where no move pays. Any lookahead may
+            // be traded (floor 1): `c_sync / L` prices it.
+            let (net, caps) = (&study.net, &capacities);
+            if diffusive_sweep(net, &mut part, caps, &per_node, lambda_cost, sync, 1).is_empty() {
                 st.skipped = true;
             } else {
                 let moved = emu.repartition(part.clone());
@@ -563,8 +571,8 @@ mod tests {
         let mut a = base.clone();
         let mut b = base.clone();
         // No sync cost: the sweep descends the imbalance alone.
-        let moves_a = diffusive_sweep(&s.net, &mut a, nengines, &loads, 0.0, 0.0);
-        let moves_b = diffusive_sweep(&s.net, &mut b, nengines, &loads, 0.0, 0.0);
+        let moves_a = diffusive_sweep(&s.net, &mut a, &[1.0; 3], &loads, 0.0, 0.0, 1);
+        let moves_b = diffusive_sweep(&s.net, &mut b, &[1.0; 3], &loads, 0.0, 0.0, 1);
         assert_eq!(a, b, "fixed sweep order is deterministic");
         assert_eq!(moves_a, moves_b);
         assert!(!moves_a.is_empty(), "skewed load must yield moves");
@@ -600,7 +608,7 @@ mod tests {
         }
         let mut part = vec![0, 1, 1, 0, 1, 1, 1];
         let loads = [0, 10, 10, 0, 10, 10, 0];
-        let moves = diffusive_sweep(&net, &mut part, 2, &loads, 0.0, 0.0);
+        let moves = diffusive_sweep(&net, &mut part, &[1.0; 2], &loads, 0.0, 0.0, 1);
         assert_eq!(moves, vec![(r1, 1, 0), (b, 1, 0), (c, 1, 0)]);
         assert_eq!(part, vec![0, 0, 1, 0, 0, 0, 1]);
     }
@@ -626,12 +634,54 @@ mod tests {
         assert_eq!(lookahead_us(&net, &base), 200);
 
         let mut part = base.clone();
-        let moves = diffusive_sweep(&net, &mut part, 2, &loads, 0.01, sync);
+        let moves = diffusive_sweep(&net, &mut part, &[1.0; 2], &loads, 0.01, sync, 1);
         assert_eq!(moves, vec![(r1, 0, 1), (h, 0, 1)]);
         assert_eq!(lookahead_us(&net, &part), 1000);
         // Balance alone sees nothing to gain and pays the migration charge.
         let mut part = base.clone();
-        assert!(diffusive_sweep(&net, &mut part, 2, &loads, 0.01, 0.0).is_empty());
+        assert!(diffusive_sweep(&net, &mut part, &[1.0; 2], &loads, 0.01, 0.0, 1).is_empty());
+    }
+
+    #[test]
+    fn the_floor_refuses_a_balancing_move_that_shortens_the_lookahead() {
+        // A triangle: engine 0 holds the unloaded a, engine 1 the loaded
+        // b and c, and both cut links are 1 000 µs. Moving b (or c)
+        // balances the loads but cuts the 300 µs link b — c.
+        let mut net = Network::new();
+        let [a, b, c] = ["a", "b", "c"].map(|r| net.add_router(r, 0));
+        net.add_link(a, b, 1000.0, 1000);
+        net.add_link(b, c, 1000.0, 300);
+        net.add_link(c, a, 1000.0, 1000);
+        let base = vec![0, 1, 1];
+        let loads = [0, 10, 10];
+        let sync = CostModel::default().sync_cost_us;
+        let floor = lookahead_us(&net, &base);
+        assert_eq!(floor, 1000);
+
+        let mut part = base.clone();
+        assert!(diffusive_sweep(&net, &mut part, &[1.0; 2], &loads, 0.0, sync, floor).is_empty());
+        assert_eq!(part, base);
+        let moves = diffusive_sweep(&net, &mut part, &[1.0; 2], &loads, 0.0, sync, 1);
+        assert_eq!(moves, vec![(b, 1, 0)]);
+        assert_eq!(lookahead_us(&net, &part), 300);
+    }
+
+    #[test]
+    fn capacities_weigh_the_loads() {
+        // Engine 0 is three times as fast: 30 vs 10 is balanced there, and
+        // the move that evens the raw loads is refused.
+        let mut net = Network::new();
+        let [a, b, c, d] = ["a", "b", "c", "d"].map(|r| net.add_router(r, 0));
+        for (x, y) in [(a, b), (b, c), (c, d), (d, a)] {
+            net.add_link(x, y, 1000.0, 1000);
+        }
+        let loads = [10, 10, 10, 10];
+        let mut part = vec![0, 0, 0, 1];
+        let sweep = |part: &mut [u32], capacities: &[f64]| {
+            diffusive_sweep(&net, part, capacities, &loads, 0.0, 0.0, 1)
+        };
+        assert!(sweep(&mut part, &[3.0, 1.0]).is_empty());
+        assert_eq!(sweep(&mut part, &[1.0, 1.0]), vec![(a, 0, 1)]);
     }
 
     #[test]
@@ -640,7 +690,7 @@ mod tests {
         let n = s.net.node_count();
         let mut part: Vec<u32> = (0..n).map(|v| (v % 3) as u32).collect();
         let loads: Vec<u64> = (0..n as u64).collect();
-        let moves = diffusive_sweep(&s.net, &mut part, 3, &loads, f64::INFINITY, 50.0);
+        let moves = diffusive_sweep(&s.net, &mut part, &[1.0; 3], &loads, f64::INFINITY, 50.0, 1);
         assert!(moves.is_empty(), "no gain can beat an infinite cost");
     }
 

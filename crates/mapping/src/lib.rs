@@ -23,7 +23,8 @@
 //! one partition step in [`weights`], which appends the memory column
 //! when [`MapperConfig::include_memory`] is set, builds the latency view
 //! (and the traffic view beside it) and partitions them, alone for TOP,
-//! by the §2.3 combination for PLACE and PROFILE. [`segments`] implements
+//! by the §2.3 combination for PLACE and PROFILE, then polishes the
+//! result with [`incremental`]'s descent. [`segments`] implements
 //! the phase clustering; [`pipeline`] wires the full
 //! profile-then-repartition loop.
 
@@ -132,6 +133,13 @@ impl MapperConfig {
     pub fn with_parallelism(mut self, par: Parallelism) -> Self {
         self.parallelism = par;
         self
+    }
+
+    /// Each engine's relative capacity: [`MapperConfig::engine_capacities`],
+    /// or 1.0 each on a homogeneous cluster.
+    pub(crate) fn capacities(&self) -> Vec<f64> {
+        let uniform = || vec![1.0; self.engines];
+        self.engine_capacities.clone().unwrap_or_else(uniform)
     }
 
     /// The underlying partitioner configuration.

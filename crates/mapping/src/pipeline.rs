@@ -201,19 +201,34 @@ mod tests {
                 ..MapperConfig::new(3)
             };
             let s = MappingStudy::new(campus(), cfg);
-            for (approach, stages) in [
-                (Approach::Top, top),
-                (Approach::Place, place),
-                (Approach::Profile, profile),
+            for (approach, stages, polished) in [
+                (Approach::Top, top, &["top"][..]),
+                (Approach::Place, place, &["place"][..]),
+                (Approach::Profile, profile, &["top", "profile"][..]),
             ] {
                 let label = format!("{} include_memory={include_memory}", approach.label());
                 let mut rec = Recorder::new();
                 let p = s.map_obs(approach, &predicted, &flows, &mut rec);
                 assert_eq!(p.nparts, 3, "{label}");
                 assert!(p.part_sizes().iter().all(|&x| x > 0), "{label}");
-                let (_, _, _, restarts, telemetry) = rec.into_parts();
+                let (spans, _, _, restarts, telemetry) = rec.into_parts();
                 let recorded: Vec<&str> = restarts.iter().map(|b| b.stage.as_str()).collect();
                 assert_eq!(recorded, stages, "{label}");
+                // Each step ends in its polish, unless memory is balanced
+                // too; only a step's last batch can have moved nodes.
+                let polish: Vec<&str> = spans
+                    .iter()
+                    .filter_map(|sp| sp.name.strip_prefix("mapping/")?.strip_suffix("/polish"))
+                    .collect();
+                assert_eq!(
+                    polish,
+                    if include_memory { &[] } else { polished },
+                    "{label}"
+                );
+                for b in &restarts {
+                    let last = b.stage == "top" || b.stage.ends_with("/combined");
+                    assert!(last && !include_memory || b.polished == 0, "{label}");
+                }
                 assert_eq!(
                     telemetry.is_some(),
                     approach == Approach::Profile,

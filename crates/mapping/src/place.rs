@@ -46,8 +46,8 @@ pub fn map_place(
     map_place_obs(net, tables, predicted, cfg, &mut Recorder::new())
 }
 
-/// [`map_place`] with observability: records a `mapping/place/weights` span
-/// and the `place/{latency,bandwidth,combined}` restart batches on `rec`.
+/// [`map_place`] with observability: records the `mapping/place/{weights,
+/// polish}` spans and the `place/{latency,bandwidth,combined}` batches.
 pub(crate) fn map_place_obs(
     net: &Network,
     tables: &RoutingTables,

@@ -16,8 +16,8 @@ pub fn map_top(net: &Network, cfg: &MapperConfig) -> Partitioning {
     map_top_obs(net, cfg, &mut Recorder::new())
 }
 
-/// [`map_top`] with observability: records a `mapping/top/weights` span and
-/// the partitioner's `top` restart batch on `rec`.
+/// [`map_top`] with observability: records the `mapping/top/weights` and
+/// `mapping/top/polish` spans and the partitioner's `top` restart batch.
 pub(crate) fn map_top_obs(net: &Network, cfg: &MapperConfig, rec: &mut Recorder) -> Partitioning {
     let span = rec.start();
     let nodes = net.nodes().iter();

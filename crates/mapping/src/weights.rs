@@ -19,8 +19,11 @@
 //! PROFILE, per-link traffic weights) and hands them to `partition_views`,
 //! which appends the memory column, builds the views and partitions them.
 
+use crate::incremental::diffusive_sweep;
 use crate::{MapperConfig, UBFACTOR};
+use massf_engine::engine::lookahead_us;
 use massf_engine::netflow::FlowRecord;
+use massf_engine::CostModel;
 use massf_graph::{CsrGraph, GraphBuilder, Weight};
 use massf_obs::{ProfileTelemetry, Recorder, SpanStart};
 use massf_par::{par_indexed_map, Parallelism};
@@ -346,6 +349,9 @@ fn append_memory_constraint(net: &Network, ncon: usize, vwgt: &[Weight]) -> (usi
 /// `phases` is PROFILE's telemetry: it is recorded with the final column
 /// count and totals, and the columns past the first (phases, memory) get
 /// extra slack. The caller's open span closes once the views are built.
+/// The result is then polished by [`diffusive_sweep`] on column 0's loads
+/// (`mapping/{stage}/polish`), which never shortens its lookahead; a
+/// partition that balances memory too is left as the partitioner made it.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn partition_views(
     net: &Network,
@@ -384,14 +390,27 @@ pub(crate) fn partition_views(
         latency_weight(net.links()[i].latency_us)
     });
     let traffic = traffic.map(|t| build_graph(net, ncon, rows(), |i| t[i]));
+    let loads: Vec<u64> = vwgt.iter().step_by(ncon).map(|&w| w as u64).collect();
     drop(vwgt);
     rec.finish(span_name, span);
-    match traffic {
+    let mut p = match traffic {
         None => partition_kway_obs(&latency, &pcfg, stage, rec),
         Some(traffic) => {
             combine_and_partition(&latency, &traffic, cfg.latency_priority, &pcfg, stage, rec)
         }
+    };
+    // Polish: the rebalancer's descent on column 0, nothing migrating
+    // (λ = 0), never below the lookahead the partitioner chose. It sees
+    // no other column, so it would undo a memory balance: none runs then.
+    if !cfg.include_memory {
+        let span = rec.start();
+        let (caps, sync) = (cfg.capacities(), CostModel::default().sync_cost_us);
+        let (floor, before) = (lookahead_us(net, &p.part), p.part.clone());
+        diffusive_sweep(net, &mut p.part, &caps, &loads, 0.0, sync, floor);
+        rec.finish(&format!("mapping/{stage}/polish"), span);
+        rec.record_polish(before.iter().zip(&p.part).filter(|(a, b)| a != b).count());
     }
+    p
 }
 
 /// A predicted rate as an integer weight (fixed point, floor 1, so idle

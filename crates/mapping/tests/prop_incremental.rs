@@ -2,15 +2,15 @@
 //! diffusive sweep applies must lower the potential
 //! `Φ = imbalance + c_sync / lookahead` by more than its migration charge
 //! (the sweep descends nothing else), the sweep must stop where no move
-//! pays, must never strand a leaf that shared its parent's engine, and
-//! must be a pure function of its inputs — the determinism the run
-//! report's epoch block relies on.
+//! pays, must never strand a leaf that shared its parent's engine, must
+//! never leave the lookahead below the floor it is given, and must be a
+//! pure function of its inputs — the determinism the run report's epoch
+//! block relies on.
 
 use massf_engine::engine::lookahead_us;
 use massf_engine::CostModel;
 use massf_mapping::incremental::{run_online, IncrementalConfig, RebalanceMode};
 use massf_mapping::{diffusive_sweep, MapperConfig, MappingStudy, Parallelism};
-use massf_metrics::load_imbalance;
 use massf_topology::campus::campus;
 use massf_topology::Network;
 use massf_traffic::gridnpb;
@@ -60,31 +60,55 @@ fn group_moves<'m>(net: &Network, moves: &'m [(u32, u32, u32)]) -> Vec<&'m [(u32
     groups
 }
 
+/// The sweep's imbalance: `load_imbalance`'s std/mean of each engine's
+/// load per unit of its capacity.
+fn imbalance(partition: &[u32], loads: &[u64], capacities: &[f64]) -> f64 {
+    let per_engine = engine_loads(partition, loads, capacities.len());
+    let per_unit: Vec<f64> = per_engine
+        .iter()
+        .zip(capacities)
+        .map(|(&l, &c)| l as f64 / c)
+        .collect();
+    let n = per_unit.len() as f64;
+    let mean = per_unit.iter().sum::<f64>() / n;
+    let var = per_unit.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
+    if mean == 0.0 {
+        0.0
+    } else {
+        var.sqrt() / mean
+    }
+}
+
 /// Replays `moves` group by group from `base` and checks that each one
 /// lowered `Φ = imbalance + sync / lookahead_us` by more than
-/// `lambda_cost` per moved node, in the sweep's own arithmetic. The
-/// sweep prices the lookahead from counts it updates move by move (and
-/// debug-asserts them against `lookahead_us` after each); here the
-/// lookahead is `lookahead_us` itself. Returns the replayed partition.
+/// `lambda_cost` per moved node, in the sweep's own arithmetic, and left
+/// the lookahead at `floor` or above. The sweep prices the lookahead from
+/// counts it updates move by move (and debug-asserts them against
+/// `lookahead_us` after each); here the lookahead is `lookahead_us`
+/// itself. Returns the replayed partition.
 fn check_descent(
     net: &Network,
     base: &[u32],
     moves: &[(u32, u32, u32)],
     loads: &[u64],
-    nengines: usize,
-    (lambda_cost, sync): (f64, f64),
+    capacities: &[f64],
+    (lambda_cost, sync, floor): (f64, f64, u64),
 ) -> Result<Vec<u32>, TestCaseError> {
     let mut part = base.to_vec();
     for group in group_moves(net, moves) {
-        let imbalance_before = load_imbalance(&engine_loads(&part, loads, nengines));
+        let imbalance_before = imbalance(&part, loads, capacities);
         let lookahead_before = lookahead_us(net, &part);
         for &(u, from, to) in group {
-            prop_assert!(from != to && (to as usize) < nengines);
+            prop_assert!(from != to && (to as usize) < capacities.len());
             prop_assert_eq!(part[u as usize], from);
             part[u as usize] = to;
         }
-        let imbalance_after = load_imbalance(&engine_loads(&part, loads, nengines));
+        let imbalance_after = imbalance(&part, loads, capacities);
         let lookahead_after = lookahead_us(net, &part);
+        prop_assert!(
+            lookahead_after >= floor,
+            "group {group:?} left {lookahead_after} < {floor}"
+        );
         let gain = (imbalance_before - imbalance_after)
             + sync * (1.0 / lookahead_before as f64 - 1.0 / lookahead_after as f64)
             - lambda_cost * group.len() as f64;
@@ -149,18 +173,55 @@ proptest! {
         let mut part = base.clone();
         let sync = sync_cost_us();
 
-        let moves = diffusive_sweep(&net, &mut part, nengines, &loads, lambda_cost, sync);
+        let uniform = vec![1.0; nengines];
+        let moves = diffusive_sweep(&net, &mut part, &uniform, &loads, lambda_cost, sync, 1);
 
-        let replayed = check_descent(&net, &base, &moves, &loads, nengines, (lambda_cost, sync))?;
+        let replayed = check_descent(&net, &base, &moves, &loads, &uniform, (lambda_cost, sync, 1))?;
         prop_assert_eq!(&replayed, &part);
         // The sweep stopped because no move pays: sweeping again moves nothing.
         let mut again = part.clone();
-        prop_assert!(diffusive_sweep(&net, &mut again, nengines, &loads, lambda_cost, sync).is_empty());
+        prop_assert!(diffusive_sweep(&net, &mut again, &uniform, &loads, lambda_cost, sync, 1).is_empty());
         // No engine that held nodes before is empty afterwards.
         for &(node, from, _) in &moves {
             prop_assert!((node as usize) < n);
             prop_assert!(part.contains(&from), "engine {} was emptied", from);
         }
+    }
+
+    #[test]
+    fn a_floored_sweep_keeps_the_lookahead_it_was_given(
+        seed in any::<u64>(),
+        nengines in 2usize..6,
+    ) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let net = network_with_hosts(&mut rng);
+        let n = net.node_count();
+        let loads: Vec<u64> = (0..n).map(|_| rng.gen_range(0..1_000)).collect();
+        let capacities: Vec<f64> = (0..nengines).map(|_| rng.gen_range(1..4) as f64).collect();
+        let mut base: Vec<u32> = (0..n).map(|_| rng.gen_range(0..nengines as u32)).collect();
+        for v in 0..n as u32 {
+            match net.leaf_uplink(v) {
+                Some((p, _)) if rng.gen_range(0..4) > 0 => base[v as usize] = base[p as usize],
+                _ => {}
+            }
+        }
+        // The static polish: nothing migrates, and the floor is the
+        // lookahead the partition came with.
+        let floor = lookahead_us(&net, &base);
+        let sync = CostModel::default().sync_cost_us;
+        let mut part = base.clone();
+
+        let moves = diffusive_sweep(&net, &mut part, &capacities, &loads, 0.0, sync, floor);
+
+        let replayed = check_descent(&net, &base, &moves, &loads, &capacities, (0.0, sync, floor))?;
+        prop_assert_eq!(&replayed, &part);
+        prop_assert!(lookahead_us(&net, &part) >= floor);
+        for e in 0..nengines as u32 {
+            prop_assert_eq!(base.contains(&e), part.contains(&e), "engine {} emptied", e);
+        }
+        let mut again = part.clone();
+        prop_assert!(diffusive_sweep(&net, &mut again, &capacities, &loads, 0.0, sync, floor).is_empty());
     }
 
     #[test]
@@ -176,8 +237,8 @@ proptest! {
         let base: Vec<u32> = (0..n).map(|_| rng.gen_range(0..3u32)).collect();
         let mut a = base.clone();
         let mut b = base.clone();
-        let ma = diffusive_sweep(&net, &mut a, 3, &loads, 0.01, sync);
-        let mb = diffusive_sweep(&net, &mut b, 3, &loads, 0.01, sync);
+        let ma = diffusive_sweep(&net, &mut a, &[1.0; 3], &loads, 0.01, sync, 1);
+        let mb = diffusive_sweep(&net, &mut b, &[1.0; 3], &loads, 0.01, sync, 1);
         prop_assert_eq!(ma, mb);
         prop_assert_eq!(a, b);
     }
@@ -196,7 +257,8 @@ proptest! {
         let base: Vec<u32> = (0..n).map(|_| rng.gen_range(0..nengines as u32)).collect();
         let mut part = base.clone();
         let sync = sync_cost_us();
-        let moves = diffusive_sweep(&net, &mut part, nengines, &loads, lambda_cost, sync);
+        let uniform = vec![1.0; nengines];
+        let moves = diffusive_sweep(&net, &mut part, &uniform, &loads, lambda_cost, sync, 1);
 
         for v in leaves_beside_parent(&net, &base) {
             let (p, _) = net.leaf_uplink(v).unwrap();
@@ -204,7 +266,7 @@ proptest! {
         }
         // A group move uncutting a 100 µs host link may raise the
         // imbalance; what it may not do is fail to lower the potential.
-        let replayed = check_descent(&net, &base, &moves, &loads, nengines, (lambda_cost, sync))?;
+        let replayed = check_descent(&net, &base, &moves, &loads, &uniform, (lambda_cost, sync, 1))?;
         prop_assert_eq!(&replayed, &part);
         for &(node, from, _) in &moves {
             prop_assert!((node as usize) < n);
@@ -212,7 +274,7 @@ proptest! {
         }
         let mut again = base.clone();
         prop_assert_eq!(
-            diffusive_sweep(&net, &mut again, nengines, &loads, lambda_cost, sync),
+            diffusive_sweep(&net, &mut again, &uniform, &loads, lambda_cost, sync, 1),
             moves
         );
         prop_assert_eq!(again, part);

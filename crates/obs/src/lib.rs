@@ -134,8 +134,17 @@ impl Recorder {
         self.restarts.push(RestartBatch {
             stage: stage.to_string(),
             winner: winner as u64,
+            polished: 0,
             outcomes,
         });
+    }
+
+    /// Records on the last restart batch how many nodes the descent that
+    /// polishes its winner left on another engine.
+    pub fn record_polish(&mut self, moved: usize) {
+        if let Some(batch) = self.restarts.last_mut() {
+            batch.polished = moved as u64;
+        }
     }
 
     /// Stores the PROFILE phase-detection telemetry.

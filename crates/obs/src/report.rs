@@ -202,6 +202,9 @@ block! { Block;
         pub stage: String,
         /// Index into `outcomes` of the winning restart.
         pub winner: u64,
+        /// Nodes the descent ending a partition step left on another
+        /// engine than the winner's: 0 on every batch but a step's last.
+        pub polished: u64,
         /// Per-restart outcomes in seed order.
         pub outcomes: Vec<RestartOutcome>,
     }
@@ -586,7 +589,7 @@ impl RunReport {
             for batch in &self.restarts {
                 let line = match batch.outcomes.get(batch.winner as usize) {
                     Some(w) => format!(
-                        "  {}: winner #{} of {} (cut {}, balance {}, {})\n",
+                        "  {}: winner #{} of {} (cut {}, balance {}, {})",
                         batch.stage,
                         batch.winner,
                         batch.outcomes.len(),
@@ -595,13 +598,17 @@ impl RunReport {
                         if w.feasible { "feasible" } else { "infeasible" }
                     ),
                     None => format!(
-                        "  {}: winner #{} of {}\n",
+                        "  {}: winner #{} of {}",
                         batch.stage,
                         batch.winner,
                         batch.outcomes.len()
                     ),
                 };
                 out.push_str(&line);
+                if batch.polished > 0 {
+                    out.push_str(&format!(", polish moved {}", batch.polished));
+                }
+                out.push('\n');
             }
         }
 
