@@ -111,5 +111,5 @@ fn every_completed_schedule_matched_the_reference() {
     assert!(reference.delivered > 0 && reference.remote_messages > 0);
     let r = explore(&s, ExploreOpts::default());
     assert!(r.violation.is_none());
-    assert_eq!(r.stats.executions + r.stats.pruned, 742, "schedule total");
+    assert_eq!(r.stats.executions + r.stats.pruned, 725, "schedule total");
 }

@@ -1,7 +1,7 @@
 //! Checker self-tests: seeded protocol mutations must be caught.
 //!
 //! A model checker that never finds anything might be exhaustively
-//! verifying — or blind. These tests break the protocol in two seeded
+//! verifying — or blind. These tests break the protocol in three seeded
 //! ways at the shim level (no engine code touched) and assert the
 //! explorer reports a counterexample schedule for each, and that
 //! replaying that schedule deterministically reproduces the violation.
@@ -176,5 +176,28 @@ fn faults_are_caught_in_the_partial_migration_scenario() {
     ] {
         let kind = find_and_replay_in(&s, fault);
         assert_ne!(kind, ViolationKind::Divergence, "{fault:?}");
+    }
+}
+
+#[test]
+fn a_minimum_that_leaves_out_a_shipment_is_caught() {
+    // A participant's next minimum must count the events it shipped: one
+    // that leaves a shipment out lets the next window open past it. Only a
+    // shipment that is the earliest event anywhere moves the window, so
+    // each case names a minimum where it is: on the two-engine
+    // participant, and before the stop of a migrating run.
+    for (s, thread, nth) in [
+        (Scenario::three_chain_paired(), 0, 2),
+        (Scenario::two_cross_migrate(), 1, 1),
+    ] {
+        let kind = find_and_replay_in(&s, Fault::UnfoldedShipment { thread, nth });
+        assert!(
+            matches!(
+                kind,
+                ViolationKind::ClosedWindowDelivery | ViolationKind::ReportMismatch
+            ),
+            "{}: unexpected symptom {kind:?}",
+            s.name
+        );
     }
 }

@@ -171,16 +171,20 @@ pub struct ProtocolState {
 /// Between calls the caller may migrate events between engines and pass a
 /// new `lookahead`, as long as no event moves below `state.last_lbts`.
 ///
-/// Each round runs three phases:
+/// A call publishes its engines' minimum and meets the others at one
+/// barrier; then each round, on the slot and channel copies of its
+/// parity:
 ///
-/// 1. publish every owned engine's next-event time, barrier, read all
-///    published minima to agree on `gmin` (and thus
-///    `LBTS = min(gmin + lookahead, until_us)`), barrier (everyone has
-///    read before anyone rewrites); stop here once `gmin >= until_us`;
-/// 2. process every owned engine's window below LBTS, ship cross-engine
-///    events, publish window statistics, barrier (all sends complete);
+/// 1. read every participant's minimum to agree on `gmin` (and thus
+///    `LBTS = min(gmin + lookahead, until_us)`); stop once
+///    `gmin >= until_us`;
+/// 2. process every owned engine's window below LBTS and ship its
+///    cross-engine events; publish the fold of the window (busy time,
+///    frontier) and the next round's minimum, which counts the shipped
+///    events, so it equals what the engines would publish once they
+///    have them; barrier;
 /// 3. drain every owned engine's inbox, then account the window against
-///    the published statistics of *all* engines.
+///    every participant's fold.
 ///
 /// The `debug_assert!`s state the protocol invariants the model checker
 /// proves hold under every interleaving: LBTS never regresses, windows
@@ -197,27 +201,19 @@ pub fn protocol_loop<S: SyncShim, E: BorrowMut<Engine>>(
     round_limit: u64,
     state: &mut ProtocolState,
 ) {
-    let nengines = cfg.nengines;
     let cost = &cfg.cost;
+    let parity = |rounds: u64| (rounds % 2) as usize;
+    let idle = |e: &E| e.borrow().next_time().unwrap_or(u64::MAX);
+    let next = engines.iter().map(idle).min().unwrap_or(u64::MAX);
+    shim.publish(SlotArray::Mins, parity(state.rounds), next);
+    shim.barrier_wait();
+    let every = |array, p| (0..shim.participants()).map(move |w| shim.read(array, p, w));
     // Every participant counts the same rounds, so all stop here together.
     while state.rounds < round_limit {
-        // Phase 1: publish local minima, agree on LBTS.
-        for e in engines.iter() {
-            let e: &Engine = e.borrow();
-            shim.publish(
-                SlotArray::Mins,
-                e.id as usize,
-                e.next_time().unwrap_or(u64::MAX),
-            );
-        }
-        shim.barrier_wait();
-        let mut gmin = u64::MAX;
-        for j in 0..nengines {
-            gmin = gmin.min(shim.read(SlotArray::Mins, j));
-        }
-        shim.barrier_wait(); // everyone has read before anyone rewrites
+        let p = parity(state.rounds);
+        let gmin = every(SlotArray::Mins, p).min().unwrap_or(u64::MAX);
         if gmin >= until_us {
-            break; // idle engines publish u64::MAX, so this is also "done"
+            break; // idle participants publish u64::MAX, so this is also "done"
         }
         debug_assert!(
             state.rounds == 0 || gmin >= state.last_lbts,
@@ -230,7 +226,8 @@ pub fn protocol_loop<S: SyncShim, E: BorrowMut<Engine>>(
             state.virtual_now = gmin;
         }
 
-        // Phase 2: process the window, ship remote events, publish stats.
+        // Process the window, ship remote events, fold the statistics.
+        let (mut next, mut busy, mut frontier) = (u64::MAX, 0.0f64, lbts);
         for e in engines.iter_mut() {
             let e: &mut Engine = e.borrow_mut();
             let id = e.id as usize;
@@ -244,23 +241,27 @@ pub fn protocol_loop<S: SyncShim, E: BorrowMut<Engine>>(
                 "window not drained: an event below LBTS {lbts} survived processing"
             );
             let sent = e.remote_sent() - sent_before;
-            for RemoteEvent { to_engine, event } in e.drain_outbox() {
-                shim.send(id, to_engine as usize, event);
-            }
-            shim.publish(SlotArray::WinEvents, id, events);
-            shim.publish(SlotArray::WinRemote, id, sent);
+            busy = busy.max(cost.engine_busy_us(events, sent, cfg.speed(id)));
             // An idle engine's frontier is its last processed event, not
             // lbts — with one engine the lookahead is effectively infinite
             // and lbts would wreck the virtual clock.
-            let frontier = e.next_time().unwrap_or(e.counters.last_event_us);
-            shim.publish(SlotArray::WinProgress, id, frontier.min(lbts));
+            let pending = e.next_time();
+            frontier = frontier.min(pending.unwrap_or(e.counters.last_event_us));
+            next = next.min(pending.unwrap_or(u64::MAX));
+            for RemoteEvent { to_engine, event } in e.drain_outbox() {
+                next = next.min(event.time_us);
+                shim.send(p, id, to_engine as usize, event);
+            }
         }
-        shim.barrier_wait(); // all sends complete
+        shim.publish(SlotArray::WinBusy, p, busy.to_bits());
+        shim.publish(SlotArray::WinProgress, p, frontier);
+        shim.publish(SlotArray::Mins, 1 - p, next);
+        shim.barrier_wait(); // all sends and folds complete
 
-        // Phase 3: drain inboxes, account the window.
+        // Drain inboxes, account the window.
         for e in engines.iter_mut() {
             let e: &mut Engine = e.borrow_mut();
-            shim.recv_all(e.id as usize, &mut |event: Event| {
+            shim.recv_all(p, e.id as usize, &mut |event: Event| {
                 debug_assert!(
                     event.time_us >= lbts,
                     "remote event at {} delivered into the closed window below {lbts}",
@@ -270,19 +271,14 @@ pub fn protocol_loop<S: SyncShim, E: BorrowMut<Engine>>(
                 e.enqueue(event);
             });
         }
-        let mut max_busy = 0.0f64;
-        for j in 0..nengines {
-            let ev = shim.read(SlotArray::WinEvents, j);
-            let rm = shim.read(SlotArray::WinRemote, j);
-            max_busy = max_busy.max(cost.engine_busy_us(ev, rm, cfg.speed(j)));
-        }
+        let max_busy = every(SlotArray::WinBusy, p)
+            .map(f64::from_bits)
+            .fold(0.0, f64::max);
         // Virtual progress this round: the new global frontier, capped by
         // lbts and never behind gmin.
-        let mut progress = lbts;
-        for j in 0..nengines {
-            progress = progress.min(shim.read(SlotArray::WinProgress, j));
-        }
-        let progress = progress.max(gmin);
+        let progress = every(SlotArray::WinProgress, p)
+            .fold(lbts, u64::min)
+            .max(gmin);
         let span = progress.saturating_sub(state.virtual_now);
         state.virtual_now = state.virtual_now.max(progress);
         state.wall.add_busy_window(cost, max_busy, span);

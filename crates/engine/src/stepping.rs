@@ -64,15 +64,14 @@ impl MigrationCost {
 pub const SLICE_ROUNDS: u64 = 256;
 
 /// Events per round over a slice from which the next slice runs on the
-/// workers. A round costs them what a sequential round does not (three
-/// barriers, slots and events crossing cores, the wait for the fuller
-/// half of an uneven window) against 0.05 µs per event split between
-/// them. Measured on 2 cores, CBR on the 200-router BRITE at 8 engines,
-/// two workers ÷ calling thread, best of 3: 0.19× at 7 events per round,
-/// 0.34× at 28, 0.46× at 57, 0.72× at 114, 0.83× at 171, 1.00× at 223,
-/// 1.11× at 283, 1.18× at 452. Past 223 the workers gain, yet a gate of
-/// 256 left `emulate_cbr` (223) flat and slowed `profile_scalapack`
-/// (586 on average, in bursts), so the gate stays below both.
+/// workers. A round costs them what a sequential round does not (one
+/// barrier, a line per worker and the events that cross cores, the wait
+/// for the fuller half of an uneven window) against 0.05 µs per event
+/// split between them. Measured on 2 cores, CBR on the 200-router BRITE
+/// at 8 engines, two workers ÷ calling thread, best of 3: 0.26× at 7
+/// events per round, 0.39× at 28, 0.62× at 57, 0.77–0.88× at 114, 1.08×
+/// at 141, 1.23–1.33× at 171, 1.17–1.20× at 223, 1.28× at 283, 1.24× at
+/// 452. The crossover lies between 114 and 141, where the gate is.
 pub const DENSE_EVENTS_PER_ROUND: u64 = 128;
 
 /// An emulation that can be advanced in increments and remapped between
@@ -145,7 +144,7 @@ impl<'a> SteppableEmulation<'a> {
     pub fn set_workers(&mut self, deal: Vec<usize>, dense_from: u64) {
         assert_eq!(deal.len(), self.cfg.nengines);
         let workers = deal.iter().max().map_or(1, |&w| w + 1);
-        self.pool = (workers > 1).then(|| PoolShim::new(deal.len(), workers));
+        self.pool = (workers > 1).then(|| PoolShim::new(&deal));
         (self.deal, self.dense_from) = (deal, dense_from);
     }
 
@@ -218,19 +217,21 @@ impl<'a> SteppableEmulation<'a> {
             groups[worker].push(engine);
         }
         let start = &self.state;
-        let work = |mut group: Vec<&mut Engine>| {
+        let work = |me: usize, mut group: Vec<&mut Engine>| {
             let _poison = pool.poison_on_panic();
-            let mut state = start.clone();
+            let (seat, mut state) = (pool.seat(me), start.clone());
             protocol_loop(
-                &mut group, pool, &shared, cfg, ahead, until, limit, &mut state,
+                &mut group, &seat, &shared, cfg, ahead, until, limit, &mut state,
             );
             state
         };
         self.state = std::thread::scope(|scope| {
-            let mut groups = groups.into_iter();
-            let mine = groups.next().expect("a pool has at least two workers");
-            let spawned: Vec<_> = groups.map(|g| scope.spawn(|| work(g))).collect();
-            let state = work(mine);
+            let mut groups = groups.into_iter().enumerate();
+            let (me, mine) = groups.next().expect("a pool has at least two workers");
+            let spawned: Vec<_> = groups
+                .map(|(w, g)| scope.spawn(move || work(w, g)))
+                .collect();
+            let state = work(me, mine);
             for handle in spawned {
                 let theirs = handle.join().expect("a worker panicked");
                 assert_eq!(theirs, state, "participants disagree on the protocol state");
